@@ -50,20 +50,21 @@ namespace runtime {
 
 /// Reduction-aware batching of the broadcast hot path (docs/batching.md).
 ///
-/// When enabled, reducible calls keep folding into the local summary per
-/// call but the summary-slot writes ship once per flush, and irreducible
-/// conflict-free calls accumulate into one spanning F-ring batch record
-/// per flush (a single doorbell). Conflicting calls never batch; their
-/// arrival flushes eagerly to preserve PropConfSync/PropDep ordering.
+/// Every update call is enqueued into the pending flush state and shipped
+/// by a flush; batching only decides when the flush runs. Disabled, each
+/// call flushes alone. Enabled, reducible calls keep folding into the
+/// local summary per call but the summary-slot writes ship once per
+/// flush, and irreducible conflict-free calls accumulate into one spanning
+/// F-ring batch record per flush (a single doorbell; its byte cap follows
+/// from the free ring and backup-slot geometry). Conflicting calls never
+/// batch; their arrival flushes eagerly to preserve PropConfSync/PropDep
+/// ordering.
 struct BatchingConfig {
-  /// Master switch; disabled preserves the per-call paths unchanged.
+  /// Master switch; disabled flushes every call on its own.
   bool Enabled = false;
   /// Size trigger: flush as soon as this many calls are pending across
   /// the free batch and all dirty summary groups.
   std::uint32_t MaxCalls = 16;
-  /// Byte trigger for the encoded free batch record (0 = derive from the
-  /// free ring's spanning-record capacity and the backup slot size).
-  std::uint32_t MaxBytes = 0;
   /// Timeout trigger: pending calls never wait longer than this. It is a
   /// backstop -- the common flush is completion-driven doorbell
   /// coalescing (the next batch ships when the previous flush's writes
@@ -87,9 +88,6 @@ struct DeltaConfig {
   /// a full image instead of a delta (0 = never; gaps then heal only
   /// through backup-slot recovery).
   std::uint32_t AntiEntropyEvery = 64;
-  /// Cap of buffered out-of-order frames per (group, source); frames
-  /// beyond it are dropped (counted) and heal via anti-entropy.
-  std::uint32_t MaxBufferedFrames = 64;
   /// Adaptive anti-entropy backoff (0 = off): after this many consecutive
   /// full-image ships during which the node observed no delta gap
   /// (node.delta.gap unchanged), the effective AntiEntropyEvery period
@@ -387,12 +385,18 @@ private:
   void handleReduce(Call C, SubmitCallback Done);
   void handleFree(Call C, SubmitCallback Done);
   void handleConf(Call C, SubmitCallback Done);
+  /// Posts a ConfRequest for \p C to \p Leader's mailbox.
+  void sendConfRequest(rdma::NodeId Leader, const Call &C);
   /// Leader-side processing of a conflicting call (local or forwarded).
   /// \p WaitDeadline carries the permissibility-wait deadline across
   /// retries (0 on first arrival).
   void leaderProcessConf(unsigned Group, ProcessId Origin, RequestId ReqId,
                          Call C, SubmitCallback LocalDone,
                          sim::SimTime WaitDeadline = 0);
+  /// Parks a conflicting call in the group's leader queue for a retry
+  /// from the poller.
+  void queueAtLeader(unsigned G, ProcessId Origin, Call C,
+                     SubmitCallback LocalDone, sim::SimTime WaitDeadline);
   void retryLeaderQueue(unsigned Group);
   /// Leader-side outcome of a conflicting call.
   enum class ConfOutcome : std::uint8_t {
@@ -425,8 +429,16 @@ private:
   void applyToStored(const Call &C);
   bool depsSatisfied(const semantics::DepMap &D) const;
   semantics::DepMap projectDeps(MethodId U) const;
-  void installSummary(unsigned Group, ProcessId From,
-                      const SummaryImage &Img);
+  /// Version-checked install of a whole summary image of (\p G, \p Src)
+  /// -- slot read, reassembled full frames and backup recovery alike --
+  /// plus a retry of buffered frames unblocked by the version jump.
+  /// Returns false when \p Img is not newer than the cached version.
+  bool installImage(unsigned G, ProcessId Src, SummaryImage Img);
+  /// First in-service node of group \p G's leader rotation.
+  rdma::NodeId homeLeader(unsigned G) const;
+  /// Hash of the replicated state (visible state, applied table, received
+  /// log positions) seeded with \p Seed: the prefix both digests share.
+  std::uint64_t replicatedStateHash(std::uint64_t Seed);
   void bumpConfContig(unsigned Group);
 
   // Broadcast recovery.
@@ -435,15 +447,36 @@ private:
   /// dropping entries the FreeSeqNext cursor marks as already delivered.
   void enqueueDecodedFree(ProcessId Issuer, std::vector<WireCall> Calls);
 
-  // Batching (docs/batching.md).
-  /// Why a flush fired (obs counter selection).
-  enum class FlushCause : std::uint8_t { Pipe, Size, Timeout, Conf };
-  /// Bookkeeping after a call is enqueued into a batch: counts it,
-  /// applies the size trigger, arms the timeout backstop, or flushes
-  /// immediately when no flush is in flight (doorbell coalescing).
-  void noteBatchedCall();
+  // Propagation pipeline (docs/batching.md).
+  /// Why a flush fired (obs counter selection). Single is the unbatched
+  /// flush of one call, which counts as no coalesced flush.
+  enum class FlushCause : std::uint8_t { Pipe, Size, Timeout, Conf, Single };
+  /// Everything one flush ships, in post order.
+  struct Shipment {
+    /// (summarization group, padded slot bytes) per classic slot write.
+    std::vector<std::pair<unsigned, std::vector<std::uint8_t>>> SlotWrites;
+    /// F-ring records: full frames, then delta frames, then free records.
+    std::vector<std::vector<std::uint8_t>> Records;
+    /// The backup-slot image covering the flush.
+    FlushImage Staged;
+    std::vector<SubmitCallback> Dones;
+    /// A coalesced (batched) flush: charges one ParseCpu and occupies the
+    /// doorbell pipeline (FlushesInFlight).
+    bool Coalesced = false;
+  };
+  /// Serialization charged per enqueued reducible call (0 when batched).
+  sim::SimDuration perCallParseCpu() const;
+  /// Bookkeeping after a call is enqueued: unbatched it flushes at once;
+  /// batched it applies the size trigger, arms the timeout backstop, or
+  /// flushes immediately when no flush is in flight (doorbell coalescing).
+  void noteEnqueued();
   void armFlushTimer();
-  void flushBatches(FlushCause Cause);
+  /// Turns the pending flush state into one Shipment and ships it.
+  void flush(FlushCause Cause);
+  /// Stages \p S's image in the backup slot, posts its writes to every
+  /// active peer, clears the slot once all complete, and responds to the
+  /// calls early or late (Cfg.RespondAfterCompletion).
+  void ship(Shipment S);
   /// Effective byte cap for the encoded free-batch record.
   std::size_t freeBatchCapBytes() const;
 
@@ -465,21 +498,18 @@ private:
   /// BEFORE folding, so an unshippable call is rejected (Done(false))
   /// without mutating any replicated state.
   bool fullImageShippable(const Call &Summary, std::size_t NumCounts) const;
-  /// Posts one encoded frame record to every peer's F-ring; \p OnOne runs
-  /// per completed peer write.
-  void postFrameToPeers(const std::vector<std::uint8_t> &Bytes,
-                        std::function<void()> OnOne);
-  /// Enqueues one F-ring record for \p Peer and drains the per-peer
-  /// outbound queue strictly head-first. Both the chunk-reassembly rules
-  /// and the FreeSeqNext dedup cursor assume the F-ring is FIFO per
-  /// source, so a full ring must STALL the stream, never reorder it:
-  /// independent per-record retries would let a retried chunk of one
-  /// image land after a later image's chunks, wedging reassembly.
-  void appendFreeOrdered(rdma::NodeId Peer, std::vector<std::uint8_t> Bytes,
-                         rdma::CompletionFn Done);
-  /// Appends queued records for \p Peer until the ring fills; re-arms a
-  /// retry timer while records remain.
-  void drainFreeOutbound(rdma::NodeId Peer);
+  /// Records waiting for ring space, drained strictly head-first.
+  struct OutboundQueue;
+  /// Enqueues one record for ring \p W and drains \p Q head-first. The
+  /// F-ring chunk-reassembly rules, the FreeSeqNext dedup cursor and the
+  /// mailbox request order all assume a ring is FIFO per writer, so a full
+  /// ring must STALL the stream, never reorder it: independent per-record
+  /// retries would let a retried record land after a later one.
+  void appendOrdered(RingWriter &W, OutboundQueue &Q,
+                     std::vector<std::uint8_t> Bytes, rdma::CompletionFn Done);
+  /// Appends queued records until the ring fills; re-arms a retry timer
+  /// while records remain.
+  void drainOutbound(RingWriter &W, OutboundQueue &Q);
   /// Encodes group \p G's image \p Img as Full=1 chunk frames (element-
   /// wise decomposition when the type supports it).
   std::vector<std::vector<std::uint8_t>>
@@ -492,9 +522,6 @@ private:
   bool tryApplyDeltaFrame(ProcessId Src, const SummaryDeltaFrame &F);
   /// Re-tries buffered frames of (\p G, \p Src) until no more apply.
   void retryBufferedFrames(unsigned G, ProcessId Src);
-  /// Install of a reassembled full image (dedups by version), plus retry
-  /// of buffered frames now unblocked by the version jump.
-  bool installFullImage(unsigned G, ProcessId Src, SummaryImage Img);
 
   rdma::Transport &Fabric;
   rdma::NodeId Self;
@@ -533,19 +560,21 @@ private:
   // Rings.
   std::vector<std::unique_ptr<RingReader>> FreeReaders;  // [issuer]
   std::vector<std::unique_ptr<RingWriter>> FreeWriters;  // [peer]
-  /// Outbound F-ring records waiting for ring space, drained head-first
-  /// per peer (see appendFreeOrdered: the F-ring must stay FIFO per
-  /// source even when a full ring forces retries).
   struct OutboundRecord {
     std::vector<std::uint8_t> Bytes;
     rdma::CompletionFn Done;
   };
-  std::vector<std::deque<OutboundRecord>> FreeOutbound; // [peer]
-  /// Whether a retry timer is already armed for the peer's queue.
-  std::vector<char> FreeOutboundArmed; // [peer]
+  struct OutboundQueue {
+    std::deque<OutboundRecord> Records;
+    /// Whether a retry timer is already armed for this queue.
+    bool RetryArmed = false;
+  };
+  /// Outbound records per peer ring (see appendOrdered).
+  std::vector<OutboundQueue> FreeOutbound; // [peer]
   std::vector<std::unique_ptr<RingReader>> ConfReaders;  // [group]
   std::vector<std::unique_ptr<RingReader>> MailReaders;  // [peer]
   std::vector<std::unique_ptr<RingWriter>> MailWriters;  // [peer]
+  std::vector<OutboundQueue> MailOutbound;               // [peer]
 
   // Pending (received, unapplied) calls.
   std::vector<std::deque<WireCall>> FreePending;            // [issuer]
@@ -578,7 +607,7 @@ private:
   /// cursor shared by the ring path and backup-slot recovery).
   std::vector<std::uint64_t> FreeSeqNext; // [issuer]
 
-  // Batching state (all dormant unless Cfg.Batch.Enabled).
+  // Pending flush state: what the next flush ships (unbatched, one call).
   struct BatchedFree {
     std::vector<std::uint8_t> Bytes; // encodeCall output
     SubmitCallback Done;
@@ -604,16 +633,19 @@ private:
   // full-frame receive machinery, which also serves the slot-overflow
   // fallback in classic mode).
   /// Fold of the local calls of each group since its last shipped frame
-  /// (batched mode; unbatched deltas are the single prepared call).
+  /// (unbatched, the single prepared call).
   std::vector<std::optional<Call>> PendingDelta; // [group]
   /// Version up to which peers have been shipped this node's summary
   /// (the FromSeq of the next outgoing delta frame).
   std::vector<std::uint64_t> DeltaShippedSeq; // [group]
   /// Delta flushes since the last full-image ship (anti-entropy trigger).
   std::vector<std::uint32_t> DeltaFlushesSinceFull; // [group]
-  /// Out-of-order delta frames parked until the version gap closes.
+  /// Out-of-order delta frames parked until the version gap closes, at
+  /// most MaxBufferedFrames per (group, source); frames beyond it are
+  /// dropped (counted) and heal via anti-entropy.
   std::vector<std::vector<std::deque<SummaryDeltaFrame>>>
       BufferedFrames; // [group][src]
+  static constexpr std::size_t MaxBufferedFrames = 64;
   /// Partial full-image chunk sets keyed by target version.
   struct ChunkAssembly {
     std::uint64_t Seq = 0;

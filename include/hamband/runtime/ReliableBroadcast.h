@@ -13,9 +13,17 @@
 /// detector suspects the source, each peer remotely reads the backup slot
 /// and delivers any pending message it has not received.
 ///
-/// Slot layout: u8 kind | u8 aux | u32 epoch | u32 len | payload | canary
-/// byte at end. The epoch is the stager's membership epoch; recovery
-/// drops a fetched message staged in a different epoch (docs/reconfig.md).
+/// Every broadcast the runtime makes -- a one-call unbatched flush or a
+/// coalesced batch -- stages the same payload: one FlushImage
+/// (WireFormat.h). It holds the flush's free-call record if that fits the
+/// slot, and per dirty summarization group the full summary image when
+/// that still fits, otherwise the group's single delta frame, otherwise
+/// nothing; each left-out entry counts in node.delta.stage_skipped.
+/// Recovery therefore decodes one format.
+///
+/// Slot layout: u8 kind | u32 epoch | u32 len | payload | canary byte at
+/// end. The epoch is the stager's membership epoch; recovery drops a
+/// fetched message staged in a different epoch (docs/reconfig.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,30 +42,15 @@ namespace runtime {
 /// Manages this node's backup slot and recovery reads of peers' slots.
 class ReliableBroadcast {
 public:
-  /// Message kinds staged in the slot; `Aux` disambiguates the target
-  /// structure (summarization group or unused).
-  enum class Kind : std::uint8_t {
-    None = 0,
-    /// Payload is an F-ring cell payload (encoded WireCall).
-    FreeCall = 1,
-    /// Payload is a summary-slot image; Aux is the summarization group.
-    Summary = 2,
-    /// Payload is a flush image (encodeFlushImage): the summary images
-    /// plus the free-call batch record of one batched flush, staged as a
-    /// single unit so the whole flush is recovered atomically.
-    FreeBatch = 3,
-    /// Payload is a summary-delta frame (encodeSummaryDelta); Aux is the
-    /// summarization group. Staged only when the corresponding *full*
-    /// image outgrows the backup slot: recovery then degrades to the
-    /// delta's gap-checked delivery rules instead of the idempotent
-    /// full-image install (docs/deltas.md).
-    SummaryDelta = 4,
-  };
+  /// Slot contents: empty, or a staged flush image (encodeFlushImage).
+  enum class Kind : std::uint8_t { None = 0, Flush = 1 };
+
+  /// Slot bytes around the payload: the header and the trailing canary.
+  static constexpr std::uint32_t OverheadBytes = 1 + 4 + 4 + 1;
 
   /// A fetched backup message.
   struct BackupMessage {
     Kind TheKind = Kind::None;
-    std::uint8_t Aux = 0;
     std::uint32_t Epoch = 0;
     std::vector<std::uint8_t> Payload;
   };
@@ -65,11 +58,10 @@ public:
   ReliableBroadcast(rdma::Transport &Fabric, rdma::NodeId Self,
                     rdma::MemOffset BackupOff, std::uint32_t SlotBytes);
 
-  /// Stages a message in the local backup slot (a local store -- it must
-  /// happen before the remote writes are posted). \p Epoch is the
+  /// Stages a flush image in the local backup slot (a local store -- it
+  /// must happen before the remote writes are posted). \p Epoch is the
   /// stager's membership epoch (0 on fixed-membership clusters).
-  void stage(Kind K, std::uint8_t Aux,
-             const std::vector<std::uint8_t> &Payload,
+  void stage(const std::vector<std::uint8_t> &Payload,
              std::uint32_t Epoch = 0);
 
   /// Clears the slot after all remote writes completed.

@@ -39,6 +39,9 @@ public:
   void u32(std::uint32_t V);
   void u64(std::uint64_t V);
   void i64(std::int64_t V) { u64(static_cast<std::uint64_t>(V)); }
+  void bytes(const std::vector<std::uint8_t> &V) {
+    Bytes.insert(Bytes.end(), V.begin(), V.end());
+  }
 
 private:
   std::vector<std::uint8_t> Bytes;
@@ -125,18 +128,36 @@ bool decodeCallBatch(const CoordinationSpec &Spec, unsigned NumProcesses,
                      const std::uint8_t *Data, std::size_t Len,
                      std::vector<WireCall> &Out);
 
-/// Everything one batched flush ships, staged as ONE backup-slot image so
-/// reliable-broadcast recovery covers the whole flush atomically (staging
-/// summaries and the free batch separately would make the single slot
-/// self-overwriting).
+/// What one flush stages, as ONE backup-slot image so reliable-broadcast
+/// recovery covers the flush from one slot read (staging summaries and
+/// the free batch separately would make the single slot self-overwriting).
+/// Every ship stages this format, a one-call unbatched flush included. It
+/// carries the free batch record if that fits the slot, and per dirty
+/// group the full summary image when that still fits, otherwise the
+/// group's single delta frame, otherwise nothing.
 /// Layout: u8 k | k x (u8 group | u32 len | encodeSummary bytes) |
+///         u8 d | d x (u32 len | encodeSummaryDelta bytes) |
 ///         u32 freeLen | encodeCallBatch bytes (freeLen == 0: none)
 struct FlushImage {
-  /// (summarization group, encodeSummary output) per dirty group.
+  /// (summarization group, encodeSummary output) per group staged whole.
   std::vector<std::pair<std::uint8_t, std::vector<std::uint8_t>>> Summaries;
+  /// encodeSummaryDelta output per group whose full image outgrew the slot.
+  std::vector<std::vector<std::uint8_t>> Deltas;
   /// encodeCallBatch output, or empty when the flush carried no free calls.
   std::vector<std::uint8_t> FreeRecord;
 };
+
+/// encodeFlushImage's output is FlushImageBaseBytes (the two entry counts
+/// and the free record's length) plus the free record, plus one entry per
+/// staged summary or delta frame. A flush budgets the backup slot with
+/// these before it encodes.
+inline constexpr std::size_t FlushImageBaseBytes = 6;
+inline std::size_t flushImageSummaryBytes(std::size_t SummaryLen) {
+  return 5 + SummaryLen; // u8 group | u32 len | bytes
+}
+inline std::size_t flushImageDeltaBytes(std::size_t FrameLen) {
+  return 4 + FrameLen; // u32 len | bytes
+}
 
 std::vector<std::uint8_t> encodeFlushImage(const FlushImage &Img);
 bool decodeFlushImage(const std::uint8_t *Data, std::size_t Len,

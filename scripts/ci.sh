@@ -2,7 +2,8 @@
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
 # twin, delta twin), the bounded coordination-verifier gate (including
 # keyed-lift preservation), the hamband_mc exhaustive small-scope sweep
-# (plus a delta-mode exploration), a TSan flavor (threaded obs mutation,
+# (plus a delta-mode exploration), the end-to-end benchmark smoke
+# (bench/e2e's own build and ctests), a TSan flavor (threaded obs mutation,
 # shm ring stress, the shm transport conformance corpus, the shm sharded
 # keyspace corpus, and the shm delta corpus), and lint.
 #
@@ -45,6 +46,16 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 "$REPO/scripts/bench_regress.sh" --smoke --out "$BUILD/BENCH_smoke.json" \
   "$BUILD"
 "$BUILD/tools/hamband_bench_report" --check "$BUILD/BENCH_smoke.json"
+
+# End-to-end benchmark smoke: bench/e2e is its own CMake project (the
+# build bench/e2e/run.py uses), so its two ctests -- the tiny-size run of
+# every BENCHMARK.json workload and the legacy-timing check -- are not
+# part of the main ctest pass above.
+echo "ci: end-to-end benchmark smoke (bench.e2e_smoke, bench.e2e_legacy_timing)"
+cmake -S "$REPO/bench/e2e" -B "$BUILD-e2e" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BUILD-e2e" -j"$(nproc)" --target hamband_e2e
+ctest --test-dir "$BUILD-e2e" --output-on-failure \
+  -R '^bench\.e2e_(smoke|legacy_timing)$'
 
 # Coordination-verifier gate: every registered type's declared spec must
 # be sound at the default bound (a soundness violation is a convergence or

@@ -1,0 +1,115 @@
+#!/usr/bin/env bash
+# Simulator parity check: builds bench/e2e's hamband_e2e from the working
+# tree and from git revision REV, runs every BENCHMARK.json workload on
+# both for one simulated second, untraced (end-to-end figures) and traced
+# (per-layer figures), and fails on any difference in
+#
+#  - the simulated-time end-to-end metrics (tput_ops_us, resp_mean_us,
+#    resp_p99_p999_mean_us, upd_resp_mean_us), or
+#  - the deterministic per-layer counts: sim.events_per_op.*, ring.*,
+#    rdma.*_per_op, bcast.stages_per_op, delta.* and node.batch.*.
+#
+# A refactor that claims "the simulator replays the same events" must
+# pass this against its parent. Host- and wall-clock figures (setup_s,
+# peak_rss_mb, *_ns, shm.*) are never compared.
+#
+# Every workload runs at seeds 1 and 11, the first seed of each of the two
+# calibration ranges in bench/e2e/README.md.
+#
+# Usage: scripts/sim_parity.sh REV [--build DIR]
+#   REV       revision to compare against (e.g. HEAD~1)
+#   --build   scratch directory (default build/parity); REV's sources are
+#             exported there with `git archive` and both trees build there
+
+set -euo pipefail
+
+REPO="$(cd "$(dirname "$0")/.." && pwd)"
+REV=""
+SEEDS=(1 11)
+OUT="$REPO/build/parity"
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --build) OUT="$2"; shift 2 ;;
+    -*) echo "sim_parity: unknown option $1" >&2; exit 2 ;;
+    *) REV="$1"; shift ;;
+  esac
+done
+if [ -z "$REV" ]; then
+  echo "usage: scripts/sim_parity.sh REV [--build DIR]" >&2
+  exit 2
+fi
+SHA="$(git -C "$REPO" rev-parse --verify "$REV^{commit}")"
+JOBS="$(nproc)"
+[ "$JOBS" -le 4 ] || JOBS=4
+
+# REV's sources, exported once per commit.
+REV_SRC="$OUT/src-$SHA"
+if [ ! -f "$REV_SRC/.exported" ]; then
+  rm -rf "$REV_SRC"
+  mkdir -p "$REV_SRC"
+  git -C "$REPO" archive "$SHA" | tar -x -C "$REV_SRC"
+  touch "$REV_SRC/.exported"
+fi
+
+build() { # SRC_ROOT BUILD_DIR
+  cmake -S "$1/bench/e2e" -B "$2" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$2" -j"$JOBS" --target hamband_e2e >/dev/null
+}
+echo "sim_parity: building working tree and $REV ($SHA)"
+build "$REPO" "$OUT/head"
+build "$REV_SRC" "$OUT/rev-$SHA"
+
+WORKLOADS="$(python3 -c 'import json,sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+  "$REPO/BENCHMARK.json")"
+
+FAIL=0
+for SEED in "${SEEDS[@]}"; do
+  for W in $WORKLOADS; do
+    for TRACE in 0 1; do
+      ARGS=(--workload "$W" --seed "$SEED" --seconds 1 --trace "$TRACE")
+      # REV's result is deterministic: run it once per (workload, seed,
+      # trace) and reuse it.
+      CACHE="$OUT/rev-$SHA/result-$W-$SEED-$TRACE.json"
+      [ -s "$CACHE" ] ||
+        "$OUT/rev-$SHA/hamband_e2e" "${ARGS[@]}" | tail -n 1 >"$CACHE"
+      A="$(cat "$CACHE")"
+      B="$("$OUT/head/hamband_e2e" "${ARGS[@]}" | tail -n 1)"
+      if ! python3 - "$A" "$B" "$W seed=$SEED trace=$TRACE" <<'EOF'
+import fnmatch, json, sys
+GATED = ("tput_ops_us", "resp_mean_us", "resp_p99_p999_mean_us",
+         "upd_resp_mean_us", "sim.events_per_op.*", "ring.*",
+         "rdma.*_per_op", "bcast.stages_per_op", "delta.*", "node.batch.*")
+old, new, what = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+bad = []
+# A traced courseware-fault run adds a wall-clock shm session, so its call
+# counts only repeat untraced.
+keys = ("correct",) if what.endswith("trace=1") else \
+    ("correct", "attempted", "failed")
+for key in keys:
+    if old[key] != new[key]:
+        bad.append("%s %s -> %s" % (key, old[key], new[key]))
+for name, m in sorted(old["metrics"].items()):
+    if not any(fnmatch.fnmatchcase(name, g) for g in GATED):
+        continue
+    got = new["metrics"].get(name, {}).get("value")
+    if got != m["value"]:
+        bad.append("%s %r -> %r" % (name, m["value"], got))
+if bad:
+    print("sim_parity: DIFF %s" % what)
+    for line in bad:
+        print("  " + line)
+    sys.exit(1)
+print("sim_parity: same %s" % what)
+EOF
+      then
+        FAIL=1
+      fi
+    done
+  done
+done
+if [ "$FAIL" -ne 0 ]; then
+  echo "sim_parity: FAILED against $REV" >&2
+  exit 1
+fi
+echo "sim_parity: identical to $REV"

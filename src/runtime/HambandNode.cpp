@@ -17,26 +17,17 @@ using hamband::semantics::DepMap;
 
 namespace {
 
-/// Appends a (possibly spanning) record to a ring, retrying every
-/// \p RetryAfter while it is full.
-void appendWithRetry(rdma::Transport &T, RingWriter &W,
-                     std::vector<std::uint8_t> Bytes,
-                     sim::SimDuration RetryAfter,
-                     rdma::CompletionFn OnComplete) {
-  if (W.appendRecord(Bytes, OnComplete))
-    return;
-  // The pending retry event owns the closure; the closure holds only a
-  // weak_ptr to itself so the chain never forms a reference cycle. Retries
-  // run on the writer node's timer so the ring stays single-threaded.
-  auto Retry = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> Weak = Retry;
-  *Retry = [&T, &W, Bytes = std::move(Bytes), RetryAfter, OnComplete,
-            Weak]() {
-    if (!W.appendRecord(Bytes, OnComplete))
-      if (auto R = Weak.lock())
-        T.runAfter(W.writer(), RetryAfter, [R]() { (*R)(); });
-  };
-  T.runAfter(W.writer(), RetryAfter, [Retry]() { (*Retry)(); });
+/// Total element count over a vector of per-peer/per-group queues.
+template <typename QueuesT> std::size_t totalSize(const QueuesT &Queues) {
+  std::size_t N = 0;
+  for (const auto &Q : Queues)
+    N += Q.size();
+  return N;
+}
+
+/// Folds \p V into the running state hash \p H.
+void mixHash(std::uint64_t &H, std::uint64_t V) {
+  H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
 }
 
 /// Pads a summary image into a full slot write: u32 len | payload | ...
@@ -173,7 +164,7 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   FreeReaders.resize(N);
   FreeWriters.resize(N);
   FreeOutbound.resize(N);
-  FreeOutboundArmed.assign(N, 0);
+  MailOutbound.resize(N);
   MailReaders.resize(N);
   MailWriters.resize(N);
   for (rdma::NodeId J = 0; J < N; ++J) {
@@ -200,16 +191,7 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   ConfReaders.resize(Groups);
   Consensus.resize(Groups);
   for (unsigned G = 0; G < Groups; ++G) {
-    // The group's home leader, skipping initially inactive nodes (all
-    // nodes share the config, so every replica picks the same one).
-    rdma::NodeId InitialLeader = (G + Cfg.LeaderOffset) % N;
-    for (unsigned S = 0; S < N; ++S) {
-      rdma::NodeId Cand = (G + Cfg.LeaderOffset + S) % N;
-      if (activeNode(Cand)) {
-        InitialLeader = Cand;
-        break;
-      }
-    }
+    rdma::NodeId InitialLeader = homeLeader(G);
     ConfReaders[G] = std::make_unique<RingReader>(
         Fabric, Self, InitialLeader, Map.confRingData(G),
         Map.confRingFeedback(G, Self), Map.confGeom(),
@@ -344,39 +326,34 @@ rdma::NodeId HambandNode::knownLeader(unsigned Group) const {
   return Consensus[Group]->currentLeader();
 }
 
+rdma::NodeId HambandNode::homeLeader(unsigned G) const {
+  // The first in-service node from the group's rotation slot. All nodes
+  // share the config and the membership, so every replica picks the same.
+  unsigned N = Fabric.numNodes();
+  for (unsigned K = 0; K < N; ++K) {
+    rdma::NodeId Cand = (G + Cfg.LeaderOffset + K) % N;
+    if (activeNode(Cand))
+      return Cand;
+  }
+  return (G + Cfg.LeaderOffset) % N;
+}
+
 std::size_t HambandNode::pendingFreeTotal() const {
-  std::size_t N = 0;
-  for (const auto &Q : FreePending)
-    N += Q.size();
-  return N;
+  return totalSize(FreePending);
 }
 
 std::size_t HambandNode::pendingConfTotal() const {
-  std::size_t N = 0;
-  for (const auto &M : ConfPending)
-    N += M.size();
-  return N;
+  return totalSize(ConfPending);
 }
 
 std::size_t HambandNode::leaderQueueTotal() const {
-  std::size_t N = 0;
-  for (const auto &Q : LeaderQueue)
-    N += Q.size();
-  return N;
+  return totalSize(LeaderQueue);
 }
 
 bool HambandNode::idle() const {
-  if (BatchedPending != 0)
+  if (BatchedPending != 0 || pendingFreeTotal() != 0 ||
+      pendingConfTotal() != 0 || leaderQueueTotal() != 0)
     return false;
-  for (const auto &Q : FreePending)
-    if (!Q.empty())
-      return false;
-  for (const auto &M : ConfPending)
-    if (!M.empty())
-      return false;
-  for (const auto &Q : LeaderQueue)
-    if (!Q.empty())
-      return false;
   // Out-of-order delta frames are undelivered payload; a partially
   // assembled full image is not (its remaining chunks are still in
   // flight and will arrive through the rings).
@@ -387,11 +364,8 @@ bool HambandNode::idle() const {
   return AwaitingResponse.empty();
 }
 
-std::uint64_t HambandNode::stateDigest() {
-  std::uint64_t H = 0x5bd1e9955bd1e995ull ^ Self;
-  auto Mix = [&H](std::uint64_t V) {
-    H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-  };
+std::uint64_t HambandNode::replicatedStateHash(std::uint64_t Seed) {
+  std::uint64_t H = Seed;
   // Object state via its canonical rendering (types keep ordered
   // containers, so str() is stable across executions).
   const std::string S = visibleState().str();
@@ -400,12 +374,18 @@ std::uint64_t HambandNode::stateDigest() {
     SH ^= static_cast<unsigned char>(Ch);
     SH *= 1099511628211ull;
   }
-  Mix(SH);
+  mixHash(H, SH);
   for (const auto &Row : Applied)
     for (std::uint64_t V : Row)
-      Mix(V);
+      mixHash(H, V);
   for (std::uint64_t V : ConfReceivedContig)
-    Mix(V);
+    mixHash(H, V);
+  return H;
+}
+
+std::uint64_t HambandNode::stateDigest() {
+  std::uint64_t H = replicatedStateHash(0x5bd1e9955bd1e995ull ^ Self);
+  auto Mix = [&H](std::uint64_t V) { mixHash(H, V); };
   for (std::uint64_t V : ConfAppliedIdx)
     Mix(V);
   for (std::uint64_t V : FreeSeqNext)
@@ -519,12 +499,8 @@ void HambandNode::handleQuery(const Call &C, SubmitCallback Done) {
 
 void HambandNode::handleReduce(Call C, SubmitCallback Done) {
   const rdma::NetworkModel &M = Fabric.model();
-  // Batched calls defer the serialization work to the flush (one
-  // ParseCpu per flush instead of per call).
-  sim::SimDuration Cost =
-      Cfg.Batch.Enabled ? M.ApplyCpu : M.ApplyCpu + M.ParseCpu;
   Fabric.runOnCpu(
-      Self, Cost,
+      Self, M.ApplyCpu + perCallParseCpu(),
       [this, C = std::move(C), Done = std::move(Done)]() mutable {
         Call P = Type.prepare(visibleState(), C);
         if (!Type.permissible(visibleState(), P)) {
@@ -532,7 +508,6 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
           return;
         }
         unsigned G = *Spec.sumGroup(P.Method);
-        unsigned N = Fabric.numNodes();
         Call NewSummary = P;
         bool Folded = false;
         if (OwnSummary[G]) {
@@ -546,7 +521,7 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
         // over the F-rings, folding this call would wedge every future
         // ship of the group (the old code tripped an assert deep in the
         // slot encoder instead). Reject with no side effects.
-        if (N > 1 &&
+        if (Fabric.numNodes() > 1 &&
             !fullImageShippable(NewSummary, groupMethods(G).size())) {
           CtrOversizeReject->add();
           Done(false, 0);
@@ -555,7 +530,7 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
         if (Folded)
           CtrReductions->add();
         OwnSummary[G] = NewSummary;
-        std::uint64_t Seq = ++OwnSummarySeq[G];
+        ++OwnSummarySeq[G];
         Applied[Self][P.Method] += 1;
         ++NumLocalUpdates;
         SummaryCache[G][Self] = NewSummary;
@@ -568,175 +543,22 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
           Type.apply(*VisibleCache, P);
         else
           VisibleDirty = true;
-
-        if (Cfg.Batch.Enabled) {
-          // The call is already folded into OwnSummary[G]; the flush
-          // ships one image covering every fold since the last one.
-          if (activePeerCount() == 0) {
-            Done(true, 0);
-            return;
-          }
-          if (Cfg.Delta.Enabled) {
-            // The per-flush delta folds alongside the full summary.
-            if (PendingDelta[G]) {
-              Call D;
-              bool Ok = Type.applyDelta(*PendingDelta[G], P, D);
-              assert(Ok && "summarization group not closed");
-              (void)Ok;
-              PendingDelta[G] = std::move(D);
-            } else {
-              PendingDelta[G] = P;
-            }
-          }
-          ++SumBatchCalls[G];
-          if (Cfg.RespondAfterCompletion)
-            SumBatchDone[G].push_back(std::move(Done));
-          else
-            Done(true, 0);
-          noteBatchedCall();
-          return;
-        }
-
-        // Ship the summary with the per-method applied counts so peers
-        // advance A(self, u) without a separate write.
-        SummaryImage Img;
-        Img.Seq = Seq;
-        Img.Summary = NewSummary;
-        for (MethodId U : groupMethods(G))
-          Img.AppliedCounts.emplace_back(U, Applied[Self][U]);
-        std::size_t FullBytes = summaryImageBytes(
-            NewSummary.Args.size(), Img.AppliedCounts.size());
-        bool FitsSlot = FullBytes + 13 <= Cfg.SummarySlotBytes;
-
-        if (!Cfg.Delta.Enabled && FitsSlot) {
-          // Classic path: stage the image, overwrite every peer's
-          // summary slot.
-          std::vector<std::uint8_t> Payload = encodeSummary(Img);
-          if (Cfg.UseBackupSlot)
-            Broadcast->stage(ReliableBroadcast::Kind::Summary,
-                             static_cast<std::uint8_t>(G), Payload,
-                             CurrentEpoch);
-          if (activePeerCount() == 0) {
-            if (Cfg.UseBackupSlot)
-              Broadcast->clear();
-            Done(true, 0);
-            return;
-          }
-          std::vector<std::uint8_t> Slot =
-              slotBytes(Payload, Cfg.SummarySlotBytes);
-          auto Remaining = std::make_shared<unsigned>(activePeerCount());
-          auto DoneP = std::make_shared<SubmitCallback>(std::move(Done));
-          bool RespondLate = Cfg.RespondAfterCompletion;
-          if (!RespondLate)
-            (*DoneP)(true, 0);
-          for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-            if (Peer == Self || !activeNode(Peer))
-              continue;
-            Fabric.postWrite(
-                Self, Peer, Map.summarySlot(G, Self), Slot, DataKey,
-                [this, Remaining, DoneP, RespondLate](rdma::WcStatus) {
-                  if (--*Remaining != 0)
-                    return;
-                  if (Cfg.UseBackupSlot)
-                    Broadcast->clear();
-                  if (RespondLate)
-                    (*DoneP)(true, 0);
-                },
-                rdma::Transport::LaneClient);
-          }
-          return;
-        }
-
-        // Frame path: delta propagation, or the slot-overflow fallback
-        // in classic mode (docs/deltas.md).
-        if (activePeerCount() == 0) {
-          Done(true, 0);
-          return;
-        }
-        bool AntiEntropyDue =
-            Cfg.Delta.Enabled && Cfg.Delta.AntiEntropyEvery > 0 &&
-            DeltaFlushesSinceFull[G] + 1 >= effectiveAntiEntropyEvery(G);
-        bool ShipFull = !Cfg.Delta.Enabled || AntiEntropyDue;
-        if (!Cfg.Delta.Enabled)
-          CtrSlotOverflow->add();
-        std::vector<std::vector<std::uint8_t>> Frames;
-        if (!ShipFull) {
-          // The unbatched delta is the single prepared call, covering
-          // (DeltaShippedSeq, Seq].
-          SummaryImage DImg;
-          DImg.Seq = Seq;
-          DImg.Summary = P;
-          DImg.AppliedCounts = Img.AppliedCounts;
-          SummaryDeltaFrame F;
-          F.Group = static_cast<std::uint8_t>(G);
-          F.Full = 0;
-          F.FromSeq = DeltaShippedSeq[G];
-          F.ToSeq = Seq;
-          F.Epoch = CurrentEpoch;
-          F.Image = encodeSummary(DImg);
-          std::vector<std::uint8_t> Enc = encodeSummaryDelta(F);
-          if (Enc.size() <= Cfg.FreeGeom.maxRecordPayload()) {
-            Frames.push_back(std::move(Enc));
-            CtrDeltaOut->add();
-            ++DeltaFlushesSinceFull[G];
+        // The delta since the last shipped image folds alongside the
+        // full summary; the next flush ships one image covering both.
+        if (Cfg.Delta.Enabled) {
+          if (PendingDelta[G]) {
+            Call D;
+            bool Ok = Type.applyDelta(*PendingDelta[G], P, D);
+            assert(Ok && "summarization group not closed");
+            (void)Ok;
+            PendingDelta[G] = std::move(D);
           } else {
-            // A delta too large for one record (giant call arguments):
-            // ship the full image instead, which chunks.
-            ShipFull = true;
+            PendingDelta[G] = P;
           }
         }
-        if (ShipFull) {
-          Frames = encodeFullFrames(G, Img);
-          CtrDeltaFullOut->add();
-          DeltaFlushesSinceFull[G] = 0;
-          noteFullImageShip(G);
-        }
-        DeltaShippedSeq[G] = Seq;
-
-        if (Cfg.UseBackupSlot) {
-          // Crash-atomicity: stage the full image when it fits (recovery
-          // installs it idempotently); degrade to staging the delta frame
-          // when only the delta fits; otherwise skip (counted) -- the gap
-          // a crash then leaves heals through anti-entropy.
-          if (FullBytes + 11 <= Cfg.BackupSlotBytes)
-            Broadcast->stage(ReliableBroadcast::Kind::Summary,
-                             static_cast<std::uint8_t>(G),
-                             encodeSummary(Img), CurrentEpoch);
-          else if (!ShipFull && Frames.size() == 1 &&
-                   Frames[0].size() + 11 <= Cfg.BackupSlotBytes)
-            Broadcast->stage(ReliableBroadcast::Kind::SummaryDelta,
-                             static_cast<std::uint8_t>(G), Frames[0],
-                             CurrentEpoch);
-          else
-            CtrStageSkipped->add();
-        }
-
-        auto DoneP = std::make_shared<SubmitCallback>(std::move(Done));
-        bool RespondLate = Cfg.RespondAfterCompletion;
-        if (!RespondLate)
-          (*DoneP)(true, 0);
-        if (DropDeltasForTest && !ShipFull) {
-          // Test hook: the delta evaporates on the wire (and the backup
-          // slot clears, so recovery cannot resurrect it); every peer now
-          // has a version gap that only anti-entropy heals.
-          if (Cfg.UseBackupSlot)
-            Broadcast->clear();
-          if (RespondLate)
-            (*DoneP)(true, 0);
-          return;
-        }
-        auto Remaining = std::make_shared<unsigned>(
-            static_cast<unsigned>(Frames.size()) * activePeerCount());
-        auto OnOne = [this, Remaining, DoneP, RespondLate]() {
-          if (--*Remaining != 0)
-            return;
-          if (Cfg.UseBackupSlot)
-            Broadcast->clear();
-          if (RespondLate)
-            (*DoneP)(true, 0);
-        };
-        for (const std::vector<std::uint8_t> &FrameBytes : Frames)
-          postFrameToPeers(FrameBytes, OnOne);
+        ++SumBatchCalls[G];
+        SumBatchDone[G].push_back(std::move(Done));
+        noteEnqueued();
       },
       rdma::Transport::LaneClient);
 }
@@ -764,61 +586,16 @@ void HambandNode::handleFree(Call C, SubmitCallback Done) {
         WC.Epoch = CurrentEpoch;
         std::vector<std::uint8_t> Bytes =
             encodeCall(Spec, Fabric.numNodes(), WC);
-
-        if (Cfg.Batch.Enabled) {
-          if (activePeerCount() == 0) {
-            Done(true, 0);
-            return;
-          }
-          // Pre-flush when this call would overflow the batch record
-          // cap (flushBatches also chunks oversized batches defensively,
-          // but flushing here keeps each staged image within the cap).
-          std::size_t Framed = Bytes.size() + 4; // u32 length prefix
-          if (!FreeBatch.empty() &&
-              4 + FreeBatchBytes + Framed > freeBatchCapBytes())
-            flushBatches(FlushCause::Size);
-          BatchedFree B;
-          B.Bytes = std::move(Bytes);
-          if (Cfg.RespondAfterCompletion)
-            B.Done = std::move(Done);
-          else
-            Done(true, 0);
-          FreeBatchBytes += Framed;
-          FreeBatch.push_back(std::move(B));
-          noteBatchedCall();
-          return;
-        }
-
-        if (Cfg.UseBackupSlot)
-          Broadcast->stage(ReliableBroadcast::Kind::FreeCall, 0, Bytes,
-                           CurrentEpoch);
-
-        unsigned N = Fabric.numNodes();
-        if (activePeerCount() == 0) {
-          if (Cfg.UseBackupSlot)
-            Broadcast->clear();
-          Done(true, 0);
-          return;
-        }
-        auto Remaining = std::make_shared<unsigned>(activePeerCount());
-        auto DoneP = std::make_shared<SubmitCallback>(std::move(Done));
-        bool RespondLate = Cfg.RespondAfterCompletion;
-        if (!RespondLate)
-          (*DoneP)(true, 0);
-        auto OnOne = [this, Remaining, DoneP,
-                      RespondLate](rdma::WcStatus) {
-          if (--*Remaining != 0)
-            return;
-          if (Cfg.UseBackupSlot)
-            Broadcast->clear();
-          if (RespondLate)
-            (*DoneP)(true, 0);
-        };
-        for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-          if (Peer == Self || !activeNode(Peer))
-            continue;
-          appendFreeOrdered(Peer, Bytes, OnOne);
-        }
+        // Pre-flush when this call would overflow the batch record cap
+        // (flush also chunks oversized batches defensively, but flushing
+        // here keeps each staged image within the cap).
+        std::size_t Framed = Bytes.size() + 4; // u32 length prefix
+        if (!FreeBatch.empty() &&
+            4 + FreeBatchBytes + Framed > freeBatchCapBytes())
+          flush(FlushCause::Size);
+        FreeBatchBytes += Framed;
+        FreeBatch.push_back({std::move(Bytes), std::move(Done)});
+        noteEnqueued();
       },
       rdma::Transport::LaneClient);
 }
@@ -847,24 +624,27 @@ void HambandNode::handleConf(Call C, SubmitCallback Done) {
   Req.SentAt = Fabric.now();
   Req.SentTo = Leader;
   AwaitingResponse.emplace(C.Req, std::move(Req));
+  Fabric.runOnCpu(
+      Self, M.ParseCpu,
+      [this, Leader, C = std::move(C)]() {
+        // Eager flush: the batched calls' ring/slot writes post before
+        // the redirect mail on the same lane, preserving the unbatched
+        // arrival order at the leader.
+        flushOutgoing();
+        sendConfRequest(Leader, C);
+      },
+      rdma::Transport::LaneClient);
+}
+
+void HambandNode::sendConfRequest(rdma::NodeId Leader, const Call &C) {
   MailMsg Msg;
   Msg.Kind = MailKind::ConfRequest;
   Msg.Origin = Self;
   Msg.ReqId = C.Req;
   Msg.Epoch = CurrentEpoch;
   Msg.TheCall = C;
-  std::vector<std::uint8_t> Bytes = encodeMail(Msg);
-  Fabric.runOnCpu(
-      Self, M.ParseCpu,
-      [this, Leader, Bytes = std::move(Bytes)]() {
-        // Eager flush: the batched calls' ring/slot writes post before
-        // the redirect mail on the same lane, preserving the unbatched
-        // arrival order at the leader.
-        flushOutgoing();
-        appendWithRetry(this->Fabric, *MailWriters[Leader],
-                        Bytes, Cfg.PollInterval, nullptr);
-      },
-      rdma::Transport::LaneClient);
+  appendOrdered(*MailWriters[Leader], MailOutbound[Leader], encodeMail(Msg),
+                nullptr);
 }
 
 void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
@@ -887,25 +667,13 @@ void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
   }
   if (!Consensus[G]->isLeader()) {
     // Elected but still catching up: queue and retry from the poller.
-    PendingConfRequest Req;
-    Req.TheCall = std::move(C);
-    Req.Done = std::move(LocalDone);
-    Req.Group = G;
-    Req.SentAt = Fabric.now();
-    Req.SentTo = Origin; // Reused as the origin for queued requests.
-    LeaderQueue[G].push_back(std::move(Req));
+    queueAtLeader(G, Origin, std::move(C), std::move(LocalDone), 0);
     return;
   }
 
   if (!Consensus[G]->canAppend()) {
     // A follower ring is momentarily full: queue and retry shortly.
-    PendingConfRequest Req;
-    Req.TheCall = std::move(C);
-    Req.Done = std::move(LocalDone);
-    Req.Group = G;
-    Req.SentAt = Fabric.now();
-    Req.SentTo = Origin;
-    LeaderQueue[G].push_back(std::move(Req));
+    queueAtLeader(G, Origin, std::move(C), std::move(LocalDone), 0);
     return;
   }
 
@@ -926,14 +694,8 @@ void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
                   std::move(LocalDone));
       return;
     }
-    PendingConfRequest Req;
-    Req.TheCall = std::move(C);
-    Req.Done = std::move(LocalDone);
-    Req.Group = G;
-    Req.SentAt = Now;
-    Req.SentTo = Origin;
-    Req.WaitDeadline = WaitDeadline;
-    LeaderQueue[G].push_back(std::move(Req));
+    queueAtLeader(G, Origin, std::move(C), std::move(LocalDone),
+                  WaitDeadline);
     return;
   }
 
@@ -974,6 +736,19 @@ void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
   // Sequencing an entry occupies the leader beyond the raw verb posts.
   Fabric.runOnCpu(Self, Fabric.model().ConsensusEntryCpu, []() {},
                   rdma::Transport::LaneClient);
+}
+
+void HambandNode::queueAtLeader(unsigned G, ProcessId Origin, Call C,
+                                SubmitCallback LocalDone,
+                                sim::SimTime WaitDeadline) {
+  PendingConfRequest Req;
+  Req.TheCall = std::move(C);
+  Req.Done = std::move(LocalDone);
+  Req.Group = G;
+  Req.SentAt = Fabric.now();
+  Req.SentTo = Origin; // Reused as the origin for queued requests.
+  Req.WaitDeadline = WaitDeadline;
+  LeaderQueue[G].push_back(std::move(Req));
 }
 
 void HambandNode::retryLeaderQueue(unsigned G) {
@@ -1029,8 +804,8 @@ void HambandNode::respondConf(ProcessId Origin, RequestId ReqId,
   Msg.ReqId = ReqId;
   Msg.Ok = static_cast<std::uint8_t>(Outcome);
   Msg.Epoch = CurrentEpoch;
-  appendWithRetry(Fabric, *MailWriters[Origin],
-                  encodeMail(Msg), Cfg.PollInterval, nullptr);
+  appendOrdered(*MailWriters[Origin], MailOutbound[Origin], encodeMail(Msg),
+                nullptr);
 }
 
 void HambandNode::checkConfTimeouts() {
@@ -1048,14 +823,7 @@ void HambandNode::checkConfTimeouts() {
       TakeOver.push_back(ReqId); // We became the leader meanwhile.
       continue;
     }
-    MailMsg Msg;
-    Msg.Kind = MailKind::ConfRequest;
-    Msg.Origin = Self;
-    Msg.ReqId = ReqId;
-    Msg.Epoch = CurrentEpoch;
-    Msg.TheCall = Req.TheCall;
-    appendWithRetry(Fabric, *MailWriters[Leader],
-                    encodeMail(Msg), Cfg.PollInterval, nullptr);
+    sendConfRequest(Leader, Req.TheCall);
   }
   for (RequestId Id : TakeOver) {
     auto It = AwaitingResponse.find(Id);
@@ -1208,25 +976,27 @@ unsigned HambandNode::pollSummaries() {
       SummaryImage Img;
       if (!decodeSummary(Slot.data() + 4, Len, Img))
         continue;
-      installSummary(G, Src, Img);
+      installImage(G, Src, std::move(Img));
       ++Parsed;
     }
   }
   return Parsed;
 }
 
-void HambandNode::installSummary(unsigned Group, ProcessId From,
-                                 const SummaryImage &Img) {
-  if (Img.Seq <= SummarySeqSeen[Group][From])
-    return;
-  SummaryCache[Group][From] = Img.Summary;
-  SummarySeqSeen[Group][From] = Img.Seq;
-  for (const auto &[U, N] : Img.AppliedCounts)
-    if (N > Applied[From][U])
-      Applied[From][U] = N;
+bool HambandNode::installImage(unsigned G, ProcessId Src, SummaryImage Img) {
+  if (Img.Seq <= SummarySeqSeen[G][Src])
+    return false;
+  SummaryCache[G][Src] = std::move(Img.Summary);
+  SummarySeqSeen[G][Src] = Img.Seq;
+  for (const auto &[U, Cnt] : Img.AppliedCounts)
+    if (Cnt > Applied[Src][U])
+      Applied[Src][U] = Cnt;
+  // A full install replaces the cached image wholesale; the incremental
+  // shortcut does not apply (the delta from the old image is unknown).
   VisibleDirty = true;
   // The version may have leapt over buffered delta frames; drain them.
-  retryBufferedFrames(Group, From);
+  retryBufferedFrames(G, Src);
+  return true;
 }
 
 // -- Delta propagation (docs/deltas.md) --------------------------------------
@@ -1273,37 +1043,25 @@ bool HambandNode::fullImageShippable(const Call &Summary,
   return Full + SummaryDeltaHeaderBytes <= Cfg.FreeGeom.maxRecordPayload();
 }
 
-void HambandNode::postFrameToPeers(const std::vector<std::uint8_t> &Bytes,
-                                   std::function<void()> OnOne) {
-  unsigned N = Fabric.numNodes();
-  for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-    if (Peer == Self || !activeNode(Peer))
-      continue;
-    appendFreeOrdered(Peer, Bytes,
-                      [OnOne](rdma::WcStatus) { OnOne(); });
-  }
+void HambandNode::appendOrdered(RingWriter &W, OutboundQueue &Q,
+                                std::vector<std::uint8_t> Bytes,
+                                rdma::CompletionFn Done) {
+  Q.Records.push_back({std::move(Bytes), std::move(Done)});
+  drainOutbound(W, Q);
 }
 
-void HambandNode::appendFreeOrdered(rdma::NodeId Peer,
-                                    std::vector<std::uint8_t> Bytes,
-                                    rdma::CompletionFn Done) {
-  FreeOutbound[Peer].push_back({std::move(Bytes), std::move(Done)});
-  drainFreeOutbound(Peer);
-}
-
-void HambandNode::drainFreeOutbound(rdma::NodeId Peer) {
-  auto &Q = FreeOutbound[Peer];
-  while (!Q.empty() &&
-         FreeWriters[Peer]->appendRecord(Q.front().Bytes, Q.front().Done))
-    Q.pop_front();
-  if (Q.empty() || FreeOutboundArmed[Peer])
+void HambandNode::drainOutbound(RingWriter &W, OutboundQueue &Q) {
+  while (!Q.Records.empty() &&
+         W.appendRecord(Q.Records.front().Bytes, Q.Records.front().Done))
+    Q.Records.pop_front();
+  if (Q.Records.empty() || Q.RetryArmed)
     return;
   // Ring full mid-stream: hold the queue and retry head-first. The retry
   // runs on this node's timer so the writer stays single-threaded.
-  FreeOutboundArmed[Peer] = 1;
-  Fabric.runAfter(Self, Cfg.PollInterval, [this, Peer]() {
-    FreeOutboundArmed[Peer] = 0;
-    drainFreeOutbound(Peer);
+  Q.RetryArmed = true;
+  Fabric.runAfter(Self, Cfg.PollInterval, [this, &W, &Q]() {
+    Q.RetryArmed = false;
+    drainOutbound(W, Q);
   });
 }
 
@@ -1347,7 +1105,7 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
       return false;
     }
     if (F.ChunkCount <= 1)
-      return installFullImage(G, Src, std::move(Img));
+      return installImage(G, Src, std::move(Img));
     if (F.ToSeq <= SummarySeqSeen[G][Src])
       return false; // A chunk of an image we already superseded.
     ChunkAssembly &A = Assemblies[G][Src];
@@ -1379,7 +1137,7 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
     A.Seq = 0;
     A.Parts.clear();
     A.Have = 0;
-    return installFullImage(G, Src, std::move(Whole));
+    return installImage(G, Src, std::move(Whole));
   }
   // Delta frame.
   if (F.ToSeq <= SummarySeqSeen[G][Src]) {
@@ -1395,7 +1153,7 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
   CtrDeltaGap->add();
   ++GapEvents;
   auto &Buf = BufferedFrames[G][Src];
-  if (Buf.size() >= Cfg.Delta.MaxBufferedFrames) {
+  if (Buf.size() >= MaxBufferedFrames) {
     CtrDeltaDropped->add();
     return false;
   }
@@ -1454,22 +1212,6 @@ void HambandNode::retryBufferedFrames(unsigned G, ProcessId Src) {
       }
     }
   }
-}
-
-bool HambandNode::installFullImage(unsigned G, ProcessId Src,
-                                   SummaryImage Img) {
-  if (Img.Seq <= SummarySeqSeen[G][Src])
-    return false;
-  SummaryCache[G][Src] = std::move(Img.Summary);
-  SummarySeqSeen[G][Src] = Img.Seq;
-  for (const auto &[U, Cnt] : Img.AppliedCounts)
-    if (Cnt > Applied[Src][U])
-      Applied[Src][U] = Cnt;
-  // A full install replaces the cached image wholesale; the incremental
-  // shortcut does not apply (the delta from the old image is unknown).
-  VisibleDirty = true;
-  retryBufferedFrames(G, Src);
-  return true;
 }
 
 void HambandNode::seedSummary(unsigned Group, ProcessId Src,
@@ -1647,33 +1389,45 @@ unsigned HambandNode::applyPendingConf() {
   return AppliedN;
 }
 
-// -- Batching (docs/batching.md) ---------------------------------------------
+// -- Propagation pipeline (docs/batching.md) --------------------------------
+//
+// Every update broadcast takes one path: the call is folded or encoded
+// into the pending flush state (OwnSummary/PendingDelta per group,
+// FreeBatch), flush() turns that state into one Shipment, and ship()
+// stages it, fans it out and completes it. Unbatched mode is a flush of
+// one call; batching only changes when flush() runs.
+
+sim::SimDuration HambandNode::perCallParseCpu() const {
+  // Unbatched calls pay their serialization at submit; batched calls defer
+  // it to the flush (one ParseCpu per coalesced flush instead of per call).
+  return Cfg.Batch.Enabled ? 0 : Fabric.model().ParseCpu;
+}
 
 std::size_t HambandNode::freeBatchCapBytes() const {
   // A wire record must fit one spanning ring reservation, and the staged
   // flush image (which also carries summaries) must fit the backup slot.
-  std::size_t Cap = Cfg.FreeGeom.maxRecordPayload();
-  Cap = std::min(Cap, static_cast<std::size_t>(Cfg.BackupSlotBytes / 2));
-  if (Cfg.Batch.MaxBytes > 0)
-    Cap = std::min(Cap, static_cast<std::size_t>(Cfg.Batch.MaxBytes));
-  return Cap;
+  return std::min(Cfg.FreeGeom.maxRecordPayload(),
+                  static_cast<std::size_t>(Cfg.BackupSlotBytes / 2));
 }
 
-void HambandNode::noteBatchedCall() {
-  ++BatchedPending;
-  if (BatchedPending == 1)
+void HambandNode::noteEnqueued() {
+  if (++BatchedPending == 1)
     OldestPendingAt = Fabric.now();
+  if (!Cfg.Batch.Enabled) {
+    flush(FlushCause::Single);
+    return;
+  }
   if (FlushesInFlight == 0) {
     // Doorbell coalescing: ship immediately while the wire is idle;
     // calls arriving during the flight accumulate into the next batch,
     // which ships when the in-flight writes complete.
-    flushBatches(FlushCause::Pipe);
+    flush(FlushCause::Pipe);
     return;
   }
   if (BatchedPending >= Cfg.Batch.MaxCalls) {
     // Size trigger: overflow ships concurrently with the in-flight
     // flush rather than growing without bound.
-    flushBatches(FlushCause::Size);
+    flush(FlushCause::Size);
     return;
   }
   armFlushTimer();
@@ -1692,7 +1446,7 @@ void HambandNode::armFlushTimer() {
     // stalls (full rings, injected delays).
     sim::SimDuration Age = Fabric.now() - OldestPendingAt;
     if (Age >= Cfg.Batch.FlushInterval) {
-      flushBatches(FlushCause::Timeout);
+      flush(FlushCause::Timeout);
       return;
     }
     armFlushTimer();
@@ -1700,51 +1454,73 @@ void HambandNode::armFlushTimer() {
 }
 
 void HambandNode::flushOutgoing() {
-  if (!Cfg.Batch.Enabled || BatchedPending == 0)
-    return;
-  flushBatches(FlushCause::Conf);
+  if (BatchedPending != 0)
+    flush(FlushCause::Conf);
 }
 
-void HambandNode::flushBatches(FlushCause Cause) {
+void HambandNode::flush(FlushCause Cause) {
   if (BatchedPending == 0)
     return;
-  unsigned N = Fabric.numNodes();
-  assert(N > 1 && "batched calls complete inline when N == 1");
-  const rdma::NetworkModel &M = Fabric.model();
-
-  switch (Cause) {
-  case FlushCause::Pipe:
-    CtrFlushPipe->add();
-    break;
-  case FlushCause::Size:
-    CtrFlushSize->add();
-    break;
-  case FlushCause::Timeout:
-    CtrFlushTimeout->add();
-    break;
-  case FlushCause::Conf:
-    CtrFlushConf->add();
-    break;
+  Shipment S;
+  S.Coalesced = Cause != FlushCause::Single;
+  // node.batch.* describes coalesced flushes that reach the wire.
+  if (S.Coalesced && activePeerCount() > 0) {
+    obs::Counter *Ctrs[] = {CtrFlushPipe, CtrFlushSize, CtrFlushTimeout,
+                            CtrFlushConf};
+    Ctrs[static_cast<unsigned>(Cause)]->add();
+    HistBatchCalls->record(BatchedPending);
+    HistBatchBytes->record(FreeBatchBytes);
   }
-  HistBatchCalls->record(BatchedPending);
-  HistBatchBytes->record(FreeBatchBytes);
 
-  // Take ownership of the accumulated batch; calls arriving while this
-  // flush is in flight accumulate into fresh state.
+  // Take ownership of the pending state; calls arriving while this flush
+  // is in flight accumulate into fresh state.
   std::vector<BatchedFree> Free = std::move(FreeBatch);
   FreeBatch.clear();
   FreeBatchBytes = 0;
   BatchedPending = 0;
   std::vector<unsigned> DirtyGroups;
-  std::vector<SubmitCallback> Dones;
   for (unsigned G = 0; G < SumBatchCalls.size(); ++G) {
     if (SumBatchCalls[G] == 0)
       continue;
     DirtyGroups.push_back(G);
     SumBatchCalls[G] = 0;
     for (SubmitCallback &D : SumBatchDone[G])
-      Dones.push_back(std::move(D));
+      S.Dones.push_back(std::move(D));
     SumBatchDone[G].clear();
+  }
+  std::vector<std::vector<std::uint8_t>> AllCalls;
+  AllCalls.reserve(Free.size());
+  for (BatchedFree &B : Free) {
+    S.Dones.push_back(std::move(B.Done));
+    AllCalls.push_back(std::move(B.Bytes));
+  }
+  if (activePeerCount() == 0) {
+    // Nobody to ship to: the calls are complete once applied locally.
+    for (unsigned G : DirtyGroups)
+      PendingDelta[G].reset();
+    for (SubmitCallback &D : S.Dones)
+      D(true, 0);
+    return;
+  }
+
+  // The staged image carries the free calls whole if they fit the backup
+  // slot, then per dirty group the full summary if it still fits,
+  // otherwise the group's delta frame; whatever does not fit is left out
+  // and counted.
+  std::size_t StagedBytes =
+      ReliableBroadcast::OverheadBytes + FlushImageBaseBytes;
+  auto Reserve = [&](std::size_t EntryBytes) {
+    if (StagedBytes + EntryBytes > Cfg.BackupSlotBytes)
+      return false;
+    StagedBytes += EntryBytes;
+    return true;
+  };
+  if (Cfg.UseBackupSlot && !AllCalls.empty()) {
+    std::vector<std::uint8_t> Rec = encodeCallBatch(AllCalls);
+    if (Reserve(Rec.size()))
+      S.Staged.FreeRecord = std::move(Rec);
+    else
+      CtrStageSkipped->add();
   }
 
   // One image per dirty group covering every call folded since the last
@@ -1754,13 +1530,10 @@ void HambandNode::flushBatches(FlushCause Cause) {
   // or chunked full-image frames (anti-entropy round, slot overflow, or
   // an oversized delta). Full frames are exempt from the test-only delta
   // drop hook, so anti-entropy always heals.
-  FlushImage Img;
-  bool StageOk = true;
-  std::vector<std::vector<std::uint8_t>> SummarySlots;
-  std::vector<unsigned> SlotGroups;
-  std::vector<std::vector<std::uint8_t>> FullFrames;
   std::vector<std::vector<std::uint8_t>> DeltaFrames;
   for (unsigned G : DirtyGroups) {
+    // The summary ships with the per-method applied counts so peers
+    // advance A(self, u) without a separate write.
     SummaryImage SImg;
     SImg.Seq = OwnSummarySeq[G];
     SImg.Summary = *OwnSummary[G];
@@ -1769,81 +1542,70 @@ void HambandNode::flushBatches(FlushCause Cause) {
     std::size_t FullBytes = summaryImageBytes(SImg.Summary.Args.size(),
                                               SImg.AppliedCounts.size());
     bool FitsSlot = FullBytes + 13 <= Cfg.SummarySlotBytes;
-    // The staged flush image carries the full summary (idempotent
-    // recovery) -- unless it cannot possibly fit the backup slot, in
-    // which case the whole flush goes unstaged (counted): staging a
-    // partial flush image would break the flush's crash atomicity.
-    std::vector<std::uint8_t> Payload;
-    if (FitsSlot || FullBytes + 11 <= Cfg.BackupSlotBytes)
-      Payload = encodeSummary(SImg);
-    if (FullBytes + 11 <= Cfg.BackupSlotBytes)
-      Img.Summaries.emplace_back(static_cast<std::uint8_t>(G), Payload);
-    else
-      StageOk = false;
 
-    if (!Cfg.Delta.Enabled) {
-      if (FitsSlot) {
-        SummarySlots.push_back(slotBytes(Payload, Cfg.SummarySlotBytes));
-        SlotGroups.push_back(G);
-      } else {
-        CtrSlotOverflow->add();
-        for (auto &FB : encodeFullFrames(G, SImg))
-          FullFrames.push_back(std::move(FB));
-        CtrDeltaFullOut->add();
-      }
-      DeltaShippedSeq[G] = OwnSummarySeq[G];
-      continue;
-    }
-
-    bool AntiEntropyDue =
-        Cfg.Delta.AntiEntropyEvery > 0 &&
-        DeltaFlushesSinceFull[G] + 1 >= effectiveAntiEntropyEvery(G);
-    bool ShipFull = AntiEntropyDue;
-    if (!ShipFull) {
+    std::vector<std::uint8_t> Delta;
+    if (Cfg.Delta.Enabled &&
+        !(Cfg.Delta.AntiEntropyEvery > 0 &&
+          DeltaFlushesSinceFull[G] + 1 >= effectiveAntiEntropyEvery(G))) {
       assert(PendingDelta[G] && "dirty group without a pending delta");
       SummaryImage DImg;
-      DImg.Seq = OwnSummarySeq[G];
+      DImg.Seq = SImg.Seq;
       DImg.Summary = *PendingDelta[G];
       DImg.AppliedCounts = SImg.AppliedCounts;
       SummaryDeltaFrame F;
       F.Group = static_cast<std::uint8_t>(G);
-      F.Full = 0;
       F.FromSeq = DeltaShippedSeq[G];
-      F.ToSeq = OwnSummarySeq[G];
+      F.ToSeq = SImg.Seq;
       F.Epoch = CurrentEpoch;
       F.Image = encodeSummary(DImg);
-      std::vector<std::uint8_t> Enc = encodeSummaryDelta(F);
-      if (Enc.size() <= Cfg.FreeGeom.maxRecordPayload()) {
-        DeltaFrames.push_back(std::move(Enc));
-        CtrDeltaOut->add();
-        ++DeltaFlushesSinceFull[G];
-      } else {
-        ShipFull = true; // Oversized delta: fall back to a full ship.
-      }
+      Delta = encodeSummaryDelta(F);
+      // A delta too large for one record (giant call arguments) ships as
+      // the full image instead, which chunks.
+      if (Delta.size() > Cfg.FreeGeom.maxRecordPayload())
+        Delta.clear();
     }
-    if (ShipFull) {
-      for (auto &FB : encodeFullFrames(G, SImg))
-        FullFrames.push_back(std::move(FB));
+    bool SlotWrite = !Cfg.Delta.Enabled && FitsSlot;
+    if (!Delta.empty()) {
+      CtrDeltaOut->add();
+      ++DeltaFlushesSinceFull[G];
+    } else if (!SlotWrite) {
+      if (!Cfg.Delta.Enabled)
+        CtrSlotOverflow->add();
+      for (std::vector<std::uint8_t> &FB : encodeFullFrames(G, SImg))
+        S.Records.push_back(std::move(FB));
       CtrDeltaFullOut->add();
       DeltaFlushesSinceFull[G] = 0;
       noteFullImageShip(G);
     }
+
+    bool StageFull =
+        Cfg.UseBackupSlot && Reserve(flushImageSummaryBytes(FullBytes));
+    std::vector<std::uint8_t> Payload;
+    if (SlotWrite || StageFull)
+      Payload = encodeSummary(SImg);
+    if (SlotWrite)
+      S.SlotWrites.emplace_back(G, slotBytes(Payload, Cfg.SummarySlotBytes));
+    if (StageFull) {
+      S.Staged.Summaries.emplace_back(static_cast<std::uint8_t>(G),
+                                      std::move(Payload));
+    } else if (Cfg.UseBackupSlot) {
+      if (!Delta.empty() && Reserve(flushImageDeltaBytes(Delta.size())))
+        S.Staged.Deltas.push_back(Delta);
+      else
+        CtrStageSkipped->add();
+    }
+    if (!Delta.empty() && !DropDeltasForTest)
+      DeltaFrames.push_back(std::move(Delta));
     DeltaShippedSeq[G] = OwnSummarySeq[G];
     PendingDelta[G].reset();
   }
+  // Post order: summary-slot writes, full frames, delta frames, then the
+  // free records.
+  for (std::vector<std::uint8_t> &DF : DeltaFrames)
+    S.Records.push_back(std::move(DF));
 
   // The free calls, chunked into wire records that each fit a spanning
   // ring reservation. A single-call chunk uses the plain record format.
-  std::vector<std::vector<std::uint8_t>> AllCalls;
-  AllCalls.reserve(Free.size());
-  for (BatchedFree &B : Free) {
-    if (B.Done)
-      Dones.push_back(std::move(B.Done));
-    AllCalls.push_back(std::move(B.Bytes));
-  }
-  if (!AllCalls.empty())
-    Img.FreeRecord = encodeCallBatch(AllCalls);
-  std::vector<std::vector<std::uint8_t>> Records;
   const std::size_t Cap = freeBatchCapBytes();
   for (std::size_t I = 0; I < AllCalls.size();) {
     std::size_t J = I;
@@ -1854,82 +1616,80 @@ void HambandNode::flushBatches(FlushCause Cause) {
       ++J;
     }
     if (J - I == 1)
-      Records.push_back(std::move(AllCalls[I]));
+      S.Records.push_back(std::move(AllCalls[I]));
     else
-      Records.push_back(encodeCallBatch(std::vector<std::vector<std::uint8_t>>(
-          std::make_move_iterator(AllCalls.begin() + I),
-          std::make_move_iterator(AllCalls.begin() + J))));
+      S.Records.push_back(
+          encodeCallBatch(std::vector<std::vector<std::uint8_t>>(
+              std::make_move_iterator(AllCalls.begin() + I),
+              std::make_move_iterator(AllCalls.begin() + J))));
     I = J;
   }
+  ship(std::move(S));
+}
 
-  bool DropDeltas = DropDeltasForTest && !DeltaFrames.empty();
+void HambandNode::ship(Shipment S) {
+  unsigned N = Fabric.numNodes();
   unsigned Writes = static_cast<unsigned>(
-      (SlotGroups.size() + Records.size() + FullFrames.size() +
-       (DropDeltas ? 0 : DeltaFrames.size())) *
-      activePeerCount());
+      (S.SlotWrites.size() + S.Records.size()) * activePeerCount());
   if (Writes == 0) {
     // Every record of this flush was a delta the drop hook swallowed:
     // complete locally without staging (recovery must not resurrect
     // dropped deltas -- the point of the hook is a durable gap).
-    for (SubmitCallback &D : Dones)
+    for (SubmitCallback &D : S.Dones)
       D(true, 0);
     return;
   }
 
-  if (Cfg.UseBackupSlot) {
-    std::vector<std::uint8_t> Staged = encodeFlushImage(Img);
-    if (StageOk && Staged.size() + 11 <= Cfg.BackupSlotBytes)
-      Broadcast->stage(ReliableBroadcast::Kind::FreeBatch, 0, Staged,
-                       CurrentEpoch);
-    else
-      CtrStageSkipped->add();
+  // flush() sized the image to the backup slot.
+  const FlushImage &Img = S.Staged;
+  if (!Img.Summaries.empty() || !Img.Deltas.empty() ||
+      !Img.FreeRecord.empty())
+    Broadcast->stage(encodeFlushImage(Img), CurrentEpoch);
+
+  if (S.Coalesced) {
+    ++FlushesInFlight;
+    // One serialization charge per flush (vs one per call unbatched).
+    Fabric.runOnCpu(Self, Fabric.model().ParseCpu, []() {},
+                    rdma::Transport::LaneClient);
+  }
+  if (!Cfg.RespondAfterCompletion) {
+    for (SubmitCallback &D : S.Dones)
+      D(true, 0);
+    S.Dones.clear();
   }
 
-  ++FlushesInFlight;
-  // One serialization charge per flush (vs one per call unbatched).
-  Fabric.runOnCpu(Self, M.ParseCpu, []() {}, rdma::Transport::LaneClient);
-
   auto Remaining = std::make_shared<unsigned>(Writes);
-  auto DonesP = std::make_shared<std::vector<SubmitCallback>>(
-      std::move(Dones));
-  auto Finish = [this, Remaining, DonesP](rdma::WcStatus) {
+  auto Dones =
+      std::make_shared<std::vector<SubmitCallback>>(std::move(S.Dones));
+  auto Finish = [this, Remaining, Dones,
+                 Coalesced = S.Coalesced](rdma::WcStatus) {
     if (--*Remaining != 0)
       return;
     if (Cfg.UseBackupSlot)
       Broadcast->clear();
-    --FlushesInFlight;
-    for (SubmitCallback &D : *DonesP)
+    if (Coalesced)
+      --FlushesInFlight;
+    for (SubmitCallback &D : *Dones)
       D(true, 0);
     // The coalescing continuation: ship whatever accumulated meanwhile.
     if (BatchedPending > 0)
-      flushBatches(BatchedPending >= Cfg.Batch.MaxCalls ? FlushCause::Size
-                                                        : FlushCause::Pipe);
+      flush(BatchedPending >= Cfg.Batch.MaxCalls ? FlushCause::Size
+                                                 : FlushCause::Pipe);
   };
 
   // Summaries (slot writes and frames) post before the free records: a
   // free call's dependency array may reference applied counts that travel
   // with a summary image, and the per-lane FIFO fabric delivers writes in
   // post order.
-  for (std::size_t K = 0; K < SlotGroups.size(); ++K)
-    for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-      if (Peer == Self || !activeNode(Peer))
-        continue;
-      Fabric.postWrite(Self, Peer, Map.summarySlot(SlotGroups[K], Self),
-                       SummarySlots[K], DataKey, Finish,
-                       rdma::Transport::LaneClient);
-    }
-  auto FinishOne = [Finish]() { Finish(rdma::WcStatus::Success); };
-  for (const std::vector<std::uint8_t> &FB : FullFrames)
-    postFrameToPeers(FB, FinishOne);
-  if (!DropDeltas)
-    for (const std::vector<std::uint8_t> &DF : DeltaFrames)
-      postFrameToPeers(DF, FinishOne);
-  for (const std::vector<std::uint8_t> &Rec : Records)
-    for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-      if (Peer == Self || !activeNode(Peer))
-        continue;
-      appendFreeOrdered(Peer, Rec, Finish);
-    }
+  for (const auto &[G, Slot] : S.SlotWrites)
+    for (rdma::NodeId Peer = 0; Peer < N; ++Peer)
+      if (Peer != Self && activeNode(Peer))
+        Fabric.postWrite(Self, Peer, Map.summarySlot(G, Self), Slot, DataKey,
+                         Finish, rdma::Transport::LaneClient);
+  for (const std::vector<std::uint8_t> &Rec : S.Records)
+    for (rdma::NodeId Peer = 0; Peer < N; ++Peer)
+      if (Peer != Self && activeNode(Peer))
+        appendOrdered(*FreeWriters[Peer], FreeOutbound[Peer], Rec, Finish);
 }
 
 // -- Failure handling --------------------------------------------------------
@@ -1940,94 +1700,53 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
   if (!Cfg.UseBackupSlot)
     return;
   Broadcast->fetch(Peer, [this, Peer](ReliableBroadcast::BackupMessage Msg) {
-    if (Msg.TheKind != ReliableBroadcast::Kind::None &&
-        Msg.Epoch != CurrentEpoch) {
+    if (Msg.TheKind == ReliableBroadcast::Kind::None)
+      return;
+    if (Msg.Epoch != CurrentEpoch) {
       // A slot staged in another epoch: the fence already killed its
       // writes, and recovery must not resurrect them across the boundary.
       CtrCrossEpochDrop->add();
       return;
     }
-    switch (Msg.TheKind) {
-    case ReliableBroadcast::Kind::None:
+    // The suspect's last flush, staged as one image: its summaries, delta
+    // frames and free calls recover together or not at all.
+    FlushImage Img;
+    if (!decodeFlushImage(Msg.Payload.data(), Msg.Payload.size(), Img))
       return;
-    case ReliableBroadcast::Kind::Summary: {
-      SummaryImage Img;
-      if (!decodeSummary(Msg.Payload.data(), Msg.Payload.size(), Img))
-        return;
-      unsigned G = Msg.Aux;
+    auto Recovered = [this]() {
+      ++NumRecovered;
+      CtrRecovered->add();
+    };
+    for (auto &[G, SumBytes] : Img.Summaries) {
+      SummaryImage SImg;
       if (G < SummaryCache.size() &&
-          Img.Seq > SummarySeqSeen[G][Peer]) {
-        installSummary(G, Peer, Img);
-        ++NumRecovered;
-        CtrRecovered->add();
-      }
-      return;
+          decodeSummary(SumBytes.data(), SumBytes.size(), SImg) &&
+          installImage(G, Peer, std::move(SImg)))
+        Recovered();
     }
-    case ReliableBroadcast::Kind::SummaryDelta: {
-      // A delta frame staged because the full image outgrew the backup
-      // slot: feed it through the regular gap-checked receive rules (a
-      // dup is dropped, a gap is buffered and heals via anti-entropy).
+    // A delta frame goes through the regular gap-checked receive rules (a
+    // dup is dropped, a gap is buffered and heals via anti-entropy).
+    for (const std::vector<std::uint8_t> &Bytes : Img.Deltas) {
       SummaryDeltaFrame F;
-      if (!decodeSummaryDelta(Msg.Payload.data(), Msg.Payload.size(), F))
-        return;
-      if (handleSummaryFrame(Peer, F)) {
-        ++NumRecovered;
-        CtrRecovered->add();
-      }
-      return;
+      if (decodeSummaryDelta(Bytes.data(), Bytes.size(), F) &&
+          handleSummaryFrame(Peer, F))
+        Recovered();
     }
-    case ReliableBroadcast::Kind::FreeCall: {
-      WireCall WC;
-      if (!decodeCall(Spec, Fabric.numNodes(), Msg.Payload.data(),
-                      Msg.Payload.size(), WC))
-        return;
-      // Deliver only if it is exactly the next broadcast we have not
-      // received; a smaller sequence is a duplicate (agreement is
-      // preserved), a larger one means earlier entries are still in our
-      // ring and the cursor will catch up through the normal poll path.
-      if (WC.BcastSeq == FreeSeqNext[Peer]) {
-        FreeSeqNext[Peer] = WC.BcastSeq + 1;
-        FreePending[Peer].push_back(std::move(WC));
-        ++NumRecovered;
-        CtrRecovered->add();
-      }
+    std::vector<WireCall> Calls;
+    if (Img.FreeRecord.empty() ||
+        !decodeCallBatch(Spec, Fabric.numNodes(), Img.FreeRecord.data(),
+                         Img.FreeRecord.size(), Calls))
       return;
-    }
-    case ReliableBroadcast::Kind::FreeBatch: {
-      // A batched flush staged as one image: its summary images and its
-      // free-call batch recover together or not at all.
-      FlushImage Img;
-      if (!decodeFlushImage(Msg.Payload.data(), Msg.Payload.size(), Img))
-        return;
-      for (const auto &[G, SumBytes] : Img.Summaries) {
-        SummaryImage SImg;
-        if (!decodeSummary(SumBytes.data(), SumBytes.size(), SImg))
-          continue;
-        if (G < SummaryCache.size() &&
-            SImg.Seq > SummarySeqSeen[G][Peer]) {
-          installSummary(G, Peer, SImg);
-          ++NumRecovered;
-          CtrRecovered->add();
-        }
-      }
-      if (Img.FreeRecord.empty())
-        return;
-      std::vector<WireCall> Calls;
-      if (!decodeCallBatch(Spec, Fabric.numNodes(), Img.FreeRecord.data(),
-                           Img.FreeRecord.size(), Calls))
-        return;
-      // Batch entries carry consecutive sequences; deliver the
-      // contiguous-next suffix and drop already-received duplicates.
-      for (WireCall &WC : Calls) {
-        if (WC.BcastSeq != FreeSeqNext[Peer])
-          continue;
-        FreeSeqNext[Peer] = WC.BcastSeq + 1;
-        FreePending[Peer].push_back(std::move(WC));
-        ++NumRecovered;
-        CtrRecovered->add();
-      }
-      return;
-    }
+    // Deliver only the contiguous-next suffix: a smaller sequence is a
+    // duplicate (agreement is preserved), a larger one means earlier
+    // entries are still in our ring and the cursor will catch up through
+    // the normal poll path.
+    for (WireCall &WC : Calls) {
+      if (WC.BcastSeq != FreeSeqNext[Peer])
+        continue;
+      FreeSeqNext[Peer] = WC.BcastSeq + 1;
+      FreePending[Peer].push_back(std::move(WC));
+      Recovered();
     }
   });
 }
@@ -2046,8 +1765,8 @@ void HambandNode::openEpoch() { EpochClosed = false; }
 bool HambandNode::reconfigQuiesced() const {
   if (!idle() || FlushesInFlight != 0)
     return false;
-  for (const auto &Q : FreeOutbound)
-    if (!Q.empty())
+  for (const OutboundQueue &Q : FreeOutbound)
+    if (!Q.Records.empty())
       return false;
   for (const auto &Q : LeaderSpeculative)
     if (!Q.empty())
@@ -2058,23 +1777,7 @@ bool HambandNode::reconfigQuiesced() const {
 std::uint64_t HambandNode::reconfigDigest() {
   // Like stateDigest() but restricted to replicated state and seeded
   // without the node id: drained members must produce the same value.
-  std::uint64_t H = 0x5bd1e9955bd1e995ull;
-  auto Mix = [&H](std::uint64_t V) {
-    H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-  };
-  const std::string S = visibleState().str();
-  std::uint64_t SH = 1469598103934665603ull; // FNV-1a
-  for (char Ch : S) {
-    SH ^= static_cast<unsigned char>(Ch);
-    SH *= 1099511628211ull;
-  }
-  Mix(SH);
-  for (const auto &Row : Applied)
-    for (std::uint64_t V : Row)
-      Mix(V);
-  for (std::uint64_t V : ConfReceivedContig)
-    Mix(V);
-  return H;
+  return replicatedStateHash(0x5bd1e9955bd1e995ull);
 }
 
 unsigned HambandNode::activePeerCount() const {
@@ -2223,17 +1926,9 @@ void HambandNode::installMembership(const Membership &M,
         Detector->setMonitored(P, SelfActive && activeNode(P));
   if (!SelfActive)
     OutOfService = true;
-  unsigned N = Fabric.numNodes();
   for (unsigned G = 0; G < Consensus.size(); ++G) {
     Consensus[G]->setActiveMask(Active);
-    rdma::NodeId NewLeader = Self;
-    for (unsigned K = 0; K < N; ++K) {
-      rdma::NodeId Cand = (G + Cfg.LeaderOffset + K) % N;
-      if (activeNode(Cand)) {
-        NewLeader = Cand;
-        break;
-      }
-    }
+    rdma::NodeId NewLeader = homeLeader(G);
     Consensus[G]->adoptLeadership(NewLeader, ConfNext[G]);
     // adoptLeadership fires the LeaderChanged re-sync only when the
     // leader actually moved; a joiner whose group kept its leader still

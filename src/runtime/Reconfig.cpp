@@ -88,8 +88,7 @@ runtime::encodeTransferImage(const TransferImage &Img) {
     for (const auto &[Seq, Bytes] : PerSrc) {
       W.u64(Seq);
       W.u32(static_cast<std::uint32_t>(Bytes.size()));
-      for (std::uint8_t B : Bytes)
-        W.u8(B);
+      W.bytes(Bytes);
     }
   }
   W.u32(static_cast<std::uint32_t>(Img.ConfNextIndex.size()));
@@ -98,8 +97,7 @@ runtime::encodeTransferImage(const TransferImage &Img) {
   W.u32(static_cast<std::uint32_t>(Img.IrreducibleLog.size()));
   for (const auto &Entry : Img.IrreducibleLog) {
     W.u32(static_cast<std::uint32_t>(Entry.size()));
-    for (std::uint8_t B : Entry)
-      W.u8(B);
+    W.bytes(Entry);
   }
   return W.take();
 }

@@ -23,19 +23,18 @@ void ReliableBroadcast::attachStats(obs::Registry &R) {
   CtrFetch = &R.counter("bcast.fetch");
 }
 
-void ReliableBroadcast::stage(Kind K, std::uint8_t Aux,
-                              const std::vector<std::uint8_t> &Payload,
+void ReliableBroadcast::stage(const std::vector<std::uint8_t> &Payload,
                               std::uint32_t Epoch) {
-  assert(Payload.size() + 11 <= SlotBytes && "backup slot too small");
+  assert(Payload.size() + OverheadBytes <= SlotBytes &&
+         "backup slot too small");
   rdma::MemoryRegion &Mem = Fabric.memory(Self);
   std::uint32_t Len = static_cast<std::uint32_t>(Payload.size());
   Mem.writeU8(BackupOff + SlotBytes - 1, 0); // Drop the old canary first.
-  Mem.writeU8(BackupOff, static_cast<std::uint8_t>(K));
-  Mem.writeU8(BackupOff + 1, Aux);
-  Mem.write(BackupOff + 2, &Epoch, 4);
-  Mem.write(BackupOff + 6, &Len, 4);
+  Mem.writeU8(BackupOff, static_cast<std::uint8_t>(Kind::Flush));
+  Mem.write(BackupOff + 1, &Epoch, 4);
+  Mem.write(BackupOff + 5, &Len, 4);
   if (Len)
-    Mem.write(BackupOff + 10, Payload.data(), Len);
+    Mem.write(BackupOff + 9, Payload.data(), Len);
   Mem.writeU8(BackupOff + SlotBytes - 1, 1);
   if (CtrStage)
     CtrStage->add();
@@ -61,12 +60,11 @@ void ReliableBroadcast::fetch(
           return;
         }
         Msg.TheKind = static_cast<Kind>(Data[0]);
-        Msg.Aux = Data[1];
-        std::memcpy(&Msg.Epoch, Data.data() + 2, 4);
+        std::memcpy(&Msg.Epoch, Data.data() + 1, 4);
         std::uint32_t Len = 0;
-        std::memcpy(&Len, Data.data() + 6, 4);
-        if (Len + 11 <= SlotBytes)
-          Msg.Payload.assign(Data.begin() + 10, Data.begin() + 10 + Len);
+        std::memcpy(&Len, Data.data() + 5, 4);
+        if (Len + OverheadBytes <= SlotBytes)
+          Msg.Payload.assign(Data.begin() + 9, Data.begin() + 9 + Len);
         else
           Msg.TheKind = Kind::None; // Torn slot; treat as empty.
         Done(std::move(Msg));

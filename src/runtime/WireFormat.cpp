@@ -190,8 +190,7 @@ std::vector<std::uint8_t> runtime::encodeCallBatch(
   W.u16(static_cast<std::uint16_t>(EncodedCalls.size()));
   for (const std::vector<std::uint8_t> &Bytes : EncodedCalls) {
     W.u32(static_cast<std::uint32_t>(Bytes.size()));
-    for (std::uint8_t B : Bytes)
-      W.u8(B);
+    W.bytes(Bytes);
   }
   return W.take();
 }
@@ -243,8 +242,7 @@ runtime::encodeSummaryDelta(const SummaryDeltaFrame &F) {
   W.u64(F.ToSeq);
   W.u32(F.Epoch);
   W.u32(static_cast<std::uint32_t>(F.Image.size()));
-  for (std::uint8_t B : F.Image)
-    W.u8(B);
+  W.bytes(F.Image);
   return W.take();
 }
 
@@ -277,40 +275,54 @@ std::vector<std::uint8_t> runtime::encodeFlushImage(const FlushImage &Img) {
   for (const auto &[Group, Bytes] : Img.Summaries) {
     W.u8(Group);
     W.u32(static_cast<std::uint32_t>(Bytes.size()));
-    for (std::uint8_t B : Bytes)
-      W.u8(B);
+    W.bytes(Bytes);
+  }
+  assert(Img.Deltas.size() <= 0xFF && "too many delta frames");
+  W.u8(static_cast<std::uint8_t>(Img.Deltas.size()));
+  for (const std::vector<std::uint8_t> &Frame : Img.Deltas) {
+    W.u32(static_cast<std::uint32_t>(Frame.size()));
+    W.bytes(Frame);
   }
   W.u32(static_cast<std::uint32_t>(Img.FreeRecord.size()));
-  for (std::uint8_t B : Img.FreeRecord)
-    W.u8(B);
+  W.bytes(Img.FreeRecord);
   return W.take();
 }
 
 bool runtime::decodeFlushImage(const std::uint8_t *Data, std::size_t Len,
                                FlushImage &Out) {
   Out.Summaries.clear();
+  Out.Deltas.clear();
   Out.FreeRecord.clear();
   ByteReader R(Data, Len);
-  std::uint8_t K = R.u8();
-  std::size_t Pos = 1;
-  for (unsigned I = 0; I < K; ++I) {
-    std::uint8_t Group = R.u8();
+  std::size_t Pos = 0;
+  // Reads a u32 length and the bytes after it into \p Into.
+  auto Take = [&](std::vector<std::uint8_t> &Into) {
     std::uint32_t InnerLen = R.u32();
-    Pos += 5;
+    Pos += 4;
     if (!R.ok() || Pos + InnerLen > Len)
       return false;
-    Out.Summaries.emplace_back(
-        Group, std::vector<std::uint8_t>(Data + Pos, Data + Pos + InnerLen));
+    Into.assign(Data + Pos, Data + Pos + InnerLen);
     for (std::uint32_t J = 0; J < InnerLen; ++J)
       (void)R.u8();
     Pos += InnerLen;
+    return true;
+  };
+  std::uint8_t K = R.u8();
+  ++Pos;
+  for (unsigned I = 0; I < K; ++I) {
+    std::uint8_t Group = R.u8();
+    ++Pos;
+    Out.Summaries.emplace_back(Group, std::vector<std::uint8_t>());
+    if (!Take(Out.Summaries.back().second))
+      return false;
   }
-  std::uint32_t FreeLen = R.u32();
-  Pos += 4;
-  if (!R.ok() || Pos + FreeLen > Len)
-    return false;
-  Out.FreeRecord.assign(Data + Pos, Data + Pos + FreeLen);
-  return true;
+  std::uint8_t D = R.u8();
+  ++Pos;
+  Out.Deltas.resize(D);
+  for (std::vector<std::uint8_t> &Frame : Out.Deltas)
+    if (!Take(Frame))
+      return false;
+  return Take(Out.FreeRecord);
 }
 
 bool runtime::decodeCall(const CoordinationSpec &Spec,

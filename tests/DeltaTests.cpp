@@ -501,6 +501,44 @@ TEST(DeltaCrashRecovery, CrashMidAntiEntropyRecoversUntorn) {
   EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
 }
 
+TEST(DeltaCrashRecovery, BatchedFlushStagesDeltaWhenFullImageOutgrowsSlot) {
+  // A 600-element gset image (~4.8 KB) cannot fit the 4 KB backup slot.
+  // Staging is decided per group, so every batched delta flush still
+  // stages its delta frame instead of leaving the whole flush unstaged.
+  sim::Simulator Sim;
+  auto T = makeType("gset");
+  MethodId Add = T->methodId("add");
+  HambandConfig Cfg = deltaConfig(/*AntiEntropyEvery=*/64);
+  Cfg.Batch.Enabled = true;
+  HambandCluster C(Sim, 3, *T, {}, Cfg);
+  C.start();
+  C.seedReducibleState(0, 0, bigGSetSummary(*T, 600), 600);
+
+  // The first call pipe-flushes; the next two coalesce behind it.
+  unsigned Done = 0;
+  for (unsigned I = 0; I < 3; ++I)
+    C.submit(0, Call(Add, {1000 + static_cast<Value>(I)}, 0, 1 + I),
+             [&](bool Ok, Value) {
+               EXPECT_TRUE(Ok);
+               ++Done;
+             });
+  ASSERT_TRUE(runUntil(Sim, [&] {
+    return Done == 3 && C.fullyReplicated();
+  }));
+
+  obs::StatsSnapshot S = C.node(0).statsSnapshot();
+  std::uint64_t Flushes =
+      S.counter("node.batch.flush.pipe") + S.counter("node.batch.flush.size") +
+      S.counter("node.batch.flush.timeout") +
+      S.counter("node.batch.flush.conf");
+  EXPECT_EQ(Flushes, 2u);
+  EXPECT_EQ(S.counter("node.delta.out"), 2u);
+  EXPECT_EQ(S.counter("bcast.stage"), Flushes);
+  EXPECT_EQ(S.counter("node.delta.stage_skipped"), 0u);
+  for (ProcessId P = 1; P < 3; ++P)
+    EXPECT_EQ(C.node(P).summarySeqSeen(0, 0), 603u) << "node " << P;
+}
+
 //===----------------------------------------------------------------------===//
 // Gap healing: dropped deltas buffer, anti-entropy repairs
 //===----------------------------------------------------------------------===//

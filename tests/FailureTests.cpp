@@ -12,6 +12,7 @@
 #include "hamband/benchlib/Runner.h"
 #include "hamband/core/TypeRegistry.h"
 #include "hamband/runtime/HambandCluster.h"
+#include "hamband/runtime/WireFormat.h"
 #include "hamband/types/BankAccount.h"
 #include "hamband/types/Counter.h"
 #include "hamband/types/Movie.h"
@@ -36,6 +37,14 @@ bool runUntil(sim::Simulator &Sim, PredT Pred, double CapUs = 300000.0) {
   return Pred();
 }
 
+/// The single staged format carrying one free call, as a one-call
+/// unbatched flush stages it.
+std::vector<std::uint8_t> stagedFreeCall(std::vector<std::uint8_t> Call) {
+  FlushImage Img;
+  Img.FreeRecord = encodeCallBatch({std::move(Call)});
+  return encodeFlushImage(Img);
+}
+
 } // namespace
 
 TEST(BackupRecovery, PeerDeliversPendingBroadcastOfSuspect) {
@@ -55,9 +64,9 @@ TEST(BackupRecovery, PeerDeliversPendingBroadcastOfSuspect) {
   WC.TheCall = Call(Counter::Add, {41}, /*Issuer=*/0, /*Req=*/77);
   WC.BcastSeq = 0; // First broadcast node 1 expects from node 0.
   // Counter::Add is reducible; ship it as a buffered call through the
-  // FreeCall recovery path by using the irreducible encoding directly.
-  std::vector<std::uint8_t> Bytes = encodeCall(T.coordination(), 3, WC);
-  Staging.stage(ReliableBroadcast::Kind::FreeCall, 0, Bytes);
+  // free-record half of the staged image by using the irreducible
+  // encoding directly.
+  Staging.stage(stagedFreeCall(encodeCall(T.coordination(), 3, WC)));
 
   C.node(0).suspendHeartbeat();
   ASSERT_TRUE(runUntil(Sim, [&] {
@@ -93,12 +102,128 @@ TEST(BackupRecovery, DuplicateBackupIgnored) {
   WireCall WC;
   WC.TheCall = Call(0, {7, 100}, 0, 1);
   WC.BcastSeq = 0; // Already consumed by node 1.
-  Staging.stage(ReliableBroadcast::Kind::FreeCall, 0,
-                encodeCall(T->coordination(), 3, WC));
+  Staging.stage(stagedFreeCall(encodeCall(T->coordination(), 3, WC)));
   C.node(0).suspendHeartbeat();
   Sim.run(Sim.now() + sim::millis(3));
   EXPECT_EQ(C.node(1).applied(0, 0), Before);
   EXPECT_EQ(C.node(1).recoveredBroadcasts(), 0u);
+}
+
+// Every ship stages the same FlushImage, so one recovery case must cover
+// every ship shape. The source crashes right after staging -- none of the
+// remote writes are posted -- and both peers recover the call(s) from its
+// backup slot, which still holds the image when the test reads it back.
+enum class ShipShape { SlotReduce, FreeCall, OversizeDelta, BatchedFlush };
+
+class CrashAfterStage : public ::testing::TestWithParam<ShipShape> {};
+
+TEST_P(CrashAfterStage, PeersRecoverThroughTheSingleRecoveryCase) {
+  const ShipShape Shape = GetParam();
+  sim::Simulator Sim;
+  auto T = makeType(Shape == ShipShape::SlotReduce      ? "counter"
+                    : Shape == ShipShape::OversizeDelta ? "gset"
+                                                        : "gset-buffered");
+  MethodId Add = T->methodId("add");
+  HambandConfig Cfg;
+  Cfg.Batch.Enabled = Shape == ShipShape::BatchedFlush;
+  Cfg.Delta.Enabled = Shape == ShipShape::OversizeDelta;
+  HambandCluster C(Sim, 3, *T, {}, Cfg);
+  C.start();
+  // 600 seeded elements make the full image ~4.8 KB: larger than the
+  // 4 KB backup slot, so the flush stages the call's delta frame instead.
+  std::uint64_t Seeded = 0;
+  if (Shape == ShipShape::OversizeDelta) {
+    Seeded = 600;
+    std::vector<Value> Elems;
+    for (Value V = 0; V < 600; ++V)
+      Elems.push_back(V);
+    C.seedReducibleState(0, 0, Call(Add, Elems, 0, 0), Seeded);
+  }
+
+  // Batched: the first call pipe-flushes (stage #1) and the other five
+  // coalesce into the completion-triggered flush (stage #2).
+  const unsigned Calls = Shape == ShipShape::BatchedFlush ? 6 : 1;
+  const unsigned CrashAt = Shape == ShipShape::BatchedFlush ? 2 : 1;
+  unsigned Stages = 0;
+  C.node(0).broadcast().setOnStage([&] {
+    if (++Stages == CrashAt)
+      C.crashNode(0);
+  });
+  for (unsigned I = 0; I < Calls; ++I)
+    C.submit(0, Call(Add, {1000 + static_cast<Value>(I)}, 0, 100 + I),
+             [](bool, Value) {});
+
+  ASSERT_TRUE(runUntil(Sim, [&] {
+    return C.node(1).applied(0, Add) == Seeded + Calls &&
+           C.node(2).applied(0, Add) == Seeded + Calls;
+  }));
+  EXPECT_EQ(Stages, CrashAt);
+  EXPECT_FALSE(C.isLive(0));
+  for (ProcessId P = 1; P < 3; ++P)
+    EXPECT_GE(C.node(P).recoveredBroadcasts(), 1u) << "node " << P;
+  EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
+  EXPECT_EQ(C.node(0).statsSnapshot().counter("node.delta.stage_skipped"),
+            0u);
+
+  // The staged image has the shape's single-format contents.
+  ReliableBroadcast Reader(C.fabric(), 1, C.memoryMap().backupSlot(),
+                           Cfg.BackupSlotBytes);
+  ReliableBroadcast::BackupMessage Msg;
+  Reader.fetch(0, [&](ReliableBroadcast::BackupMessage M) { Msg = M; });
+  Sim.run(Sim.now() + sim::micros(50));
+  ASSERT_EQ(Msg.TheKind, ReliableBroadcast::Kind::Flush);
+  FlushImage Img;
+  ASSERT_TRUE(decodeFlushImage(Msg.Payload.data(), Msg.Payload.size(), Img));
+  EXPECT_EQ(Img.Summaries.size(), Shape == ShipShape::SlotReduce ? 1u : 0u);
+  EXPECT_EQ(Img.Deltas.size(), Shape == ShipShape::OversizeDelta ? 1u : 0u);
+  std::vector<WireCall> Free;
+  if (!Img.FreeRecord.empty()) {
+    ASSERT_TRUE(decodeCallBatch(T->coordination(), 3, Img.FreeRecord.data(),
+                                Img.FreeRecord.size(), Free));
+  }
+  EXPECT_EQ(Free.size(), Shape == ShipShape::FreeCall       ? 1u
+                         : Shape == ShipShape::BatchedFlush ? 5u
+                                                            : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShipShapes, CrashAfterStage,
+    ::testing::Values(ShipShape::SlotReduce, ShipShape::FreeCall,
+                      ShipShape::OversizeDelta, ShipShape::BatchedFlush),
+    [](const auto &Info) {
+      switch (Info.param) {
+      case ShipShape::SlotReduce:
+        return std::string("unbatched_slot_reduce");
+      case ShipShape::FreeCall:
+        return std::string("unbatched_free");
+      case ShipShape::OversizeDelta:
+        return std::string("unbatched_oversize_delta");
+      case ShipShape::BatchedFlush:
+        return std::string("batched_flush");
+      }
+      return std::string();
+    });
+
+// A free record larger than the backup slot is left out of the staged
+// image and counted; the call still ships and completes.
+TEST(BackupRecovery, FreeRecordTooBigForSlotIsNotStaged) {
+  sim::Simulator Sim;
+  auto T = makeType("gset-buffered");
+  MethodId Add = T->methodId("add");
+  HambandConfig Cfg;
+  Cfg.BackupSlotBytes = 40; // below any encoded call batch
+  HambandCluster C(Sim, 3, *T, {}, Cfg);
+  C.start();
+  unsigned Stages = 0;
+  C.node(0).broadcast().setOnStage([&] { ++Stages; });
+  bool Done = false;
+  C.submit(0, Call(Add, {5}, 0, 1), [&](bool Ok, Value) { Done = Ok; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done && C.fullyReplicated(); }));
+  EXPECT_EQ(Stages, 0u);
+  EXPECT_EQ(C.node(0).statsSnapshot().counter("node.delta.stage_skipped"),
+            1u);
+  for (ProcessId P = 1; P < 3; ++P)
+    EXPECT_EQ(C.node(P).applied(0, Add), 1u) << "node " << P;
 }
 
 TEST(OutOfService, RejectsNewClientCalls) {
@@ -248,7 +373,7 @@ TEST(BackupRecovery, AgreementAfterMidBroadcastCrash) {
   std::vector<std::uint8_t> Bytes = encodeCall(T->coordination(), 3, WC);
   ReliableBroadcast Staging(Fab, 0, Map.backupSlot(),
                             C.config().BackupSlotBytes);
-  Staging.stage(ReliableBroadcast::Kind::FreeCall, 0, Bytes);
+  Staging.stage(stagedFreeCall(Bytes));
   // ...write the ring cell on node 1 only...
   RingWriter PartialWriter(Fab, 0, 1, Map.freeRingData(0),
                            Map.freeRingFeedback(1), Map.freeGeom());

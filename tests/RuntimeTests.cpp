@@ -124,6 +124,27 @@ TEST(WireFormat, SummaryRoundTrip) {
   EXPECT_EQ(Out.AppliedCounts[0].second, 13u);
 }
 
+TEST(WireFormat, FlushImageRoundTripAndTruncation) {
+  FlushImage In;
+  In.Summaries = {{0, {1, 2, 3}}, {2, {4}}};
+  In.Deltas = {{5, 6}, {}};
+  In.FreeRecord = {7, 8, 9};
+  std::vector<std::uint8_t> Bytes = encodeFlushImage(In);
+  // The size helpers a flush budgets with add up to the encoded size.
+  EXPECT_EQ(Bytes.size(), FlushImageBaseBytes + In.FreeRecord.size() +
+                              flushImageSummaryBytes(3) +
+                              flushImageSummaryBytes(1) +
+                              flushImageDeltaBytes(2) +
+                              flushImageDeltaBytes(0));
+  FlushImage Out;
+  ASSERT_TRUE(decodeFlushImage(Bytes.data(), Bytes.size(), Out));
+  EXPECT_EQ(Out.Summaries, In.Summaries);
+  EXPECT_EQ(Out.Deltas, In.Deltas);
+  EXPECT_EQ(Out.FreeRecord, In.FreeRecord);
+  for (std::size_t Len = 0; Len < Bytes.size(); ++Len)
+    EXPECT_FALSE(decodeFlushImage(Bytes.data(), Len, Out)) << "length " << Len;
+}
+
 TEST(WireFormat, DecodeRejectsGarbage) {
   BankAccount T;
   std::vector<std::uint8_t> Garbage = {0xFF, 0xFF, 0xFF};
@@ -405,16 +426,16 @@ TEST(BroadcastTest, StageFetchClear) {
   rdma::Fabric Fab(Sim, 2, rdma::NetworkModel(), 1u << 20);
   ReliableBroadcast B0(Fab, 0, 512, 256);
   ReliableBroadcast B1(Fab, 1, 512, 256);
-  B0.stage(ReliableBroadcast::Kind::FreeCall, 3, {1, 2, 3});
+  B0.stage({1, 2, 3}, /*Epoch=*/7);
   ReliableBroadcast::BackupMessage Got;
   B1.fetch(0, [&](ReliableBroadcast::BackupMessage M) { Got = M; });
   Sim.run();
-  EXPECT_EQ(Got.TheKind, ReliableBroadcast::Kind::FreeCall);
-  EXPECT_EQ(Got.Aux, 3);
+  EXPECT_EQ(Got.TheKind, ReliableBroadcast::Kind::Flush);
+  EXPECT_EQ(Got.Epoch, 7u);
   EXPECT_EQ(Got.Payload, (std::vector<std::uint8_t>{1, 2, 3}));
   B0.clear();
   Got = ReliableBroadcast::BackupMessage();
-  Got.TheKind = ReliableBroadcast::Kind::Summary;
+  Got.TheKind = ReliableBroadcast::Kind::Flush;
   B1.fetch(0, [&](ReliableBroadcast::BackupMessage M) { Got = M; });
   Sim.run();
   EXPECT_EQ(Got.TheKind, ReliableBroadcast::Kind::None);
@@ -689,6 +710,45 @@ TEST_F(ClusterTest, DuplicateConfRequestAppliedOnce) {
             [&](bool, Value Got) { V = Got; });
   runUntil(Sim, [&] { return V >= 0; });
   EXPECT_EQ(V, 6); // ...but only one withdrawal applied.
+}
+
+TEST_F(ClusterTest, FullMailboxKeepsConfRequestsInPostOrder) {
+  // A four-cell mailbox fills after four unread requests. Requests posted
+  // while it is full must queue behind the stalled ones, not overtake them
+  // when a cell frees up: the leader has to read one origin's requests in
+  // the order they were posted, so they commit in that order.
+  BankAccount T;
+  HambandConfig Cfg;
+  Cfg.MailGeom = RingGeometry{4, 256};
+  Cfg.RecordApplyLog = true;
+  HambandCluster C(Sim, 3, T, {}, Cfg);
+  C.start();
+  rdma::NodeId Leader = C.leaderOf(0, 0);
+  rdma::NodeId Origin = (Leader + 1) % 3;
+  int Done = 0;
+  C.submit(Origin, Call(BankAccount::Deposit, {1000}, Origin, 1),
+           [&](bool, Value) { ++Done; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done == 1 && C.fullyReplicated(); }));
+
+  const int Requests = 40;
+  for (int I = 0; I < Requests; ++I) {
+    C.submit(Origin, Call(BankAccount::Withdraw, {1}, Origin, 100 + I),
+             [&](bool Ok, Value) {
+               EXPECT_TRUE(Ok);
+               ++Done;
+             });
+    Sim.run(Sim.now() + sim::micros(0.2));
+  }
+  ASSERT_TRUE(runUntil(Sim, [&] {
+    return Done == 1 + Requests && C.fullyReplicated();
+  }));
+  EXPECT_GT(C.node(Origin).statsSnapshot().counter("ring.full_stall"), 0u);
+  std::vector<RequestId> Order;
+  for (const auto &[Issuer, Req] : C.node(Leader).confApplyLog()[0])
+    Order.push_back(Req);
+  ASSERT_EQ(Order.size(), static_cast<std::size_t>(Requests));
+  for (int I = 0; I < Requests; ++I)
+    EXPECT_EQ(Order[I], static_cast<RequestId>(100 + I)) << "position " << I;
 }
 
 TEST_F(ClusterTest, AccountingOracleForConflictFreeTypes) {
