@@ -10,18 +10,23 @@
 ///
 /// Request processing ("Processing requests", Section 4):
 ///  1. queries execute locally against Apply(S)(σ);
-///  2. reducible calls fold into the local summary and are remotely
-///     overwritten into every peer's summary slot (reliable broadcast via
-///     the backup slot);
+///  2. reducible calls fold into the local summary (SummaryChannel) and
+///     are remotely overwritten into every peer's summary slot, or shipped
+///     as delta / full-image frames over the F rings;
 ///  3. irreducible conflict-free calls apply locally and are appended to
-///     the remote F rings (reliable broadcast);
+///     the remote F rings;
 ///  4. conflicting calls go to the synchronization group's Mu consensus
 ///     instance -- local calls directly when this node leads, otherwise
 ///     through a single-writer mailbox ring to the leader.
 ///
+/// Each flush takes the summary channel's writes for its dirty groups,
+/// adds the free-call record and stages one FlushImage in the backup slot
+/// (reliable broadcast). The node owns the applied-counts table A and the
+/// visible-state cache; the summary channel changes them through one hook.
+///
 /// Two logical poller threads (one CPU lane here) traverse the F and L
-/// buffers and apply calls whose dependency arrays are satisfied by the
-/// local applied-counts table A.
+/// buffers and apply calls whose dependency arrays are satisfied by A;
+/// summary records and slots go to the summary channel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +42,7 @@
 #include "hamband/runtime/ReliableBroadcast.h"
 #include "hamband/runtime/RingBuffer.h"
 #include "hamband/runtime/Runtime.h"
+#include "hamband/runtime/SummaryChannel.h"
 #include "hamband/runtime/WireFormat.h"
 
 #include <deque>
@@ -70,31 +76,6 @@ struct BatchingConfig {
   /// coalescing (the next batch ships when the previous flush's writes
   /// complete).
   sim::SimDuration FlushInterval = sim::micros(2);
-};
-
-/// Delta-state propagation for reducible sync groups (docs/deltas.md).
-///
-/// When enabled, a flush ships the *fold of the calls since the last
-/// shipped image* as a bounded F-ring frame tagged with the half-open
-/// version interval it covers, instead of overwriting every peer's
-/// summary slot with the full image. Periodic full-image anti-entropy
-/// (chunked over the same rings) bounds divergence after gaps and keeps
-/// recovery idempotent. Off by default: full images preserve the
-/// classic per-flush summary-slot path unchanged.
-struct DeltaConfig {
-  /// Master switch.
-  bool Enabled = false;
-  /// Anti-entropy period: every this many delta flushes of a group, ship
-  /// a full image instead of a delta (0 = never; gaps then heal only
-  /// through backup-slot recovery).
-  std::uint32_t AntiEntropyEvery = 64;
-  /// Adaptive anti-entropy backoff (0 = off): after this many consecutive
-  /// full-image ships during which the node observed no delta gap
-  /// (node.delta.gap unchanged), the effective AntiEntropyEvery period
-  /// doubles (capped at 8x). Any observed gap snaps it back to 1x. Quiet,
-  /// loss-free steady states then spend fewer full-image ships while
-  /// lossy phases keep the configured healing cadence (docs/deltas.md).
-  std::uint32_t AdaptiveBackoffRounds = 0;
 };
 
 /// Tunables of the Hamband runtime.
@@ -216,7 +197,6 @@ public:
 
   /// Counts of processed calls (diagnostics / tests).
   std::uint64_t localUpdates() const { return NumLocalUpdates; }
-  std::uint64_t appliedBuffered() const { return NumAppliedBuffered; }
   std::uint64_t recoveredBroadcasts() const { return NumRecovered; }
 
   /// This node's metrics registry (all its rings, broadcast and consensus
@@ -271,43 +251,11 @@ public:
   /// Number of locally issued calls accumulated and not yet flushed.
   std::uint32_t batchPending() const { return BatchedPending; }
 
-  /// Forces an immediate flush of all accumulated calls (tests; also the
-  /// eager flush on conflicting-call arrival). No-op when batching is
-  /// off or nothing is pending.
-  void flushOutgoing();
-
-  // -- Delta propagation (docs/deltas.md) ---------------------------------
-
-  /// Test hook: when set, outgoing *delta* frames are not posted to any
-  /// peer (the local fold and the version advance still happen), creating
-  /// version gaps at every peer. Full-image frames (anti-entropy,
-  /// slot-overflow fallback) still ship, so convergence is restored by
-  /// the next anti-entropy round. Only meaningful with Cfg.Delta.Enabled.
-  void dropOutgoingDeltasForTest(bool Drop) { DropDeltasForTest = Drop; }
-
-  /// Test/bench hook: installs \p Summary as the cached image of
-  /// (\p Group, \p Src) at version \p Seq, as if \p Src had shipped it and
-  /// this node applied it -- including the applied-count row, so seeded
-  /// clusters still satisfy the applied-table equality oracles. When
-  /// \p Src is this node, the own-summary fold state and the delta ship
-  /// cursor advance too. Callers must seed all nodes identically (see
-  /// HambandCluster::seedReducibleState) and only while the world is
-  /// paused/quiescent.
-  void seedSummary(unsigned Group, ProcessId Src, const Call &Summary,
-                   std::uint64_t Seq);
-
-  /// Delta-frame introspection for tests: frames buffered out-of-order
-  /// for (\p Group, \p Src) and the version this node has seen from
-  /// \p Src in \p Group.
-  std::size_t bufferedDeltaFrames(unsigned Group, ProcessId Src) const;
-  std::uint64_t summarySeqSeen(unsigned Group, ProcessId Src) const {
-    return SummarySeqSeen[Group][Src];
-  }
+  /// The reducible-call path: summary versions, seeding and test hooks
+  /// (docs/deltas.md).
+  SummaryChannel &summaries() { return Sums; }
 
   // -- Membership reconfiguration (docs/reconfig.md) ----------------------
-
-  /// The installed membership epoch (0 on fixed-membership clusters).
-  std::uint32_t currentEpoch() const { return CurrentEpoch; }
 
   /// Closes the current epoch: new update submissions are rejected with
   /// Done(false, WrongEpochValue) until openEpoch(); queries keep being
@@ -316,7 +264,6 @@ public:
 
   /// Reopens submissions in the (possibly new) current epoch.
   void openEpoch();
-  bool epochClosed() const { return EpochClosed; }
 
   /// True when this node holds no unshipped, unapplied or unacknowledged
   /// work: the drain predicate of a membership transition (idle() plus
@@ -355,11 +302,6 @@ public:
   /// installMembership verifies it matches.
   void installMembership(const Membership &M, rdma::RegionKey NewKey,
                          const std::vector<std::uint64_t> &ConfNext);
-
-  /// The retained irreducible-call log (Cfg.Reconfig.Enabled only).
-  const std::vector<std::vector<std::uint8_t>> &reconfigLog() const {
-    return ReconfigLog;
-  }
 
   /// Contiguously received L-ring position of \p Group; after a drain
   /// every member agrees on it, and the coordinator captures it as the
@@ -417,7 +359,6 @@ private:
   void schedulePoll();
   void pollOnce();
   unsigned pollFreeRings();
-  unsigned pollSummaries();
   unsigned pollConfRings();
   unsigned pollMailboxes();
   unsigned applyPendingFree();
@@ -429,11 +370,10 @@ private:
   void applyToStored(const Call &C);
   bool depsSatisfied(const semantics::DepMap &D) const;
   semantics::DepMap projectDeps(MethodId U) const;
-  /// Version-checked install of a whole summary image of (\p G, \p Src)
-  /// -- slot read, reassembled full frames and backup recovery alike --
-  /// plus a retry of buffered frames unblocked by the version jump.
-  /// Returns false when \p Img is not newer than the cached version.
-  bool installImage(unsigned G, ProcessId Src, SummaryImage Img);
+  /// The summary channel's hook: raises \p Src's applied counts to \p C
+  /// and absorbs \p Delta into the visible cache (nullptr: invalidate).
+  void summaryChanged(ProcessId Src, const SummaryChannel::Counts &C,
+                      const Call *Delta);
   /// First in-service node of group \p G's leader rotation.
   rdma::NodeId homeLeader(unsigned G) const;
   /// Hash of the replicated state (visible state, applied table, received
@@ -451,12 +391,9 @@ private:
   /// Why a flush fired (obs counter selection). Single is the unbatched
   /// flush of one call, which counts as no coalesced flush.
   enum class FlushCause : std::uint8_t { Pipe, Size, Timeout, Conf, Single };
-  /// Everything one flush ships, in post order.
-  struct Shipment {
-    /// (summarization group, padded slot bytes) per classic slot write.
-    std::vector<std::pair<unsigned, std::vector<std::uint8_t>>> SlotWrites;
-    /// F-ring records: full frames, then delta frames, then free records.
-    std::vector<std::vector<std::uint8_t>> Records;
+  /// Everything one flush ships, in post order: the summary channel's
+  /// slot writes and records, then the free record.
+  struct Shipment : SummaryChannel::Outgoing {
     /// The backup-slot image covering the flush.
     FlushImage Staged;
     std::vector<SubmitCallback> Dones;
@@ -471,7 +408,8 @@ private:
   /// flushes immediately when no flush is in flight (doorbell coalescing).
   void noteEnqueued();
   void armFlushTimer();
-  /// Turns the pending flush state into one Shipment and ships it.
+  /// Turns the pending flush state into one Shipment and ships it (no-op
+  /// when nothing is pending).
   void flush(FlushCause Cause);
   /// Stages \p S's image in the backup slot, posts its writes to every
   /// active peer, clears the slot once all complete, and responds to the
@@ -480,24 +418,6 @@ private:
   /// Effective byte cap for the encoded free-batch record.
   std::size_t freeBatchCapBytes() const;
 
-  // Delta propagation (docs/deltas.md).
-  /// Encoded size of a SummaryImage with \p NumArgs summary arguments and
-  /// \p NumCounts applied-count entries (arithmetic twin of encodeSummary;
-  /// lets the ship path size-check huge images without encoding them).
-  static std::size_t summaryImageBytes(std::size_t NumArgs,
-                                       std::size_t NumCounts);
-  /// Methods of summarization group \p G (the applied-count rows a
-  /// summary image of the group carries).
-  std::vector<MethodId> groupMethods(unsigned G) const;
-  /// Maximum summary arguments per full-image chunk so the encoded frame
-  /// fits one (possibly spanning) F-ring record. Always >= 1.
-  std::size_t frameChunkMaxArgs() const;
-  /// True when the group's full image at the candidate size can be
-  /// shipped at all: it fits the classic summary slot, or it can be
-  /// chunked/carried over the F-rings. The reduce path checks this
-  /// BEFORE folding, so an unshippable call is rejected (Done(false))
-  /// without mutating any replicated state.
-  bool fullImageShippable(const Call &Summary, std::size_t NumCounts) const;
   /// Records waiting for ring space, drained strictly head-first.
   struct OutboundQueue;
   /// Enqueues one record for ring \p W and drains \p Q head-first. The
@@ -510,18 +430,6 @@ private:
   /// Appends queued records until the ring fills; re-arms a retry timer
   /// while records remain.
   void drainOutbound(RingWriter &W, OutboundQueue &Q);
-  /// Encodes group \p G's image \p Img as Full=1 chunk frames (element-
-  /// wise decomposition when the type supports it).
-  std::vector<std::vector<std::uint8_t>>
-  encodeFullFrames(unsigned G, const SummaryImage &Img) const;
-  /// Receive path shared by the ring poller and backup-slot recovery.
-  /// Returns true when the frame advanced the (group, src) version.
-  bool handleSummaryFrame(ProcessId Src, const SummaryDeltaFrame &F);
-  /// Joins a delta frame whose FromSeq matches the seen version; false
-  /// on a gap (caller buffers the frame).
-  bool tryApplyDeltaFrame(ProcessId Src, const SummaryDeltaFrame &F);
-  /// Re-tries buffered frames of (\p G, \p Src) until no more apply.
-  void retryBufferedFrames(unsigned G, ProcessId Src);
 
   rdma::Transport &Fabric;
   rdma::NodeId Self;
@@ -536,7 +444,6 @@ private:
   obs::Counter *CtrCallReduce = nullptr;
   obs::Counter *CtrCallFree = nullptr;
   obs::Counter *CtrCallConf = nullptr;
-  obs::Counter *CtrReductions = nullptr;
   obs::Counter *CtrDepStallFree = nullptr;
   obs::Counter *CtrDepStallConf = nullptr;
   obs::Counter *CtrRecovered = nullptr;
@@ -550,12 +457,8 @@ private:
   bool VisibleDirty = true;
   std::vector<std::vector<std::uint64_t>> Applied; // [proc][method]
 
-  // Summaries: cached deserialized images per (sum group, source).
-  std::vector<std::vector<std::optional<Call>>> SummaryCache;
-  std::vector<std::vector<std::uint64_t>> SummarySeqSeen;
-  /// This node's own folded summary and outgoing sequence per group.
-  std::vector<std::optional<Call>> OwnSummary;
-  std::vector<std::uint64_t> OwnSummarySeq;
+  /// Summaries per (sum group, source) and their propagation.
+  SummaryChannel Sums;
 
   // Rings.
   std::vector<std::unique_ptr<RingReader>> FreeReaders;  // [issuer]
@@ -614,8 +517,7 @@ private:
   };
   std::vector<BatchedFree> FreeBatch;
   std::size_t FreeBatchBytes = 0;
-  /// Calls folded into each group's summary since its last shipped image.
-  std::vector<std::uint32_t> SumBatchCalls; // [group]
+  /// Callbacks of the calls each group folded since its last flush.
   std::vector<std::vector<SubmitCallback>> SumBatchDone; // [group]
   std::uint32_t BatchedPending = 0;
   /// When the oldest unflushed call was enqueued (timeout backstop).
@@ -628,41 +530,6 @@ private:
   obs::Counter *CtrFlushConf = nullptr;
   obs::Histogram *HistBatchCalls = nullptr;
   obs::Histogram *HistBatchBytes = nullptr;
-
-  // Delta-propagation state (dormant unless Cfg.Delta.Enabled, except the
-  // full-frame receive machinery, which also serves the slot-overflow
-  // fallback in classic mode).
-  /// Fold of the local calls of each group since its last shipped frame
-  /// (unbatched, the single prepared call).
-  std::vector<std::optional<Call>> PendingDelta; // [group]
-  /// Version up to which peers have been shipped this node's summary
-  /// (the FromSeq of the next outgoing delta frame).
-  std::vector<std::uint64_t> DeltaShippedSeq; // [group]
-  /// Delta flushes since the last full-image ship (anti-entropy trigger).
-  std::vector<std::uint32_t> DeltaFlushesSinceFull; // [group]
-  /// Out-of-order delta frames parked until the version gap closes, at
-  /// most MaxBufferedFrames per (group, source); frames beyond it are
-  /// dropped (counted) and heal via anti-entropy.
-  std::vector<std::vector<std::deque<SummaryDeltaFrame>>>
-      BufferedFrames; // [group][src]
-  static constexpr std::size_t MaxBufferedFrames = 64;
-  /// Partial full-image chunk sets keyed by target version.
-  struct ChunkAssembly {
-    std::uint64_t Seq = 0;
-    std::vector<std::optional<SummaryImage>> Parts;
-    std::uint32_t Have = 0;
-  };
-  std::vector<std::vector<ChunkAssembly>> Assemblies; // [group][src]
-  bool DropDeltasForTest = false;
-  obs::Counter *CtrDeltaOut = nullptr;
-  obs::Counter *CtrDeltaIn = nullptr;
-  obs::Counter *CtrDeltaDup = nullptr;
-  obs::Counter *CtrDeltaGap = nullptr;
-  obs::Counter *CtrDeltaDropped = nullptr;
-  obs::Counter *CtrDeltaFullOut = nullptr;
-  obs::Counter *CtrDeltaFullIn = nullptr;
-  obs::Counter *CtrSlotOverflow = nullptr;
-  obs::Counter *CtrOversizeReject = nullptr;
   obs::Counter *CtrStageSkipped = nullptr;
 
   // Membership-reconfiguration state (docs/reconfig.md). All dormant on
@@ -682,19 +549,6 @@ private:
   obs::Counter *CtrCrossEpochDrop = nullptr;
   obs::Counter *CtrCrossEpochApply = nullptr;
   obs::Counter *CtrEpochInstall = nullptr;
-
-  // Adaptive anti-entropy state (docs/deltas.md). GapEvents mirrors the
-  // node.delta.gap counter; the per-group streaks compare against its
-  // value at that group's last full-image ship.
-  std::uint64_t GapEvents = 0;
-  std::vector<std::uint64_t> GapEventsAtFull;   // [group]
-  std::vector<std::uint32_t> AeCleanStreak;     // [group]
-  std::vector<std::uint32_t> AeFactor;          // [group], 1..8
-  obs::Counter *CtrAeBackoff = nullptr;
-  /// Effective anti-entropy period of \p G under the adaptive backoff.
-  std::uint32_t effectiveAntiEntropyEvery(unsigned G) const;
-  /// Streak bookkeeping at a full-image ship of \p G.
-  void noteFullImageShip(unsigned G);
   /// Number of active peers (broadcast fan-out / completion quorum size).
   unsigned activePeerCount() const;
 
@@ -703,7 +557,6 @@ private:
   bool OutOfService = false;
 
   std::uint64_t NumLocalUpdates = 0;
-  std::uint64_t NumAppliedBuffered = 0;
   std::uint64_t NumRecovered = 0;
 };
 

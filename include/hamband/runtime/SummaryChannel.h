@@ -1,0 +1,201 @@
+//===- hamband/runtime/SummaryChannel.h - Reducible propagation -*- C++ -*-===//
+//
+// Part of the Hamband reproduction project. MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The reducible-call path of Section 4: one summary image and version
+/// per (summarization group, source), the node's own included. The
+/// channel folds local calls, picks how a dirty group ships (slot write,
+/// delta frame or chunked full frames; docs/deltas.md), stages it in the
+/// flush image, and runs the receive side: slot polling, delta joins, gap
+/// buffering, chunk reassembly, recovery, seeding and state transfer.
+/// The node owns the applied table A and the visible-state cache; the
+/// channel reads A and changes both through one hook.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef HAMBAND_RUNTIME_SUMMARYCHANNEL_H
+#define HAMBAND_RUNTIME_SUMMARYCHANNEL_H
+
+#include "hamband/core/ObjectType.h"
+#include "hamband/obs/Metrics.h"
+#include "hamband/rdma/Transport.h"
+#include "hamband/runtime/MemoryMap.h"
+#include "hamband/runtime/Reconfig.h"
+#include "hamband/runtime/WireFormat.h"
+
+#include <deque>
+#include <functional>
+#include <optional>
+#include <vector>
+
+namespace hamband {
+namespace runtime {
+
+struct HambandConfig;
+
+/// Delta-state propagation for reducible sync groups (docs/deltas.md).
+///
+/// When enabled, a flush ships the *fold of the calls since the last
+/// shipped image* as a bounded F-ring frame tagged with the half-open
+/// version interval it covers, instead of overwriting every peer's
+/// summary slot with the full image. Periodic full-image anti-entropy
+/// (chunked over the same rings) bounds divergence after gaps and keeps
+/// recovery idempotent. Off by default: full images preserve the
+/// classic per-flush summary-slot path unchanged.
+struct DeltaConfig {
+  /// Master switch.
+  bool Enabled = false;
+  /// Anti-entropy period: every this many delta flushes of a group, ship
+  /// a full image instead of a delta (0 = never; gaps then heal only
+  /// through backup-slot recovery).
+  std::uint32_t AntiEntropyEvery = 64;
+};
+
+/// One node's summaries and their propagation.
+class SummaryChannel {
+public:
+  /// (method, applied count) pairs, as a summary image carries them.
+  using Counts = std::vector<std::pair<MethodId, std::uint64_t>>;
+  /// The hook into node-owned state: raise \p Src's applied counts to
+  /// \p C, then absorb \p Delta into the visible-state cache (nullptr: an
+  /// image was replaced and the cache must be rebuilt).
+  using ChangeFn =
+      std::function<void(ProcessId Src, const Counts &C, const Call *Delta)>;
+
+  /// One flush's writes, in post order.
+  struct Outgoing {
+    /// (group, encodeSummarySlot bytes) per classic slot write.
+    std::vector<std::pair<unsigned, std::vector<std::uint8_t>>> SlotWrites;
+    /// F-ring records: full frames, then delta frames.
+    std::vector<std::vector<std::uint8_t>> Records;
+  };
+
+  SummaryChannel(rdma::Transport &Fabric, rdma::NodeId Self,
+                 const ObjectType &Type, const MemoryMap &Map,
+                 const HambandConfig &Cfg,
+                 const std::vector<std::vector<std::uint64_t>> &Applied,
+                 obs::Registry &Stats, ChangeFn OnChange);
+
+  /// Folds the local reducible call \p P into this node's image. False,
+  /// changing nothing, when the grown image could never ship.
+  bool fold(const Call &P);
+  /// Ships every group with unshipped calls: appends its slot write, full
+  /// frames or delta frame to \p Out, and stages its full image, else its
+  /// delta frame, in \p Staged (null: stage nothing) while that fits the
+  /// \p Room bytes left in the backup slot.
+  void ship(std::uint32_t Epoch, Outgoing &Out, FlushImage *Staged,
+            std::size_t &Room);
+  /// Marks every group shipped without sending it (no active peer).
+  void markShipped();
+
+  /// Installs every peer slot holding a newer image; returns the number
+  /// of slots parsed.
+  unsigned pollSlots();
+  /// Handles one SummaryDeltaFrame record from \p Src; true when it
+  /// advanced the (group, \p Src) version.
+  bool receive(ProcessId Src, const std::uint8_t *Data, std::size_t Len);
+  /// Delivers the summary entries of \p Src's staged flush image; returns
+  /// how many advanced a version.
+  unsigned recover(ProcessId Src, const FlushImage &Img);
+
+  /// Installs \p Summary as (\p G, \p Src)'s image at version \p Seq with
+  /// A(Src, method) raised to \p Seq. Seed every node identically, with
+  /// the world paused.
+  void seed(unsigned G, ProcessId Src, const Call &Summary,
+            std::uint64_t Seq);
+  void exportTo(TransferImage &Img) const;
+  void importFrom(const TransferImage &Img);
+
+  /// [group][source] cached images, this node's own included.
+  const std::vector<std::vector<std::optional<Call>>> &images() const {
+    return Images;
+  }
+  std::uint64_t version(unsigned G, ProcessId Src) const {
+    return Versions[G][Src];
+  }
+  /// Out-of-order delta frames of (\p G, \p Src) waiting for their gap.
+  std::size_t bufferedFrames(unsigned G, ProcessId Src) const {
+    return Buffered[G][Src].size();
+  }
+  bool hasBufferedFrames() const;
+  /// Feeds the versions, shipped cursors and receive-buffer shapes to
+  /// \p Mix (the node's state digest).
+  void digest(const std::function<void(std::uint64_t)> &Mix) const;
+  /// Test hook: while set, this node discards every delta frame it
+  /// receives (rings and recovery alike), leaving a durable version gap
+  /// that only a full image heals.
+  void dropDeltasForTest(bool Drop) { DropDeltas = Drop; }
+
+private:
+  /// The one install of a whole image (slot, reassembled full frames,
+  /// recovery, seed, transfer): takes it when newer than the held
+  /// version, then retries buffered frames the jump unblocked.
+  bool install(unsigned G, ProcessId Src, SummaryImage Img);
+  /// Joins a delta frame starting at the held version; false on a gap.
+  bool tryJoin(ProcessId Src, const SummaryDeltaFrame &F);
+  void retryBuffered(unsigned G, ProcessId Src);
+  /// Summary arguments per full-image chunk so a frame fits one ring
+  /// record (>= 1).
+  std::size_t frameChunkMaxArgs() const;
+  /// True when an image of \p Summary can ship at all: it fits the slot,
+  /// chunks into at most 65535 frames, or fits one ring record.
+  bool shippable(const Call &Summary, std::size_t NumCounts) const;
+  std::vector<std::vector<std::uint8_t>>
+  encodeFullFrames(unsigned G, const SummaryImage &Img,
+                   std::uint32_t Epoch) const;
+
+  rdma::Transport &Fabric;
+  rdma::NodeId Self;
+  const ObjectType &Type;
+  const CoordinationSpec &Spec;
+  const MemoryMap &Map;
+  DeltaConfig Delta;
+  const std::vector<std::vector<std::uint64_t>> &Applied;
+  ChangeFn OnChange;
+  /// Update methods per group: the applied counts its image carries.
+  std::vector<std::vector<MethodId>> GroupMethods;
+
+  std::vector<std::vector<std::optional<Call>>> Images; // [group][src]
+  std::vector<std::vector<std::uint64_t>> Versions;     // [group][src]
+  /// Version of this node's image at its last ship: the next delta
+  /// frame covers (Shipped, Versions[g][Self]].
+  std::vector<std::uint64_t> Shipped; // [group]
+  /// Fold of the calls in that interval (deltas on).
+  std::vector<std::optional<Call>> PendingDelta; // [group]
+  /// Delta ships since the last full image (anti-entropy trigger).
+  std::vector<std::uint32_t> DeltasSinceFull; // [group]
+
+  /// Out-of-order delta frames, at most MaxBufferedFrames per (group,
+  /// source); frames beyond it are dropped (counted) and heal via
+  /// anti-entropy.
+  std::vector<std::vector<std::deque<SummaryDeltaFrame>>> Buffered;
+  static constexpr std::size_t MaxBufferedFrames = 64;
+  /// A partial full-image chunk set, keyed by its version.
+  struct ChunkAssembly {
+    std::uint64_t Seq = 0;
+    std::vector<std::optional<SummaryImage>> Parts;
+    std::uint32_t Have = 0;
+  };
+  std::vector<std::vector<ChunkAssembly>> Assemblies; // [group][src]
+  bool DropDeltas = false;
+
+  obs::Counter *CtrReductions = nullptr;
+  obs::Counter *CtrDeltaOut = nullptr;
+  obs::Counter *CtrDeltaIn = nullptr;
+  obs::Counter *CtrDeltaDup = nullptr;
+  obs::Counter *CtrDeltaGap = nullptr;
+  obs::Counter *CtrDeltaDropped = nullptr;
+  obs::Counter *CtrDeltaFullOut = nullptr;
+  obs::Counter *CtrDeltaFullIn = nullptr;
+  obs::Counter *CtrSlotOverflow = nullptr;
+  obs::Counter *CtrOversizeReject = nullptr;
+  obs::Counter *CtrStageSkipped = nullptr;
+};
+
+} // namespace runtime
+} // namespace hamband
+
+#endif // HAMBAND_RUNTIME_SUMMARYCHANNEL_H

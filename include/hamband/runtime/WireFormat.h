@@ -23,6 +23,7 @@
 #include "hamband/semantics/RdmaSemantics.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hamband {
@@ -41,6 +42,11 @@ public:
   void i64(std::int64_t V) { u64(static_cast<std::uint64_t>(V)); }
   void bytes(const std::vector<std::uint8_t> &V) {
     Bytes.insert(Bytes.end(), V.begin(), V.end());
+  }
+  /// u32 length | bytes.
+  void lengthPrefixed(const std::vector<std::uint8_t> &V) {
+    u32(static_cast<std::uint32_t>(V.size()));
+    bytes(V);
   }
 
 private:
@@ -63,6 +69,9 @@ public:
   std::uint32_t u32();
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  /// Reads a u32 length and the bytes it counts, returning a view of them
+  /// (empty, and !ok(), when the buffer ends first).
+  std::span<const std::uint8_t> lengthPrefixed();
 
 private:
   bool take(std::size_t N);
@@ -245,6 +254,29 @@ struct SummaryImage {
 std::vector<std::uint8_t> encodeSummary(const SummaryImage &Img);
 bool decodeSummary(const std::uint8_t *Data, std::size_t Len,
                    SummaryImage &Out);
+
+/// encodeSummary's output size for an image with \p NumArgs summary
+/// arguments and \p NumCounts applied counts (sizes huge images without
+/// encoding them).
+inline std::size_t summaryImageBytes(std::size_t NumArgs,
+                                     std::size_t NumCounts) {
+  return 24 + 8 * NumArgs + 2 + 10 * NumCounts;
+}
+
+/// A summary slot S[g][src] holds one encodeSummary image, overwritten
+/// whole: u32 len | image | zeros | u64 seq trailer | u8 canary (= 1).
+/// The trailer restates the image's leading seq. Slot writes land in
+/// increasing address order, so a torn snapshot pairs a new header with
+/// an old trailer and fails to decode, as does a clear canary.
+inline constexpr std::size_t SummarySlotSeqOffset = 4;
+inline bool fitsSummarySlot(std::size_t ImageBytes, std::size_t SlotBytes) {
+  return ImageBytes + 4 + 8 + 1 <= SlotBytes;
+}
+std::vector<std::uint8_t>
+encodeSummarySlot(const std::vector<std::uint8_t> &Image,
+                  std::size_t SlotBytes);
+bool decodeSummarySlot(const std::uint8_t *Slot, std::size_t SlotBytes,
+                       SummaryImage &Out);
 
 } // namespace runtime
 } // namespace hamband

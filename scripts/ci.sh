@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
-# twin, delta twin), the bounded coordination-verifier gate (including
-# keyed-lift preservation), the hamband_mc exhaustive small-scope sweep
+# twin, delta twin, reconfig, delta + reconfig), the bounded
+# coordination-verifier gate (including keyed-lift preservation), the
+# hamband_mc exhaustive small-scope sweep
 # (plus a delta-mode exploration), the end-to-end benchmark smoke
 # (bench/e2e's own build and ctests), a TSan flavor (threaded obs mutation,
 # shm ring stress, the shm transport conformance corpus, the shm sharded
@@ -41,6 +42,15 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 # counters stay zero, and diffs the converged states against a
 # static-membership twin cluster.
 "$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 45 --reconfig
+
+# Delta + reconfig smoke: a joiner must resume every source's delta
+# stream at the version the transfer image carries, including the
+# donor's own summary and a source that flushed with no active peer
+# (docs/deltas.md). The two-node run covers the lone-source case.
+"$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 53 --deltas \
+  --reconfig
+"$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 49 --nodes 2 \
+  --deltas --reconfig
 
 # Bench smoke: the regression harness must produce a well-formed report.
 "$REPO/scripts/bench_regress.sh" --smoke --out "$BUILD/BENCH_smoke.json" \

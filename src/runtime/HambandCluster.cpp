@@ -193,7 +193,7 @@ void HambandCluster::seedReducibleState(unsigned Group, rdma::NodeId Issuer,
                                         std::uint64_t Seq) {
   withPausedWorld([&]() {
     for (auto &N : Nodes)
-      N->seedSummary(Group, Issuer, Summary, Seq);
+      N->summaries().seed(Group, Issuer, Summary, Seq);
   });
 }
 

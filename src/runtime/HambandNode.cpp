@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 using namespace hamband;
 using namespace hamband::runtime;
@@ -28,26 +27,6 @@ template <typename QueuesT> std::size_t totalSize(const QueuesT &Queues) {
 /// Folds \p V into the running state hash \p H.
 void mixHash(std::uint64_t &H, std::uint64_t V) {
   H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-}
-
-/// Pads a summary image into a full slot write: u32 len | payload | ...
-/// zeros ... | canary.
-std::vector<std::uint8_t> slotBytes(const std::vector<std::uint8_t> &Payload,
-                                    std::uint32_t SlotSize) {
-  assert(Payload.size() >= 8 && "summary payload leads with its seq");
-  assert(Payload.size() + 13 <= SlotSize &&
-         "summary exceeds slot; raise SummarySlotBytes or shrink keyspace");
-  std::vector<std::uint8_t> Out(SlotSize, 0);
-  std::uint32_t Len = static_cast<std::uint32_t>(Payload.size());
-  std::memcpy(Out.data(), &Len, 4);
-  std::memcpy(Out.data() + 4, Payload.data(), Payload.size());
-  // Seqlock-style trailer: restate the image's sequence number (the
-  // payload's leading u64) just before the canary. Slot writes land in
-  // increasing address order, so a reader that snapshots a torn overwrite
-  // sees a NEW header with an OLD trailer and rejects the blend.
-  std::memcpy(Out.data() + SlotSize - 9, Payload.data(), 8);
-  Out[SlotSize - 1] = 1;
-  return Out;
 }
 
 } // namespace
@@ -79,7 +58,10 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
                          const HambandConfig &Cfg,
                          const std::vector<rdma::RegionKey> &ConfKeys)
     : Fabric(Fabric), Self(Self), Type(Type), Spec(Type.coordination()),
-      Map(Map), Cfg(Cfg) {
+      Map(Map), Cfg(Cfg),
+      Sums(Fabric, Self, Type, Map, Cfg, Applied, Stats,
+           [this](ProcessId Src, const SummaryChannel::Counts &C,
+                  const Call *Delta) { summaryChanged(Src, C, Delta); }) {
   unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSyncGroups();
   unsigned SumGroups = Spec.numSumGroups();
@@ -89,7 +71,6 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   CtrCallReduce = &Stats.counter("node.calls.reducible");
   CtrCallFree = &Stats.counter("node.calls.free");
   CtrCallConf = &Stats.counter("node.calls.conflicting");
-  CtrReductions = &Stats.counter("node.reductions");
   CtrDepStallFree = &Stats.counter("node.dep_stall.free");
   CtrDepStallConf = &Stats.counter("node.dep_stall.conf");
   CtrRecovered = &Stats.counter("bcast.recovered");
@@ -102,21 +83,11 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   CtrFlushConf = &Stats.counter("node.batch.flush.conf");
   HistBatchCalls = &Stats.histogram("node.batch.calls");
   HistBatchBytes = &Stats.histogram("node.batch.bytes");
-  CtrDeltaOut = &Stats.counter("node.delta.out");
-  CtrDeltaIn = &Stats.counter("node.delta.in");
-  CtrDeltaDup = &Stats.counter("node.delta.dup");
-  CtrDeltaGap = &Stats.counter("node.delta.gap");
-  CtrDeltaDropped = &Stats.counter("node.delta.dropped");
-  CtrDeltaFullOut = &Stats.counter("node.delta.full_out");
-  CtrDeltaFullIn = &Stats.counter("node.delta.full_in");
-  CtrSlotOverflow = &Stats.counter("node.summary.slot_overflow");
-  CtrOversizeReject = &Stats.counter("node.summary.oversize_reject");
   CtrStageSkipped = &Stats.counter("node.delta.stage_skipped");
   CtrWrongEpochReject = &Stats.counter("reconfig.wrong_epoch_reject");
   CtrCrossEpochDrop = &Stats.counter("reconfig.cross_epoch_drop");
   CtrCrossEpochApply = &Stats.counter("reconfig.cross_epoch_apply");
   CtrEpochInstall = &Stats.counter("reconfig.installs");
-  CtrAeBackoff = &Stats.counter("node.delta.ae_backoff");
 
   // Membership-reconfiguration state. With the feature off everything
   // stays at its identity value (epoch 0, empty mask, unprotected key)
@@ -135,23 +106,9 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
 
   Stored = Type.initialState();
   Applied.assign(N, std::vector<std::uint64_t>(Type.numMethods(), 0));
-  SummaryCache.assign(SumGroups, std::vector<std::optional<Call>>(N));
-  SummarySeqSeen.assign(SumGroups, std::vector<std::uint64_t>(N, 0));
-  OwnSummary.assign(SumGroups, std::nullopt);
-  OwnSummarySeq.assign(SumGroups, 0);
   FreePending.resize(N);
   FreeSeqNext.assign(N, 0);
-  SumBatchCalls.assign(SumGroups, 0);
   SumBatchDone.resize(SumGroups);
-  PendingDelta.assign(SumGroups, std::nullopt);
-  DeltaShippedSeq.assign(SumGroups, 0);
-  DeltaFlushesSinceFull.assign(SumGroups, 0);
-  GapEventsAtFull.assign(SumGroups, 0);
-  AeCleanStreak.assign(SumGroups, 0);
-  AeFactor.assign(SumGroups, 1);
-  BufferedFrames.assign(SumGroups,
-                        std::vector<std::deque<SummaryDeltaFrame>>(N));
-  Assemblies.assign(SumGroups, std::vector<ChunkAssembly>(N));
   ConfPending.resize(Groups);
   ConfReceivedContig.assign(Groups, 0);
   ConfAppliedIdx.assign(Groups, 0);
@@ -284,12 +241,25 @@ const ObjectState &HambandNode::visibleState() {
   if (!VisibleDirty && VisibleCache)
     return *VisibleCache;
   VisibleCache = Stored->clone();
-  for (const auto &Group : SummaryCache)
+  for (const auto &Group : Sums.images())
     for (const std::optional<Call> &C : Group)
       if (C)
         Type.apply(*VisibleCache, *C);
   VisibleDirty = false;
   return *VisibleCache;
+}
+
+void HambandNode::summaryChanged(ProcessId Src,
+                                 const SummaryChannel::Counts &C,
+                                 const Call *Delta) {
+  for (const auto &[U, Cnt] : C)
+    Applied[Src][U] = std::max(Applied[Src][U], Cnt);
+  // Summarized calls are conflict-free, so an appended delta commutes
+  // with everything the cache already holds.
+  if (Delta && VisibleCache && !VisibleDirty)
+    Type.apply(*VisibleCache, *Delta);
+  else
+    VisibleDirty = true;
 }
 
 void HambandNode::applyToStored(const Call &C) {
@@ -351,17 +321,9 @@ std::size_t HambandNode::leaderQueueTotal() const {
 }
 
 bool HambandNode::idle() const {
-  if (BatchedPending != 0 || pendingFreeTotal() != 0 ||
-      pendingConfTotal() != 0 || leaderQueueTotal() != 0)
-    return false;
-  // Out-of-order delta frames are undelivered payload; a partially
-  // assembled full image is not (its remaining chunks are still in
-  // flight and will arrive through the rings).
-  for (const auto &PerSrc : BufferedFrames)
-    for (const auto &Q : PerSrc)
-      if (!Q.empty())
-        return false;
-  return AwaitingResponse.empty();
+  return BatchedPending == 0 && pendingFreeTotal() == 0 &&
+         pendingConfTotal() == 0 && leaderQueueTotal() == 0 &&
+         !Sums.hasBufferedFrames() && AwaitingResponse.empty();
 }
 
 std::uint64_t HambandNode::replicatedStateHash(std::uint64_t Seed) {
@@ -391,11 +353,7 @@ std::uint64_t HambandNode::stateDigest() {
   for (std::uint64_t V : FreeSeqNext)
     Mix(V);
   Mix(BcastSeqOut);
-  for (std::uint64_t V : OwnSummarySeq)
-    Mix(V);
-  for (const auto &Row : SummarySeqSeen)
-    for (std::uint64_t V : Row)
-      Mix(V);
+  Sums.digest(Mix);
   for (const auto &R : FreeReaders)
     Mix(R ? R->head() : 0);
   for (const auto &W : FreeWriters)
@@ -421,14 +379,6 @@ std::uint64_t HambandNode::stateDigest() {
   Mix(BatchedPending);
   Mix(FreeBatchBytes);
   Mix(FlushesInFlight);
-  for (std::uint64_t V : DeltaShippedSeq)
-    Mix(V);
-  for (const auto &PerSrc : BufferedFrames)
-    for (const auto &Q : PerSrc)
-      Mix(Q.size());
-  for (const auto &PerSrc : Assemblies)
-    for (const ChunkAssembly &A : PerSrc)
-      Mix(A.Seq + A.Have);
   return H;
 }
 
@@ -483,7 +433,7 @@ void HambandNode::submit(const Call &C, SubmitCallback Done) {
 void HambandNode::handleQuery(const Call &C, SubmitCallback Done) {
   const rdma::NetworkModel &M = Fabric.model();
   unsigned NumSummaries = 0;
-  for (const auto &Group : SummaryCache)
+  for (const auto &Group : Sums.images())
     for (const std::optional<Call> &S : Group)
       if (S)
         ++NumSummaries;
@@ -503,61 +453,14 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
       Self, M.ApplyCpu + perCallParseCpu(),
       [this, C = std::move(C), Done = std::move(Done)]() mutable {
         Call P = Type.prepare(visibleState(), C);
-        if (!Type.permissible(visibleState(), P)) {
+        // The fold refuses, without side effects, a call whose grown
+        // image could never ship.
+        if (!Type.permissible(visibleState(), P) || !Sums.fold(P)) {
           Done(false, 0);
           return;
         }
-        unsigned G = *Spec.sumGroup(P.Method);
-        Call NewSummary = P;
-        bool Folded = false;
-        if (OwnSummary[G]) {
-          bool Ok = Type.summarize(*OwnSummary[G], P, NewSummary);
-          assert(Ok && "summarization group not closed");
-          (void)Ok;
-          Folded = true;
-        }
-        // Shippability gate BEFORE any replicated-state mutation: if the
-        // grown image can neither fit the summary slot nor be chunked
-        // over the F-rings, folding this call would wedge every future
-        // ship of the group (the old code tripped an assert deep in the
-        // slot encoder instead). Reject with no side effects.
-        if (Fabric.numNodes() > 1 &&
-            !fullImageShippable(NewSummary, groupMethods(G).size())) {
-          CtrOversizeReject->add();
-          Done(false, 0);
-          return;
-        }
-        if (Folded)
-          CtrReductions->add();
-        OwnSummary[G] = NewSummary;
-        ++OwnSummarySeq[G];
-        Applied[Self][P.Method] += 1;
         ++NumLocalUpdates;
-        SummaryCache[G][Self] = NewSummary;
-        // The fold appends exactly the prepared call, and reducible calls
-        // are conflict-free (they S-commute with everything a rebuild
-        // applies after them), so the visible cache can absorb the call
-        // incrementally -- a rebuild is O(summary size), ruinous for
-        // big-state workloads.
-        if (VisibleCache && !VisibleDirty)
-          Type.apply(*VisibleCache, P);
-        else
-          VisibleDirty = true;
-        // The delta since the last shipped image folds alongside the
-        // full summary; the next flush ships one image covering both.
-        if (Cfg.Delta.Enabled) {
-          if (PendingDelta[G]) {
-            Call D;
-            bool Ok = Type.applyDelta(*PendingDelta[G], P, D);
-            assert(Ok && "summarization group not closed");
-            (void)Ok;
-            PendingDelta[G] = std::move(D);
-          } else {
-            PendingDelta[G] = P;
-          }
-        }
-        ++SumBatchCalls[G];
-        SumBatchDone[G].push_back(std::move(Done));
+        SumBatchDone[*Spec.sumGroup(P.Method)].push_back(std::move(Done));
         noteEnqueued();
       },
       rdma::Transport::LaneClient);
@@ -586,9 +489,8 @@ void HambandNode::handleFree(Call C, SubmitCallback Done) {
         WC.Epoch = CurrentEpoch;
         std::vector<std::uint8_t> Bytes =
             encodeCall(Spec, Fabric.numNodes(), WC);
-        // Pre-flush when this call would overflow the batch record cap
-        // (flush also chunks oversized batches defensively, but flushing
-        // here keeps each staged image within the cap).
+        // Pre-flush when this call would overflow the batch record cap, so
+        // every flush ships its free calls as one wire record.
         std::size_t Framed = Bytes.size() + 4; // u32 length prefix
         if (!FreeBatch.empty() &&
             4 + FreeBatchBytes + Framed > freeBatchCapBytes())
@@ -610,7 +512,7 @@ void HambandNode::handleConf(Call C, SubmitCallback Done) {
         [this, G, C = std::move(C), Done = std::move(Done)]() mutable {
           // A conflicting call flushes the batch eagerly so the calls
           // issued before it are ordered before it, as when unbatched.
-          flushOutgoing();
+          flush(FlushCause::Conf);
           leaderProcessConf(G, Self, C.Req, std::move(C), std::move(Done));
         },
         rdma::Transport::LaneClient);
@@ -630,7 +532,7 @@ void HambandNode::handleConf(Call C, SubmitCallback Done) {
         // Eager flush: the batched calls' ring/slot writes post before
         // the redirect mail on the same lane, preserving the unbatched
         // arrival order at the leader.
-        flushOutgoing();
+        flush(FlushCause::Conf);
         sendConfRequest(Leader, C);
       },
       rdma::Transport::LaneClient);
@@ -852,7 +754,7 @@ void HambandNode::pollOnce() {
   unsigned Parsed = 0;
   unsigned AppliedN = 0;
   Parsed += pollFreeRings();
-  Parsed += pollSummaries();
+  Parsed += Sums.pollSlots();
   Parsed += pollConfRings();
   Parsed += pollMailboxes();
   AppliedN += applyPendingFree();
@@ -881,13 +783,9 @@ unsigned HambandNode::pollFreeRings() {
     // Bounded batch per traversal; a missed call is picked up next round.
     for (unsigned K = 0; K < 64 && FreeReaders[J]->peek(Bytes); ++K) {
       if (isSummaryDelta(Bytes.data(), Bytes.size())) {
-        SummaryDeltaFrame F;
-        bool Ok = decodeSummaryDelta(Bytes.data(), Bytes.size(), F);
-        assert(Ok && "malformed summary-delta frame");
         FreeReaders[J]->consume();
         ++Parsed;
-        if (Ok)
-          handleSummaryFrame(J, F);
+        Sums.receive(J, Bytes.data(), Bytes.size());
         continue;
       }
       if (isCallBatch(Bytes.data(), Bytes.size())) {
@@ -939,110 +837,6 @@ void HambandNode::enqueueDecodedFree(ProcessId Issuer,
   }
 }
 
-unsigned HambandNode::pollSummaries() {
-  unsigned Parsed = 0;
-  const rdma::MemoryRegion &Mem = Fabric.memory(Self);
-  for (unsigned G = 0; G < SummaryCache.size(); ++G) {
-    for (rdma::NodeId Src = 0; Src < Fabric.numNodes(); ++Src) {
-      if (Src == Self)
-        continue;
-      rdma::MemOffset Off = Map.summarySlot(G, Src);
-      if (Mem.readU8(Off + Cfg.SummarySlotBytes - 1) != 1)
-        continue; // Canary clear: never written or mid-write.
-      // The image starts with its sequence number; skip unchanged slots
-      // (or stale ones -- delta frames can advance the seen version past
-      // the last slot overwrite).
-      std::uint64_t Seq = Mem.readU64(Off + 4);
-      if (Seq <= SummarySeqSeen[G][Src])
-        continue;
-      // Snapshot the whole slot before parsing: on the shm transport a
-      // concurrent overwrite with a newer image could otherwise tear the
-      // bytes between the length read and the payload slice. The snapshot
-      // is validated via the seqlock trailer slotBytes() stamps: a torn
-      // blend pairs a new header with an old trailer.
-      std::vector<std::uint8_t> Slot =
-          Mem.sliceStable(Off, Cfg.SummarySlotBytes);
-      if (Slot[Cfg.SummarySlotBytes - 1] != 1)
-        continue;
-      std::uint64_t SnapSeq = 0, Trailer = 0;
-      std::memcpy(&SnapSeq, Slot.data() + 4, 8);
-      std::memcpy(&Trailer, Slot.data() + Cfg.SummarySlotBytes - 9, 8);
-      if (Trailer != SnapSeq)
-        continue; // Overwrite in flight; retry next traversal.
-      std::uint32_t Len = 0;
-      std::memcpy(&Len, Slot.data(), 4);
-      if (Len < 8 || Len + 13 > Cfg.SummarySlotBytes)
-        continue;
-      SummaryImage Img;
-      if (!decodeSummary(Slot.data() + 4, Len, Img))
-        continue;
-      installImage(G, Src, std::move(Img));
-      ++Parsed;
-    }
-  }
-  return Parsed;
-}
-
-bool HambandNode::installImage(unsigned G, ProcessId Src, SummaryImage Img) {
-  if (Img.Seq <= SummarySeqSeen[G][Src])
-    return false;
-  SummaryCache[G][Src] = std::move(Img.Summary);
-  SummarySeqSeen[G][Src] = Img.Seq;
-  for (const auto &[U, Cnt] : Img.AppliedCounts)
-    if (Cnt > Applied[Src][U])
-      Applied[Src][U] = Cnt;
-  // A full install replaces the cached image wholesale; the incremental
-  // shortcut does not apply (the delta from the old image is unknown).
-  VisibleDirty = true;
-  // The version may have leapt over buffered delta frames; drain them.
-  retryBufferedFrames(G, Src);
-  return true;
-}
-
-// -- Delta propagation (docs/deltas.md) --------------------------------------
-
-std::size_t HambandNode::summaryImageBytes(std::size_t NumArgs,
-                                           std::size_t NumCounts) {
-  // encodeSummary: u64 seq | u16 method | u16 argc | u32 issuer | u64 req
-  // | i64 args[argc] | u16 k | k x (u16 method, u64 count).
-  return 24 + 8 * NumArgs + 2 + 10 * NumCounts;
-}
-
-std::vector<MethodId> HambandNode::groupMethods(unsigned G) const {
-  std::vector<MethodId> Out;
-  for (MethodId U = 0; U < Type.numMethods(); ++U)
-    if (Spec.isUpdate(U) && Spec.sumGroup(U) && *Spec.sumGroup(U) == G)
-      Out.push_back(U);
-  return Out;
-}
-
-std::size_t HambandNode::frameChunkMaxArgs() const {
-  std::size_t Budget = Cfg.FreeGeom.maxRecordPayload();
-  // Frame header plus an argument-free image with a worst-case
-  // applied-count block.
-  std::size_t Fixed =
-      SummaryDeltaHeaderBytes + summaryImageBytes(0, Type.numMethods());
-  if (Budget <= Fixed + 8)
-    return 1;
-  return (Budget - Fixed) / 8;
-}
-
-bool HambandNode::fullImageShippable(const Call &Summary,
-                                     std::size_t NumCounts) const {
-  std::size_t Full = summaryImageBytes(Summary.Args.size(), NumCounts);
-  if (Full + 13 <= Cfg.SummarySlotBytes)
-    return true; // Classic slot overwrite.
-  if (Type.summaryArgsDecomposable(Summary.Method)) {
-    std::size_t MaxArgs = frameChunkMaxArgs();
-    std::size_t Chunks =
-        std::max<std::size_t>(1, (Summary.Args.size() + MaxArgs - 1) /
-                                     MaxArgs);
-    return Chunks <= 0xFFFF; // ChunkCount is a u16.
-  }
-  // A non-decomposable image must fit one (possibly spanning) record.
-  return Full + SummaryDeltaHeaderBytes <= Cfg.FreeGeom.maxRecordPayload();
-}
-
 void HambandNode::appendOrdered(RingWriter &W, OutboundQueue &Q,
                                 std::vector<std::uint8_t> Bytes,
                                 rdma::CompletionFn Done) {
@@ -1063,178 +857,6 @@ void HambandNode::drainOutbound(RingWriter &W, OutboundQueue &Q) {
     Q.RetryArmed = false;
     drainOutbound(W, Q);
   });
-}
-
-std::vector<std::vector<std::uint8_t>>
-HambandNode::encodeFullFrames(unsigned G, const SummaryImage &Img) const {
-  std::vector<Call> Chunks =
-      Type.decomposeSummary(Img.Summary, frameChunkMaxArgs());
-  assert(!Chunks.empty() && Chunks.size() <= 0xFFFF &&
-         "fullImageShippable() admits at most 65535 chunks");
-  std::vector<std::vector<std::uint8_t>> Out;
-  Out.reserve(Chunks.size());
-  for (std::size_t I = 0; I < Chunks.size(); ++I) {
-    SummaryImage Part;
-    Part.Seq = Img.Seq;
-    Part.Summary = std::move(Chunks[I]);
-    Part.AppliedCounts = Img.AppliedCounts;
-    SummaryDeltaFrame F;
-    F.Group = static_cast<std::uint8_t>(G);
-    F.Full = 1;
-    F.ChunkIdx = static_cast<std::uint16_t>(I);
-    F.ChunkCount = static_cast<std::uint16_t>(Chunks.size());
-    F.FromSeq = 0;
-    F.ToSeq = Img.Seq;
-    F.Epoch = CurrentEpoch;
-    F.Image = encodeSummary(Part);
-    Out.push_back(encodeSummaryDelta(F));
-  }
-  return Out;
-}
-
-bool HambandNode::handleSummaryFrame(ProcessId Src,
-                                     const SummaryDeltaFrame &F) {
-  unsigned G = F.Group;
-  if (G >= SummaryCache.size() || Src >= Fabric.numNodes() || Src == Self)
-    return false;
-  if (F.Full) {
-    CtrDeltaFullIn->add();
-    SummaryImage Img;
-    if (!decodeSummary(F.Image.data(), F.Image.size(), Img)) {
-      CtrDeltaDropped->add();
-      return false;
-    }
-    if (F.ChunkCount <= 1)
-      return installImage(G, Src, std::move(Img));
-    if (F.ToSeq <= SummarySeqSeen[G][Src])
-      return false; // A chunk of an image we already superseded.
-    ChunkAssembly &A = Assemblies[G][Src];
-    if (A.Seq != F.ToSeq || A.Parts.size() != F.ChunkCount) {
-      // A newer (or differently shaped) image abandons the partial set:
-      // the F-ring is FIFO per source, so the rest of the old set is
-      // never coming.
-      A.Seq = F.ToSeq;
-      A.Parts.assign(F.ChunkCount, std::nullopt);
-      A.Have = 0;
-    }
-    if (!A.Parts[F.ChunkIdx]) {
-      A.Parts[F.ChunkIdx] = std::move(Img);
-      ++A.Have;
-    }
-    if (A.Have < F.ChunkCount)
-      return false;
-    // All chunks present. decomposeSummary slices the argument list
-    // contiguously, so concatenating the chunk arguments in index order
-    // rebuilds the exact image in O(n); re-folding the chunks through
-    // summarize would be quadratic for set-valued summaries.
-    SummaryImage Whole = std::move(*A.Parts[0]);
-    for (std::size_t I = 1; I < A.Parts.size(); ++I) {
-      Call &Part = A.Parts[I]->Summary;
-      Whole.Summary.Args.insert(Whole.Summary.Args.end(),
-                                Part.Args.begin(), Part.Args.end());
-    }
-    Whole.Seq = A.Seq;
-    A.Seq = 0;
-    A.Parts.clear();
-    A.Have = 0;
-    return installImage(G, Src, std::move(Whole));
-  }
-  // Delta frame.
-  if (F.ToSeq <= SummarySeqSeen[G][Src]) {
-    CtrDeltaDup->add();
-    return false;
-  }
-  if (tryApplyDeltaFrame(Src, F)) {
-    retryBufferedFrames(G, Src);
-    return true;
-  }
-  // Version gap: park the frame until the gap closes or anti-entropy
-  // leapfrogs it.
-  CtrDeltaGap->add();
-  ++GapEvents;
-  auto &Buf = BufferedFrames[G][Src];
-  if (Buf.size() >= MaxBufferedFrames) {
-    CtrDeltaDropped->add();
-    return false;
-  }
-  Buf.push_back(F);
-  return false;
-}
-
-bool HambandNode::tryApplyDeltaFrame(ProcessId Src,
-                                     const SummaryDeltaFrame &F) {
-  unsigned G = F.Group;
-  std::uint64_t &Seen = SummarySeqSeen[G][Src];
-  if (F.ToSeq <= Seen)
-    return true; // Duplicate: consumed, nothing to apply.
-  if (F.FromSeq != Seen)
-    return false; // Gap.
-  SummaryImage Img;
-  if (!decodeSummary(F.Image.data(), F.Image.size(), Img)) {
-    CtrDeltaDropped->add();
-    return true; // Malformed: consume rather than wedge the buffer.
-  }
-  Call Joined = Img.Summary;
-  if (SummaryCache[G][Src]) {
-    bool Ok = Type.applyDelta(*SummaryCache[G][Src], Img.Summary, Joined);
-    assert(Ok && "delta join failed for a closed summarization group");
-    (void)Ok;
-  }
-  SummaryCache[G][Src] = std::move(Joined);
-  Seen = F.ToSeq;
-  for (const auto &[U, Cnt] : Img.AppliedCounts)
-    if (Cnt > Applied[Src][U])
-      Applied[Src][U] = Cnt;
-  // The join appends exactly the delta's calls, which are conflict-free:
-  // absorb them into the visible cache instead of invalidating it.
-  if (VisibleCache && !VisibleDirty)
-    Type.apply(*VisibleCache, Img.Summary);
-  else
-    VisibleDirty = true;
-  CtrDeltaIn->add();
-  return true;
-}
-
-void HambandNode::retryBufferedFrames(unsigned G, ProcessId Src) {
-  auto &Buf = BufferedFrames[G][Src];
-  bool Progress = true;
-  while (Progress && !Buf.empty()) {
-    Progress = false;
-    for (auto It = Buf.begin(); It != Buf.end();) {
-      if (It->ToSeq <= SummarySeqSeen[G][Src]) {
-        It = Buf.erase(It); // Superseded (a full image leapt over it).
-        Progress = true;
-      } else if (tryApplyDeltaFrame(Src, *It)) {
-        It = Buf.erase(It);
-        Progress = true;
-      } else {
-        ++It;
-      }
-    }
-  }
-}
-
-void HambandNode::seedSummary(unsigned Group, ProcessId Src,
-                              const Call &Summary, std::uint64_t Seq) {
-  assert(Group < SummaryCache.size() && Src < Fabric.numNodes());
-  SummaryCache[Group][Src] = Summary;
-  SummarySeqSeen[Group][Src] = Seq;
-  // The applied-count row travels with shipped images; a seeded image
-  // must carry it too or the applied-table equality oracles would see a
-  // seeded cluster as diverged.
-  if (Seq > Applied[Src][Summary.Method])
-    Applied[Src][Summary.Method] = Seq;
-  if (Src == Self) {
-    OwnSummary[Group] = Summary;
-    OwnSummarySeq[Group] = Seq;
-    DeltaShippedSeq[Group] = Seq;
-  }
-  VisibleDirty = true;
-}
-
-std::size_t HambandNode::bufferedDeltaFrames(unsigned Group,
-                                             ProcessId Src) const {
-  return BufferedFrames[Group][Src].size();
 }
 
 unsigned HambandNode::pollConfRings() {
@@ -1300,7 +922,7 @@ void HambandNode::handleMail(ProcessId /*From*/, const MailMsg &Msg) {
     // A conflicting call arriving at the leader flushes its own pending
     // batch so the ordered entry never overtakes this node's earlier
     // unshipped calls.
-    flushOutgoing();
+    flush(FlushCause::Conf);
     leaderProcessConf(G, Msg.Origin, Msg.ReqId, Msg.TheCall, nullptr);
     return;
   }
@@ -1346,7 +968,6 @@ unsigned HambandNode::applyPendingFree() {
         FreeApplyLog[C.Issuer].push_back(C.Req);
       Q.pop_front();
       ++AppliedN;
-      ++NumAppliedBuffered;
     }
     // Head entry present but its dependency array is unsatisfied: the
     // buffer is stalled waiting for another process's calls.
@@ -1380,7 +1001,6 @@ unsigned HambandNode::applyPendingConf() {
       M.erase(It);
       ++ConfAppliedIdx[G];
       ++AppliedN;
-      ++NumAppliedBuffered;
       It = M.find(ConfAppliedIdx[G]);
     }
     if (It != M.end())
@@ -1391,9 +1011,9 @@ unsigned HambandNode::applyPendingConf() {
 
 // -- Propagation pipeline (docs/batching.md) --------------------------------
 //
-// Every update broadcast takes one path: the call is folded or encoded
-// into the pending flush state (OwnSummary/PendingDelta per group,
-// FreeBatch), flush() turns that state into one Shipment, and ship()
+// Every update broadcast takes one path: the call is folded into its
+// group's summary (the SummaryChannel) or encoded into FreeBatch, flush()
+// turns the pending state into one Shipment, and ship()
 // stages it, fans it out and completes it. Unbatched mode is a flush of
 // one call; batching only changes when flush() runs.
 
@@ -1453,11 +1073,6 @@ void HambandNode::armFlushTimer() {
   });
 }
 
-void HambandNode::flushOutgoing() {
-  if (BatchedPending != 0)
-    flush(FlushCause::Conf);
-}
-
 void HambandNode::flush(FlushCause Cause) {
   if (BatchedPending == 0)
     return;
@@ -1478,15 +1093,10 @@ void HambandNode::flush(FlushCause Cause) {
   FreeBatch.clear();
   FreeBatchBytes = 0;
   BatchedPending = 0;
-  std::vector<unsigned> DirtyGroups;
-  for (unsigned G = 0; G < SumBatchCalls.size(); ++G) {
-    if (SumBatchCalls[G] == 0)
-      continue;
-    DirtyGroups.push_back(G);
-    SumBatchCalls[G] = 0;
-    for (SubmitCallback &D : SumBatchDone[G])
+  for (std::vector<SubmitCallback> &Dones : SumBatchDone) {
+    for (SubmitCallback &D : Dones)
       S.Dones.push_back(std::move(D));
-    SumBatchDone[G].clear();
+    Dones.clear();
   }
   std::vector<std::vector<std::uint8_t>> AllCalls;
   AllCalls.reserve(Free.size());
@@ -1496,134 +1106,38 @@ void HambandNode::flush(FlushCause Cause) {
   }
   if (activePeerCount() == 0) {
     // Nobody to ship to: the calls are complete once applied locally.
-    for (unsigned G : DirtyGroups)
-      PendingDelta[G].reset();
+    Sums.markShipped();
     for (SubmitCallback &D : S.Dones)
       D(true, 0);
     return;
   }
 
   // The staged image carries the free calls whole if they fit the backup
-  // slot, then per dirty group the full summary if it still fits,
-  // otherwise the group's delta frame; whatever does not fit is left out
-  // and counted.
-  std::size_t StagedBytes =
-      ReliableBroadcast::OverheadBytes + FlushImageBaseBytes;
-  auto Reserve = [&](std::size_t EntryBytes) {
-    if (StagedBytes + EntryBytes > Cfg.BackupSlotBytes)
-      return false;
-    StagedBytes += EntryBytes;
-    return true;
-  };
-  if (Cfg.UseBackupSlot && !AllCalls.empty()) {
-    std::vector<std::uint8_t> Rec = encodeCallBatch(AllCalls);
-    if (Reserve(Rec.size()))
-      S.Staged.FreeRecord = std::move(Rec);
-    else
+  // slot, then each dirty group's entry if it still fits; whatever does
+  // not fit is left out and counted.
+  std::size_t Used = ReliableBroadcast::OverheadBytes + FlushImageBaseBytes;
+  std::size_t Room = Cfg.BackupSlotBytes > Used ? Cfg.BackupSlotBytes - Used
+                                                : 0;
+  FlushImage *Staged = Cfg.UseBackupSlot ? &S.Staged : nullptr;
+  // The free calls ship as one wire record (handleFree flushes before the
+  // batch outgrows its cap); recovery decodes a batch, even of one call.
+  std::vector<std::uint8_t> FreeRecord;
+  if (!AllCalls.empty()) {
+    std::vector<std::uint8_t> Batch = encodeCallBatch(AllCalls);
+    FreeRecord = AllCalls.size() == 1 ? std::move(AllCalls[0]) : Batch;
+    if (Staged && Batch.size() <= Room) {
+      Room -= Batch.size();
+      Staged->FreeRecord = std::move(Batch);
+    } else if (Staged) {
       CtrStageSkipped->add();
+    }
   }
 
-  // One image per dirty group covering every call folded since the last
-  // shipped image (the Seq jump is fine: peers only check for newer).
-  // Each group ships through one of three channels: the classic summary
-  // slot (fits, deltas off), a delta frame over the F-rings (deltas on),
-  // or chunked full-image frames (anti-entropy round, slot overflow, or
-  // an oversized delta). Full frames are exempt from the test-only delta
-  // drop hook, so anti-entropy always heals.
-  std::vector<std::vector<std::uint8_t>> DeltaFrames;
-  for (unsigned G : DirtyGroups) {
-    // The summary ships with the per-method applied counts so peers
-    // advance A(self, u) without a separate write.
-    SummaryImage SImg;
-    SImg.Seq = OwnSummarySeq[G];
-    SImg.Summary = *OwnSummary[G];
-    for (MethodId U : groupMethods(G))
-      SImg.AppliedCounts.emplace_back(U, Applied[Self][U]);
-    std::size_t FullBytes = summaryImageBytes(SImg.Summary.Args.size(),
-                                              SImg.AppliedCounts.size());
-    bool FitsSlot = FullBytes + 13 <= Cfg.SummarySlotBytes;
-
-    std::vector<std::uint8_t> Delta;
-    if (Cfg.Delta.Enabled &&
-        !(Cfg.Delta.AntiEntropyEvery > 0 &&
-          DeltaFlushesSinceFull[G] + 1 >= effectiveAntiEntropyEvery(G))) {
-      assert(PendingDelta[G] && "dirty group without a pending delta");
-      SummaryImage DImg;
-      DImg.Seq = SImg.Seq;
-      DImg.Summary = *PendingDelta[G];
-      DImg.AppliedCounts = SImg.AppliedCounts;
-      SummaryDeltaFrame F;
-      F.Group = static_cast<std::uint8_t>(G);
-      F.FromSeq = DeltaShippedSeq[G];
-      F.ToSeq = SImg.Seq;
-      F.Epoch = CurrentEpoch;
-      F.Image = encodeSummary(DImg);
-      Delta = encodeSummaryDelta(F);
-      // A delta too large for one record (giant call arguments) ships as
-      // the full image instead, which chunks.
-      if (Delta.size() > Cfg.FreeGeom.maxRecordPayload())
-        Delta.clear();
-    }
-    bool SlotWrite = !Cfg.Delta.Enabled && FitsSlot;
-    if (!Delta.empty()) {
-      CtrDeltaOut->add();
-      ++DeltaFlushesSinceFull[G];
-    } else if (!SlotWrite) {
-      if (!Cfg.Delta.Enabled)
-        CtrSlotOverflow->add();
-      for (std::vector<std::uint8_t> &FB : encodeFullFrames(G, SImg))
-        S.Records.push_back(std::move(FB));
-      CtrDeltaFullOut->add();
-      DeltaFlushesSinceFull[G] = 0;
-      noteFullImageShip(G);
-    }
-
-    bool StageFull =
-        Cfg.UseBackupSlot && Reserve(flushImageSummaryBytes(FullBytes));
-    std::vector<std::uint8_t> Payload;
-    if (SlotWrite || StageFull)
-      Payload = encodeSummary(SImg);
-    if (SlotWrite)
-      S.SlotWrites.emplace_back(G, slotBytes(Payload, Cfg.SummarySlotBytes));
-    if (StageFull) {
-      S.Staged.Summaries.emplace_back(static_cast<std::uint8_t>(G),
-                                      std::move(Payload));
-    } else if (Cfg.UseBackupSlot) {
-      if (!Delta.empty() && Reserve(flushImageDeltaBytes(Delta.size())))
-        S.Staged.Deltas.push_back(Delta);
-      else
-        CtrStageSkipped->add();
-    }
-    if (!Delta.empty() && !DropDeltasForTest)
-      DeltaFrames.push_back(std::move(Delta));
-    DeltaShippedSeq[G] = OwnSummarySeq[G];
-    PendingDelta[G].reset();
-  }
   // Post order: summary-slot writes, full frames, delta frames, then the
-  // free records.
-  for (std::vector<std::uint8_t> &DF : DeltaFrames)
-    S.Records.push_back(std::move(DF));
-
-  // The free calls, chunked into wire records that each fit a spanning
-  // ring reservation. A single-call chunk uses the plain record format.
-  const std::size_t Cap = freeBatchCapBytes();
-  for (std::size_t I = 0; I < AllCalls.size();) {
-    std::size_t J = I;
-    std::size_t ChunkBytes = 4; // marker + count
-    while (J < AllCalls.size() &&
-           (J == I || ChunkBytes + AllCalls[J].size() + 4 <= Cap)) {
-      ChunkBytes += AllCalls[J].size() + 4;
-      ++J;
-    }
-    if (J - I == 1)
-      S.Records.push_back(std::move(AllCalls[I]));
-    else
-      S.Records.push_back(
-          encodeCallBatch(std::vector<std::vector<std::uint8_t>>(
-              std::make_move_iterator(AllCalls.begin() + I),
-              std::make_move_iterator(AllCalls.begin() + J))));
-    I = J;
-  }
+  // free record.
+  Sums.ship(CurrentEpoch, S, Staged, Room);
+  if (!FreeRecord.empty())
+    S.Records.push_back(std::move(FreeRecord));
   ship(std::move(S));
 }
 
@@ -1631,14 +1145,7 @@ void HambandNode::ship(Shipment S) {
   unsigned N = Fabric.numNodes();
   unsigned Writes = static_cast<unsigned>(
       (S.SlotWrites.size() + S.Records.size()) * activePeerCount());
-  if (Writes == 0) {
-    // Every record of this flush was a delta the drop hook swallowed:
-    // complete locally without staging (recovery must not resurrect
-    // dropped deltas -- the point of the hook is a durable gap).
-    for (SubmitCallback &D : S.Dones)
-      D(true, 0);
-    return;
-  }
+  assert(Writes > 0 && "flush() ships only to active peers");
 
   // flush() sized the image to the backup slot.
   const FlushImage &Img = S.Staged;
@@ -1713,25 +1220,11 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
     FlushImage Img;
     if (!decodeFlushImage(Msg.Payload.data(), Msg.Payload.size(), Img))
       return;
-    auto Recovered = [this]() {
-      ++NumRecovered;
-      CtrRecovered->add();
+    auto Recovered = [this](unsigned N) {
+      NumRecovered += N;
+      CtrRecovered->add(N);
     };
-    for (auto &[G, SumBytes] : Img.Summaries) {
-      SummaryImage SImg;
-      if (G < SummaryCache.size() &&
-          decodeSummary(SumBytes.data(), SumBytes.size(), SImg) &&
-          installImage(G, Peer, std::move(SImg)))
-        Recovered();
-    }
-    // A delta frame goes through the regular gap-checked receive rules (a
-    // dup is dropped, a gap is buffered and heals via anti-entropy).
-    for (const std::vector<std::uint8_t> &Bytes : Img.Deltas) {
-      SummaryDeltaFrame F;
-      if (decodeSummaryDelta(Bytes.data(), Bytes.size(), F) &&
-          handleSummaryFrame(Peer, F))
-        Recovered();
-    }
+    Recovered(Sums.recover(Peer, Img));
     std::vector<WireCall> Calls;
     if (Img.FreeRecord.empty() ||
         !decodeCallBatch(Spec, Fabric.numNodes(), Img.FreeRecord.data(),
@@ -1746,7 +1239,7 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
         continue;
       FreeSeqNext[Peer] = WC.BcastSeq + 1;
       FreePending[Peer].push_back(std::move(WC));
-      Recovered();
+      Recovered(1);
     }
   });
 }
@@ -1757,7 +1250,7 @@ void HambandNode::closeEpoch() {
   EpochClosed = true;
   // Push out whatever the batcher holds so the drain stage only waits on
   // in-flight completions, never on a timer-held batch.
-  flushOutgoing();
+  flush(FlushCause::Conf);
 }
 
 void HambandNode::openEpoch() { EpochClosed = false; }
@@ -1791,33 +1284,6 @@ unsigned HambandNode::activePeerCount() const {
   return C;
 }
 
-std::uint32_t HambandNode::effectiveAntiEntropyEvery(unsigned G) const {
-  std::uint32_t Base = Cfg.Delta.AntiEntropyEvery;
-  if (Base == 0 || Cfg.Delta.AdaptiveBackoffRounds == 0)
-    return Base;
-  return Base * AeFactor[G];
-}
-
-void HambandNode::noteFullImageShip(unsigned G) {
-  if (Cfg.Delta.AdaptiveBackoffRounds == 0)
-    return;
-  if (GapEvents == GapEventsAtFull[G]) {
-    // No receive gap observed since this group's last full ship: the
-    // fabric looks loss-free, anti-entropy can afford a longer period.
-    if (++AeCleanStreak[G] >= Cfg.Delta.AdaptiveBackoffRounds &&
-        AeFactor[G] < 8) {
-      AeFactor[G] *= 2;
-      AeCleanStreak[G] = 0;
-      CtrAeBackoff->add();
-    }
-  } else {
-    // A gap appeared: snap straight back to the configured period.
-    AeCleanStreak[G] = 0;
-    AeFactor[G] = 1;
-  }
-  GapEventsAtFull[G] = GapEvents;
-}
-
 TransferImage HambandNode::buildTransferImage(
     const std::vector<std::uint64_t> &ConfNext) const {
   TransferImage Img;
@@ -1827,20 +1293,7 @@ TransferImage HambandNode::buildTransferImage(
   // The donor's own cursor entry is unused locally; the joiner needs the
   // donor's *outgoing* position there.
   Img.FreeSeqNext[Self] = BcastSeqOut;
-  unsigned N = Fabric.numNodes();
-  Img.Summaries.resize(SummaryCache.size());
-  for (unsigned G = 0; G < SummaryCache.size(); ++G) {
-    Img.Summaries[G].resize(N);
-    for (rdma::NodeId Src = 0; Src < N; ++Src) {
-      const std::optional<Call> &C = SummaryCache[G][Src];
-      if (!C)
-        continue;
-      SummaryImage SImg;
-      SImg.Seq = SummarySeqSeen[G][Src];
-      SImg.Summary = *C;
-      Img.Summaries[G][Src] = {SImg.Seq, encodeSummary(SImg)};
-    }
-  }
+  Sums.exportTo(Img);
   Img.ConfNextIndex = ConfNext;
   Img.IrreducibleLog = ReconfigLog;
   return Img;
@@ -1852,25 +1305,7 @@ void HambandNode::absorbTransfer(const TransferImage &Img) {
   // Our entry in the transferred cursor table is the next broadcast the
   // cluster expects *from us* -- resume our outgoing numbering there.
   BcastSeqOut = std::max(BcastSeqOut, FreeSeqNext[Self]);
-  for (unsigned G = 0; G < SummaryCache.size() && G < Img.Summaries.size();
-       ++G) {
-    for (rdma::NodeId Src = 0;
-         Src < Fabric.numNodes() && Src < Img.Summaries[G].size(); ++Src) {
-      const auto &[Seq, Bytes] = Img.Summaries[G][Src];
-      if (Bytes.empty())
-        continue;
-      SummaryImage SImg;
-      if (!decodeSummary(Bytes.data(), Bytes.size(), SImg))
-        continue;
-      SummaryCache[G][Src] = SImg.Summary;
-      SummarySeqSeen[G][Src] = Seq;
-      if (Src == Self) {
-        OwnSummary[G] = SImg.Summary;
-        OwnSummarySeq[G] = Seq;
-        DeltaShippedSeq[G] = Seq;
-      }
-    }
-  }
+  Sums.importFrom(Img);
   // Replay the donor's irreducible log in its apply order; applied counts
   // came with the table above, so only the stored state (and the logs a
   // future transfer or oracle reads) advance here.

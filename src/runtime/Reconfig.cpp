@@ -87,18 +87,15 @@ runtime::encodeTransferImage(const TransferImage &Img) {
     W.u32(static_cast<std::uint32_t>(PerSrc.size()));
     for (const auto &[Seq, Bytes] : PerSrc) {
       W.u64(Seq);
-      W.u32(static_cast<std::uint32_t>(Bytes.size()));
-      W.bytes(Bytes);
+      W.lengthPrefixed(Bytes);
     }
   }
   W.u32(static_cast<std::uint32_t>(Img.ConfNextIndex.size()));
   for (std::uint64_t V : Img.ConfNextIndex)
     W.u64(V);
   W.u32(static_cast<std::uint32_t>(Img.IrreducibleLog.size()));
-  for (const auto &Entry : Img.IrreducibleLog) {
-    W.u32(static_cast<std::uint32_t>(Entry.size()));
-    W.bytes(Entry);
-  }
+  for (const auto &Entry : Img.IrreducibleLog)
+    W.lengthPrefixed(Entry);
   return W.take();
 }
 
@@ -129,12 +126,10 @@ bool runtime::decodeTransferImage(const std::uint8_t *Data, std::size_t Len,
     PerSrc.resize(Srcs);
     for (auto &[Seq, Bytes] : PerSrc) {
       Seq = R.u64();
-      std::uint32_t BLen = R.u32();
-      if (!R.ok() || BLen > R.remaining())
+      std::span<const std::uint8_t> Image = R.lengthPrefixed();
+      if (!R.ok())
         return false;
-      Bytes.resize(BLen);
-      for (std::uint32_t I = 0; I < BLen; ++I)
-        Bytes[I] = R.u8();
+      Bytes.assign(Image.begin(), Image.end());
     }
   }
   std::uint32_t NConf = R.u32();
@@ -149,13 +144,10 @@ bool runtime::decodeTransferImage(const std::uint8_t *Data, std::size_t Len,
   Out.IrreducibleLog.clear();
   Out.IrreducibleLog.reserve(NLog);
   for (std::uint32_t I = 0; I < NLog; ++I) {
-    std::uint32_t ELen = R.u32();
-    if (!R.ok() || ELen > R.remaining())
+    std::span<const std::uint8_t> Entry = R.lengthPrefixed();
+    if (!R.ok())
       return false;
-    std::vector<std::uint8_t> Entry(ELen);
-    for (std::uint32_t J = 0; J < ELen; ++J)
-      Entry[J] = R.u8();
-    Out.IrreducibleLog.push_back(std::move(Entry));
+    Out.IrreducibleLog.emplace_back(Entry.begin(), Entry.end());
   }
   return R.ok();
 }

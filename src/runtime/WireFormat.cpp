@@ -63,6 +63,15 @@ std::uint64_t ByteReader::u64() {
   return V;
 }
 
+std::span<const std::uint8_t> ByteReader::lengthPrefixed() {
+  std::uint32_t N = u32();
+  if (!take(N))
+    return {};
+  std::span<const std::uint8_t> Out(Data + Pos, N);
+  Pos += N;
+  return Out;
+}
+
 std::vector<std::uint64_t> runtime::denseDeps(const CoordinationSpec &Spec,
                                               unsigned NumProcesses,
                                               MethodId U,
@@ -173,12 +182,35 @@ bool runtime::decodeSummary(const std::uint8_t *Data, std::size_t Len,
   return R.ok();
 }
 
-bool runtime::isCallBatch(const std::uint8_t *Data, std::size_t Len) {
-  if (Len < 2)
+std::vector<std::uint8_t>
+runtime::encodeSummarySlot(const std::vector<std::uint8_t> &Image,
+                           std::size_t SlotBytes) {
+  assert(Image.size() >= 8 && "summary image leads with its seq");
+  assert(fitsSummarySlot(Image.size(), SlotBytes) &&
+         "summary exceeds slot; raise SummarySlotBytes or shrink keyspace");
+  ByteWriter W;
+  W.lengthPrefixed(Image);
+  std::vector<std::uint8_t> Out = W.take();
+  Out.resize(SlotBytes - 9, 0);
+  Out.insert(Out.end(), Image.begin(), Image.begin() + 8); // Seq trailer.
+  Out.push_back(1);                                        // Canary.
+  return Out;
+}
+
+bool runtime::decodeSummarySlot(const std::uint8_t *Slot,
+                                std::size_t SlotBytes, SummaryImage &Out) {
+  if (!fitsSummarySlot(0, SlotBytes) || Slot[SlotBytes - 1] != 1)
     return false;
-  std::uint16_t Marker = 0;
-  std::memcpy(&Marker, Data, 2);
-  return Marker == CallBatchMarker;
+  if (std::memcmp(Slot + SummarySlotSeqOffset, Slot + SlotBytes - 9, 8) != 0)
+    return false; // Torn: an overwrite is in flight.
+  ByteReader R(Slot, SlotBytes);
+  std::uint32_t Len = R.u32();
+  return fitsSummarySlot(Len, SlotBytes) &&
+         decodeSummary(Slot + SummarySlotSeqOffset, Len, Out);
+}
+
+bool runtime::isCallBatch(const std::uint8_t *Data, std::size_t Len) {
+  return ByteReader(Data, Len).u16() == CallBatchMarker;
 }
 
 std::vector<std::uint8_t> runtime::encodeCallBatch(
@@ -188,10 +220,8 @@ std::vector<std::uint8_t> runtime::encodeCallBatch(
   ByteWriter W;
   W.u16(CallBatchMarker);
   W.u16(static_cast<std::uint16_t>(EncodedCalls.size()));
-  for (const std::vector<std::uint8_t> &Bytes : EncodedCalls) {
-    W.u32(static_cast<std::uint32_t>(Bytes.size()));
-    W.bytes(Bytes);
-  }
+  for (const std::vector<std::uint8_t> &Bytes : EncodedCalls)
+    W.lengthPrefixed(Bytes);
   return W.take();
 }
 
@@ -200,34 +230,23 @@ bool runtime::decodeCallBatch(const CoordinationSpec &Spec,
                               const std::uint8_t *Data, std::size_t Len,
                               std::vector<WireCall> &Out) {
   Out.clear();
-  if (!isCallBatch(Data, Len))
-    return false;
   ByteReader R(Data, Len);
-  (void)R.u16(); // Marker, already checked.
+  if (R.u16() != CallBatchMarker)
+    return false;
   std::uint16_t Count = R.u16();
-  std::size_t Pos = 4;
   for (unsigned I = 0; I < Count; ++I) {
-    std::uint32_t InnerLen = R.u32();
-    Pos += 4;
-    if (!R.ok() || Pos + InnerLen > Len)
-      return false;
+    std::span<const std::uint8_t> Inner = R.lengthPrefixed();
     WireCall WC;
-    if (!decodeCall(Spec, NumProcesses, Data + Pos, InnerLen, WC))
+    if (!R.ok() ||
+        !decodeCall(Spec, NumProcesses, Inner.data(), Inner.size(), WC))
       return false;
     Out.push_back(std::move(WC));
-    for (std::uint32_t J = 0; J < InnerLen; ++J)
-      (void)R.u8(); // Advance past the inner call bytes.
-    Pos += InnerLen;
   }
   return R.ok();
 }
 
 bool runtime::isSummaryDelta(const std::uint8_t *Data, std::size_t Len) {
-  if (Len < 2)
-    return false;
-  std::uint16_t Marker = 0;
-  std::memcpy(&Marker, Data, 2);
-  return Marker == SummaryDeltaMarker;
+  return ByteReader(Data, Len).u16() == SummaryDeltaMarker;
 }
 
 std::vector<std::uint8_t>
@@ -241,17 +260,15 @@ runtime::encodeSummaryDelta(const SummaryDeltaFrame &F) {
   W.u64(F.FromSeq);
   W.u64(F.ToSeq);
   W.u32(F.Epoch);
-  W.u32(static_cast<std::uint32_t>(F.Image.size()));
-  W.bytes(F.Image);
+  W.lengthPrefixed(F.Image);
   return W.take();
 }
 
 bool runtime::decodeSummaryDelta(const std::uint8_t *Data, std::size_t Len,
                                  SummaryDeltaFrame &Out) {
-  if (!isSummaryDelta(Data, Len))
-    return false;
   ByteReader R(Data, Len);
-  (void)R.u16(); // Marker, already checked.
+  if (R.u16() != SummaryDeltaMarker)
+    return false;
   Out.Group = R.u8();
   Out.Full = R.u8();
   Out.ChunkIdx = R.u16();
@@ -259,12 +276,10 @@ bool runtime::decodeSummaryDelta(const std::uint8_t *Data, std::size_t Len,
   Out.FromSeq = R.u64();
   Out.ToSeq = R.u64();
   Out.Epoch = R.u32();
-  std::uint32_t ImgLen = R.u32();
-  constexpr std::size_t Header = SummaryDeltaHeaderBytes;
-  if (!R.ok() || Header + ImgLen > Len || Out.ChunkCount == 0 ||
-      Out.ChunkIdx >= Out.ChunkCount)
+  std::span<const std::uint8_t> Image = R.lengthPrefixed();
+  if (!R.ok() || Out.ChunkCount == 0 || Out.ChunkIdx >= Out.ChunkCount)
     return false;
-  Out.Image.assign(Data + Header, Data + Header + ImgLen);
+  Out.Image.assign(Image.begin(), Image.end());
   return true;
 }
 
@@ -274,17 +289,13 @@ std::vector<std::uint8_t> runtime::encodeFlushImage(const FlushImage &Img) {
   W.u8(static_cast<std::uint8_t>(Img.Summaries.size()));
   for (const auto &[Group, Bytes] : Img.Summaries) {
     W.u8(Group);
-    W.u32(static_cast<std::uint32_t>(Bytes.size()));
-    W.bytes(Bytes);
+    W.lengthPrefixed(Bytes);
   }
   assert(Img.Deltas.size() <= 0xFF && "too many delta frames");
   W.u8(static_cast<std::uint8_t>(Img.Deltas.size()));
-  for (const std::vector<std::uint8_t> &Frame : Img.Deltas) {
-    W.u32(static_cast<std::uint32_t>(Frame.size()));
-    W.bytes(Frame);
-  }
-  W.u32(static_cast<std::uint32_t>(Img.FreeRecord.size()));
-  W.bytes(Img.FreeRecord);
+  for (const std::vector<std::uint8_t> &Frame : Img.Deltas)
+    W.lengthPrefixed(Frame);
+  W.lengthPrefixed(Img.FreeRecord);
   return W.take();
 }
 
@@ -294,31 +305,19 @@ bool runtime::decodeFlushImage(const std::uint8_t *Data, std::size_t Len,
   Out.Deltas.clear();
   Out.FreeRecord.clear();
   ByteReader R(Data, Len);
-  std::size_t Pos = 0;
-  // Reads a u32 length and the bytes after it into \p Into.
-  auto Take = [&](std::vector<std::uint8_t> &Into) {
-    std::uint32_t InnerLen = R.u32();
-    Pos += 4;
-    if (!R.ok() || Pos + InnerLen > Len)
-      return false;
-    Into.assign(Data + Pos, Data + Pos + InnerLen);
-    for (std::uint32_t J = 0; J < InnerLen; ++J)
-      (void)R.u8();
-    Pos += InnerLen;
-    return true;
+  auto Take = [&R](std::vector<std::uint8_t> &Into) {
+    std::span<const std::uint8_t> Bytes = R.lengthPrefixed();
+    Into.assign(Bytes.begin(), Bytes.end());
+    return R.ok();
   };
   std::uint8_t K = R.u8();
-  ++Pos;
   for (unsigned I = 0; I < K; ++I) {
     std::uint8_t Group = R.u8();
-    ++Pos;
     Out.Summaries.emplace_back(Group, std::vector<std::uint8_t>());
     if (!Take(Out.Summaries.back().second))
       return false;
   }
-  std::uint8_t D = R.u8();
-  ++Pos;
-  Out.Deltas.resize(D);
+  Out.Deltas.resize(R.u8());
   for (std::vector<std::uint8_t> &Frame : Out.Deltas)
     if (!Take(Frame))
       return false;

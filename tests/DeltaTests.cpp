@@ -406,8 +406,8 @@ TEST(DeltaCrashRecovery, CrashMidDeltaStreamRecoversFromStagedImage) {
     obs::StatsSnapshot S = C.node(P).statsSnapshot();
     EXPECT_GE(S.counter("node.delta.in"), 1u) << "node " << P;
     EXPECT_EQ(C.node(P).recoveredBroadcasts(), 1u) << "node " << P;
-    EXPECT_EQ(C.node(P).bufferedDeltaFrames(0, 0), 0u) << "node " << P;
-    EXPECT_EQ(C.node(P).summarySeqSeen(0, 0), 2u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), 2u) << "node " << P;
   }
 }
 
@@ -495,7 +495,7 @@ TEST(DeltaCrashRecovery, CrashMidAntiEntropyRecoversUntorn) {
   for (ProcessId P = 1; P < 3; ++P) {
     EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)), 301)
         << "node " << P;
-    EXPECT_EQ(C.node(P).summarySeqSeen(0, 0), 301u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), 301u) << "node " << P;
     EXPECT_EQ(C.node(P).recoveredBroadcasts(), 1u) << "node " << P;
   }
   EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
@@ -536,7 +536,7 @@ TEST(DeltaCrashRecovery, BatchedFlushStagesDeltaWhenFullImageOutgrowsSlot) {
   EXPECT_EQ(S.counter("bcast.stage"), Flushes);
   EXPECT_EQ(S.counter("node.delta.stage_skipped"), 0u);
   for (ProcessId P = 1; P < 3; ++P)
-    EXPECT_EQ(C.node(P).summarySeqSeen(0, 0), 603u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), 603u) << "node " << P;
 }
 
 //===----------------------------------------------------------------------===//
@@ -544,10 +544,10 @@ TEST(DeltaCrashRecovery, BatchedFlushStagesDeltaWhenFullImageOutgrowsSlot) {
 //===----------------------------------------------------------------------===//
 
 TEST(DeltaGapHealing, DroppedDeltasBufferThenHealViaAntiEntropy) {
-  // Frame #1 arrives normally; frame #2 is dropped on the wire (the test
-  // hook models a lost doorbell with its backup cleared); frame #3 then
-  // arrives with FromSeq=2 against a seen version of 1 -- a GAP the peers
-  // must buffer, not apply. The 4th ship hits the anti-entropy period
+  // Frame #1 arrives normally; frame #2 is dropped by both receivers (the
+  // test hook models a lost doorbell with its backup cleared); frame #3
+  // then arrives with FromSeq=2 against a seen version of 1 -- a GAP the
+  // peers must buffer, not apply. The 4th ship hits the anti-entropy period
   // (dropped deltas still advance it), so a full image at version 4
   // arrives, supersedes the buffered frame and restores convergence.
   sim::Simulator Sim;
@@ -563,31 +563,33 @@ TEST(DeltaGapHealing, DroppedDeltasBufferThenHealViaAntiEntropy) {
 
   Submit(1, 1);
   ASSERT_TRUE(runUntil(Sim, [&] { return Done == 1 && C.fullyReplicated(); }));
-  EXPECT_EQ(C.node(1).summarySeqSeen(0, 0), 1u);
+  EXPECT_EQ(C.node(1).summaries().version(0, 0), 1u);
 
-  C.node(0).dropOutgoingDeltasForTest(true);
+  for (ProcessId P = 1; P < 3; ++P)
+    C.node(P).summaries().dropDeltasForTest(true);
   Submit(2, 2);
   ASSERT_TRUE(runUntil(Sim, [&] { return Done == 2; }));
   Sim.run(Sim.now() + sim::micros(50));
   // The drop is invisible to the source but the peers never advance.
-  EXPECT_EQ(C.node(1).summarySeqSeen(0, 0), 1u);
-  EXPECT_EQ(C.node(2).summarySeqSeen(0, 0), 1u);
+  EXPECT_EQ(C.node(1).summaries().version(0, 0), 1u);
+  EXPECT_EQ(C.node(2).summaries().version(0, 0), 1u);
 
-  C.node(0).dropOutgoingDeltasForTest(false);
+  for (ProcessId P = 1; P < 3; ++P)
+    C.node(P).summaries().dropDeltasForTest(false);
   Submit(4, 3);
   ASSERT_TRUE(runUntil(Sim, [&] {
-    return Done == 3 && C.node(1).bufferedDeltaFrames(0, 0) == 1 &&
-           C.node(2).bufferedDeltaFrames(0, 0) == 1;
+    return Done == 3 && C.node(1).summaries().bufferedFrames(0, 0) == 1 &&
+           C.node(2).summaries().bufferedFrames(0, 0) == 1;
   }));
   // The gap frame is parked: versions and state stay at the last applied.
   for (ProcessId P = 1; P < 3; ++P) {
     obs::StatsSnapshot S = C.node(P).statsSnapshot();
     EXPECT_GE(S.counter("node.delta.gap"), 1u) << "node " << P;
-    EXPECT_EQ(C.node(P).summarySeqSeen(0, 0), 1u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), 1u) << "node " << P;
     EXPECT_EQ(C.node(P).applied(0, Add), 1u) << "node " << P;
   }
 
-  // 4th ship: DeltaFlushesSinceFull reaches the period, so a full image
+  // 4th ship: the delta-ship count reaches the period, so a full image
   // at version 4 ships, installs, and supersedes the buffered frame.
   Submit(8, 4);
   ASSERT_TRUE(runUntil(Sim, [&] { return Done == 4 && C.fullyReplicated(); }));
@@ -598,8 +600,8 @@ TEST(DeltaGapHealing, DroppedDeltasBufferThenHealViaAntiEntropy) {
   for (ProcessId P = 1; P < 3; ++P) {
     obs::StatsSnapshot S = C.node(P).statsSnapshot();
     EXPECT_GE(S.counter("node.delta.full_in"), 1u) << "node " << P;
-    EXPECT_EQ(C.node(P).bufferedDeltaFrames(0, 0), 0u) << "node " << P;
-    EXPECT_EQ(C.node(P).summarySeqSeen(0, 0), 4u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), 4u) << "node " << P;
   }
 }
 

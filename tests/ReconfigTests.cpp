@@ -7,8 +7,8 @@
 // round trips, add-one (with one-sided state transfer over both the
 // reducible-summary and irreducible-log paths), remove-one, wrong-epoch
 // client rejection during the closed window, deterministic crashes at
-// every transition stage with bit-for-bit trace replay, and the adaptive
-// anti-entropy backoff satellite (docs/reconfig.md).
+// every transition stage with bit-for-bit trace replay, and delta
+// propagation across a join (docs/reconfig.md).
 //===----------------------------------------------------------------------===//
 
 #include "hamband/core/TypeRegistry.h"
@@ -450,53 +450,77 @@ TEST(ReconfigCrash, CoordinatorCrashEarlyAborts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Adaptive anti-entropy backoff (satellite)
+// Delta propagation across a join
 //===----------------------------------------------------------------------===//
 
-TEST(AdaptiveAntiEntropy, QuietRunBacksOffFullImageShips) {
-  // With the backoff enabled on a loss-free run, consecutive clean
-  // full-image ships must double the effective period: the backoff
-  // counter advances and fewer full images ship than the fixed-period
-  // configuration would.
+namespace {
+
+struct DeltaJoinRun {
+  bool Replicated = false;
+  Value JoinerRead = -1;
+  std::uint64_t JoinerGaps = 0;
+};
+
+/// With deltas on, node 0 adds 1..PreCalls, the last provisioned node
+/// joins (node 0, the coordinator, donates the transfer image), then
+/// node 0 adds 1000: the joiner must join that call's delta frame onto
+/// the transferred image.
+DeltaJoinRun deltaJoinThenAdd(std::vector<std::uint8_t> InitialActive,
+                              unsigned PreCalls) {
   sim::Simulator Sim;
-  auto T = makeType("gset");
-  HambandConfig Cfg;
+  Counter T;
+  const unsigned N = static_cast<unsigned>(InitialActive.size());
+  const rdma::NodeId Joiner = N - 1;
+  HambandConfig Cfg = reconfigConfig(std::move(InitialActive));
   Cfg.Delta.Enabled = true;
-  Cfg.Delta.AntiEntropyEvery = 2;
-  Cfg.Delta.AdaptiveBackoffRounds = 2;
-  HambandCluster C(Sim, 3, *T, {}, Cfg);
+  HambandCluster C(Sim, N, T, {}, Cfg);
   C.start();
 
   unsigned Acks = 0;
-  for (unsigned I = 0; I < 60; ++I) {
-    C.submit(0, Call(0 /*add*/, {Value(I)}, 0, 100 + I),
-             [&](bool, Value) { ++Acks; });
-    Sim.run(Sim.now() + sim::micros(30));
-  }
-  ASSERT_TRUE(runUntil(Sim, [&] { return Acks == 60 && C.fullyReplicated(); }));
-  EXPECT_TRUE(C.converged());
+  for (unsigned I = 1; I <= PreCalls; ++I)
+    C.submit(0, Call(Counter::Add, {Value(I)}, 0, I),
+             [&](bool Ok, Value) { Acks += Ok; });
+  EXPECT_TRUE(
+      runUntil(Sim, [&] { return Acks == PreCalls && C.fullyReplicated(); }));
 
-  // The issuer observed enough clean anti-entropy rounds to back off at
-  // least once, and no gap ever snapped it back.
-  EXPECT_GE(C.node(0).statsSnapshot().counter("node.delta.ae_backoff"), 1u);
-  EXPECT_EQ(clusterCounter(C, "node.delta.gap"), 0u);
+  bool Done = false, Ok = false;
+  EXPECT_TRUE(C.reconfigure(std::vector<std::uint8_t>(N, 1),
+                            [&](bool K, std::uint32_t) {
+                              Done = true;
+                              Ok = K;
+                            }));
+  EXPECT_TRUE(runUntil(Sim, [&] { return Done; }));
+  EXPECT_TRUE(Ok);
+
+  C.submit(0, Call(Counter::Add, {1000}, 0, 1000),
+           [&](bool K, Value) { Acks += K; });
+  DeltaJoinRun R;
+  R.Replicated = runUntil(
+      Sim, [&] { return Acks == PreCalls + 1 && C.fullyReplicated(); });
+  R.JoinerRead = T.query(C.node(Joiner).visibleState(),
+                         Call(Counter::Read, {}, Joiner, 0));
+  R.JoinerGaps = C.node(Joiner).statsSnapshot().counter("node.delta.gap");
+  return R;
 }
 
-TEST(AdaptiveAntiEntropy, DisabledByDefaultKeepsFixedCadence) {
-  sim::Simulator Sim;
-  auto T = makeType("gset");
-  HambandConfig Cfg;
-  Cfg.Delta.Enabled = true;
-  Cfg.Delta.AntiEntropyEvery = 2;
-  // AdaptiveBackoffRounds stays 0: the counter must never move.
-  HambandCluster C(Sim, 3, *T, {}, Cfg);
-  C.start();
-  unsigned Acks = 0;
-  for (unsigned I = 0; I < 40; ++I) {
-    C.submit(0, Call(0, {Value(I)}, 0, 100 + I),
-             [&](bool, Value) { ++Acks; });
-    Sim.run(Sim.now() + sim::micros(30));
-  }
-  ASSERT_TRUE(runUntil(Sim, [&] { return Acks == 40 && C.fullyReplicated(); }));
-  EXPECT_EQ(clusterCounter(C, "node.delta.ae_backoff"), 0u);
+} // namespace
+
+TEST(ReconfigDelta, JoinerJoinsTheDonorsNextDeltaFrame) {
+  // The transfer must carry the donor's real version of its own summary:
+  // the donor's next delta frame starts there, so a joiner holding any
+  // other version parks the frame as a gap and diverges.
+  DeltaJoinRun R = deltaJoinThenAdd({1, 1, 1, 0}, 30);
+  EXPECT_TRUE(R.Replicated);
+  EXPECT_EQ(R.JoinerGaps, 0u);
+  EXPECT_EQ(R.JoinerRead, Value(30 * 31 / 2 + 1000));
+}
+
+TEST(ReconfigDelta, LoneSourceDeltaStartsAtItsVersion) {
+  // Node 0's first calls flush with no active peer. Those flushes must
+  // still advance its shipped version, so its first delta frame after
+  // the join covers only the new call, from the transferred version.
+  DeltaJoinRun R = deltaJoinThenAdd({1, 0}, 10);
+  EXPECT_TRUE(R.Replicated);
+  EXPECT_EQ(R.JoinerGaps, 0u);
+  EXPECT_EQ(R.JoinerRead, Value(10 * 11 / 2 + 1000));
 }

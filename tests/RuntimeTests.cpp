@@ -145,6 +145,89 @@ TEST(WireFormat, FlushImageRoundTripAndTruncation) {
     EXPECT_FALSE(decodeFlushImage(Bytes.data(), Len, Out)) << "length " << Len;
 }
 
+TEST(WireFormat, CallBatchRoundTripAndTruncation) {
+  BankAccount T;
+  const CoordinationSpec &Spec = T.coordination();
+  WireCall A, B;
+  A.TheCall = Call(BankAccount::Deposit, {5}, 1, 10);
+  A.BcastSeq = 3;
+  B.TheCall = Call(BankAccount::Withdraw, {2}, 1, 11);
+  B.Deps.push_back(semantics::DepEntry{1, BankAccount::Deposit, 4});
+  B.BcastSeq = 4;
+  std::vector<std::uint8_t> Bytes =
+      encodeCallBatch({encodeCall(Spec, 3, A), encodeCall(Spec, 3, B)});
+  std::vector<WireCall> Out;
+  ASSERT_TRUE(decodeCallBatch(Spec, 3, Bytes.data(), Bytes.size(), Out));
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[0].TheCall, A.TheCall);
+  EXPECT_EQ(Out[1].TheCall, B.TheCall);
+  EXPECT_EQ(Out[1].BcastSeq, 4u);
+  for (std::size_t Len = 0; Len < Bytes.size(); ++Len)
+    EXPECT_FALSE(decodeCallBatch(Spec, 3, Bytes.data(), Len, Out))
+        << "length " << Len;
+}
+
+TEST(WireFormat, SummaryDeltaRoundTripAndTruncation) {
+  SummaryDeltaFrame In;
+  In.Group = 2;
+  In.ChunkIdx = 1;
+  In.ChunkCount = 3;
+  In.FromSeq = 7;
+  In.ToSeq = 9;
+  In.Epoch = 4;
+  In.Image = encodeSummary({9, Call(0, {1, 2}, 1, 0), {{0, 9}}});
+  std::vector<std::uint8_t> Bytes = encodeSummaryDelta(In);
+  EXPECT_EQ(Bytes.size(), SummaryDeltaHeaderBytes + In.Image.size());
+  SummaryDeltaFrame Out;
+  ASSERT_TRUE(decodeSummaryDelta(Bytes.data(), Bytes.size(), Out));
+  EXPECT_EQ(Out.Group, 2u);
+  EXPECT_EQ(Out.ChunkIdx, 1u);
+  EXPECT_EQ(Out.ChunkCount, 3u);
+  EXPECT_EQ(Out.FromSeq, 7u);
+  EXPECT_EQ(Out.ToSeq, 9u);
+  EXPECT_EQ(Out.Epoch, 4u);
+  EXPECT_EQ(Out.Image, In.Image);
+  for (std::size_t Len = 0; Len < Bytes.size(); ++Len)
+    EXPECT_FALSE(decodeSummaryDelta(Bytes.data(), Len, Out))
+        << "length " << Len;
+}
+
+TEST(WireFormat, SummaryImageBytesMatchesEncoding) {
+  for (std::size_t Args : {0, 1, 57})
+    for (std::size_t Counts : {0, 1, 4}) {
+      SummaryImage Img;
+      Img.Seq = 1;
+      Img.Summary = Call(0, std::vector<Value>(Args, 7), 0, 0);
+      for (std::size_t I = 0; I < Counts; ++I)
+        Img.AppliedCounts.emplace_back(static_cast<MethodId>(I), I);
+      EXPECT_EQ(summaryImageBytes(Args, Counts), encodeSummary(Img).size())
+          << Args << " args, " << Counts << " counts";
+    }
+}
+
+TEST(WireFormat, SummarySlotRoundTripRejectsTornAndClearSlots) {
+  const std::size_t SlotBytes = 128;
+  std::vector<std::uint8_t> Old = encodeSummarySlot(
+      encodeSummary({5, Call(0, {100}, 1, 0), {{0, 5}}}), SlotBytes);
+  std::vector<std::uint8_t> New = encodeSummarySlot(
+      encodeSummary({6, Call(0, {101}, 1, 0), {{0, 6}}}), SlotBytes);
+  ASSERT_EQ(New.size(), SlotBytes);
+  SummaryImage Out;
+  ASSERT_TRUE(decodeSummarySlot(New.data(), New.size(), Out));
+  EXPECT_EQ(Out.Seq, 6u);
+  EXPECT_EQ(Out.Summary, Call(0, {101}, 1, 0));
+
+  // A torn overwrite: the new header and image over the old seq trailer.
+  std::vector<std::uint8_t> Torn = New;
+  std::copy(Old.end() - 9, Old.end(), Torn.end() - 9);
+  EXPECT_FALSE(decodeSummarySlot(Torn.data(), Torn.size(), Out));
+
+  // A slot never written (or mid-first-write) has its canary clear.
+  std::vector<std::uint8_t> Clear = New;
+  Clear.back() = 0;
+  EXPECT_FALSE(decodeSummarySlot(Clear.data(), Clear.size(), Out));
+}
+
 TEST(WireFormat, DecodeRejectsGarbage) {
   BankAccount T;
   std::vector<std::uint8_t> Garbage = {0xFF, 0xFF, 0xFF};
