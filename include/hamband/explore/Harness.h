@@ -29,6 +29,8 @@
 ///    own local apply order (ring FIFO integrity);
 ///  - ring-cursor agreement: at quiescence a live writer/reader pair
 ///    agrees on the number of consumed cells;
+///  - client outcomes: a logged call answered Ok is in the reference
+///    replica's apply log, a terminally rejected one in none;
 ///  - Lemma 3 cross-check against the executable concrete semantics,
 ///    exact state-for-state for crash-free observation-independent types.
 ///

@@ -1,0 +1,195 @@
+//===- hamband/runtime/ConfChannel.h - Conflicting-call path ----*- C++ -*-===//
+//
+// Part of the Hamband reproduction project. MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The conflicting-call path of Section 4: each call goes to its
+/// synchronization group's Mu leader, which orders it and answers
+/// "committed", "rejected" or "retry". One request table holds every call
+/// submitted at the node; a call at the leader skips only the mailbox hop,
+/// and its answer reaches the handler of a ConfResponse mail, where
+/// "retry" re-routes it. The node owns A, the stored state and the visible
+/// cache; the channel reads A and reaches the rest through three hooks.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef HAMBAND_RUNTIME_CONFCHANNEL_H
+#define HAMBAND_RUNTIME_CONFCHANNEL_H
+
+#include "hamband/core/ObjectType.h"
+#include "hamband/obs/Metrics.h"
+#include "hamband/runtime/HeartbeatDetector.h"
+#include "hamband/runtime/MuConsensus.h"
+#include "hamband/runtime/Runtime.h"
+#include "hamband/runtime/WireFormat.h"
+
+#include <deque>
+#include <functional>
+#include <map>
+#include <memory>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+namespace hamband {
+namespace runtime {
+
+struct HambandConfig;
+
+/// One node's conflicting calls, from submission to apply.
+class ConfChannel {
+public:
+  struct NodeHooks {
+    /// Apply(S)(σ) at this node.
+    std::function<const ObjectState &()> Visible;
+    /// Applies one ordered call to the stored state and A.
+    std::function<void(const Call &)> Apply;
+    /// Ships the pending flush, so earlier calls precede an ordered one.
+    std::function<void()> Flush;
+  };
+  /// Per group, the (issuer, request) sequence this node applied.
+  using ApplyLog = std::vector<std::vector<std::pair<ProcessId, RequestId>>>;
+
+  /// \p Epoch is the node's installed membership epoch; \p Active its
+  /// initial active set (empty: every node).
+  ConfChannel(rdma::Transport &Fabric, rdma::NodeId Self,
+              const ObjectType &Type, const MemoryMap &Map,
+              const HambandConfig &Cfg,
+              const std::vector<rdma::RegionKey> &ConfKeys,
+              const std::vector<std::uint8_t> &Active,
+              const std::vector<std::vector<std::uint64_t>> &Applied,
+              const std::uint32_t &Epoch, const HeartbeatDetector &Detector,
+              obs::Registry &Stats, NodeHooks Hooks);
+
+  /// Records a client call in the request table, then orders it here (this
+  /// node leads its group) or mails it to the leader.
+  void submit(const Call &C, SubmitCallback Done);
+  /// Arms the next request-table timeout scan.
+  void start();
+
+  // Poller steps, in poll order. The first three return entries parsed,
+  // mails parsed and calls applied.
+  unsigned pollLog();
+  /// Requests are dropped unless \p AcceptRequests (node in service).
+  unsigned pollMailboxes(bool AcceptRequests);
+  unsigned applyPending();
+  /// Consensus polls and leader retry queues.
+  void poll();
+
+  void onPeerSuspected(rdma::NodeId Peer);
+
+  // Membership reconfiguration (docs/reconfig.md).
+  /// Resumes every group's log at \p Next (a joiner's state transfer).
+  void importLog(const std::vector<std::uint64_t> &Next);
+  /// Hands group g to its post-transition leader at log index \p Next[g].
+  void installMembership(const std::vector<std::uint8_t> &Active,
+                         const std::vector<std::uint64_t> &Next);
+  /// Records \p C in the apply log (under Cfg.RecordApplyLog).
+  void logApplied(const Call &C);
+
+  // Introspection (tests, metrics, the node's digests).
+  rdma::NodeId knownLeader(unsigned G) const {
+    return Consensus[G]->currentLeader();
+  }
+  MuConsensus *consensus(unsigned G) { return Consensus[G].get(); }
+  /// Contiguously received L-ring position of \p G; drained members agree
+  /// on it (docs/reconfig.md).
+  std::uint64_t receivedContig(unsigned G) const {
+    std::uint64_t R = AppliedIdx[G];
+    while (Pending[G].count(R))
+      ++R;
+    return R;
+  }
+  std::size_t pendingTotal() const { return total(Pending); }
+  std::size_t leaderQueueTotal() const { return total(LeaderQueue); }
+  std::size_t requestCount() const { return Requests.size(); }
+  bool idle() const {
+    return pendingTotal() == 0 && leaderQueueTotal() == 0 && Requests.empty();
+  }
+  /// True while entries this node appended are unapplied.
+  bool speculating() const { return total(Speculative) != 0; }
+  const ApplyLog &applyLog() const { return Log; }
+  void digest(const std::function<void(std::uint64_t)> &Mix) const;
+
+private:
+  /// Rejected is terminal for the client; Retry means this node cannot
+  /// decide (deposed, or the epoch changed).
+  enum class ConfOutcome : std::uint8_t { Rejected, Committed, Retry };
+  /// A call submitted here, until answered. It times out only when routed
+  /// to another node: the leader path always answers the calls it holds.
+  struct Request {
+    Call TheCall;
+    SubmitCallback Done;
+    sim::SimTime SentAt = 0;
+    rdma::NodeId SentTo = 0;
+  };
+  /// A call parked at the leader; WaitDeadline ends its permissibility
+  /// wait (0: not waiting).
+  struct Queued {
+    Call TheCall;
+    ProcessId Origin = 0;
+    sim::SimTime QueuedAt = 0;
+    sim::SimTime WaitDeadline = 0;
+  };
+
+  template <typename T> static std::size_t total(const std::vector<T> &V) {
+    std::size_t N = 0;
+    for (const T &X : V)
+      N += X.size();
+    return N;
+  }
+  unsigned groupOf(const Call &C) const { return *Spec.syncGroup(C.Method); }
+  rdma::NodeId homeLeader(unsigned G,
+                          const std::vector<std::uint8_t> &Active) const;
+  /// Orders \p C here (\p Leader is this node) or mails it to \p Leader.
+  void dispatch(rdma::NodeId Leader, Call C);
+  void mail(rdma::NodeId To, MailMsg Msg);
+  /// Sends request \p Id to its group's current leader.
+  void route(RequestId Id);
+  void checkTimeouts();
+  /// Leader side: appends \p C for \p Origin, parks it, or answers.
+  void sequence(unsigned G, ProcessId Origin, Call C,
+                sim::SimTime WaitDeadline);
+  void retryQueue(unsigned G);
+  void answer(ProcessId Origin, RequestId Id, ConfOutcome Outcome);
+  /// Origin side: completes request \p Id, or re-routes it on Retry.
+  void onAnswer(RequestId Id, ConfOutcome Outcome);
+  /// The one insert into the pending log: ring-read, caught-up and
+  /// self-committed entries alike.
+  void deliver(unsigned G, std::uint64_t Index, WireCall WC);
+
+  rdma::Transport &Fabric;
+  rdma::NodeId Self;
+  const ObjectType &Type;
+  const CoordinationSpec &Spec;
+  const HambandConfig &Cfg;
+  const std::vector<std::vector<std::uint64_t>> &Applied;
+  const std::uint32_t &Epoch;
+  NodeHooks Hooks;
+
+  std::vector<std::unique_ptr<MuConsensus>> Consensus; // [group]
+  std::vector<std::unique_ptr<RingReader>> MailReaders; // [peer]
+  std::vector<std::unique_ptr<RingWriter>> MailWriters; // [peer]
+  // Per group: delivered entries awaiting apply, by index; the next index
+  // to apply; requests delivered or appended here (dedup); entries
+  // appended here and not yet applied (speculative permissibility); calls
+  // waiting to be appended.
+  std::vector<std::map<std::uint64_t, WireCall>> Pending;
+  std::vector<std::uint64_t> AppliedIdx;
+  std::vector<std::unordered_set<RequestId>> Seen;
+  std::vector<std::deque<Call>> Speculative;
+  std::vector<std::deque<Queued>> LeaderQueue;
+  std::unordered_map<RequestId, Request> Requests;
+  ApplyLog Log;
+
+  obs::Counter *CtrDepStall = nullptr;
+  obs::Counter *CtrCrossEpochDrop = nullptr;
+  obs::Counter *CtrCrossEpochApply = nullptr;
+};
+
+} // namespace runtime
+} // namespace hamband
+
+#endif // HAMBAND_RUNTIME_CONFCHANNEL_H

@@ -96,13 +96,6 @@ public:
     return Outstanding.load(std::memory_order_acquire);
   }
 
-  /// Outstanding *update* calls only. Queries keep flowing during a
-  /// membership transition, so drain-style checks look at updates, not
-  /// at outstanding().
-  std::uint64_t updatesOutstanding() const {
-    return OutstandingUpdates.load(std::memory_order_acquire);
-  }
-
   /// Outstanding updates whose origin node is still alive. A call
   /// submitted at a node that later hard-crashes never completes (its
   /// callback died with the node), so the reconfiguration drain stage
@@ -229,7 +222,6 @@ private:
   std::vector<std::unique_ptr<HambandNode>> Nodes;
   std::vector<bool> Failed;
   std::atomic<std::uint64_t> Outstanding{0};
-  std::atomic<std::uint64_t> OutstandingUpdates{0};
   std::unique_ptr<std::atomic<std::uint64_t>[]> OutstandingPer;
   /// Per-origin update counts backing liveUpdatesOutstanding().
   std::unique_ptr<std::atomic<std::uint64_t>[]> OutstandingUpdatesPer;

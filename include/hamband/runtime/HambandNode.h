@@ -15,18 +15,18 @@
 ///     as delta / full-image frames over the F rings;
 ///  3. irreducible conflict-free calls apply locally and are appended to
 ///     the remote F rings;
-///  4. conflicting calls go to the synchronization group's Mu consensus
-///     instance -- local calls directly when this node leads, otherwise
-///     through a single-writer mailbox ring to the leader.
+///  4. conflicting calls go to the ConfChannel: ordered by the group's Mu
+///     leader (here, or through a mailbox ring), answered through one
+///     request table.
 ///
 /// Each flush takes the summary channel's writes for its dirty groups,
 /// adds the free-call record and stages one FlushImage in the backup slot
-/// (reliable broadcast). The node owns the applied-counts table A and the
-/// visible-state cache; the summary channel changes them through one hook.
+/// (reliable broadcast). The node owns the CPU lanes, A, the stored state
+/// and the visible-state cache; the channels reach them through hooks.
 ///
-/// Two logical poller threads (one CPU lane here) traverse the F and L
-/// buffers and apply calls whose dependency arrays are satisfied by A;
-/// summary records and slots go to the summary channel.
+/// Two logical poller threads (one CPU lane here) traverse the buffers and
+/// apply free calls whose dependency arrays are satisfied by A; the
+/// channels poll their own slots, L rings and mailboxes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +35,9 @@
 
 #include "hamband/core/ObjectType.h"
 #include "hamband/obs/Metrics.h"
+#include "hamband/runtime/ConfChannel.h"
 #include "hamband/runtime/HeartbeatDetector.h"
 #include "hamband/runtime/MemoryMap.h"
-#include "hamband/runtime/MuConsensus.h"
 #include "hamband/runtime/Reconfig.h"
 #include "hamband/runtime/ReliableBroadcast.h"
 #include "hamband/runtime/RingBuffer.h"
@@ -46,10 +46,7 @@
 #include "hamband/runtime/WireFormat.h"
 
 #include <deque>
-#include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace hamband {
 namespace runtime {
@@ -186,12 +183,8 @@ public:
   /// True when no buffered or pending work remains at this node.
   bool idle() const;
 
-  /// Current leader of \p Group as known by this node.
-  rdma::NodeId knownLeader(unsigned Group) const;
-
-  MuConsensus *consensus(unsigned Group) {
-    return Group < Consensus.size() ? Consensus[Group].get() : nullptr;
-  }
+  /// The conflicting-call path (leaders, consensus, log positions).
+  ConfChannel &conf() { return *Conf; }
   HeartbeatDetector &detector() { return *Detector; }
   ReliableBroadcast &broadcast() { return *Broadcast; }
 
@@ -201,25 +194,18 @@ public:
 
   /// This node's metrics registry (all its rings, broadcast and consensus
   /// instances feed into it) and a frozen copy of it.
-  obs::Registry &stats() { return Stats; }
   obs::StatsSnapshot statsSnapshot() const { return Stats.snapshot(); }
 
-  /// Diagnostic sizes of the pending structures (tests, stall debugging).
+  /// Diagnostic size of the pending free calls (tests, stall debugging).
   std::size_t pendingFreeTotal() const;
-  std::size_t pendingConfTotal() const;
-  std::size_t leaderQueueTotal() const;
-  std::size_t awaitingResponseCount() const {
-    return AwaitingResponse.size();
-  }
 
   /// Apply-order logs (only populated under Cfg.RecordApplyLog): the
   /// (issuer, request) sequence this node applied per consensus group, and
   /// the request sequence applied per issuing process on the broadcast
   /// path (local applies included). The explorer's agreement oracles
   /// compare these across nodes.
-  const std::vector<std::vector<std::pair<ProcessId, RequestId>>> &
-  confApplyLog() const {
-    return ConfApplyLog;
+  const ConfChannel::ApplyLog &confApplyLog() const {
+    return Conf->applyLog();
   }
   const std::vector<std::vector<RequestId>> &freeApplyLog() const {
     return FreeApplyLog;
@@ -303,83 +289,27 @@ public:
   void installMembership(const Membership &M, rdma::RegionKey NewKey,
                          const std::vector<std::uint64_t> &ConfNext);
 
-  /// Contiguously received L-ring position of \p Group; after a drain
-  /// every member agrees on it, and the coordinator captures it as the
-  /// post-transition log index (docs/reconfig.md).
-  std::uint64_t confReceivedContig(unsigned Group) const {
-    return ConfReceivedContig[Group];
-  }
-
 private:
-  struct PendingConfRequest {
-    Call TheCall;
-    SubmitCallback Done;
-    unsigned Group = 0;
-    sim::SimTime SentAt = 0;
-    rdma::NodeId SentTo = 0;
-    /// Leader-side: give up waiting for permissibility after this time
-    /// (0 = not yet assigned).
-    sim::SimTime WaitDeadline = 0;
-  };
-
   // Request paths.
   void handleQuery(const Call &C, SubmitCallback Done);
   void handleReduce(Call C, SubmitCallback Done);
   void handleFree(Call C, SubmitCallback Done);
-  void handleConf(Call C, SubmitCallback Done);
-  /// Posts a ConfRequest for \p C to \p Leader's mailbox.
-  void sendConfRequest(rdma::NodeId Leader, const Call &C);
-  /// Leader-side processing of a conflicting call (local or forwarded).
-  /// \p WaitDeadline carries the permissibility-wait deadline across
-  /// retries (0 on first arrival).
-  void leaderProcessConf(unsigned Group, ProcessId Origin, RequestId ReqId,
-                         Call C, SubmitCallback LocalDone,
-                         sim::SimTime WaitDeadline = 0);
-  /// Parks a conflicting call in the group's leader queue for a retry
-  /// from the poller.
-  void queueAtLeader(unsigned G, ProcessId Origin, Call C,
-                     SubmitCallback LocalDone, sim::SimTime WaitDeadline);
-  void retryLeaderQueue(unsigned Group);
-  /// Leader-side outcome of a conflicting call.
-  enum class ConfOutcome : std::uint8_t {
-    /// Rejected: impermissible; terminal for the client.
-    Rejected = 0,
-    /// Committed by a majority.
-    Committed = 1,
-    /// This node cannot decide (deposed / epoch changed); the origin
-    /// should retry against the current leader.
-    Retry = 2,
-  };
-  void respondConf(ProcessId Origin, RequestId ReqId, ConfOutcome Outcome,
-                   SubmitCallback LocalDone);
-  /// Re-sends timed-out redirected calls to the (possibly new) leader.
-  void checkConfTimeouts();
 
   // Poller.
   void schedulePoll();
   void pollOnce();
   unsigned pollFreeRings();
-  unsigned pollConfRings();
-  unsigned pollMailboxes();
   unsigned applyPendingFree();
-  unsigned applyPendingConf();
-  void handleMail(ProcessId From, const MailMsg &Msg);
 
   // State helpers.
-  void markVisibleDirty() { VisibleDirty = true; }
   void applyToStored(const Call &C);
-  bool depsSatisfied(const semantics::DepMap &D) const;
-  semantics::DepMap projectDeps(MethodId U) const;
   /// The summary channel's hook: raises \p Src's applied counts to \p C
   /// and absorbs \p Delta into the visible cache (nullptr: invalidate).
   void summaryChanged(ProcessId Src, const SummaryChannel::Counts &C,
                       const Call *Delta);
-  /// First in-service node of group \p G's leader rotation.
-  rdma::NodeId homeLeader(unsigned G) const;
   /// Hash of the replicated state (visible state, applied table, received
   /// log positions) seeded with \p Seed: the prefix both digests share.
   std::uint64_t replicatedStateHash(std::uint64_t Seed);
-  void bumpConfContig(unsigned Group);
 
   // Broadcast recovery.
   void onPeerSuspected(rdma::NodeId Peer);
@@ -418,19 +348,6 @@ private:
   /// Effective byte cap for the encoded free-batch record.
   std::size_t freeBatchCapBytes() const;
 
-  /// Records waiting for ring space, drained strictly head-first.
-  struct OutboundQueue;
-  /// Enqueues one record for ring \p W and drains \p Q head-first. The
-  /// F-ring chunk-reassembly rules, the FreeSeqNext dedup cursor and the
-  /// mailbox request order all assume a ring is FIFO per writer, so a full
-  /// ring must STALL the stream, never reorder it: independent per-record
-  /// retries would let a retried record land after a later one.
-  void appendOrdered(RingWriter &W, OutboundQueue &Q,
-                     std::vector<std::uint8_t> Bytes, rdma::CompletionFn Done);
-  /// Appends queued records until the ring fills; re-arms a retry timer
-  /// while records remain.
-  void drainOutbound(RingWriter &W, OutboundQueue &Q);
-
   rdma::Transport &Fabric;
   rdma::NodeId Self;
   const ObjectType &Type;
@@ -445,7 +362,6 @@ private:
   obs::Counter *CtrCallFree = nullptr;
   obs::Counter *CtrCallConf = nullptr;
   obs::Counter *CtrDepStallFree = nullptr;
-  obs::Counter *CtrDepStallConf = nullptr;
   obs::Counter *CtrRecovered = nullptr;
   obs::Histogram *HistRespNs = nullptr;
   obs::Gauge *GaugePendingFree = nullptr;
@@ -460,49 +376,19 @@ private:
   /// Summaries per (sum group, source) and their propagation.
   SummaryChannel Sums;
 
-  // Rings.
+  // F rings; a full ring holds its writer's stream (appendOrdered).
   std::vector<std::unique_ptr<RingReader>> FreeReaders;  // [issuer]
   std::vector<std::unique_ptr<RingWriter>> FreeWriters;  // [peer]
-  struct OutboundRecord {
-    std::vector<std::uint8_t> Bytes;
-    rdma::CompletionFn Done;
-  };
-  struct OutboundQueue {
-    std::deque<OutboundRecord> Records;
-    /// Whether a retry timer is already armed for this queue.
-    bool RetryArmed = false;
-  };
-  /// Outbound records per peer ring (see appendOrdered).
-  std::vector<OutboundQueue> FreeOutbound; // [peer]
-  std::vector<std::unique_ptr<RingReader>> ConfReaders;  // [group]
-  std::vector<std::unique_ptr<RingReader>> MailReaders;  // [peer]
-  std::vector<std::unique_ptr<RingWriter>> MailWriters;  // [peer]
-  std::vector<OutboundQueue> MailOutbound;               // [peer]
 
-  // Pending (received, unapplied) calls.
-  std::vector<std::deque<WireCall>> FreePending;            // [issuer]
-  std::vector<std::map<std::uint64_t, WireCall>> ConfPending; // [group]
-  std::vector<std::uint64_t> ConfReceivedContig; // [group]
-  std::vector<std::uint64_t> ConfAppliedIdx;     // [group]
-  std::vector<std::unordered_set<RequestId>> ConfSeen; // [group] dedup
-  /// Conflicting calls this (leader) node appended but not yet applied,
-  /// used for speculative permissibility checks.
-  std::vector<std::deque<Call>> LeaderSpeculative; // [group]
-  /// Leader-side queue when the consensus instance is busy/full.
-  std::vector<std::deque<PendingConfRequest>> LeaderQueue; // [group]
-
-  // Redirected conflicting calls awaiting a response.
-  std::unordered_map<RequestId, PendingConfRequest> AwaitingResponse;
-
-  // Apply-order logs (Cfg.RecordApplyLog only; see confApplyLog()).
-  std::vector<std::vector<std::pair<ProcessId, RequestId>>>
-      ConfApplyLog;                                  // [group]
+  /// Received, unapplied free calls.
+  std::vector<std::deque<WireCall>> FreePending; // [issuer]
+  /// Apply-order log (Cfg.RecordApplyLog only; see freeApplyLog()).
   std::vector<std::vector<RequestId>> FreeApplyLog;  // [issuer]
 
   // Components.
   std::unique_ptr<HeartbeatDetector> Detector;
   std::unique_ptr<ReliableBroadcast> Broadcast;
-  std::vector<std::unique_ptr<MuConsensus>> Consensus; // [group]
+  std::unique_ptr<ConfChannel> Conf;
 
   // Broadcast bookkeeping.
   std::uint64_t BcastSeqOut = 0;

@@ -22,6 +22,9 @@
 /// missing entries from the most advanced acker -- consumed ring cells
 /// keep their bytes until the writer laps) and resumes as leader.
 /// Therefore at most one node can ever append to a majority of L rings.
+/// The leader is the lowest-id candidate of the highest epoch. The instance
+/// owns its L-ring writers and this node's L-ring reader; every entry it
+/// learns, read or caught up, reaches the node through one delivery hook.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,15 +50,11 @@ public:
     /// Contiguous count of this group's entries this node has received
     /// (applied + buffered). The leader reports its append index.
     std::function<std::uint64_t()> ReceivedCount;
-    /// Delivers a caught-up entry payload into the node's processing path.
+    /// Delivers entry \p Index, read from the L ring or caught up.
     std::function<void(std::uint64_t Index, std::vector<std::uint8_t>)>
         DeliverEntry;
-    /// Reads the payload of entry \p Index from this node's own L ring
-    /// (consumed cells included). Empty optional when overwritten.
-    std::function<bool(std::uint64_t Index, std::vector<std::uint8_t> &)>
-        ReadLocalEntry;
-    /// Fired when this node adopts a new leader (possibly itself). The
-    /// node redirects its L-ring reader and re-posts head feedback.
+    /// Fired when this node adopts a new leader (possibly itself), after
+    /// the L-ring reader followed it.
     std::function<void(rdma::NodeId NewLeader)> LeaderChanged;
     /// Whether the local failure detector currently suspects a node. A
     /// candidate waits for acks from every unsuspected node (single
@@ -63,25 +62,22 @@ public:
     std::function<bool(rdma::NodeId)> IsSuspected;
   };
 
-  /// \p ActiveMask restricts the group to a subset of the provisioned
-  /// nodes (per-node flags; empty means all active). Inactive nodes are
-  /// excluded from replication targets, majorities and campaign quorums
-  /// (docs/reconfig.md).
+  /// Denies L-ring write permission on this node to everyone but
+  /// \p InitialLeader. \p ActiveMask restricts the group to a subset of
+  /// the provisioned nodes (per-node flags; empty means all active).
+  /// Inactive nodes are excluded from replication targets, majorities and
+  /// campaign quorums (docs/reconfig.md).
   MuConsensus(rdma::Transport &Fabric, rdma::NodeId Self, unsigned Group,
               rdma::NodeId InitialLeader, const MemoryMap &Map,
               rdma::RegionKey LogKey, Hooks TheHooks,
               std::vector<std::uint8_t> ActiveMask = {});
 
   rdma::NodeId currentLeader() const { return Leader; }
-  bool isLeader() const { return Leader == Self && !CatchingUp; }
+  bool isLeader() const { return Leader == Self && !CatchingUp && !Refused; }
   std::uint64_t epoch() const { return Epoch; }
   std::uint64_t nextIndex() const { return NextIndex; }
-  unsigned group() const { return Group; }
-  rdma::RegionKey logKey() const { return LogKey; }
-
-  /// Must run once on every node after construction: deny L-ring write
-  /// permission to everyone but the initial leader.
-  void installInitialPermissions();
+  /// Position of this node's L-ring reader.
+  std::uint64_t logHead() const { return Reader.head(); }
 
   /// True when leaderAppend would accept an entry right now (ready leader
   /// and no follower ring is full).
@@ -90,7 +86,8 @@ public:
   /// Leader-only: replicates \p EntryBytes as the next log entry.
   /// \p OnCommitted fires with true once a majority of follower writes
   /// completed (the leader's own copy counts toward the majority), or
-  /// false when the append cannot commit (lost leadership). Returns false
+  /// false when the append cannot commit (lost leadership; the instance
+  /// then appends nothing more until its next view change). Returns false
   /// without posting anything when this node is not the (ready) leader or
   /// a follower ring is full (caller retries).
   bool leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
@@ -99,12 +96,6 @@ public:
   /// Failure-detector hook: if \p Peer is the current leader, campaign.
   void onPeerSuspected(rdma::NodeId Peer);
 
-  /// Replaces the active-node mask (membership installation). Writers to
-  /// now-inactive followers are dropped; a newly active follower gains a
-  /// writer on the next adoptLeadership (the join protocol always follows
-  /// a mask change with one).
-  void setActiveMask(std::vector<std::uint8_t> Mask);
-
   /// True when \p Node participates in this group's quorums.
   bool isActive(rdma::NodeId Node) const {
     return Active.empty() || Active[Node] != 0;
@@ -112,13 +103,17 @@ public:
 
   /// Deterministic leadership handoff during a membership installation:
   /// every member calls this with the same (NewLeader, LogIndex) computed
-  /// from the drained, agreed state, so no campaign round is needed. Bumps
-  /// the consensus epoch (failing any in-flight appends of the old
-  /// leadership), swaps L-ring write permission on this node's own ring,
-  /// and -- on the new leader -- resumes appending at \p LogIndex with
-  /// writers to every active follower. A no-op epoch-wise when the leader
-  /// is unchanged; still (re)creates the writer to a joiner.
-  void adoptLeadership(rdma::NodeId NewLeader, std::uint64_t LogIndex);
+  /// from the drained, agreed state, so no campaign round is needed.
+  /// Installs the new \p ActiveMask, bumps the consensus epoch (failing
+  /// any in-flight appends of the old leadership), swaps L-ring write
+  /// permission on this node's own ring, and -- on the new leader --
+  /// resumes appending at \p LogIndex with fresh writers to every active
+  /// follower. A no-op epoch-wise when the leader is unchanged.
+  void adoptLeadership(rdma::NodeId NewLeader, std::uint64_t LogIndex,
+                       std::vector<std::uint8_t> ActiveMask);
+
+  /// Delivers up to 64 entries from this node's L ring; returns how many.
+  unsigned pollLog();
 
   /// Periodic poll (on the node's poller loop): observe proposals, grant
   /// permissions and ack; as a candidate, count acks and take over.
@@ -143,6 +138,8 @@ private:
                                 rdma::NodeId MaxHolder);
   void replicateMissingToFollowers();
   RingWriter &writerTo(rdma::NodeId Follower);
+  /// Re-aims the L-ring reader at the leader, from the received count.
+  void followLeader();
 
   rdma::Transport &Fabric;
   rdma::NodeId Self;
@@ -160,7 +157,11 @@ private:
   /// Leader state.
   std::uint64_t NextIndex = 0;
   bool CatchingUp = false;
+  /// A majority refused an append of this view (permission revoked):
+  /// append nothing more until a new view.
+  bool Refused = false;
   std::map<rdma::NodeId, std::unique_ptr<RingWriter>> Writers;
+  RingReader Reader; // Follower state: this node's own L ring.
   /// Candidate state.
   bool Campaigning = false;
   std::uint64_t CampaignEpoch = 0;

@@ -154,8 +154,6 @@ public:
   /// abort.
   bool start(std::vector<std::uint8_t> TargetActive, DoneFn Done);
 
-  bool inProgress() const { return InProgress.load(std::memory_order_acquire); }
-
   /// The installed membership. Stable only while no transition is in
   /// progress (read it from the DoneFn or between transitions).
   const Membership &membership() const { return Current; }

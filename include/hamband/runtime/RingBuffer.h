@@ -30,6 +30,7 @@
 #include "hamband/rdma/Transport.h"
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 namespace hamband {
@@ -118,10 +119,18 @@ public:
   /// so writes straggling from the fenced epoch fault with AccessError
   /// (docs/reconfig.md).
   void setRegionKey(rdma::RegionKey K) { Key = K; }
-  rdma::RegionKey regionKey() const { return Key; }
 
-  rdma::NodeId reader() const { return Reader; }
-  rdma::NodeId writer() const { return Writer; }
+  /// Appends \p Payload (as appendRecord) behind every record still held
+  /// back. F-ring chunk reassembly, the FreeSeqNext dedup cursor and the
+  /// mailbox request order assume a ring is FIFO per writer, so a full
+  /// ring STALLS the stream, never reorders it; held records drain
+  /// head-first from a writer-node timer every \p RetryAfter.
+  void appendOrdered(std::vector<std::uint8_t> Payload,
+                     rdma::CompletionFn OnComplete,
+                     sim::SimDuration RetryAfter);
+
+  /// Records appendOrdered() holds back until the ring has room.
+  std::size_t queued() const { return Held.size(); }
 
   /// Wires this ring into the owning node's metrics (ring.append,
   /// ring.full_stall, ring.wrap, ring.span_append, ring.pad_cells,
@@ -130,6 +139,9 @@ public:
   void attachStats(obs::Registry &R);
 
 private:
+  /// Appends held records until the ring fills, re-arming the timer.
+  void drainHeld(sim::SimDuration RetryAfter);
+
   obs::Counter *CtrAppend = nullptr;
   obs::Counter *CtrFullStall = nullptr;
   obs::Counter *CtrWrap = nullptr;
@@ -146,6 +158,12 @@ private:
   rdma::RegionKey Key;
   unsigned Lane;
   std::uint64_t Tail = 0;
+  struct HeldRecord {
+    std::vector<std::uint8_t> Payload;
+    rdma::CompletionFn OnComplete;
+  };
+  std::deque<HeldRecord> Held;
+  bool RetryArmed = false;
 };
 
 /// The reader's end of a single-writer ring in its own memory.
@@ -181,14 +199,10 @@ public:
   /// change).
   void setWriter(rdma::NodeId NewWriter) { Writer = NewWriter; }
 
-  /// Reads a raw cell payload by absolute index (used by a new leader for
-  /// catch-up reads of its own log copy). Returns false if the cell's
-  /// canary is clear or its sequence number mismatches.
-  bool readCell(std::uint64_t Index, std::vector<std::uint8_t> &Out) const;
-
-  /// Like readCell but ignores the canary: a *consumed* cell's bytes stay
-  /// valid until the writer laps the ring, which is what leader-change
-  /// catch-up relies on.
+  /// Reads the single-cell record at absolute \p Index whatever its
+  /// canary: a *consumed* cell's bytes stay valid until the writer laps
+  /// the ring, which is what leader-change catch-up relies on. False when
+  /// the cell's sequence number mismatches.
   bool readCellIgnoringCanary(std::uint64_t Index,
                               std::vector<std::uint8_t> &Out) const;
 

@@ -84,9 +84,6 @@ public:
     return Keyed.coordination().numSyncGroups();
   }
 
-  /// The keyed object class every shard replicates.
-  const KeyedObjectType &keyedType() const { return Keyed; }
-
   void start();
 
   HambandNode &node(unsigned Shard, rdma::NodeId Id) {

@@ -95,6 +95,15 @@ struct WireCall {
   std::uint32_t Epoch = 0;
 };
 
+/// The dependency array of a call of \p U: the nonzero A(q, u') per Dep(u).
+semantics::DepMap projectDeps(const CoordinationSpec &Spec,
+                              const std::vector<std::vector<std::uint64_t>> &A,
+                              MethodId U);
+
+/// True when \p A covers every count in \p D.
+bool depsSatisfied(const std::vector<std::vector<std::uint64_t>> &A,
+                   const semantics::DepMap &D);
+
 /// Serializes a call with its dependency arrays. The layout is:
 ///   u16 method, u16 argc, u32 issuer, u64 req, u64 bcastSeq, u32 epoch,
 ///   i64 args[argc], u64 depCounts[|P| * |Dep(method)|]

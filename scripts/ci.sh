@@ -6,12 +6,13 @@
 # (plus a delta-mode exploration), the end-to-end benchmark smoke
 # (bench/e2e's own build and ctests), a TSan flavor (threaded obs mutation,
 # shm ring stress, the shm transport conformance corpus, the shm sharded
-# keyspace corpus, and the shm delta corpus), and lint.
+# keyspace corpus, and the shm delta corpus), an ASan+UBSan+LSan pass of
+# the whole ctest suite, and lint.
 #
 # Usage: scripts/ci.sh [build-dir]
 #   HAMBAND_SANITIZE=ON|address|thread  configure with ASan+UBSan or TSan
 #   FUZZ_RUNS=N                         fuzz schedule count (default 50)
-#   SKIP_TSAN=1                         skip the TSan smoke build
+#   SKIP_TSAN=1                         skip the TSan and ASan builds
 
 set -euo pipefail
 
@@ -184,6 +185,17 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
     --gtest_filter='*shm_*:*FaultInjectionIsSimOnly*'
   "$BUILD-tsan/tests/delta_tests" --gtest_filter='*shm_*'
   "$BUILD-tsan/tests/reconfig_tests"
+fi
+
+# ASan flavor: the whole ctest suite under ASan+UBSan, whose LeakSanitizer
+# fails any test binary that leaks (self-rescheduling closures must hold
+# themselves through a weak_ptr or a reference, never their own
+# shared_ptr). A separate build tree, like the TSan one.
+if [ "${SKIP_TSAN:-0}" != "1" ]; then
+  echo "ci: ASan+UBSan+LSan ctest pass"
+  cmake -B "$BUILD-asan" -S "$REPO" -DHAMBAND_SANITIZE=address
+  cmake --build "$BUILD-asan" -j"$(nproc)"
+  ctest --test-dir "$BUILD-asan" --output-on-failure -j"$(nproc)"
 fi
 
 # Lint: no-op (with a notice) when clang-tidy is not installed.

@@ -14,6 +14,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace hamband;
@@ -302,6 +303,24 @@ RunOutcome explore::runSchedule(const RunSpec &Cfg,
           }
         }
       }
+    }
+    // Client outcomes: a conflicting or irreducible conflict-free call
+    // answered Ok is in the reference replica's apply log; a terminally
+    // rejected one is in none (reducible calls log nothing).
+    if (Ref >= 0) {
+      std::set<RequestId> Logged;
+      for (const auto &Group : C.node(Ref).confApplyLog())
+        for (const auto &[Issuer, Req] : Group)
+          Logged.insert(Req);
+      for (const auto &Reqs : C.node(Ref).freeApplyLog())
+        Logged.insert(Reqs.begin(), Reqs.end());
+      for (const Issue &I : Issued)
+        if (Spec.category(I.TheCall.Method) != MethodCategory::Reducible &&
+            (I.Status == 1 || I.Status == 2) &&
+            (I.Status == 1) != (Logged.count(I.TheCall.Req) != 0))
+          Fail("call " + std::to_string(I.TheCall.Req) +
+               (I.Status == 1 ? " answered Ok but never applied"
+                              : " rejected but applied"));
     }
     // Ring-record integrity: a live writer/reader pair agrees on the
     // number of consumed free-ring cells once the cluster is quiescent.

@@ -1,0 +1,414 @@
+//===- runtime/ConfChannel.cpp - Conflicting-call path --------------------===//
+//
+// Part of the Hamband reproduction project. MIT license.
+//
+//===----------------------------------------------------------------------===//
+
+#include "hamband/runtime/ConfChannel.h"
+#include "hamband/runtime/HambandNode.h"
+
+#include <cassert>
+
+using namespace hamband;
+using namespace hamband::runtime;
+
+ConfChannel::ConfChannel(
+    rdma::Transport &Fabric, rdma::NodeId Self, const ObjectType &Type,
+    const MemoryMap &Map, const HambandConfig &Cfg,
+    const std::vector<rdma::RegionKey> &ConfKeys,
+    const std::vector<std::uint8_t> &Active,
+    const std::vector<std::vector<std::uint64_t>> &Applied,
+    const std::uint32_t &Epoch, const HeartbeatDetector &Detector,
+    obs::Registry &Stats, NodeHooks Hooks)
+    : Fabric(Fabric), Self(Self), Type(Type), Spec(Type.coordination()),
+      Cfg(Cfg), Applied(Applied), Epoch(Epoch), Hooks(std::move(Hooks)) {
+  unsigned N = Fabric.numNodes();
+  unsigned Groups = Spec.numSyncGroups();
+  assert(ConfKeys.size() == Groups && "one region key per sync group");
+  CtrDepStall = &Stats.counter("node.dep_stall.conf");
+  CtrCrossEpochDrop = &Stats.counter("reconfig.cross_epoch_drop");
+  CtrCrossEpochApply = &Stats.counter("reconfig.cross_epoch_apply");
+  Pending.resize(Groups);
+  AppliedIdx.assign(Groups, 0);
+  Seen.resize(Groups);
+  Speculative.resize(Groups);
+  LeaderQueue.resize(Groups);
+  Log.resize(Groups);
+
+  MailReaders.resize(N);
+  MailWriters.resize(N);
+  for (rdma::NodeId J = 0; J < N; ++J) {
+    if (J == Self)
+      continue;
+    MailReaders[J] = std::make_unique<RingReader>(
+        Fabric, Self, J, Map.mailRingData(J), Map.mailRingFeedback(Self),
+        Map.mailGeom(), rdma::Transport::LanePoller);
+    MailWriters[J] = std::make_unique<RingWriter>(
+        Fabric, Self, J, Map.mailRingData(Self), Map.mailRingFeedback(J),
+        Map.mailGeom(), rdma::UnprotectedRegion, rdma::Transport::LaneClient);
+    MailReaders[J]->attachStats(Stats);
+    MailWriters[J]->attachStats(Stats);
+  }
+
+  for (unsigned G = 0; G < Groups; ++G) {
+    MuConsensus::Hooks H;
+    H.ReceivedCount = [this, G]() { return receivedContig(G); };
+    H.DeliverEntry = [this, G](std::uint64_t Idx,
+                               std::vector<std::uint8_t> Payload) {
+      WireCall WC;
+      bool Ok = decodeCall(Spec, this->Fabric.numNodes(), Payload.data(),
+                           Payload.size(), WC);
+      assert(Ok && "malformed L-ring entry");
+      if (Ok)
+        deliver(G, Idx, std::move(WC));
+    };
+    // Stale speculative entries belong to the deposed leadership; the
+    // permissibility window restarts from the applied state.
+    H.LeaderChanged = [this, G](rdma::NodeId NewLeader) {
+      if (NewLeader != this->Self)
+        Speculative[G].clear();
+    };
+    H.IsSuspected = [&Detector](rdma::NodeId P) {
+      return Detector.isSuspected(P);
+    };
+    Consensus.push_back(std::make_unique<MuConsensus>(
+        Fabric, Self, G, homeLeader(G, Active), Map, ConfKeys[G],
+        std::move(H), Active));
+    Consensus[G]->attachStats(Stats);
+  }
+}
+
+rdma::NodeId
+ConfChannel::homeLeader(unsigned G,
+                        const std::vector<std::uint8_t> &Active) const {
+  // The first in-service node from the group's rotation slot: every
+  // replica picks the same.
+  unsigned N = Fabric.numNodes();
+  for (unsigned K = 0; K < N; ++K) {
+    rdma::NodeId Cand = (G + Cfg.LeaderOffset + K) % N;
+    if (Active.empty() || Active[Cand] != 0)
+      return Cand;
+  }
+  return (G + Cfg.LeaderOffset) % N;
+}
+
+void ConfChannel::start() {
+  if (Consensus.empty())
+    return;
+  Fabric.runAfter(Self, Cfg.ConfRetryTimeout, [this]() {
+    checkTimeouts();
+    start();
+  });
+}
+
+// -- Origin side -------------------------------------------------------------
+
+void ConfChannel::submit(const Call &C, SubmitCallback Done) {
+  const rdma::NetworkModel &M = Fabric.model();
+  rdma::NodeId Leader = knownLeader(groupOf(C));
+  Requests.emplace(C.Req, Request{C, std::move(Done), Fabric.now(), Leader});
+  // The leader parses and checks the call; a redirect only serializes it.
+  Fabric.runOnCpu(
+      Self, Leader == Self ? M.ParseCpu + M.ApplyCpu : M.ParseCpu,
+      [this, Leader, C]() mutable {
+        // Eager flush: earlier calls post their writes first, keeping the
+        // unbatched PropConfSync / PropDep order at the leader.
+        Hooks.Flush();
+        dispatch(Leader, std::move(C));
+      },
+      rdma::Transport::LaneClient);
+}
+
+void ConfChannel::dispatch(rdma::NodeId Leader, Call C) {
+  if (Leader == Self) {
+    unsigned G = groupOf(C);
+    sequence(G, Self, std::move(C), 0);
+    return;
+  }
+  MailMsg Msg;
+  Msg.Kind = MailKind::ConfRequest;
+  Msg.ReqId = C.Req;
+  Msg.TheCall = std::move(C);
+  mail(Leader, std::move(Msg));
+}
+
+void ConfChannel::mail(rdma::NodeId To, MailMsg Msg) {
+  Msg.Origin = Self;
+  Msg.Epoch = Epoch;
+  MailWriters[To]->appendOrdered(encodeMail(Msg), nullptr, Cfg.PollInterval);
+}
+
+void ConfChannel::route(RequestId Id) {
+  auto It = Requests.find(Id);
+  if (It == Requests.end())
+    return;
+  Request &R = It->second;
+  R.SentAt = Fabric.now();
+  R.SentTo = knownLeader(groupOf(R.TheCall));
+  dispatch(R.SentTo, R.TheCall); // May answer, and erase R, at once.
+}
+
+void ConfChannel::checkTimeouts() {
+  sim::SimTime Now = Fabric.now();
+  std::vector<RequestId> Due;
+  for (const auto &[Id, R] : Requests)
+    if (R.SentTo != Self && Now - R.SentAt >= Cfg.ConfRetryTimeout)
+      Due.push_back(Id);
+  for (RequestId Id : Due)
+    route(Id);
+}
+
+void ConfChannel::onAnswer(RequestId Id, ConfOutcome Outcome) {
+  auto It = Requests.find(Id);
+  if (It == Requests.end())
+    return; // Duplicate answer (e.g. after a re-route); already completed.
+  if (Outcome == ConfOutcome::Retry) {
+    route(Id); // Only the current leader can decide.
+    return;
+  }
+  SubmitCallback Done = std::move(It->second.Done);
+  Requests.erase(It);
+  if (Done)
+    Done(Outcome == ConfOutcome::Committed, 0);
+}
+
+// -- Leader side -------------------------------------------------------------
+
+void ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
+                           sim::SimTime WaitDeadline) {
+  MuConsensus &Mu = *Consensus[G];
+  RequestId Id = C.Req;
+  if (Mu.currentLeader() != Self) {
+    answer(Origin, Id, ConfOutcome::Retry);
+    return;
+  }
+  if (Seen[G].count(Id)) {
+    answer(Origin, Id, ConfOutcome::Committed);
+    return;
+  }
+  if (!Mu.canAppend()) {
+    // Catching up after an election, refused in this view, or a follower
+    // ring momentarily full: retry from the poller.
+    LeaderQueue[G].push_back({std::move(C), Origin, Fabric.now(), 0});
+    return;
+  }
+
+  // Speculative permissibility: the call must keep the invariant after
+  // every already-appended (but not yet applied) call of this group.
+  const ObjectState &S = Hooks.Visible();
+  Call Prepared = Type.prepare(S, C);
+  if (!Type.invariantAfter(S, Speculative[G], Prepared)) {
+    // Not (yet) permissible. A dependent call may become permissible once
+    // its dependencies are delivered (e.g. worksOn waiting for its
+    // addProject), so hold it briefly before rejecting -- this wait is
+    // what makes dependent methods slower in Figure 11(b).
+    sim::SimTime Now = Fabric.now();
+    if (WaitDeadline == 0)
+      WaitDeadline = Now + Cfg.PermissibilityWait;
+    if (Now >= WaitDeadline)
+      answer(Origin, Id, ConfOutcome::Rejected);
+    else
+      LeaderQueue[G].push_back({std::move(C), Origin, Now, WaitDeadline});
+    return;
+  }
+
+  // The leader becomes the issuing process of the ordered call (the
+  // request id keeps end-to-end identity for deduplication).
+  Prepared.Issuer = Self;
+  WireCall WC{Prepared, projectDeps(Spec, Applied, Prepared.Method),
+              Mu.nextIndex(), Epoch};
+  bool Posted = Mu.leaderAppend(
+      encodeCall(Spec, Fabric.numNodes(), WC),
+      [this, G, WC, Origin, Id, Term = Mu.epoch()](bool Committed) {
+        // A commit that lands after this node was deposed must not enter
+        // the log copy: the new leader's log decides the entry's fate.
+        // An append refused in this view is in no log this node knows
+        // of, so its dedup entry goes too.
+        if (!Committed || Consensus[G]->epoch() != Term) {
+          if (!Committed && Consensus[G]->epoch() == Term)
+            Seen[G].erase(Id);
+          answer(Origin, Id, ConfOutcome::Retry);
+          return;
+        }
+        deliver(G, WC.BcastSeq, WC);
+        answer(Origin, Id, ConfOutcome::Committed);
+      });
+  assert(Posted && "canAppend() was checked above");
+  (void)Posted;
+  Seen[G].insert(Id);
+  Speculative[G].push_back(Prepared);
+  // Sequencing an entry occupies the leader beyond the raw verb posts.
+  Fabric.runOnCpu(Self, Fabric.model().ConsensusEntryCpu, []() {},
+                  rdma::Transport::LaneClient);
+}
+
+void ConfChannel::retryQueue(unsigned G) {
+  if (LeaderQueue[G].empty())
+    return;
+  std::deque<Queued> Snapshot;
+  Snapshot.swap(LeaderQueue[G]);
+  if (knownLeader(G) != Self) {
+    // Deposed: bounce every parked call so its origin retries against the
+    // new leader.
+    for (Queued &Q : Snapshot)
+      answer(Q.Origin, Q.TheCall.Req, ConfOutcome::Retry);
+    return;
+  }
+  // One pass per poll round; calls that still cannot proceed park again
+  // (with their original wait deadline).
+  sim::SimTime Now = Fabric.now();
+  for (Queued &Q : Snapshot) {
+    // Permissibility waiters are re-evaluated every few microseconds, not
+    // every poll tick.
+    if (Q.WaitDeadline != 0 && Now < Q.WaitDeadline &&
+        Now - Q.QueuedAt < sim::micros(5)) {
+      LeaderQueue[G].push_back(std::move(Q));
+      continue;
+    }
+    sequence(G, Q.Origin, std::move(Q.TheCall), Q.WaitDeadline);
+  }
+}
+
+void ConfChannel::answer(ProcessId Origin, RequestId Id,
+                         ConfOutcome Outcome) {
+  if (Origin == Self) {
+    onAnswer(Id, Outcome);
+    return;
+  }
+  MailMsg Msg;
+  Msg.Kind = MailKind::ConfResponse;
+  Msg.ReqId = Id;
+  Msg.Ok = static_cast<std::uint8_t>(Outcome);
+  mail(Origin, std::move(Msg));
+}
+
+// -- Poller ------------------------------------------------------------------
+
+unsigned ConfChannel::pollLog() {
+  unsigned Parsed = 0;
+  for (auto &Mu : Consensus)
+    Parsed += Mu->pollLog();
+  return Parsed;
+}
+
+unsigned ConfChannel::pollMailboxes(bool AcceptRequests) {
+  unsigned Parsed = 0;
+  std::vector<std::uint8_t> Bytes;
+  for (rdma::NodeId J = 0; J < Fabric.numNodes(); ++J) {
+    if (J == Self)
+      continue;
+    for (unsigned K = 0; K < 64 && MailReaders[J]->peek(Bytes); ++K) {
+      MailMsg Msg;
+      bool Ok = decodeMail(Bytes.data(), Bytes.size(), Msg);
+      MailReaders[J]->consume();
+      ++Parsed;
+      if (!Ok)
+        continue;
+      if (Msg.Kind == MailKind::ConfResponse) {
+        onAnswer(Msg.ReqId, static_cast<ConfOutcome>(Msg.Ok));
+        continue;
+      }
+      if (!AcceptRequests)
+        continue; // Dropped; the origin retries against the next leader.
+      if (Msg.Epoch != Epoch) {
+        // Cross-epoch request (mailboxes are unfenced): the origin
+        // re-resolves the leader under its installed epoch.
+        CtrCrossEpochDrop->add();
+        answer(Msg.Origin, Msg.ReqId, ConfOutcome::Retry);
+        continue;
+      }
+      if (Spec.category(Msg.TheCall.Method) != MethodCategory::Conflicting)
+        continue;
+      // The leader flushes its own pending batch so the ordered entry
+      // never overtakes this node's earlier unshipped calls.
+      Hooks.Flush();
+      sequence(groupOf(Msg.TheCall), Msg.Origin, std::move(Msg.TheCall), 0);
+    }
+  }
+  return Parsed;
+}
+
+void ConfChannel::deliver(unsigned G, std::uint64_t Index, WireCall WC) {
+  // Delivered entries count as seen, so a client retry of an already
+  // committed request is answered without re-appending it.
+  Seen[G].insert(WC.TheCall.Req);
+  Pending[G].emplace(Index, std::move(WC));
+}
+
+unsigned ConfChannel::applyPending() {
+  unsigned AppliedN = 0;
+  for (unsigned G = 0; G < Pending.size(); ++G) {
+    auto &M = Pending[G];
+    for (auto It = M.find(AppliedIdx[G]);
+         It != M.end() && depsSatisfied(Applied, It->second.Deps);
+         It = M.find(AppliedIdx[G])) {
+      const Call &C = It->second.TheCall;
+      if (It->second.Epoch != Epoch) {
+        // Delivered before an epoch install that the drain stage should
+        // have flushed; counted so the reconfig oracles can assert it
+        // never happens.
+        CtrCrossEpochApply->add();
+      } else {
+        Hooks.Apply(C);
+        logApplied(C);
+        if (C.Issuer == Self && !Speculative[G].empty() &&
+            Speculative[G].front() == C)
+          Speculative[G].pop_front();
+        ++AppliedN;
+      }
+      M.erase(It);
+      ++AppliedIdx[G];
+    }
+    if (M.count(AppliedIdx[G]))
+      CtrDepStall->add();
+  }
+  return AppliedN;
+}
+
+void ConfChannel::poll() {
+  for (unsigned G = 0; G < Consensus.size(); ++G) {
+    Consensus[G]->poll();
+    retryQueue(G);
+  }
+}
+
+void ConfChannel::onPeerSuspected(rdma::NodeId Peer) {
+  for (auto &Mu : Consensus)
+    Mu->onPeerSuspected(Peer);
+}
+
+// -- Membership reconfiguration ----------------------------------------------
+
+void ConfChannel::importLog(const std::vector<std::uint64_t> &Next) {
+  AppliedIdx = Next;
+}
+
+void ConfChannel::installMembership(const std::vector<std::uint8_t> &Active,
+                                    const std::vector<std::uint64_t> &Next) {
+  for (unsigned G = 0; G < Consensus.size(); ++G)
+    Consensus[G]->adoptLeadership(homeLeader(G, Active), Next[G], Active);
+}
+
+void ConfChannel::logApplied(const Call &C) {
+  if (Cfg.RecordApplyLog)
+    Log[groupOf(C)].push_back({C.Issuer, C.Req});
+}
+
+// -- Introspection -----------------------------------------------------------
+
+void ConfChannel::digest(
+    const std::function<void(std::uint64_t)> &Mix) const {
+  for (unsigned G = 0; G < Consensus.size(); ++G) {
+    Mix(AppliedIdx[G]);
+    Mix(Consensus[G]->logHead());
+    Mix(Pending[G].size());
+    Mix(LeaderQueue[G].size());
+    Mix(Speculative[G].size());
+    Mix(knownLeader(G));
+  }
+  for (const auto &R : MailReaders)
+    Mix(R ? R->head() : 0);
+  for (const auto &W : MailWriters)
+    Mix(W ? W->tail() : 0);
+  Mix(Requests.size());
+}

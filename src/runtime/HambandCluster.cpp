@@ -122,10 +122,8 @@ void HambandCluster::submit(rdma::NodeId Origin, const Call &C,
   bool IsUpdate =
       Type.coordination().category(C.Method) != MethodCategory::Query;
   Outstanding.fetch_add(1, std::memory_order_acq_rel);
-  if (IsUpdate) {
-    OutstandingUpdates.fetch_add(1, std::memory_order_acq_rel);
+  if (IsUpdate)
     OutstandingUpdatesPer[Origin].fetch_add(1, std::memory_order_acq_rel);
-  }
   OutstandingPer[Origin].fetch_add(1, std::memory_order_acq_rel);
   Trans->callOn(Origin, [this, Origin, C, IsUpdate,
                          Done = std::move(Done)]() {
@@ -133,11 +131,9 @@ void HambandCluster::submit(rdma::NodeId Origin, const Call &C,
         C, [this, Origin, IsUpdate, Done = std::move(Done)](bool Ok,
                                                             Value V) {
           Outstanding.fetch_sub(1, std::memory_order_acq_rel);
-          if (IsUpdate) {
-            OutstandingUpdates.fetch_sub(1, std::memory_order_acq_rel);
+          if (IsUpdate)
             OutstandingUpdatesPer[Origin].fetch_sub(1,
                                                     std::memory_order_acq_rel);
-          }
           OutstandingPer[Origin].fetch_sub(1, std::memory_order_acq_rel);
           if (Done)
             Done(Ok, V);
@@ -311,7 +307,7 @@ std::uint64_t HambandCluster::stateFingerprint() {
 rdma::NodeId HambandCluster::leaderOf(unsigned Group,
                                       rdma::NodeId Observer) const {
   assert(Observer < Nodes.size());
-  return Nodes[Observer]->knownLeader(Group);
+  return Nodes[Observer]->conf().knownLeader(Group);
 }
 
 obs::StatsSnapshot HambandCluster::statsSnapshot() const {

@@ -11,18 +11,8 @@
 
 using namespace hamband;
 using namespace hamband::runtime;
-using hamband::semantics::DepEntry;
-using hamband::semantics::DepMap;
 
 namespace {
-
-/// Total element count over a vector of per-peer/per-group queues.
-template <typename QueuesT> std::size_t totalSize(const QueuesT &Queues) {
-  std::size_t N = 0;
-  for (const auto &Q : Queues)
-    N += Q.size();
-  return N;
-}
 
 /// Folds \p V into the running state hash \p H.
 void mixHash(std::uint64_t &H, std::uint64_t V) {
@@ -65,14 +55,12 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSyncGroups();
   unsigned SumGroups = Spec.numSumGroups();
-  assert(ConfKeys.size() == Groups && "one region key per sync group");
 
   CtrCallQuery = &Stats.counter("node.calls.query");
   CtrCallReduce = &Stats.counter("node.calls.reducible");
   CtrCallFree = &Stats.counter("node.calls.free");
   CtrCallConf = &Stats.counter("node.calls.conflicting");
   CtrDepStallFree = &Stats.counter("node.dep_stall.free");
-  CtrDepStallConf = &Stats.counter("node.dep_stall.conf");
   CtrRecovered = &Stats.counter("bcast.recovered");
   HistRespNs = &Stats.histogram("node.resp_ns");
   GaugePendingFree = &Stats.gauge("node.pending_free");
@@ -109,21 +97,10 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   FreePending.resize(N);
   FreeSeqNext.assign(N, 0);
   SumBatchDone.resize(SumGroups);
-  ConfPending.resize(Groups);
-  ConfReceivedContig.assign(Groups, 0);
-  ConfAppliedIdx.assign(Groups, 0);
-  ConfSeen.resize(Groups);
-  LeaderSpeculative.resize(Groups);
-  LeaderQueue.resize(Groups);
-  ConfApplyLog.resize(Groups);
   FreeApplyLog.resize(N);
 
   FreeReaders.resize(N);
   FreeWriters.resize(N);
-  FreeOutbound.resize(N);
-  MailOutbound.resize(N);
-  MailReaders.resize(N);
-  MailWriters.resize(N);
   for (rdma::NodeId J = 0; J < N; ++J) {
     if (J == Self)
       continue;
@@ -133,63 +110,8 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
     FreeWriters[J] = std::make_unique<RingWriter>(
         Fabric, Self, J, Map.freeRingData(Self), Map.freeRingFeedback(J),
         Map.freeGeom(), DataKey, rdma::Transport::LaneClient);
-    MailReaders[J] = std::make_unique<RingReader>(
-        Fabric, Self, J, Map.mailRingData(J), Map.mailRingFeedback(Self),
-        Map.mailGeom(), rdma::Transport::LanePoller);
-    MailWriters[J] = std::make_unique<RingWriter>(
-        Fabric, Self, J, Map.mailRingData(Self), Map.mailRingFeedback(J),
-        Map.mailGeom(), rdma::UnprotectedRegion, rdma::Transport::LaneClient);
     FreeReaders[J]->attachStats(Stats);
     FreeWriters[J]->attachStats(Stats);
-    MailReaders[J]->attachStats(Stats);
-    MailWriters[J]->attachStats(Stats);
-  }
-
-  ConfReaders.resize(Groups);
-  Consensus.resize(Groups);
-  for (unsigned G = 0; G < Groups; ++G) {
-    rdma::NodeId InitialLeader = homeLeader(G);
-    ConfReaders[G] = std::make_unique<RingReader>(
-        Fabric, Self, InitialLeader, Map.confRingData(G),
-        Map.confRingFeedback(G, Self), Map.confGeom(),
-        rdma::Transport::LanePoller);
-    MuConsensus::Hooks Hooks;
-    Hooks.ReceivedCount = [this, G]() { return ConfReceivedContig[G]; };
-    Hooks.DeliverEntry = [this, G](std::uint64_t Idx,
-                                   std::vector<std::uint8_t> Payload) {
-      WireCall WC;
-      if (!decodeCall(Spec, this->Fabric.numNodes(), Payload.data(),
-                      Payload.size(), WC))
-        return;
-      // Adopted entries count as seen so a client retry of an already
-      // committed request is answered without re-appending it.
-      ConfSeen[G].insert(WC.TheCall.Req);
-      ConfPending[G].emplace(Idx, std::move(WC));
-      bumpConfContig(G);
-    };
-    Hooks.ReadLocalEntry = [this, G](std::uint64_t Idx,
-                                     std::vector<std::uint8_t> &Out) {
-      return ConfReaders[G]->readCellIgnoringCanary(Idx, Out);
-    };
-    Hooks.LeaderChanged = [this, G, Self](rdma::NodeId NewLeader) {
-      ConfReaders[G]->setWriter(NewLeader);
-      ConfReaders[G]->setHead(ConfReceivedContig[G]);
-      if (NewLeader != Self)
-        ConfReaders[G]->forceFeedback();
-      // Stale speculative entries belong to the deposed leadership; the
-      // permissibility window restarts from the applied state.
-      if (NewLeader != Self)
-        LeaderSpeculative[G].clear();
-    };
-    Hooks.IsSuspected = [this](rdma::NodeId Peer) {
-      return Detector->isSuspected(Peer);
-    };
-    ConfReaders[G]->attachStats(Stats);
-    Consensus[G] = std::make_unique<MuConsensus>(
-        Fabric, Self, G, InitialLeader, Map, ConfKeys[G], std::move(Hooks),
-        Active);
-    Consensus[G]->attachStats(Stats);
-    Consensus[G]->installInitialPermissions();
   }
 
   Detector = std::make_unique<HeartbeatDetector>(Fabric, Self,
@@ -202,6 +124,16 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
     for (rdma::NodeId P = 0; P < N; ++P)
       if (P != Self)
         Detector->setMonitored(P, activeNode(Self) && activeNode(P));
+  Conf = std::make_unique<ConfChannel>(
+      Fabric, Self, Type, Map, this->Cfg, ConfKeys, Active, Applied,
+      CurrentEpoch, *Detector, Stats,
+      ConfChannel::NodeHooks{
+          [this]() -> const ObjectState & { return visibleState(); },
+          [this](const Call &C) {
+            applyToStored(C);
+            Applied[C.Issuer][C.Method] += 1;
+          },
+          [this]() { flush(FlushCause::Conf); }});
   Broadcast = std::make_unique<ReliableBroadcast>(
       Fabric, Self, Map.backupSlot(), Cfg.BackupSlotBytes);
   Broadcast->attachStats(Stats);
@@ -220,21 +152,7 @@ void HambandNode::start() {
   Started = true;
   Detector->start();
   schedulePoll();
-  // Periodic scan for redirected conflicting calls that lost their leader.
-  // The pending event holds the only strong reference to the tick closure
-  // (the closure itself keeps a weak_ptr), so draining the event queue
-  // releases it.
-  if (Spec.numSyncGroups() > 0) {
-    auto Tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> Weak = Tick;
-    *Tick = [this, Weak]() {
-      checkConfTimeouts();
-      if (auto T = Weak.lock())
-        this->Fabric.runAfter(this->Self, Cfg.ConfRetryTimeout,
-                                          [T]() { (*T)(); });
-    };
-    Fabric.runAfter(Self, Cfg.ConfRetryTimeout, [Tick]() { (*Tick)(); });
-  }
+  Conf->start();
 }
 
 const ObjectState &HambandNode::visibleState() {
@@ -275,55 +193,16 @@ void HambandNode::applyToStored(const Call &C) {
     Type.apply(*VisibleCache, C);
 }
 
-DepMap HambandNode::projectDeps(MethodId U) const {
-  DepMap D;
-  for (MethodId Dep : Spec.dependencies(U))
-    for (ProcessId Q = 0; Q < Fabric.numNodes(); ++Q)
-      if (std::uint64_t Cnt = Applied[Q][Dep])
-        D.push_back(DepEntry{Q, Dep, Cnt});
-  return D;
-}
-
-bool HambandNode::depsSatisfied(const DepMap &D) const {
-  for (const DepEntry &E : D)
-    if (Applied[E.P][E.U] < E.Count)
-      return false;
-  return true;
-}
-
-rdma::NodeId HambandNode::knownLeader(unsigned Group) const {
-  assert(Group < Consensus.size());
-  return Consensus[Group]->currentLeader();
-}
-
-rdma::NodeId HambandNode::homeLeader(unsigned G) const {
-  // The first in-service node from the group's rotation slot. All nodes
-  // share the config and the membership, so every replica picks the same.
-  unsigned N = Fabric.numNodes();
-  for (unsigned K = 0; K < N; ++K) {
-    rdma::NodeId Cand = (G + Cfg.LeaderOffset + K) % N;
-    if (activeNode(Cand))
-      return Cand;
-  }
-  return (G + Cfg.LeaderOffset) % N;
-}
-
 std::size_t HambandNode::pendingFreeTotal() const {
-  return totalSize(FreePending);
-}
-
-std::size_t HambandNode::pendingConfTotal() const {
-  return totalSize(ConfPending);
-}
-
-std::size_t HambandNode::leaderQueueTotal() const {
-  return totalSize(LeaderQueue);
+  std::size_t N = 0;
+  for (const auto &Q : FreePending)
+    N += Q.size();
+  return N;
 }
 
 bool HambandNode::idle() const {
-  return BatchedPending == 0 && pendingFreeTotal() == 0 &&
-         pendingConfTotal() == 0 && leaderQueueTotal() == 0 &&
-         !Sums.hasBufferedFrames() && AwaitingResponse.empty();
+  return BatchedPending == 0 && pendingFreeTotal() == 0 && Conf->idle() &&
+         !Sums.hasBufferedFrames();
 }
 
 std::uint64_t HambandNode::replicatedStateHash(std::uint64_t Seed) {
@@ -340,16 +219,14 @@ std::uint64_t HambandNode::replicatedStateHash(std::uint64_t Seed) {
   for (const auto &Row : Applied)
     for (std::uint64_t V : Row)
       mixHash(H, V);
-  for (std::uint64_t V : ConfReceivedContig)
-    mixHash(H, V);
+  for (unsigned G = 0; G < Spec.numSyncGroups(); ++G)
+    mixHash(H, Conf->receivedContig(G));
   return H;
 }
 
 std::uint64_t HambandNode::stateDigest() {
   std::uint64_t H = replicatedStateHash(0x5bd1e9955bd1e995ull ^ Self);
   auto Mix = [&H](std::uint64_t V) { mixHash(H, V); };
-  for (std::uint64_t V : ConfAppliedIdx)
-    Mix(V);
   for (std::uint64_t V : FreeSeqNext)
     Mix(V);
   Mix(BcastSeqOut);
@@ -358,23 +235,9 @@ std::uint64_t HambandNode::stateDigest() {
     Mix(R ? R->head() : 0);
   for (const auto &W : FreeWriters)
     Mix(W ? W->tail() : 0);
-  for (const auto &R : ConfReaders)
-    Mix(R ? R->head() : 0);
-  for (const auto &R : MailReaders)
-    Mix(R ? R->head() : 0);
-  for (const auto &W : MailWriters)
-    Mix(W ? W->tail() : 0);
   for (const auto &Q : FreePending)
     Mix(Q.size());
-  for (const auto &M : ConfPending)
-    Mix(M.size());
-  for (const auto &Q : LeaderQueue)
-    Mix(Q.size());
-  for (const auto &Q : LeaderSpeculative)
-    Mix(Q.size());
-  Mix(AwaitingResponse.size());
-  for (unsigned G = 0; G < Consensus.size(); ++G)
-    Mix(knownLeader(G));
+  Conf->digest(Mix);
   Mix(OutOfService ? 1 : 0);
   Mix(BatchedPending);
   Mix(FreeBatchBytes);
@@ -425,7 +288,7 @@ void HambandNode::submit(const Call &C, SubmitCallback Done) {
     return;
   case MethodCategory::Conflicting:
     CtrCallConf->add();
-    handleConf(C, std::move(Done));
+    Conf->submit(C, std::move(Done));
     return;
   }
 }
@@ -484,7 +347,7 @@ void HambandNode::handleFree(Call C, SubmitCallback Done) {
 
         WireCall WC;
         WC.TheCall = P;
-        WC.Deps = projectDeps(P.Method);
+        WC.Deps = projectDeps(Spec, Applied, P.Method);
         WC.BcastSeq = BcastSeqOut++;
         WC.Epoch = CurrentEpoch;
         std::vector<std::uint8_t> Bytes =
@@ -500,243 +363,6 @@ void HambandNode::handleFree(Call C, SubmitCallback Done) {
         noteEnqueued();
       },
       rdma::Transport::LaneClient);
-}
-
-void HambandNode::handleConf(Call C, SubmitCallback Done) {
-  unsigned G = *Spec.syncGroup(C.Method);
-  const rdma::NetworkModel &M = Fabric.model();
-  rdma::NodeId Leader = Consensus[G]->currentLeader();
-  if (Leader == Self) {
-    Fabric.runOnCpu(
-        Self, M.ParseCpu + M.ApplyCpu,
-        [this, G, C = std::move(C), Done = std::move(Done)]() mutable {
-          // A conflicting call flushes the batch eagerly so the calls
-          // issued before it are ordered before it, as when unbatched.
-          flush(FlushCause::Conf);
-          leaderProcessConf(G, Self, C.Req, std::move(C), std::move(Done));
-        },
-        rdma::Transport::LaneClient);
-    return;
-  }
-  // Redirect through the single-writer mailbox ring on the leader.
-  PendingConfRequest Req;
-  Req.TheCall = C;
-  Req.Done = std::move(Done);
-  Req.Group = G;
-  Req.SentAt = Fabric.now();
-  Req.SentTo = Leader;
-  AwaitingResponse.emplace(C.Req, std::move(Req));
-  Fabric.runOnCpu(
-      Self, M.ParseCpu,
-      [this, Leader, C = std::move(C)]() {
-        // Eager flush: the batched calls' ring/slot writes post before
-        // the redirect mail on the same lane, preserving the unbatched
-        // arrival order at the leader.
-        flush(FlushCause::Conf);
-        sendConfRequest(Leader, C);
-      },
-      rdma::Transport::LaneClient);
-}
-
-void HambandNode::sendConfRequest(rdma::NodeId Leader, const Call &C) {
-  MailMsg Msg;
-  Msg.Kind = MailKind::ConfRequest;
-  Msg.Origin = Self;
-  Msg.ReqId = C.Req;
-  Msg.Epoch = CurrentEpoch;
-  Msg.TheCall = C;
-  appendOrdered(*MailWriters[Leader], MailOutbound[Leader], encodeMail(Msg),
-                nullptr);
-}
-
-void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
-                                    RequestId ReqId, Call C,
-                                    SubmitCallback LocalDone,
-                                    sim::SimTime WaitDeadline) {
-  if (Consensus[G]->currentLeader() != Self) {
-    // We are not the leader (any more): tell the origin to retry.
-    respondConf(Origin, ReqId, ConfOutcome::Retry, nullptr);
-    if (LocalDone) {
-      // A local call: redirect it ourselves.
-      Call C2 = std::move(C);
-      handleConf(std::move(C2), std::move(LocalDone));
-    }
-    return;
-  }
-  if (ConfSeen[G].count(ReqId)) {
-    respondConf(Origin, ReqId, ConfOutcome::Committed, std::move(LocalDone));
-    return;
-  }
-  if (!Consensus[G]->isLeader()) {
-    // Elected but still catching up: queue and retry from the poller.
-    queueAtLeader(G, Origin, std::move(C), std::move(LocalDone), 0);
-    return;
-  }
-
-  if (!Consensus[G]->canAppend()) {
-    // A follower ring is momentarily full: queue and retry shortly.
-    queueAtLeader(G, Origin, std::move(C), std::move(LocalDone), 0);
-    return;
-  }
-
-  // Speculative permissibility: the call must keep the invariant after
-  // every already-appended (but not yet applied) call of this group.
-  Call Prepared = Type.prepare(visibleState(), C);
-  if (!Type.invariantAfter(visibleState(), LeaderSpeculative[G], Prepared)) {
-    // Not (yet) permissible. A dependent call may become permissible once
-    // its dependencies are delivered (e.g. worksOn waiting for its
-    // addProject), so hold it briefly before rejecting -- this wait is
-    // what makes dependent methods slower in Figure 11(b).
-    sim::SimTime Now = Fabric.now();
-    if (WaitDeadline == 0)
-      WaitDeadline = Now + Cfg.PermissibilityWait;
-    if (Now >= WaitDeadline) {
-      // Still impermissible after the grace period: terminal rejection.
-      respondConf(Origin, ReqId, ConfOutcome::Rejected,
-                  std::move(LocalDone));
-      return;
-    }
-    queueAtLeader(G, Origin, std::move(C), std::move(LocalDone),
-                  WaitDeadline);
-    return;
-  }
-
-  // The leader becomes the issuing process of the ordered call (the
-  // request id keeps end-to-end identity for deduplication).
-  Prepared.Issuer = Self;
-  WireCall WC;
-  WC.TheCall = Prepared;
-  WC.Deps = projectDeps(Prepared.Method);
-  WC.BcastSeq = Consensus[G]->nextIndex();
-  WC.Epoch = CurrentEpoch;
-  std::vector<std::uint8_t> Bytes =
-      encodeCall(this->Spec, Fabric.numNodes(), WC);
-
-  std::uint64_t Idx = Consensus[G]->nextIndex();
-  std::uint64_t EpochAtAppend = Consensus[G]->epoch();
-  bool Posted = Consensus[G]->leaderAppend(
-      Bytes, [this, G, Idx, WC, Origin, ReqId, EpochAtAppend,
-              LocalDone](bool Committed) mutable {
-        // A commit that lands after this node was deposed must not enter
-        // the log copy: the new leader's adoption decided the entry's
-        // fate. Answer "retry"; the dedup set at the new leader resolves
-        // whether the entry survived.
-        if (!Committed || Consensus[G]->epoch() != EpochAtAppend) {
-          respondConf(Origin, ReqId, ConfOutcome::Retry,
-                      std::move(LocalDone));
-          return;
-        }
-        ConfPending[G].emplace(Idx, WC);
-        bumpConfContig(G);
-        respondConf(Origin, ReqId, ConfOutcome::Committed,
-                    std::move(LocalDone));
-      });
-  assert(Posted && "canAppend() was checked above");
-  (void)Posted;
-  ConfSeen[G].insert(ReqId);
-  LeaderSpeculative[G].push_back(Prepared);
-  // Sequencing an entry occupies the leader beyond the raw verb posts.
-  Fabric.runOnCpu(Self, Fabric.model().ConsensusEntryCpu, []() {},
-                  rdma::Transport::LaneClient);
-}
-
-void HambandNode::queueAtLeader(unsigned G, ProcessId Origin, Call C,
-                                SubmitCallback LocalDone,
-                                sim::SimTime WaitDeadline) {
-  PendingConfRequest Req;
-  Req.TheCall = std::move(C);
-  Req.Done = std::move(LocalDone);
-  Req.Group = G;
-  Req.SentAt = Fabric.now();
-  Req.SentTo = Origin; // Reused as the origin for queued requests.
-  Req.WaitDeadline = WaitDeadline;
-  LeaderQueue[G].push_back(std::move(Req));
-}
-
-void HambandNode::retryLeaderQueue(unsigned G) {
-  if (LeaderQueue[G].empty())
-    return;
-  if (Consensus[G]->currentLeader() != Self) {
-    // Deposed: bounce every queued request back so origins retry against
-    // the new leader; local calls are re-routed by handleConf.
-    std::deque<PendingConfRequest> Orphans;
-    Orphans.swap(LeaderQueue[G]);
-    for (PendingConfRequest &Req : Orphans) {
-      if (Req.SentTo == Self && Req.Done)
-        handleConf(std::move(Req.TheCall), std::move(Req.Done));
-      else
-        respondConf(Req.SentTo, Req.TheCall.Req, ConfOutcome::Retry,
-                    nullptr);
-    }
-    return;
-  }
-  // One pass over a snapshot per poll round; entries that still cannot
-  // proceed re-queue themselves (with their original wait deadline).
-  std::deque<PendingConfRequest> Snapshot;
-  Snapshot.swap(LeaderQueue[G]);
-  sim::SimTime Now = Fabric.now();
-  for (PendingConfRequest &Req : Snapshot) {
-    // Permissibility waiters are re-evaluated every few microseconds, not
-    // every poll tick.
-    if (Req.WaitDeadline != 0 && Now < Req.WaitDeadline &&
-        Now - Req.SentAt < sim::micros(5)) {
-      LeaderQueue[G].push_back(std::move(Req));
-      continue;
-    }
-    Req.SentAt = Now;
-    RequestId Id = Req.TheCall.Req;
-    leaderProcessConf(G, Req.SentTo, Id, std::move(Req.TheCall),
-                      std::move(Req.Done), Req.WaitDeadline);
-  }
-}
-
-void HambandNode::respondConf(ProcessId Origin, RequestId ReqId,
-                              ConfOutcome Outcome,
-                              SubmitCallback LocalDone) {
-  if (Origin == Self) {
-    // A local Retry is handled by the caller (it re-routes the call); a
-    // callback here is terminal.
-    if (LocalDone)
-      LocalDone(Outcome == ConfOutcome::Committed, 0);
-    return;
-  }
-  MailMsg Msg;
-  Msg.Kind = MailKind::ConfResponse;
-  Msg.Origin = Self;
-  Msg.ReqId = ReqId;
-  Msg.Ok = static_cast<std::uint8_t>(Outcome);
-  Msg.Epoch = CurrentEpoch;
-  appendOrdered(*MailWriters[Origin], MailOutbound[Origin], encodeMail(Msg),
-                nullptr);
-}
-
-void HambandNode::checkConfTimeouts() {
-  if (AwaitingResponse.empty())
-    return;
-  sim::SimTime Now = Fabric.now();
-  std::vector<RequestId> TakeOver;
-  for (auto &[ReqId, Req] : AwaitingResponse) {
-    if (Now - Req.SentAt < Cfg.ConfRetryTimeout)
-      continue;
-    rdma::NodeId Leader = Consensus[Req.Group]->currentLeader();
-    Req.SentAt = Now;
-    Req.SentTo = Leader;
-    if (Leader == Self) {
-      TakeOver.push_back(ReqId); // We became the leader meanwhile.
-      continue;
-    }
-    sendConfRequest(Leader, Req.TheCall);
-  }
-  for (RequestId Id : TakeOver) {
-    auto It = AwaitingResponse.find(Id);
-    if (It == AwaitingResponse.end())
-      continue;
-    Call C = std::move(It->second.TheCall);
-    SubmitCallback Done = std::move(It->second.Done);
-    unsigned G = It->second.Group;
-    AwaitingResponse.erase(It);
-    leaderProcessConf(G, Self, Id, std::move(C), std::move(Done));
-  }
 }
 
 // -- Poller -----------------------------------------------------------------
@@ -755,17 +381,14 @@ void HambandNode::pollOnce() {
   unsigned AppliedN = 0;
   Parsed += pollFreeRings();
   Parsed += Sums.pollSlots();
-  Parsed += pollConfRings();
-  Parsed += pollMailboxes();
+  Parsed += Conf->pollLog();
+  Parsed += Conf->pollMailboxes(!OutOfService);
   AppliedN += applyPendingFree();
-  AppliedN += applyPendingConf();
-  for (unsigned G = 0; G < Consensus.size(); ++G) {
-    Consensus[G]->poll();
-    retryLeaderQueue(G);
-  }
+  AppliedN += Conf->applyPending();
+  Conf->poll();
 #if HAMBAND_OBS_ENABLED
   GaugePendingFree->set(static_cast<std::int64_t>(pendingFreeTotal()));
-  GaugePendingConf->set(static_cast<std::int64_t>(pendingConfTotal()));
+  GaugePendingConf->set(static_cast<std::int64_t>(Conf->pendingTotal()));
 #endif
   sim::SimDuration Extra =
       Parsed * M.ParseCpu + AppliedN * M.ApplyCpu;
@@ -837,122 +460,13 @@ void HambandNode::enqueueDecodedFree(ProcessId Issuer,
   }
 }
 
-void HambandNode::appendOrdered(RingWriter &W, OutboundQueue &Q,
-                                std::vector<std::uint8_t> Bytes,
-                                rdma::CompletionFn Done) {
-  Q.Records.push_back({std::move(Bytes), std::move(Done)});
-  drainOutbound(W, Q);
-}
-
-void HambandNode::drainOutbound(RingWriter &W, OutboundQueue &Q) {
-  while (!Q.Records.empty() &&
-         W.appendRecord(Q.Records.front().Bytes, Q.Records.front().Done))
-    Q.Records.pop_front();
-  if (Q.Records.empty() || Q.RetryArmed)
-    return;
-  // Ring full mid-stream: hold the queue and retry head-first. The retry
-  // runs on this node's timer so the writer stays single-threaded.
-  Q.RetryArmed = true;
-  Fabric.runAfter(Self, Cfg.PollInterval, [this, &W, &Q]() {
-    Q.RetryArmed = false;
-    drainOutbound(W, Q);
-  });
-}
-
-unsigned HambandNode::pollConfRings() {
-  unsigned Parsed = 0;
-  std::vector<std::uint8_t> Bytes;
-  for (unsigned G = 0; G < ConfReaders.size(); ++G) {
-    for (unsigned K = 0; K < 64 && ConfReaders[G]->peek(Bytes); ++K) {
-      WireCall WC;
-      std::uint64_t Idx = ConfReaders[G]->head();
-      if (!decodeCall(Spec, Fabric.numNodes(), Bytes.data(), Bytes.size(),
-                      WC)) {
-        assert(false && "malformed L-ring cell");
-        break;
-      }
-      ConfReaders[G]->consume();
-      ConfSeen[G].insert(WC.TheCall.Req);
-      ConfPending[G].emplace(Idx, std::move(WC));
-      bumpConfContig(G);
-      ++Parsed;
-    }
-  }
-  return Parsed;
-}
-
-void HambandNode::bumpConfContig(unsigned Group) {
-  while (ConfPending[Group].count(ConfReceivedContig[Group]) ||
-         ConfReceivedContig[Group] < ConfAppliedIdx[Group])
-    ++ConfReceivedContig[Group];
-}
-
-unsigned HambandNode::pollMailboxes() {
-  unsigned Parsed = 0;
-  std::vector<std::uint8_t> Bytes;
-  for (rdma::NodeId J = 0; J < Fabric.numNodes(); ++J) {
-    if (J == Self)
-      continue;
-    for (unsigned K = 0; K < 64 && MailReaders[J]->peek(Bytes); ++K) {
-      MailMsg Msg;
-      bool Ok = decodeMail(Bytes.data(), Bytes.size(), Msg);
-      MailReaders[J]->consume();
-      ++Parsed;
-      if (Ok)
-        handleMail(J, Msg);
-    }
-  }
-  return Parsed;
-}
-
-void HambandNode::handleMail(ProcessId /*From*/, const MailMsg &Msg) {
-  if (Msg.Kind == MailKind::ConfRequest) {
-    if (OutOfService)
-      return; // Dropped; the origin retries against the next leader.
-    if (Msg.Epoch != CurrentEpoch) {
-      // Cross-epoch request (mailboxes are unfenced): tell the origin to
-      // retry so it re-resolves the leader under its installed epoch.
-      CtrCrossEpochDrop->add();
-      respondConf(Msg.Origin, Msg.ReqId, ConfOutcome::Retry, nullptr);
-      return;
-    }
-    if (Spec.category(Msg.TheCall.Method) != MethodCategory::Conflicting)
-      return;
-    unsigned G = *Spec.syncGroup(Msg.TheCall.Method);
-    // A conflicting call arriving at the leader flushes its own pending
-    // batch so the ordered entry never overtakes this node's earlier
-    // unshipped calls.
-    flush(FlushCause::Conf);
-    leaderProcessConf(G, Msg.Origin, Msg.ReqId, Msg.TheCall, nullptr);
-    return;
-  }
-  // ConfResponse.
-  auto It = AwaitingResponse.find(Msg.ReqId);
-  if (It == AwaitingResponse.end())
-    return; // Duplicate response (e.g. after a retry); already completed.
-  ConfOutcome Outcome = static_cast<ConfOutcome>(Msg.Ok);
-  if (Outcome == ConfOutcome::Retry) {
-    // The responder could not decide (deposed mid-request): retry against
-    // the current leader immediately (the timeout scanner would also
-    // catch it).
-    It->second.SentAt = 0;
-    checkConfTimeouts();
-    return;
-  }
-  // Committed or terminally rejected: complete the client call.
-  SubmitCallback Done = std::move(It->second.Done);
-  AwaitingResponse.erase(It);
-  if (Done)
-    Done(Outcome == ConfOutcome::Committed, 0);
-}
-
 unsigned HambandNode::applyPendingFree() {
   unsigned AppliedN = 0;
   for (rdma::NodeId J = 0; J < Fabric.numNodes(); ++J) {
     if (J == Self)
       continue;
     auto &Q = FreePending[J];
-    while (!Q.empty() && depsSatisfied(Q.front().Deps)) {
+    while (!Q.empty() && depsSatisfied(Applied, Q.front().Deps)) {
       if (Q.front().Epoch != CurrentEpoch) {
         // Enqueued before an epoch install that the drain stage should
         // have flushed; counted so the reconfig oracles can assert it
@@ -973,38 +487,6 @@ unsigned HambandNode::applyPendingFree() {
     // buffer is stalled waiting for another process's calls.
     if (!Q.empty())
       CtrDepStallFree->add();
-  }
-  return AppliedN;
-}
-
-unsigned HambandNode::applyPendingConf() {
-  unsigned AppliedN = 0;
-  for (unsigned G = 0; G < ConfPending.size(); ++G) {
-    auto &M = ConfPending[G];
-    auto It = M.find(ConfAppliedIdx[G]);
-    while (It != M.end() && depsSatisfied(It->second.Deps)) {
-      if (It->second.Epoch != CurrentEpoch) {
-        CtrCrossEpochApply->add();
-        M.erase(It);
-        ++ConfAppliedIdx[G];
-        It = M.find(ConfAppliedIdx[G]);
-        continue;
-      }
-      const Call &C = It->second.TheCall;
-      applyToStored(C);
-      Applied[C.Issuer][C.Method] += 1;
-      if (Cfg.RecordApplyLog)
-        ConfApplyLog[G].push_back({C.Issuer, C.Req});
-      if (C.Issuer == Self && !LeaderSpeculative[G].empty() &&
-          LeaderSpeculative[G].front() == C)
-        LeaderSpeculative[G].pop_front();
-      M.erase(It);
-      ++ConfAppliedIdx[G];
-      ++AppliedN;
-      It = M.find(ConfAppliedIdx[G]);
-    }
-    if (It != M.end())
-      CtrDepStallConf->add();
   }
   return AppliedN;
 }
@@ -1196,14 +678,13 @@ void HambandNode::ship(Shipment S) {
   for (const std::vector<std::uint8_t> &Rec : S.Records)
     for (rdma::NodeId Peer = 0; Peer < N; ++Peer)
       if (Peer != Self && activeNode(Peer))
-        appendOrdered(*FreeWriters[Peer], FreeOutbound[Peer], Rec, Finish);
+        FreeWriters[Peer]->appendOrdered(Rec, Finish, Cfg.PollInterval);
 }
 
 // -- Failure handling --------------------------------------------------------
 
 void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
-  for (auto &Cons : Consensus)
-    Cons->onPeerSuspected(Peer);
+  Conf->onPeerSuspected(Peer);
   if (!Cfg.UseBackupSlot)
     return;
   Broadcast->fetch(Peer, [this, Peer](ReliableBroadcast::BackupMessage Msg) {
@@ -1256,13 +737,10 @@ void HambandNode::closeEpoch() {
 void HambandNode::openEpoch() { EpochClosed = false; }
 
 bool HambandNode::reconfigQuiesced() const {
-  if (!idle() || FlushesInFlight != 0)
+  if (!idle() || FlushesInFlight != 0 || Conf->speculating())
     return false;
-  for (const OutboundQueue &Q : FreeOutbound)
-    if (!Q.Records.empty())
-      return false;
-  for (const auto &Q : LeaderSpeculative)
-    if (!Q.empty())
+  for (const auto &W : FreeWriters)
+    if (W && W->queued() != 0)
       return false;
   return true;
 }
@@ -1316,17 +794,12 @@ void HambandNode::absorbTransfer(const TransferImage &Img) {
     Type.apply(*Stored, C);
     if (Cfg.Reconfig.Enabled)
       ReconfigLog.push_back(Enc);
-    if (Cfg.RecordApplyLog) {
-      if (Spec.category(C.Method) == MethodCategory::Conflicting) {
-        if (auto G = Spec.syncGroup(C.Method))
-          ConfApplyLog[*G].push_back({C.Issuer, C.Req});
-      } else {
-        FreeApplyLog[C.Issuer].push_back(C.Req);
-      }
-    }
+    if (Spec.category(C.Method) == MethodCategory::Conflicting)
+      Conf->logApplied(C);
+    else if (Cfg.RecordApplyLog)
+      FreeApplyLog[C.Issuer].push_back(C.Req);
   }
-  ConfReceivedContig = Img.ConfNextIndex;
-  ConfAppliedIdx = Img.ConfNextIndex;
+  Conf->importLog(Img.ConfNextIndex);
   VisibleDirty = true;
   VisibleCache.reset();
 }
@@ -1361,17 +834,6 @@ void HambandNode::installMembership(const Membership &M,
         Detector->setMonitored(P, SelfActive && activeNode(P));
   if (!SelfActive)
     OutOfService = true;
-  for (unsigned G = 0; G < Consensus.size(); ++G) {
-    Consensus[G]->setActiveMask(Active);
-    rdma::NodeId NewLeader = homeLeader(G);
-    Consensus[G]->adoptLeadership(NewLeader, ConfNext[G]);
-    // adoptLeadership fires the LeaderChanged re-sync only when the
-    // leader actually moved; a joiner whose group kept its leader still
-    // needs its L-ring reader aligned to the agreed log position.
-    ConfReaders[G]->setWriter(NewLeader);
-    ConfReaders[G]->setHead(ConfReceivedContig[G]);
-    if (NewLeader != Self)
-      ConfReaders[G]->forceFeedback();
-  }
+  Conf->installMembership(Active, ConfNext);
   CtrEpochInstall->add();
 }

@@ -28,7 +28,12 @@ MuConsensus::MuConsensus(rdma::Transport &Fabric, rdma::NodeId Self,
     : Fabric(Fabric), Self(Self), Group(Group), Map(Map), LogKey(LogKey),
       TheHooks(std::move(TheHooks)), Leader(InitialLeader),
       Active(std::move(ActiveMask)),
+      Reader(Fabric, Self, InitialLeader, Map.confRingData(Group),
+             Map.confRingFeedback(Group, Self), Map.confGeom(),
+             rdma::Transport::LanePoller),
       AckReceived(Fabric.numNodes(), 0), AckSeen(Fabric.numNodes(), false) {
+  for (rdma::NodeId W = 0; W < Fabric.numNodes(); ++W)
+    Fabric.setWritePermission(Self, W, LogKey, W == Leader);
   if (Self == InitialLeader)
     for (rdma::NodeId F = 0; F < Fabric.numNodes(); ++F)
       if (F != Self && isActive(F))
@@ -44,18 +49,10 @@ unsigned MuConsensus::activeCount() const {
   return N;
 }
 
-void MuConsensus::setActiveMask(std::vector<std::uint8_t> Mask) {
-  Active = std::move(Mask);
-  for (auto It = Writers.begin(); It != Writers.end();) {
-    if (!isActive(It->first))
-      It = Writers.erase(It);
-    else
-      ++It;
-  }
-}
-
 void MuConsensus::adoptLeadership(rdma::NodeId NewLeader,
-                                  std::uint64_t LogIndex) {
+                                  std::uint64_t LogIndex,
+                                  std::vector<std::uint8_t> ActiveMask) {
+  Active = std::move(ActiveMask);
   rdma::NodeId Old = Leader;
   if (Old != NewLeader) {
     ++Epoch;
@@ -68,18 +65,37 @@ void MuConsensus::adoptLeadership(rdma::NodeId NewLeader,
     Fabric.setWritePermission(Self, Leader, LogKey, true);
   }
   CatchingUp = false;
+  Refused = false;
+  Writers.clear();
   if (Self == Leader) {
     NextIndex = LogIndex;
-    for (rdma::NodeId F = 0; F < Fabric.numNodes(); ++F) {
-      if (F == Self || !isActive(F))
-        continue;
-      writerTo(F).setTail(LogIndex);
-    }
-  } else {
-    Writers.clear();
+    for (rdma::NodeId F = 0; F < Fabric.numNodes(); ++F)
+      if (F != Self && isActive(F))
+        writerTo(F);
   }
+  // Re-aligned even when the leader stayed: a joiner's reader must resume
+  // at the agreed log position.
+  followLeader();
   if (Old != NewLeader && TheHooks.LeaderChanged)
     TheHooks.LeaderChanged(Leader);
+}
+
+void MuConsensus::followLeader() {
+  Reader.setWriter(Leader);
+  Reader.setHead(TheHooks.ReceivedCount ? TheHooks.ReceivedCount() : 0);
+  if (Leader != Self)
+    Reader.forceFeedback();
+}
+
+unsigned MuConsensus::pollLog() {
+  unsigned Got = 0;
+  std::vector<std::uint8_t> Bytes;
+  for (; Got < 64 && Reader.peek(Bytes); ++Got) {
+    std::uint64_t Index = Reader.head();
+    Reader.consume();
+    TheHooks.DeliverEntry(Index, std::move(Bytes));
+  }
+  return Got;
 }
 
 void MuConsensus::attachStats(obs::Registry &R) {
@@ -90,11 +106,7 @@ void MuConsensus::attachStats(obs::Registry &R) {
   CtrCommit = &R.counter("mu.commit");
   for (auto &[F, W] : Writers)
     W->attachStats(R);
-}
-
-void MuConsensus::installInitialPermissions() {
-  for (rdma::NodeId W = 0; W < Fabric.numNodes(); ++W)
-    Fabric.setWritePermission(Self, W, LogKey, W == Leader);
+  Reader.attachStats(R);
 }
 
 RingWriter &MuConsensus::writerTo(rdma::NodeId Follower) {
@@ -124,15 +136,8 @@ bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
                                std::function<void(bool)> OnCommitted) {
   if (!canAppend())
     return false;
-  if (CtrAppend) {
+  if (CtrAppend)
     CtrAppend->add();
-    OnCommitted = [C = CtrCommit, Inner = std::move(OnCommitted)](bool Ok) {
-      if (Ok)
-        C->add();
-      if (Inner)
-        Inner(Ok);
-    };
-  }
 
   unsigned Majority = activeCount() / 2 + 1;
   // The leader's own log copy counts toward the majority.
@@ -149,28 +154,28 @@ bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
 
   auto Tally = std::make_shared<CommitTally>();
   unsigned NumFollowers = static_cast<unsigned>(Writers.size());
-  auto Done = std::make_shared<std::function<void(bool)>>(
-      std::move(OnCommitted));
+  auto Decide = [this, Tally, Term = Epoch,
+                 Done = std::make_shared<std::function<void(bool)>>(
+                     std::move(OnCommitted))](bool Ok) {
+    Tally->Decided = true;
+    if (Ok && CtrCommit)
+      CtrCommit->add();
+    Refused |= !Ok && Epoch == Term;
+    if (*Done)
+      (*Done)(Ok);
+  };
   auto OnOne = [Tally, NeededRemote, NumFollowers,
-                Done](rdma::WcStatus St) {
+                Decide](rdma::WcStatus St) {
     if (St == rdma::WcStatus::Success)
       ++Tally->Successes;
     else
       ++Tally->Failures;
     if (Tally->Decided)
       return;
-    if (Tally->Successes >= NeededRemote) {
-      Tally->Decided = true;
-      if (*Done)
-        (*Done)(true);
-      return;
-    }
-    if (Tally->Failures > NumFollowers - NeededRemote) {
-      // A majority can no longer complete: leadership was lost.
-      Tally->Decided = true;
-      if (*Done)
-        (*Done)(false);
-    }
+    if (Tally->Successes >= NeededRemote)
+      Decide(true);
+    else if (Tally->Failures > NumFollowers - NeededRemote)
+      Decide(false); // A majority can no longer complete: deposed.
   };
 
   for (auto &[F, W] : Writers) {
@@ -179,12 +184,8 @@ bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
     (void)Appended;
   }
   ++NextIndex;
-
-  if (NeededRemote == 0 && !Tally->Decided) {
-    Tally->Decided = true;
-    if (*Done)
-      (*Done)(true);
-  }
+  if (NeededRemote == 0)
+    Decide(true);
   return true;
 }
 
@@ -219,32 +220,36 @@ void MuConsensus::campaign() {
 void MuConsensus::poll() {
   const rdma::MemoryRegion &Mem = Fabric.memory(Self);
 
-  // 1) Observe proposals: adopt the highest epoch above ours.
+  // 1) Observe proposals: the leader is the lowest-id candidate of the
+  // highest epoch, so a lower-id proposal at our own epoch displaces the
+  // candidate we adopted (epoch 0 has no proposals).
   rdma::NodeId BestCand = Leader;
   std::uint64_t BestEpoch = Epoch;
   for (rdma::NodeId Cand = 0; Cand < Fabric.numNodes(); ++Cand) {
     if (!isActive(Cand))
       continue; // A removed node's stale proposal must not depose anyone.
     std::uint64_t E = Mem.readU64(Map.proposalSlot(Group, Cand));
-    if (E > BestEpoch || (E == BestEpoch && E > Epoch && Cand < BestCand)) {
+    if (E > BestEpoch || (E == BestEpoch && E > 0 && Cand < BestCand)) {
       BestEpoch = E;
       BestCand = Cand;
     }
   }
-  if (BestEpoch > Epoch) {
+  if (BestEpoch > Epoch || BestCand != Leader) {
     rdma::NodeId Old = Leader;
     Epoch = BestEpoch;
     Leader = BestCand;
     if (CtrViewChange)
       CtrViewChange->add();
-    if (Campaigning && CampaignEpoch < Epoch)
-      Campaigning = false; // Lost the race to a higher epoch.
+    if (Campaigning && (CampaignEpoch < Epoch || Leader != Self))
+      Campaigning = false; // Lost the race to a higher epoch or lower id.
     // Revoke the deposed leader's permission *before* granting the new
     // one; this is the Mu invariant that prevents two leaders.
     if (Old != Leader)
       Fabric.setWritePermission(Self, Old, LogKey, false);
     Fabric.setWritePermission(Self, Leader, LogKey, true);
     CatchingUp = Leader == Self;
+    Refused = false;
+    followLeader();
     if (TheHooks.LeaderChanged)
       TheHooks.LeaderChanged(Leader);
     // Ack with our received count so the new leader can equalize logs.
@@ -330,15 +335,8 @@ void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
                                            rdma::NodeId Holder) {
   std::uint64_t Mine =
       TheHooks.ReceivedCount ? TheHooks.ReceivedCount() : 0;
-  if (Mine >= MaxReceived) {
-    NextIndex = MaxReceived;
-    CatchingUp = false;
-    CampaignSpan.finish(Fabric.now());
-    replicateMissingToFollowers();
-    return;
-  }
-  // Read the missing entries from the most advanced acker's ring. The
-  // reads chain so that entries are delivered in order.
+  // Read the missing entries (if any) from the most advanced acker's ring.
+  // The reads chain so that entries are delivered in order.
   // Each in-flight read callback owns the chain closure; the closure holds
   // only a weak_ptr to itself, so finishing the chain releases it.
   auto FetchNext = std::make_shared<std::function<void(std::uint64_t)>>();
@@ -395,7 +393,7 @@ void MuConsensus::replicateMissingToFollowers() {
       auto It = LogCache.find(I);
       if (It != LogCache.end())
         Bytes = It->second;
-      else if (!TheHooks.ReadLocalEntry || !TheHooks.ReadLocalEntry(I, Bytes))
+      else if (!Reader.readCellIgnoringCanary(I, Bytes))
         continue; // Overwritten; the follower stays behind (bounded lag).
       W.append(Bytes, nullptr);
     }

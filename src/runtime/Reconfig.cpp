@@ -404,7 +404,7 @@ void ReconfigManager::runDrainStage() {
       // capture the post-transition per-group log indexes from the
       // coordinator replica.
       for (unsigned G = 0; G < ConfNext.size(); ++G)
-        ConfNext[G] = C.node(Coord).confReceivedContig(G);
+        ConfNext[G] = C.node(Coord).conf().receivedContig(G);
       enterStage(StFence);
     }
     return;

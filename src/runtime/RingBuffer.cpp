@@ -123,37 +123,34 @@ bool RingWriter::appendRecord(const std::vector<std::uint8_t> &Payload,
   return true;
 }
 
+void RingWriter::appendOrdered(std::vector<std::uint8_t> Payload,
+                               rdma::CompletionFn OnComplete,
+                               sim::SimDuration RetryAfter) {
+  Held.push_back({std::move(Payload), std::move(OnComplete)});
+  drainHeld(RetryAfter);
+}
+
+void RingWriter::drainHeld(sim::SimDuration RetryAfter) {
+  while (!Held.empty() &&
+         appendRecord(Held.front().Payload, Held.front().OnComplete))
+    Held.pop_front();
+  if (Held.empty() || RetryArmed)
+    return;
+  // Ring full mid-stream: hold the stream and retry head-first. The retry
+  // runs on the writer's own timer so the writer stays single-threaded.
+  RetryArmed = true;
+  Fabric.runAfter(Writer, RetryAfter, [this, RetryAfter]() {
+    RetryArmed = false;
+    drainHeld(RetryAfter);
+  });
+}
+
 RingReader::RingReader(rdma::Transport &Fabric, rdma::NodeId Reader,
                        rdma::NodeId Writer, rdma::MemOffset DataOff,
                        rdma::MemOffset FeedbackOff, RingGeometry Geom,
                        unsigned Lane)
     : Fabric(Fabric), Reader(Reader), Writer(Writer), DataOff(DataOff),
       FeedbackOff(FeedbackOff), Geom(Geom), Lane(Lane) {}
-
-bool RingReader::readCell(std::uint64_t Index,
-                          std::vector<std::uint8_t> &Out) const {
-  const rdma::MemoryRegion &Mem = Fabric.memory(Reader);
-  rdma::MemOffset CellOff =
-      DataOff + static_cast<rdma::MemOffset>(Index % Geom.NumCells) *
-                    Geom.CellSize;
-  if (Mem.readU8(CellOff + Geom.CellSize - 1) != 1)
-    return false; // Canary check failed: empty or mid-write.
-  std::uint32_t Len = 0;
-  std::uint64_t Seq = 0;
-  std::uint8_t Header[RingGeometry::HeaderBytes];
-  Mem.read(CellOff, Header, sizeof(Header));
-  std::memcpy(&Len, Header, 4);
-  std::memcpy(&Seq, Header + 4, 8);
-  if (Seq != Index || Len > Geom.maxPayload()) {
-    // A stale lap or torn header; retry next traversal. (A clear canary is
-    // just an empty cell and is not counted.)
-    if (CtrCanaryRetry)
-      CtrCanaryRetry->add();
-    return false;
-  }
-  Out = Mem.slice(CellOff + RingGeometry::HeaderBytes, Len);
-  return true;
-}
 
 bool RingReader::readCellIgnoringCanary(std::uint64_t Index,
                                         std::vector<std::uint8_t> &Out) const {
@@ -293,11 +290,6 @@ void RingReader::consumeSpan(std::uint32_t SpanCells) {
   Head += SpanCells;
   // Publish the head to the writer once per quarter ring so it can reuse
   // cells without ever overwriting unconsumed ones.
-  if (Head - LastFeedback >= Geom.NumCells / 4) {
-    std::vector<std::uint8_t> Bytes(8);
-    std::memcpy(Bytes.data(), &Head, 8);
-    Fabric.postWrite(Reader, Writer, FeedbackOff, std::move(Bytes),
-                     rdma::UnprotectedRegion, nullptr, Lane);
-    LastFeedback = Head;
-  }
+  if (Head - LastFeedback >= Geom.NumCells / 4)
+    forceFeedback();
 }

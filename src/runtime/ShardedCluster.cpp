@@ -332,7 +332,7 @@ rdma::NodeId ShardedCluster::leaderOf(unsigned Group,
 rdma::NodeId ShardedCluster::leaderOfShard(unsigned Shard, unsigned Group,
                                            rdma::NodeId Observer) const {
   assert(Shard < KS.numShards() && Observer < NumNodes);
-  return Nodes[Shard][Observer]->knownLeader(Group);
+  return Nodes[Shard][Observer]->conf().knownLeader(Group);
 }
 
 void ShardedCluster::refreshKeyspaceGauges() const {

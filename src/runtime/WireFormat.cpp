@@ -72,6 +72,25 @@ std::span<const std::uint8_t> ByteReader::lengthPrefixed() {
   return Out;
 }
 
+DepMap runtime::projectDeps(const CoordinationSpec &Spec,
+                            const std::vector<std::vector<std::uint64_t>> &A,
+                            MethodId U) {
+  DepMap D;
+  for (MethodId Dep : Spec.dependencies(U))
+    for (ProcessId Q = 0; Q < A.size(); ++Q)
+      if (std::uint64_t Cnt = A[Q][Dep])
+        D.push_back(DepEntry{Q, Dep, Cnt});
+  return D;
+}
+
+bool runtime::depsSatisfied(const std::vector<std::vector<std::uint64_t>> &A,
+                            const DepMap &D) {
+  for (const DepEntry &E : D)
+    if (A[E.P][E.U] < E.Count)
+      return false;
+  return true;
+}
+
 std::vector<std::uint64_t> runtime::denseDeps(const CoordinationSpec &Spec,
                                               unsigned NumProcesses,
                                               MethodId U,

@@ -431,8 +431,8 @@ TEST(BatchingFlushTriggers, PipeAndSizeTriggersFireAndAccountAllCalls) {
 
 TEST(BatchingFlushTriggers, ConflictingCallFlushesPendingBatch) {
   // A conflicting call must not overtake reducible/free calls batched
-  // before it: handleConf flushes the pending batch before the conf
-  // request leaves the node (or is processed locally by the leader).
+  // before it: ConfChannel::submit flushes the pending batch before the
+  // conf request leaves the node (or is processed locally by the leader).
   sim::Simulator Sim;
   auto T = makeType("bank-account");
   MethodId Deposit = T->methodId("deposit");

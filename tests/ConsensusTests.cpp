@@ -20,14 +20,13 @@ using namespace hamband::runtime;
 
 namespace {
 
-/// A miniature node hosting one consensus instance: tracks delivered
-/// entries by polling its own conf ring like the real poller does.
+/// A miniature node hosting one consensus instance: tracks the entries
+/// it delivers (read from its own conf ring or fetched in catch-up), and
+/// polls like the real poller does.
 struct MiniNode {
   MiniNode(rdma::Fabric &Fab, rdma::NodeId Self, const MemoryMap &Map,
            rdma::RegionKey Key, rdma::NodeId InitialLeader)
-      : Fab(Fab), Self(Self),
-        Reader(Fab, Self, InitialLeader, Map.confRingData(0),
-               Map.confRingFeedback(0, Self), Map.confGeom()) {
+      : Fab(Fab), Self(Self) {
     MuConsensus::Hooks Hooks;
     Hooks.ReceivedCount = [this]() { return Received; };
     Hooks.DeliverEntry = [this](std::uint64_t Idx,
@@ -35,15 +34,7 @@ struct MiniNode {
       Entries[Idx] = std::move(Payload);
       bump();
     };
-    Hooks.ReadLocalEntry = [this](std::uint64_t Idx,
-                                  std::vector<std::uint8_t> &Out) {
-      return Reader.readCellIgnoringCanary(Idx, Out);
-    };
     Hooks.LeaderChanged = [this](rdma::NodeId NewLeader) {
-      Reader.setWriter(NewLeader);
-      Reader.setHead(Received);
-      if (NewLeader != this->Self)
-        Reader.forceFeedback();
       LeaderChanges.push_back(NewLeader);
     };
     Hooks.IsSuspected = [this](rdma::NodeId Peer) {
@@ -51,7 +42,6 @@ struct MiniNode {
     };
     Cons = std::make_unique<MuConsensus>(Fab, Self, 0, InitialLeader, Map,
                                          Key, std::move(Hooks));
-    Cons->installInitialPermissions();
   }
 
   void bump() {
@@ -60,18 +50,12 @@ struct MiniNode {
   }
 
   void poll() {
-    std::vector<std::uint8_t> Bytes;
-    while (Reader.peek(Bytes)) {
-      Entries[Reader.head()] = Bytes;
-      Reader.consume();
-      bump();
-    }
+    Cons->pollLog();
     Cons->poll();
   }
 
   rdma::Fabric &Fab;
   rdma::NodeId Self;
-  RingReader Reader;
   std::unique_ptr<MuConsensus> Cons;
   std::map<std::uint64_t, std::vector<std::uint8_t>> Entries;
   std::uint64_t Received = 0;
@@ -197,13 +181,13 @@ TEST_F(ConsensusTest, CatchUpEqualizesLogs) {
 
   // Simulate node 1 lagging: pretend it only received 2 entries. The new
   // leader (node 2) must replicate the missing tail to it.
-  // (We fake the lag by rolling back its counters; the ring still holds
-  // the cells, matching a follower that had not polled them yet.)
+  // (We fake the lag by rolling back its counters; the leader change
+  // resumes its L-ring reader at the received count, and the consumed
+  // cells stay unreadable until the new leader rewrites them.)
   NodesVec[1]->Entries.erase(2);
   NodesVec[1]->Entries.erase(3);
   NodesVec[1]->Entries.erase(4);
   NodesVec[1]->Received = 2;
-  NodesVec[1]->Reader.setHead(2);
 
   for (unsigned I = 1; I < N; ++I)
     NodesVec[I]->Suspected.insert(0);

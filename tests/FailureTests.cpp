@@ -412,8 +412,8 @@ TEST(LeaderChange, ConcurrentCandidatesConvergeOnOneLeader) {
   C.injectFailure(0);
   // Force both node 1 and node 2 to campaign right now, before either
   // learns of the other's proposal.
-  C.node(1).consensus(0)->onPeerSuspected(0);
-  C.node(2).consensus(0)->onPeerSuspected(0);
+  C.node(1).conf().consensus(0)->onPeerSuspected(0);
+  C.node(2).conf().consensus(0)->onPeerSuspected(0);
   ASSERT_TRUE(runUntil(
       Sim,
       [&] {
@@ -423,7 +423,7 @@ TEST(LeaderChange, ConcurrentCandidatesConvergeOnOneLeader) {
         for (rdma::NodeId N = 1; N < 4; ++N)
           if (C.leaderOf(0, N) != L)
             return false;
-        return C.node(L).consensus(0)->isLeader();
+        return C.node(L).conf().consensus(0)->isLeader();
       },
       30000.0));
   rdma::NodeId NewLeader = C.leaderOf(0, 1);
@@ -440,6 +440,83 @@ TEST(LeaderChange, ConcurrentCandidatesConvergeOnOneLeader) {
   ASSERT_TRUE(runUntil(Sim, [&] { return Done && C.fullyReplicated(); }));
   EXPECT_TRUE(Ok);
   EXPECT_TRUE(C.converged());
+}
+
+TEST(LeaderChange, StaggeredSameEpochCandidatesConverge) {
+  // Node 2 campaigns, then node 1 campaigns at the same epoch a moment
+  // later. The leader is the lowest-id candidate of the highest epoch, so
+  // node 1's proposal must displace node 2 wherever node 2 was adopted
+  // first; otherwise each candidate waits forever for the other's ack.
+  for (double DelayUs : {0.2, 0.5, 1.0, 1.3}) {
+    sim::Simulator Sim;
+    BankAccount T;
+    HambandCluster C(Sim, 4, T);
+    C.start();
+    C.injectFailure(0);
+    C.node(2).conf().consensus(0)->onPeerSuspected(0);
+    Sim.run(Sim.now() + sim::micros(DelayUs));
+    C.node(1).conf().consensus(0)->onPeerSuspected(0);
+    EXPECT_TRUE(runUntil(
+        Sim,
+        [&] {
+          rdma::NodeId L = C.leaderOf(0, 1);
+          if (L == 0)
+            return false;
+          for (rdma::NodeId N = 1; N < 4; ++N)
+            if (C.leaderOf(0, N) != L)
+              return false;
+          return C.node(L).conf().consensus(0)->isLeader();
+        },
+        30000.0))
+        << "node 1 campaigned " << DelayUs << " us after node 2";
+  }
+}
+
+namespace {
+
+/// On a 3-node bank account holding 100, submits withdraw(10) at
+/// \p Origin while node 1 campaigns against the group-0 leader, node 0,
+/// \p DelayUs later. Returns the client's answer and every node's balance.
+std::pair<bool, std::vector<Value>> withdrawWhileLeaderDeposed(
+    rdma::NodeId Origin, double DelayUs) {
+  sim::Simulator Sim;
+  BankAccount T;
+  HambandCluster C(Sim, 3, T);
+  C.start();
+  bool Seeded = false, Done = false, Ok = false;
+  C.submit(0, Call(BankAccount::Deposit, {100}, 0, 1),
+           [&](bool, Value) { Seeded = true; });
+  EXPECT_TRUE(runUntil(Sim, [&] { return Seeded && C.fullyReplicated(); }));
+  C.submit(Origin, Call(BankAccount::Withdraw, {10}, Origin, 2),
+           [&](bool IsOk, Value) {
+             Ok = IsOk;
+             Done = true;
+           });
+  Sim.run(Sim.now() + sim::micros(DelayUs));
+  C.node(1).conf().consensus(0)->onPeerSuspected(0);
+  EXPECT_TRUE(runUntil(Sim, [&] { return Done && C.fullyReplicated(); }));
+  std::vector<Value> Balances;
+  for (rdma::NodeId N = 0; N < 3; ++N)
+    Balances.push_back(T.query(C.node(N).visibleState(),
+                               Call(BankAccount::Balance, {})));
+  return {Ok, Balances};
+}
+
+} // namespace
+
+TEST(LeaderChange, CallSequencedByDeposedLeaderGetsTheReplicasOutcome) {
+  // Node 0 is appending the withdraw when it is deposed. Only the new
+  // leader can tell whether the entry survived, so the client's answer
+  // must match what the replicas applied -- for a call submitted at the
+  // deposed leader itself (local) as for one redirected to it (remote).
+  for (rdma::NodeId Origin : {0u, 2u}) {
+    for (double DelayUs : {0.0, 0.25, 0.5}) {
+      auto [Ok, Balances] = withdrawWhileLeaderDeposed(Origin, DelayUs);
+      EXPECT_TRUE(Ok) << "origin " << Origin << ", delay " << DelayUs;
+      for (Value B : Balances)
+        EXPECT_EQ(B, 90) << "origin " << Origin << ", delay " << DelayUs;
+    }
+  }
 }
 
 // Chaos: every type with a synchronization group, under both follower and

@@ -337,7 +337,7 @@ TEST_F(RingTest, ConsumedCellBytesRemainForCatchUp) {
   std::vector<std::uint8_t> Got;
   ASSERT_TRUE(R.peek(Got));
   R.consume();
-  EXPECT_FALSE(R.readCell(0, Got)); // Canary cleared.
+  EXPECT_EQ(Fab.memory(1).readU8(Data + Geom.CellSize - 1), 0); // Canary.
   EXPECT_TRUE(R.readCellIgnoringCanary(0, Got));
   EXPECT_EQ(Got, (std::vector<std::uint8_t>{9, 9}));
 }
@@ -877,9 +877,9 @@ TEST_F(ClusterTest, DiagnosticsReportIdleAfterDrain) {
   for (rdma::NodeId N = 0; N < 3; ++N) {
     EXPECT_TRUE(C->node(N).idle());
     EXPECT_EQ(C->node(N).pendingFreeTotal(), 0u);
-    EXPECT_EQ(C->node(N).pendingConfTotal(), 0u);
-    EXPECT_EQ(C->node(N).leaderQueueTotal(), 0u);
-    EXPECT_EQ(C->node(N).awaitingResponseCount(), 0u);
+    EXPECT_EQ(C->node(N).conf().pendingTotal(), 0u);
+    EXPECT_EQ(C->node(N).conf().leaderQueueTotal(), 0u);
+    EXPECT_EQ(C->node(N).conf().requestCount(), 0u);
   }
   EXPECT_EQ(C->node(0).localUpdates(), 1u);
 }
