@@ -45,7 +45,7 @@
 #include "hamband/runtime/SummaryChannel.h"
 #include "hamband/runtime/WireFormat.h"
 
-#include <deque>
+#include <map>
 #include <memory>
 
 namespace hamband {
@@ -196,7 +196,9 @@ public:
   /// instances feed into it) and a frozen copy of it.
   obs::StatsSnapshot statsSnapshot() const { return Stats.snapshot(); }
 
-  /// Diagnostic size of the pending free calls (tests, stall debugging).
+  /// Received free calls that can apply once their dependencies do
+  /// (tests, stall debugging). Held calls behind a sequence gap do not
+  /// count: after a crash their missing predecessor may never arrive.
   std::size_t pendingFreeTotal() const;
 
   /// Apply-order logs (only populated under Cfg.RecordApplyLog): the
@@ -313,9 +315,14 @@ private:
 
   // Broadcast recovery.
   void onPeerSuspected(rdma::NodeId Peer);
-  /// Applies a batch of ring/backup-decoded free calls from \p Issuer,
-  /// dropping entries the FreeSeqNext cursor marks as already delivered.
-  void enqueueDecodedFree(ProcessId Issuer, std::vector<WireCall> Calls);
+  /// The one delivery rule for free calls from \p Issuer, whether read
+  /// from its ring or recovered from its backup slot: a call from another
+  /// epoch is dropped, a sequence already applied or held is a duplicate,
+  /// anything else is held until it applies in sequence order. Returns
+  /// true when the call is held.
+  bool deliverFree(ProcessId Issuer, WireCall WC);
+  /// The contiguously received broadcast position of \p Issuer.
+  std::uint64_t freeReceivedContig(ProcessId Issuer) const;
 
   // Propagation pipeline (docs/batching.md).
   /// Why a flush fired (obs counter selection). Single is the unbatched
@@ -380,8 +387,10 @@ private:
   std::vector<std::unique_ptr<RingReader>> FreeReaders;  // [issuer]
   std::vector<std::unique_ptr<RingWriter>> FreeWriters;  // [peer]
 
-  /// Received, unapplied free calls.
-  std::vector<std::deque<WireCall>> FreePending; // [issuer]
+  /// Received, unapplied free calls keyed by broadcast sequence.
+  std::vector<std::map<std::uint64_t, WireCall>> FreePending; // [issuer]
+  /// The next broadcast sequence to apply from each issuer.
+  std::vector<std::uint64_t> FreeApplyNext; // [issuer]
   /// Apply-order log (Cfg.RecordApplyLog only; see freeApplyLog()).
   std::vector<std::vector<RequestId>> FreeApplyLog;  // [issuer]
 
@@ -390,11 +399,8 @@ private:
   std::unique_ptr<ReliableBroadcast> Broadcast;
   std::unique_ptr<ConfChannel> Conf;
 
-  // Broadcast bookkeeping.
+  /// The next broadcast sequence this node issues.
   std::uint64_t BcastSeqOut = 0;
-  /// Per-issuer next-expected broadcast sequence (reader-side dedup
-  /// cursor shared by the ring path and backup-slot recovery).
-  std::vector<std::uint64_t> FreeSeqNext; // [issuer]
 
   // Pending flush state: what the next flush ships (unbatched, one call).
   struct BatchedFree {

@@ -19,7 +19,10 @@
 /// slot, and per dirty summarization group the full summary image when
 /// that still fits, otherwise the group's single delta frame, otherwise
 /// nothing; each left-out entry counts in node.delta.stage_skipped.
-/// Recovery therefore decodes one format.
+/// Recovery therefore decodes one format. Recovered free calls go through
+/// the same delivery rule as ring records (HambandNode::deliverFree): a
+/// sequence already applied or held is a duplicate, and one recovered
+/// ahead of the ring waits for its predecessors.
 ///
 /// Slot layout: u8 kind | u32 epoch | u32 len | payload | canary byte at
 /// end. The epoch is the stager's membership epoch; recovery drops a

@@ -121,7 +121,7 @@ public:
   void setRegionKey(rdma::RegionKey K) { Key = K; }
 
   /// Appends \p Payload (as appendRecord) behind every record still held
-  /// back. F-ring chunk reassembly, the FreeSeqNext dedup cursor and the
+  /// back. F-ring chunk reassembly, in-order free-call delivery and the
   /// mailbox request order assume a ring is FIFO per writer, so a full
   /// ring STALLS the stream, never reorders it; held records drain
   /// head-first from a writer-node timer every \p RetryAfter.

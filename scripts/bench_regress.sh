@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
 # Benchmark-regression harness: runs the fig8/fig9 headline points (plus
 # the batched fig8 twin), the fig_shard keyspace-scaling sweep, the
-# fig_bigstate delta-bytes sweep and the fig_reconfig online-membership
-# sweep through hamband_bench_report and emits BENCH_pr10.json, then
-# validates it. Five gates run on every invocation:
+# fig_bigstate delta-bytes sweep, the fig_reconfig online-membership
+# sweep and the paper section (every point of the paper's Figs 8-13, the
+# headline aggregate and the ablations, at pinned sizes) through
+# hamband_bench_report and emits BENCH_pr16.json, then validates it. Six
+# gates run on every invocation:
 #
+#  - paper claims: the tool's --check gates the paper's relative claims
+#    on the paper section with built-in floors (17x MSG and 2.7x Mu
+#    headline throughput, Hamband ahead of both baselines at every Fig 8
+#    and Fig 9 point, 1.4x Mu per Fig 10 size, above Mu per Fig 11 ratio,
+#    the failure orderings of Figs 12 and 13);
 #  - batching on/off: fig8_batched throughput must beat fig8 by at least
 #    --min-batch-speedup (default 1.25x);
 #  - shard scaling: the fig_shard sweep's top-shard-count throughput must
@@ -59,7 +66,7 @@ set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$REPO/build"
-OUT="$REPO/BENCH_pr10.json"
+OUT="$REPO/BENCH_pr16.json"
 BASELINE="$REPO/BENCH_pr4.json"
 OPS="${HAMBAND_OPS:-6000}"
 REPS="${HAMBAND_REPS:-1}"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
-# twin, delta twin, reconfig, delta + reconfig), the bounded
+# twin, delta twin, reconfig, delta + reconfig, pinned regression runs),
+# the bench-report smoke with its paper-claim gates, the bounded
 # coordination-verifier gate (including keyed-lift preservation), the
 # hamband_mc exhaustive small-scope sweep
 # (plus a delta-mode exploration), the end-to-end benchmark smoke
@@ -53,10 +54,57 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 "$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 49 --nodes 2 \
   --deltas --reconfig
 
+# Pinned fuzz regressions: runs whose semantics replay let a new leader
+# append ahead of entries it had not applied (a Mu leader catches up
+# first). Each failed with "semantics world diverged" until the replay
+# modelled the catch-up.
+echo "ci: pinned fuzz regressions (semantics replay of leader catch-up)"
+while read -r PIN; do
+  # shellcheck disable=SC2086
+  "$BUILD/tools/hamband_fuzz" $PIN </dev/null >/dev/null ||
+    { echo "ci: pinned fuzz run failed: hamband_fuzz $PIN" >&2; exit 1; }
+done <<'PINS'
+--seed 7 --only 393
+--seed 7 --only 543
+--seed 7 --only 647
+--seed 43 --batch --only 205
+--seed 43 --batch --only 241
+--seed 45 --reconfig --only 65
+--seed 53 --deltas --reconfig --only 179
+--seed 102 --reconfig --only 189
+--seed 200 --only 1245
+--seed 200 --only 1573
+--seed 201 --deltas --batch --only 133
+--seed 201 --deltas --batch --only 517
+--seed 201 --deltas --batch --only 673
+--seed 201 --deltas --batch --only 731
+PINS
+
 # Bench smoke: the regression harness must produce a well-formed report.
 "$REPO/scripts/bench_regress.sh" --smoke --out "$BUILD/BENCH_smoke.json" \
   "$BUILD"
 "$BUILD/tools/hamband_bench_report" --check "$BUILD/BENCH_smoke.json"
+
+# The paper-claim gates must fire: a copy of the smoke report with one
+# Hamband Fig 9 point lowered below its Mu twin must fail --check.
+echo "ci: paper-claim gate fires on a doctored report"
+python3 - "$BUILD/BENCH_smoke.json" "$BUILD/BENCH_doctored.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+fig9 = doc["paper"]["fig9"]
+ham = next(p for p in fig9 if p["runtime"] == "hamband")
+mu = next(p for p in fig9 if p["runtime"] == "mu" and
+          all(p[k] == ham[k] for k in ("type", "nodes", "update_pct", "ops")))
+ham["throughput_ops_us"] = mu["throughput_ops_us"] / 2
+json.dump(doc, open(sys.argv[2], "w"))
+PY
+if out=$("$BUILD/tools/hamband_bench_report" --check \
+           "$BUILD/BENCH_doctored.json" 2>&1); then
+  echo "ci: --check accepted a report with Hamband below Mu in fig9" >&2
+  exit 1
+fi
+grep -q "check failed: paper.fig9/" <<<"$out" || {
+  echo "ci: doctored report failed for the wrong reason: $out" >&2; exit 1; }
 
 # End-to-end benchmark smoke: bench/e2e is its own CMake project (the
 # build bench/e2e/run.py uses), so its two ctests -- the tiny-size run of

@@ -25,8 +25,8 @@ if [ ! -f "$BUILD/compile_commands.json" ]; then
   exit 1
 fi
 
-# Only first-party sources; the database also holds bench/example targets
-# whose third-party headers (gtest, benchmark) we do not lint.
+# Only first-party sources; the database also holds the example targets,
+# and third-party headers (gtest) are not linted.
 mapfile -t FILES < <(find "$REPO/src" "$REPO/tools" "$REPO/tests" \
   -name '*.cpp' | sort)
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Builds everything, runs the full test suite, regenerates every figure,
-# and leaves test_output.txt / bench_output.txt in the repository root.
+# Builds everything, runs the full test suite (leaving test_output.txt in
+# the repository root), regenerates every figure of the paper's
+# evaluation into build/BENCH_run_all.json and gates the paper's claims
+# on it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,12 +11,10 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-{
-  for b in build/bench/*; do
-    echo "===== $b ====="
-    "$b"
-  done
-} 2>&1 | tee bench_output.txt
+# The report's "paper" section holds every figure point (EXPERIMENTS.md
+# reads it); --check validates it and gates the paper's relative claims.
+build/tools/hamband_bench_report --transport sim --out build/BENCH_run_all.json
+build/tools/hamband_bench_report --check build/BENCH_run_all.json
 
 echo
 echo "Examples:"

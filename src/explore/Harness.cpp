@@ -356,9 +356,14 @@ RunOutcome explore::runSchedule(const RunSpec &Cfg,
     if (Spec.category(I.TheCall.Method) == MethodCategory::Conflicting) {
       unsigned G = *Spec.syncGroup(I.TheCall.Method);
       // Model the redirect: whichever node leads may issue, and the
-      // runtime's leader can differ after failovers.
-      if (Konf.leader(G) != I.Origin)
+      // runtime's leader can differ after failovers. A Mu leader catches
+      // up on the group's log before it appends, so the new leader first
+      // applies every entry it has buffered.
+      if (Konf.leader(G) != I.Origin) {
+        while (Konf.tryConfApp(I.Origin, G)) {
+        }
         Konf.setLeader(G, I.Origin);
+      }
       Konf.tryConf(I.Origin, Konf.prepareAt(I.Origin, I.TheCall));
     } else if (!Konf.tryUpdate(I.Origin,
                                Konf.prepareAt(I.Origin, I.TheCall))) {

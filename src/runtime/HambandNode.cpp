@@ -95,7 +95,7 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   Stored = Type.initialState();
   Applied.assign(N, std::vector<std::uint64_t>(Type.numMethods(), 0));
   FreePending.resize(N);
-  FreeSeqNext.assign(N, 0);
+  FreeApplyNext.assign(N, 0);
   SumBatchDone.resize(SumGroups);
   FreeApplyLog.resize(N);
 
@@ -193,10 +193,17 @@ void HambandNode::applyToStored(const Call &C) {
     Type.apply(*VisibleCache, C);
 }
 
+std::uint64_t HambandNode::freeReceivedContig(ProcessId Issuer) const {
+  std::uint64_t R = FreeApplyNext[Issuer];
+  while (FreePending[Issuer].count(R))
+    ++R;
+  return R;
+}
+
 std::size_t HambandNode::pendingFreeTotal() const {
   std::size_t N = 0;
-  for (const auto &Q : FreePending)
-    N += Q.size();
+  for (ProcessId J = 0; J < FreePending.size(); ++J)
+    N += freeReceivedContig(J) - FreeApplyNext[J];
   return N;
 }
 
@@ -227,16 +234,16 @@ std::uint64_t HambandNode::replicatedStateHash(std::uint64_t Seed) {
 std::uint64_t HambandNode::stateDigest() {
   std::uint64_t H = replicatedStateHash(0x5bd1e9955bd1e995ull ^ Self);
   auto Mix = [&H](std::uint64_t V) { mixHash(H, V); };
-  for (std::uint64_t V : FreeSeqNext)
-    Mix(V);
+  for (ProcessId J = 0; J < FreePending.size(); ++J)
+    Mix(freeReceivedContig(J));
   Mix(BcastSeqOut);
   Sums.digest(Mix);
   for (const auto &R : FreeReaders)
     Mix(R ? R->head() : 0);
   for (const auto &W : FreeWriters)
     Mix(W ? W->tail() : 0);
-  for (const auto &Q : FreePending)
-    Mix(Q.size());
+  for (const auto &Held : FreePending)
+    Mix(Held.size());
   Conf->digest(Mix);
   Mix(OutOfService ? 1 : 0);
   Mix(BatchedPending);
@@ -420,7 +427,8 @@ unsigned HambandNode::pollFreeRings() {
         }
         FreeReaders[J]->consume();
         Parsed += static_cast<unsigned>(Calls.size());
-        enqueueDecodedFree(J, std::move(Calls));
+        for (WireCall &WC : Calls)
+          deliverFree(J, std::move(WC));
         continue;
       }
       WireCall WC;
@@ -431,33 +439,25 @@ unsigned HambandNode::pollFreeRings() {
       }
       FreeReaders[J]->consume();
       ++Parsed;
-      std::vector<WireCall> One;
-      One.push_back(std::move(WC));
-      enqueueDecodedFree(J, std::move(One));
+      deliverFree(J, std::move(WC));
     }
   }
   return Parsed;
 }
 
-void HambandNode::enqueueDecodedFree(ProcessId Issuer,
-                                     std::vector<WireCall> Calls) {
-  for (WireCall &WC : Calls) {
-    // A record from another epoch is dropped without advancing the
-    // cursor: the epoch fence guarantees its writer can never complete,
-    // so the slot it claimed is dead and the post-install resync
-    // (absorbTransfer / installMembership) re-aligns the cursors.
-    if (WC.Epoch != CurrentEpoch) {
-      CtrCrossEpochDrop->add();
-      continue;
-    }
-    // The cursor is the reader-side dedup of reliable broadcast: ring
-    // delivery and backup-slot recovery both advance it, so an entry
-    // arriving through both paths is delivered exactly once.
-    if (WC.BcastSeq < FreeSeqNext[Issuer])
-      continue;
-    FreeSeqNext[Issuer] = WC.BcastSeq + 1;
-    FreePending[Issuer].push_back(std::move(WC));
+bool HambandNode::deliverFree(ProcessId Issuer, WireCall WC) {
+  // A call from another epoch is dropped: the epoch fence guarantees its
+  // writer can never complete, so the sequence it claimed is dead.
+  if (WC.Epoch != CurrentEpoch) {
+    CtrCrossEpochDrop->add();
+    return false;
   }
+  // Reader-side dedup of reliable broadcast: a call arriving through both
+  // the ring and backup-slot recovery is delivered exactly once, and one
+  // recovered ahead of the ring waits for its predecessors.
+  std::uint64_t Seq = WC.BcastSeq;
+  return Seq >= FreeApplyNext[Issuer] &&
+         FreePending[Issuer].emplace(Seq, std::move(WC)).second;
 }
 
 unsigned HambandNode::applyPendingFree() {
@@ -465,27 +465,29 @@ unsigned HambandNode::applyPendingFree() {
   for (rdma::NodeId J = 0; J < Fabric.numNodes(); ++J) {
     if (J == Self)
       continue;
-    auto &Q = FreePending[J];
-    while (!Q.empty() && depsSatisfied(Applied, Q.front().Deps)) {
-      if (Q.front().Epoch != CurrentEpoch) {
-        // Enqueued before an epoch install that the drain stage should
-        // have flushed; counted so the reconfig oracles can assert it
-        // never happens (reconfig.cross_epoch_apply stays 0).
+    auto &M = FreePending[J];
+    for (auto It = M.find(FreeApplyNext[J]);
+         It != M.end() && depsSatisfied(Applied, It->second.Deps);
+         It = M.find(FreeApplyNext[J])) {
+      const Call &C = It->second.TheCall;
+      if (It->second.Epoch != CurrentEpoch) {
+        // Held before an epoch install that the drain stage should have
+        // flushed; counted so the reconfig oracles can assert it never
+        // happens (reconfig.cross_epoch_apply stays 0).
         CtrCrossEpochApply->add();
-        Q.pop_front();
-        continue;
+      } else {
+        applyToStored(C);
+        Applied[C.Issuer][C.Method] += 1;
+        if (Cfg.RecordApplyLog)
+          FreeApplyLog[C.Issuer].push_back(C.Req);
+        ++AppliedN;
       }
-      const Call &C = Q.front().TheCall;
-      applyToStored(C);
-      Applied[C.Issuer][C.Method] += 1;
-      if (Cfg.RecordApplyLog)
-        FreeApplyLog[C.Issuer].push_back(C.Req);
-      Q.pop_front();
-      ++AppliedN;
+      M.erase(It);
+      ++FreeApplyNext[J];
     }
-    // Head entry present but its dependency array is unsatisfied: the
+    // Next call present but its dependency array is unsatisfied: the
     // buffer is stalled waiting for another process's calls.
-    if (!Q.empty())
+    if (M.count(FreeApplyNext[J]))
       CtrDepStallFree->add();
   }
   return AppliedN;
@@ -711,17 +713,11 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
         !decodeCallBatch(Spec, Fabric.numNodes(), Img.FreeRecord.data(),
                          Img.FreeRecord.size(), Calls))
       return;
-    // Deliver only the contiguous-next suffix: a smaller sequence is a
-    // duplicate (agreement is preserved), a larger one means earlier
-    // entries are still in our ring and the cursor will catch up through
-    // the normal poll path.
-    for (WireCall &WC : Calls) {
-      if (WC.BcastSeq != FreeSeqNext[Peer])
-        continue;
-      FreeSeqNext[Peer] = WC.BcastSeq + 1;
-      FreePending[Peer].push_back(std::move(WC));
-      Recovered(1);
-    }
+    // The ring's delivery rule: a call ahead of the ring is held until
+    // its predecessors land.
+    for (WireCall &WC : Calls)
+      if (deliverFree(Peer, std::move(WC)))
+        Recovered(1);
   });
 }
 
@@ -767,10 +763,11 @@ TransferImage HambandNode::buildTransferImage(
   TransferImage Img;
   Img.Epoch = CurrentEpoch;
   Img.Applied = Applied;
-  Img.FreeSeqNext = FreeSeqNext;
-  // The donor's own cursor entry is unused locally; the joiner needs the
-  // donor's *outgoing* position there.
-  Img.FreeSeqNext[Self] = BcastSeqOut;
+  // The contiguously received position of every issuer; the joiner needs
+  // the donor's *outgoing* position in the donor's own entry.
+  for (ProcessId J = 0; J < FreePending.size(); ++J)
+    Img.FreeSeqNext.push_back(J == Self ? BcastSeqOut
+                                        : freeReceivedContig(J));
   Sums.exportTo(Img);
   Img.ConfNextIndex = ConfNext;
   Img.IrreducibleLog = ReconfigLog;
@@ -779,10 +776,12 @@ TransferImage HambandNode::buildTransferImage(
 
 void HambandNode::absorbTransfer(const TransferImage &Img) {
   Applied = Img.Applied;
-  FreeSeqNext = Img.FreeSeqNext;
+  FreeApplyNext = Img.FreeSeqNext;
+  for (auto &M : FreePending)
+    M.clear();
   // Our entry in the transferred cursor table is the next broadcast the
   // cluster expects *from us* -- resume our outgoing numbering there.
-  BcastSeqOut = std::max(BcastSeqOut, FreeSeqNext[Self]);
+  BcastSeqOut = std::max(BcastSeqOut, FreeApplyNext[Self]);
   Sums.importFrom(Img);
   // Replay the donor's irreducible log in its apply order; applied counts
   // came with the table above, so only the stored state (and the logs a
@@ -823,6 +822,17 @@ void HambandNode::installMembership(const Membership &M,
   }
   CurrentEpoch = M.Epoch;
   Active = M.Active;
+  // Held calls behind a sequence gap wait for a predecessor that can no
+  // longer arrive (its source crashed before posting it, or the fence
+  // killed the write), so they are dropped; the contiguous ones stay and
+  // reach the cross-epoch apply oracle.
+  for (ProcessId J = 0; J < FreePending.size(); ++J) {
+    auto &Held = FreePending[J];
+    auto Dead = Held.lower_bound(freeReceivedContig(J));
+    CtrCrossEpochDrop->add(
+        static_cast<std::uint64_t>(std::distance(Dead, Held.end())));
+    Held.erase(Dead, Held.end());
+  }
   DataKey = NewKey;
   for (auto &W : FreeWriters)
     if (W)

@@ -399,6 +399,105 @@ TEST(BackupRecovery, AgreementAfterMidBroadcastCrash) {
   EXPECT_EQ(V, 1);
 }
 
+namespace {
+
+/// Delays every one-sided write from \p Src to \p Dst (a slow link).
+struct DelayWrites final : rdma::FabricFaultHook {
+  rdma::NodeId Src, Dst;
+  sim::SimDuration Delay;
+  DelayWrites(rdma::NodeId S, rdma::NodeId D, sim::SimDuration Dl)
+      : Src(S), Dst(D), Delay(Dl) {}
+  rdma::FaultDecision onOneSidedOp(rdma::NodeId S, rdma::NodeId D,
+                                   bool IsWrite, std::size_t) override {
+    rdma::FaultDecision F;
+    if (S == Src && D == Dst && IsWrite)
+      F.ExtraDelay = Delay;
+    return F;
+  }
+  rdma::FaultDecision onTwoSidedMsg(rdma::NodeId, rdma::NodeId,
+                                    std::size_t) override {
+    return {};
+  }
+};
+
+} // namespace
+
+TEST(BackupRecovery, RecoveredCallAheadOfTheRingWaitsForIt) {
+  // Node 0 broadcasts A, then B, and crashes right after staging B. Its
+  // writes to node 2 are slow, so node 2 may recover B from the backup
+  // slot before A's ring write lands. B must wait for A there, or the
+  // survivors diverge (node 1 applies both, node 2 only A).
+  for (bool Batched : {false, true})
+    for (double DelayUs : {0.0, 400.0, 1000.0}) {
+      SCOPED_TRACE(testing::Message() << "batched=" << Batched
+                                      << " delay_us=" << DelayUs);
+      sim::Simulator Sim;
+      auto T = makeType("orset");
+      MethodId Add = T->methodId("add");
+      HambandConfig Cfg;
+      Cfg.Batch.Enabled = Batched;
+      HambandCluster C(Sim, 3, *T, {}, Cfg);
+      DelayWrites Slow(0, 2, sim::micros(DelayUs));
+      C.fabric().setFaultHook(&Slow);
+      C.start();
+      unsigned Stages = 0;
+      C.node(0).broadcast().setOnStage([&] {
+        if (++Stages == 2)
+          C.crashNode(0);
+      });
+      C.submit(0, Call(Add, {7}, 0, 1), [](bool, Value) {});
+      Sim.run(Sim.now() + sim::micros(5));
+      C.submit(0, Call(Add, {8}, 0, 2), [](bool, Value) {});
+
+      EXPECT_TRUE(runUntil(
+          Sim,
+          [&] {
+            return C.node(1).applied(0, Add) == 2 &&
+                   C.node(2).applied(0, Add) == 2;
+          },
+          20000.0));
+      EXPECT_EQ(Stages, 2u);
+      EXPECT_TRUE(C.fullyReplicatedLive());
+      EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
+      C.fabric().setFaultHook(nullptr);
+    }
+}
+
+TEST(BackupRecovery, CallStagedBehindAnUnpostedFlushDoesNotWedge) {
+  // Node 0 submits three adds at once, so its second flush stages before
+  // the first flush's writes are posted, and crashes at that stage.
+  // Unbatched, the first call never leaves node 0 and the recovered second
+  // call waits behind it forever; that wait must not block quiescence.
+  // Batched, the first flush carries one call and the staged second one
+  // the other two, so everything is recovered.
+  for (bool Batched : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "batched=" << Batched);
+    sim::Simulator Sim;
+    auto T = makeType("orset");
+    MethodId Add = T->methodId("add");
+    HambandConfig Cfg;
+    Cfg.Batch.Enabled = Batched;
+    HambandCluster C(Sim, 3, *T, {}, Cfg);
+    C.start();
+    unsigned Stages = 0;
+    C.node(0).broadcast().setOnStage([&] {
+      if (++Stages == 2)
+        C.crashNode(0);
+    });
+    for (Value V = 0; V < 3; ++V)
+      C.submit(0, Call(Add, {V}, 0, 10 + static_cast<RequestId>(V)),
+               [](bool, Value) {});
+    Sim.run(Sim.now() + sim::millis(3));
+
+    const std::uint64_t Expected = Batched ? 3 : 0;
+    EXPECT_EQ(Stages, 2u);
+    EXPECT_TRUE(C.fullyReplicatedLive());
+    EXPECT_EQ(C.node(1).applied(0, Add), Expected);
+    EXPECT_EQ(C.node(2).applied(0, Add), Expected);
+    EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
+  }
+}
+
 TEST(LeaderChange, ConcurrentCandidatesConvergeOnOneLeader) {
   // Two followers suspect the leader near-simultaneously and both
   // campaign with the same epoch; proposal adoption is deterministic

@@ -6,7 +6,8 @@
 //
 // Runs the headline figure points (fig8 reduction throughput on the
 // counter -- unbatched and with reduction-aware call batching -- and fig9
-// buffering latency on the ORSet) through benchlib and emits a
+// buffering latency on the ORSet) and every point of the paper's
+// evaluation (the "paper" section) through benchlib and emits a
 // machine-readable hamband-bench-v1 JSON report:
 //
 //   hamband_bench_report --out BENCH.json          # run and emit
@@ -20,8 +21,8 @@
 //   hamband_bench_report --compare A.json B.json --tolerance 0.05
 //
 // --transport selects the backend dimension: "sim" (default) emits the
-// simulated-time figures fig8/fig8_batched/fig9 plus the fig_shard
-// sharding sweep; "shm" emits only the wall-clock shared-memory points
+// simulated-time figures fig8/fig8_batched/fig9, the extension sweeps and
+// the paper section; "shm" emits only the wall-clock shared-memory points
 // fig8_shm/fig8_shm_batched; "both" emits all sections side by side.
 //
 // The fig_shard sweep measures keyspace scaling: a conflicting-call
@@ -61,9 +62,23 @@
 // the after-phase average needs a long window to amortize the
 // pipeline-refill dip right after reopen.
 //
-// Latency percentiles come from the merged per-node node.resp_ns
-// histograms when the observability layer is compiled in, with the
-// driver's exact per-call samples as the fallback (and as a cross-check).
+// The paper section holds every point behind the paper's evaluation
+// (Section 5): Figs 8-13 against the MSG and Mu baselines, the
+// abstract's headline aggregate, and the design ablations, each with the
+// call count, node count and configuration its figure uses. Its sizes are
+// pinned too, so every report carries the same numbers. --check gates the
+// paper's relative claims on every report that carries the section (the
+// floors are the constants below, not options): the headline's 17x MSG
+// and 2.7x Mu throughput, Hamband ahead of both baselines at every Fig 8
+// and Fig 9 point, 1.4x Mu per Fig 10 size, above Mu per Fig 11 ratio, a
+// failure always costing throughput in Fig 12, and Fig 13's none >
+// follower > leader order. Its response percentiles are the driver's
+// exact per-call samples.
+//
+// Outside the paper section, latency percentiles come from the merged
+// per-node node.resp_ns histograms when the observability layer is
+// compiled in, with the driver's exact per-call samples as the fallback
+// (and as a cross-check).
 // --compare exits nonzero when fig8 throughput differs by more than the
 // tolerance, which is how scripts/bench_regress.sh asserts that an
 // HAMBAND_OBS=ON build performs within noise of an OFF build.
@@ -80,8 +95,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace hamband;
 using namespace hamband::benchlib;
@@ -283,6 +300,243 @@ BigStatePoint runBigStatePoint(const std::string &TypeName,
   return B;
 }
 
+/// One point of the paper section: a runWorkload call with the
+/// parameters its figure uses, and the labels that identify it.
+struct PaperPoint {
+  std::string Type;
+  RuntimeKind Kind = RuntimeKind::Hamband;
+  unsigned Nodes = 4;
+  double UpdatePct = 25;
+  std::uint64_t Ops = 24000;
+  std::string Variant = "base";
+  runtime::HambandConfig Cfg;
+  /// Node failed at 40% of issued ops.
+  std::optional<unsigned> FailNode;
+  /// Record the mean response per method (Figs 11b and 13b).
+  bool PerMethod = false;
+};
+
+struct PaperFigure {
+  const char *Name;
+  std::vector<PaperPoint> Points;
+};
+
+constexpr RuntimeKind AllKinds[] = {RuntimeKind::Hamband, RuntimeKind::Msg,
+                                    RuntimeKind::MuSmr};
+
+/// Every point of Figs 8-13 and the ablations, in figure order.
+std::vector<PaperFigure> paperFigures() {
+  std::vector<PaperFigure> Figs;
+  auto Point = [](std::string Type, RuntimeKind Kind, unsigned Nodes,
+                  double UpdatePct, std::uint64_t Ops) {
+    PaperPoint P;
+    P.Type = std::move(Type);
+    P.Kind = Kind;
+    P.Nodes = Nodes;
+    P.UpdatePct = UpdatePct;
+    P.Ops = Ops;
+    return P;
+  };
+  const double Ratios[] = {25, 15, 5};
+
+  // Fig 8: reducible updates against both baselines on 4 nodes, then
+  // counter node scaling (Hamband at every ratio, the baselines at 25%).
+  PaperFigure &F8 = Figs.emplace_back(PaperFigure{"fig8", {}});
+  for (const char *T : {"counter", "lww-register", "gset"})
+    for (RuntimeKind K : AllKinds)
+      for (double R : Ratios)
+        F8.Points.push_back(Point(T, K, 4, R, 30000));
+  for (unsigned Nodes : {3u, 5u, 7u}) {
+    for (double R : Ratios)
+      F8.Points.push_back(Point("counter", RuntimeKind::Hamband, Nodes, R,
+                                30000));
+    F8.Points.push_back(Point("counter", RuntimeKind::MuSmr, Nodes, 25, 30000));
+    F8.Points.push_back(Point("counter", RuntimeKind::Msg, Nodes, 25, 30000));
+  }
+
+  // Fig 9: irreducible conflict-free updates through the F rings.
+  PaperFigure &F9 = Figs.emplace_back(PaperFigure{"fig9", {}});
+  for (const char *T : {"orset", "gset-buffered", "shopping-cart"})
+    for (RuntimeKind K : AllKinds)
+      for (double R : Ratios)
+        F9.Points.push_back(Point(T, K, 4, R, 30000));
+
+  // Fig 10: pure updates on the movie schema's two sync groups (the
+  // paper's 2M/4M/8M calls, scaled down 100x).
+  PaperFigure &F10 = Figs.emplace_back(PaperFigure{"fig10", {}});
+  for (std::uint64_t Ops : {20000ull, 40000ull, 80000ull})
+    for (RuntimeKind K : {RuntimeKind::Hamband, RuntimeKind::MuSmr})
+      F10.Points.push_back(Point("movie", K, 4, 100, Ops));
+
+  // Fig 11: the project-management schema mixes all three categories.
+  PaperFigure &F11 = Figs.emplace_back(PaperFigure{"fig11", {}});
+  for (double R : {50.0, 25.0, 10.0})
+    for (RuntimeKind K : {RuntimeKind::Hamband, RuntimeKind::MuSmr}) {
+      F11.Points.push_back(Point("project-management", K, 4, R, 24000));
+      F11.Points.back().PerMethod = true;
+    }
+
+  // Fig 12: a conflict-free workload loses node 3 mid-run.
+  PaperFigure &F12 = Figs.emplace_back(PaperFigure{"fig12", {}});
+  for (const char *T : {"counter", "orset"})
+    for (double R : Ratios)
+      for (bool Failure : {false, true}) {
+        PaperPoint P = Point(T, RuntimeKind::Hamband, 4, R, 24000);
+        P.Variant = Failure ? "failure" : "no-failure";
+        if (Failure)
+          P.FailNode = 3;
+        F12.Points.push_back(std::move(P));
+      }
+
+  // Fig 13: courseware with no failure, a follower failure and a failure
+  // of group 0's initial leader (node 0). Detection is scaled to the
+  // shortened run the way the paper's millisecond timeouts relate to its
+  // runs.
+  PaperFigure &F13 = Figs.emplace_back(PaperFigure{"fig13", {}});
+  const std::pair<const char *, std::optional<unsigned>> Scenarios[] = {
+      {"fail:none", std::nullopt}, {"fail:follower", 3}, {"fail:leader", 0}};
+  for (const auto &[Variant, FailNode] : Scenarios) {
+    PaperPoint P = Point("courseware", RuntimeKind::Hamband, 4, 25, 24000);
+    P.Variant = Variant;
+    P.FailNode = FailNode;
+    P.Cfg.Heartbeat.CheckInterval = sim::micros(400);
+    P.Cfg.Heartbeat.SuspectAfter = 6;
+    P.PerMethod = true;
+    F13.Points.push_back(std::move(P));
+  }
+
+  // Ablations of the design choices: (i) summaries vs buffers, (ii) the
+  // traversal threads' poll interval, (iii) responding after the remote
+  // writes complete vs after the local apply, (iv) the backup slot.
+  PaperFigure &Ab = Figs.emplace_back(PaperFigure{"ablations", {}});
+  for (const char *T : {"gset", "gset-buffered"}) {
+    Ab.Points.push_back(Point(T, RuntimeKind::Hamband, 4, 25, 24000));
+    Ab.Points.back().Variant = "summary_vs_buffer";
+  }
+  for (double PollUs : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+    PaperPoint P = Point("orset", RuntimeKind::Hamband, 4, 25, 24000);
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "poll_us:%g", PollUs);
+    P.Variant = Buf;
+    P.Cfg.PollInterval = sim::micros(PollUs);
+    Ab.Points.push_back(std::move(P));
+  }
+  for (bool Late : {true, false}) {
+    PaperPoint P = Point("counter", RuntimeKind::Hamband, 4, 25, 24000);
+    P.Variant = Late ? "respond:after_completion" : "respond:after_local_apply";
+    P.Cfg.RespondAfterCompletion = Late;
+    Ab.Points.push_back(std::move(P));
+  }
+  for (bool Backup : {true, false}) {
+    PaperPoint P = Point("counter", RuntimeKind::Hamband, 4, 25, 24000);
+    P.Variant = Backup ? "backup_slot:on" : "backup_slot:off";
+    P.Cfg.UseBackupSlot = Backup;
+    Ab.Points.push_back(std::move(P));
+  }
+  return Figs;
+}
+
+RunResult runPaperPoint(const PaperPoint &P, unsigned Reps) {
+  auto Type = makeType(P.Type);
+  WorkloadSpec W;
+  W.NumOps = P.Ops;
+  W.UpdateRatio = P.UpdatePct / 100.0;
+  W.FailNode = P.FailNode;
+  RunnerOptions RO;
+  RO.Kind = P.Kind;
+  RO.NumNodes = P.Nodes;
+  RO.Repetitions = Reps;
+  RO.Cfg = P.Cfg;
+  return runWorkload(*Type, W, RO);
+}
+
+json::Value paperPointToJson(const PaperPoint &P, const RunResult &R) {
+  json::Value O = json::Value::makeObject();
+  O.add("runtime", json::Value::makeString(runtimeKindName(P.Kind)));
+  O.add("type", json::Value::makeString(P.Type));
+  O.add("nodes", json::Value::makeUInt(P.Nodes));
+  O.add("update_pct", json::Value::makeDouble(P.UpdatePct));
+  O.add("ops", json::Value::makeUInt(P.Ops));
+  O.add("variant", json::Value::makeString(P.Variant));
+  O.add("throughput_ops_us", json::Value::makeDouble(R.ThroughputOpsPerUs));
+  O.add("mean_response_us", json::Value::makeDouble(R.MeanResponseUs));
+  O.add("update_response_us",
+        json::Value::makeDouble(R.MeanUpdateResponseUs));
+  O.add("query_response_us", json::Value::makeDouble(R.MeanQueryResponseUs));
+  O.add("resp_p50_us", json::Value::makeDouble(R.P50ResponseUs));
+  O.add("resp_p99_us", json::Value::makeDouble(R.P99ResponseUs));
+  O.add("rejected", json::Value::makeUInt(R.RejectedOps));
+  O.add("stale_mean", json::Value::makeDouble(R.MeanBacklogCalls));
+  O.add("stale_max", json::Value::makeDouble(R.MaxBacklogCalls));
+  O.add("completed", json::Value::makeBool(R.Completed));
+  if (P.PerMethod) {
+    json::Value M = json::Value::makeObject();
+    for (const auto &[Method, S] : R.PerMethod)
+      M.add(Method, json::Value::makeDouble(S.mean()));
+    O.add("per_method_response_us", std::move(M));
+  }
+  return O;
+}
+
+/// The abstract's headline: Hamband's throughput and response ratios
+/// against MSG and Mu, averaged over the conflict-free matrix of Figs 8
+/// and 9 (5 types x 3 update ratios x {4, 7} nodes, 12,000 calls).
+json::Value runHeadline(unsigned Reps) {
+  struct Aggregate {
+    double TputRatioSum = 0;
+    double RespRatioSum = 0;
+    unsigned Points = 0;
+
+    void add(const RunResult &H, const RunResult &Other) {
+      if (!H.Completed || !Other.Completed ||
+          Other.ThroughputOpsPerUs <= 0 || H.MeanResponseUs <= 0)
+        return;
+      TputRatioSum += H.ThroughputOpsPerUs / Other.ThroughputOpsPerUs;
+      RespRatioSum += Other.MeanResponseUs / H.MeanResponseUs;
+      ++Points;
+    }
+    double tput() const { return Points ? TputRatioSum / Points : 0; }
+    double resp() const { return Points ? RespRatioSum / Points : 0; }
+  } VsMsg, VsMu;
+  unsigned Cells = 0;
+  for (const char *TypeName :
+       {"counter", "lww-register", "gset", "orset", "shopping-cart"}) {
+    auto Type = makeType(TypeName);
+    for (double Ratio : {0.25, 0.15, 0.05})
+      for (unsigned Nodes : {4u, 7u}) {
+        WorkloadSpec W;
+        W.NumOps = 12000;
+        W.UpdateRatio = Ratio;
+        RunResult R[3];
+        for (unsigned K = 0; K < 3; ++K) {
+          RunnerOptions RO;
+          RO.Kind = AllKinds[K];
+          RO.NumNodes = Nodes;
+          RO.Repetitions = Reps;
+          R[K] = runWorkload(*Type, W, RO);
+        }
+        VsMsg.add(R[0], R[1]);
+        VsMu.add(R[0], R[2]);
+        ++Cells;
+      }
+  }
+  json::Value O = json::Value::makeObject();
+  O.add("cells", json::Value::makeUInt(Cells));
+  O.add("ops", json::Value::makeUInt(12000));
+  O.add("tput_vs_msg", json::Value::makeDouble(VsMsg.tput()));
+  O.add("tput_vs_mu", json::Value::makeDouble(VsMu.tput()));
+  O.add("resp_vs_msg", json::Value::makeDouble(VsMsg.resp()));
+  O.add("resp_vs_mu", json::Value::makeDouble(VsMu.resp()));
+  O.add("points", json::Value::makeUInt(VsMsg.Points));
+  O.add("completed",
+        json::Value::makeBool(VsMsg.Points == Cells && VsMu.Points == Cells));
+  std::printf("paper headline: %.1fx MSG and %.2fx Mu throughput; %.1fx "
+              "lower response than MSG, %.2fx lower than Mu (%u points)\n",
+              VsMsg.tput(), VsMu.tput(), VsMsg.resp(), VsMu.resp(),
+              VsMsg.Points);
+  return O;
+}
+
 json::Value pointToJson(const std::string &TypeName, unsigned Nodes,
                         double UpdateRatio, const PointReport &P,
                         const char *Transport = "sim") {
@@ -304,25 +558,30 @@ json::Value pointToJson(const std::string &TypeName, unsigned Nodes,
 }
 
 /// The report's required numeric fields per figure point.
-const char *const PointFields[] = {
+const std::vector<const char *> PointFields = {
     "throughput_ops_us", "mean_response_us", "p50_response_us",
     "p99_response_us",   "max_response_us",
 };
 
+bool finiteNonNegative(const json::Value *V) {
+  return V && V->isNumber() && std::isfinite(V->asDouble()) &&
+         V->asDouble() >= 0;
+}
+
+/// Requires every field in \p Fields to be a finite, non-negative number
+/// and the run to have completed.
 bool checkPointObject(const json::Value *P, const std::string &Name,
-                      std::string &Err) {
+                      std::string &Err,
+                      const std::vector<const char *> &Fields = PointFields) {
   if (!P || !P->isObject()) {
     Err = Name + " missing or not an object";
     return false;
   }
-  for (const char *F : PointFields) {
-    const json::Value *V = P->find(F);
-    if (!V || !V->isNumber() || !std::isfinite(V->asDouble()) ||
-        V->asDouble() < 0) {
+  for (const char *F : Fields)
+    if (!finiteNonNegative(P->find(F))) {
       Err = Name + "." + F + " missing or not a finite number";
       return false;
     }
-  }
   const json::Value *C = P->find("completed");
   if (!C || !C->isBool() || !C->B) {
     Err = Name + " run did not complete";
@@ -333,6 +592,173 @@ bool checkPointObject(const json::Value *P, const std::string &Name,
 
 bool checkPoint(const json::Value &Doc, const char *Fig, std::string &Err) {
   return checkPointObject(Doc.find(Fig), Fig, Err);
+}
+
+// The paper's relative claims (Section 5 and the abstract), gated on
+// every report that carries the paper section.
+constexpr double HeadlineMinVsMsg = 17.0;
+constexpr double HeadlineMinVsMu = 2.7;
+constexpr double Fig10MinVsMu = 1.4;
+
+std::string paperPointName(const char *Fig, const json::Value &P) {
+  auto Str = [&P](const char *F) {
+    const json::Value *V = P.find(F);
+    return V && V->isString() ? V->Str : std::string("?");
+  };
+  auto Num = [&P](const char *F) {
+    const json::Value *V = P.find(F);
+    return V && V->isNumber() ? std::to_string(V->asUInt()) : "?";
+  };
+  return std::string("paper.") + Fig + "/" + Str("type") + "/" +
+         Str("runtime") + "/nodes:" + Num("nodes") + "/upd:" +
+         Num("update_pct") + "/ops:" + Num("ops") + "/" + Str("variant");
+}
+
+/// The point of \p Fig identified like \p P but with the given runtime
+/// and variant, or nullptr.
+const json::Value *paperTwin(const json::Value &Fig, const json::Value &P,
+                             const char *Runtime, const char *Variant) {
+  auto Num = [](const json::Value &X, const char *F) {
+    return X.find(F)->asDouble();
+  };
+  for (const json::Value &Q : Fig.Arr)
+    if (Q.find("runtime")->Str == Runtime &&
+        Q.find("variant")->Str == Variant &&
+        Q.find("type")->Str == P.find("type")->Str &&
+        Num(Q, "nodes") == Num(P, "nodes") &&
+        Num(Q, "update_pct") == Num(P, "update_pct") &&
+        Num(Q, "ops") == Num(P, "ops"))
+      return &Q;
+  return nullptr;
+}
+
+double tputOf(const json::Value &P) {
+  return P.find("throughput_ops_us")->asDouble();
+}
+
+/// Validates the paper section's shape, then gates its relative claims.
+bool checkPaper(const json::Value &Paper, std::string &Err) {
+  const char *const Figs[] = {"fig8",  "fig9",  "fig10",    "fig11",
+                              "fig12", "fig13", "ablations"};
+  const std::vector<const char *> Fields = {
+      "nodes",           "update_pct",         "ops",
+      "throughput_ops_us", "mean_response_us", "update_response_us",
+      "query_response_us", "resp_p50_us",      "resp_p99_us",
+      "rejected",        "stale_mean",         "stale_max"};
+  for (const char *F : Figs) {
+    const json::Value *Fig = Paper.find(F);
+    if (!Fig || !Fig->isArray() || Fig->Arr.empty()) {
+      Err = std::string("paper.") + F + " missing or empty";
+      return false;
+    }
+    for (const json::Value &P : Fig->Arr) {
+      std::string Name = paperPointName(F, P);
+      for (const char *S : {"runtime", "type", "variant"})
+        if (!P.find(S) || !P.find(S)->isString()) {
+          Err = Name + " missing its " + S + " label";
+          return false;
+        }
+      if (!checkPointObject(&P, Name, Err, Fields))
+        return false;
+      if (const json::Value *M = P.find("per_method_response_us"))
+        for (const auto &[Method, V] : M->Obj)
+          if (!finiteNonNegative(&V)) {
+            Err = Name + ".per_method_response_us." + Method +
+                  " not a finite number";
+            return false;
+          }
+    }
+  }
+  const json::Value *Head = Paper.find("headline");
+  if (!checkPointObject(Head, "paper.headline", Err,
+                        {"cells", "ops", "tput_vs_msg", "tput_vs_mu",
+                         "resp_vs_msg", "resp_vs_mu", "points"}))
+    return false;
+
+  // The claims. Each failure names the point that breaks it.
+  double VsMsg = Head->find("tput_vs_msg")->asDouble();
+  double VsMu = Head->find("tput_vs_mu")->asDouble();
+  std::printf("paper headline: %.2fx MSG (floor %.1fx), %.2fx Mu (floor "
+              "%.1fx) throughput\n",
+              VsMsg, HeadlineMinVsMsg, VsMu, HeadlineMinVsMu);
+  if (VsMsg < HeadlineMinVsMsg || VsMu < HeadlineMinVsMu) {
+    Err = "paper.headline throughput ratio below the abstract's claim";
+    return false;
+  }
+  // Figs 8 and 9: Hamband beats each baseline point it is paired with.
+  for (const char *F : {"fig8", "fig9"}) {
+    double MinVs[2] = {INFINITY, INFINITY};
+    for (const json::Value &B : Paper.find(F)->Arr) {
+      const std::string &RT = B.find("runtime")->Str;
+      if (RT == "hamband")
+        continue;
+      const json::Value *H = paperTwin(*Paper.find(F), B, "hamband", "base");
+      if (!H) {
+        Err = paperPointName(F, B) + " has no hamband twin";
+        return false;
+      }
+      if (tputOf(*H) <= tputOf(B) ||
+          H->find("mean_response_us")->asDouble() >=
+              B.find("mean_response_us")->asDouble()) {
+        Err = paperPointName(F, *H) + " does not beat " + RT +
+              " on throughput and mean response";
+        return false;
+      }
+      double &Min = MinVs[RT == "mu"];
+      Min = std::min(Min, tputOf(*H) / tputOf(B));
+    }
+    std::printf("paper %s: hamband ahead of every baseline point (min "
+                "%.2fx MSG, %.2fx Mu throughput)\n",
+                F, MinVs[0], MinVs[1]);
+  }
+  // Figs 10 and 11: Hamband over Mu at every size / ratio.
+  for (const auto &[F, Floor] :
+       {std::make_pair("fig10", Fig10MinVsMu), std::make_pair("fig11", 1.0)})
+    for (const json::Value &H : Paper.find(F)->Arr) {
+      if (H.find("runtime")->Str != "hamband")
+        continue;
+      const json::Value *Mu = paperTwin(*Paper.find(F), H, "mu", "base");
+      if (!Mu || tputOf(H) <= tputOf(*Mu) ||
+          tputOf(H) < Floor * tputOf(*Mu)) {
+        char Buf[64];
+        std::snprintf(Buf, sizeof(Buf), " not above %.1fx its mu twin",
+                      Floor);
+        Err = paperPointName(F, H) + Buf;
+        return false;
+      }
+    }
+  // Fig 12: a failure always costs throughput.
+  for (const json::Value &P : Paper.find("fig12")->Arr) {
+    if (P.find("variant")->Str != "failure")
+      continue;
+    const json::Value *Base =
+        paperTwin(*Paper.find("fig12"), P, "hamband", "no-failure");
+    if (!Base || tputOf(P) >= tputOf(*Base)) {
+      Err = paperPointName("fig12", P) +
+            " not below its no-failure twin's throughput";
+      return false;
+    }
+  }
+  // Fig 13: none > follower > leader.
+  double Prev = INFINITY;
+  for (const char *V : {"fail:none", "fail:follower", "fail:leader"}) {
+    const json::Value *P = nullptr;
+    for (const json::Value &Q : Paper.find("fig13")->Arr)
+      if (Q.find("variant")->Str == V)
+        P = &Q;
+    if (!P || tputOf(*P) >= Prev) {
+      Err = std::string("paper.fig13 throughput not ordered none > "
+                        "follower > leader at ") +
+            V;
+      return false;
+    }
+    Prev = tputOf(*P);
+  }
+  std::printf("paper fig10-13: hamband >= %.1fx Mu per fig10 size, above "
+              "Mu per fig11 ratio; failures cost throughput (fig12, fig13 "
+              "none > follower > leader)\n",
+              Fig10MinVsMu);
+  return true;
 }
 
 bool loadDoc(const std::string &Path, json::Value &Doc, std::string &Err) {
@@ -377,6 +803,14 @@ int checkMode(const Options &Opt) {
       std::fprintf(stderr, "check failed: %s\n", Err.c_str());
       return 1;
     }
+  // The paper section, like the other optional sections, is validated
+  // when present (reports predating it stay checkable), and its claims
+  // are gated whenever it is.
+  if (const json::Value *Paper = Doc.find("paper");
+      Paper && !checkPaper(*Paper, Err)) {
+    std::fprintf(stderr, "check failed: %s\n", Err.c_str());
+    return 1;
+  }
   // fig_shard, like fig8_batched, is validated when present (reports
   // predating the keyspace layer stay checkable) and required by the
   // shard-speedup gate. Each sweep entry must be a sound figure point
@@ -935,6 +1369,19 @@ int main(int Argc, char **Argv) {
       }
       Rec.add("points", std::move(Points));
       Doc.add("fig_reconfig", std::move(Rec));
+    }
+
+    // The paper section: every figure point, then the headline aggregate.
+    {
+      json::Value Paper = json::Value::makeObject();
+      for (const PaperFigure &F : paperFigures()) {
+        json::Value Points = json::Value::makeArray();
+        for (const PaperPoint &P : F.Points)
+          Points.Arr.push_back(paperPointToJson(P, runPaperPoint(P, Opt.Reps)));
+        Paper.add(F.Name, std::move(Points));
+      }
+      Paper.add("headline", runHeadline(Opt.Reps));
+      Doc.add("paper", std::move(Paper));
     }
   }
 
