@@ -82,6 +82,7 @@ public:
   const MethodInfo &method(MethodId M) const override { return Methods[M]; }
   StatePtr initialState() const override;
   bool invariant(const ObjectState &S) const override;
+  bool hasInvariant() const override { return Base.hasInvariant(); }
   void apply(ObjectState &S, const Call &C) const override;
   Value query(const ObjectState &S, const Call &C) const override;
   Call prepare(const ObjectState &S, const Call &C) const override;

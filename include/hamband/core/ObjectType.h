@@ -66,6 +66,10 @@ public:
   /// The integrity property I(σ).
   virtual bool invariant(const ObjectState &S) const = 0;
 
+  /// False when I(σ) is `true` for every state: permissible() and
+  /// invariantAfter() then hold without cloning the state.
+  virtual bool hasInvariant() const { return true; }
+
   /// Executes update call \p C on \p S in place.
   virtual void apply(ObjectState &S, const Call &C) const = 0;
 
@@ -152,7 +156,8 @@ public:
   // -- Convenience helpers ------------------------------------------------
 
   /// P(σ, c): the invariant holds after applying \p C to \p S. The default
-  /// applies \p C to a full clone of \p S; types whose state partitions
+  /// is true for a type without an invariant and otherwise applies \p C to
+  /// a full clone of \p S; types whose state partitions
   /// into independent pieces (KeyedObjectType) override it to clone and
   /// check only the piece \p C touches.
   virtual bool permissible(const ObjectState &S, const Call &C) const;

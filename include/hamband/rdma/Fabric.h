@@ -25,6 +25,12 @@
 /// runOnCpu() execute one at a time, which is what actually bounds
 /// throughput in the experiments.
 ///
+/// Each (node, lane) has a completion queue. A verb's completion appends a
+/// CQE there; one poll task on the lane (NetworkModel::PollCpu) reaps
+/// every CQE that arrived by the time the poll started, up to
+/// CqPollBatch, and runs their callbacks in arrival order. A CQE that
+/// arrives after the poll started waits for the next poll.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HAMBAND_RDMA_FABRIC_H
@@ -45,6 +51,9 @@ namespace rdma {
 /// Simulated RDMA cluster over a discrete-event simulator.
 class Fabric : public Transport {
 public:
+  /// Most CQEs one poll reaps: the size of its work-completion array.
+  static constexpr unsigned CqPollBatch = 16;
+
   Fabric(sim::Simulator &Sim, unsigned NumNodes,
          NetworkModel Model = NetworkModel(),
          std::size_t MemBytesPerNode = 64u << 20);
@@ -68,9 +77,10 @@ public:
 
   /// Posts a one-sided RDMA WRITE of \p Data to (\p Dst, \p DstOff).
   /// The bytes become visible in the destination memory after wire latency
-  /// without involving the destination CPU. \p OnComplete (optional) fires
-  /// on the source after the completion-queue delay. Writes from the same
-  /// source to the same destination are delivered in post order (RC FIFO).
+  /// without involving the destination CPU. \p OnComplete (optional) runs
+  /// on the source lane's first poll after the completion-queue delay.
+  /// Writes from the same source to the same destination are delivered in
+  /// post order (RC FIFO).
   void postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
                  std::vector<std::uint8_t> Data,
                  RegionKey Key = UnprotectedRegion,
@@ -130,9 +140,10 @@ public:
   bool hasWritePermission(NodeId Target, NodeId Writer,
                           RegionKey Key) const override;
 
-  /// Crashes \p Node: its CPU stops (pending and future closures dropped)
-  /// and incoming two-sided messages are discarded. One-sided access to its
-  /// memory keeps working, per the RDMA failure model.
+  /// Crashes \p Node: its CPU stops (pending and future closures dropped,
+  /// queued CQEs discarded) and incoming two-sided messages are discarded.
+  /// One-sided access to its memory keeps working, per the RDMA failure
+  /// model.
   void crash(NodeId Node) override;
 
   /// True if the node has not crashed.
@@ -151,8 +162,9 @@ public:
   std::uint64_t totalBytesWritten() const override { return BytesWritten; }
 
   /// Wires verb-level metrics (rdma.write / rdma.read / rdma.send /
-  /// rdma.bytes_written, plus the rdma.wire_ns simulated-latency
-  /// histogram) into \p R, which must outlive the fabric's last verb.
+  /// rdma.bytes_written, the rdma.wire_ns simulated-latency histogram, and
+  /// the completion-queue rdma.cq_polls / rdma.cqes_per_poll) into \p R,
+  /// which must outlive the fabric's last verb.
   void setObs(obs::Registry &R) override;
 
   /// On the simulator, "no queued node work" is the event queue's
@@ -160,10 +172,21 @@ public:
   bool idle() const override { return Sim.idle(); }
 
 private:
+  struct CompletionQueue;
   struct NodeCtx;
 
   NodeCtx &node(NodeId Id);
   const NodeCtx &node(NodeId Id) const;
+
+  /// Appends a CQE running \p Fn to (\p Node, \p Lane)'s completion queue
+  /// and makes sure a poll will reap it. Dropped on a crashed node.
+  void complete(NodeId Node, unsigned Lane, std::function<void()> Fn);
+
+  /// Queues one poll of (\p Node, \p Lane)'s completion queue on the lane.
+  void schedulePoll(NodeId Node, unsigned Lane);
+
+  /// The poll task that started at \p Start: reaps and runs the CQEs.
+  void poll(NodeId Node, unsigned Lane, sim::SimTime Start);
 
   /// Computes the FIFO delivery time for the (Src, Dst) channel.
   sim::SimTime channelDeliveryTime(NodeId Src, NodeId Dst,
@@ -187,6 +210,8 @@ private:
   obs::Counter *CtrSend = nullptr;
   obs::Counter *CtrBytes = nullptr;
   obs::Histogram *HistWireNs = nullptr;
+  obs::Counter *CtrCqPolls = nullptr;
+  obs::Histogram *HistCqesPerPoll = nullptr;
 };
 
 } // namespace rdma

@@ -90,7 +90,9 @@ struct NetworkModel {
   /// Issuer CPU time to post any verb (doorbell + WQE).
   sim::SimDuration PostCpu = sim::nanos(120);
 
-  /// CPU time for one poll of a completion queue or a buffer canary.
+  /// CPU time for one poll of a completion queue or a buffer canary. One
+  /// completion-queue poll reaps up to 16 ready CQEs
+  /// (Fabric::CqPollBatch).
   sim::SimDuration PollCpu = sim::nanos(80);
 
   /// Sender-side CPU for a two-sided kernel-stack message (syscall,

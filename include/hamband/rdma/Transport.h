@@ -31,6 +31,8 @@
 ///    node's serial execution context and are dropped once the node has
 ///    crashed. runAfter timers keep firing on a crashed node (matching
 ///    raw simulator timers); their closures must re-check aliveness.
+///  - completions of one lane run in the order they arrived; on the
+///    simulator one poll of the lane's completion queue runs several.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -56,6 +56,7 @@ public:
   const MethodInfo &method(MethodId M) const override;
   StatePtr initialState() const override;
   bool invariant(const ObjectState &S) const override;
+  bool hasInvariant() const override { return false; }
   void apply(ObjectState &S, const Call &C) const override;
   Value query(const ObjectState &S, const Call &C) const override;
   Call prepare(const ObjectState &S, const Call &C) const override;

@@ -190,6 +190,8 @@ StatePtr KeyedObjectType::substateCopy(const ObjectState &S,
 
 bool KeyedObjectType::permissible(const ObjectState &S,
                                   const Call &C) const {
+  if (!hasInvariant())
+    return true;
   StatePtr Sub = substateCopy(S, callKey(C));
   Base.apply(*Sub, stripKey(C));
   return Base.invariant(*Sub);
@@ -198,6 +200,8 @@ bool KeyedObjectType::permissible(const ObjectState &S,
 bool KeyedObjectType::invariantAfter(const ObjectState &S,
                                      const std::deque<Call> &Pending,
                                      const Call &C) const {
+  if (!hasInvariant())
+    return true;
   Value Key = callKey(C);
   StatePtr Sub = substateCopy(S, Key);
   // Pending calls of other keys land in other substates and cannot change

@@ -163,6 +163,8 @@ Call ObjectType::randomClientCall(MethodId M, ProcessId Issuer,
 }
 
 bool ObjectType::permissible(const ObjectState &S, const Call &C) const {
+  if (!hasInvariant())
+    return true;
   StatePtr Post = applyCopy(S, C);
   return invariant(*Post);
 }
@@ -170,6 +172,8 @@ bool ObjectType::permissible(const ObjectState &S, const Call &C) const {
 bool ObjectType::invariantAfter(const ObjectState &S,
                                 const std::deque<Call> &Pending,
                                 const Call &C) const {
+  if (!hasInvariant())
+    return true;
   StatePtr Spec = S.clone();
   for (const Call &P : Pending)
     apply(*Spec, P);

@@ -127,6 +127,7 @@ public:
   bool invariant(const ObjectState &S) const override {
     return Base->invariant(S);
   }
+  bool hasInvariant() const override { return Base->hasInvariant(); }
   void apply(ObjectState &S, const Call &C) const override {
     Base->apply(S, C);
   }

@@ -7,6 +7,7 @@
 #include "hamband/rdma/Fabric.h"
 
 #include <cassert>
+#include <deque>
 
 using namespace hamband;
 using namespace hamband::rdma;
@@ -16,12 +17,27 @@ namespace {
 using PermKey = std::pair<NodeId, RegionKey>;
 } // namespace
 
+/// One lane's completion queue. A CQE waits here from its arrival until a
+/// poll on the lane reaps it.
+struct Fabric::CompletionQueue {
+  struct Entry {
+    sim::SimTime Arrived;
+    std::function<void()> Fn;
+  };
+  std::deque<Entry> Entries;
+  /// Polls scheduled on the lane that have not run yet, and the start time
+  /// of the latest one. Every queued CQE arrived by that start.
+  unsigned PollsPending = 0;
+  sim::SimTime LastPollStart = 0;
+};
+
 struct Fabric::NodeCtx {
   explicit NodeCtx(std::size_t MemBytes) : Mem(MemBytes) {}
 
   MemoryRegion Mem;
   bool Alive = true;
   sim::SimTime CpuFreeAt[Fabric::NumCpuLanes] = {};
+  CompletionQueue Cq[Fabric::NumCpuLanes];
   RecvHandler OnRecv;
   /// Explicit permission entries; absence means "allowed".
   std::map<PermKey, bool> WritePerm;
@@ -45,6 +61,8 @@ void Fabric::setObs(obs::Registry &R) {
   CtrSend = &R.counter("rdma.send");
   CtrBytes = &R.counter("rdma.bytes_written");
   HistWireNs = &R.histogram("rdma.wire_ns");
+  CtrCqPolls = &R.counter("rdma.cq_polls");
+  HistCqesPerPoll = &R.histogram("rdma.cqes_per_poll");
 }
 
 Fabric::NodeCtx &Fabric::node(NodeId Id) {
@@ -89,6 +107,54 @@ void Fabric::runOnCpu(NodeId Node, sim::SimDuration Cost,
                  });
 }
 
+void Fabric::complete(NodeId Node, unsigned Lane, std::function<void()> Fn) {
+  NodeCtx &Ctx = node(Node);
+  if (!Ctx.Alive)
+    return;
+  CompletionQueue &Cq = Ctx.Cq[Lane];
+  Cq.Entries.push_back({Sim.now(), std::move(Fn)});
+  // A scheduled poll that has not started yet reaps this CQE too.
+  if (Cq.PollsPending == 0 || Cq.LastPollStart < Sim.now())
+    schedulePoll(Node, Lane);
+}
+
+void Fabric::schedulePoll(NodeId Node, unsigned Lane) {
+  NodeCtx &Ctx = node(Node);
+  CompletionQueue &Cq = Ctx.Cq[Lane];
+  sim::SimTime Start = std::max(Sim.now(), Ctx.CpuFreeAt[Lane]);
+  Cq.LastPollStart = Start;
+  ++Cq.PollsPending;
+  runOnCpu(
+      Node, Model.PollCpu,
+      [this, Node, Lane, Start]() { poll(Node, Lane, Start); }, Lane);
+}
+
+void Fabric::poll(NodeId Node, unsigned Lane, sim::SimTime Start) {
+  CompletionQueue &Cq = node(Node).Cq[Lane];
+  --Cq.PollsPending;
+  // Like ibv_poll_cq into a fixed work-completion array: the poll takes at
+  // most CqPollBatch CQEs, all of which arrived by the time it started.
+  std::function<void()> Reaped[CqPollBatch];
+  unsigned N = 0;
+  while (N < CqPollBatch && !Cq.Entries.empty() &&
+         Cq.Entries.front().Arrived <= Start) {
+    Reaped[N++] = std::move(Cq.Entries.front().Fn);
+    Cq.Entries.pop_front();
+  }
+  if (CtrCqPolls) {
+    CtrCqPolls->add();
+    HistCqesPerPoll->record(N);
+  }
+  // A callback that crashes the node ends the batch; crash() has emptied
+  // the queue.
+  for (unsigned I = 0; I < N && Nodes[Node]->Alive; ++I)
+    Reaped[I]();
+  // CQEs left behind (a full batch, or arrivals after the start) need a
+  // later poll if none is scheduled.
+  if (!Cq.Entries.empty() && Cq.PollsPending == 0)
+    schedulePoll(Node, Lane);
+}
+
 void Fabric::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
                        std::vector<std::uint8_t> Data, RegionKey Key,
                        CompletionFn OnComplete, unsigned Lane) {
@@ -128,10 +194,9 @@ void Fabric::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
           Sim.schedule(Model.CompletionDelay,
                        {sim::EventKind::Completion, Src, Dst},
                        [this, Src, Status, OnComplete, Lane]() {
-                         runOnCpu(
-                             Src, Model.PollCpu,
-                             [Status, OnComplete]() { OnComplete(Status); },
-                             Lane);
+                         complete(
+                             Src, Lane,
+                             [Status, OnComplete]() { OnComplete(Status); });
                        });
         });
       },
@@ -164,13 +229,9 @@ void Fabric::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
           Sim.schedule(Model.CompletionDelay,
                        {sim::EventKind::Completion, Src, Dst},
                        [this, Src, Data, OnComplete, Lane]() {
-                         runOnCpu(
-                             Src, Model.PollCpu,
-                             [Data, OnComplete]() {
-                               OnComplete(WcStatus::Success,
-                                          std::move(*Data));
-                             },
-                             Lane);
+                         complete(Src, Lane, [Data, OnComplete]() {
+                           OnComplete(WcStatus::Success, std::move(*Data));
+                         });
                        });
         });
       },
@@ -211,9 +272,8 @@ void Fabric::send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
           });
         }
         if (OnComplete)
-          runOnCpu(
-              Src, Model.PollCpu,
-              [OnComplete]() { OnComplete(WcStatus::Success); }, Lane);
+          complete(Src, Lane,
+                   [OnComplete]() { OnComplete(WcStatus::Success); });
       },
       Lane);
 }
@@ -238,6 +298,11 @@ bool Fabric::hasWritePermission(NodeId Target, NodeId Writer,
   return It == Ctx.WritePerm.end() ? true : It->second;
 }
 
-void Fabric::crash(NodeId Node) { node(Node).Alive = false; }
+void Fabric::crash(NodeId Node) {
+  NodeCtx &Ctx = node(Node);
+  Ctx.Alive = false;
+  for (CompletionQueue &Cq : Ctx.Cq)
+    Cq = CompletionQueue();
+}
 
 bool Fabric::isAlive(NodeId Node) const { return node(Node).Alive; }

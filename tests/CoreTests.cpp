@@ -323,6 +323,26 @@ INSTANTIATE_TEST_SUITE_P(
       return Name;
     });
 
+TEST(TypeRegistry, TypesWithoutInvariantKeepItUnderEveryCall) {
+  // permissible() skips the clone-and-check for these types, so every
+  // sampled update must in fact leave I(σ) true.
+  for (const std::string &Name : registeredTypeNames()) {
+    auto T = makeType(Name);
+    if (T->hasInvariant())
+      continue;
+    for (const StatePtr &S : T->sampleStates())
+      for (MethodId M = 0; M < T->numMethods(); ++M) {
+        if (T->method(M).Kind != MethodKind::Update)
+          continue;
+        for (const Call &C : T->sampleCalls(M)) {
+          EXPECT_TRUE(T->invariant(*T->applyCopy(*S, C)))
+              << Name << " " << C.str() << " on " << S->str();
+          EXPECT_TRUE(T->permissible(*S, C)) << Name << " " << C.str();
+        }
+      }
+  }
+}
+
 TEST(TypeRegistry, AllNamesResolve) {
   for (const std::string &Name : registeredTypeNames()) {
     EXPECT_TRUE(isTypeRegistered(Name));

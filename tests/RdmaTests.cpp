@@ -216,6 +216,140 @@ TEST_F(FabricTest, DiagnosticCountersAdvance) {
   EXPECT_EQ(Fab.totalBytesWritten(), 2u);
 }
 
+namespace {
+
+/// A 4-node fabric whose node 0 posts verbs and keeps its client lane busy,
+/// so completions pile up in the lane's completion queue.
+struct CompletionQueueTest : ::testing::Test {
+  explicit CompletionQueueTest(NetworkModel M = NetworkModel())
+      : Fab(Sim, 4, M, 1u << 20) {}
+
+  /// Occupies node 0's client lane for \p Busy after everything queued on
+  /// it; LaneFreeAt records when the lane frees up.
+  void keepLaneBusy(sim::SimDuration Busy) {
+    Fab.runOnCpu(0, Busy, [this] { LaneFreeAt = Sim.now(); });
+  }
+
+  sim::Simulator Sim;
+  Fabric Fab;
+  sim::SimTime LaneFreeAt = 0;
+};
+
+} // namespace
+
+TEST_F(CompletionQueueTest, CqesOfABusyLaneShareOnePoll) {
+  obs::Registry R;
+  Fab.setObs(R);
+  std::vector<sim::SimTime> Done;
+  for (NodeId Dst = 1; Dst <= 3; ++Dst)
+    Fab.postWrite(0, Dst, 0, bytes({1}), UnprotectedRegion,
+                  [&](WcStatus) { Done.push_back(Sim.now()); });
+  // The lane stays busy until well after all three CQEs arrived.
+  sim::SimTime Probe = 0;
+  Fab.runOnCpu(0, sim::micros(5), [&] {
+    LaneFreeAt = Sim.now();
+    // Queued behind whatever polls the CQEs reserved on the lane.
+    Fab.runOnCpu(0, 0, [&] { Probe = Sim.now(); });
+  });
+  Sim.run();
+  sim::SimDuration Poll = Fab.model().PollCpu;
+  ASSERT_EQ(Done.size(), 3u);
+  for (sim::SimTime T : Done)
+    EXPECT_EQ(T, LaneFreeAt + Poll);
+  // The lane was charged one PollCpu for all three.
+  EXPECT_EQ(Probe, LaneFreeAt + Poll);
+#if HAMBAND_OBS_ENABLED
+  obs::StatsSnapshot S = R.snapshot();
+  EXPECT_EQ(S.counter("rdma.cq_polls"), 1u);
+  ASSERT_NE(S.histogram("rdma.cqes_per_poll"), nullptr);
+  EXPECT_EQ(S.histogram("rdma.cqes_per_poll")->Sum, 3u);
+#endif
+}
+
+namespace {
+/// A poll long enough that a CQE can arrive while one is running.
+struct SlowPollTest : CompletionQueueTest {
+  static NetworkModel slowPoll() {
+    NetworkModel M;
+    M.PollCpu = sim::micros(1);
+    return M;
+  }
+  SlowPollTest() : CompletionQueueTest(slowPoll()) {}
+};
+} // namespace
+
+TEST_F(SlowPollTest, CqeArrivingAfterThePollStartedWaitsForTheNext) {
+  sim::SimTime DoneA = 0, DoneB = 0;
+  Fab.postWrite(0, 1, 0, bytes({1}), UnprotectedRegion,
+                [&](WcStatus) { DoneA = Sim.now(); });
+  Fab.postWrite(0, 2, 0, bytes({1}), UnprotectedRegion,
+                [&](WcStatus) { DoneB = Sim.now(); });
+  Sim.run();
+  const NetworkModel &M = Fab.model();
+  // A arrives on an idle lane and its poll starts at once. B arrives one
+  // post later, while that poll runs, so a second poll reaps it.
+  sim::SimTime ArriveA = M.PostCpu + M.writeWire(1) + M.CompletionDelay;
+  ASSERT_LT(ArriveA + M.PostCpu, ArriveA + M.PollCpu);
+  EXPECT_EQ(DoneA, ArriveA + M.PollCpu);
+  EXPECT_EQ(DoneB, ArriveA + 2 * M.PollCpu);
+}
+
+TEST_F(CompletionQueueTest, OnePollReapsAtMostABatch) {
+  obs::Registry R;
+  Fab.setObs(R);
+  constexpr unsigned NumWrites = 20;
+  std::vector<sim::SimTime> Done;
+  for (unsigned I = 0; I < NumWrites; ++I)
+    Fab.postWrite(0, 1 + I % 3, 0, bytes({1}), UnprotectedRegion,
+                  [&](WcStatus) { Done.push_back(Sim.now()); });
+  keepLaneBusy(sim::micros(5));
+  Sim.run();
+  sim::SimDuration Poll = Fab.model().PollCpu;
+  ASSERT_EQ(Done.size(), NumWrites);
+  for (unsigned I = 0; I < NumWrites; ++I)
+    EXPECT_EQ(Done[I], LaneFreeAt + (I < Fabric::CqPollBatch ? 1 : 2) * Poll)
+        << "CQE " << I;
+#if HAMBAND_OBS_ENABLED
+  obs::StatsSnapshot S = R.snapshot();
+  EXPECT_EQ(S.counter("rdma.cq_polls"), 2u);
+  ASSERT_NE(S.histogram("rdma.cqes_per_poll"), nullptr);
+  EXPECT_EQ(S.histogram("rdma.cqes_per_poll")->Max, Fabric::CqPollBatch);
+  EXPECT_EQ(S.histogram("rdma.cqes_per_poll")->Sum, NumWrites);
+#endif
+}
+
+TEST_F(CompletionQueueTest, CompletionsRunInArrivalOrder) {
+  // Posted write, read, send; they arrive read, write, send: the read's
+  // wire is shorter than the 4 KiB write's, and the send completes only
+  // once its kernel-stack cost has run.
+  std::vector<std::string> Order;
+  Fab.postWrite(0, 1, 0, std::vector<std::uint8_t>(4096, 1),
+                UnprotectedRegion, [&](WcStatus) { Order.push_back("write"); });
+  Fab.postRead(0, 2, 0, 1, [&](WcStatus, std::vector<std::uint8_t>) {
+    Order.push_back("read");
+  });
+  Fab.send(0, 3, bytes({1}), [&](WcStatus) { Order.push_back("send"); });
+  keepLaneBusy(sim::micros(5));
+  Sim.run();
+  EXPECT_EQ(Order, (std::vector<std::string>{"read", "write", "send"}));
+}
+
+TEST_F(CompletionQueueTest, CrashDropsQueuedCqes) {
+  unsigned Ran = 0;
+  for (NodeId Dst = 1; Dst <= 3; ++Dst)
+    Fab.postWrite(0, Dst, 64, bytes({9}), UnprotectedRegion,
+                  [&](WcStatus) { ++Ran; });
+  keepLaneBusy(sim::micros(5));
+  // Every CQE is queued behind the busy lane by now.
+  Sim.run(sim::micros(4));
+  Fab.crash(0);
+  Sim.run();
+  EXPECT_EQ(Ran, 0u);
+  // The writes themselves landed.
+  for (NodeId Dst = 1; Dst <= 3; ++Dst)
+    EXPECT_EQ(Fab.memory(Dst).readU8(64), 9);
+}
+
 TEST(NetworkModelTest, CostHelpersScaleWithBytes) {
   NetworkModel M;
   EXPECT_GT(M.writeWire(4096), M.writeWire(8));
