@@ -57,21 +57,22 @@ struct RunnerOptions {
   /// SafetyCap interpreted as wall-clock nanoseconds.
   rdma::TransportKind Transport = rdma::TransportKind::Sim;
   /// Sharded keyspace deployment: number of shards (0 = the classic
-  /// unsharded single-object cluster). Hamband runtime only. When > 0,
-  /// the workload's NumObjects ids ("obj<i>") are registered up front and
+  /// unkeyed single-object cluster). Hamband runtime only. When > 0, the
+  /// run deploys a keyed HambandCluster (runtime/HambandCluster.h): the
+  /// workload's NumObjects ids ("obj<i>") are registered up front and
   /// every generated call is keyed by its drawn object index, dispatching
-  /// to the owning shard (runtime/ShardedCluster.h).
+  /// to the owning shard.
   unsigned NumShards = 0;
   /// Virtual nodes per shard on the placement ring (NumShards > 0 only).
   unsigned KeyspaceVirtualNodes = 64;
-  /// Invoked once per run on the freshly started cluster, before any
-  /// workload call is issued (unsharded Hamband deployments only).
-  /// Lets big-state experiments pre-load every replica with an agreed
-  /// summary (HambandCluster::seedReducibleState) so the measured phase
-  /// ships images proportional to a large resident state without paying
-  /// for building it call by call.
+  /// Invoked once per run on the freshly started Hamband cluster, before
+  /// any workload call is issued. Lets big-state experiments pre-load
+  /// every replica with an agreed summary
+  /// (HambandCluster::seedReducibleState) so the measured phase ships
+  /// images proportional to a large resident state without paying for
+  /// building it call by call.
   std::function<void(runtime::HambandCluster &)> PreSeed;
-  /// Online membership transition mid-run (unsharded Hamband runtime on
+  /// Online membership transition mid-run (unkeyed Hamband runtime on
   /// the sim transport only; docs/reconfig.md): "" = none, "add" = the
   /// last provisioned node starts as a standby and joins, "remove" = the
   /// last node leaves. Enables Cfg.Reconfig automatically; the run splits

@@ -7,9 +7,9 @@
 /// \file
 /// Lifts a single-object class to a keyed multi-object class: the state is
 /// a map from object keys to independent substates of the base class, and
-/// every call carries its target key as the first argument. A shard of the
-/// sharded keyspace (runtime/ShardedCluster.h) replicates one keyed object
-/// that stands for all the base objects hashed onto that shard.
+/// every call carries its target key as the first argument. A shard of a
+/// keyed HambandCluster (runtime/HambandCluster.h) replicates one keyed
+/// object that stands for all the base objects hashed onto that shard.
 ///
 /// The lift preserves the base coordination relations method-for-method
 /// (conservative across keys: two withdraws conflict even on different

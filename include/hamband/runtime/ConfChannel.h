@@ -187,6 +187,7 @@ private:
   obs::Counter *CtrDepStall = nullptr;
   obs::Counter *CtrCrossEpochDrop = nullptr;
   obs::Counter *CtrCrossEpochApply = nullptr;
+  obs::Counter *CtrOversizeReject = nullptr;
 };
 
 } // namespace runtime

@@ -6,21 +6,38 @@
 ///
 /// \file
 /// Owns a transport (simulated fabric or shared-memory threads) plus one
-/// HambandNode per process and implements the ReplicaRuntime interface
-/// the benchmark harness drives. This is the top-level public API:
-/// construct a cluster around an ObjectType, start it, submit calls at
-/// any node, and drive the transport (run the simulator, or simply wait
-/// on the shm backend, whose node threads run on their own).
+/// HambandNode per process and shard, and implements the ReplicaRuntime
+/// interface the benchmark harness drives. This is the top-level public
+/// API: construct a cluster around an ObjectType, start it, submit calls
+/// at any node, and drive the transport (run the simulator, or simply
+/// wait on the shm backend, whose node threads run on their own).
+///
+/// A cluster holds one or more shards over its one transport. Each shard
+/// is a full replication instance -- its own MemoryMap slice at a 64-byte
+/// aligned base, ring lanes, backup slot, heartbeat detector and one Mu
+/// instance per synchronization group -- so a shard is just one more
+/// coordination boundary (docs/sharding.md). An unkeyed cluster
+/// replicates one object of its type in a single shard. A keyed cluster,
+/// built with a KeyspaceConfig, replicates the keyed lift of a base type
+/// (core/KeyedObjectType.h): string object ids are consistent-hashed onto
+/// the shards (runtime/Keyspace.h), every call carries its object's
+/// interned key, and submit() routes it to the owning shard. Shard leaders
+/// rotate across nodes by default (KeyspaceConfig::RotateLeaders -> shard
+/// s leads its group g at node (g + s) % N).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HAMBAND_RUNTIME_HAMBANDCLUSTER_H
 #define HAMBAND_RUNTIME_HAMBANDCLUSTER_H
 
+#include "hamband/core/KeyedObjectType.h"
 #include "hamband/runtime/HambandNode.h"
+#include "hamband/runtime/Keyspace.h"
 
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace hamband {
@@ -32,7 +49,8 @@ class FaultInjector;
 } // namespace sim
 namespace runtime {
 
-/// A Hamband deployment: N replicas of one object over one transport.
+/// A Hamband deployment: N replicas of one object, or of a keyed
+/// keyspace spread over shards, over one transport.
 class HambandCluster : public ReplicaRuntime {
 public:
   /// Deterministic deployment over a caller-owned simulator (the form
@@ -45,47 +63,92 @@ public:
   /// Deployment by transport kind. TransportKind::Shm runs each node on
   /// its own OS thread over shared memory with the config's intervals
   /// stretched to wall-clock scale (HambandConfig::tunedFor);
-  /// TransportKind::Sim builds a cluster-owned simulator, which
-  /// runTransport()-style drivers can reach via simulator().
+  /// TransportKind::Sim builds a cluster-owned simulator, reachable via
+  /// simulator().
   HambandCluster(rdma::TransportKind Kind, unsigned NumNodes,
                  const ObjectType &Type,
                  rdma::NetworkModel Model = rdma::NetworkModel(),
                  HambandConfig Cfg = HambandConfig());
+
+  /// Keyed deployments: the keyed lift of \p BaseType over
+  /// \p KSCfg.NumShards shards, on either transport. Membership
+  /// reconfiguration is refused (Cfg.Reconfig.Enabled asserts).
+  HambandCluster(sim::Simulator &Sim, unsigned NumNodes,
+                 const ObjectType &BaseType, KeyspaceConfig KSCfg,
+                 rdma::NetworkModel Model = rdma::NetworkModel(),
+                 HambandConfig Cfg = HambandConfig());
+  HambandCluster(rdma::TransportKind Kind, unsigned NumNodes,
+                 const ObjectType &BaseType, KeyspaceConfig KSCfg,
+                 rdma::NetworkModel Model = rdma::NetworkModel(),
+                 HambandConfig Cfg = HambandConfig());
   ~HambandCluster() override;
 
-  /// Starts pollers, heartbeats and detectors on every node (marshalled
-  /// into each node's execution context).
+  /// Starts pollers, heartbeats and detectors of every shard's replica on
+  /// every node (marshalled into each node's execution context).
   void start();
 
-  HambandNode &node(rdma::NodeId Id) { return *Nodes[Id]; }
-  unsigned numSyncGroups() const {
+  /// Node \p Id's replica of shard 0 (an unkeyed cluster's only shard).
+  HambandNode &node(rdma::NodeId Id) { return node(0, Id); }
+  HambandNode &node(unsigned S, rdma::NodeId Id) {
+    return *Shards[S].Nodes[Id];
+  }
+
+  unsigned numShards() const { return static_cast<unsigned>(Shards.size()); }
+  /// Synchronization groups of each shard (the replicated type's).
+  unsigned groupsPerShard() const {
     return Type.coordination().numSyncGroups();
   }
 
-  /// The symmetric per-node memory layout (tests and tools).
-  const MemoryMap &memoryMap() const { return *Map; }
+  /// Shard 0's symmetric per-node memory layout (tests and tools).
+  const MemoryMap &memoryMap() const { return *Shards[0].Map; }
   const HambandConfig &config() const { return Cfg; }
 
   /// The simulated fabric; asserts on a non-sim transport. Convenience
   /// for the deterministic tests that poke wire-level state.
   rdma::Fabric &fabric();
 
+  // -- Keyspace (keyed clusters only) --------------------------------------
+
+  /// Registers an object id before start(), returning its interned key.
+  /// Idempotent; every replica-facing call addresses objects by this key.
+  Value registerObject(const std::string &Id);
+
+  /// The shard owning registered key \p Key.
+  unsigned shardOfKey(Value Key) const { return KS->shardOfKey(Key); }
+
+  /// Base-form convenience: submits \p Inner against the object named
+  /// \p Id. An unregistered id is rejected like an unknown key.
+  void submitOn(rdma::NodeId Origin, const std::string &Id,
+                const Call &Inner, SubmitCallback Done);
+
   // -- ReplicaRuntime ------------------------------------------------------
   unsigned numNodes() const override {
-    return static_cast<unsigned>(Nodes.size());
+    return static_cast<unsigned>(Shards[0].Nodes.size());
   }
   rdma::Transport &transport() override { return *Trans; }
+  /// The replicated type: the keyed lift on a keyed cluster.
   const ObjectType &objectType() const override { return Type; }
+
+  /// Submits \p C at \p Origin. On a keyed cluster \p C is a keyed call
+  /// (KeyedObjectType::keyCall) and goes to its key's shard; a call whose
+  /// key was never registered is rejected (Done(false, 0),
+  /// "keyspace.unknown_key" counter) without touching any shard.
   void submit(rdma::NodeId Origin, const Call &C,
               SubmitCallback Done) override;
   bool fullyReplicated() const override;
   void injectFailure(rdma::NodeId Node) override;
   bool isFailed(rdma::NodeId Node) const override { return Failed[Node]; }
+
+  /// Flattened group addressing: group (S * groupsPerShard() + G).
   rdma::NodeId leaderOf(unsigned Group,
                         rdma::NodeId Observer) const override;
+  rdma::NodeId leaderOfShard(unsigned S, unsigned Group,
+                             rdma::NodeId Observer) const;
   std::uint64_t replicationBacklog() const override;
 
-  /// Transport-level stats merged with every node's registry.
+  /// Transport-level stats merged with every replica's registry. A keyed
+  /// cluster refreshes its keyspace gauges first (keyspace.objects,
+  /// keyspace.shards, shard.imbalance in per-mille).
   obs::StatsSnapshot statsSnapshot() const override;
 
   /// The cluster-level registry the transport reports into.
@@ -109,7 +172,7 @@ public:
     return OutstandingPer[Origin].load(std::memory_order_acquire);
   }
 
-  /// Test helper: all nodes' visible states are equal.
+  /// Test helper: in every shard, all replicas' visible states are equal.
   bool converged();
 
   /// Test/bench helper: installs \p Summary as node \p Issuer's summary of
@@ -121,7 +184,7 @@ public:
   void seedReducibleState(unsigned Group, rdma::NodeId Issuer,
                           const Call &Summary, std::uint64_t Seq);
 
-  /// Test helper: all nodes' applied tables are equal.
+  /// Test helper: in every shard, all replicas' applied tables are equal.
   bool appliedTablesEqual() const;
 
   // -- Concurrency helpers (trivial on the sim transport) ------------------
@@ -142,9 +205,13 @@ public:
   void stopTransport();
 
   // -- Fault injection -----------------------------------------------------
+  //
+  // Node-level faults take the node's replica of every shard (a node
+  // hosts one replica of each). Shard-confined faults are service-level
+  // failures of one replica: the node keeps serving every other shard.
 
   /// Wires \p FI into this cluster: installs it as the fabric fault hook,
-  /// routes every node's broadcast-stage event to it, and binds its
+  /// routes every replica's broadcast-stage event to it, and binds its
   /// crash/suspend/recover actions to crashNode() / injectFailure() /
   /// recoverFailure(). Call after construction and before FI.arm().
   /// Returns false (wiring nothing) on a non-deterministic transport:
@@ -152,8 +219,15 @@ public:
   /// only replayable against the simulator.
   bool attachFaultInjector(sim::FaultInjector &FI);
 
+  /// Wires \p FI confined to one shard: its crash/suspend/recover actions
+  /// become shard-confined failures of \p S and only that shard's
+  /// broadcast stages feed the schedule. Returns false on a
+  /// non-deterministic transport.
+  bool attachFaultInjectorShard(sim::FaultInjector &FI, unsigned S);
+
   /// Undoes injectFailure(): the heartbeat resumes and the node serves
-  /// client calls again. No-op on a crashed node.
+  /// client calls again (except in shards where a shard-confined fault
+  /// still holds its replica). No-op on a crashed node.
   void recoverFailure(rdma::NodeId Node);
 
   /// Hard-crashes \p Node at the transport level: its CPU stops for good;
@@ -165,15 +239,26 @@ public:
   /// live).
   bool isLive(rdma::NodeId Node) const;
 
-  /// fullyReplicated() restricted to live nodes: completions pending at
-  /// crashed origins are discounted, and only live nodes must be idle
-  /// with equal applied tables.
+  /// Shard-confined failure: suspends only shard \p S's replica at
+  /// \p Node (heartbeat + service). A transport-level crash cannot be
+  /// confined to a shard: it always takes the whole node.
+  void injectFailureShard(unsigned S, rdma::NodeId Node);
+  void recoverFailureShard(unsigned S, rdma::NodeId Node);
+  bool isFailedShard(unsigned S, rdma::NodeId Node) const {
+    return Shards[S].Failed[Node];
+  }
+
+  /// fullyReplicated() restricted to live replicas: completions pending
+  /// at crashed origins are discounted, and only replicas on live nodes,
+  /// in the membership and not failed by a shard-confined fault must be
+  /// idle with equal applied tables. A node-level suspension does not
+  /// excuse a replica.
   bool fullyReplicatedLive() const;
 
-  /// converged() restricted to live nodes.
+  /// converged() restricted to the replicas fullyReplicatedLive() checks.
   bool convergedLive();
 
-  /// Canonical fingerprint of cluster-visible state: every node's
+  /// Canonical fingerprint of cluster-visible state: every replica's
   /// stateDigest() (crashed nodes hash as crashed) folded together. The
   /// explorer combines this with the simulator's queue digest to dedup
   /// visited configurations.
@@ -208,25 +293,60 @@ public:
   }
 
 private:
-  void build(unsigned NumNodes, rdma::NetworkModel Model);
+  /// One replication instance: its slice of the shared memory layout,
+  /// one conflict region key per sync group, its replica at every node,
+  /// and which of those a shard-confined fault holds down.
+  struct Shard {
+    std::unique_ptr<MemoryMap> Map;
+    std::vector<rdma::RegionKey> ConfKeys;
+    std::vector<std::unique_ptr<HambandNode>> Nodes;
+    std::vector<bool> Failed;
+  };
 
+  HambandCluster(sim::Simulator *Sim, rdma::TransportKind Kind,
+                 unsigned NumNodes, const ObjectType &BaseType,
+                 std::optional<KeyspaceConfig> KSCfg,
+                 rdma::NetworkModel Model, HambandConfig Cfg);
+  void build(unsigned NumNodes);
+  void suspend(HambandNode &Replica);
+  void resume(HambandNode &Replica);
+  /// Routes the broadcast stages of shards [First, Last) to \p FI and
+  /// installs it as the transport's fault hook.
+  void hookShards(sim::FaultInjector &FI, unsigned First, unsigned Last);
+  /// Whether a check counts shard \p Sh's replica at \p N: in service,
+  /// and with \p Live also on a live node and not shard-failed.
+  bool counted(const Shard &Sh, rdma::NodeId N, bool Live) const;
+  bool drained(bool Live) const;
+  bool tablesEqual(bool Live) const;
+  bool statesEqual(bool Live);
+  void refreshKeyspaceGauges() const;
+
+  /// Set on keyed clusters only; Type names *Keyed there.
+  std::unique_ptr<KeyedObjectType> Keyed;
+  std::unique_ptr<Keyspace> KS;
   const ObjectType &Type;
   HambandConfig Cfg;
   /// Declared before the transport, which caches pointers into it.
   obs::Registry ClusterStats;
-  std::unique_ptr<MemoryMap> Map;
-  /// Only set by the kind constructor with TransportKind::Sim.
+  /// Only set by the kind constructors with TransportKind::Sim.
   std::unique_ptr<sim::Simulator> OwnedSim;
   std::unique_ptr<rdma::Transport> Trans;
-  std::vector<rdma::RegionKey> ConfKeys;
-  std::vector<std::unique_ptr<HambandNode>> Nodes;
+  std::vector<Shard> Shards;
+  /// Node-level failures (injectFailure / crashNode).
   std::vector<bool> Failed;
+  bool Started = false;
   std::atomic<std::uint64_t> Outstanding{0};
   std::unique_ptr<std::atomic<std::uint64_t>[]> OutstandingPer;
   /// Per-origin update counts backing liveUpdatesOutstanding().
   std::unique_ptr<std::atomic<std::uint64_t>[]> OutstandingUpdatesPer;
   sim::FaultInjector *FaultInj = nullptr;
   std::unique_ptr<ReconfigManager> Reconfig;
+  // Keyspace metric handles (keyed clusters only).
+  std::vector<obs::Counter *> CtrShardSubmitted; // [shard]
+  obs::Counter *CtrUnknownKey = nullptr;
+  obs::Gauge *GaugeImbalance = nullptr;
+  obs::Gauge *GaugeObjects = nullptr;
+  obs::Gauge *GaugeShards = nullptr;
 };
 
 } // namespace runtime

@@ -30,10 +30,12 @@
 #    and return to 95% of the capacity-adjusted steady rate after (the
 #    sweep's op count is pinned inside the tool, so the gate holds in
 #    smoke runs too);
-#  - unbatched no-regression: fig8 throughput must stay within --tolerance
-#    of the committed baseline report, BENCH_pr17.json unless --baseline
-#    points elsewhere (full runs only -- the smoke op count is too small
-#    to compare against a full-run baseline; skipped when --out is the
+#  - no-regression: the throughput of fig8, fig8_batched, fig9 and every
+#    fig_shard point (matched by shard count, plus the zipf point) must
+#    stay within --tolerance of the committed baseline report,
+#    BENCH_pr17.json unless --baseline points elsewhere; a failure names
+#    the point (full runs only -- the smoke op count is too small to
+#    compare against a full-run baseline; skipped when --out is the
 #    baseline itself, which is how the baseline is regenerated).
 #
 # The report also carries a transport dimension (--transport, default
@@ -46,9 +48,9 @@
 # by side. All regression gates below act on the sim figures only.
 #
 # The full run (no --smoke) additionally builds the tree with
-# -DHAMBAND_OBS=OFF and asserts that fig8 throughput with the
-# observability layer compiled in stays within --tolerance (default 5%)
-# of the stripped build. The simulation is deterministic in simulated
+# -DHAMBAND_OBS=OFF and asserts that the same points' throughput with
+# the observability layer compiled in stays within --tolerance (default
+# 5%) of the stripped build. The simulation is deterministic in simulated
 # time, so instrumentation can only perturb throughput if it changes
 # scheduling -- this check catches exactly that kind of regression.
 # The obs-off twin runs sim-only: the comparison never reads shm points,
@@ -127,8 +129,8 @@ if [ "$SMOKE" = 1 ]; then
   exit 0
 fi
 
-# Unbatched no-regression gate: the unbatched fig8 path must not lose
-# throughput against the committed baseline report.
+# No-regression gate: no compared sim point may lose (or gain)
+# throughput beyond the tolerance against the committed baseline report.
 if [ -f "$BASELINE" ] && [ "$OUT" != "$BASELINE" ]; then
   "$BUILD/tools/hamband_bench_report" \
     --compare "$OUT" "$BASELINE" --tolerance "$TOLERANCE"

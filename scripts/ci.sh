@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
 # twin, delta twin, reconfig, delta + reconfig, pinned regression runs),
-# the bench-report smoke with its paper-claim gates, the bounded
-# coordination-verifier gate (including keyed-lift preservation), the
-# hamband_mc exhaustive small-scope sweep
+# the bench-report smoke with its paper-claim and baseline gates, the
+# bounded coordination-verifier gate (including keyed-lift preservation),
+# the hamband_mc exhaustive small-scope sweep
 # (plus a delta-mode exploration), the end-to-end benchmark smoke
 # (bench/e2e's own build and ctests), a TSan flavor (threaded obs mutation,
 # shm ring stress, the shm transport conformance corpus, the shm sharded
@@ -105,6 +105,25 @@ if out=$("$BUILD/tools/hamband_bench_report" --check \
 fi
 grep -q "check failed: paper.fig9/" <<<"$out" || {
   echo "ci: doctored report failed for the wrong reason: $out" >&2; exit 1; }
+
+# The baseline gate must cover the sharded sweep: a copy of the smoke
+# report with one fig_shard point's throughput halved must fail --compare
+# against the original, naming that point.
+echo "ci: baseline gate fires on a doctored fig_shard point"
+python3 - "$BUILD/BENCH_smoke.json" "$BUILD/BENCH_doctored_shard.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["fig_shard"]["points"][-1]["throughput_ops_us"] /= 2
+json.dump(doc, open(sys.argv[2], "w"))
+PY
+if out=$("$BUILD/tools/hamband_bench_report" --compare \
+           "$BUILD/BENCH_doctored_shard.json" "$BUILD/BENCH_smoke.json" 2>&1); then
+  echo "ci: --compare accepted a halved fig_shard point" >&2
+  exit 1
+fi
+grep -q "compare failed: fig_shard/" <<<"$out" || {
+  echo "ci: doctored fig_shard compare failed for the wrong reason: $out" >&2
+  exit 1; }
 
 # End-to-end benchmark smoke: bench/e2e is its own CMake project (the
 # build bench/e2e/run.py uses), so its two ctests -- the tiny-size run of

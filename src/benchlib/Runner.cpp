@@ -10,13 +10,10 @@
 #include "hamband/baselines/MuSmrRuntime.h"
 #include "hamband/core/KeyedObjectType.h"
 #include "hamband/runtime/HambandCluster.h"
-#include "hamband/runtime/ShardedCluster.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -92,12 +89,13 @@ RunResult benchlib::runOnce(const ObjectType &Type,
                             const RunnerOptions &Opts, std::uint64_t Seed) {
   const bool OnShm = Opts.Transport == rdma::TransportKind::Shm;
   const bool IsSharded = Opts.NumShards > 0;
-  // Online membership transitions are defined for the unsharded Hamband
-  // runtime on the deterministic transport only (docs/reconfig.md).
+  // Online membership transitions are defined for the Hamband runtime on
+  // the deterministic transport only (docs/reconfig.md); a keyed cluster
+  // refuses them itself.
   const bool DoReconfig = !Opts.ReconfigAction.empty() && !OnShm &&
-                          !IsSharded && Opts.Kind == RuntimeKind::Hamband;
+                          Opts.Kind == RuntimeKind::Hamband;
   assert((Opts.ReconfigAction.empty() || DoReconfig) &&
-         "ReconfigAction needs the unsharded Hamband runtime on sim");
+         "ReconfigAction needs the Hamband runtime on sim");
   runtime::HambandConfig BaseCfg = Opts.Cfg;
   if (DoReconfig) {
     BaseCfg.Reconfig.Enabled = true;
@@ -105,80 +103,59 @@ RunResult benchlib::runOnce(const ObjectType &Type,
     if (Opts.ReconfigAction == "add")
       BaseCfg.Reconfig.InitialActive.back() = 0;
   }
-  sim::Simulator SimObj; // Used only by the sim transport.
+  // The baselines model their costs in simulated time and have no
+  // concurrent execution path; only the Hamband runtime deploys on shm or
+  // over a sharded keyspace.
+  assert((Opts.Kind == RuntimeKind::Hamband || (!OnShm && !IsSharded)) &&
+         "shm and sharded deployments run the Hamband runtime only");
+  if (OnShm && Opts.Kind != RuntimeKind::Hamband) {
+    RunResult R;
+    R.Completed = false;
+    return R;
+  }
+  sim::Simulator SimObj; // The baselines' simulator.
   std::unique_ptr<ReplicaRuntime> RT;
   runtime::HambandCluster *Cluster = nullptr;
-  runtime::ShardedCluster *Sharded = nullptr;
-
-  // Builds the sharded deployment: the workload's objects are registered
-  // as ids "obj<i>" so the drawn object index IS the interned key.
-  auto buildSharded = [&](std::unique_ptr<runtime::ShardedCluster> C) {
-    std::uint64_t Objects = std::max<std::uint64_t>(1, Workload.NumObjects);
-    for (std::uint64_t I = 0; I < Objects; ++I)
-      C->registerObject("obj" + std::to_string(I));
-    Sharded = C.get();
+  switch (Opts.Kind) {
+  case RuntimeKind::Hamband: {
+    std::unique_ptr<runtime::HambandCluster> C;
+    if (IsSharded) {
+      runtime::KeyspaceConfig KSCfg;
+      KSCfg.NumShards = Opts.NumShards;
+      KSCfg.VirtualNodes = Opts.KeyspaceVirtualNodes;
+      C = std::make_unique<runtime::HambandCluster>(
+          Opts.Transport, Opts.NumNodes, Type, KSCfg, Opts.Model, BaseCfg);
+      // The workload's objects are registered as ids "obj<i>" so the
+      // drawn object index IS the interned key.
+      std::uint64_t Objects = std::max<std::uint64_t>(1, Workload.NumObjects);
+      for (std::uint64_t I = 0; I < Objects; ++I)
+        C->registerObject("obj" + std::to_string(I));
+    } else {
+      C = std::make_unique<runtime::HambandCluster>(
+          Opts.Transport, Opts.NumNodes, Type, Opts.Model, BaseCfg);
+    }
+    C->start();
+    if (Opts.PreSeed)
+      Opts.PreSeed(*C);
+    Cluster = C.get();
+    RT = std::move(C);
+    break;
+  }
+  case RuntimeKind::MuSmr: {
+    auto C = std::make_unique<baselines::MuSmrRuntime>(
+        SimObj, Opts.NumNodes, Type, Opts.Model, Opts.Cfg);
     C->start();
     RT = std::move(C);
-  };
-  runtime::KeyspaceConfig KSCfg;
-  KSCfg.NumShards = Opts.NumShards;
-  KSCfg.VirtualNodes = Opts.KeyspaceVirtualNodes;
-
-  if (OnShm) {
-    // The baselines model their costs in simulated time and have no
-    // concurrent execution path; only the Hamband runtime deploys on shm.
-    assert(Opts.Kind == RuntimeKind::Hamband &&
-           "shm transport supports the Hamband runtime only");
-    if (Opts.Kind != RuntimeKind::Hamband) {
-      RunResult R;
-      R.Completed = false;
-      return R;
-    }
-    if (IsSharded) {
-      buildSharded(std::make_unique<runtime::ShardedCluster>(
-          rdma::TransportKind::Shm, Opts.NumNodes, Type, KSCfg, Opts.Model,
-          Opts.Cfg));
-    } else {
-      auto C = std::make_unique<runtime::HambandCluster>(
-          rdma::TransportKind::Shm, Opts.NumNodes, Type, Opts.Model,
-          Opts.Cfg);
-      Cluster = C.get();
-      C->start();
-      RT = std::move(C);
-    }
-  } else if (IsSharded) {
-    assert(Opts.Kind == RuntimeKind::Hamband &&
-           "sharded deployments run the Hamband runtime only");
-    buildSharded(std::make_unique<runtime::ShardedCluster>(
-        SimObj, Opts.NumNodes, Type, KSCfg, Opts.Model, Opts.Cfg));
-  } else {
-    switch (Opts.Kind) {
-    case RuntimeKind::Hamband: {
-      auto C = std::make_unique<runtime::HambandCluster>(
-          SimObj, Opts.NumNodes, Type, Opts.Model, BaseCfg);
-      Cluster = C.get();
-      C->start();
-      RT = std::move(C);
-      break;
-    }
-    case RuntimeKind::MuSmr: {
-      auto C = std::make_unique<baselines::MuSmrRuntime>(
-          SimObj, Opts.NumNodes, Type, Opts.Model, Opts.Cfg);
-      C->start();
-      RT = std::move(C);
-      break;
-    }
-    case RuntimeKind::Msg: {
-      auto C = std::make_unique<baselines::MsgCrdtRuntime>(
-          SimObj, Opts.NumNodes, Type, Opts.Model);
-      C->start();
-      RT = std::move(C);
-      break;
-    }
-    }
+    break;
   }
-  if (Opts.PreSeed && Cluster)
-    Opts.PreSeed(*Cluster);
+  case RuntimeKind::Msg: {
+    auto C = std::make_unique<baselines::MsgCrdtRuntime>(
+        SimObj, Opts.NumNodes, Type, Opts.Model);
+    C->start();
+    RT = std::move(C);
+    break;
+  }
+  }
 
   rdma::Transport &T = RT->transport();
   const CoordinationSpec &Spec = RT->objectType().coordination();
@@ -381,7 +358,7 @@ RunResult benchlib::runOnce(const ObjectType &Type,
           // leader (shards rotate leadership across nodes).
           unsigned Observer = AliveOrigin(0);
           Target = IsSharded
-                       ? Sharded->leaderOfShard(Sharded->shardOfKey(ObjKey),
+                       ? Cluster->leaderOfShard(Cluster->shardOfKey(ObjKey),
                                                 *Spec.syncGroup(C.Method),
                                                 Observer)
                        : RT->leaderOf(*Spec.syncGroup(C.Method), Observer);
@@ -440,7 +417,7 @@ RunResult benchlib::runOnce(const ObjectType &Type,
   double BacklogMax = 0;
   std::uint64_t BacklogSamples = 0;
   if (!OnShm) {
-    sim::Simulator &Sim = SimObj;
+    sim::Simulator &Sim = *RT->simulator();
     const sim::SimDuration Slice = sim::micros(20);
     while (Sim.now() < Opts.SafetyCap) {
       Sim.run(Sim.now() + Slice);
@@ -462,13 +439,7 @@ RunResult benchlib::runOnce(const ObjectType &Type,
     while (T.now() - StartT < static_cast<sim::SimTime>(Opts.SafetyCap)) {
       std::this_thread::sleep_for(Slice);
       bool AllDone = false;
-      auto Inspect = [&](const std::function<void()> &Fn) {
-        if (Sharded)
-          Sharded->withPausedWorld(Fn);
-        else
-          Cluster->withPausedWorld(Fn);
-      };
-      Inspect([&]() {
+      Cluster->withPausedWorld([&]() {
         double Backlog = static_cast<double>(RT->replicationBacklog());
         BacklogSum += Backlog;
         BacklogMax = std::max(BacklogMax, Backlog);
@@ -515,16 +486,6 @@ RunResult benchlib::runOnce(const ObjectType &Type,
     R.MaxResponseUs = State->RespSamples.back();
   }
   if (DoReconfig && State->ReconfigTriggered) {
-    if (std::getenv("HAMBAND_RECONFIG_DEBUG"))
-      std::fprintf(stderr,
-                   "reconfig-debug: start=%lld transStart=%lld transEnd=%lld "
-                   "lastDone=%lld end=%lld phases=%llu/%llu/%llu retries=%llu\n",
-                   (long long)StartT, (long long)State->TransStartT,
-                   (long long)State->TransEndT, (long long)State->LastDoneT,
-                   (long long)EndT, (unsigned long long)State->PhaseCompleted[0],
-                   (unsigned long long)State->PhaseCompleted[1],
-                   (unsigned long long)State->PhaseCompleted[2],
-                   (unsigned long long)State->WrongEpochRetries);
     R.ReconfigInstalled = State->ReconfigInstalled;
     R.WrongEpochRetries = State->WrongEpochRetries;
     double SteadyUs = sim::toMicros(State->TransStartT - StartT);

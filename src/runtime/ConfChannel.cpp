@@ -28,6 +28,7 @@ ConfChannel::ConfChannel(
   CtrDepStall = &Stats.counter("node.dep_stall.conf");
   CtrCrossEpochDrop = &Stats.counter("reconfig.cross_epoch_drop");
   CtrCrossEpochApply = &Stats.counter("reconfig.cross_epoch_apply");
+  CtrOversizeReject = &Stats.counter("node.conf.oversize_reject");
   Pending.resize(Groups);
   AppliedIdx.assign(Groups, 0);
   Seen.resize(Groups);
@@ -217,8 +218,16 @@ void ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
   Prepared.Issuer = Self;
   WireCall WC{Prepared, projectDeps(Spec, Applied, Prepared.Method),
               Mu.nextIndex(), Epoch};
+  std::vector<std::uint8_t> Entry = encodeCall(Spec, Fabric.numNodes(), WC);
+  if (Entry.size() > Cfg.ConfGeom.maxPayload()) {
+    // A log entry is one L-ring cell; an entry that cannot fit is refused
+    // like an impermissible call instead of being posted.
+    CtrOversizeReject->add();
+    answer(Origin, Id, ConfOutcome::Rejected);
+    return;
+  }
   bool Posted = Mu.leaderAppend(
-      encodeCall(Spec, Fabric.numNodes(), WC),
+      Entry,
       [this, G, WC, Origin, Id, Term = Mu.epoch()](bool Committed) {
         // A commit that lands after this node was deposed must not enter
         // the log copy: the new leader's log decides the entry's fate.

@@ -216,7 +216,7 @@ bool ReconfigManager::start(std::vector<std::uint8_t> TargetActive,
   Done = std::move(DoneCb);
   NewKey = C.transport().createRegionKey();
   Coord = currentMembers().front();
-  ConfNext.assign(C.numSyncGroups(), 0);
+  ConfNext.assign(C.groupsPerShard(), 0);
   TransferBytes.clear();
   TransferOffset = 0;
   TransferKicked = false;

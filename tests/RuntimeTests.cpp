@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "hamband/baselines/MuSmrRuntime.h"
 #include "hamband/rdma/Fabric.h"
 #include "hamband/core/TypeRegistry.h"
 #include "hamband/runtime/HambandCluster.h"
@@ -832,6 +833,42 @@ TEST_F(ClusterTest, FullMailboxKeepsConfRequestsInPostOrder) {
   ASSERT_EQ(Order.size(), static_cast<std::size_t>(Requests));
   for (int I = 0; I < Requests; ++I)
     EXPECT_EQ(Order[I], static_cast<RequestId>(100 + I)) << "position " << I;
+}
+
+TEST_F(ClusterTest, OversizeConflictingEntryRejected) {
+  // Under the SMR adapter an ORSet remove is a conflicting call carrying
+  // every tag it observed. After 25 adds of one element its encoded entry
+  // no longer fits one L-ring cell: the leader must reject it rather than
+  // post it, and the cluster must stay consistent.
+  ORSet Inner;
+  baselines::SmrTypeAdapter T(Inner);
+  auto C = makeCluster(T);
+  rdma::NodeId Leader = C->leaderOf(0, 0);
+  int Added = 0;
+  for (RequestId I = 1; I <= 25; ++I)
+    C->submit(Leader, Call(ORSet::Add, {7}, Leader, I),
+              [&](bool Ok, Value) { Added += Ok; });
+  ASSERT_TRUE(
+      runUntil(Sim, [&] { return Added == 25 && C->fullyReplicated(); }));
+
+  int Removed = -1;
+  C->submit(Leader, Call(ORSet::Remove, {7}, Leader, 100),
+            [&](bool Ok, Value) { Removed = Ok; });
+  ASSERT_TRUE(
+      runUntil(Sim, [&] { return Removed >= 0 && C->fullyReplicated(); }));
+  EXPECT_EQ(Removed, 0);
+#if HAMBAND_OBS_ENABLED
+  EXPECT_EQ(C->statsSnapshot().counter("node.conf.oversize_reject"), 1u);
+#endif
+  for (rdma::NodeId N = 0; N < 3; ++N) {
+    Value V = -1;
+    C->submit(N, Call(ORSet::Contains, {7}, N, 200 + N),
+              [&](bool, Value Got) { V = Got; });
+    runUntil(Sim, [&] { return V >= 0; });
+    EXPECT_EQ(V, 1) << "node " << N;
+  }
+  EXPECT_TRUE(C->fullyReplicated());
+  EXPECT_TRUE(C->converged());
 }
 
 TEST_F(ClusterTest, AccountingOracleForConflictFreeTypes) {

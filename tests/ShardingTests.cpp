@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 // The sharded multi-object keyspace (runtime/Keyspace.h +
-// runtime/ShardedCluster.h), in four layers:
+// runtime/HambandCluster.h), in five layers:
 //
 //  - keyspace unit tests: consistent-hash placement is deterministic,
 //    registration-order independent, stable while the shard count is
@@ -28,6 +28,10 @@
 //    is live, their leaders stay put, and their final states still
 //    match the single-object references.
 //
+//  - node-level faults on a keyed deployment (sim-only): a crashed node
+//    takes its replica of every shard, the survivors converge under
+//    surviving leaders, and a suspended node rejoins every shard.
+//
 //  - policy pins: shard leaders rotate across nodes, fault injection
 //    stays sim-only on the sharded cluster too, and the benchlib runner
 //    can drive a sharded deployment end to end.
@@ -38,8 +42,8 @@
 #include "hamband/core/TypeRegistry.h"
 #include "hamband/rdma/Fabric.h"
 #include "hamband/runtime/HambandCluster.h"
-#include "hamband/runtime/ShardedCluster.h"
 #include "hamband/sim/FaultInjector.h"
+#include "hamband/types/BankAccount.h"
 
 #include <gtest/gtest.h>
 
@@ -200,7 +204,7 @@ TEST(KeyedTypeTest, KeyCallRoundTrips) {
 }
 
 //===----------------------------------------------------------------------===//
-// ShardedCluster policy pins
+// Keyed HambandCluster policy pins
 //===----------------------------------------------------------------------===//
 
 TEST(ShardedClusterTest, UnknownObjectsRejectedWithoutTouchingShards) {
@@ -208,7 +212,7 @@ TEST(ShardedClusterTest, UnknownObjectsRejectedWithoutTouchingShards) {
   auto T = makeType("counter");
   KeyspaceConfig KC;
   KC.NumShards = 2;
-  ShardedCluster C(Sim, 3, *T, KC);
+  HambandCluster C(Sim, 3, *T, KC);
   Value K = C.registerObject("known");
   C.start();
 
@@ -254,7 +258,7 @@ TEST(ShardedClusterTest, LeadersRotateAcrossShards) {
   const unsigned Nodes = 4;
   KeyspaceConfig KC;
   KC.NumShards = 3;
-  ShardedCluster C(Sim, Nodes, *T, KC);
+  HambandCluster C(Sim, Nodes, *T, KC);
   C.registerObject("a");
   C.start();
   Sim.run(sim::millis(1));
@@ -273,7 +277,7 @@ TEST(ShardedClusterTest, LeaderRotationCanBeDisabled) {
   KeyspaceConfig KC;
   KC.NumShards = 3;
   KC.RotateLeaders = false;
-  ShardedCluster C(Sim, 4, *T, KC);
+  HambandCluster C(Sim, 4, *T, KC);
   C.registerObject("a");
   C.start();
   Sim.run(sim::millis(1));
@@ -289,7 +293,7 @@ TEST(ShardedClusterTest, FaultInjectionIsSimOnly) {
   auto T = makeType("counter");
   KeyspaceConfig KC;
   KC.NumShards = 2;
-  ShardedCluster C(TransportKind::Shm, 3, *T, KC);
+  HambandCluster C(TransportKind::Shm, 3, *T, KC);
   C.registerObject("a");
   C.start();
 
@@ -313,10 +317,10 @@ struct ShardedWorld {
                KeyspaceConfig KC, HambandConfig Cfg) {
     if (Kind == TransportKind::Sim) {
       Sim = std::make_unique<sim::Simulator>();
-      C = std::make_unique<ShardedCluster>(*Sim, Nodes, Base, KC,
+      C = std::make_unique<HambandCluster>(*Sim, Nodes, Base, KC,
                                            NetworkModel(), std::move(Cfg));
     } else {
-      C = std::make_unique<ShardedCluster>(Kind, Nodes, Base, KC,
+      C = std::make_unique<HambandCluster>(Kind, Nodes, Base, KC,
                                            NetworkModel(), std::move(Cfg));
     }
   }
@@ -344,7 +348,7 @@ struct ShardedWorld {
   void inspect(const std::function<void()> &Fn) { C->withPausedWorld(Fn); }
 
   std::unique_ptr<sim::Simulator> Sim; // Sim backend only.
-  std::unique_ptr<ShardedCluster> C;
+  std::unique_ptr<HambandCluster> C;
 };
 
 /// One single-object reference deployment, always on the deterministic
@@ -524,7 +528,7 @@ TEST_P(ShardFaultSchedule, ConfinedFaultsDoNotPerturbOtherShards) {
   KeyspaceConfig KC;
   KC.NumShards = Shards;
   KC.VirtualNodes = 16;
-  ShardedCluster C(Sim, Nodes, *T, KC);
+  HambandCluster C(Sim, Nodes, *T, KC);
 
   // Register ids until shard 0 and at least one other shard are
   // populated (placement is deterministic, so this is too).
@@ -659,6 +663,112 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardFaultSchedule,
                                 &Info) {
                            return "seed" + std::to_string(Info.param);
                          });
+
+//===----------------------------------------------------------------------===//
+// Node-level faults on a keyed deployment (sim-only)
+//===----------------------------------------------------------------------===//
+
+/// 3 nodes x 3 shards of keyed bank-account with rotated leaders: every
+/// node leads one shard's group, so a node-level fault always takes one
+/// shard's leader along with a replica of every other shard.
+struct KeyedBankWorld {
+  static constexpr unsigned Nodes = 3, Shards = 3, Objects = 12;
+
+  KeyedBankWorld() : T(makeType("bank-account")) {
+    KeyspaceConfig KC;
+    KC.NumShards = Shards;
+    C = std::make_unique<HambandCluster>(Sim, Nodes, *T, KC);
+    for (unsigned O = 0; O < Objects; ++O)
+      C->registerObject("acct" + std::to_string(O));
+    C->start();
+  }
+
+  /// Issues a deposit or a withdrawal on every object at every node in
+  /// \p Origins, then runs until every call so far has been answered and
+  /// \p Drained holds.
+  bool round(const std::vector<rdma::NodeId> &Origins,
+             const std::function<bool()> &Drained) {
+    for (unsigned O = 0; O < Objects; ++O)
+      for (rdma::NodeId N : Origins) {
+        bool Deposit = (O + N + Rounds) % 2 == 0;
+        Call Inner(Deposit ? types::BankAccount::Deposit
+                           : types::BankAccount::Withdraw,
+                   {Deposit ? 5 : 3}, N, NextReq++);
+        ++Issued;
+        C->submitOn(N, "acct" + std::to_string(O), Inner,
+                    [this](bool, Value) { ++Answered; });
+      }
+    ++Rounds;
+    sim::SimTime Cap = Sim.now() + sim::millis(500);
+    while (Sim.now() < Cap && !(Answered == Issued && Drained()))
+      Sim.run(Sim.now() + sim::micros(20));
+    return Answered == Issued && Drained();
+  }
+
+  sim::Simulator Sim;
+  std::unique_ptr<ObjectType> T;
+  std::unique_ptr<HambandCluster> C;
+  unsigned Rounds = 0, Issued = 0, Answered = 0;
+  RequestId NextReq = 1;
+};
+
+class KeyedNodeCrash : public ::testing::TestWithParam<rdma::NodeId> {};
+
+TEST_P(KeyedNodeCrash, SurvivorsConvergeUnderSurvivingLeaders) {
+  const rdma::NodeId Victim = GetParam();
+  KeyedBankWorld W;
+  HambandCluster &C = *W.C;
+  const std::vector<rdma::NodeId> All = {0, 1, 2};
+  for (int R = 0; R < 6; ++R)
+    ASSERT_TRUE(W.round(All, [&] { return C.fullyReplicated(); }))
+        << "round " << R;
+
+  C.crashNode(Victim);
+  std::vector<rdma::NodeId> Survivors;
+  for (rdma::NodeId N : All)
+    if (N != Victim)
+      Survivors.push_back(N);
+  for (int R = 0; R < 4; ++R)
+    ASSERT_TRUE(W.round(Survivors, [&] { return C.fullyReplicatedLive(); }))
+        << "round " << R << " after crashing node " << Victim << ": "
+        << W.Answered << "/" << W.Issued << " answered";
+  EXPECT_TRUE(C.fullyReplicatedLive());
+  EXPECT_TRUE(C.convergedLive());
+
+  for (unsigned S = 0; S < KeyedBankWorld::Shards; ++S)
+    for (unsigned G = 0; G < C.groupsPerShard(); ++G) {
+      rdma::NodeId Leader = C.leaderOfShard(S, G, Survivors.front());
+      EXPECT_TRUE(C.isLive(Leader)) << "shard " << S << " group " << G;
+      for (rdma::NodeId Q : Survivors)
+        EXPECT_EQ(C.leaderOfShard(S, G, Q), Leader)
+            << "shard " << S << " group " << G << " observer " << Q;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Victims, KeyedNodeCrash, ::testing::Values(1u, 0u),
+                         [](const ::testing::TestParamInfo<rdma::NodeId>
+                                &Info) {
+                           return "node" + std::to_string(Info.param);
+                         });
+
+TEST(KeyedNodeSuspend, RecoveredNodeRejoinsEveryShard) {
+  KeyedBankWorld W;
+  HambandCluster &C = *W.C;
+  const std::vector<rdma::NodeId> All = {0, 1, 2};
+  for (int R = 0; R < 6; ++R)
+    ASSERT_TRUE(W.round(All, [&] { return C.fullyReplicated(); }))
+        << "round " << R;
+
+  C.injectFailure(1);
+  for (int R = 0; R < 2; ++R)
+    ASSERT_TRUE(W.round({0, 2}, [] { return true; })) << "round " << R;
+  C.recoverFailure(1);
+  for (int R = 0; R < 2; ++R)
+    ASSERT_TRUE(W.round(All, [&] { return C.fullyReplicated(); }))
+        << "round " << R << " after recovery";
+  EXPECT_TRUE(C.fullyReplicated());
+  EXPECT_TRUE(C.converged());
+}
 
 //===----------------------------------------------------------------------===//
 // Benchlib integration

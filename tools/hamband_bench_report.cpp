@@ -34,7 +34,7 @@
 // the 1-shard figure. The shm numbers measure real
 // threads on real memory and depend on the host's core count, so they
 // are recorded for trend-watching but never gated on a speedup floor,
-// and --compare only ever examines the sim fig8 section.
+// and --compare only ever examines sim sections.
 //
 // The fig_bigstate sweep measures what delta-state propagation
 // (docs/deltas.md) buys on large resident state: each replica is
@@ -79,9 +79,12 @@
 // per-node node.resp_ns histograms when the observability layer is
 // compiled in, with the driver's exact per-call samples as the fallback
 // (and as a cross-check).
-// --compare exits nonzero when fig8 throughput differs by more than the
-// tolerance, which is how scripts/bench_regress.sh asserts that an
-// HAMBAND_OBS=ON build performs within noise of an OFF build.
+// --compare exits nonzero when the throughput of any sim point -- fig8,
+// fig8_batched, fig9, and every fig_shard point matched by shard count
+// plus the zipf companion -- differs by more than the tolerance, or when
+// one report lacks a point the other carries, and names the failing
+// point. That is how scripts/bench_regress.sh holds a run to the
+// committed baseline and an HAMBAND_OBS=ON build to an OFF build.
 //
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +98,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -1070,6 +1074,32 @@ int checkMode(const Options &Opt) {
   return 0;
 }
 
+/// The sim throughput points --compare matches across two reports, by
+/// name: the fig8 point, its batched twin, fig9, and every fig_shard
+/// point keyed by shard count plus the zipf companion. A missing section
+/// reads as throughput 0.
+std::vector<std::pair<std::string, double>>
+comparePoints(const json::Value &Doc) {
+  auto Tput = [](const json::Value *P) {
+    const json::Value *X = P ? P->find("throughput_ops_us") : nullptr;
+    return X ? X->asDouble() : 0.0;
+  };
+  std::vector<std::pair<std::string, double>> Out;
+  for (const char *Sec : {"fig8", "fig8_batched", "fig9"})
+    Out.emplace_back(Sec, Tput(Doc.find(Sec)));
+  if (const json::Value *Sweep = Doc.find("fig_shard")) {
+    if (const json::Value *Points = Sweep->find("points"))
+      for (const json::Value &P : Points->Arr) {
+        const json::Value *S = P.find("shards");
+        Out.emplace_back("fig_shard/shards=" +
+                             std::to_string(S ? S->asUInt() : 0),
+                         Tput(&P));
+      }
+    Out.emplace_back("fig_shard/zipf", Tput(Sweep->find("zipf")));
+  }
+  return Out;
+}
+
 int compareMode(const Options &Opt) {
   json::Value A, B;
   std::string Err;
@@ -1077,32 +1107,36 @@ int compareMode(const Options &Opt) {
     std::fprintf(stderr, "compare failed: %s\n", Err.c_str());
     return 1;
   }
-  const json::Value *TA = A.find("fig8");
-  const json::Value *TB = B.find("fig8");
-  if (!TA || !TB) {
-    std::fprintf(stderr, "compare failed: fig8 section missing\n");
-    return 1;
+  // Every point either report carries must be in both: one missing on
+  // either side reads as throughput 0 and fails.
+  std::map<std::string, std::pair<double, double>> Points;
+  for (const auto &[Name, X] : comparePoints(A))
+    Points[Name].first = X;
+  for (const auto &[Name, X] : comparePoints(B))
+    Points[Name].second = X;
+  bool Ok = true;
+  for (const auto &[Name, X] : Points) {
+    auto [XA, XB] = X;
+    if (XA <= 0 || XB <= 0) {
+      std::fprintf(stderr,
+                   "compare failed: %s missing or non-positive "
+                   "throughput\n",
+                   Name.c_str());
+      Ok = false;
+      continue;
+    }
+    double Rel = std::fabs(XA - XB) / XB;
+    std::printf("%s throughput: %s=%.4f %s=%.4f relative diff %.2f%% "
+                "(tolerance %.2f%%)\n",
+                Name.c_str(), Opt.CompareA.c_str(), XA, Opt.CompareB.c_str(),
+                XB, Rel * 100.0, Opt.Tolerance * 100.0);
+    if (Rel > Opt.Tolerance) {
+      std::fprintf(stderr, "compare failed: %s outside tolerance\n",
+                   Name.c_str());
+      Ok = false;
+    }
   }
-  double XA = TA->find("throughput_ops_us")
-                  ? TA->find("throughput_ops_us")->asDouble()
-                  : 0;
-  double XB = TB->find("throughput_ops_us")
-                  ? TB->find("throughput_ops_us")->asDouble()
-                  : 0;
-  if (XA <= 0 || XB <= 0) {
-    std::fprintf(stderr, "compare failed: non-positive throughput\n");
-    return 1;
-  }
-  double Rel = std::fabs(XA - XB) / XB;
-  std::printf("fig8 throughput: %s=%.4f %s=%.4f relative diff %.2f%% "
-              "(tolerance %.2f%%)\n",
-              Opt.CompareA.c_str(), XA, Opt.CompareB.c_str(), XB,
-              Rel * 100.0, Opt.Tolerance * 100.0);
-  if (Rel > Opt.Tolerance) {
-    std::fprintf(stderr, "compare failed: outside tolerance\n");
-    return 1;
-  }
-  return 0;
+  return Ok ? 0 : 1;
 }
 
 int usage(const char *Argv0) {
