@@ -11,7 +11,7 @@
 /// submitted at the node; a call at the leader skips only the mailbox hop,
 /// and its answer reaches the handler of a ConfResponse mail, where
 /// "retry" re-routes it. The node owns A, the stored state and the visible
-/// cache; the channel reads A and reaches the rest through three hooks.
+/// cache; the channel reads A and reaches the rest through four hooks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -44,6 +45,8 @@ public:
   struct NodeHooks {
     /// Apply(S)(σ) at this node.
     std::function<const ObjectState &()> Visible;
+    /// A version of Apply(S)(σ) that moves whenever it changes.
+    std::function<std::uint64_t()> ViewVersion;
     /// Applies one ordered call to the stored state and A.
     std::function<void(const Call &)> Apply;
     /// Ships the pending flush, so earlier calls precede an ordered one.
@@ -75,8 +78,9 @@ public:
   /// Requests are dropped unless \p AcceptRequests (node in service).
   unsigned pollMailboxes(bool AcceptRequests);
   unsigned applyPending();
-  /// Consensus polls and leader retry queues.
-  void poll();
+  /// Consensus polls and leader retry queues; returns how many parked
+  /// calls it judged again (the node bills each one ApplyCpu).
+  unsigned poll();
 
   void onPeerSuspected(rdma::NodeId Peer);
 
@@ -125,13 +129,24 @@ private:
     sim::SimTime SentAt = 0;
     rdma::NodeId SentTo = 0;
   };
-  /// A call parked at the leader; WaitDeadline ends its permissibility
-  /// wait (0: not waiting).
+  /// What a permissibility judgement in a group reads: Apply(S)(σ) and
+  /// the group's speculative window, which moves with its log position.
+  struct ViewStamp {
+    std::uint64_t Version = 0;
+    std::uint64_t LogPos = 0;
+    bool operator==(const ViewStamp &) const = default;
+  };
+  /// A call parked at the leader. WaitDeadline ends its permissibility
+  /// wait (0: never judged impermissible). A call judged impermissible
+  /// keeps the view it was judged against and is judged again only once
+  /// that view moves; at its deadline an unchanged view rejects it. A call
+  /// parked because the instance cannot append (no JudgedAt) is retried
+  /// every poll round.
   struct Queued {
     Call TheCall;
     ProcessId Origin = 0;
-    sim::SimTime QueuedAt = 0;
     sim::SimTime WaitDeadline = 0;
+    std::optional<ViewStamp> JudgedAt;
   };
 
   template <typename T> static std::size_t total(const std::vector<T> &V) {
@@ -150,9 +165,17 @@ private:
   void route(RequestId Id);
   void checkTimeouts();
   /// Leader side: appends \p C for \p Origin, parks it, or answers.
-  void sequence(unsigned G, ProcessId Origin, Call C,
+  /// Returns true when it judged the call's permissibility.
+  bool sequence(unsigned G, ProcessId Origin, Call C,
                 sim::SimTime WaitDeadline);
-  void retryQueue(unsigned G);
+  /// Judges again the parked calls whose view moved; returns how many.
+  unsigned retryQueue(unsigned G);
+  ViewStamp viewOf(unsigned G) const {
+    return {Hooks.ViewVersion(), Consensus[G]->nextIndex()};
+  }
+  /// Ends the permissibility wait that runs out at \p Deadline (0: the
+  /// call never waited) when its call is appended or rejected.
+  void endWait(sim::SimTime Deadline);
   void answer(ProcessId Origin, RequestId Id, ConfOutcome Outcome);
   /// Origin side: completes request \p Id, or re-routes it on Retry.
   void onAnswer(RequestId Id, ConfOutcome Outcome);
@@ -188,6 +211,9 @@ private:
   obs::Counter *CtrCrossEpochDrop = nullptr;
   obs::Counter *CtrCrossEpochApply = nullptr;
   obs::Counter *CtrOversizeReject = nullptr;
+  obs::Counter *CtrParked = nullptr;
+  obs::Counter *CtrRechecks = nullptr;
+  obs::Histogram *HistParkNs = nullptr;
 };
 
 } // namespace runtime

@@ -91,7 +91,9 @@ struct HambandConfig {
   /// How long the leader holds a conflicting call that is not yet
   /// permissible (e.g. a worksOn whose addProject has not been delivered)
   /// before rejecting it. This is what makes dependent methods slower in
-  /// Figure 11(b).
+  /// Figure 11(b). The parked call is judged again, at one ApplyCpu on the
+  /// poller, at the first poll round after its view changes: Apply(S)(σ)
+  /// or its group's log position.
   sim::SimDuration PermissibilityWait = sim::micros(150);
   HeartbeatDetector::Config Heartbeat;
   /// Ablation: stage broadcasts in the backup slot (reliable) or not.
@@ -349,8 +351,9 @@ private:
   /// when nothing is pending).
   void flush(FlushCause Cause);
   /// Stages \p S's image in the backup slot, posts its writes to every
-  /// active peer, clears the slot once all complete, and responds to the
-  /// calls early or late (Cfg.RespondAfterCompletion).
+  /// active peer, clears the slot once all complete unless a later flush
+  /// staged over it, and responds to the calls early or late
+  /// (Cfg.RespondAfterCompletion).
   void ship(Shipment S);
   /// Effective byte cap for the encoded free-batch record.
   std::size_t freeBatchCapBytes() const;
@@ -378,6 +381,8 @@ private:
   StatePtr Stored;
   StatePtr VisibleCache;
   bool VisibleDirty = true;
+  /// Moves whenever Apply(S)(σ) changes (ConfChannel's parked calls).
+  std::uint64_t ViewVersion = 0;
   std::vector<std::vector<std::uint64_t>> Applied; // [proc][method]
 
   /// Summaries per (sum group, source) and their propagation.
@@ -416,6 +421,9 @@ private:
   sim::SimTime OldestPendingAt = 0;
   unsigned FlushesInFlight = 0;
   bool FlushTimerArmed = false;
+  /// Numbers the images staged in the backup slot; the slot holds the
+  /// latest.
+  std::uint64_t LastStage = 0;
   obs::Counter *CtrFlushPipe = nullptr;
   obs::Counter *CtrFlushSize = nullptr;
   obs::Counter *CtrFlushTimeout = nullptr;

@@ -4,7 +4,7 @@
 # fig_bigstate delta-bytes sweep, the fig_reconfig online-membership
 # sweep and the paper section (every point of the paper's Figs 8-13, the
 # headline aggregate and the ablations, at pinned sizes) through
-# hamband_bench_report and emits BENCH_pr17.json, then validates it. Six
+# hamband_bench_report and emits BENCH_pr19.json, then validates it. Six
 # gates run on every invocation:
 #
 #  - paper claims: the tool's --check gates the paper's relative claims
@@ -33,7 +33,7 @@
 #  - no-regression: the throughput of fig8, fig8_batched, fig9 and every
 #    fig_shard point (matched by shard count, plus the zipf point) must
 #    stay within --tolerance of the committed baseline report,
-#    BENCH_pr17.json unless --baseline points elsewhere; a failure names
+#    BENCH_pr19.json unless --baseline points elsewhere; a failure names
 #    the point (full runs only -- the smoke op count is too small to
 #    compare against a full-run baseline; skipped when --out is the
 #    baseline itself, which is how the baseline is regenerated).
@@ -69,8 +69,8 @@ set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$REPO/build"
-OUT="$REPO/BENCH_pr17.json"
-BASELINE="$REPO/BENCH_pr17.json"
+OUT="$REPO/BENCH_pr19.json"
+BASELINE="$REPO/BENCH_pr19.json"
 OPS="${HAMBAND_OPS:-6000}"
 REPS="${HAMBAND_REPS:-1}"
 TOLERANCE=0.05

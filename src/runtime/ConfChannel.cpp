@@ -29,6 +29,9 @@ ConfChannel::ConfChannel(
   CtrCrossEpochDrop = &Stats.counter("reconfig.cross_epoch_drop");
   CtrCrossEpochApply = &Stats.counter("reconfig.cross_epoch_apply");
   CtrOversizeReject = &Stats.counter("node.conf.oversize_reject");
+  CtrParked = &Stats.counter("node.conf.parked");
+  CtrRechecks = &Stats.counter("node.conf.rechecks");
+  HistParkNs = &Stats.histogram("node.conf.park_ns");
   Pending.resize(Groups);
   AppliedIdx.assign(Groups, 0);
   Seen.resize(Groups);
@@ -175,23 +178,25 @@ void ConfChannel::onAnswer(RequestId Id, ConfOutcome Outcome) {
 
 // -- Leader side -------------------------------------------------------------
 
-void ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
+bool ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
                            sim::SimTime WaitDeadline) {
   MuConsensus &Mu = *Consensus[G];
   RequestId Id = C.Req;
   if (Mu.currentLeader() != Self) {
     answer(Origin, Id, ConfOutcome::Retry);
-    return;
+    return false;
   }
   if (Seen[G].count(Id)) {
     answer(Origin, Id, ConfOutcome::Committed);
-    return;
+    return false;
   }
   if (!Mu.canAppend()) {
     // Catching up after an election, refused in this view, or a follower
-    // ring momentarily full: retry from the poller.
-    LeaderQueue[G].push_back({std::move(C), Origin, Fabric.now(), 0});
-    return;
+    // ring momentarily full: retry from the poller, still bound by any
+    // permissibility deadline.
+    LeaderQueue[G].push_back({std::move(C), Origin, WaitDeadline,
+                              std::nullopt});
+    return false;
   }
 
   // Speculative permissibility: the call must keep the invariant after
@@ -204,13 +209,17 @@ void ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
     // addProject), so hold it briefly before rejecting -- this wait is
     // what makes dependent methods slower in Figure 11(b).
     sim::SimTime Now = Fabric.now();
-    if (WaitDeadline == 0)
+    if (WaitDeadline == 0) {
       WaitDeadline = Now + Cfg.PermissibilityWait;
-    if (Now >= WaitDeadline)
+      CtrParked->add();
+    }
+    if (Now >= WaitDeadline) {
+      endWait(WaitDeadline);
       answer(Origin, Id, ConfOutcome::Rejected);
-    else
-      LeaderQueue[G].push_back({std::move(C), Origin, Now, WaitDeadline});
-    return;
+    } else {
+      LeaderQueue[G].push_back({std::move(C), Origin, WaitDeadline, viewOf(G)});
+    }
+    return true;
   }
 
   // The leader becomes the issuing process of the ordered call (the
@@ -223,8 +232,9 @@ void ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
     // A log entry is one L-ring cell; an entry that cannot fit is refused
     // like an impermissible call instead of being posted.
     CtrOversizeReject->add();
+    endWait(WaitDeadline);
     answer(Origin, Id, ConfOutcome::Rejected);
-    return;
+    return true;
   }
   bool Posted = Mu.leaderAppend(
       Entry,
@@ -244,16 +254,18 @@ void ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
       });
   assert(Posted && "canAppend() was checked above");
   (void)Posted;
+  endWait(WaitDeadline);
   Seen[G].insert(Id);
   Speculative[G].push_back(Prepared);
   // Sequencing an entry occupies the leader beyond the raw verb posts.
   Fabric.runOnCpu(Self, Fabric.model().ConsensusEntryCpu, []() {},
                   rdma::Transport::LaneClient);
+  return true;
 }
 
-void ConfChannel::retryQueue(unsigned G) {
+unsigned ConfChannel::retryQueue(unsigned G) {
   if (LeaderQueue[G].empty())
-    return;
+    return 0;
   std::deque<Queued> Snapshot;
   Snapshot.swap(LeaderQueue[G]);
   if (knownLeader(G) != Self) {
@@ -261,21 +273,32 @@ void ConfChannel::retryQueue(unsigned G) {
     // new leader.
     for (Queued &Q : Snapshot)
       answer(Q.Origin, Q.TheCall.Req, ConfOutcome::Retry);
-    return;
+    return 0;
   }
   // One pass per poll round; calls that still cannot proceed park again
-  // (with their original wait deadline).
-  sim::SimTime Now = Fabric.now();
+  // (with their original wait deadline). A verdict of "impermissible"
+  // stands until the view it read moves (an append, one earlier in this
+  // pass included, or any change to Apply(S)(σ)); at the deadline it is
+  // final.
+  unsigned Rechecks = 0;
   for (Queued &Q : Snapshot) {
-    // Permissibility waiters are re-evaluated every few microseconds, not
-    // every poll tick.
-    if (Q.WaitDeadline != 0 && Now < Q.WaitDeadline &&
-        Now - Q.QueuedAt < sim::micros(5)) {
+    if (!Q.JudgedAt || *Q.JudgedAt != viewOf(G)) {
+      Rechecks += sequence(G, Q.Origin, std::move(Q.TheCall), Q.WaitDeadline);
+    } else if (Fabric.now() < Q.WaitDeadline) {
       LeaderQueue[G].push_back(std::move(Q));
-      continue;
+    } else {
+      endWait(Q.WaitDeadline);
+      answer(Q.Origin, Q.TheCall.Req, ConfOutcome::Rejected);
     }
-    sequence(G, Q.Origin, std::move(Q.TheCall), Q.WaitDeadline);
   }
+  CtrRechecks->add(Rechecks);
+  return Rechecks;
+}
+
+void ConfChannel::endWait(sim::SimTime Deadline) {
+  // The wait began PermissibilityWait before its deadline.
+  if (Deadline != 0)
+    HistParkNs->record(Fabric.now() - (Deadline - Cfg.PermissibilityWait));
 }
 
 void ConfChannel::answer(ProcessId Origin, RequestId Id,
@@ -374,11 +397,13 @@ unsigned ConfChannel::applyPending() {
   return AppliedN;
 }
 
-void ConfChannel::poll() {
+unsigned ConfChannel::poll() {
+  unsigned Rechecks = 0;
   for (unsigned G = 0; G < Consensus.size(); ++G) {
     Consensus[G]->poll();
-    retryQueue(G);
+    Rechecks += retryQueue(G);
   }
+  return Rechecks;
 }
 
 void ConfChannel::onPeerSuspected(rdma::NodeId Peer) {

@@ -129,6 +129,7 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
       CurrentEpoch, *Detector, Stats,
       ConfChannel::NodeHooks{
           [this]() -> const ObjectState & { return visibleState(); },
+          [this]() { return ViewVersion; },
           [this](const Call &C) {
             applyToStored(C);
             Applied[C.Issuer][C.Method] += 1;
@@ -172,6 +173,7 @@ void HambandNode::summaryChanged(ProcessId Src,
                                  const Call *Delta) {
   for (const auto &[U, Cnt] : C)
     Applied[Src][U] = std::max(Applied[Src][U], Cnt);
+  ++ViewVersion;
   // Summarized calls are conflict-free, so an appended delta commutes
   // with everything the cache already holds.
   if (Delta && VisibleCache && !VisibleDirty)
@@ -182,6 +184,7 @@ void HambandNode::summaryChanged(ProcessId Src,
 
 void HambandNode::applyToStored(const Call &C) {
   Type.apply(*Stored, C);
+  ++ViewVersion;
   // The retained irreducible-call log: everything folded into the stored
   // state, in apply order. It is what a joiner replays, since irreducible
   // calls have no summary image to transfer (docs/reconfig.md).
@@ -392,13 +395,13 @@ void HambandNode::pollOnce() {
   Parsed += Conf->pollMailboxes(!OutOfService);
   AppliedN += applyPendingFree();
   AppliedN += Conf->applyPending();
-  Conf->poll();
+  unsigned Rechecks = Conf->poll();
 #if HAMBAND_OBS_ENABLED
   GaugePendingFree->set(static_cast<std::int64_t>(pendingFreeTotal()));
   GaugePendingConf->set(static_cast<std::int64_t>(Conf->pendingTotal()));
 #endif
   sim::SimDuration Extra =
-      Parsed * M.ParseCpu + AppliedN * M.ApplyCpu;
+      Parsed * M.ParseCpu + (AppliedN + Rechecks) * M.ApplyCpu;
   if (Extra > 0)
     Fabric.runOnCpu(Self, Extra, []() {}, rdma::Transport::LanePoller);
   schedulePoll();
@@ -631,11 +634,15 @@ void HambandNode::ship(Shipment S) {
       (S.SlotWrites.size() + S.Records.size()) * activePeerCount());
   assert(Writes > 0 && "flush() ships only to active peers");
 
-  // flush() sized the image to the backup slot.
+  // flush() sized the image to the backup slot. A flush that staged
+  // nothing leaves the slot to whichever flush staged it.
   const FlushImage &Img = S.Staged;
+  std::uint64_t Stage = 0;
   if (!Img.Summaries.empty() || !Img.Deltas.empty() ||
-      !Img.FreeRecord.empty())
+      !Img.FreeRecord.empty()) {
     Broadcast->stage(encodeFlushImage(Img), CurrentEpoch);
+    Stage = ++LastStage;
+  }
 
   if (S.Coalesced) {
     ++FlushesInFlight;
@@ -652,11 +659,13 @@ void HambandNode::ship(Shipment S) {
   auto Remaining = std::make_shared<unsigned>(Writes);
   auto Dones =
       std::make_shared<std::vector<SubmitCallback>>(std::move(S.Dones));
-  auto Finish = [this, Remaining, Dones,
+  auto Finish = [this, Remaining, Dones, Stage,
                  Coalesced = S.Coalesced](rdma::WcStatus) {
     if (--*Remaining != 0)
       return;
-    if (Cfg.UseBackupSlot)
+    // Clear only this flush's own image: a later flush may have staged
+    // over it and still be posting.
+    if (Stage != 0 && Stage == LastStage)
       Broadcast->clear();
     if (Coalesced)
       --FlushesInFlight;
@@ -799,6 +808,7 @@ void HambandNode::absorbTransfer(const TransferImage &Img) {
       FreeApplyLog[C.Issuer].push_back(C.Req);
   }
   Conf->importLog(Img.ConfNextIndex);
+  ++ViewVersion;
   VisibleDirty = true;
   VisibleCache.reset();
 }

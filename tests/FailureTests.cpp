@@ -498,6 +498,44 @@ TEST(BackupRecovery, CallStagedBehindAnUnpostedFlushDoesNotWedge) {
   }
 }
 
+TEST(BackupRecovery, OverlappingFlushesSurviveACrashBetweenTheirPosts) {
+  // Unbatched, node 0's second flush can stage its image before the first
+  // flush's last completion runs. That completion must leave the second
+  // image in the slot: a crash between the second flush's posts would
+  // otherwise leave one survivor with the call and one without it, for
+  // good, since classic mode has no anti-entropy. The sweep places the
+  // second submit and the crash across that window.
+  for (const char *Name : {"counter", "orset"}) {
+    auto T = makeType(Name);
+    MethodId Add = T->methodId("add");
+    for (std::uint64_t GapNs = 1500; GapNs <= 2000; GapNs += 20)
+      for (std::uint64_t CrashNs = 300; CrashNs <= 700; CrashNs += 20) {
+        SCOPED_TRACE(testing::Message() << Name << " second submit at "
+                                        << GapNs << " ns, crash "
+                                        << CrashNs << " ns after it");
+        sim::Simulator Sim;
+        HambandCluster C(Sim, 3, *T);
+        C.start();
+        C.submit(0, Call(Add, {1}, 0, 1), [](bool, Value) {});
+        Sim.run(Sim.now() + sim::nanos(GapNs));
+        C.submit(0, Call(Add, {2}, 0, 2), [](bool, Value) {});
+        Sim.run(Sim.now() + sim::nanos(CrashNs));
+        C.crashNode(0);
+        // Each survivor fetches node 0's slot once it suspects node 0.
+        ASSERT_TRUE(runUntil(
+            Sim,
+            [&] {
+              return C.node(1).detector().isSuspected(0) &&
+                     C.node(2).detector().isSuspected(0);
+            },
+            3000.0));
+        Sim.run(Sim.now() + sim::micros(100));
+        ASSERT_TRUE(C.node(1).appliedTable() == C.node(2).appliedTable());
+        ASSERT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
+      }
+  }
+}
+
 TEST(LeaderChange, ConcurrentCandidatesConvergeOnOneLeader) {
   // Two followers suspect the leader near-simultaneously and both
   // campaign with the same epoch; proposal adoption is deterministic
@@ -691,4 +729,150 @@ TEST(DependencyWait, EnrollWaitsForItsCourse) {
   EXPECT_TRUE(StudentOk);
   EXPECT_TRUE(EnrollOk);
   EXPECT_TRUE(C.converged());
+}
+
+namespace {
+
+/// One poll round of a node of \p C when its poller lane is otherwise
+/// idle: PollInterval, then one PollCpu per check of every free and
+/// mailbox ring, summary slot, L ring and consensus instance.
+sim::SimDuration pollPeriod(HambandCluster &C) {
+  const CoordinationSpec &Spec = C.objectType().coordination();
+  unsigned Peers = C.numNodes() - 1;
+  unsigned Checks = Peers * 2 + Spec.numSumGroups() * Peers +
+                    Spec.numSyncGroups() * 2;
+  return C.config().PollInterval + C.fabric().model().PollCpu * Checks;
+}
+
+std::uint64_t leaderCounter(HambandCluster &C, const char *Name) {
+  return C.node(C.leaderOf(0, 0)).statsSnapshot().counter(Name);
+}
+
+} // namespace
+
+TEST(DependencyWait, ParkedEnrollWakesWhenItsCourseIsAppended) {
+  // An enroll parked at the leader for its missing course is judged again
+  // at the first poll round after the addCourse is appended, whatever the
+  // addCourse's phase against the poll cadence. It appends right behind
+  // the addCourse and is answered at most one poll round plus its own
+  // sequencing (the re-check and the entry) after it.
+  for (double OffsetUs = 0.0; OffsetUs < 5.0; OffsetUs += 0.25) {
+    SCOPED_TRACE(testing::Message() << "addCourse " << OffsetUs
+                                    << " us after the enroll");
+    sim::Simulator Sim;
+    Courseware T;
+    HambandCluster C(Sim, 4, T);
+    C.start();
+    const rdma::NetworkModel &M = C.fabric().model();
+    rdma::NodeId Leader = C.leaderOf(0, 0);
+    bool StudentOk = false;
+    C.submit(2, Call(TwoEntitySchema::AddB, {7}, 2, 1),
+             [&](bool Ok, Value) { StudentOk = Ok; });
+    ASSERT_TRUE(
+        runUntil(Sim, [&] { return StudentOk && C.fullyReplicated(); }));
+
+    bool EnrollOk = false, CourseOk = false;
+    sim::SimTime EnrollAt = 0, CourseAt = 0;
+    C.submit(Leader, Call(TwoEntitySchema::Rel, {1, 7}, Leader, 3),
+             [&](bool Ok, Value) {
+               EnrollOk = Ok;
+               EnrollAt = Sim.now();
+             });
+    Sim.run(Sim.now() + sim::micros(OffsetUs));
+    C.submit(Leader, Call(TwoEntitySchema::AddA, {1}, Leader, 2),
+             [&](bool Ok, Value) {
+               CourseOk = Ok;
+               CourseAt = Sim.now();
+             });
+    ASSERT_TRUE(runUntil(Sim, [&] { return EnrollAt != 0 && CourseAt != 0; }));
+    EXPECT_TRUE(CourseOk);
+    EXPECT_TRUE(EnrollOk);
+    EXPECT_EQ(leaderCounter(C, "node.conf.parked"), 1u);
+    EXPECT_LE(EnrollAt,
+              CourseAt + pollPeriod(C) + M.ApplyCpu + M.ConsensusEntryCpu);
+  }
+}
+
+TEST(DependencyWait, EnrollWhoseCourseNeverArrivesIsRejectedAtItsDeadline) {
+  // With no course and no other traffic the parked enroll's view never
+  // moves, so it is never judged again: the first poll round past its
+  // PermissibilityWait rejects it, whatever the parking phase.
+  for (double PhaseUs = 0.0; PhaseUs < 5.0; PhaseUs += 0.25) {
+    SCOPED_TRACE(testing::Message() << "enroll " << PhaseUs
+                                    << " us into the poll cadence");
+    sim::Simulator Sim;
+    Courseware T;
+    HambandCluster C(Sim, 4, T);
+    C.start();
+    const rdma::NetworkModel &M = C.fabric().model();
+    rdma::NodeId Leader = C.leaderOf(0, 0);
+    bool StudentOk = false;
+    C.submit(2, Call(TwoEntitySchema::AddB, {7}, 2, 1),
+             [&](bool Ok, Value) { StudentOk = Ok; });
+    ASSERT_TRUE(
+        runUntil(Sim, [&] { return StudentOk && C.fullyReplicated(); }));
+    Sim.run(Sim.now() + sim::micros(PhaseUs));
+
+    bool EnrollOk = true;
+    sim::SimTime AnsweredAt = 0;
+    // The leader's idle client lane parses and judges the call, then
+    // parks it.
+    sim::SimTime ParkedAt = Sim.now() + M.ParseCpu + M.ApplyCpu;
+    C.submit(Leader, Call(TwoEntitySchema::Rel, {1, 7}, Leader, 3),
+             [&](bool Ok, Value) {
+               EnrollOk = Ok;
+               AnsweredAt = Sim.now();
+             });
+    ASSERT_TRUE(runUntil(Sim, [&] { return AnsweredAt != 0; }));
+    sim::SimTime Deadline = ParkedAt + C.config().PermissibilityWait;
+    EXPECT_FALSE(EnrollOk);
+    EXPECT_GE(AnsweredAt, Deadline);
+    EXPECT_LE(AnsweredAt, Deadline + pollPeriod(C));
+    EXPECT_EQ(leaderCounter(C, "node.conf.parked"), 1u);
+    EXPECT_EQ(leaderCounter(C, "node.conf.rechecks"), 0u);
+  }
+}
+
+TEST(DependencyWait, ParkedEnrollWakesWhenItsStudentsSummaryLands) {
+  // The student arrives from another node as a reducible summary. The
+  // poll round that installs it at the leader changes Apply(S)(σ), and
+  // the parked enroll appends within one poll round of it.
+  for (double PhaseUs = 0.0; PhaseUs < 5.0; PhaseUs += 0.25) {
+    SCOPED_TRACE(testing::Message() << "registerStudent " << PhaseUs
+                                    << " us after the enroll");
+    sim::Simulator Sim;
+    Courseware T;
+    HambandCluster C(Sim, 4, T);
+    C.start();
+    rdma::NodeId Leader = C.leaderOf(0, 0);
+    MuConsensus &Mu = *C.node(Leader).conf().consensus(0);
+    bool CourseOk = false;
+    C.submit(Leader, Call(TwoEntitySchema::AddA, {1}, Leader, 1),
+             [&](bool Ok, Value) { CourseOk = Ok; });
+    ASSERT_TRUE(runUntil(Sim, [&] { return CourseOk && C.fullyReplicated(); }));
+
+    bool EnrollOk = false, EnrollDone = false;
+    C.submit(Leader, Call(TwoEntitySchema::Rel, {1, 7}, Leader, 3),
+             [&](bool Ok, Value) {
+               EnrollOk = Ok;
+               EnrollDone = true;
+             });
+    Sim.run(Sim.now() + sim::micros(PhaseUs));
+    const std::uint64_t LogPos = Mu.nextIndex();
+    C.submit(2, Call(TwoEntitySchema::AddB, {7}, 2, 2), [](bool, Value) {});
+    sim::SimTime SummaryAt = 0, AppendAt = 0;
+    sim::SimTime Cap = Sim.now() + sim::micros(500);
+    while (AppendAt == 0 && Sim.now() < Cap && Sim.runOne()) {
+      if (SummaryAt == 0 &&
+          C.node(Leader).applied(2, TwoEntitySchema::AddB) == 1)
+        SummaryAt = Sim.now();
+      if (Mu.nextIndex() != LogPos)
+        AppendAt = Sim.now();
+    }
+    ASSERT_NE(SummaryAt, 0u);
+    ASSERT_NE(AppendAt, 0u);
+    EXPECT_LE(AppendAt, SummaryAt + pollPeriod(C));
+    ASSERT_TRUE(runUntil(Sim, [&] { return EnrollDone; }));
+    EXPECT_TRUE(EnrollOk);
+  }
 }
