@@ -11,6 +11,16 @@
 /// Remote peers address this memory by (node, offset), exactly like an
 /// (rkey, addr) pair addresses an ibverbs memory region.
 ///
+/// The bytes are one private anonymous mapping of the region's size,
+/// owned by the region (which is therefore move-only) and unmapped when
+/// it is destroyed. The mapping reads as zeros from the start, but the
+/// kernel backs a page with memory only when it is first written, so
+/// building a cluster costs no zero-fill and the parts of the layout a
+/// run never touches (rings of unused categories, spare slots) cost no
+/// resident memory. The bounds asserts are the only guard at its edges:
+/// the mapping has no redzone, and a page's tail past size() is
+/// addressable.
+///
 /// A region can be constructed in *concurrent* mode (the shm transport
 /// does this): every accessor then uses relaxed-size atomic element
 /// accesses -- acquire loads, release stores, issued in increasing address
@@ -37,9 +47,16 @@ using MemOffset = std::uint64_t;
 /// A node's registered, remotely accessible memory.
 class MemoryRegion {
 public:
+  /// Maps \p Size zero bytes; throws std::bad_alloc when the mapping fails.
   explicit MemoryRegion(std::size_t Size, bool Concurrent = false);
+  ~MemoryRegion();
 
-  std::size_t size() const { return Bytes.size(); }
+  MemoryRegion(MemoryRegion &&Other) noexcept;
+  MemoryRegion &operator=(MemoryRegion &&Other) noexcept;
+  MemoryRegion(const MemoryRegion &) = delete;
+  MemoryRegion &operator=(const MemoryRegion &) = delete;
+
+  std::size_t size() const { return NumBytes; }
 
   /// True when accessors use atomic element accesses (shm transport).
   bool concurrent() const { return Concurrent; }
@@ -51,7 +68,7 @@ public:
   MemOffset alloc(std::size_t Size, std::size_t Align = 8);
 
   /// Bytes remaining in the allocator.
-  std::size_t remaining() const { return Bytes.size() - Brk; }
+  std::size_t remaining() const { return NumBytes - Brk; }
 
   /// Copies \p Len bytes starting at \p Off into \p Dst.
   void read(MemOffset Off, void *Dst, std::size_t Len) const;
@@ -88,7 +105,8 @@ public:
   void zero(MemOffset Off, std::size_t Len);
 
 private:
-  std::vector<std::uint8_t> Bytes;
+  std::uint8_t *Bytes = nullptr; // Null for a zero-size region.
+  std::size_t NumBytes = 0;
   std::size_t Brk = 0;
   bool Concurrent = false;
 };

@@ -6,8 +6,12 @@
 
 #include "hamband/rdma/MemoryRegion.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <cstdlib>
+#include <new>
+#include <utility>
 
 using namespace hamband::rdma;
 
@@ -62,12 +66,38 @@ void atomicCopyIn(std::uint8_t *Dst, const void *SrcV, std::size_t Len) {
 } // namespace
 
 MemoryRegion::MemoryRegion(std::size_t Size, bool Concurrent)
-    : Bytes(Size, 0), Concurrent(Concurrent) {}
+    : NumBytes(Size), Concurrent(Concurrent) {
+  if (Size == 0)
+    return; // mmap rejects an empty mapping.
+  void *P = mmap(nullptr, Size, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  Bytes = static_cast<std::uint8_t *>(P);
+}
+
+MemoryRegion::~MemoryRegion() {
+  if (Bytes)
+    munmap(Bytes, NumBytes);
+}
+
+MemoryRegion::MemoryRegion(MemoryRegion &&Other) noexcept
+    : Bytes(std::exchange(Other.Bytes, nullptr)),
+      NumBytes(std::exchange(Other.NumBytes, 0)),
+      Brk(std::exchange(Other.Brk, 0)), Concurrent(Other.Concurrent) {}
+
+MemoryRegion &MemoryRegion::operator=(MemoryRegion &&Other) noexcept {
+  std::swap(Bytes, Other.Bytes);
+  std::swap(NumBytes, Other.NumBytes);
+  std::swap(Brk, Other.Brk);
+  std::swap(Concurrent, Other.Concurrent);
+  return *this;
+}
 
 MemOffset MemoryRegion::alloc(std::size_t Size, std::size_t Align) {
   assert(Align != 0 && (Align & (Align - 1)) == 0 && "non power-of-two align");
   std::size_t Off = (Brk + Align - 1) & ~(Align - 1);
-  if (Off + Size > Bytes.size()) {
+  if (Off + Size > NumBytes) {
     assert(false && "memory region exhausted; increase region size");
     std::abort();
   }
@@ -76,23 +106,24 @@ MemOffset MemoryRegion::alloc(std::size_t Size, std::size_t Align) {
 }
 
 void MemoryRegion::read(MemOffset Off, void *Dst, std::size_t Len) const {
-  assert(Off + Len <= Bytes.size() && "remote read out of bounds");
+  assert(Off + Len <= NumBytes && "remote read out of bounds");
   if (Concurrent)
-    atomicCopyOut(Dst, Bytes.data() + Off, Len);
+    atomicCopyOut(Dst, Bytes + Off, Len);
   else
-    std::memcpy(Dst, Bytes.data() + Off, Len);
+    std::memcpy(Dst, Bytes + Off, Len);
 }
 
 void MemoryRegion::write(MemOffset Off, const void *Src, std::size_t Len) {
-  assert(Off + Len <= Bytes.size() && "remote write out of bounds");
+  assert(Off + Len <= NumBytes && "remote write out of bounds");
   if (Concurrent)
-    atomicCopyIn(Bytes.data() + Off, Src, Len);
+    atomicCopyIn(Bytes + Off, Src, Len);
   else
-    std::memcpy(Bytes.data() + Off, Src, Len);
+    std::memcpy(Bytes + Off, Src, Len);
 }
 
 void MemoryRegion::readStable(MemOffset Off, void *Dst,
                               std::size_t Len) const {
+  assert(Off + Len <= NumBytes && "stable read out of bounds");
   if (!Concurrent || Len <= 8) {
     read(Off, Dst, Len);
     return;
@@ -103,9 +134,9 @@ void MemoryRegion::readStable(MemOffset Off, void *Dst,
   // limits wasted work against a pathological stream of back-to-back
   // overwrites; validation of the returned snapshot is the caller's job.
   std::vector<std::uint8_t> Prev(Len);
-  atomicCopyOut(Prev.data(), Bytes.data() + Off, Len);
+  atomicCopyOut(Prev.data(), Bytes + Off, Len);
   for (int Attempt = 0; Attempt < 64; ++Attempt) {
-    atomicCopyOut(Dst, Bytes.data() + Off, Len);
+    atomicCopyOut(Dst, Bytes + Off, Len);
     if (std::memcmp(Dst, Prev.data(), Len) == 0)
       return;
     std::memcpy(Prev.data(), Dst, Len);
@@ -114,17 +145,16 @@ void MemoryRegion::readStable(MemOffset Off, void *Dst,
 
 std::uint64_t MemoryRegion::readU64(MemOffset Off) const {
   std::uint64_t V = 0;
-  if (Concurrent && aligned8(Bytes.data() + Off) && Off + 8 <= Bytes.size())
+  if (Concurrent && Off + 8 <= NumBytes && aligned8(Bytes + Off))
     return __atomic_load_n(
-        reinterpret_cast<const std::uint64_t *>(Bytes.data() + Off),
-        __ATOMIC_ACQUIRE);
+        reinterpret_cast<const std::uint64_t *>(Bytes + Off), __ATOMIC_ACQUIRE);
   read(Off, &V, sizeof(V));
   return V;
 }
 
 void MemoryRegion::writeU64(MemOffset Off, std::uint64_t V) {
-  if (Concurrent && aligned8(Bytes.data() + Off) && Off + 8 <= Bytes.size()) {
-    __atomic_store_n(reinterpret_cast<std::uint64_t *>(Bytes.data() + Off), V,
+  if (Concurrent && Off + 8 <= NumBytes && aligned8(Bytes + Off)) {
+    __atomic_store_n(reinterpret_cast<std::uint64_t *>(Bytes + Off), V,
                      __ATOMIC_RELEASE);
     return;
   }
@@ -143,7 +173,7 @@ void MemoryRegion::writeU8(MemOffset Off, std::uint8_t V) {
 
 std::vector<std::uint8_t> MemoryRegion::slice(MemOffset Off,
                                               std::size_t Len) const {
-  assert(Off + Len <= Bytes.size() && "slice out of bounds");
+  assert(Off + Len <= NumBytes && "slice out of bounds");
   std::vector<std::uint8_t> Out(Len);
   read(Off, Out.data(), Len);
   return Out;
@@ -151,18 +181,18 @@ std::vector<std::uint8_t> MemoryRegion::slice(MemOffset Off,
 
 std::vector<std::uint8_t> MemoryRegion::sliceStable(MemOffset Off,
                                                     std::size_t Len) const {
-  assert(Off + Len <= Bytes.size() && "slice out of bounds");
+  assert(Off + Len <= NumBytes && "slice out of bounds");
   std::vector<std::uint8_t> Out(Len);
   readStable(Off, Out.data(), Len);
   return Out;
 }
 
 void MemoryRegion::zero(MemOffset Off, std::size_t Len) {
-  assert(Off + Len <= Bytes.size() && "zero out of bounds");
+  assert(Off + Len <= NumBytes && "zero out of bounds");
   if (Concurrent) {
     std::vector<std::uint8_t> Zeros(Len, 0);
-    atomicCopyIn(Bytes.data() + Off, Zeros.data(), Len);
+    atomicCopyIn(Bytes + Off, Zeros.data(), Len);
   } else {
-    std::memset(Bytes.data() + Off, 0, Len);
+    std::memset(Bytes + Off, 0, Len);
   }
 }

@@ -415,8 +415,9 @@ void crashFaultAgreement(const std::string &Name, const HambandConfig &Cfg,
         EXPECT_GT(Live, Nodes / 2u); // A majority always survives.
         // Calls still pending may only belong to crashed origins.
         for (const FaultedIssue &I : Issued)
-          if (I.Status == 0)
+          if (I.Status == 0) {
             EXPECT_FALSE(C.isLive(I.Origin)) << Name;
+          }
         EXPECT_FALSE(FI.trace().Events.empty());
 
         semantics::RdmaConfiguration K =

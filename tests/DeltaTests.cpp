@@ -322,9 +322,10 @@ FaultRunResult runDeltaUnderFaults(const ObjectType &T, unsigned Nodes,
     Out.Live.push_back(C.isLive(P));
     Out.States.push_back(C.isLive(P) ? C.node(P).visibleState().str()
                                      : std::string());
-    if (C.isLive(P))
+    if (C.isLive(P)) {
       EXPECT_TRUE(T.invariant(C.node(P).visibleState()))
           << T.name() << " node " << P;
+    }
   }
   EXPECT_TRUE(C.convergedLive()) << T.name();
   return Out;

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
+#include <type_traits>
+
 using namespace hamband;
 using namespace hamband::rdma;
 
@@ -50,6 +55,101 @@ TEST_F(FabricTest, MemoryRegionSlice) {
   EXPECT_EQ(M.slice(10, 5), Data);
   EXPECT_EQ(M.slice(11, 3), bytes({2, 3, 4}));
 }
+
+namespace {
+
+/// This process's resident set size in KiB, from /proc/self/statm.
+std::uint64_t residentKiB() {
+  std::ifstream Statm("/proc/self/statm");
+  std::uint64_t SizePages = 0, ResidentPages = 0;
+  Statm >> SizePages >> ResidentPages;
+  return ResidentPages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE)) /
+         1024;
+}
+
+constexpr std::size_t BigRegion = std::size_t(256) << 20;
+
+} // namespace
+
+TEST(MemoryRegionStorage, ConstructionLeavesPagesNonResident) {
+  const std::uint64_t Before = residentKiB();
+  ASSERT_GT(Before, 0u);
+  MemoryRegion M(BigRegion);
+  // A zero-filled 256 MiB region would add 262,144 KiB.
+  EXPECT_LT(residentKiB(), Before + 4096);
+}
+
+TEST(MemoryRegionStorage, ReadsZeroAndReachesItsLastByte) {
+  for (bool Concurrent : {false, true}) {
+    MemoryRegion M(BigRegion, Concurrent);
+    ASSERT_EQ(M.size(), BigRegion);
+    EXPECT_EQ(M.readU64(0), 0u);
+    EXPECT_EQ(M.readU64(M.size() - 8), 0u);
+    M.writeU8(M.size() - 1, 0x5a);
+    EXPECT_EQ(M.readU8(M.size() - 1), 0x5a);
+    EXPECT_EQ(M.readU64(M.size() - 8), 0x5aull << 56);
+  }
+}
+
+TEST(MemoryRegionStorage, ZeroSizeConstructs) {
+  MemoryRegion M(0);
+  EXPECT_EQ(M.size(), 0u);
+  EXPECT_EQ(M.remaining(), 0u);
+}
+
+TEST(MemoryRegionStorage, MoveTransfersTheMapping) {
+  static_assert(!std::is_copy_constructible_v<MemoryRegion>);
+  static_assert(std::is_nothrow_move_constructible_v<MemoryRegion>);
+  MemoryRegion A(4096, /*Concurrent=*/true);
+  MemOffset Off = A.alloc(16);
+  A.writeU64(Off, 42);
+  MemoryRegion B(std::move(A));
+  EXPECT_EQ(B.size(), 4096u);
+  EXPECT_TRUE(B.concurrent());
+  EXPECT_EQ(B.readU64(Off), 42u);
+  EXPECT_EQ(B.remaining(), 4096u - 16);
+  MemoryRegion C(64);
+  C = std::move(B);
+  EXPECT_EQ(C.size(), 4096u);
+  EXPECT_EQ(C.readU64(Off), 42u);
+}
+
+namespace {
+
+/// Bounds guards on a 64-byte region, plain or concurrent (the parameter).
+class MemoryRegionBounds : public ::testing::TestWithParam<bool> {
+protected:
+  MemoryRegion M{64, GetParam()};
+  std::uint8_t Buf[16] = {};
+};
+
+} // namespace
+
+TEST_P(MemoryRegionBounds, ReadStablePastTheEndAborts) {
+  EXPECT_DEATH(M.readStable(56, Buf, 16), "out of bounds");
+  EXPECT_DEATH(M.readStable(64, Buf, 1), "out of bounds");
+}
+
+TEST_P(MemoryRegionBounds, AccessPastTheEndAborts) {
+  EXPECT_DEATH(M.read(56, Buf, 16), "out of bounds");
+  EXPECT_DEATH(M.write(56, Buf, 16), "out of bounds");
+  EXPECT_DEATH(M.slice(60, 8), "out of bounds");
+  EXPECT_DEATH(M.sliceStable(60, 8), "out of bounds");
+  EXPECT_DEATH(M.zero(60, 8), "out of bounds");
+  EXPECT_DEATH(M.readU64(60), "out of bounds");
+  EXPECT_DEATH(M.readU64(64), "out of bounds");
+  EXPECT_DEATH(M.writeU64(64, 1), "out of bounds");
+}
+
+TEST_P(MemoryRegionBounds, AllocPastTheEndAborts) {
+  M.alloc(48);
+  EXPECT_DEATH(M.alloc(32), "exhausted");
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, MemoryRegionBounds, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &Info) {
+                           return Info.param ? "concurrent" : "plain";
+                         });
 
 TEST_F(FabricTest, WriteBecomesVisibleAfterWireLatency) {
   Fab.postWrite(0, 1, 200, bytes({9, 8, 7}));

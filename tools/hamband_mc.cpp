@@ -16,10 +16,9 @@
 //   hamband_mc --type counter --calls 4            # one type
 //   hamband_mc --type all --calls 4 --crashes 1    # the CI sweep
 //   hamband_mc --type counter --calls 3 --deltas   # delta-mode cluster
-//   hamband_mc --type bank-account \
-//       --mutate drop-conflict:withdraw/withdraw \
-//       --dump ce.ftrace                           # certified CE
-//   hamband_fuzz --replay-trace ce.ftrace          # reproduces it
+//   M=drop-conflict:withdraw/withdraw              # a corrupted spec
+//   hamband_mc --type bank-account --mutate $M --dump ce.ftrace
+//   hamband_fuzz --replay-trace ce.ftrace          # reproduces the CE
 //
 // Exit code 0 = every explored schedule passed every oracle, 1 = a
 // violation was found (a minimized counterexample trace is printed and,
