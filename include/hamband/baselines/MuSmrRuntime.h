@@ -52,9 +52,6 @@ public:
     return Inner.prepare(S, C);
   }
   const CoordinationSpec &coordination() const override { return Spec; }
-  std::vector<Call> sampleCalls(MethodId M) const override {
-    return Inner.sampleCalls(M);
-  }
   Call randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
                         sim::Rng &R) const override {
     return Inner.randomClientCall(M, Issuer, Req, R);

@@ -42,7 +42,7 @@ enum class MethodCategory {
 /// Returns a short name for a category ("reducible", ...).
 const char *categoryName(MethodCategory C);
 
-/// Declared (or inferred) coordination relations for an object class.
+/// Declared coordination relations for an object class.
 ///
 /// Build one by adding conflict edges, dependency edges and summarization
 /// groups, then call finalize() to compute the connected components of the

@@ -57,8 +57,8 @@ public:
 /// The keyed lift of a base ObjectType. Does not own the base type.
 class KeyedObjectType : public ObjectType {
 public:
-  /// \p SampleKeyDomain bounds the keys the sampling/enumeration hooks
-  /// generate (analysis only; the runtime accepts any key).
+  /// \p SampleKeyDomain bounds the keys enumerateCalls() and
+  /// randomClientCall() generate (the runtime accepts any key).
   explicit KeyedObjectType(const ObjectType &Base,
                            Value SampleKeyDomain = 2);
 
@@ -88,7 +88,6 @@ public:
   Call prepare(const ObjectState &S, const Call &C) const override;
   const CoordinationSpec &coordination() const override { return Spec; }
   bool concurrentlyIssuable(const Call &A, const Call &B) const override;
-  std::vector<Call> sampleCalls(MethodId M) const override;
   std::vector<Call> enumerateCalls(MethodId M, unsigned Bound) const override;
   Call randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
                         sim::Rng &R) const override;

@@ -8,8 +8,8 @@
 /// The object data type model of Section 3.1: a class is the tuple
 /// `<Σ, I, updates, queries>`. An ObjectType bundles the state factory, the
 /// integrity invariant I, the update/query method definitions, the declared
-/// CoordinationSpec, the summarization function, and sampling hooks used by
-/// the coordination analysis and the property tests.
+/// CoordinationSpec, the summarization function, and the bounded call
+/// enumerator over which analysis::Verifier checks the declared spec.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +35,8 @@ enum class MethodKind { Update, Query };
 struct MethodInfo {
   std::string Name;
   MethodKind Kind = MethodKind::Update;
-  /// Number of int64 parameters sampleCalls() should generate by default.
+  /// Number of int64 parameters; the default enumerateCalls() and
+  /// randomClientCall() generate this many.
   unsigned Arity = 0;
 };
 
@@ -46,7 +47,7 @@ struct MethodInfo {
 /// (state, call args): permissibility is enforced by the semantics and the
 /// runtime via invariant(), never inside apply(). Calls that would break
 /// the invariant must still produce a well-defined (invariant-violating)
-/// state so that the analysis can evaluate P(σ, c).
+/// state so that the verifier can evaluate P(σ, c).
 class ObjectType {
 public:
   virtual ~ObjectType();
@@ -86,8 +87,10 @@ public:
   virtual const CoordinationSpec &coordination() const = 0;
 
   /// Summarize(c, c') from Section 3.3: produces \p Out such that
-  /// Out(σ) == c'(c(σ)) for all σ. Returns false when the calls cannot be
-  /// summarized (different groups or non-summarizable methods).
+  /// Out(σ) == c'(c(σ)) for all σ. Either argument may itself be a fold:
+  /// the runtime folds each call into an image and joins images. Returns
+  /// false when the calls cannot be summarized (different groups or
+  /// non-summarizable methods).
   virtual bool summarize(const Call &First, const Call &Second,
                          Call &Out) const;
 
@@ -96,28 +99,27 @@ public:
   /// Joins a delta summary into a base summary: the runtime's delta-state
   /// propagation ships the fold of the calls issued since the last shipped
   /// image (\p Delta) instead of the whole folded summary, and the
-  /// receiver rebuilds the full image as join(\p Base, \p Delta). Because
-  /// every summarization group's fold is the group's join (Summarize's
-  /// contract Out(σ) == Second(First(σ)) plus commutativity of reducible
-  /// calls), the default simply delegates to summarize(). Returns false
-  /// when the calls are not joinable (different groups).
-  virtual bool applyDelta(const Call &Base, const Call &Delta,
-                          Call &Out) const;
+  /// receiver rebuilds the full image as join(\p Base, \p Delta). The
+  /// join is summarize() itself, with both arguments already folds; not
+  /// virtual, so the summarize() that analysis::Verifier checks on folded
+  /// arguments is exactly the join the runtime runs. Returns false when
+  /// the calls are not joinable (different groups).
+  bool applyDelta(const Call &Base, const Call &Delta, Call &Out) const;
 
   /// Whether a summary call of method \p M decomposes element-wise: its
-  /// argument vector is a set whose any partition, re-folded through
-  /// summarize(), reproduces the original summary (set-union groups).
-  /// Enables chunked full-image anti-entropy for summaries that outgrow a
-  /// single wire record. Default false (the summary ships as one chunk).
+  /// argument vector is a set, so any contiguous slice of it is itself a
+  /// well-formed summary of the same method (set-union groups). Enables
+  /// chunked full-image anti-entropy for summaries that outgrow a single
+  /// wire record. Default false (the summary ships as one chunk).
   virtual bool summaryArgsDecomposable(MethodId M) const;
 
-  /// Join-decomposition of a summary call into irredundant chunks of at
-  /// most \p MaxArgsPerChunk arguments each; folding the chunks in order
-  /// through summarize() must reproduce \p Summary exactly. The default
-  /// splits the argument vector when summaryArgsDecomposable() allows it
-  /// and otherwise returns the summary whole.
-  virtual std::vector<Call> decomposeSummary(const Call &Summary,
-                                             std::size_t MaxArgsPerChunk) const;
+  /// Splits a summary call into contiguous chunks of at most
+  /// \p MaxArgsPerChunk arguments each, in argument order, when
+  /// summaryArgsDecomposable() allows it; otherwise returns the summary
+  /// whole. The receiver concatenates the chunk arguments in index order
+  /// to rebuild \p Summary exactly; nothing re-folds the chunks.
+  std::vector<Call> decomposeSummary(const Call &Summary,
+                                     std::size_t MaxArgsPerChunk) const;
 
   /// Whether two calls can ever be issued *concurrently* at two replicas.
   /// The conflict relation only matters for concurrent pairs: a pair that
@@ -126,24 +128,15 @@ public:
   /// dependency machinery and never races. The default is true.
   virtual bool concurrentlyIssuable(const Call &A, const Call &B) const;
 
-  /// Sample update calls on \p M for the sampling-based analysis. The
-  /// default generates small argument tuples from the method's arity.
-  virtual std::vector<Call> sampleCalls(MethodId M) const;
-
   /// Bounded-exhaustive argument enumerator for the verifier
   /// (analysis::Verifier): every effect-form call on \p M over the type's
-  /// argument domain at \p Bound. Unlike sampleCalls() -- a hand-picked
-  /// representative set -- this is the *complete* call alphabet the
+  /// argument domain at \p Bound. This is the *complete* call alphabet the
   /// bounded verification quantifies over, so freedom claims are
   /// exhaustive at the bound. The default enumerates all argument tuples
   /// over the value domain {0 .. min(Bound, 3) - 1}; types with
   /// structured arguments (tags, timestamps, batches) override it and
   /// must return prepared (effect-form) calls.
   virtual std::vector<Call> enumerateCalls(MethodId M, unsigned Bound) const;
-
-  /// Sample states for the analysis: by default, states reachable from σ0
-  /// via short permissible sequences of sampled calls (bounded).
-  virtual std::vector<StatePtr> sampleStates() const;
 
   /// Generates a random *client-form* call on \p M (before prepare()),
   /// stamped with \p Issuer and \p Req. Used by the semantics explorer and

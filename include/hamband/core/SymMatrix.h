@@ -7,9 +7,7 @@
 /// \file
 /// A dense row-major symmetric boolean matrix with bounds-checked
 /// accessors. The conflict relation of Section 3.3 is symmetric by
-/// definition; CoordinationSpec, analysis::InferredCoordination and
-/// analysis::Verifier all index the same shape, so the layout and the
-/// symmetry discipline live here once.
+/// definition, and CoordinationSpec stores it in this shape.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Bounded-exhaustive verification of the Section 3.2 coordination
-/// relations. Where analysis::CallRelationOracle evaluates the relations
-/// over a hand-picked sample of states and calls, the Verifier computes a
-/// BFS reachability fixpoint over the type's *complete* bounded call
-/// alphabet (ObjectType::enumerateCalls) and decides every relation in
-/// both directions at the bound:
+/// relations and the Section 3.3 summarization law; the only code that
+/// decides a per-type law. The Verifier computes a BFS reachability
+/// fixpoint over the type's *complete* bounded call alphabet
+/// (ObjectType::enumerateCalls) and decides every relation in both
+/// directions at the bound:
 ///
 ///  - A violation (a real conflict or dependency) comes with a
 ///    *certified, minimized counterexample trace*: a permissible call
@@ -34,6 +34,13 @@
 ///    permissibility (ObjectType::concurrentlyIssuable pins an instance
 ///    of the dependent method after its enabler, e.g. the ORSet's
 ///    removeTags after the observed addTag) count as witnessed.
+///
+/// verify() also checks each summarization group on folded arguments, as
+/// the runtime joins them: every run of 2 to Bound calls from the group's
+/// alphabet, split at every point, must satisfy
+/// summarize(fold(left), fold(right)) == the run applied in order, on
+/// every reachable state. This covers associativity, the delta join
+/// (ObjectType::applyDelta) and the pairwise law of Section 3.3.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,7 +137,8 @@ struct VerifyReport {
   std::vector<std::string> SoundnessViolations;
   /// Declared-but-unwitnessed edges (spurious over-coordination).
   std::vector<std::string> SpuriousEdges;
-  /// Summarization-group closure failures over the reachable states.
+  /// Summarization-group closure failures over the reachable states, one
+  /// per failing run of calls.
   std::vector<std::string> SummarizationViolations;
 
   /// No missing edge and no summarization failure at the bound.
@@ -152,6 +160,9 @@ public:
   const ObjectType &type() const { return Type; }
   const VerifierOptions &options() const { return Opts; }
   std::size_t numStates() const;
+  /// Reachable state \p I < numStates(), in BFS order (0 is σ0). Every
+  /// reachable state satisfies the invariant.
+  const ObjectState &state(std::size_t I) const;
   bool exhausted() const { return Exhausted; }
 
   /// Each refutation returns nullopt when the property *holds* over every

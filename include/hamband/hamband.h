@@ -17,8 +17,8 @@
 #include "hamband/baselines/MsgCrdtRuntime.h"
 #include "hamband/baselines/MuSmrRuntime.h"
 #include "hamband/benchlib/Runner.h"
-#include "hamband/core/Analysis.h"
 #include "hamband/core/TypeRegistry.h"
+#include "hamband/core/Verifier.h"
 #include "hamband/runtime/HambandCluster.h"
 #include "hamband/semantics/Refinement.h"
 #include "hamband/types/BankAccount.h"

@@ -62,7 +62,6 @@ public:
   void apply(ObjectState &S, const Call &C) const override;
   Value query(const ObjectState &S, const Call &C) const override;
   const CoordinationSpec &coordination() const override { return Spec; }
-  std::vector<Call> sampleCalls(MethodId M) const override;
   std::vector<Call> enumerateCalls(MethodId M, unsigned Bound) const override;
   Call randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
                         sim::Rng &R) const override;

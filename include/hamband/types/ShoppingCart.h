@@ -55,7 +55,6 @@ public:
   Call prepare(const ObjectState &S, const Call &C) const override;
   const CoordinationSpec &coordination() const override { return Spec; }
   bool concurrentlyIssuable(const Call &A, const Call &B) const override;
-  std::vector<Call> sampleCalls(MethodId M) const override;
   std::vector<Call> enumerateCalls(MethodId M, unsigned Bound) const override;
 
 private:

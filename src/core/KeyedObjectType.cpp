@@ -156,14 +156,6 @@ bool KeyedObjectType::concurrentlyIssuable(const Call &A,
   return Base.concurrentlyIssuable(stripKey(A), stripKey(B));
 }
 
-std::vector<Call> KeyedObjectType::sampleCalls(MethodId M) const {
-  std::vector<Call> Out;
-  for (Value Key = 0; Key < SampleKeyDomain; ++Key)
-    for (const Call &C : Base.sampleCalls(M))
-      Out.push_back(keyCall(Key, C));
-  return Out;
-}
-
 std::vector<Call> KeyedObjectType::enumerateCalls(MethodId M,
                                                   unsigned Bound) const {
   std::vector<Call> Out;

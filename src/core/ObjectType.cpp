@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <unordered_set>
 
 using namespace hamband;
 
@@ -64,26 +63,6 @@ bool ObjectType::concurrentlyIssuable(const Call &, const Call &) const {
   return true;
 }
 
-std::vector<Call> ObjectType::sampleCalls(MethodId M) const {
-  // Small argument tuples exercise the common equal/unequal argument cases
-  // the relation definitions quantify over. Types with richer argument
-  // structure override this.
-  const MethodInfo &Info = method(M);
-  std::vector<Call> Out;
-  if (Info.Arity == 0) {
-    Out.emplace_back(M, std::vector<Value>{});
-    return Out;
-  }
-  const Value Seeds[] = {0, 1, 2};
-  for (Value Seed : Seeds) {
-    std::vector<Value> Args;
-    for (unsigned A = 0; A < Info.Arity; ++A)
-      Args.push_back(Seed + static_cast<Value>(A));
-    Out.emplace_back(M, std::move(Args));
-  }
-  return Out;
-}
-
 std::vector<Call> ObjectType::enumerateCalls(MethodId M,
                                              unsigned Bound) const {
   const MethodInfo &Info = method(M);
@@ -110,47 +89,6 @@ std::vector<Call> ObjectType::enumerateCalls(MethodId M,
       break;
   }
   return Out;
-}
-
-std::vector<StatePtr> ObjectType::sampleStates() const {
-  // Breadth-first exploration from the initial state over sampled calls,
-  // keeping only permissible transitions, bounded to keep analysis cheap.
-  constexpr std::size_t MaxStates = 64;
-  std::vector<StatePtr> States;
-  std::unordered_set<std::size_t> SeenHashes;
-  auto Push = [&](StatePtr S) {
-    std::size_t H = S->hash();
-    for (const StatePtr &Old : States)
-      if (Old->hash() == H && Old->equals(*S))
-        return false;
-    SeenHashes.insert(H);
-    States.push_back(std::move(S));
-    return true;
-  };
-  Push(initialState());
-
-  std::vector<Call> AllCalls;
-  for (MethodId M = 0; M < numMethods(); ++M) {
-    if (method(M).Kind != MethodKind::Update)
-      continue;
-    for (Call &C : sampleCalls(M))
-      AllCalls.push_back(std::move(C));
-  }
-
-  for (std::size_t Frontier = 0;
-       Frontier < States.size() && States.size() < MaxStates; ++Frontier) {
-    for (const Call &C : AllCalls) {
-      if (States.size() >= MaxStates)
-        break;
-      // Run the issuing-side prepare so effect calls are well-formed.
-      Call Effect = prepare(*States[Frontier], C);
-      StatePtr Next = applyCopy(*States[Frontier], Effect);
-      if (!invariant(*Next))
-        continue;
-      Push(std::move(Next));
-    }
-  }
-  return States;
 }
 
 Call ObjectType::randomClientCall(MethodId M, ProcessId Issuer,

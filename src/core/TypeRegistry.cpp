@@ -145,14 +145,8 @@ public:
   bool concurrentlyIssuable(const Call &A, const Call &B) const override {
     return Base->concurrentlyIssuable(A, B);
   }
-  std::vector<Call> sampleCalls(MethodId M) const override {
-    return Base->sampleCalls(M);
-  }
   std::vector<Call> enumerateCalls(MethodId M, unsigned Bound) const override {
     return Base->enumerateCalls(M, Bound);
-  }
-  std::vector<StatePtr> sampleStates() const override {
-    return Base->sampleStates();
   }
   Call randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
                         sim::Rng &R) const override {

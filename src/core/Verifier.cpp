@@ -130,6 +130,11 @@ Verifier::~Verifier() = default;
 
 std::size_t Verifier::numStates() const { return State->Nodes.size(); }
 
+const ObjectState &Verifier::state(std::size_t I) const {
+  assert(I < State->Nodes.size() && "state index out of range");
+  return *State->Nodes[I].State;
+}
+
 // -- Trace construction ------------------------------------------------------
 
 namespace {
@@ -342,6 +347,60 @@ std::string edgeMessage(const ObjectType &T, const char *What, MethodId A,
   return OS.str();
 }
 
+/// Folds \p Run[B, E) left to right through summarize(), as the runtime
+/// folds calls into an image. On a refused pair returns false and names
+/// the pair in \p Refused.
+bool foldRun(const ObjectType &T, const std::vector<const Call *> &Run,
+             std::size_t B, std::size_t E, Call &Out, std::string &Refused) {
+  Out = *Run[B];
+  for (std::size_t I = B + 1; I < E; ++I) {
+    Call Next;
+    if (!T.summarize(Out, *Run[I], Next)) {
+      Refused = "summarize(" + Out.str() + ", " + Run[I]->str() + ")";
+      return false;
+    }
+    Out = std::move(Next);
+  }
+  return true;
+}
+
+/// Checks one run of same-group calls: at every split point,
+/// summarize(fold(left), fold(right)) must act on every state in \p Nodes
+/// like applying the run in order. Returns the first violation, or an
+/// empty string.
+std::string checkRun(const ObjectType &T, const std::vector<VNode> &Nodes,
+                     const std::vector<const Call *> &Run) {
+  std::vector<StatePtr> InOrder; // Built on first use.
+  for (std::size_t K = 1; K < Run.size(); ++K) {
+    Call Left, Right, Sum;
+    std::string Refused;
+    if (!foldRun(T, Run, 0, K, Left, Refused) ||
+        !foldRun(T, Run, K, Run.size(), Right, Refused))
+      return Refused + " failed within one summarization group";
+    auto Join = [&] {
+      return "summarize(" + Left.str() + ", " + Right.str() + ")";
+    };
+    if (!T.summarize(Left, Right, Sum))
+      return Join() + " failed within one summarization group";
+    if (InOrder.empty())
+      for (const VNode &N : Nodes) {
+        InOrder.push_back(N.State->clone());
+        for (const Call *C : Run)
+          T.apply(*InOrder.back(), *C);
+      }
+    for (std::size_t I = 0; I < Nodes.size(); ++I) {
+      if (T.applyCopy(*Nodes[I].State, Sum)->equals(*InOrder[I]))
+        continue;
+      std::string Calls;
+      for (const Call *C : Run)
+        Calls += (Calls.empty() ? "" : "; ") + C->str();
+      return Join() + " = " + Sum.str() + " disagrees with applying " +
+             Calls + " in order on state " + Nodes[I].State->str();
+    }
+  }
+  return {};
+}
+
 } // namespace
 
 VerifyReport Verifier::verify() const {
@@ -517,38 +576,35 @@ VerifyReport Verifier::verify() const {
   }
 
   // Summarization groups must be closed and exact over every reachable
-  // state at the bound.
-  for (MethodId A : Updates) {
-    auto GA = Spec.sumGroup(A);
-    if (!GA)
+  // state at the bound, also on folded arguments: the runtime folds each
+  // call into an image and joins images (SummaryChannel's own image,
+  // pending delta and held image). Every run of 2 to Bound calls from one
+  // group's alphabet is checked at every split point; one message per
+  // failing run.
+  const unsigned MaxRun = std::max(Opts.Bound, 2u);
+  for (unsigned G = 0; G < Spec.numSumGroups(); ++G) {
+    std::vector<const Call *> Alphabet;
+    for (MethodId M : Updates)
+      if (Spec.sumGroup(M) == G)
+        for (const Call &C : Calls[M])
+          Alphabet.push_back(&C);
+    if (Alphabet.empty())
       continue;
-    for (MethodId B : Updates) {
-      auto GB = Spec.sumGroup(B);
-      if (!GB || *GA != *GB)
-        continue;
-      for (const Call &CA : Calls[A]) {
-        for (const Call &CB : Calls[B]) {
-          Call Sum;
-          if (!Type.summarize(CA, CB, Sum)) {
-            R.SummarizationViolations.push_back(
-                Type.name() + ": summarize(" + CA.str() + ", " + CB.str() +
-                ") failed within one summarization group");
-            continue;
-          }
-          for (const VNode &Node : State->Nodes) {
-            StatePtr Seq = Type.applyCopy(*Node.State, CA);
-            Type.apply(*Seq, CB);
-            StatePtr Summed = Type.applyCopy(*Node.State, Sum);
-            if (!Seq->equals(*Summed)) {
-              R.SummarizationViolations.push_back(
-                  Type.name() + ": summarize(" + CA.str() + ", " + CB.str() +
-                  ") = " + Sum.str() +
-                  " disagrees with sequential application on state " +
-                  Node.State->str());
-              break;
-            }
-          }
-        }
+    for (unsigned Len = 2; Len <= MaxRun; ++Len) {
+      // Odometer over Alphabet^Len.
+      std::vector<std::size_t> Digits(Len, 0);
+      std::vector<const Call *> Run(Len);
+      for (;;) {
+        for (unsigned I = 0; I < Len; ++I)
+          Run[I] = Alphabet[Digits[I]];
+        std::string Msg = checkRun(Type, State->Nodes, Run);
+        if (!Msg.empty())
+          R.SummarizationViolations.push_back(Type.name() + ": " + Msg);
+        unsigned Pos = Len;
+        while (Pos > 0 && ++Digits[Pos - 1] == Alphabet.size())
+          Digits[--Pos] = 0;
+        if (Pos == 0)
+          break;
       }
     }
   }

@@ -107,6 +107,8 @@ MemOffset MemoryRegion::alloc(std::size_t Size, std::size_t Align) {
 
 void MemoryRegion::read(MemOffset Off, void *Dst, std::size_t Len) const {
   assert(Off + Len <= NumBytes && "remote read out of bounds");
+  if (Len == 0)
+    return; // Dst may be an empty buffer's null data().
   if (Concurrent)
     atomicCopyOut(Dst, Bytes + Off, Len);
   else
@@ -115,6 +117,8 @@ void MemoryRegion::read(MemOffset Off, void *Dst, std::size_t Len) const {
 
 void MemoryRegion::write(MemOffset Off, const void *Src, std::size_t Len) {
   assert(Off + Len <= NumBytes && "remote write out of bounds");
+  if (Len == 0)
+    return; // Src may be an empty buffer's null data().
   if (Concurrent)
     atomicCopyIn(Bytes + Off, Src, Len);
   else

@@ -111,8 +111,9 @@ bool RingWriter::appendRecord(const std::vector<std::uint8_t> &Payload,
   std::uint32_t Len = static_cast<std::uint32_t>(Payload.size());
   std::memcpy(Record.data(), &Len, 4);
   std::memcpy(Record.data() + 4, &Tail, 8);
-  std::memcpy(Record.data() + RingGeometry::HeaderBytes, Payload.data(),
-              Payload.size());
+  if (!Payload.empty()) // An empty payload's data() may be null.
+    std::memcpy(Record.data() + RingGeometry::HeaderBytes, Payload.data(),
+                Payload.size());
   Record[Record.size() - 1] = 1; // Canary: the record is complete.
 
   rdma::MemOffset RecOff =

@@ -125,18 +125,6 @@ Value Auction::query(const ObjectState &S, const Call &C) const {
   return Best;
 }
 
-std::vector<Call> Auction::sampleCalls(MethodId M) const {
-  switch (M) {
-  case Open:
-  case Close:
-    return {Call(M, {0}), Call(M, {1})};
-  case Bid:
-    return {Call(Bid, {0, 5}), Call(Bid, {0, 7}), Call(Bid, {1, 3})};
-  default:
-    return {Call(Winner, {0})};
-  }
-}
-
 Call Auction::randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
                                sim::Rng &R) const {
   switch (M) {

@@ -81,14 +81,6 @@ Call BankAccount::randomClientCall(MethodId M, ProcessId Issuer,
   return Call(M, {Amount}, Issuer, Req);
 }
 
-std::vector<Call> BankAccount::sampleCalls(MethodId M) const {
-  if (M == Balance)
-    return {Call(Balance, {})};
-  // Both small and larger amounts so the sampled states expose the
-  // permissibility asymmetries (a withdraw that zeroes the balance).
-  return {Call(M, {1}), Call(M, {2}), Call(M, {3})};
-}
-
 std::vector<Call> BankAccount::enumerateCalls(MethodId M,
                                               unsigned Bound) const {
   if (M == Balance)

@@ -85,8 +85,8 @@ bool GSet::summarize(const Call &First, const Call &Second,
 }
 
 bool GSet::summaryArgsDecomposable(MethodId M) const {
-  // An add-summary's argument vector is the added set: any partition of
-  // it, re-folded through the union summarize, rebuilds the summary.
+  // An add-summary's argument vector is the added set: any slice of it is
+  // itself an add-summary.
   return TheMode == Mode::Summarized && M == Add;
 }
 
@@ -101,18 +101,6 @@ Call GSet::randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
   while (Args.size() < 3 && R.bernoulli(0.3))
     Args.push_back(R.uniformInt(0, 7));
   return Call(Add, std::move(Args), Issuer, Req);
-}
-
-std::vector<Call> GSet::sampleCalls(MethodId M) const {
-  if (M == Contains)
-    return {Call(Contains, {0}), Call(Contains, {1})};
-  if (M == Size)
-    return {Call(Size, {})};
-  return {
-      Call(Add, {0}),
-      Call(Add, {1, 2}),
-      Call(Add, {0, 2}),
-  };
 }
 
 std::vector<Call> GSet::enumerateCalls(MethodId M, unsigned Bound) const {

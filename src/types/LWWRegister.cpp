@@ -79,18 +79,6 @@ Call LWWRegister::randomClientCall(MethodId M, ProcessId Issuer,
               Issuer, Req);
 }
 
-std::vector<Call> LWWRegister::sampleCalls(MethodId M) const {
-  if (M == Read)
-    return {Call(Read, {})};
-  // Distinct (ts, tie) stamps, including a shared timestamp broken by the
-  // tiebreak -- the case that makes naive LWW non-commutative.
-  return {
-      Call(Write, {5, 1, 0}),
-      Call(Write, {7, 2, 1}),
-      Call(Write, {9, 2, 2}),
-  };
-}
-
 std::vector<Call> LWWRegister::enumerateCalls(MethodId M,
                                               unsigned Bound) const {
   if (M == Read)

@@ -127,23 +127,6 @@ bool ORSet::concurrentlyIssuable(const Call &A, const Call &B) const {
   return true;
 }
 
-std::vector<Call> ORSet::sampleCalls(MethodId M) const {
-  if (M == Contains)
-    return {Call(Contains, {0}), Call(Contains, {1})};
-  if (M == Add)
-    return {
-        Call(Add, {0, 100}),
-        Call(Add, {1, 101}),
-        Call(Add, {0, 102}),
-    };
-  return {
-      Call(Remove, {0, 1, 100}),
-      Call(Remove, {0, 2, 100, 102}),
-      Call(Remove, {1, 1, 101}),
-      Call(Remove, {1, 0}),
-  };
-}
-
 std::vector<Call> ORSet::enumerateCalls(MethodId M, unsigned Bound) const {
   if (M != Add && M != Remove)
     return ObjectType::enumerateCalls(M, Bound);

@@ -151,20 +151,6 @@ bool TwoEntitySchema::summaryArgsDecomposable(MethodId M) const {
   return M == AddB;
 }
 
-std::vector<Call> TwoEntitySchema::sampleCalls(MethodId M) const {
-  switch (M) {
-  case AddA:
-  case DelA:
-    return {Call(M, {0}), Call(M, {1})};
-  case Rel:
-    return {Call(Rel, {0, 0}), Call(Rel, {0, 1}), Call(Rel, {1, 0})};
-  case AddB:
-    return {Call(AddB, {0}), Call(AddB, {1, 2})};
-  default:
-    return {Call(QueryA, {0})};
-  }
-}
-
 ProjectManagement::ProjectManagement()
     : TwoEntitySchema("project-management",
                       {"addProject", "deleteProject", "worksOn",

@@ -126,23 +126,6 @@ bool ShoppingCart::concurrentlyIssuable(const Call &A, const Call &B) const {
   return true;
 }
 
-std::vector<Call> ShoppingCart::sampleCalls(MethodId M) const {
-  if (M == Quantity)
-    return {Call(Quantity, {0}), Call(Quantity, {1})};
-  if (M == AddItem)
-    return {
-        Call(AddItem, {0, 2, 200}),
-        Call(AddItem, {1, 1, 201}),
-        Call(AddItem, {0, 3, 202}),
-    };
-  return {
-      Call(RemoveItem, {0, 1, 200}),
-      Call(RemoveItem, {0, 2, 200, 202}),
-      Call(RemoveItem, {1, 1, 201}),
-      Call(RemoveItem, {1, 0}),
-  };
-}
-
 std::vector<Call> ShoppingCart::enumerateCalls(MethodId M,
                                                unsigned Bound) const {
   if (M != AddItem && M != RemoveItem)

@@ -89,12 +89,6 @@ bool TwoPhaseSet::summaryArgsDecomposable(MethodId M) const {
   return M == Add || M == Remove;
 }
 
-std::vector<Call> TwoPhaseSet::sampleCalls(MethodId M) const {
-  if (M == Contains)
-    return {Call(Contains, {0}), Call(Contains, {1})};
-  return {Call(M, {0}), Call(M, {1, 2}), Call(M, {0, 2})};
-}
-
 Call TwoPhaseSet::randomClientCall(MethodId M, ProcessId Issuer,
                                    RequestId Req, sim::Rng &R) const {
   if (M == Contains)

@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "hamband/core/Analysis.h"
 #include "hamband/core/TypeRegistry.h"
+#include "hamband/core/Verifier.h"
 #include "hamband/types/Auction.h"
 #include "hamband/types/BankAccount.h"
 #include "hamband/types/Counter.h"
@@ -124,11 +124,15 @@ TEST(MovieSpec, HasTwoSynchronizationGroups) {
     EXPECT_TRUE(S.dependencies(M).empty());
 }
 
-// -- Call-level relation oracle (Section 3.2 definitions) -------------------
+// -- Call-level relations (Section 3.2 definitions) --------------------------
+//
+// Each relation holds when the verifier finds no refutation over the
+// reachable states at the default bound; conflict and dependency hold when
+// it produces a witness.
 
 struct BankOracle : ::testing::Test {
   BankAccount T;
-  CallRelationOracle O{T};
+  Verifier V{T};
   Call Dep1{BankAccount::Deposit, {1}};
   Call Dep5{BankAccount::Deposit, {5}};
   Call Wd1{BankAccount::Withdraw, {1}};
@@ -136,180 +140,212 @@ struct BankOracle : ::testing::Test {
 };
 
 TEST_F(BankOracle, DepositsAreInvariantSufficient) {
-  EXPECT_TRUE(O.invariantSufficient(Dep1));
-  EXPECT_TRUE(O.invariantSufficient(Dep5));
+  EXPECT_FALSE(V.refuteInvariantSufficiency(Dep1));
+  EXPECT_FALSE(V.refuteInvariantSufficiency(Dep5));
 }
 
 TEST_F(BankOracle, WithdrawIsNotInvariantSufficient) {
-  EXPECT_FALSE(O.invariantSufficient(Wd1));
+  EXPECT_TRUE(V.refuteInvariantSufficiency(Wd1));
+  EXPECT_TRUE(V.refuteInvariantSufficiency(Wd2));
 }
 
 TEST_F(BankOracle, EverythingSCommutes) {
   // Both methods are additions on an integer: they all S-commute.
-  EXPECT_TRUE(O.sCommute(Dep1, Wd1));
-  EXPECT_TRUE(O.sCommute(Wd1, Wd2));
-  EXPECT_TRUE(O.sCommute(Dep1, Dep5));
+  EXPECT_FALSE(V.refuteSCommute(Dep1, Wd1));
+  EXPECT_FALSE(V.refuteSCommute(Wd1, Wd2));
+  EXPECT_FALSE(V.refuteSCommute(Dep1, Dep5));
 }
 
 TEST_F(BankOracle, WithdrawPRCommutesWithDeposit) {
   // P(s, wd) implies P(deposit(s), wd): depositing first only helps.
-  EXPECT_TRUE(O.prCommutes(Wd1, Dep1));
+  EXPECT_FALSE(V.refutePRCommute(Wd1, Dep1));
 }
 
 TEST_F(BankOracle, WithdrawsPConflict) {
-  // A permissible withdraw can become impermissible after another.
-  EXPECT_FALSE(O.prCommutes(Wd2, Wd2));
-  EXPECT_TRUE(O.conflict(Wd1, Wd2));
+  // A permissible withdraw can become impermissible after another: at a
+  // balance of 2 or 3, two withdraw(2) calls jointly overdraw.
+  EXPECT_TRUE(V.refutePRCommute(Wd2, Wd2));
+  EXPECT_FALSE(V.conflictWitness(Wd1, Wd2).empty());
+  EXPECT_FALSE(V.conflictWitness(Wd2, Wd2).empty());
 }
 
 TEST_F(BankOracle, DepositWithdrawConcur) {
-  EXPECT_FALSE(O.conflict(Dep1, Wd1));
-  EXPECT_FALSE(O.conflict(Dep1, Dep5));
+  EXPECT_TRUE(V.conflictWitness(Dep1, Wd1).empty());
+  EXPECT_TRUE(V.conflictWitness(Dep1, Dep5).empty());
 }
 
 TEST_F(BankOracle, WithdrawDependsOnDeposit) {
   // P(deposit(s), wd) does not imply P(s, wd): the withdraw may rely on
   // the deposited amount.
-  EXPECT_FALSE(O.plCommutes(Wd1, Dep1));
-  EXPECT_TRUE(O.dependent(Wd1, Dep1));
+  EXPECT_TRUE(V.refutePLCommute(Wd1, Dep1));
+  EXPECT_FALSE(V.dependencyWitness(Wd1, Dep1).empty());
 }
 
 TEST_F(BankOracle, WithdrawDoesNotDependOnWithdraw) {
   // If wd is permissible after another withdraw, it was permissible
   // before it too.
-  EXPECT_TRUE(O.plCommutes(Wd1, Wd2));
-  EXPECT_FALSE(O.dependent(Wd1, Wd2));
+  EXPECT_FALSE(V.refutePLCommute(Wd1, Wd2));
+  EXPECT_TRUE(V.dependencyWitness(Wd1, Wd2).empty());
 }
 
 TEST_F(BankOracle, DepositIndependentOfEverything) {
-  EXPECT_FALSE(O.dependent(Dep1, Wd1));
-  EXPECT_FALSE(O.dependent(Dep1, Dep5));
+  EXPECT_TRUE(V.dependencyWitness(Dep1, Wd1).empty());
+  EXPECT_TRUE(V.dependencyWitness(Dep1, Dep5).empty());
 }
 
 TEST(SchemaOracle, AddDeleteSConflict) {
   ProjectManagement T;
-  CallRelationOracle O(T);
+  Verifier V(T);
   Call AddP(TwoEntitySchema::AddA, {0});
   Call DelP(TwoEntitySchema::DelA, {0});
-  EXPECT_FALSE(O.sCommute(AddP, DelP));
-  EXPECT_TRUE(O.conflict(AddP, DelP));
+  EXPECT_TRUE(V.refuteSCommute(AddP, DelP));
+  EXPECT_FALSE(V.conflictWitness(AddP, DelP).empty());
   // Different keys commute and concur.
   Call DelOther(TwoEntitySchema::DelA, {1});
-  EXPECT_TRUE(O.sCommute(AddP, DelOther));
-  EXPECT_FALSE(O.conflict(AddP, DelOther));
+  EXPECT_FALSE(V.refuteSCommute(AddP, DelOther));
+  EXPECT_TRUE(V.conflictWitness(AddP, DelOther).empty());
 }
 
 TEST(SchemaOracle, RelDependsOnEntityInserts) {
   ProjectManagement T;
-  CallRelationOracle O(T);
+  Verifier V(T);
   Call WorksOn(TwoEntitySchema::Rel, {0, 0}); // (employee 0, project 0)
   Call AddP(TwoEntitySchema::AddA, {0});
   Call AddE(TwoEntitySchema::AddB, {0});
-  EXPECT_TRUE(O.dependent(WorksOn, AddP));
-  EXPECT_TRUE(O.dependent(WorksOn, AddE));
+  EXPECT_FALSE(V.dependencyWitness(WorksOn, AddP).empty());
+  EXPECT_FALSE(V.dependencyWitness(WorksOn, AddE).empty());
 }
 
 TEST(AuctionOracle, RelationsMatchTheDesign) {
   Auction T;
-  CallRelationOracle O(T);
+  Verifier V(T);
   Call OpenA(Auction::Open, {0});
   Call BidA(Auction::Bid, {0, 5});
   Call CloseA(Auction::Close, {0});
   // close is invariant-sufficient (it records the current maximum).
-  EXPECT_TRUE(O.invariantSufficient(CloseA));
+  EXPECT_FALSE(V.refuteInvariantSufficiency(CloseA));
   // open is not (re-opening a closed auction breaks integrity), and bid
   // is not (unknown auction / beating a recorded winner).
-  EXPECT_FALSE(O.invariantSufficient(OpenA));
-  EXPECT_FALSE(O.invariantSufficient(BidA));
+  EXPECT_TRUE(V.refuteInvariantSufficiency(OpenA));
+  EXPECT_TRUE(V.refuteInvariantSufficiency(BidA));
   // The group-forming conflicts.
-  EXPECT_TRUE(O.conflict(OpenA, CloseA));
-  EXPECT_TRUE(O.conflict(BidA, CloseA));
+  EXPECT_FALSE(V.conflictWitness(OpenA, CloseA).empty());
+  EXPECT_FALSE(V.conflictWitness(BidA, CloseA).empty());
   // Two bids on one auction concur.
   Call BidB(Auction::Bid, {0, 7});
-  EXPECT_FALSE(O.conflict(BidA, BidB));
+  EXPECT_TRUE(V.conflictWitness(BidA, BidB).empty());
   // bid depends on the open that precedes it.
-  EXPECT_TRUE(O.dependent(BidA, OpenA));
+  EXPECT_FALSE(V.dependencyWitness(BidA, OpenA).empty());
 }
 
+// -- Method-level relations the verifier witnesses ---------------------------
+
+namespace {
+
+using NamePairs = std::vector<std::pair<std::string, std::string>>;
+
+/// The witnessed edges of a report, as (a, b) method-name pairs.
+NamePairs witnessed(const std::vector<EdgeFinding> &Edges) {
+  NamePairs Out;
+  for (const EdgeFinding &F : Edges)
+    if (F.Witnessed)
+      Out.emplace_back(F.AName, F.BName);
+  return Out;
+}
+
+/// The enumerated update calls of \p T at the default bound.
+std::vector<Call> updateCalls(const ObjectType &T) {
+  std::vector<Call> Out;
+  for (MethodId M = 0; M < T.numMethods(); ++M)
+    if (T.method(M).Kind == MethodKind::Update)
+      for (Call &C : T.enumerateCalls(M, DefaultVerifyBound))
+        Out.push_back(std::move(C));
+  return Out;
+}
+
+} // namespace
+
 TEST(InferredCoordination, MatrixIsSymmetric) {
+  // c1 >< c2 iff c2 >< c1, call for call, for every registered type.
   for (const std::string &Name : registeredTypeNames()) {
     auto T = makeType(Name);
-    InferredCoordination Inf = inferCoordination(*T);
-    for (MethodId A = 0; A < T->numMethods(); ++A)
-      for (MethodId B = 0; B < T->numMethods(); ++B)
-        EXPECT_EQ(Inf.conflicts(A, B), Inf.conflicts(B, A)) << Name;
+    Verifier V(*T);
+    std::vector<Call> Calls = updateCalls(*T);
+    for (const Call &A : Calls)
+      for (const Call &B : Calls)
+        EXPECT_EQ(V.conflictWitness(A, B).empty(),
+                  V.conflictWitness(B, A).empty())
+            << Name << " " << A.str() << " " << B.str();
   }
 }
 
 TEST(InferredCoordination, CounterIsFullyConcurrent) {
-  Counter T;
-  InferredCoordination Inf = inferCoordination(T);
-  EXPECT_FALSE(Inf.conflicts(Counter::Add, Counter::Add));
-  EXPECT_TRUE(Inf.Dependencies[Counter::Add].empty());
+  VerifyReport R = verifyType(Counter());
+  EXPECT_TRUE(witnessed(R.Conflicts).empty());
+  EXPECT_TRUE(witnessed(R.Dependencies).empty());
 }
 
 TEST(InferredCoordination, BankMatchesDeclaredExactly) {
-  BankAccount T;
-  InferredCoordination Inf = inferCoordination(T);
-  EXPECT_TRUE(Inf.conflicts(BankAccount::Withdraw, BankAccount::Withdraw));
-  EXPECT_FALSE(Inf.conflicts(BankAccount::Deposit, BankAccount::Withdraw));
-  EXPECT_FALSE(Inf.conflicts(BankAccount::Deposit, BankAccount::Deposit));
-  EXPECT_EQ(Inf.Dependencies[BankAccount::Withdraw],
-            (std::vector<MethodId>{BankAccount::Deposit}));
-  EXPECT_TRUE(Inf.Dependencies[BankAccount::Deposit].empty());
+  VerifyReport R = verifyType(BankAccount());
+  EXPECT_EQ(witnessed(R.Conflicts), (NamePairs{{"withdraw", "withdraw"}}));
+  EXPECT_EQ(witnessed(R.Dependencies), (NamePairs{{"withdraw", "deposit"}}));
 }
 
-// -- Inference vs. declared specs (every registered type) -------------------
+// -- Declared specs and state-machine laws (every registered type) -----------
+//
+// States are the verifier's reachable states at the default bound; calls
+// are the enumerated alphabet.
 
-class DeclaredSpecTest : public ::testing::TestWithParam<std::string> {};
+class DeclaredSpecTest : public ::testing::TestWithParam<std::string> {
+protected:
+  void SetUp() override {
+    T = makeType(GetParam());
+    V = std::make_unique<Verifier>(*T);
+  }
+  std::unique_ptr<ObjectType> T;
+  std::unique_ptr<Verifier> V;
+};
 
 TEST_P(DeclaredSpecTest, DeclaredSpecCoversInferredRelations) {
-  auto T = makeType(GetParam());
-  std::vector<std::string> Violations = checkDeclaredSpec(*T);
-  for (const std::string &V : Violations)
-    ADD_FAILURE() << V;
+  VerifyReport R = V->verify();
+  for (const auto *Edges : {&R.Conflicts, &R.Dependencies})
+    for (const EdgeFinding &F : *Edges)
+      EXPECT_TRUE(!F.Witnessed || F.Declared)
+          << GetParam() << ": " << F.AName << " -> " << F.BName
+          << " is witnessed but not declared";
 }
 
 TEST_P(DeclaredSpecTest, SummarizationGroupsAreCorrect) {
-  auto T = makeType(GetParam());
-  std::vector<std::string> Violations = checkSummarization(*T);
-  for (const std::string &V : Violations)
-    ADD_FAILURE() << V;
+  for (const std::string &Violation : V->verify().SummarizationViolations)
+    ADD_FAILURE() << Violation;
 }
 
 TEST_P(DeclaredSpecTest, InitialStateSatisfiesInvariant) {
-  auto T = makeType(GetParam());
   EXPECT_TRUE(T->invariant(*T->initialState()));
 }
 
 TEST_P(DeclaredSpecTest, SampleStatesSatisfyInvariant) {
-  auto T = makeType(GetParam());
-  for (const StatePtr &S : T->sampleStates())
-    EXPECT_TRUE(T->invariant(*S)) << S->str();
+  ASSERT_GT(V->numStates(), 0u);
+  EXPECT_TRUE(V->state(0).equals(*T->initialState()));
+  for (std::size_t I = 0; I < V->numStates(); ++I)
+    EXPECT_TRUE(T->invariant(V->state(I))) << V->state(I).str();
 }
 
 TEST_P(DeclaredSpecTest, StatesCloneEqualAndHashConsistently) {
-  auto T = makeType(GetParam());
-  for (const StatePtr &S : T->sampleStates()) {
-    StatePtr C = S->clone();
-    EXPECT_TRUE(S->equals(*C));
-    EXPECT_EQ(S->hash(), C->hash());
+  for (std::size_t I = 0; I < V->numStates(); ++I) {
+    const ObjectState &S = V->state(I);
+    StatePtr C = S.clone();
+    EXPECT_TRUE(S.equals(*C));
+    EXPECT_EQ(S.hash(), C->hash());
   }
 }
 
 TEST_P(DeclaredSpecTest, ApplyIsDeterministic) {
-  auto T = makeType(GetParam());
-  for (MethodId M = 0; M < T->numMethods(); ++M) {
-    if (T->method(M).Kind != MethodKind::Update)
-      continue;
-    for (const Call &C : T->sampleCalls(M)) {
-      StatePtr A = T->initialState();
-      StatePtr B = T->initialState();
-      T->apply(*A, C);
-      T->apply(*B, C);
-      EXPECT_TRUE(A->equals(*B)) << GetParam() << " " << C.str();
-    }
-  }
+  for (const Call &C : updateCalls(*T))
+    for (std::size_t I = 0; I < V->numStates(); ++I)
+      EXPECT_TRUE(T->applyCopy(V->state(I), C)
+                      ->equals(*T->applyCopy(V->state(I), C)))
+          << GetParam() << " " << C.str() << " on " << V->state(I).str();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -325,20 +361,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TypeRegistry, TypesWithoutInvariantKeepItUnderEveryCall) {
   // permissible() skips the clone-and-check for these types, so every
-  // sampled update must in fact leave I(σ) true.
+  // enumerated update must in fact leave I(σ) true.
   for (const std::string &Name : registeredTypeNames()) {
     auto T = makeType(Name);
     if (T->hasInvariant())
       continue;
-    for (const StatePtr &S : T->sampleStates())
-      for (MethodId M = 0; M < T->numMethods(); ++M) {
-        if (T->method(M).Kind != MethodKind::Update)
-          continue;
-        for (const Call &C : T->sampleCalls(M)) {
-          EXPECT_TRUE(T->invariant(*T->applyCopy(*S, C)))
-              << Name << " " << C.str() << " on " << S->str();
-          EXPECT_TRUE(T->permissible(*S, C)) << Name << " " << C.str();
-        }
+    Verifier V(*T);
+    std::vector<Call> Calls = updateCalls(*T);
+    for (std::size_t I = 0; I < V.numStates(); ++I)
+      for (const Call &C : Calls) {
+        const ObjectState &S = V.state(I);
+        EXPECT_TRUE(T->invariant(*T->applyCopy(S, C)))
+            << Name << " " << C.str() << " on " << S.str();
+        EXPECT_TRUE(T->permissible(S, C)) << Name << " " << C.str();
       }
   }
 }

@@ -12,6 +12,7 @@
 #include "hamband/rdma/Fabric.h"
 #include "hamband/benchlib/Runner.h"
 #include "hamband/core/TypeRegistry.h"
+#include "hamband/core/Verifier.h"
 #include "hamband/runtime/RingBuffer.h"
 #include "hamband/runtime/WireFormat.h"
 
@@ -81,37 +82,42 @@ TEST_P(TypePropertyTest, SyncGroupMembersAreMutuallyGrouped) {
 }
 
 TEST_P(TypePropertyTest, SummarizeIsAssociativeOnSamples) {
+  // (a+b)+c and a+(b+c) must act identically on every reachable state, for
+  // every triple of enumerated calls of one summarizable method.
   const CoordinationSpec &S = Type->coordination();
+  analysis::Verifier V(*Type);
   for (MethodId M = 0; M < Type->numMethods(); ++M) {
     if (!S.sumGroup(M))
       continue;
-    std::vector<Call> Calls = Type->sampleCalls(M);
-    if (Calls.size() < 3)
-      continue;
-    // (a+b)+c and a+(b+c) must act identically on every sampled state.
-    Call AB, AB_C, BC, A_BC;
-    ASSERT_TRUE(Type->summarize(Calls[0], Calls[1], AB));
-    ASSERT_TRUE(Type->summarize(AB, Calls[2], AB_C));
-    ASSERT_TRUE(Type->summarize(Calls[1], Calls[2], BC));
-    ASSERT_TRUE(Type->summarize(Calls[0], BC, A_BC));
-    for (const StatePtr &St : Type->sampleStates()) {
-      StatePtr Left = Type->applyCopy(*St, AB_C);
-      StatePtr Right = Type->applyCopy(*St, A_BC);
-      EXPECT_TRUE(Left->equals(*Right))
-          << GetParam() << " on " << St->str();
-    }
+    std::vector<Call> Calls =
+        Type->enumerateCalls(M, analysis::DefaultVerifyBound);
+    for (const Call &A : Calls)
+      for (const Call &B : Calls)
+        for (const Call &C : Calls) {
+          Call AB, AB_C, BC, A_BC;
+          ASSERT_TRUE(Type->summarize(A, B, AB));
+          ASSERT_TRUE(Type->summarize(AB, C, AB_C));
+          ASSERT_TRUE(Type->summarize(B, C, BC));
+          ASSERT_TRUE(Type->summarize(A, BC, A_BC));
+          for (std::size_t I = 0; I < V.numStates(); ++I)
+            EXPECT_TRUE(Type->applyCopy(V.state(I), AB_C)
+                            ->equals(*Type->applyCopy(V.state(I), A_BC)))
+                << GetParam() << " (" << A.str() << ", " << B.str() << ", "
+                << C.str() << ") on " << V.state(I).str();
+        }
   }
 }
 
 TEST_P(TypePropertyTest, PrepareIsIdempotent) {
   sim::Rng R(11);
+  analysis::Verifier V(*Type);
   for (MethodId M = 0; M < Type->numMethods(); ++M) {
     if (Type->method(M).Kind != MethodKind::Update)
       continue;
-    for (const StatePtr &St : Type->sampleStates()) {
+    for (std::size_t I = 0; I < V.numStates(); ++I) {
       Call Client = Type->randomClientCall(M, 1, 1000, R);
-      Call Once = Type->prepare(*St, Client);
-      Call Twice = Type->prepare(*St, Once);
+      Call Once = Type->prepare(V.state(I), Client);
+      Call Twice = Type->prepare(V.state(I), Once);
       EXPECT_EQ(Once, Twice) << GetParam();
     }
   }
@@ -123,7 +129,8 @@ TEST_P(TypePropertyTest, WireCallRoundTripsForEveryMethod) {
   for (MethodId M = 0; M < Type->numMethods(); ++M) {
     if (!S.isUpdate(M))
       continue;
-    for (const Call &C : Type->sampleCalls(M)) {
+    for (const Call &C :
+         Type->enumerateCalls(M, analysis::DefaultVerifyBound)) {
       WireCall In;
       In.TheCall = C;
       In.TheCall.Issuer = 3;

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "hamband/baselines/MuSmrRuntime.h"
-#include "hamband/core/Analysis.h"
 #include "hamband/core/TypeRegistry.h"
 #include "hamband/semantics/Refinement.h"
 #include "hamband/types/BankAccount.h"
@@ -215,26 +214,6 @@ TEST(AbstractMisc, MissingAtAndFullPropagation) {
   ASSERT_TRUE(W.tryPropagate(2, B));
   EXPECT_TRUE(W.fullyPropagated());
   EXPECT_TRUE(W.missingAt(0).empty());
-}
-
-TEST(OracleWithCustomStates, RelationsOverSuppliedStates) {
-  // The oracle can run over caller-chosen states (e.g. a deeper
-  // exploration); supply a state that exposes the withdraw conflict.
-  BankAccount T;
-  std::vector<StatePtr> States;
-  for (Value Balance : {1, 2}) {
-    auto S = std::make_unique<types::AccountState>();
-    S->Balance = Balance;
-    States.push_back(std::move(S));
-  }
-  analysis::CallRelationOracle O(T, std::move(States));
-  EXPECT_EQ(O.states().size(), 2u);
-  Call Wd2(BankAccount::Withdraw, {2});
-  // Balance 1 shows withdraw(2) is not invariant-sufficient; balance 2
-  // shows two of them jointly overdraft (P-R-commutation fails).
-  EXPECT_FALSE(O.invariantSufficient(Wd2));
-  EXPECT_FALSE(O.prCommutes(Wd2, Wd2));
-  EXPECT_TRUE(O.conflict(Wd2, Wd2));
 }
 
 TEST(RdmaSemanticsMisc, RulesRejectWrongCategories) {

@@ -7,16 +7,17 @@
 /// \file
 /// Tests for analysis::Verifier: the CI exactness gate (every registered
 /// type's declared CoordinationSpec is sound AND minimal at the default
-/// bound), certified counterexamples against deliberately corrupted specs,
-/// over-coordination detection, witness replay, and the
-/// hamband-analysis-v1 JSON report.
+/// bound), certified counterexamples against deliberately corrupted specs
+/// and summarize() functions, over-coordination detection, witness replay,
+/// and the hamband-analysis-v1 JSON report.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "hamband/core/Analysis.h"
 #include "hamband/core/TypeRegistry.h"
 #include "hamband/core/Verifier.h"
 #include "hamband/types/BankAccount.h"
+#include "hamband/types/Counter.h"
+#include "hamband/types/GSet.h"
 #include "hamband/types/ORSet.h"
 #include "hamband/types/PNCounter.h"
 #include "hamband/types/Schema.h"
@@ -153,6 +154,36 @@ private:
   CoordinationSpec Broken;
 };
 
+/// GSet whose summarize drops an element once the first argument holds 3
+/// or more. Every enumerated add has at most 2 elements, so each pair of
+/// calls still summarizes exactly; only a fold of a fold loses data.
+class GSetLossyFold : public types::GSet {
+public:
+  bool summarize(const Call &First, const Call &Second,
+                 Call &Out) const override {
+    if (!GSet::summarize(First, Second, Out))
+      return false;
+    if (First.Args.size() >= 3)
+      Out.Args.pop_back();
+    return true;
+  }
+};
+
+/// Counter whose summarize counts the second call twice once the first
+/// amount reaches 3. Enumerated amounts are 0..2, so each pair of calls
+/// still summarizes exactly; only a fold of a fold over-counts.
+class CounterDoubleCountingFold : public types::Counter {
+public:
+  bool summarize(const Call &First, const Call &Second,
+                 Call &Out) const override {
+    if (!Counter::summarize(First, Second, Out))
+      return false;
+    if (First.Args[0] >= 3)
+      Out.Args[0] += Second.Args[0];
+    return true;
+  }
+};
+
 //===----------------------------------------------------------------------===//
 // Negative paths: every corruption is caught with a certified witness.
 //===----------------------------------------------------------------------===//
@@ -218,6 +249,39 @@ TEST(VerifierCounterexample, MergedSumGroupsAreCaught) {
   EXPECT_FALSE(R.SummarizationViolations.empty());
 }
 
+TEST(VerifierCounterexample, LossyFoldOfFoldsIsCaught) {
+  GSetLossyFold Set;
+  // Runs of two calls -- the pairwise law alone -- cannot see it.
+  VerifierOptions Pairs;
+  Pairs.Bound = 2;
+  EXPECT_TRUE(verifyType(Set, Pairs).sound());
+
+  VerifyReport R = verifyType(Set);
+  EXPECT_FALSE(R.sound());
+  EXPECT_TRUE(R.SoundnessViolations.empty());
+  // One message per failing run: the 6 ordered pairs of adds whose union
+  // has 3 elements, each followed by any of the 4 enumerated adds.
+  ASSERT_EQ(R.SummarizationViolations.size(), 24u);
+  EXPECT_NE(R.SummarizationViolations.front().find("disagrees with applying"),
+            std::string::npos)
+      << R.SummarizationViolations.front();
+}
+
+TEST(VerifierCounterexample, DoubleCountingFoldOfFoldsIsCaught) {
+  CounterDoubleCountingFold Counter;
+  VerifierOptions Pairs;
+  Pairs.Bound = 2;
+  EXPECT_TRUE(verifyType(Counter, Pairs).sound());
+
+  VerifyReport R = verifyType(Counter);
+  EXPECT_FALSE(R.sound());
+  // add(a); add(b); add(c) with a + b >= 3 and c > 0: 3 x 2 runs.
+  ASSERT_EQ(R.SummarizationViolations.size(), 6u);
+  EXPECT_NE(R.SummarizationViolations.front().find("disagrees with applying"),
+            std::string::npos)
+      << R.SummarizationViolations.front();
+}
+
 TEST(VerifierOverCoordination, SpuriousConflictIsFlaggedNonFatally) {
   BankSpuriousDepositConflict Bank;
   VerifyReport R = verifyType(Bank);
@@ -227,29 +291,6 @@ TEST(VerifierOverCoordination, SpuriousConflictIsFlaggedNonFatally) {
   EXPECT_FALSE(R.minimal());
   ASSERT_EQ(R.SpuriousEdges.size(), 1u);
   EXPECT_NE(R.SpuriousEdges.front().find("spurious"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// The sampling-based checkers catch the same corruptions (they are the
-// fast pre-gate the verifier certifies; both must agree on broken specs).
-//===----------------------------------------------------------------------===//
-
-TEST(CheckDeclaredSpec, CatchesDroppedConflictEdge) {
-  BankMissingWithdrawConflict Bank;
-  EXPECT_FALSE(analysis::checkDeclaredSpec(Bank).empty());
-  EXPECT_TRUE(analysis::checkDeclaredSpec(types::BankAccount()).empty());
-}
-
-TEST(CheckDeclaredSpec, CatchesDroppedDependencyEdge) {
-  CoursewareMissingEnrollDep Schema;
-  EXPECT_FALSE(analysis::checkDeclaredSpec(Schema).empty());
-  EXPECT_TRUE(analysis::checkDeclaredSpec(types::Courseware()).empty());
-}
-
-TEST(CheckSummarization, CatchesWrongSumGroup) {
-  PNCounterMergedSumGroups Counter;
-  EXPECT_FALSE(analysis::checkSummarization(Counter).empty());
-  EXPECT_TRUE(analysis::checkSummarization(types::PNCounter()).empty());
 }
 
 //===----------------------------------------------------------------------===//

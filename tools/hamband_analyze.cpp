@@ -8,19 +8,18 @@
 /// Command-line coordination analyzer: prints, for a registered data type
 /// (or all of them), the Section 3.3 analysis a Hamband deployment is
 /// built from -- method categories, the conflict graph and its
-/// synchronization groups, dependency sets, summarization groups -- and
-/// cross-checks the declared spec against the sampling-based inference of
-/// the Section 3.2 relations. Optionally runs the bounded model checker,
-/// or the bounded-exhaustive verifier with certified counterexamples
-/// (--verify; see docs/analysis.md for the hamband-analysis-v1 JSON
-/// schema emitted under --json).
+/// synchronization groups, dependency sets, summarization groups. --check
+/// adds the bounded-exhaustive verifier's one-line verdict on the declared
+/// spec and runs the bounded model checker; --verify prints the
+/// verifier's full report with certified counterexamples (see
+/// docs/analysis.md for the hamband-analysis-v1 JSON schema emitted under
+/// --json).
 ///
 /// Usage:  hamband_analyze [--check] [--verify] [--bound N] [--json]
 ///                         [type-name | all]
 ///
 //===----------------------------------------------------------------------===//
 
-#include "hamband/core/Analysis.h"
 #include "hamband/core/TypeRegistry.h"
 #include "hamband/core/Verifier.h"
 #include "hamband/semantics/ModelChecker.h"
@@ -34,7 +33,13 @@ using namespace hamband;
 
 namespace {
 
-void printType(const ObjectType &T, bool RunChecks) {
+/// The one-line verdict of a verification report.
+std::string verdict(const analysis::VerifyReport &R) {
+  return std::string(R.sound() ? "sound" : "UNSOUND") + ", " +
+         (R.minimal() ? "minimal" : "over-coordinated");
+}
+
+void printType(const ObjectType &T, bool RunChecks, unsigned Bound) {
   const CoordinationSpec &S = T.coordination();
   std::printf("== %s ==\n", T.name().c_str());
   std::printf("%-18s %-26s %s\n", "method", "category", "details");
@@ -74,18 +79,11 @@ void printType(const ObjectType &T, bool RunChecks) {
     return;
   }
 
-  std::printf("checking declared spec against inferred relations... ");
-  std::vector<std::string> SpecIssues = analysis::checkDeclaredSpec(T);
-  std::vector<std::string> SumIssues = analysis::checkSummarization(T);
-  if (SpecIssues.empty() && SumIssues.empty()) {
-    std::printf("ok\n");
-  } else {
-    std::printf("ISSUES:\n");
-    for (const std::string &I : SpecIssues)
-      std::printf("  %s\n", I.c_str());
-    for (const std::string &I : SumIssues)
-      std::printf("  %s\n", I.c_str());
-  }
+  analysis::VerifierOptions VOpts;
+  VOpts.Bound = Bound;
+  analysis::VerifyReport V = analysis::verifyType(T, VOpts);
+  std::printf("verifying declared spec at bound %u... %s\n", V.Bound,
+              verdict(V).c_str());
 
   std::printf("model checking all interleavings (2 processes, 1 call "
               "per method)... ");
@@ -128,8 +126,7 @@ bool printVerifyReport(const analysis::VerifyReport &R) {
     std::printf("SUMMARIZATION VIOLATION: %s\n", S.c_str());
   for (const std::string &S : R.SpuriousEdges)
     std::printf("warning: %s\n", S.c_str());
-  std::printf("verdict: %s, %s\n\n", R.sound() ? "sound" : "UNSOUND",
-              R.minimal() ? "minimal" : "over-coordinated");
+  std::printf("verdict: %s\n\n", verdict(R).c_str());
   return R.sound();
 }
 
@@ -231,6 +228,6 @@ int main(int argc, char **argv) {
   if (RunVerify)
     return runVerify(Names, Bound, Json);
   for (const std::string &N : Names)
-    printType(*makeType(N), RunChecks);
+    printType(*makeType(N), RunChecks, Bound);
   return 0;
 }
