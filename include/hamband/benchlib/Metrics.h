@@ -69,8 +69,8 @@ struct RunResult {
   double MeanBacklogCalls = 0;
   double MaxBacklogCalls = 0;
   /// Merged runtime metrics captured at the end of the run (empty when the
-  /// runtime does not report stats or HAMBAND_OBS is off). averageRuns()
-  /// merges the snapshots of all repetitions.
+  /// runtime does not report stats). averageRuns() merges the snapshots of
+  /// all repetitions.
   obs::StatsSnapshot ClusterStats;
 
   // -- Online-reconfiguration runs (RunnerOptions::ReconfigAction) --------

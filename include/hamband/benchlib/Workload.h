@@ -28,7 +28,7 @@ namespace benchlib {
 /// Parameters of one workload run.
 struct WorkloadSpec {
   /// Total calls across the cluster. Scaled down from the paper's 4M so
-  /// that a whole figure sweeps in seconds; HAMBAND_OPS overrides.
+  /// that a whole figure sweeps in seconds.
   std::uint64_t NumOps = 60000;
   /// Fraction of calls that are updates.
   double UpdateRatio = 0.25;
@@ -84,9 +84,6 @@ private:
   // each draw is O(1).
   double Zetan = 0, Zeta2 = 0, Alpha = 0, Eta = 0;
 };
-
-/// Reads the HAMBAND_OPS environment override (0 = unset).
-std::uint64_t opsOverrideFromEnv();
 
 } // namespace benchlib
 } // namespace hamband

@@ -106,18 +106,12 @@ public:
   /// the calls are not joinable (different groups).
   bool applyDelta(const Call &Base, const Call &Delta, Call &Out) const;
 
-  /// Whether a summary call of method \p M decomposes element-wise: its
-  /// argument vector is a set, so any contiguous slice of it is itself a
-  /// well-formed summary of the same method (set-union groups). Enables
-  /// chunked full-image anti-entropy for summaries that outgrow a single
-  /// wire record. Default false (the summary ships as one chunk).
-  virtual bool summaryArgsDecomposable(MethodId M) const;
-
   /// Splits a summary call into contiguous chunks of at most
-  /// \p MaxArgsPerChunk arguments each, in argument order, when
-  /// summaryArgsDecomposable() allows it; otherwise returns the summary
-  /// whole. The receiver concatenates the chunk arguments in index order
-  /// to rebuild \p Summary exactly; nothing re-folds the chunks.
+  /// \p MaxArgsPerChunk arguments each, in argument order (the summary
+  /// whole when it already fits one chunk). The chunks are wire pieces,
+  /// not summaries: the receiver concatenates their arguments in index
+  /// order to rebuild \p Summary exactly and never folds a chunk, so any
+  /// summary can be split.
   std::vector<Call> decomposeSummary(const Call &Summary,
                                      std::size_t MaxArgsPerChunk) const;
 

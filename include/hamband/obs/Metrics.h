@@ -11,26 +11,18 @@
 /// atomics); the registry mutex is only taken at registration and snapshot
 /// time, never on the hot path.
 ///
-/// The whole layer compiles away under -DHAMBAND_OBS=OFF: the classes keep
-/// their interfaces but every mutator becomes an empty inline function and
-/// snapshots come back empty. Instrumented code therefore never needs
-/// #ifdefs of its own.
+/// In the simulator a metric update is host work only and never advances
+/// simulated time, so instrumentation cannot move a simulated figure.
 ///
-/// Snapshots (`StatsSnapshot`) are plain value types in both build modes:
-/// they merge across nodes (counters add, histograms add bucket-wise) and
-/// round-trip through a small JSON form — see docs/observability.md for
-/// the schema and the metric-name inventory.
+/// Snapshots (`StatsSnapshot`) are plain value types: they merge across
+/// nodes (counters add, histograms add bucket-wise) and round-trip
+/// through a small JSON form — see docs/observability.md for the schema
+/// and the metric-name inventory.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HAMBAND_OBS_METRICS_H
 #define HAMBAND_OBS_METRICS_H
-
-#ifdef HAMBAND_OBS_DISABLED
-#define HAMBAND_OBS_ENABLED 0
-#else
-#define HAMBAND_OBS_ENABLED 1
-#endif
 
 #include <array>
 #include <atomic>
@@ -94,8 +86,7 @@ struct SpanRecord {
 };
 
 /// A frozen copy of a registry (or a merge of several), serializable to
-/// JSON. This is a real value type even in HAMBAND_OBS=OFF builds so that
-/// snapshot consumers (bench report, fuzz driver) compile unchanged.
+/// JSON.
 struct StatsSnapshot {
   std::map<std::string, std::uint64_t> Counters;
   std::map<std::string, std::int64_t> Gauges;
@@ -125,8 +116,6 @@ struct StatsSnapshot {
 
   bool operator==(const StatsSnapshot &) const = default;
 };
-
-#if HAMBAND_OBS_ENABLED
 
 /// Monotonic event counter. add() is wait-free.
 class Counter {
@@ -209,50 +198,6 @@ private:
   std::vector<SpanRecord> Spans;
   std::uint64_t SpansDropped = 0;
 };
-
-#else // !HAMBAND_OBS_ENABLED
-
-/// No-op stand-ins: identical interfaces, empty bodies, zero readbacks.
-/// The registry hands out shared static instances, so instrumented code
-/// keeps its cached references without any per-registry storage.
-class Counter {
-public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
-public:
-  void set(std::int64_t) {}
-  void add(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Histogram {
-public:
-  void record(std::uint64_t) {}
-  std::uint64_t count() const { return 0; }
-  std::uint64_t sum() const { return 0; }
-  std::uint64_t max() const { return 0; }
-  HistogramSnapshot snapshot() const { return {}; }
-  void reset() {}
-};
-
-class Registry {
-public:
-  static constexpr std::size_t MaxSpans = 256;
-
-  Counter &counter(const std::string &);
-  Gauge &gauge(const std::string &);
-  Histogram &histogram(const std::string &);
-  void recordSpan(const std::string &, std::uint64_t, std::uint64_t) {}
-  StatsSnapshot snapshot() const { return {}; }
-  void reset() {}
-};
-
-#endif // HAMBAND_OBS_ENABLED
 
 /// Manual span handle for latency that crosses async callbacks (a
 /// discrete-event simulation has no useful RAII scope for "a request"):

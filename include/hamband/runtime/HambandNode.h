@@ -192,7 +192,7 @@ public:
 
   /// Counts of processed calls (diagnostics / tests).
   std::uint64_t localUpdates() const { return NumLocalUpdates; }
-  std::uint64_t recoveredBroadcasts() const { return NumRecovered; }
+  std::uint64_t recoveredBroadcasts() const { return CtrRecovered->value(); }
 
   /// This node's metrics registry (all its rings, broadcast and consensus
   /// instances feed into it) and a frozen copy of it.
@@ -457,7 +457,6 @@ private:
   bool OutOfService = false;
 
   std::uint64_t NumLocalUpdates = 0;
-  std::uint64_t NumRecovered = 0;
 };
 
 } // namespace runtime

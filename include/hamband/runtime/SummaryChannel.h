@@ -137,11 +137,14 @@ private:
   /// Joins a delta frame starting at the held version; false on a gap.
   bool tryJoin(ProcessId Src, const SummaryDeltaFrame &F);
   void retryBuffered(unsigned G, ProcessId Src);
-  /// Summary arguments per full-image chunk so a frame fits one ring
-  /// record (>= 1).
-  std::size_t frameChunkMaxArgs() const;
-  /// True when an image of \p Summary can ship at all: it fits the slot,
-  /// chunks into at most 65535 frames, or fits one ring record.
+  /// Summary arguments per full-image chunk so a frame carrying
+  /// \p NumCounts applied counts fits one ring record; 0 when not even
+  /// one argument fits.
+  std::size_t frameChunkMaxArgs(std::size_t NumCounts) const;
+  /// True when an image of \p Summary with \p NumCounts applied counts
+  /// can ship at all: slots are in use (deltas off) and it fits the slot,
+  /// or it splits into at most 65535 chunk frames of
+  /// frameChunkMaxArgs(NumCounts) arguments each.
   bool shippable(const Call &Summary, std::size_t NumCounts) const;
   std::vector<std::vector<std::uint8_t>>
   encodeFullFrames(unsigned G, const SummaryImage &Img,

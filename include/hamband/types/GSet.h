@@ -59,7 +59,6 @@ public:
   const CoordinationSpec &coordination() const override { return Spec; }
   bool summarize(const Call &First, const Call &Second,
                  Call &Out) const override;
-  bool summaryArgsDecomposable(MethodId M) const override;
   std::vector<Call> enumerateCalls(MethodId M, unsigned Bound) const override;
   Call randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
                         sim::Rng &R) const override;

@@ -76,7 +76,6 @@ public:
   const CoordinationSpec &coordination() const override { return Spec; }
   bool summarize(const Call &First, const Call &Second,
                  Call &Out) const override;
-  bool summaryArgsDecomposable(MethodId M) const override;
   std::vector<Call> enumerateCalls(MethodId M, unsigned Bound) const override;
 
 private:

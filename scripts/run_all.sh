@@ -6,8 +6,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+# The same configuration as the tier-1 command and scripts/ci.sh (the
+# default generator), so an existing build/ is reused, not refused.
+cmake -B build -S .
+cmake --build build -j"$(nproc)"
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
@@ -19,6 +21,8 @@ build/tools/hamband_bench_report --check build/BENCH_run_all.json
 echo
 echo "Examples:"
 for e in build/examples/*; do
+  # The directory also holds CMake's own files; run the programs only.
+  [ -f "$e" ] && [ -x "$e" ] || continue
   echo "===== $e ====="
   "$e"
 done

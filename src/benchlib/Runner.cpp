@@ -161,8 +161,6 @@ RunResult benchlib::runOnce(const ObjectType &Type,
   const CoordinationSpec &Spec = RT->objectType().coordination();
   WorkloadSpec W = Workload;
   W.Seed = Seed;
-  if (std::uint64_t Override = opsOverrideFromEnv())
-    W.NumOps = Override;
 
   auto State = std::make_shared<DriverState>();
   std::vector<std::unique_ptr<CallGenerator>> Gens;

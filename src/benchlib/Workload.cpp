@@ -8,7 +8,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 
 using namespace hamband;
 using namespace hamband::benchlib;
@@ -66,11 +65,4 @@ Call CallGenerator::next(ProcessId Issuer, RequestId Req) {
   MethodId M = Update ? Rng.pick(Updates) : Rng.pick(Queries);
   LastObject = Spec.NumObjects > 0 ? drawObjectIndex() : 0;
   return Type.randomClientCall(M, Issuer, Req, Rng);
-}
-
-std::uint64_t hamband::benchlib::opsOverrideFromEnv() {
-  const char *Env = std::getenv("HAMBAND_OPS");
-  if (!Env || !*Env)
-    return 0;
-  return std::strtoull(Env, nullptr, 10);
 }

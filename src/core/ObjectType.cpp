@@ -39,14 +39,10 @@ bool ObjectType::applyDelta(const Call &Base, const Call &Delta,
   return summarize(Base, Delta, Out);
 }
 
-bool ObjectType::summaryArgsDecomposable(MethodId) const { return false; }
-
 std::vector<Call> ObjectType::decomposeSummary(
     const Call &Summary, std::size_t MaxArgsPerChunk) const {
-  if (MaxArgsPerChunk == 0)
-    MaxArgsPerChunk = 1;
-  if (!summaryArgsDecomposable(Summary.Method) ||
-      Summary.Args.size() <= MaxArgsPerChunk)
+  assert(MaxArgsPerChunk > 0 && "a chunk carries at least one argument");
+  if (Summary.Args.size() <= MaxArgsPerChunk)
     return {Summary};
   std::vector<Call> Chunks;
   for (std::size_t I = 0; I < Summary.Args.size(); I += MaxArgsPerChunk) {

@@ -198,10 +198,8 @@ bool StatsSnapshot::fromJson(const std::string &Text, StatsSnapshot &Out) {
 }
 
 //===----------------------------------------------------------------------===//
-// Histogram / Registry (enabled build)
+// Histogram / Registry
 //===----------------------------------------------------------------------===//
-
-#if HAMBAND_OBS_ENABLED
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot S;
@@ -282,22 +280,3 @@ void Registry::reset() {
   Spans.clear();
   SpansDropped = 0;
 }
-
-#else // !HAMBAND_OBS_ENABLED
-
-Counter &Registry::counter(const std::string &) {
-  static Counter C;
-  return C;
-}
-
-Gauge &Registry::gauge(const std::string &) {
-  static Gauge G;
-  return G;
-}
-
-Histogram &Registry::histogram(const std::string &) {
-  static Histogram H;
-  return H;
-}
-
-#endif // HAMBAND_OBS_ENABLED

@@ -273,16 +273,13 @@ void HambandNode::submit(const Call &C, SubmitCallback Done) {
       Done(false, WrongEpochValue);
     return;
   }
-#if HAMBAND_OBS_ENABLED
-  // The submit→completion latency in simulated time; the wrap is compiled
-  // out entirely in HAMBAND_OBS=OFF builds.
+  // The submit→completion latency in simulated time.
   Done = [this, T0 = Fabric.now(),
           Inner = std::move(Done)](bool Ok, Value V) {
     HistRespNs->record(Fabric.now() - T0);
     if (Inner)
       Inner(Ok, V);
   };
-#endif
   switch (Spec.category(C.Method)) {
   case MethodCategory::Query:
     CtrCallQuery->add();
@@ -396,10 +393,8 @@ void HambandNode::pollOnce() {
   AppliedN += applyPendingFree();
   AppliedN += Conf->applyPending();
   unsigned Rechecks = Conf->poll();
-#if HAMBAND_OBS_ENABLED
   GaugePendingFree->set(static_cast<std::int64_t>(pendingFreeTotal()));
   GaugePendingConf->set(static_cast<std::int64_t>(Conf->pendingTotal()));
-#endif
   sim::SimDuration Extra =
       Parsed * M.ParseCpu + (AppliedN + Rechecks) * M.ApplyCpu;
   if (Extra > 0)
@@ -712,11 +707,7 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
     FlushImage Img;
     if (!decodeFlushImage(Msg.Payload.data(), Msg.Payload.size(), Img))
       return;
-    auto Recovered = [this](unsigned N) {
-      NumRecovered += N;
-      CtrRecovered->add(N);
-    };
-    Recovered(Sums.recover(Peer, Img));
+    CtrRecovered->add(Sums.recover(Peer, Img));
     std::vector<WireCall> Calls;
     if (Img.FreeRecord.empty() ||
         !decodeCallBatch(Spec, Fabric.numNodes(), Img.FreeRecord.data(),
@@ -726,7 +717,7 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
     // its predecessors land.
     for (WireCall &WC : Calls)
       if (deliverFree(Peer, std::move(WC)))
-        Recovered(1);
+        CtrRecovered->add();
   });
 }
 

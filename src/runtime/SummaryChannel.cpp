@@ -181,38 +181,39 @@ void SummaryChannel::markShipped() {
   }
 }
 
-std::size_t SummaryChannel::frameChunkMaxArgs() const {
+std::size_t SummaryChannel::frameChunkMaxArgs(std::size_t NumCounts) const {
   std::size_t Budget = Map.freeGeom().maxRecordPayload();
-  // Frame header plus an argument-free image with a worst-case
+  // Frame header plus an argument-free image with the group's
   // applied-count block.
-  std::size_t Fixed =
-      SummaryDeltaHeaderBytes + summaryImageBytes(0, Type.numMethods());
-  if (Budget <= Fixed + 8)
-    return 1;
+  std::size_t Fixed = SummaryDeltaHeaderBytes + summaryImageBytes(0, NumCounts);
+  if (Budget < Fixed + 8)
+    return 0; // Not even a one-argument chunk fits a record.
   return (Budget - Fixed) / 8;
 }
 
 bool SummaryChannel::shippable(const Call &Summary,
                                std::size_t NumCounts) const {
-  std::size_t Full = summaryImageBytes(Summary.Args.size(), NumCounts);
-  if (fitsSummarySlot(Full, Map.summarySlotBytes()))
+  if (!Delta.Enabled &&
+      fitsSummarySlot(summaryImageBytes(Summary.Args.size(), NumCounts),
+                      Map.summarySlotBytes()))
     return true; // Classic slot overwrite.
-  if (Type.summaryArgsDecomposable(Summary.Method)) {
-    std::size_t MaxArgs = frameChunkMaxArgs();
-    std::size_t Chunks =
-        std::max<std::size_t>(1, (Summary.Args.size() + MaxArgs - 1) /
-                                     MaxArgs);
-    return Chunks <= 0xFFFF; // ChunkCount is a u16.
-  }
-  // A non-decomposable image must fit one (possibly spanning) record.
-  return Full + SummaryDeltaHeaderBytes <= Map.freeGeom().maxRecordPayload();
+  // Everything else ships as full-image chunk frames over the F-rings:
+  // slot overflow, every image in delta mode (which never writes slots),
+  // and the fallback for a delta frame too big for one record.
+  std::size_t MaxArgs = frameChunkMaxArgs(NumCounts);
+  if (MaxArgs == 0)
+    return false;
+  std::size_t Chunks = std::max<std::size_t>(
+      1, (Summary.Args.size() + MaxArgs - 1) / MaxArgs);
+  return Chunks <= 0xFFFF; // ChunkCount is a u16.
 }
 
 std::vector<std::vector<std::uint8_t>>
 SummaryChannel::encodeFullFrames(unsigned G, const SummaryImage &Img,
                                  std::uint32_t Epoch) const {
-  std::vector<Call> Chunks =
-      Type.decomposeSummary(Img.Summary, frameChunkMaxArgs());
+  std::size_t MaxArgs = frameChunkMaxArgs(Img.AppliedCounts.size());
+  assert(MaxArgs > 0 && "shippable() admits only chunks that fit a record");
+  std::vector<Call> Chunks = Type.decomposeSummary(Img.Summary, MaxArgs);
   assert(!Chunks.empty() && Chunks.size() <= 0xFFFF &&
          "shippable() admits at most 65535 chunks");
   std::vector<std::vector<std::uint8_t>> Out;

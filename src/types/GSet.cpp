@@ -84,12 +84,6 @@ bool GSet::summarize(const Call &First, const Call &Second,
   return true;
 }
 
-bool GSet::summaryArgsDecomposable(MethodId M) const {
-  // An add-summary's argument vector is the added set: any slice of it is
-  // itself an add-summary.
-  return TheMode == Mode::Summarized && M == Add;
-}
-
 Call GSet::randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
                             sim::Rng &R) const {
   if (M == Contains)

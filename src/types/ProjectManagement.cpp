@@ -146,11 +146,6 @@ bool TwoEntitySchema::summarize(const Call &First, const Call &Second,
   return true;
 }
 
-bool TwoEntitySchema::summaryArgsDecomposable(MethodId M) const {
-  // The B-entity summary is a grow-only union of entity keys.
-  return M == AddB;
-}
-
 ProjectManagement::ProjectManagement()
     : TwoEntitySchema("project-management",
                       {"addProject", "deleteProject", "worksOn",

@@ -84,11 +84,6 @@ bool TwoPhaseSet::summarize(const Call &First, const Call &Second,
   return true;
 }
 
-bool TwoPhaseSet::summaryArgsDecomposable(MethodId M) const {
-  // Both the add-set and the tombstone-set summaries are plain unions.
-  return M == Add || M == Remove;
-}
-
 Call TwoPhaseSet::randomClientCall(MethodId M, ProcessId Issuer,
                                    RequestId Req, sim::Rng &R) const {
   if (M == Contains)

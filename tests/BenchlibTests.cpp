@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 using namespace hamband;
 using namespace hamband::benchlib;
 using namespace hamband::types;
@@ -198,27 +196,6 @@ TEST(RuntimeKindNames, AreStable) {
   EXPECT_STREQ(runtimeKindName(RuntimeKind::Hamband), "hamband");
   EXPECT_STREQ(runtimeKindName(RuntimeKind::Msg), "msg");
   EXPECT_STREQ(runtimeKindName(RuntimeKind::MuSmr), "mu");
-}
-
-TEST(OpsOverride, ReadsEnvironment) {
-  ASSERT_EQ(unsetenv("HAMBAND_OPS"), 0);
-  EXPECT_EQ(opsOverrideFromEnv(), 0u);
-  ASSERT_EQ(setenv("HAMBAND_OPS", "1234", 1), 0);
-  EXPECT_EQ(opsOverrideFromEnv(), 1234u);
-  ASSERT_EQ(setenv("HAMBAND_OPS", "", 1), 0);
-  EXPECT_EQ(opsOverrideFromEnv(), 0u);
-  unsetenv("HAMBAND_OPS");
-}
-
-TEST(OpsOverride, RunnerHonoursIt) {
-  Counter T;
-  WorkloadSpec W = quickWorkload();
-  W.NumOps = 50000; // Overridden below.
-  ASSERT_EQ(setenv("HAMBAND_OPS", "300", 1), 0);
-  RunResult R = runOnce(T, W, quickOpts(RuntimeKind::Hamband), 1);
-  unsetenv("HAMBAND_OPS");
-  EXPECT_TRUE(R.Completed);
-  EXPECT_EQ(R.CompletedOps, 300u);
 }
 
 TEST(Runner, QueriesOnlyWorkloadCompletes) {

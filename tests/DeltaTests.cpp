@@ -757,35 +757,97 @@ TEST(SummarySlotOverflow, ConcurrentChunkStreamsStayFIFOUnderRingPressure) {
 }
 
 TEST(SummarySlotOverflow, UnshippableCallRejectedWithoutStateMutation) {
-  // A geometry where a counter's summary image fits NEITHER the summary
-  // slot NOR one spanning F-ring record, and the type is not decomposable:
-  // the reduce path must reject the call up front (Done(false)) with zero
-  // replicated-state mutation, instead of folding it and wedging every
-  // future ship of the group.
-  sim::Simulator Sim;
-  auto T = makeType("counter");
-  MethodId Add = T->methodId("add");
-  HambandConfig Cfg;
-  Cfg.SummarySlotBytes = 48;          // Image (44B) + slot overhead > 48.
-  Cfg.FreeGeom = RingGeometry{4, 32}; // maxRecordPayload = 51 < 44 + 28.
-  HambandCluster C(Sim, 3, *T, {}, Cfg);
-  C.start();
+  // Geometries where a one-element summary image can ship through neither
+  // the summary slot nor a chunk frame: the F-ring record (payload 51 B)
+  // cannot hold a frame header plus even one argument. Classic mode with
+  // a 48-B slot (image 44 B + slot overhead > 48), and delta mode, which
+  // never writes slots. The reduce path must reject the call up front
+  // (Done(false)) with zero replicated-state mutation, instead of folding
+  // it and wedging every future ship of the group, whatever the type.
+  struct Case {
+    const char *Type;
+    bool Deltas;
+  };
+  for (Case K : {Case{"counter", false}, Case{"gset", false},
+                 Case{"two-phase-set", false}, Case{"counter", true},
+                 Case{"gset", true}, Case{"two-phase-set", true}}) {
+    SCOPED_TRACE(std::string(K.Type) + (K.Deltas ? " delta" : " classic"));
+    sim::Simulator Sim;
+    auto T = makeType(K.Type);
+    MethodId Add = T->methodId("add");
+    HambandConfig Cfg;
+    if (K.Deltas)
+      Cfg.Delta.Enabled = true;
+    else
+      Cfg.SummarySlotBytes = 48;
+    Cfg.FreeGeom = RingGeometry{4, 32}; // maxRecordPayload = 51 < 44 + 28.
+    HambandCluster C(Sim, 3, *T, {}, Cfg);
+    C.start();
 
-  bool Called = false, Ok = true;
-  C.submit(0, Call(Add, {5}, 0, 1), [&](bool CallOk, Value) {
-    Called = true;
-    Ok = CallOk;
-  });
-  ASSERT_TRUE(runUntil(Sim, [&] { return Called; }));
-  EXPECT_FALSE(Ok);
+    bool Called = false, Ok = true;
+    C.submit(0, Call(Add, {5}, 0, 1), [&](bool CallOk, Value) {
+      Called = true;
+      Ok = CallOk;
+    });
+    ASSERT_TRUE(runUntil(Sim, [&] { return Called; }));
+    EXPECT_FALSE(Ok);
 
-  EXPECT_EQ(
-      C.node(0).statsSnapshot().counter("node.summary.oversize_reject"), 1u);
-  MethodId Read = T->methodId("read");
-  for (ProcessId P = 0; P < 3; ++P) {
-    EXPECT_EQ(C.node(P).applied(0, Add), 0u) << "node " << P;
-    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Read, {}, P, 0)), 0)
-        << "node " << P;
+    EXPECT_EQ(
+        C.node(0).statsSnapshot().counter("node.summary.oversize_reject"),
+        1u);
+    StatePtr Initial = T->initialState();
+    for (ProcessId P = 0; P < 3; ++P) {
+      EXPECT_EQ(C.node(P).applied(0, Add), 0u) << "node " << P;
+      EXPECT_TRUE(C.node(P).visibleState().equals(*Initial)) << "node " << P;
+    }
+  }
+}
+
+TEST(SummarySlotOverflow, ChunkBudgetCountsOnlyTheGroupsMethods) {
+  // A record payload of 83 B holds a frame header (32 B), an image
+  // carrying the add group's one applied count (36 B) and one argument
+  // (8 B), but not the applied counts of every method of the type (two
+  // for a counter, three for a gset). The chunk budget is sized for the
+  // counts the frame really carries, so each call ships: the counter as
+  // one record, the gset's growing image as one-argument chunks.
+  struct Case {
+    const char *Type;
+    bool Deltas;
+  };
+  for (Case K : {Case{"counter", false}, Case{"gset", false},
+                 Case{"counter", true}, Case{"gset", true}}) {
+    SCOPED_TRACE(std::string(K.Type) + (K.Deltas ? " delta" : " classic"));
+    sim::Simulator Sim;
+    auto T = makeType(K.Type);
+    MethodId Add = T->methodId("add");
+    HambandConfig Cfg;
+    if (K.Deltas)
+      Cfg.Delta.Enabled = true;
+    else
+      Cfg.SummarySlotBytes = 48;
+    Cfg.FreeGeom = RingGeometry{4, 48}; // maxRecordPayload = 83.
+    HambandCluster C(Sim, 3, *T, {}, Cfg);
+    C.start();
+
+    const unsigned Calls = 3;
+    unsigned Done = 0;
+    for (unsigned I = 0; I < Calls; ++I)
+      C.submit(0, Call(Add, {static_cast<Value>(5 + I)}, 0, 1 + I),
+               [&](bool Ok, Value) {
+                 EXPECT_TRUE(Ok);
+                 ++Done;
+               });
+    ASSERT_TRUE(runUntil(Sim, [&] {
+      return Done == Calls && C.fullyReplicated();
+    }));
+    EXPECT_EQ(
+        C.node(0).statsSnapshot().counter("node.summary.oversize_reject"),
+        0u);
+    for (ProcessId P = 0; P < 3; ++P) {
+      EXPECT_EQ(C.node(P).applied(0, Add), Calls) << "node " << P;
+      EXPECT_TRUE(C.node(P).visibleState().equals(C.node(0).visibleState()))
+          << "node " << P;
+    }
   }
 }
 

@@ -8,8 +8,7 @@
 // recording, thread-safety of the hot paths, and the metrics the runtime
 // itself reports -- a fault-free run shows zero backup-slot recoveries
 // and zero canary retries, a crash-on-stage schedule shows at least one
-// recovery. Tests that read live metric values are compiled out in
-// HAMBAND_OBS=OFF builds; the no-op contract is asserted instead.
+// recovery, and the counters the oracles read are registered.
 //===----------------------------------------------------------------------===//
 
 #include "hamband/obs/Json.h"
@@ -31,7 +30,7 @@ using namespace hamband::obs;
 namespace {
 
 /// Feeds one value into a hand-built snapshot the way Histogram::record
-/// does, so the value-type tests run identically in ON and OFF builds.
+/// does, so the value-type tests need no registry.
 void recordInto(HistogramSnapshot &H, std::uint64_t V) {
   ++H.Buckets[histogramBucketOf(V)];
   ++H.Count;
@@ -42,7 +41,7 @@ void recordInto(HistogramSnapshot &H, std::uint64_t V) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Bucket mapping and quantile bounds (value types, both build modes)
+// Bucket mapping and quantile bounds (value types)
 //===----------------------------------------------------------------------===//
 
 TEST(ObsHistogram, BucketMappingCoversEdges) {
@@ -107,7 +106,7 @@ TEST(ObsHistogram, MergeAddsBucketwise) {
 }
 
 //===----------------------------------------------------------------------===//
-// Snapshot merge and JSON round trip (value types, both build modes)
+// Snapshot merge and JSON round trip (value types)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -193,10 +192,8 @@ TEST(ObsJson, ValueParserHandlesEscapesAndNumbers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Live registry semantics (compiled in only with HAMBAND_OBS=ON)
+// Live registry semantics
 //===----------------------------------------------------------------------===//
-
-#if HAMBAND_OBS_ENABLED
 
 TEST(ObsRegistry, CounterGaugeHistogramSemantics) {
   Registry R;
@@ -280,22 +277,6 @@ TEST(ObsRegistry, ConcurrentMutationIsExact) {
   EXPECT_EQ(BucketSum, Threads * PerThread);
 }
 
-#else // !HAMBAND_OBS_ENABLED
-
-TEST(ObsRegistry, DisabledBuildIsNoop) {
-  Registry R;
-  R.counter("c").add(100);
-  R.gauge("g").set(5);
-  R.histogram("h").record(7);
-  R.recordSpan("s", 1, 2);
-  EXPECT_EQ(R.counter("c").value(), 0u);
-  EXPECT_EQ(R.gauge("g").value(), 0);
-  EXPECT_EQ(R.histogram("h").count(), 0u);
-  EXPECT_TRUE(R.snapshot().empty());
-}
-
-#endif // HAMBAND_OBS_ENABLED
-
 //===----------------------------------------------------------------------===//
 // Runtime-reported metrics (satellite: metrics-based assertions)
 //===----------------------------------------------------------------------===//
@@ -356,11 +337,10 @@ StatsSnapshot runClusterWorkload(std::uint64_t Seed,
 TEST(ObsRuntime, FaultFreeRunReportsNoRecoveriesOrCanaryRetries) {
   StatsSnapshot S = runClusterWorkload(7, nullptr, nullptr);
   // Without faults the backup-slot path and the canary retry path must
-  // never fire -- in any build mode (the counters read 0 when disabled).
+  // never fire.
   EXPECT_EQ(S.counter("bcast.recovered"), 0u);
   EXPECT_EQ(S.counter("ring.canary_retry"), 0u);
   EXPECT_EQ(S.counter("ring.full_stall"), 0u);
-#if HAMBAND_OBS_ENABLED
   // The run did move data through the instrumented paths.
   EXPECT_EQ(S.counter("node.calls.reducible"), 24u);
   EXPECT_GT(S.counter("bcast.stage"), 0u);
@@ -368,7 +348,6 @@ TEST(ObsRuntime, FaultFreeRunReportsNoRecoveriesOrCanaryRetries) {
   EXPECT_GT(S.counter("rdma.bytes_written"), 0u);
   ASSERT_NE(S.histogram("node.resp_ns"), nullptr);
   EXPECT_EQ(S.histogram("node.resp_ns")->Count, 24u);
-#endif
 }
 
 TEST(ObsRuntime, CrashOnStageScheduleReportsBackupRecovery) {
@@ -377,13 +356,31 @@ TEST(ObsRuntime, CrashOnStageScheduleReportsBackupRecovery) {
   std::uint64_t AccessorSum = 0;
   StatsSnapshot S = runClusterWorkload(14, &Spec, &AccessorSum);
   // The staged-but-unwritten message must be recovered from the crashed
-  // source's backup slot; the accessor is the ground truth in both build
-  // modes, the metric must agree when compiled in.
+  // source's backup slot. The per-node accessors read each node's
+  // counter; the cluster snapshot must merge them without loss.
   EXPECT_GE(AccessorSum, 1u);
-#if HAMBAND_OBS_ENABLED
   EXPECT_GE(S.counter("bcast.recovered"), 1u);
   EXPECT_EQ(S.counter("bcast.recovered"), AccessorSum);
-#else
-  EXPECT_EQ(S.counter("bcast.recovered"), 0u);
-#endif
+}
+
+TEST(ObsRuntime, OracleCountersAreRegistered) {
+  // StatsSnapshot::counter() reads an unknown name as 0, so an oracle
+  // that asserts a counter stays 0 passes vacuously once the counter is
+  // renamed. Pin the names the oracles read: the fuzz harness's and
+  // ReconfigTests' reconfig.cross_epoch_apply (read per node), the
+  // recovery tests' bcast.recovered, and fig_bigstate's
+  // rdma.bytes_written (the transport's, read from the cluster snapshot).
+  auto T = makeType("counter");
+  sim::Simulator Sim;
+  runtime::HambandConfig Cfg;
+  Cfg.Reconfig.Enabled = true;
+  runtime::HambandCluster C(Sim, 3, *T, {}, Cfg);
+  C.start();
+  for (ProcessId P = 0; P < 3; ++P) {
+    StatsSnapshot S = C.node(P).statsSnapshot();
+    EXPECT_EQ(S.Counters.count("reconfig.cross_epoch_apply"), 1u)
+        << "node " << P;
+    EXPECT_EQ(S.Counters.count("bcast.recovered"), 1u) << "node " << P;
+  }
+  EXPECT_EQ(C.statsSnapshot().Counters.count("rdma.bytes_written"), 1u);
 }

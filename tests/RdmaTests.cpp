@@ -358,12 +358,10 @@ TEST_F(CompletionQueueTest, CqesOfABusyLaneShareOnePoll) {
     EXPECT_EQ(T, LaneFreeAt + Poll);
   // The lane was charged one PollCpu for all three.
   EXPECT_EQ(Probe, LaneFreeAt + Poll);
-#if HAMBAND_OBS_ENABLED
   obs::StatsSnapshot S = R.snapshot();
   EXPECT_EQ(S.counter("rdma.cq_polls"), 1u);
   ASSERT_NE(S.histogram("rdma.cqes_per_poll"), nullptr);
   EXPECT_EQ(S.histogram("rdma.cqes_per_poll")->Sum, 3u);
-#endif
 }
 
 namespace {
@@ -409,13 +407,11 @@ TEST_F(CompletionQueueTest, OnePollReapsAtMostABatch) {
   for (unsigned I = 0; I < NumWrites; ++I)
     EXPECT_EQ(Done[I], LaneFreeAt + (I < Fabric::CqPollBatch ? 1 : 2) * Poll)
         << "CQE " << I;
-#if HAMBAND_OBS_ENABLED
   obs::StatsSnapshot S = R.snapshot();
   EXPECT_EQ(S.counter("rdma.cq_polls"), 2u);
   ASSERT_NE(S.histogram("rdma.cqes_per_poll"), nullptr);
   EXPECT_EQ(S.histogram("rdma.cqes_per_poll")->Max, Fabric::CqPollBatch);
   EXPECT_EQ(S.histogram("rdma.cqes_per_poll")->Sum, NumWrites);
-#endif
 }
 
 TEST_F(CompletionQueueTest, CompletionsRunInArrivalOrder) {

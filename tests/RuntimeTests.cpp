@@ -857,9 +857,7 @@ TEST_F(ClusterTest, OversizeConflictingEntryRejected) {
   ASSERT_TRUE(
       runUntil(Sim, [&] { return Removed >= 0 && C->fullyReplicated(); }));
   EXPECT_EQ(Removed, 0);
-#if HAMBAND_OBS_ENABLED
   EXPECT_EQ(C->statsSnapshot().counter("node.conf.oversize_reject"), 1u);
-#endif
   for (rdma::NodeId N = 0; N < 3; ++N) {
     Value V = -1;
     C->submit(N, Call(ORSet::Contains, {7}, N, 200 + N),

@@ -235,7 +235,6 @@ TEST(ShardedClusterTest, UnknownObjectsRejectedWithoutTouchingShards) {
 
   // The rejected calls reached no shard: only the accepted one counts.
   obs::StatsSnapshot S = C.statsSnapshot();
-#if HAMBAND_OBS_ENABLED
   EXPECT_EQ(S.counter("keyspace.unknown_key"), 2u);
   std::uint64_t Submitted = 0;
   for (unsigned Shard = 0; Shard < C.numShards(); ++Shard)
@@ -246,9 +245,6 @@ TEST(ShardedClusterTest, UnknownObjectsRejectedWithoutTouchingShards) {
   EXPECT_EQ(S.gauge("keyspace.objects"), 1);
   EXPECT_EQ(S.gauge("keyspace.shards"), 2);
   EXPECT_GE(S.gauge("shard.imbalance"), 1000);
-#else
-  (void)S;
-#endif
   (void)K;
 }
 

@@ -72,19 +72,17 @@
 // and 2.7x Mu throughput, Hamband ahead of both baselines at every Fig 8
 // and Fig 9 point, 1.4x Mu per Fig 10 size, above Mu per Fig 11 ratio, a
 // failure always costing throughput in Fig 12, and Fig 13's none >
-// follower > leader order. Its response percentiles are the driver's
-// exact per-call samples.
+// follower > leader order.
 //
-// Outside the paper section, latency percentiles come from the merged
-// per-node node.resp_ns histograms when the observability layer is
-// compiled in, with the driver's exact per-call samples as the fallback
-// (and as a cross-check).
+// Every point's response mean and percentiles, in every section, come
+// from the driver's exact per-call samples (benchlib::RunResult).
+//
 // --compare exits nonzero when the throughput of any sim point -- fig8,
 // fig8_batched, fig9, and every fig_shard point matched by shard count
 // plus the zipf companion -- differs by more than the tolerance, or when
 // one report lacks a point the other carries, and names the failing
 // point. That is how scripts/bench_regress.sh holds a run to the
-// committed baseline and an HAMBAND_OBS=ON build to an OFF build.
+// committed baseline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -145,40 +143,11 @@ struct Options {
   std::uint64_t BigElems = 100000;
 };
 
-/// One figure point: the workload result plus the percentile source.
-struct PointReport {
-  RunResult R;
-  double P50Us = 0;
-  double P99Us = 0;
-  double MaxUs = 0;
-  const char *Source = "driver";
-};
-
-/// Fills the percentile fields from the run. Prefers the runtime's own
-/// histogram: it is what production deployments would export. The
-/// driver's exact samples remain the fallback for HAMBAND_OBS=OFF
-/// builds.
-void fillPercentiles(PointReport &P) {
-  if (const obs::HistogramSnapshot *H =
-          P.R.ClusterStats.histogram("node.resp_ns")) {
-    if (H->Count) {
-      P.P50Us = static_cast<double>(H->quantile(0.50)) / 1000.0;
-      P.P99Us = static_cast<double>(H->quantile(0.99)) / 1000.0;
-      P.MaxUs = static_cast<double>(H->Max) / 1000.0;
-      P.Source = "obs";
-      return;
-    }
-  }
-  P.P50Us = P.R.P50ResponseUs;
-  P.P99Us = P.R.P99ResponseUs;
-  P.MaxUs = P.R.MaxResponseUs;
-}
-
-PointReport runFigPoint(const std::string &TypeName, unsigned Nodes,
-                        double UpdateRatio, const Options &Opt,
-                        bool Batched = false,
-                        rdma::TransportKind Transport =
-                            rdma::TransportKind::Sim) {
+RunResult runFigPoint(const std::string &TypeName, unsigned Nodes,
+                      double UpdateRatio, const Options &Opt,
+                      bool Batched = false,
+                      rdma::TransportKind Transport =
+                          rdma::TransportKind::Sim) {
   auto Type = makeType(TypeName);
   WorkloadSpec W;
   W.NumOps = Opt.Ops;
@@ -190,18 +159,15 @@ PointReport runFigPoint(const std::string &TypeName, unsigned Nodes,
   RO.Cfg.Batch.Enabled = Batched;
   RO.Transport = Transport;
 
-  PointReport P;
-  P.R = runWorkload(*Type, W, RO);
-  fillPercentiles(P);
-  return P;
+  return runWorkload(*Type, W, RO);
 }
 
 /// One fig_shard sweep entry: the movie conflicting-call workload
 /// (addCustomer/deleteCustomer only -- a single sync group, so the
 /// 1-shard baseline is bottlenecked on one leader node) over a keyspace
 /// of Opt.ShardObjects objects, deployed at the given shard count.
-PointReport runShardPoint(unsigned Shards, double ZipfSkew,
-                          const Options &Opt) {
+RunResult runShardPoint(unsigned Shards, double ZipfSkew,
+                        const Options &Opt) {
   auto Type = makeType("movie");
   WorkloadSpec W;
   W.NumOps = Opt.Ops;
@@ -216,10 +182,7 @@ PointReport runShardPoint(unsigned Shards, double ZipfSkew,
   RO.Transport = rdma::TransportKind::Sim;
   RO.NumShards = Shards;
 
-  PointReport P;
-  P.R = runWorkload(*Type, W, RO);
-  fillPercentiles(P);
-  return P;
+  return runWorkload(*Type, W, RO);
 }
 
 /// One fig_reconfig point: the fig8 counter workload with an online
@@ -228,7 +191,7 @@ PointReport runShardPoint(unsigned Shards, double ZipfSkew,
 /// "remove" runs 4 serving nodes and retires the last one. The driver
 /// splits throughput around the transition and retries closed-epoch
 /// rejections, so the point measures what clients see across the fence.
-PointReport runReconfigPoint(const char *Action, const Options &Opt) {
+RunResult runReconfigPoint(const char *Action, const Options &Opt) {
   auto Type = makeType("counter");
   WorkloadSpec W;
   // Pinned independently of --ops/--smoke: the retention measurement
@@ -245,16 +208,13 @@ PointReport runReconfigPoint(const char *Action, const Options &Opt) {
   RO.Transport = rdma::TransportKind::Sim;
   RO.ReconfigAction = Action;
 
-  PointReport P;
-  P.R = runWorkload(*Type, W, RO);
-  fillPercentiles(P);
-  return P;
+  return runWorkload(*Type, W, RO);
 }
 
 /// One fig_bigstate mode point: the update-only workload over a seeded
 /// big state, plus the transport bytes it shipped per delivered call.
 struct BigStatePoint {
-  PointReport P;
+  RunResult R;
   std::uint64_t BytesWritten = 0;
   double BytesPerCall = 0;
 };
@@ -295,12 +255,11 @@ BigStatePoint runBigStatePoint(const std::string &TypeName,
     };
   }
   BigStatePoint B;
-  B.P.R = runWorkload(*Type, W, RO);
-  fillPercentiles(B.P);
-  B.BytesWritten = B.P.R.ClusterStats.counter("rdma.bytes_written");
-  if (B.P.R.CompletedOps)
+  B.R = runWorkload(*Type, W, RO);
+  B.BytesWritten = B.R.ClusterStats.counter("rdma.bytes_written");
+  if (B.R.CompletedOps)
     B.BytesPerCall = static_cast<double>(B.BytesWritten) /
-                     static_cast<double>(B.P.R.CompletedOps);
+                     static_cast<double>(B.R.CompletedOps);
   return B;
 }
 
@@ -542,22 +501,20 @@ json::Value runHeadline(unsigned Reps) {
 }
 
 json::Value pointToJson(const std::string &TypeName, unsigned Nodes,
-                        double UpdateRatio, const PointReport &P,
+                        double UpdateRatio, const RunResult &R,
                         const char *Transport = "sim") {
   json::Value O = json::Value::makeObject();
   O.add("type", json::Value::makeString(TypeName));
   O.add("transport", json::Value::makeString(Transport));
   O.add("nodes", json::Value::makeUInt(Nodes));
   O.add("update_pct", json::Value::makeDouble(UpdateRatio * 100.0));
-  O.add("throughput_ops_us",
-        json::Value::makeDouble(P.R.ThroughputOpsPerUs));
-  O.add("mean_response_us", json::Value::makeDouble(P.R.MeanResponseUs));
-  O.add("p50_response_us", json::Value::makeDouble(P.P50Us));
-  O.add("p99_response_us", json::Value::makeDouble(P.P99Us));
-  O.add("max_response_us", json::Value::makeDouble(P.MaxUs));
-  O.add("percentile_source", json::Value::makeString(P.Source));
-  O.add("completed_ops", json::Value::makeUInt(P.R.CompletedOps));
-  O.add("completed", json::Value::makeBool(P.R.Completed));
+  O.add("throughput_ops_us", json::Value::makeDouble(R.ThroughputOpsPerUs));
+  O.add("mean_response_us", json::Value::makeDouble(R.MeanResponseUs));
+  O.add("p50_response_us", json::Value::makeDouble(R.P50ResponseUs));
+  O.add("p99_response_us", json::Value::makeDouble(R.P99ResponseUs));
+  O.add("max_response_us", json::Value::makeDouble(R.MaxResponseUs));
+  O.add("completed_ops", json::Value::makeUInt(R.CompletedOps));
+  O.add("completed", json::Value::makeBool(R.Completed));
   return O;
 }
 
@@ -1232,11 +1189,6 @@ int main(int Argc, char **Argv) {
 
   json::Value Doc = json::Value::makeObject();
   Doc.add("schema", json::Value::makeString("hamband-bench-v1"));
-#if HAMBAND_OBS_ENABLED
-  Doc.add("obs_enabled", json::Value::makeBool(true));
-#else
-  Doc.add("obs_enabled", json::Value::makeBool(false));
-#endif
   Doc.add("ops", json::Value::makeUInt(Opt.Ops));
   Doc.add("reps", json::Value::makeUInt(std::max(1u, Opt.Reps)));
 
@@ -1246,26 +1198,24 @@ int main(int Argc, char **Argv) {
     // -- the headline throughput configuration -- plus the same point
     // with the call-batching layer enabled. Fig9 point: irreducible
     // conflict-free updates through the F rings (ORSet), same shape.
-    PointReport Fig8 = runFigPoint("counter", 4, 0.25, Opt);
-    PointReport Fig8B = runFigPoint("counter", 4, 0.25, Opt, true);
-    PointReport Fig9 = runFigPoint("orset", 4, 0.25, Opt);
-    SimTput = Fig8.R.ThroughputOpsPerUs;
-    SimBTput = Fig8B.R.ThroughputOpsPerUs;
-    Fig9P99 = Fig9.P99Us;
+    RunResult Fig8 = runFigPoint("counter", 4, 0.25, Opt);
+    RunResult Fig8B = runFigPoint("counter", 4, 0.25, Opt, true);
+    RunResult Fig9 = runFigPoint("orset", 4, 0.25, Opt);
+    SimTput = Fig8.ThroughputOpsPerUs;
+    SimBTput = Fig8B.ThroughputOpsPerUs;
+    Fig9P99 = Fig9.P99ResponseUs;
     Doc.add("fig8", pointToJson("counter", 4, 0.25, Fig8));
     json::Value Fig8BJson = pointToJson("counter", 4, 0.25, Fig8B);
     Fig8BJson.add("batched", json::Value::makeBool(true));
     Doc.add("fig8_batched", std::move(Fig8BJson));
     Doc.add("fig9", pointToJson("orset", 4, 0.25, Fig9));
 
-    // Embed the fig9 run's merged snapshot so a report is
-    // self-describing: readers can recompute the percentiles from the
-    // raw buckets.
-    if (!Fig9.R.ClusterStats.empty()) {
-      json::Value Stats;
-      if (json::parse(Fig9.R.ClusterStats.toJson(), Stats))
-        Doc.add("stats", std::move(Stats));
-    }
+    // Embed the fig9 run's merged snapshot so a report carries the
+    // runtime's own counters and node histograms next to the driver's
+    // figures.
+    json::Value Stats;
+    if (json::parse(Fig9.ClusterStats.toJson(), Stats))
+      Doc.add("stats", std::move(Stats));
 
     // fig_shard: keyspace scaling sweep plus one zipfian hot-key
     // companion at the top shard count.
@@ -1278,22 +1228,22 @@ int main(int Argc, char **Argv) {
       double Shard1Tput = 0, ShardTopTput = 0;
       unsigned TopShards = 0;
       for (unsigned S : Opt.Shards) {
-        PointReport P = runShardPoint(S, 0.0, Opt);
+        RunResult P = runShardPoint(S, 0.0, Opt);
         json::Value PJ = pointToJson("movie", 4, 1.0, P);
         PJ.add("shards", json::Value::makeUInt(S));
         PJ.add("objects", json::Value::makeUInt(Opt.ShardObjects));
         PJ.add("zipf_skew", json::Value::makeDouble(0.0));
         Points.Arr.push_back(std::move(PJ));
         if (S == 1)
-          Shard1Tput = P.R.ThroughputOpsPerUs;
+          Shard1Tput = P.ThroughputOpsPerUs;
         if (S >= TopShards) {
           TopShards = S;
-          ShardTopTput = P.R.ThroughputOpsPerUs;
+          ShardTopTput = P.ThroughputOpsPerUs;
         }
       }
       Sweep.add("points", std::move(Points));
       {
-        PointReport Z = runShardPoint(TopShards, 0.99, Opt);
+        RunResult Z = runShardPoint(TopShards, 0.99, Opt);
         json::Value ZJ = pointToJson("movie", 4, 1.0, Z);
         ZJ.add("shards", json::Value::makeUInt(TopShards));
         ZJ.add("objects", json::Value::makeUInt(Opt.ShardObjects));
@@ -1311,10 +1261,7 @@ int main(int Argc, char **Argv) {
     // fig_bigstate: bytes shipped per delivered call with a big resident
     // state, full-image mode vs delta mode, per reducible set type. The
     // lww-register entry has a constant-size image and is the ungated
-    // contrast case. The sweep reads the transport's rdma.bytes_written
-    // counter, so an HAMBAND_OBS=OFF build (the bench_regress overhead
-    // twin) omits the section instead of reporting zero bytes.
-#if HAMBAND_OBS_ENABLED
+    // contrast case.
     if (Opt.BigElems) {
       struct BigCase {
         const char *Type;
@@ -1340,7 +1287,7 @@ int main(int Argc, char **Argv) {
         E.add("seeded_elements", json::Value::makeUInt(Elems));
         for (const auto &Mode :
              {std::make_pair("full", &Full), std::make_pair("delta", &Delta)}) {
-          json::Value PJ = pointToJson(BC.Type, 4, 1.0, Mode.second->P);
+          json::Value PJ = pointToJson(BC.Type, 4, 1.0, Mode.second->R);
           PJ.add("deltas", json::Value::makeBool(Mode.second == &Delta));
           PJ.add("bytes_written",
                  json::Value::makeUInt(Mode.second->BytesWritten));
@@ -1361,12 +1308,9 @@ int main(int Argc, char **Argv) {
       Big.add("types", std::move(Entries));
       Doc.add("fig_bigstate", std::move(Big));
     }
-#endif
 
     // fig_reconfig: throughput retention across an online membership
-    // transition, one point per direction. The phase split and retry
-    // count come from the driver itself, so the section is present in
-    // HAMBAND_OBS=OFF builds too.
+    // transition, one point per direction.
     {
       json::Value Rec = json::Value::makeObject();
       Rec.add("type", json::Value::makeString("counter"));
@@ -1374,7 +1318,7 @@ int main(int Argc, char **Argv) {
       Rec.add("at_fraction", json::Value::makeDouble(0.4));
       json::Value Points = json::Value::makeArray();
       for (const char *Action : {"add", "remove"}) {
-        PointReport P = runReconfigPoint(Action, Opt);
+        RunResult P = runReconfigPoint(Action, Opt);
         bool IsAdd = std::strcmp(Action, "add") == 0;
         json::Value J = pointToJson("counter", 4, 0.25, P);
         J.add("action", json::Value::makeString(Action));
@@ -1383,22 +1327,22 @@ int main(int Argc, char **Argv) {
         J.add("serving_before", json::Value::makeUInt(IsAdd ? 3 : 4));
         J.add("serving_after", json::Value::makeUInt(IsAdd ? 4 : 3));
         J.add("steady_tput_ops_us",
-              json::Value::makeDouble(P.R.SteadyThroughputOpsPerUs));
+              json::Value::makeDouble(P.SteadyThroughputOpsPerUs));
         J.add("during_tput_ops_us",
-              json::Value::makeDouble(P.R.DuringThroughputOpsPerUs));
+              json::Value::makeDouble(P.DuringThroughputOpsPerUs));
         J.add("after_tput_ops_us",
-              json::Value::makeDouble(P.R.AfterThroughputOpsPerUs));
-        J.add("transition_us", json::Value::makeDouble(P.R.TransitionUs));
-        J.add("installed", json::Value::makeBool(P.R.ReconfigInstalled));
+              json::Value::makeDouble(P.AfterThroughputOpsPerUs));
+        J.add("transition_us", json::Value::makeDouble(P.TransitionUs));
+        J.add("installed", json::Value::makeBool(P.ReconfigInstalled));
         J.add("wrong_epoch_retries",
-              json::Value::makeUInt(P.R.WrongEpochRetries));
+              json::Value::makeUInt(P.WrongEpochRetries));
         std::printf("fig_reconfig %s: steady %.4f, during %.4f, after "
                     "%.4f ops/us across a %.0f us transition (%llu "
                     "closed-epoch retries)\n",
-                    Action, P.R.SteadyThroughputOpsPerUs,
-                    P.R.DuringThroughputOpsPerUs,
-                    P.R.AfterThroughputOpsPerUs, P.R.TransitionUs,
-                    static_cast<unsigned long long>(P.R.WrongEpochRetries));
+                    Action, P.SteadyThroughputOpsPerUs,
+                    P.DuringThroughputOpsPerUs,
+                    P.AfterThroughputOpsPerUs, P.TransitionUs,
+                    static_cast<unsigned long long>(P.WrongEpochRetries));
         Points.Arr.push_back(std::move(J));
       }
       Rec.add("points", std::move(Points));
@@ -1424,12 +1368,12 @@ int main(int Argc, char **Argv) {
     // The same fig8 point on real threads over real shared memory:
     // throughput here is wall-clock operations per microsecond on this
     // host, measured over the exact protocol code the simulator runs.
-    PointReport Shm = runFigPoint("counter", 4, 0.25, Opt, false,
-                                  rdma::TransportKind::Shm);
-    PointReport ShmB = runFigPoint("counter", 4, 0.25, Opt, true,
-                                   rdma::TransportKind::Shm);
-    ShmTput = Shm.R.ThroughputOpsPerUs;
-    ShmBTput = ShmB.R.ThroughputOpsPerUs;
+    RunResult Shm = runFigPoint("counter", 4, 0.25, Opt, false,
+                                rdma::TransportKind::Shm);
+    RunResult ShmB = runFigPoint("counter", 4, 0.25, Opt, true,
+                                 rdma::TransportKind::Shm);
+    ShmTput = Shm.ThroughputOpsPerUs;
+    ShmBTput = ShmB.ThroughputOpsPerUs;
     Doc.add("fig8_shm", pointToJson("counter", 4, 0.25, Shm, "shm"));
     json::Value ShmBJson = pointToJson("counter", 4, 0.25, ShmB, "shm");
     ShmBJson.add("batched", json::Value::makeBool(true));
