@@ -155,12 +155,6 @@ public:
   void setFaultHook(FabricFaultHook *H) override { Hook = H; }
   FabricFaultHook *faultHook() const override { return Hook; }
 
-  /// Diagnostic counters.
-  std::uint64_t totalWritesPosted() const override { return WritesPosted; }
-  std::uint64_t totalReadsPosted() const override { return ReadsPosted; }
-  std::uint64_t totalSendsPosted() const override { return SendsPosted; }
-  std::uint64_t totalBytesWritten() const override { return BytesWritten; }
-
   /// Wires verb-level metrics (rdma.write / rdma.read / rdma.send /
   /// rdma.bytes_written, the rdma.wire_ns simulated-latency histogram, and
   /// the completion-queue rdma.cq_polls / rdma.cqes_per_poll) into \p R,
@@ -199,11 +193,6 @@ private:
   /// Last delivery time per ordered (src, dst) pair, for RC FIFO order.
   std::vector<sim::SimTime> ChannelLast;
   RegionKey NextRegionKey = 1;
-
-  std::uint64_t WritesPosted = 0;
-  std::uint64_t ReadsPosted = 0;
-  std::uint64_t SendsPosted = 0;
-  std::uint64_t BytesWritten = 0;
 
   obs::Counter *CtrWrite = nullptr;
   obs::Counter *CtrRead = nullptr;

@@ -99,19 +99,6 @@ public:
   void setFaultHook(FabricFaultHook *H) override;
   FabricFaultHook *faultHook() const override { return nullptr; }
 
-  std::uint64_t totalWritesPosted() const override {
-    return WritesPosted.load(std::memory_order_relaxed);
-  }
-  std::uint64_t totalReadsPosted() const override {
-    return ReadsPosted.load(std::memory_order_relaxed);
-  }
-  std::uint64_t totalSendsPosted() const override {
-    return SendsPosted.load(std::memory_order_relaxed);
-  }
-  std::uint64_t totalBytesWritten() const override {
-    return BytesWritten.load(std::memory_order_relaxed);
-  }
-
   void setObs(obs::Registry &R) override;
 
   void pauseWorld() override;
@@ -160,11 +147,6 @@ private:
   mutable std::mutex PermMu;
   std::map<std::uint64_t, bool> Perm; // (target,writer,key) packed
   RegionKey NextRegionKey = 1;        // guarded by PermMu
-
-  std::atomic<std::uint64_t> WritesPosted{0};
-  std::atomic<std::uint64_t> ReadsPosted{0};
-  std::atomic<std::uint64_t> SendsPosted{0};
-  std::atomic<std::uint64_t> BytesWritten{0};
 
   obs::Counter *CtrWrite = nullptr;
   obs::Counter *CtrRead = nullptr;

@@ -213,12 +213,6 @@ public:
   virtual void setFaultHook(FabricFaultHook *H) = 0;
   virtual FabricFaultHook *faultHook() const = 0;
 
-  /// Diagnostic counters.
-  virtual std::uint64_t totalWritesPosted() const = 0;
-  virtual std::uint64_t totalReadsPosted() const = 0;
-  virtual std::uint64_t totalSendsPosted() const = 0;
-  virtual std::uint64_t totalBytesWritten() const = 0;
-
   /// Wires verb-level metrics into \p R, which must outlive the
   /// transport's last verb.
   virtual void setObs(obs::Registry &R) = 0;

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
 # twin, delta twin, reconfig, delta + reconfig, pinned regression runs),
-# the bench-report smoke with its paper-claim and baseline gates, the
-# bounded coordination-verifier gate (including keyed-lift preservation),
-# the hamband_mc exhaustive small-scope sweep
+# the bench-report smoke with its built-in gates and one doctored report
+# per gate, the bounded coordination-verifier gate (including keyed-lift
+# preservation), the hamband_mc exhaustive small-scope sweep
 # (plus a delta-mode exploration), the end-to-end benchmark smoke
 # (bench/e2e's own build and ctests), a TSan flavor (threaded obs mutation,
 # shm ring stress, the shm transport conformance corpus, the shm sharded
@@ -80,50 +80,89 @@ done <<'PINS'
 --seed 201 --deltas --batch --only 731
 PINS
 
-# Bench smoke: the regression harness must produce a well-formed report.
+# Bench smoke: the regression harness produces a smoke report and runs the
+# tool's bare --check on it, which requires every sim section and applies
+# every built-in gate (the paper's claims and the extension floors).
 "$REPO/scripts/bench_regress.sh" --smoke --out "$BUILD/BENCH_smoke.json" \
   "$BUILD"
-"$BUILD/tools/hamband_bench_report" --check "$BUILD/BENCH_smoke.json"
 
-# The paper-claim gates must fire: a copy of the smoke report with one
-# Hamband Fig 9 point lowered below its Mu twin must fail --check.
-echo "ci: paper-claim gate fires on a doctored report"
-python3 - "$BUILD/BENCH_smoke.json" "$BUILD/BENCH_doctored.json" <<'PY'
+# Every built-in gate must fire. Each doctored copy of the smoke report
+# breaks one gate; the bare --check must reject it with that gate's
+# message, and --compare against the original must reject a copy with one
+# point halved, naming that point.
+echo "ci: every report gate fires on a doctored report"
+python3 - "$BUILD/BENCH_smoke.json" "$BUILD/BENCH_doctored" <<'PY'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-fig9 = doc["paper"]["fig9"]
-ham = next(p for p in fig9 if p["runtime"] == "hamband")
-mu = next(p for p in fig9 if p["runtime"] == "mu" and
-          all(p[k] == ham[k] for k in ("type", "nodes", "update_pct", "ops")))
-ham["throughput_ops_us"] = mu["throughput_ops_us"] / 2
-json.dump(doc, open(sys.argv[2], "w"))
-PY
-if out=$("$BUILD/tools/hamband_bench_report" --check \
-           "$BUILD/BENCH_doctored.json" 2>&1); then
-  echo "ci: --check accepted a report with Hamband below Mu in fig9" >&2
-  exit 1
-fi
-grep -q "check failed: paper.fig9/" <<<"$out" || {
-  echo "ci: doctored report failed for the wrong reason: $out" >&2; exit 1; }
 
-# The baseline gate must cover the sharded sweep: a copy of the smoke
-# report with one fig_shard point's throughput halved must fail --compare
-# against the original, naming that point.
-echo "ci: baseline gate fires on a doctored fig_shard point"
-python3 - "$BUILD/BENCH_smoke.json" "$BUILD/BENCH_doctored_shard.json" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-doc["fig_shard"]["points"][-1]["throughput_ops_us"] /= 2
-json.dump(doc, open(sys.argv[2], "w"))
+def doctored(case, edit):
+    doc = json.load(open(sys.argv[1]))
+    edit(doc)
+    json.dump(doc, open("%s_%s.json" % (sys.argv[2], case), "w"))
+
+def pick(points, **fields):
+    return next(p for p in points
+                if all(p[k] == v for k, v in fields.items()))
+
+def fig9_below_mu(doc):  # one Hamband Fig 9 point below its Mu twin
+    ham = pick(doc["paper"]["fig9"], runtime="hamband")
+    mu = pick(doc["paper"]["fig9"], runtime="mu", type=ham["type"],
+              nodes=ham["nodes"], update_pct=ham["update_pct"], ops=ham["ops"])
+    ham["throughput_ops_us"] = mu["throughput_ops_us"] / 2
+
+def batching_gone(doc):
+    doc["fig8_batched"]["throughput_ops_us"] = doc["fig8"]["throughput_ops_us"]
+
+def shards_flat(doc):
+    pts = doc["fig_shard"]["points"]
+    pick(pts, shards=8)["throughput_ops_us"] = \
+        pick(pts, shards=1)["throughput_ops_us"]
+
+def deltas_flat(doc):
+    pick(doc["fig_bigstate"]["types"], type="gset")["bytes_factor"] = 1
+
+def reconfig_stall(doc):
+    p = pick(doc["fig_reconfig"]["points"], action="add")
+    p["during_tput_ops_us"] = p["steady_tput_ops_us"] / 3
+
+def shard_halved(doc):
+    pick(doc["fig_shard"]["points"], shards=8)["throughput_ops_us"] /= 2
+
+def paper_halved(doc):
+    pick(doc["paper"]["fig11"], runtime="hamband",
+         update_pct=50)["throughput_ops_us"] /= 2
+
+doctored("fig9", fig9_below_mu)
+doctored("batch", batching_gone)
+doctored("shard", shards_flat)
+doctored("delta", deltas_flat)
+doctored("reconfig", reconfig_stall)
+doctored("no_reconfig", lambda doc: doc.pop("fig_reconfig"))
+doctored("cmp_shard", shard_halved)
+doctored("cmp_paper", paper_halved)
 PY
-if out=$("$BUILD/tools/hamband_bench_report" --compare \
-           "$BUILD/BENCH_doctored_shard.json" "$BUILD/BENCH_smoke.json" 2>&1); then
-  echo "ci: --compare accepted a halved fig_shard point" >&2
-  exit 1
-fi
-grep -q "compare failed: fig_shard/" <<<"$out" || {
-  echo "ci: doctored fig_shard compare failed for the wrong reason: $out" >&2
-  exit 1; }
+while read -r CASE MODE MSG; do
+  if [ "$MODE" = check ]; then
+    ARGS=(--check "$BUILD/BENCH_doctored_$CASE.json")
+  else
+    ARGS=(--compare "$BUILD/BENCH_doctored_$CASE.json" "$BUILD/BENCH_smoke.json")
+  fi
+  if out=$("$BUILD/tools/hamband_bench_report" "${ARGS[@]}" </dev/null 2>&1); then
+    echo "ci: --$MODE accepted the doctored report $CASE" >&2
+    exit 1
+  fi
+  grep -qF "$MODE failed: $MSG" <<<"$out" || {
+    echo "ci: doctored report $CASE failed for the wrong reason: $out" >&2
+    exit 1; }
+done <<'CASES'
+fig9 check paper.fig9/
+batch check batching speedup below floor
+shard check shard speedup below floor
+delta check fig_bigstate gset delta bytes reduction below floor
+reconfig check fig_reconfig add throughput retention below floor
+no_reconfig check fig_reconfig.points missing or empty
+cmp_shard compare fig_shard/shards=8 outside tolerance
+cmp_paper compare paper.fig11/project-management/hamband/nodes:4/upd:50/ops:24000/base outside tolerance
+CASES
 
 # End-to-end benchmark smoke: bench/e2e is its own CMake project (the
 # build bench/e2e/run.py uses), so its two ctests -- the tiny-size run of

@@ -159,8 +159,6 @@ void Fabric::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
                        std::vector<std::uint8_t> Data, RegionKey Key,
                        CompletionFn OnComplete, unsigned Lane) {
   assert(Dst < Nodes.size() && "destination out of range");
-  ++WritesPosted;
-  BytesWritten += Data.size();
   if (CtrWrite) {
     CtrWrite->add();
     CtrBytes->add(Data.size());
@@ -208,7 +206,6 @@ void Fabric::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
                       unsigned Lane) {
   assert(Dst < Nodes.size() && "destination out of range");
   assert(OnComplete && "a read without a completion is useless");
-  ++ReadsPosted;
   if (CtrRead)
     CtrRead->add();
   runOnCpu(
@@ -241,7 +238,6 @@ void Fabric::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
 void Fabric::send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
                   CompletionFn OnComplete, unsigned Lane) {
   assert(Dst < Nodes.size() && "destination out of range");
-  ++SendsPosted;
   if (CtrSend)
     CtrSend->add();
   auto Payload = std::make_shared<std::vector<std::uint8_t>>(std::move(Msg));

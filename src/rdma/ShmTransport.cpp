@@ -104,8 +104,6 @@ void ShmTransport::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
   assert(Src < Nodes.size() && Dst < Nodes.size());
   if (!Nodes[Src]->Alive.load(std::memory_order_acquire))
     return; // A crashed initiator posts nothing (its CPU is stopped).
-  WritesPosted.fetch_add(1, std::memory_order_relaxed);
-  BytesWritten.fetch_add(Data.size(), std::memory_order_relaxed);
   if (CtrWrite)
     CtrWrite->add();
   if (CtrBytes)
@@ -133,7 +131,6 @@ void ShmTransport::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
   assert(Src < Nodes.size() && Dst < Nodes.size());
   if (!Nodes[Src]->Alive.load(std::memory_order_acquire))
     return;
-  ReadsPosted.fetch_add(1, std::memory_order_relaxed);
   if (CtrRead)
     CtrRead->add();
   // The Transport contract promises a consistent snapshot; double-read
@@ -155,7 +152,6 @@ void ShmTransport::send(NodeId Src, NodeId Dst,
   assert(Src < Nodes.size() && Dst < Nodes.size());
   if (!Nodes[Src]->Alive.load(std::memory_order_acquire))
     return;
-  SendsPosted.fetch_add(1, std::memory_order_relaxed);
   if (CtrSend)
     CtrSend->add();
   ShmNode *D = Nodes[Dst].get();

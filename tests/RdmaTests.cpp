@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "hamband/obs/Metrics.h"
 #include "hamband/rdma/Fabric.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,8 @@ std::vector<std::uint8_t> bytes(std::initializer_list<std::uint8_t> L) {
 }
 
 struct FabricTest : ::testing::Test {
+  /// Declared first, so it outlives the fabric that setObs() wires into it.
+  obs::Registry Obs;
   sim::Simulator Sim;
   Fabric Fab{Sim, 3, NetworkModel(), 1u << 20};
 };
@@ -305,15 +308,17 @@ TEST_F(FabricTest, CpuLanesRunInParallel) {
 }
 
 TEST_F(FabricTest, DiagnosticCountersAdvance) {
-  EXPECT_EQ(Fab.totalWritesPosted(), 0u);
+  Fab.setObs(Obs);
+  EXPECT_EQ(Obs.snapshot().counter("rdma.write"), 0u);
   Fab.postWrite(0, 1, 0, bytes({1, 2}));
   Fab.postRead(0, 1, 0, 2, [](WcStatus, std::vector<std::uint8_t>) {});
   Fab.send(0, 1, bytes({3}));
   Sim.run();
-  EXPECT_EQ(Fab.totalWritesPosted(), 1u);
-  EXPECT_EQ(Fab.totalReadsPosted(), 1u);
-  EXPECT_EQ(Fab.totalSendsPosted(), 1u);
-  EXPECT_EQ(Fab.totalBytesWritten(), 2u);
+  obs::StatsSnapshot S = Obs.snapshot();
+  EXPECT_EQ(S.counter("rdma.write"), 1u);
+  EXPECT_EQ(S.counter("rdma.read"), 1u);
+  EXPECT_EQ(S.counter("rdma.send"), 1u);
+  EXPECT_EQ(S.counter("rdma.bytes_written"), 2u);
 }
 
 namespace {

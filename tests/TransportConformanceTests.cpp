@@ -29,6 +29,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "hamband/core/TypeRegistry.h"
+#include "hamband/obs/Metrics.h"
 #include "hamband/rdma/Fabric.h"
 #include "hamband/rdma/ShmTransport.h"
 #include "hamband/runtime/HambandCluster.h"
@@ -102,6 +103,9 @@ protected:
     FAIL() << "shm transport did not quiesce";
   }
 
+  /// Declared first, so it outlives the transport that setObs() wires
+  /// into it.
+  obs::Registry Obs;
   std::unique_ptr<sim::Simulator> Sim; // Sim backend only.
   std::unique_ptr<Transport> T;
 };
@@ -291,15 +295,17 @@ TEST_P(TransportConformance, NowAdvancesMonotonically) {
 }
 
 TEST_P(TransportConformance, DiagnosticCountersAdvance) {
-  EXPECT_EQ(T->totalWritesPosted(), 0u);
+  T->setObs(Obs);
+  EXPECT_EQ(Obs.snapshot().counter("rdma.write"), 0u);
   T->postWrite(0, 1, 0, bytes({1, 2}));
   T->postRead(0, 1, 0, 2, [](WcStatus, std::vector<std::uint8_t>) {});
   T->send(0, 1, bytes({3}));
   settle();
-  EXPECT_EQ(T->totalWritesPosted(), 1u);
-  EXPECT_EQ(T->totalReadsPosted(), 1u);
-  EXPECT_EQ(T->totalSendsPosted(), 1u);
-  EXPECT_EQ(T->totalBytesWritten(), 2u);
+  obs::StatsSnapshot S = Obs.snapshot();
+  EXPECT_EQ(S.counter("rdma.write"), 1u);
+  EXPECT_EQ(S.counter("rdma.read"), 1u);
+  EXPECT_EQ(S.counter("rdma.send"), 1u);
+  EXPECT_EQ(S.counter("rdma.bytes_written"), 2u);
 }
 
 // The single-writer ring protocol over the raw verbs: spanning records,

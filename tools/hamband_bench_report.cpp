@@ -4,85 +4,90 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Runs the headline figure points (fig8 reduction throughput on the
-// counter -- unbatched and with reduction-aware call batching -- and fig9
-// buffering latency on the ORSet) and every point of the paper's
-// evaluation (the "paper" section) through benchlib and emits a
-// machine-readable hamband-bench-v1 JSON report:
+// Runs the headline figure points, the extension sweeps and every point
+// of the paper's evaluation through benchlib and emits a machine-readable
+// hamband-bench-v1 JSON report, then gates it:
 //
 //   hamband_bench_report --out BENCH.json          # run and emit
 //   hamband_bench_report --smoke --out BENCH.json  # tiny op count for CI
 //   hamband_bench_report --transport both --out B.json  # + shm wall-clock
-//   hamband_bench_report --check BENCH.json        # validate a report
-//   hamband_bench_report --check BENCH.json --min-batch-speedup 1.25
-//   hamband_bench_report --check BENCH.json --min-shard-speedup 2.0
-//   hamband_bench_report --check BENCH.json --min-delta-bytes-factor 5
-//   hamband_bench_report --check BENCH.json --min-reconfig-retention 0.70
-//   hamband_bench_report --compare A.json B.json --tolerance 0.05
+//   hamband_bench_report --check BENCH.json        # validate and gate
+//   hamband_bench_report --compare A.json B.json   # hold A to baseline B
 //
 // --transport selects the backend dimension: "sim" (default) emits the
-// simulated-time figures fig8/fig8_batched/fig9, the extension sweeps and
-// the paper section; "shm" emits only the wall-clock shared-memory points
-// fig8_shm/fig8_shm_batched; "both" emits all sections side by side.
+// simulated-time sections below; "shm" emits only the wall-clock
+// shared-memory points fig8_shm/fig8_shm_batched; "both" emits all
+// sections side by side.
 //
-// The fig_shard sweep measures keyspace scaling: a conflicting-call
-// workload (movie addCustomer/deleteCustomer -- one sync group, so the
-// unsharded cluster funnels every call through a single leader node)
-// over --shard-objects distinct objects, run at 1/2/4/8 shards, plus
-// one zipfian hot-key companion point at the top shard count. --check
-// with --min-shard-speedup gates the top-shard-count throughput against
-// the 1-shard figure. The shm numbers measure real
-// threads on real memory and depend on the host's core count, so they
-// are recorded for trend-watching but never gated on a speedup floor,
-// and --compare only ever examines sim sections.
+// The simulated-time sections:
 //
-// The fig_bigstate sweep measures what delta-state propagation
-// (docs/deltas.md) buys on large resident state: each replica is
-// pre-seeded with a --big-elems-element summary (gset and two-phase-set;
-// HambandCluster::seedReducibleState), then an update-only workload runs
-// with full-image shipping and again with delta shipping, recording
-// rdma.bytes_written per delivered call. --check with
-// --min-delta-bytes-factor gates the full/delta bytes-per-call ratio of
-// every seeded entry. The lww-register companion entry is the contrast
-// case -- its image is a single stamped value, so deltas cannot help --
-// and is recorded ungated.
-//
-// The fig_reconfig sweep measures online membership reconfiguration
-// (docs/reconfig.md): the fig8 counter point runs with a membership
-// transition triggered at 40% of issued ops -- "add" provisions the
-// fourth node as a standby and joins it mid-run, "remove" retires the
-// last serving node -- and the report records the throughput split
-// around the transition (steady / during / after) plus the transition
-// length and the number of closed-epoch client retries. --check with
-// --min-reconfig-retention gates the during-transition throughput
-// against the steady rate and requires the post-transition rate to
-// recover to 95% of the capacity-adjusted steady rate (a removal takes
-// a serving node's capacity with it; an addition must at least hold
-// steady). The sweep's op count is pinned (not --ops/--smoke scaled):
-// the after-phase average needs a long window to amortize the
-// pipeline-refill dip right after reopen.
-//
-// The paper section holds every point behind the paper's evaluation
-// (Section 5): Figs 8-13 against the MSG and Mu baselines, the
-// abstract's headline aggregate, and the design ablations, each with the
-// call count, node count and configuration its figure uses. Its sizes are
-// pinned too, so every report carries the same numbers. --check gates the
-// paper's relative claims on every report that carries the section (the
-// floors are the constants below, not options): the headline's 17x MSG
-// and 2.7x Mu throughput, Hamband ahead of both baselines at every Fig 8
-// and Fig 9 point, 1.4x Mu per Fig 10 size, above Mu per Fig 11 ratio, a
-// failure always costing throughput in Fig 12, and Fig 13's none >
-// follower > leader order.
+//  - fig8, fig8_batched, fig9: the headline points, 4 nodes, 25% updates,
+//    --ops calls. fig8 is reduction throughput on the counter, unbatched
+//    and (fig8_batched) with reduction-aware call batching; fig9 is
+//    buffering latency on the ORSet.
+//  - fig_shard: keyspace scaling. A conflicting-call workload (movie
+//    addCustomer/deleteCustomer -- one sync group, so the unsharded
+//    cluster funnels every call through a single leader node) over
+//    ShardObjects distinct objects, at each of ShardCounts, plus one
+//    zipfian hot-key companion point at the top shard count.
+//  - fig_bigstate: what delta-state propagation (docs/deltas.md) buys on
+//    large resident state. Each replica is pre-seeded with a
+//    BigElems-element summary (gset and two-phase-set;
+//    HambandCluster::seedReducibleState), then an update-only workload
+//    runs with full-image shipping and again with delta shipping,
+//    recording rdma.bytes_written per delivered call. The lww-register
+//    entry is the contrast case -- its image is a single stamped value, so
+//    deltas cannot help -- and is recorded ungated.
+//  - fig_reconfig: online membership reconfiguration (docs/reconfig.md).
+//    The fig8 counter point runs with a membership transition triggered at
+//    40% of issued ops -- "add" provisions the fourth node as a standby
+//    and joins it mid-run, "remove" retires the last serving node -- and
+//    records the throughput split around the transition (steady / during
+//    / after), the transition length and the number of closed-epoch
+//    client retries. Its op count is pinned (not --ops/--smoke scaled):
+//    the after-phase average needs a long window to amortize the
+//    pipeline-refill dip right after reopen.
+//  - paper: every point behind the paper's evaluation (Section 5): Figs
+//    8-13 against the MSG and Mu baselines, the abstract's headline
+//    aggregate and the design ablations, each with the call count, node
+//    count and configuration its figure uses. Its sizes are pinned too, so
+//    every report carries the same numbers.
+//  - stats: the fig9 run's merged hamband-stats-v1 snapshot, so a report
+//    carries the runtime's own counters next to the driver's figures.
 //
 // Every point's response mean and percentiles, in every section, come
 // from the driver's exact per-call samples (benchlib::RunResult).
 //
-// --compare exits nonzero when the throughput of any sim point -- fig8,
-// fig8_batched, fig9, and every fig_shard point matched by shard count
-// plus the zipf companion -- differs by more than the tolerance, or when
-// one report lacks a point the other carries, and names the failing
-// point. That is how scripts/bench_regress.sh holds a run to the
-// committed baseline.
+// The gates are the constants below, not options. --check requires every
+// simulated-time section, validates the shape of every point, and gates:
+//
+//  - the paper's relative claims: the headline's 17x MSG and 2.7x Mu
+//    throughput, Hamband ahead of both baselines at every Fig 8 and Fig 9
+//    point, 1.4x Mu per Fig 10 size, above Mu per Fig 11 ratio, a failure
+//    always costing throughput in Fig 12, and Fig 13's none > follower >
+//    leader order;
+//  - batching: fig8_batched throughput at least 1.25x fig8's;
+//  - shards: the top shard count's throughput at least 2x the 1-shard
+//    point's;
+//  - delta bytes: every gated fig_bigstate entry ships at least 5x fewer
+//    transport bytes per delivered call in delta mode than in full-image
+//    mode;
+//  - reconfig retention: every fig_reconfig point keeps at least 70% of
+//    its steady throughput during the transition, and recovers to 95% of
+//    the capacity-adjusted steady rate after it (a removal takes a serving
+//    node's capacity with it; an addition must at least hold steady).
+//
+// The shm numbers measure real threads on real memory and depend on the
+// host's core count: --check validates their shape only, and --compare
+// never examines them.
+//
+// --compare A B exits nonzero when the throughput of any simulated-time
+// point -- every point of the sections above, named as it prints them --
+// differs by more than 5% between the reports, when one report lacks a
+// point the other carries, or when a name occurs twice in one report; each
+// failure names its point. scripts/bench_regress.sh holds a run to the
+// committed baseline with it, and its output lists the old and new value
+// of every point.
 //
 //===----------------------------------------------------------------------===//
 
@@ -92,10 +97,12 @@
 #include "hamband/runtime/HambandCluster.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -116,32 +123,16 @@ struct Options {
   std::string CheckFile;  // --check mode.
   std::string CompareA;   // --compare mode.
   std::string CompareB;
-  double Tolerance = 0.05;
-  /// With --check: require fig8_batched throughput to be at least this
-  /// multiple of fig8 (0 = no gate).
-  double MinBatchSpeedup = 0;
-  /// With --check: require the fig_shard sweep's top-shard-count
-  /// throughput to be at least this multiple of its 1-shard point
-  /// (0 = no gate).
-  double MinShardSpeedup = 0;
-  /// With --check: require every gated fig_bigstate entry's full-image
-  /// bytes-per-call to be at least this multiple of its delta-mode
-  /// bytes-per-call (0 = no gate).
-  double MinDeltaBytesFactor = 0;
-  /// With --check: require every fig_reconfig point's during-transition
-  /// throughput to be at least this fraction of its steady-state
-  /// throughput, and its after-transition throughput to recover to 95%
-  /// of steady (0 = no gate).
-  double MinReconfigRetention = 0;
   /// Backend dimension: "sim", "shm", or "both".
   std::string Transport = "sim";
-  /// Shard counts for the fig_shard sweep (sim only; empty disables it).
-  std::vector<unsigned> Shards = {1, 2, 4, 8};
-  /// Distinct objects in the fig_shard keyspace.
-  std::uint64_t ShardObjects = 100000;
-  /// Pre-seeded summary size for the fig_bigstate sweep (0 disables it).
-  std::uint64_t BigElems = 100000;
 };
+
+/// The fig_shard sweep's shard counts; its zipf companion runs at the last.
+constexpr unsigned ShardCounts[] = {1, 2, 4, 8};
+/// Distinct objects in the fig_shard keyspace, and under --smoke.
+constexpr std::uint64_t ShardObjects = 100000, SmokeShardObjects = 1000;
+/// Elements pre-seeded into each fig_bigstate summary, and under --smoke.
+constexpr std::uint64_t BigElems = 100000, SmokeBigElems = 5000;
 
 RunResult runFigPoint(const std::string &TypeName, unsigned Nodes,
                       double UpdateRatio, const Options &Opt,
@@ -165,15 +156,15 @@ RunResult runFigPoint(const std::string &TypeName, unsigned Nodes,
 /// One fig_shard sweep entry: the movie conflicting-call workload
 /// (addCustomer/deleteCustomer only -- a single sync group, so the
 /// 1-shard baseline is bottlenecked on one leader node) over a keyspace
-/// of Opt.ShardObjects objects, deployed at the given shard count.
+/// of \p Objects objects, deployed at the given shard count.
 RunResult runShardPoint(unsigned Shards, double ZipfSkew,
-                        const Options &Opt) {
+                        std::uint64_t Objects, const Options &Opt) {
   auto Type = makeType("movie");
   WorkloadSpec W;
   W.NumOps = Opt.Ops;
   W.UpdateRatio = 1.0;
   W.UpdateMethods = {0, 1}; // addCustomer, deleteCustomer.
-  W.NumObjects = Opt.ShardObjects;
+  W.NumObjects = Objects;
   W.ZipfSkew = ZipfSkew;
   RunnerOptions RO;
   RO.Kind = RuntimeKind::Hamband;
@@ -555,11 +546,23 @@ bool checkPoint(const json::Value &Doc, const char *Fig, std::string &Err) {
   return checkPointObject(Doc.find(Fig), Fig, Err);
 }
 
-// The paper's relative claims (Section 5 and the abstract), gated on
-// every report that carries the paper section.
+// The report's gates (see the file header). The paper's relative claims
+// (Section 5 and the abstract):
 constexpr double HeadlineMinVsMsg = 17.0;
 constexpr double HeadlineMinVsMu = 2.7;
 constexpr double Fig10MinVsMu = 1.4;
+// The extension sweeps' floors:
+constexpr double MinBatchSpeedup = 1.25;    // fig8_batched / fig8
+constexpr double MinShardSpeedup = 2.0;     // top shard count / 1 shard
+constexpr double MinDeltaBytesFactor = 5.0; // full / delta bytes per call
+constexpr double MinReconfigDuring = 0.70;  // during / steady
+constexpr double MinReconfigAfter = 0.95;   // after / adjusted steady
+// --compare's relative throughput tolerance.
+constexpr double CompareTolerance = 0.05;
+
+/// The paper section's figures, in report order.
+const char *const PaperFigs[] = {"fig8",  "fig9",  "fig10",    "fig11",
+                                 "fig12", "fig13", "ablations"};
 
 std::string paperPointName(const char *Fig, const json::Value &P) {
   auto Str = [&P](const char *F) {
@@ -598,15 +601,19 @@ double tputOf(const json::Value &P) {
 }
 
 /// Validates the paper section's shape, then gates its relative claims.
-bool checkPaper(const json::Value &Paper, std::string &Err) {
-  const char *const Figs[] = {"fig8",  "fig9",  "fig10",    "fig11",
-                              "fig12", "fig13", "ablations"};
+bool checkPaper(const json::Value &Doc, std::string &Err) {
+  const json::Value *PaperP = Doc.find("paper");
+  if (!PaperP) {
+    Err = "paper missing";
+    return false;
+  }
+  const json::Value &Paper = *PaperP;
   const std::vector<const char *> Fields = {
       "nodes",           "update_pct",         "ops",
       "throughput_ops_us", "mean_response_us", "update_response_us",
       "query_response_us", "resp_p50_us",      "resp_p99_us",
       "rejected",        "stale_mean",         "stale_max"};
-  for (const char *F : Figs) {
+  for (const char *F : PaperFigs) {
     const json::Value *Fig = Paper.find(F);
     if (!Fig || !Fig->isArray() || Fig->Arr.empty()) {
       Err = std::string("paper.") + F + " missing or empty";
@@ -742,338 +749,300 @@ bool loadDoc(const std::string &Path, json::Value &Doc, std::string &Err) {
   return true;
 }
 
+/// PointFields followed by \p Extra.
+std::vector<const char *> pointFieldsAnd(std::vector<const char *> Extra) {
+  Extra.insert(Extra.begin(), PointFields.begin(), PointFields.end());
+  return Extra;
+}
+
+/// The array at \p Doc.Sec.Key, or nullptr when it is missing or empty.
+const json::Value *sweepArray(const json::Value &Doc, const char *Sec,
+                              const char *Key) {
+  const json::Value *S = Doc.find(Sec);
+  const json::Value *A = S ? S->find(Key) : nullptr;
+  return A && A->isArray() && !A->Arr.empty() ? A : nullptr;
+}
+
+/// fig8_batched: a sound point with at least MinBatchSpeedup times fig8's
+/// throughput.
+bool checkBatching(const json::Value &Doc, std::string &Err) {
+  if (!checkPoint(Doc, "fig8_batched", Err))
+    return false;
+  double Base = tputOf(*Doc.find("fig8"));
+  double Batched = tputOf(*Doc.find("fig8_batched"));
+  double Speedup = Base > 0 ? Batched / Base : 0;
+  std::printf("fig8 batching speedup: %.2fx (batched %.4f / unbatched "
+              "%.4f ops/us, floor %.2fx)\n",
+              Speedup, Batched, Base, MinBatchSpeedup);
+  if (Speedup < MinBatchSpeedup) {
+    Err = "batching speedup below floor";
+    return false;
+  }
+  return true;
+}
+
+/// fig_shard: sound points with positive shard counts, including a 1-shard
+/// baseline and a multi-shard point, and a sound zipf companion. The top
+/// shard count's throughput must be at least MinShardSpeedup times the
+/// 1-shard point's.
+bool checkShardSweep(const json::Value &Doc, std::string &Err) {
+  const json::Value *Points = sweepArray(Doc, "fig_shard", "points");
+  if (!Points) {
+    Err = "fig_shard.points missing or empty";
+    return false;
+  }
+  const std::vector<const char *> Fields = pointFieldsAnd({"shards"});
+  double Shard1Tput = 0, TopTput = 0;
+  std::uint64_t TopShards = 0;
+  for (std::size_t I = 0; I < Points->Arr.size(); ++I) {
+    const json::Value &P = Points->Arr[I];
+    std::string Name = "fig_shard.points[" + std::to_string(I) + "]";
+    if (!checkPointObject(&P, Name, Err, Fields))
+      return false;
+    std::uint64_t Shards = P.find("shards")->asUInt();
+    if (Shards == 0) {
+      Err = Name + ".shards not positive";
+      return false;
+    }
+    if (Shards == 1)
+      Shard1Tput = tputOf(P);
+    if (Shards >= TopShards) {
+      TopShards = Shards;
+      TopTput = tputOf(P);
+    }
+  }
+  if (!checkPointObject(Doc.find("fig_shard")->find("zipf"), "fig_shard.zipf",
+                        Err, Fields))
+    return false;
+  if (Shard1Tput <= 0 || TopShards < 2) {
+    Err = "fig_shard needs a 1-shard baseline and a multi-shard point";
+    return false;
+  }
+  double Speedup = TopTput / Shard1Tput;
+  std::printf("fig_shard speedup: %.2fx (%llu shards %.4f / 1 shard %.4f "
+              "ops/us, floor %.2fx)\n",
+              Speedup, static_cast<unsigned long long>(TopShards), TopTput,
+              Shard1Tput, MinShardSpeedup);
+  if (Speedup < MinShardSpeedup) {
+    Err = "shard speedup below floor";
+    return false;
+  }
+  return true;
+}
+
+/// fig_bigstate: every entry carries a sound full-image point and a sound
+/// delta point, each with a positive bytes_per_call, and their ratio as
+/// bytes_factor. At least one entry is gated, and every gated entry's
+/// factor must be at least MinDeltaBytesFactor.
+bool checkBigState(const json::Value &Doc, std::string &Err) {
+  const json::Value *Entries = sweepArray(Doc, "fig_bigstate", "types");
+  if (!Entries) {
+    Err = "fig_bigstate.types missing or empty";
+    return false;
+  }
+  const std::vector<const char *> Fields = pointFieldsAnd({"bytes_per_call"});
+  unsigned Gated = 0;
+  for (const json::Value &E : Entries->Arr) {
+    const json::Value *TN = E.find("type");
+    const json::Value *G = E.find("gated");
+    std::string Name = "fig_bigstate." +
+                       (TN && TN->isString() ? TN->Str : std::string("?"));
+    if (!TN || !TN->isString() || !G || !G->isBool()) {
+      Err = Name + " entry missing type or gated flag";
+      return false;
+    }
+    for (const char *Mode : {"full", "delta"}) {
+      const json::Value *P = E.find(Mode);
+      if (!checkPointObject(P, Name + "." + Mode, Err, Fields))
+        return false;
+      if (P->find("bytes_per_call")->asDouble() <= 0) {
+        Err = Name + "." + Mode + ".bytes_per_call not positive";
+        return false;
+      }
+    }
+    const json::Value *F = E.find("bytes_factor");
+    if (!finiteNonNegative(F)) {
+      Err = Name + ".bytes_factor missing or not a finite number";
+      return false;
+    }
+    std::printf("fig_bigstate %s: full/delta bytes-per-call factor %.2fx "
+                "(%s, floor %.2fx)\n",
+                TN->Str.c_str(), F->asDouble(),
+                G->B ? "gated" : "ungated contrast", MinDeltaBytesFactor);
+    if (G->B && F->asDouble() < MinDeltaBytesFactor) {
+      Err = "fig_bigstate " + TN->Str + " delta bytes reduction below floor";
+      return false;
+    }
+    Gated += G->B;
+  }
+  if (!Gated) {
+    Err = "fig_bigstate has no gated entry";
+    return false;
+  }
+  return true;
+}
+
+/// fig_reconfig: every point is a sound figure point with an add/remove
+/// action whose transition installed. It must keep MinReconfigDuring of
+/// its steady throughput during the transition and MinReconfigAfter of the
+/// capacity-adjusted steady rate after it.
+bool checkReconfig(const json::Value &Doc, std::string &Err) {
+  const json::Value *Points = sweepArray(Doc, "fig_reconfig", "points");
+  if (!Points) {
+    Err = "fig_reconfig.points missing or empty";
+    return false;
+  }
+  const std::vector<const char *> Fields = pointFieldsAnd(
+      {"steady_tput_ops_us", "during_tput_ops_us", "after_tput_ops_us",
+       "transition_us", "serving_before", "serving_after"});
+  for (const json::Value &P : Points->Arr) {
+    const json::Value *Act = P.find("action");
+    if (!Act || !Act->isString() ||
+        (Act->Str != "add" && Act->Str != "remove")) {
+      Err = "fig_reconfig point missing an add/remove action";
+      return false;
+    }
+    std::string Name = "fig_reconfig." + Act->Str;
+    if (!checkPointObject(&P, Name, Err, Fields))
+      return false;
+    const json::Value *Inst = P.find("installed");
+    if (!Inst || !Inst->isBool() || !Inst->B) {
+      Err = Name + " transition did not install";
+      return false;
+    }
+    double Steady = P.find("steady_tput_ops_us")->asDouble();
+    double During = P.find("during_tput_ops_us")->asDouble();
+    double After = P.find("after_tput_ops_us")->asDouble();
+    double Before = P.find("serving_before")->asDouble();
+    double Now = P.find("serving_after")->asDouble();
+    // A removal takes serving capacity with it, so the after-phase floor
+    // scales by the capacity ratio (capped at 1: an addition must at least
+    // hold the steady rate, not multiply it -- per-node costs grow with
+    // the replica count).
+    double Capacity = Before > 0 ? std::min(1.0, Now / Before) : 1.0;
+    double DuringR = Steady > 0 ? During / Steady : 0;
+    double AfterR = Steady > 0 ? After / (Steady * Capacity) : 0;
+    std::printf("fig_reconfig %s: during-transition retention %.0f%% "
+                "(%.4f / %.4f ops/us, floor %.0f%%), after %.0f%% of the "
+                "capacity-adjusted steady rate (x%.2f, floor %.0f%%)\n",
+                Act->Str.c_str(), DuringR * 100.0, During, Steady,
+                MinReconfigDuring * 100.0, AfterR * 100.0, Capacity,
+                MinReconfigAfter * 100.0);
+    if (Steady <= 0 || DuringR < MinReconfigDuring ||
+        AfterR < MinReconfigAfter) {
+      Err = "fig_reconfig " + Act->Str + " throughput retention below floor";
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The embedded stats snapshot must round-trip as hamband-stats-v1.
+bool checkStats(const json::Value &Doc, std::string &Err) {
+  const json::Value *Stats = Doc.find("stats");
+  obs::StatsSnapshot S;
+  if (!Stats || !obs::StatsSnapshot::fromJson(Stats->write(), S)) {
+    Err = "embedded stats snapshot missing or not a valid hamband-stats-v1 "
+          "document";
+    return false;
+  }
+  return true;
+}
+
+/// The wall-clock shm points are validated when present: --transport sim
+/// omits them, and no floor applies to them.
+bool checkShm(const json::Value &Doc, std::string &Err) {
+  for (const char *Fig : {"fig8_shm", "fig8_shm_batched"})
+    if (Doc.find(Fig) && !checkPoint(Doc, Fig, Err))
+      return false;
+  return true;
+}
+
 int checkMode(const Options &Opt) {
   json::Value Doc;
   std::string Err;
-  if (!loadDoc(Opt.CheckFile, Doc, Err) ||
-      !checkPoint(Doc, "fig8", Err) || !checkPoint(Doc, "fig9", Err)) {
+  if (!loadDoc(Opt.CheckFile, Doc, Err) || !checkPoint(Doc, "fig8", Err) ||
+      !checkPoint(Doc, "fig9", Err) || !checkBatching(Doc, Err) ||
+      !checkShm(Doc, Err) || !checkPaper(Doc, Err) ||
+      !checkShardSweep(Doc, Err) || !checkBigState(Doc, Err) ||
+      !checkReconfig(Doc, Err) || !checkStats(Doc, Err)) {
     std::fprintf(stderr, "check failed: %s\n", Err.c_str());
     return 1;
-  }
-  // fig8_batched is validated when present (reports predating the
-  // batching layer stay checkable), and required by the speedup gate.
-  // The wall-clock shm sections are likewise validated only when present:
-  // their shape must be sound, but no speedup floor applies to them.
-  bool HasBatched = Doc.find("fig8_batched") != nullptr;
-  if (HasBatched && !checkPoint(Doc, "fig8_batched", Err)) {
-    std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-    return 1;
-  }
-  for (const char *ShmFig : {"fig8_shm", "fig8_shm_batched"})
-    if (Doc.find(ShmFig) && !checkPoint(Doc, ShmFig, Err)) {
-      std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-      return 1;
-    }
-  // The paper section, like the other optional sections, is validated
-  // when present (reports predating it stay checkable), and its claims
-  // are gated whenever it is.
-  if (const json::Value *Paper = Doc.find("paper");
-      Paper && !checkPaper(*Paper, Err)) {
-    std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-    return 1;
-  }
-  // fig_shard, like fig8_batched, is validated when present (reports
-  // predating the keyspace layer stay checkable) and required by the
-  // shard-speedup gate. Each sweep entry must be a sound figure point
-  // with a positive shard count; the 1-shard baseline must be present
-  // for the gate to be meaningful.
-  const json::Value *ShardSweep = Doc.find("fig_shard");
-  double Shard1Tput = 0, ShardTopTput = 0;
-  std::uint64_t TopShards = 0;
-  if (ShardSweep) {
-    const json::Value *Points = ShardSweep->find("points");
-    if (!Points || !Points->isArray() || Points->Arr.empty()) {
-      std::fprintf(stderr,
-                   "check failed: fig_shard.points missing or empty\n");
-      return 1;
-    }
-    for (const json::Value &P : Points->Arr) {
-      for (const char *F : PointFields) {
-        const json::Value *V = P.find(F);
-        if (!V || !V->isNumber() || !std::isfinite(V->asDouble()) ||
-            V->asDouble() < 0) {
-          std::fprintf(stderr, "check failed: fig_shard point %s missing "
-                               "or not a finite number\n",
-                       F);
-          return 1;
-        }
-      }
-      const json::Value *C = P.find("completed");
-      const json::Value *S = P.find("shards");
-      if (!C || !C->isBool() || !C->B || !S || !S->isNumber() ||
-          S->asDouble() < 1) {
-        std::fprintf(stderr, "check failed: fig_shard point incomplete "
-                             "or missing a positive shard count\n");
-        return 1;
-      }
-      auto Shards = static_cast<std::uint64_t>(S->asDouble());
-      double Tput = P.find("throughput_ops_us")->asDouble();
-      if (Shards == 1)
-        Shard1Tput = Tput;
-      if (Shards >= TopShards) {
-        TopShards = Shards;
-        ShardTopTput = Tput;
-      }
-    }
-    if (const json::Value *Z = ShardSweep->find("zipf"))
-      for (const char *F : PointFields) {
-        const json::Value *V = Z->find(F);
-        if (!V || !V->isNumber() || !std::isfinite(V->asDouble())) {
-          std::fprintf(stderr,
-                       "check failed: fig_shard.zipf.%s missing or not "
-                       "a finite number\n",
-                       F);
-          return 1;
-        }
-      }
-  }
-  // fig_bigstate, like the other optional sections, is validated when
-  // present (reports predating delta propagation stay checkable) and
-  // required by the delta-bytes gate. Every entry carries a full-image
-  // point and a delta point, each with a finite bytes_per_call, plus the
-  // full/delta ratio as bytes_factor.
-  const json::Value *BigSweep = Doc.find("fig_bigstate");
-  if (BigSweep) {
-    const json::Value *Entries = BigSweep->find("types");
-    if (!Entries || !Entries->isArray() || Entries->Arr.empty()) {
-      std::fprintf(stderr,
-                   "check failed: fig_bigstate.types missing or empty\n");
-      return 1;
-    }
-    for (const json::Value &E : Entries->Arr) {
-      const json::Value *TN = E.find("type");
-      std::string Name = "fig_bigstate." +
-                         (TN && TN->isString() ? TN->Str : std::string("?"));
-      const json::Value *G = E.find("gated");
-      if (!TN || !TN->isString() || !G || !G->isBool()) {
-        std::fprintf(stderr, "check failed: %s entry missing type or "
-                             "gated flag\n",
-                     Name.c_str());
-        return 1;
-      }
-      for (const char *Mode : {"full", "delta"}) {
-        const json::Value *P = E.find(Mode);
-        if (!checkPointObject(P, Name + "." + Mode, Err)) {
-          std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-          return 1;
-        }
-        const json::Value *B = P->find("bytes_per_call");
-        if (!B || !B->isNumber() || !std::isfinite(B->asDouble()) ||
-            B->asDouble() <= 0) {
-          std::fprintf(stderr, "check failed: %s.%s.bytes_per_call "
-                               "missing or not positive\n",
-                       Name.c_str(), Mode);
-          return 1;
-        }
-      }
-      const json::Value *F = E.find("bytes_factor");
-      if (!F || !F->isNumber() || !std::isfinite(F->asDouble()) ||
-          F->asDouble() < 0) {
-        std::fprintf(stderr, "check failed: %s.bytes_factor missing or "
-                             "not a finite number\n",
-                     Name.c_str());
-        return 1;
-      }
-    }
-  }
-  // fig_reconfig, like the other optional sections, is validated when
-  // present (reports predating online reconfiguration stay checkable)
-  // and required by the retention gate. Every point is a sound figure
-  // point whose transition installed, with finite phase throughputs.
-  const json::Value *Reconfig = Doc.find("fig_reconfig");
-  if (Reconfig) {
-    const json::Value *Points = Reconfig->find("points");
-    if (!Points || !Points->isArray() || Points->Arr.empty()) {
-      std::fprintf(stderr,
-                   "check failed: fig_reconfig.points missing or empty\n");
-      return 1;
-    }
-    for (const json::Value &P : Points->Arr) {
-      const json::Value *Act = P.find("action");
-      std::string Name =
-          "fig_reconfig." +
-          (Act && Act->isString() ? Act->Str : std::string("?"));
-      if (!Act || !Act->isString() ||
-          (Act->Str != "add" && Act->Str != "remove")) {
-        std::fprintf(stderr, "check failed: fig_reconfig point missing an "
-                             "add/remove action\n");
-        return 1;
-      }
-      if (!checkPointObject(&P, Name, Err)) {
-        std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-        return 1;
-      }
-      for (const char *F :
-           {"steady_tput_ops_us", "during_tput_ops_us", "after_tput_ops_us",
-            "transition_us", "serving_before", "serving_after"}) {
-        const json::Value *V = P.find(F);
-        if (!V || !V->isNumber() || !std::isfinite(V->asDouble()) ||
-            V->asDouble() < 0) {
-          std::fprintf(stderr, "check failed: %s.%s missing or not a "
-                               "finite number\n",
-                       Name.c_str(), F);
-          return 1;
-        }
-      }
-      const json::Value *Inst = P.find("installed");
-      if (!Inst || !Inst->isBool() || !Inst->B) {
-        std::fprintf(stderr,
-                     "check failed: %s transition did not install\n",
-                     Name.c_str());
-        return 1;
-      }
-    }
-  }
-  if (Opt.MinReconfigRetention > 0) {
-    if (!Reconfig) {
-      std::fprintf(stderr, "check failed: --min-reconfig-retention needs "
-                           "a fig_reconfig section\n");
-      return 1;
-    }
-    for (const json::Value &P : Reconfig->find("points")->Arr) {
-      const std::string &Act = P.find("action")->Str;
-      double Steady = P.find("steady_tput_ops_us")->asDouble();
-      double During = P.find("during_tput_ops_us")->asDouble();
-      double After = P.find("after_tput_ops_us")->asDouble();
-      double Before = P.find("serving_before")->asDouble();
-      double Now = P.find("serving_after")->asDouble();
-      // A removal takes serving capacity with it, so the after-phase
-      // floor scales by the capacity ratio (capped at 1: an addition
-      // must at least hold the steady rate, not multiply it -- per-node
-      // costs grow with the replica count).
-      double Capacity =
-          Before > 0 ? std::min(1.0, Now / Before) : 1.0;
-      double DuringR = Steady > 0 ? During / Steady : 0;
-      double AfterR = Steady > 0 ? After / (Steady * Capacity) : 0;
-      std::printf("fig_reconfig %s: during-transition retention %.0f%% "
-                  "(%.4f / %.4f ops/us, floor %.0f%%), after %.0f%% of "
-                  "the capacity-adjusted steady rate (x%.2f, floor "
-                  "95%%)\n",
-                  Act.c_str(), DuringR * 100.0, During, Steady,
-                  Opt.MinReconfigRetention * 100.0, AfterR * 100.0,
-                  Capacity);
-      if (Steady <= 0 || DuringR < Opt.MinReconfigRetention ||
-          AfterR < 0.95) {
-        std::fprintf(stderr, "check failed: fig_reconfig %s throughput "
-                             "retention below floor\n",
-                     Act.c_str());
-        return 1;
-      }
-    }
-  }
-  if (Opt.MinDeltaBytesFactor > 0) {
-    if (!BigSweep) {
-      std::fprintf(stderr, "check failed: --min-delta-bytes-factor needs "
-                           "a fig_bigstate sweep\n");
-      return 1;
-    }
-    for (const json::Value &E : BigSweep->find("types")->Arr) {
-      const std::string &TN = E.find("type")->Str;
-      double Factor = E.find("bytes_factor")->asDouble();
-      bool Gated = E.find("gated")->B;
-      std::printf("fig_bigstate %s: full/delta bytes-per-call factor "
-                  "%.2fx (%s, floor %.2fx)\n",
-                  TN.c_str(), Factor, Gated ? "gated" : "ungated contrast",
-                  Opt.MinDeltaBytesFactor);
-      if (Gated && Factor < Opt.MinDeltaBytesFactor) {
-        std::fprintf(stderr, "check failed: fig_bigstate %s delta bytes "
-                             "reduction below floor\n",
-                     TN.c_str());
-        return 1;
-      }
-    }
-  }
-  if (Opt.MinBatchSpeedup > 0) {
-    if (!HasBatched) {
-      std::fprintf(stderr,
-                   "check failed: --min-batch-speedup needs fig8_batched\n");
-      return 1;
-    }
-    double Base = Doc.find("fig8")->find("throughput_ops_us")->asDouble();
-    double Batched =
-        Doc.find("fig8_batched")->find("throughput_ops_us")->asDouble();
-    double Speedup = Base > 0 ? Batched / Base : 0;
-    std::printf("fig8 batching speedup: %.2fx (batched %.4f / unbatched "
-                "%.4f ops/us, floor %.2fx)\n",
-                Speedup, Batched, Base, Opt.MinBatchSpeedup);
-    if (Speedup < Opt.MinBatchSpeedup) {
-      std::fprintf(stderr, "check failed: batching speedup below floor\n");
-      return 1;
-    }
-  }
-  if (Opt.MinShardSpeedup > 0) {
-    if (!ShardSweep || Shard1Tput <= 0 || TopShards < 2) {
-      std::fprintf(stderr, "check failed: --min-shard-speedup needs a "
-                           "fig_shard sweep with a 1-shard baseline and "
-                           "a multi-shard point\n");
-      return 1;
-    }
-    double Speedup = ShardTopTput / Shard1Tput;
-    std::printf("fig_shard speedup: %.2fx (%llu shards %.4f / 1 shard "
-                "%.4f ops/us, floor %.2fx)\n",
-                Speedup, static_cast<unsigned long long>(TopShards),
-                ShardTopTput, Shard1Tput, Opt.MinShardSpeedup);
-    if (Speedup < Opt.MinShardSpeedup) {
-      std::fprintf(stderr, "check failed: shard speedup below floor\n");
-      return 1;
-    }
-  }
-  // The embedded stats snapshot, when present, must itself round-trip.
-  if (const json::Value *Stats = Doc.find("stats")) {
-    obs::StatsSnapshot S;
-    if (!obs::StatsSnapshot::fromJson(Stats->write(), S)) {
-      std::fprintf(stderr, "check failed: embedded stats snapshot is not "
-                           "a valid hamband-stats-v1 document\n");
-      return 1;
-    }
   }
   std::printf("%s: ok\n", Opt.CheckFile.c_str());
   return 0;
 }
 
-/// The sim throughput points --compare matches across two reports, by
-/// name: the fig8 point, its batched twin, fig9, and every fig_shard
-/// point keyed by shard count plus the zipf companion. A missing section
-/// reads as throughput 0.
-std::vector<std::pair<std::string, double>>
-comparePoints(const json::Value &Doc) {
-  auto Tput = [](const json::Value *P) {
-    const json::Value *X = P ? P->find("throughput_ops_us") : nullptr;
-    return X ? X->asDouble() : 0.0;
+/// Every simulated-time point of a report, named as --compare prints it:
+/// fig8, fig8_batched, fig9, fig_shard/shards=<N> per sweep point,
+/// fig_shard/zipf, fig_bigstate/<type>/<full|delta>, fig_reconfig/<action>
+/// and every paper point by paperPointName. A missing point, and a missing
+/// or empty sweep array (by its path, e.g. fig_shard.points), stands as its
+/// name with no value.
+std::vector<std::pair<std::string, const json::Value *>>
+simPoints(const json::Value &Doc) {
+  std::vector<std::pair<std::string, const json::Value *>> Out;
+  auto Label = [](const json::Value &P, const char *F) {
+    const json::Value *V = P.find(F);
+    return V && V->isString() ? V->Str : std::string("?");
   };
-  std::vector<std::pair<std::string, double>> Out;
+  auto Each = [&](const char *Sec, const char *Key, auto Add) {
+    if (const json::Value *A = sweepArray(Doc, Sec, Key))
+      for (const json::Value &P : A->Arr)
+        Add(P);
+    else
+      Out.emplace_back(std::string(Sec) + "." + Key, nullptr);
+  };
   for (const char *Sec : {"fig8", "fig8_batched", "fig9"})
-    Out.emplace_back(Sec, Tput(Doc.find(Sec)));
-  if (const json::Value *Sweep = Doc.find("fig_shard")) {
-    if (const json::Value *Points = Sweep->find("points"))
-      for (const json::Value &P : Points->Arr) {
-        const json::Value *S = P.find("shards");
-        Out.emplace_back("fig_shard/shards=" +
-                             std::to_string(S ? S->asUInt() : 0),
-                         Tput(&P));
-      }
-    Out.emplace_back("fig_shard/zipf", Tput(Sweep->find("zipf")));
-  }
+    Out.emplace_back(Sec, Doc.find(Sec));
+  Each("fig_shard", "points", [&](const json::Value &P) {
+    const json::Value *S = P.find("shards");
+    Out.emplace_back("fig_shard/shards=" + std::to_string(S ? S->asUInt() : 0),
+                     &P);
+  });
+  const json::Value *Shard = Doc.find("fig_shard");
+  Out.emplace_back("fig_shard/zipf", Shard ? Shard->find("zipf") : nullptr);
+  Each("fig_bigstate", "types", [&](const json::Value &E) {
+    for (const char *Mode : {"full", "delta"})
+      Out.emplace_back("fig_bigstate/" + Label(E, "type") + "/" + Mode,
+                       E.find(Mode));
+  });
+  Each("fig_reconfig", "points", [&](const json::Value &P) {
+    Out.emplace_back("fig_reconfig/" + Label(P, "action"), &P);
+  });
+  for (const char *F : PaperFigs)
+    Each("paper", F, [&](const json::Value &P) {
+      Out.emplace_back(paperPointName(F, P), &P);
+    });
   return Out;
 }
 
 int compareMode(const Options &Opt) {
-  json::Value A, B;
+  const std::string Paths[2] = {Opt.CompareA, Opt.CompareB};
+  json::Value Docs[2];
   std::string Err;
-  if (!loadDoc(Opt.CompareA, A, Err) || !loadDoc(Opt.CompareB, B, Err)) {
+  if (!loadDoc(Paths[0], Docs[0], Err) || !loadDoc(Paths[1], Docs[1], Err)) {
     std::fprintf(stderr, "compare failed: %s\n", Err.c_str());
     return 1;
   }
-  // Every point either report carries must be in both: one missing on
-  // either side reads as throughput 0 and fails.
-  std::map<std::string, std::pair<double, double>> Points;
-  for (const auto &[Name, X] : comparePoints(A))
-    Points[Name].first = X;
-  for (const auto &[Name, X] : comparePoints(B))
-    Points[Name].second = X;
+  // Every point either report carries must be in both, once: one missing
+  // on either side reads as throughput 0 and fails, and a name that occurs
+  // twice in one report fails rather than hide one of its points.
+  std::map<std::string, std::array<std::optional<double>, 2>> Points;
   bool Ok = true;
+  for (int I = 0; I < 2; ++I)
+    for (const auto &[Name, P] : simPoints(Docs[I])) {
+      std::optional<double> &X = Points[Name][I];
+      if (X) {
+        std::fprintf(stderr, "compare failed: %s occurs twice in %s\n",
+                     Name.c_str(), Paths[I].c_str());
+        Ok = false;
+      }
+      const json::Value *T = P ? P->find("throughput_ops_us") : nullptr;
+      X = T ? T->asDouble() : 0.0;
+    }
   for (const auto &[Name, X] : Points) {
-    auto [XA, XB] = X;
+    double XA = X[0].value_or(0), XB = X[1].value_or(0);
     if (XA <= 0 || XB <= 0) {
       std::fprintf(stderr,
                    "compare failed: %s missing or non-positive "
@@ -1085,9 +1054,9 @@ int compareMode(const Options &Opt) {
     double Rel = std::fabs(XA - XB) / XB;
     std::printf("%s throughput: %s=%.4f %s=%.4f relative diff %.2f%% "
                 "(tolerance %.2f%%)\n",
-                Name.c_str(), Opt.CompareA.c_str(), XA, Opt.CompareB.c_str(),
-                XB, Rel * 100.0, Opt.Tolerance * 100.0);
-    if (Rel > Opt.Tolerance) {
+                Name.c_str(), Paths[0].c_str(), XA, Paths[1].c_str(), XB,
+                Rel * 100.0, CompareTolerance * 100.0);
+    if (Rel > CompareTolerance) {
       std::fprintf(stderr, "compare failed: %s outside tolerance\n",
                    Name.c_str());
       Ok = false;
@@ -1099,13 +1068,9 @@ int compareMode(const Options &Opt) {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--ops N] [--reps N] [--smoke] [--out FILE]\n"
-               "          [--transport sim|shm|both] [--shards LIST]\n"
-               "          [--shard-objects N] [--big-elems N]\n"
-               "       %s --check FILE [--min-batch-speedup X]\n"
-               "          [--min-shard-speedup X]\n"
-               "          [--min-delta-bytes-factor X]\n"
-               "          [--min-reconfig-retention X]\n"
-               "       %s --compare A.json B.json [--tolerance T]\n",
+               "          [--transport sim|shm|both]\n"
+               "       %s --check FILE\n"
+               "       %s --compare A.json B.json\n",
                Argv0, Argv0, Argv0);
   return 2;
 }
@@ -1130,33 +1095,6 @@ int main(int Argc, char **Argv) {
       Opt.Out = V;
     else if (A == "--check" && (V = Next()))
       Opt.CheckFile = V;
-    else if (A == "--tolerance" && (V = Next()))
-      Opt.Tolerance = std::strtod(V, nullptr);
-    else if (A == "--min-batch-speedup" && (V = Next()))
-      Opt.MinBatchSpeedup = std::strtod(V, nullptr);
-    else if (A == "--min-shard-speedup" && (V = Next()))
-      Opt.MinShardSpeedup = std::strtod(V, nullptr);
-    else if (A == "--min-delta-bytes-factor" && (V = Next()))
-      Opt.MinDeltaBytesFactor = std::strtod(V, nullptr);
-    else if (A == "--min-reconfig-retention" && (V = Next()))
-      Opt.MinReconfigRetention = std::strtod(V, nullptr);
-    else if (A == "--big-elems" && (V = Next()))
-      Opt.BigElems = std::strtoull(V, nullptr, 10);
-    else if (A == "--shards" && (V = Next())) {
-      // Comma-separated shard counts, e.g. "1,2,4,8"; "0" or an empty
-      // list disables the fig_shard sweep.
-      Opt.Shards.clear();
-      for (const char *P = V; *P;) {
-        char *End = nullptr;
-        unsigned long S = std::strtoul(P, &End, 10);
-        if (End == P)
-          return usage(Argv[0]);
-        if (S > 0)
-          Opt.Shards.push_back(static_cast<unsigned>(S));
-        P = *End == ',' ? End + 1 : End;
-      }
-    } else if (A == "--shard-objects" && (V = Next()))
-      Opt.ShardObjects = std::strtoull(V, nullptr, 10);
     else if (A == "--transport" && (V = Next()))
       Opt.Transport = V;
     else if (A == "--compare") {
@@ -1169,11 +1107,8 @@ int main(int Argc, char **Argv) {
     } else
       return usage(Argv[0]);
   }
-  if (Opt.Smoke) {
+  if (Opt.Smoke)
     Opt.Ops = std::min<std::uint64_t>(Opt.Ops, 600);
-    Opt.ShardObjects = std::min<std::uint64_t>(Opt.ShardObjects, 1000);
-    Opt.BigElems = std::min<std::uint64_t>(Opt.BigElems, 5000);
-  }
 
   if (!Opt.CheckFile.empty())
     return checkMode(Opt);
@@ -1219,50 +1154,41 @@ int main(int Argc, char **Argv) {
 
     // fig_shard: keyspace scaling sweep plus one zipfian hot-key
     // companion at the top shard count.
-    if (!Opt.Shards.empty()) {
+    {
+      const std::uint64_t Objects =
+          Opt.Smoke ? SmokeShardObjects : ShardObjects;
       json::Value Sweep = json::Value::makeObject();
       Sweep.add("type", json::Value::makeString("movie"));
       Sweep.add("nodes", json::Value::makeUInt(4));
-      Sweep.add("objects", json::Value::makeUInt(Opt.ShardObjects));
-      json::Value Points = json::Value::makeArray();
-      double Shard1Tput = 0, ShardTopTput = 0;
-      unsigned TopShards = 0;
-      for (unsigned S : Opt.Shards) {
-        RunResult P = runShardPoint(S, 0.0, Opt);
-        json::Value PJ = pointToJson("movie", 4, 1.0, P);
+      Sweep.add("objects", json::Value::makeUInt(Objects));
+      auto ShardJson = [&](unsigned S, double Skew) {
+        json::Value PJ =
+            pointToJson("movie", 4, 1.0, runShardPoint(S, Skew, Objects, Opt));
         PJ.add("shards", json::Value::makeUInt(S));
-        PJ.add("objects", json::Value::makeUInt(Opt.ShardObjects));
-        PJ.add("zipf_skew", json::Value::makeDouble(0.0));
-        Points.Arr.push_back(std::move(PJ));
-        if (S == 1)
-          Shard1Tput = P.ThroughputOpsPerUs;
-        if (S >= TopShards) {
-          TopShards = S;
-          ShardTopTput = P.ThroughputOpsPerUs;
-        }
-      }
+        PJ.add("objects", json::Value::makeUInt(Objects));
+        PJ.add("zipf_skew", json::Value::makeDouble(Skew));
+        return PJ;
+      };
+      json::Value Points = json::Value::makeArray();
+      for (unsigned S : ShardCounts)
+        Points.Arr.push_back(ShardJson(S, 0.0));
+      double Shard1Tput = tputOf(Points.Arr.front());
+      double TopTput = tputOf(Points.Arr.back());
       Sweep.add("points", std::move(Points));
-      {
-        RunResult Z = runShardPoint(TopShards, 0.99, Opt);
-        json::Value ZJ = pointToJson("movie", 4, 1.0, Z);
-        ZJ.add("shards", json::Value::makeUInt(TopShards));
-        ZJ.add("objects", json::Value::makeUInt(Opt.ShardObjects));
-        ZJ.add("zipf_skew", json::Value::makeDouble(0.99));
-        Sweep.add("zipf", std::move(ZJ));
-      }
+      const unsigned TopShards = ShardCounts[std::size(ShardCounts) - 1];
+      Sweep.add("zipf", ShardJson(TopShards, 0.99));
       Doc.add("fig_shard", std::move(Sweep));
       if (Shard1Tput > 0)
         std::printf("fig_shard: %.4f ops/us at 1 shard, %.4f at %u shards "
                     "(%.2fx)\n",
-                    Shard1Tput, ShardTopTput, TopShards,
-                    ShardTopTput / Shard1Tput);
+                    Shard1Tput, TopTput, TopShards, TopTput / Shard1Tput);
     }
 
     // fig_bigstate: bytes shipped per delivered call with a big resident
     // state, full-image mode vs delta mode, per reducible set type. The
     // lww-register entry has a constant-size image and is the ungated
     // contrast case.
-    if (Opt.BigElems) {
+    {
       struct BigCase {
         const char *Type;
         bool Seeded;
@@ -1273,12 +1199,13 @@ int main(int Argc, char **Argv) {
           {"two-phase-set", true, true},
           {"lww-register", false, false},
       };
+      const std::uint64_t SeedElems = Opt.Smoke ? SmokeBigElems : BigElems;
       json::Value Big = json::Value::makeObject();
       Big.add("nodes", json::Value::makeUInt(4));
-      Big.add("elements", json::Value::makeUInt(Opt.BigElems));
+      Big.add("elements", json::Value::makeUInt(SeedElems));
       json::Value Entries = json::Value::makeArray();
       for (const BigCase &BC : Cases) {
-        std::uint64_t Elems = BC.Seeded ? Opt.BigElems : 0;
+        std::uint64_t Elems = BC.Seeded ? SeedElems : 0;
         BigStatePoint Full = runBigStatePoint(BC.Type, Elems, false, Opt);
         BigStatePoint Delta = runBigStatePoint(BC.Type, Elems, true, Opt);
         json::Value E = json::Value::makeObject();
