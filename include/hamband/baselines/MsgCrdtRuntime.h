@@ -80,8 +80,6 @@ private:
   void onMessage(rdma::NodeId Dst, rdma::NodeId Src,
                  const std::vector<std::uint8_t> &Msg);
   void applyPending(rdma::NodeId Node);
-  bool depsSatisfied(const Replica &R,
-                     const semantics::DepMap &D) const;
 
   sim::Simulator &Sim;
   const ObjectType &Type;

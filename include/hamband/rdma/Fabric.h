@@ -13,12 +13,14 @@
 ///  - one-sided WRITE / READ: remote memory is accessed after wire latency
 ///    with *no* remote CPU involvement, mirroring ibverbs RDMA_WRITE/READ;
 ///  - two-sided SEND / RECV: the receiver's CPU runs a handler and pays
-///    kernel-network-stack costs (used by the message-passing baseline);
+///    kernel-network-stack costs. Only the message-passing baseline sends,
+///    so these are members of the fabric, not of the Transport interface;
 ///  - per-region write permissions, which the Mu-style consensus uses to
 ///    guarantee at most one leader can append to replicated logs;
 ///  - failure injection: a crashed node's CPU stops and its two-sided
 ///    traffic is dropped, but its registered memory remains remotely
-///    readable/writable (the RDMA failure model the paper builds on).
+///    readable/writable (the RDMA failure model the paper builds on); a
+///    FabricFaultHook may delay one-sided verbs on the wire.
 ///
 /// Delivery between each ordered pair of nodes is FIFO, as on an RC queue
 /// pair, and each node's CPU is a serial resource: closures handed to
@@ -51,6 +53,10 @@ namespace rdma {
 /// Simulated RDMA cluster over a discrete-event simulator.
 class Fabric : public Transport {
 public:
+  /// Handler invoked on the receiver CPU for two-sided messages.
+  using RecvHandler =
+      std::function<void(NodeId Src, const std::vector<std::uint8_t> &Msg)>;
+
   /// Most CQEs one poll reaps: the size of its work-completion array.
   static constexpr unsigned CqPollBatch = 16;
 
@@ -94,16 +100,16 @@ public:
                 ReadCompletionFn OnComplete,
                 unsigned Lane = LaneClient) override;
 
-  /// Sends a two-sided message through the (simulated) kernel stack. The
-  /// receiver's RecvHandler runs on its CPU; if the receiver has crashed
-  /// the message is silently dropped and the completion still succeeds
+  /// Sends a two-sided message through the (simulated) kernel stack,
+  /// delivered once after NetworkModel::msgWire. The receiver's
+  /// RecvHandler runs on its poller lane; if the receiver has crashed the
+  /// message is silently dropped and the completion still succeeds
   /// (TCP-like: the sender cannot tell).
   void send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
-            CompletionFn OnComplete = nullptr,
-            unsigned Lane = LaneClient) override;
+            CompletionFn OnComplete = nullptr, unsigned Lane = LaneClient);
 
   /// Installs the two-sided receive handler for \p Node.
-  void setRecvHandler(NodeId Node, RecvHandler Handler) override;
+  void setRecvHandler(NodeId Node, RecvHandler Handler);
 
   /// Runs \p Fn on \p Node's CPU lane \p Lane after the lane has executed
   /// everything already queued, charging \p Cost of CPU time. Work within
@@ -150,10 +156,9 @@ public:
   bool isAlive(NodeId Node) const override;
 
   /// Installs (or clears, with nullptr) the fault hook consulted whenever
-  /// an operation reaches the wire. The hook must outlive the fabric or be
-  /// cleared before destruction.
-  void setFaultHook(FabricFaultHook *H) override { Hook = H; }
-  FabricFaultHook *faultHook() const override { return Hook; }
+  /// a one-sided verb reaches the wire. The hook must outlive the fabric
+  /// or be cleared before destruction.
+  void setFaultHook(FabricFaultHook *H) { Hook = H; }
 
   /// Wires verb-level metrics (rdma.write / rdma.read / rdma.send /
   /// rdma.bytes_written, the rdma.wire_ns simulated-latency histogram, and

@@ -27,42 +27,24 @@ namespace rdma {
 /// Identifier of a node (process) in the cluster.
 using NodeId = std::uint32_t;
 
-/// What the fault layer decided for one posted operation. The default
-/// (all zero) is "no fault".
-struct FaultDecision {
-  /// Drop the operation entirely. Only honored for two-sided messages:
-  /// one-sided RDMA verbs ride a Reliable-Connection QP, which retransmits
-  /// until delivery or connection teardown, so the fabric never loses them
-  /// silently -- it delays them instead.
-  bool Drop = false;
-
-  /// Number of extra deliveries (two-sided only; models an application or
-  /// transport level retransmission race).
-  unsigned Duplicates = 0;
-
-  /// Extra wire latency added before delivery. Per-channel FIFO order is
-  /// preserved, so delaying one operation transitively delays everything
-  /// behind it on the same (src, dst) channel -- which is exactly how
-  /// congestion or a partitioned link behaves on RC transport.
-  sim::SimDuration ExtraDelay = 0;
-};
-
-/// Fault hook consulted by the fabric when an operation reaches the wire.
-/// The deterministic fault-injection subsystem (sim/FaultInjector.h)
-/// implements this; the fabric itself stays policy-free.
+/// Fault hook consulted by the simulated fabric when a one-sided verb
+/// reaches the wire. The deterministic fault-injection subsystem
+/// (sim/FaultInjector.h) implements this; the fabric itself stays
+/// policy-free. One-sided verbs ride a Reliable-Connection QP, which
+/// retransmits until delivery, so a fault never loses a verb: it only
+/// delays it.
 class FabricFaultHook {
 public:
   virtual ~FabricFaultHook() = default;
 
   /// A one-sided WRITE (\p IsWrite) or READ is about to be put on the
-  /// (\p Src, \p Dst) channel.
-  virtual FaultDecision onOneSidedOp(NodeId Src, NodeId Dst, bool IsWrite,
-                                     std::size_t Bytes) = 0;
-
-  /// A two-sided message is about to be put on the (\p Src, \p Dst)
-  /// channel.
-  virtual FaultDecision onTwoSidedMsg(NodeId Src, NodeId Dst,
-                                      std::size_t Bytes) = 0;
+  /// (\p Src, \p Dst) channel. Returns the extra wire latency to add before
+  /// delivery (0: no fault). Per-channel FIFO order is preserved, so
+  /// delaying one verb transitively delays everything behind it on the
+  /// same (src, dst) channel, which is how congestion or a partitioned
+  /// link behaves on RC transport.
+  virtual sim::SimDuration onOneSidedOp(NodeId Src, NodeId Dst, bool IsWrite,
+                                        std::size_t Bytes) = 0;
 };
 
 /// Cost parameters for the simulated fabric.

@@ -15,12 +15,12 @@
 /// the sim/shm feature matrix.
 ///
 /// Execution model per node: one worker thread owning a FIFO task queue
-/// and a timer heap. runOnCpu/callOn/two-sided delivery/completions are
-/// tasks (dropped once the node crashes); runAfter deadlines fire even on
-/// a crashed node, matching raw simulator timers. Lane numbers and CPU
-/// costs are accepted and ignored: a node's three lanes collapse onto its
-/// single thread, which over-serializes relative to the simulator but
-/// never reorders, so protocol behavior is preserved.
+/// and a timer heap. runOnCpu/callOn/completions are tasks (dropped once
+/// the node crashes); runAfter deadlines fire even on a crashed node,
+/// matching raw simulator timers. Lane numbers and CPU costs are accepted
+/// and ignored: a node's three lanes collapse onto its single thread,
+/// which over-serializes relative to the simulator but never reorders, so
+/// protocol behavior is preserved.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,12 +72,6 @@ public:
                 ReadCompletionFn OnComplete,
                 unsigned Lane = LaneClient) override;
 
-  void send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
-            CompletionFn OnComplete = nullptr,
-            unsigned Lane = LaneClient) override;
-
-  void setRecvHandler(NodeId Node, RecvHandler Handler) override;
-
   void runOnCpu(NodeId Node, sim::SimDuration Cost, std::function<void()> Fn,
                 unsigned Lane = LaneClient) override;
 
@@ -95,10 +89,6 @@ public:
   void crash(NodeId Node) override;
   bool isAlive(NodeId Node) const override;
 
-  /// Fault hooks are simulated-time artifacts; this backend rejects them.
-  void setFaultHook(FabricFaultHook *H) override;
-  FabricFaultHook *faultHook() const override { return nullptr; }
-
   void setObs(obs::Registry &R) override;
 
   void pauseWorld() override;
@@ -110,7 +100,7 @@ public:
 private:
   struct Task {
     std::function<void()> Fn;
-    /// Dropped unexecuted once the node crashed (runOnCpu, deliveries,
+    /// Dropped unexecuted once the node crashed (runOnCpu, callOn,
     /// completions). Timer tasks are exempt, like raw simulator events.
     bool NeedsAlive = true;
   };
@@ -123,7 +113,6 @@ private:
     std::condition_variable Cv;
     std::deque<Task> Queue;
     std::multimap<std::uint64_t, Task> Timers; // deadline ns -> task
-    RecvHandler OnRecv;                        // guarded by Mu
     std::atomic<bool> Alive{true};
     std::thread Worker;
   };
@@ -150,7 +139,6 @@ private:
 
   obs::Counter *CtrWrite = nullptr;
   obs::Counter *CtrRead = nullptr;
-  obs::Counter *CtrSend = nullptr;
   obs::Counter *CtrBytes = nullptr;
 };
 

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The abstract verbs surface the Hamband runtime is written against. Two
+/// The abstract verbs surface the Hamband runtime is written against: the
+/// one-sided verbs it posts, per-node serial CPU contexts and timers. Two
 /// backends implement it (docs/transport.md):
 ///
 ///  - Fabric: the discrete-event simulated fabric. Deterministic, drives
 ///    fault injection and bit-for-bit trace replay; all times are virtual
-///    nanoseconds from the NetworkModel.
+///    nanoseconds from the NetworkModel. It alone also carries two-sided
+///    SEND/RECV, which only the MSG baseline uses.
 ///  - ShmTransport: a shared-memory backend where every node runs on its
 ///    own OS thread and one-sided verbs are genuine concurrent memory
 ///    accesses. Times are wall-clock nanoseconds; bench figures measure
@@ -27,10 +29,10 @@
 ///  - postRead: returns a consistent snapshot of the remote range (the
 ///    simulator samples atomically; the shm backend re-reads until
 ///    stable).
-///  - runOnCpu / two-sided delivery / completions: execute in the target
-///    node's serial execution context and are dropped once the node has
-///    crashed. runAfter timers keep firing on a crashed node (matching
-///    raw simulator timers); their closures must re-check aliveness.
+///  - runOnCpu / completions: execute in the target node's serial
+///    execution context and are dropped once the node has crashed.
+///    runAfter timers keep firing on a crashed node (matching raw
+///    simulator timers); their closures must re-check aliveness.
 ///  - completions of one lane run in the order they arrived; on the
 ///    simulator one poll of the lane's completion queue runs several.
 ///
@@ -69,16 +71,12 @@ enum class WcStatus {
   AccessError,
 };
 
-/// Completion callback for writes and sends.
+/// Completion callback for writes.
 using CompletionFn = std::function<void(WcStatus)>;
 
 /// Completion callback for reads; Data is empty on error.
 using ReadCompletionFn =
     std::function<void(WcStatus, std::vector<std::uint8_t> Data)>;
-
-/// Handler invoked on the receiver CPU for two-sided messages.
-using RecvHandler =
-    std::function<void(NodeId Src, const std::vector<std::uint8_t> &Msg)>;
 
 /// Which transport backend a cluster runs on.
 enum class TransportKind {
@@ -94,8 +92,8 @@ const char *transportKindName(TransportKind K);
 /// Parses "sim" / "shm"; returns false on anything else.
 bool transportKindFromName(const std::string &Name, TransportKind &K);
 
-/// Abstract N-node RDMA transport: registered memory, one-sided and
-/// two-sided verbs, per-node serial CPU contexts and timers.
+/// Abstract N-node RDMA transport: registered memory, one-sided verbs,
+/// per-node serial CPU contexts and timers.
 class Transport {
 public:
   /// Each node models a small multi-core host (the paper's nodes have 8
@@ -156,15 +154,6 @@ public:
                         std::size_t Len, ReadCompletionFn OnComplete,
                         unsigned Lane = LaneClient) = 0;
 
-  /// Sends a two-sided message; the receiver's RecvHandler runs in its
-  /// execution context. Dropped silently at a crashed receiver.
-  virtual void send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
-                    CompletionFn OnComplete = nullptr,
-                    unsigned Lane = LaneClient) = 0;
-
-  /// Installs the two-sided receive handler for \p Node.
-  virtual void setRecvHandler(NodeId Node, RecvHandler Handler) = 0;
-
   /// Runs \p Fn in \p Node's serial execution context after everything
   /// already queued, charging \p Cost of (virtual) CPU time. Dropped when
   /// the node crashed.
@@ -199,19 +188,13 @@ public:
   virtual bool hasWritePermission(NodeId Target, NodeId Writer,
                                   RegionKey Key) const = 0;
 
-  /// Crashes \p Node: its CPU stops (pending and future closures dropped)
-  /// and incoming two-sided messages are discarded. One-sided access to
-  /// its memory keeps working, per the RDMA failure model.
+  /// Crashes \p Node: its CPU stops (pending and future closures dropped).
+  /// One-sided access to its memory keeps working, per the RDMA failure
+  /// model.
   virtual void crash(NodeId Node) = 0;
 
   /// True if the node has not crashed.
   virtual bool isAlive(NodeId Node) const = 0;
-
-  /// Installs (or clears) the fault hook consulted on the wire. Only the
-  /// deterministic backend supports fault hooks; the shm backend ignores
-  /// them (fault injection is sim-only, see docs/transport.md).
-  virtual void setFaultHook(FabricFaultHook *H) = 0;
-  virtual FabricFaultHook *faultHook() const = 0;
 
   /// Wires verb-level metrics into \p R, which must outlive the
   /// transport's last verb.

@@ -103,8 +103,9 @@ public:
   const MemoryMap &memoryMap() const { return *Shards[0].Map; }
   const HambandConfig &config() const { return Cfg; }
 
-  /// The simulated fabric; asserts on a non-sim transport. Convenience
-  /// for the deterministic tests that poke wire-level state.
+  /// The simulated fabric; asserts on a non-sim transport. The fault
+  /// injector hooks in here, and deterministic tests poke wire-level
+  /// state through it.
   rdma::Fabric &fabric();
 
   // -- Keyspace (keyed clusters only) --------------------------------------
@@ -150,9 +151,6 @@ public:
   /// cluster refreshes its keyspace gauges first (keyspace.objects,
   /// keyspace.shards, shard.imbalance in per-mille).
   obs::StatsSnapshot statsSnapshot() const override;
-
-  /// The cluster-level registry the transport reports into.
-  obs::Registry &clusterStats() { return ClusterStats; }
 
   /// Number of submitted calls whose completion is still pending.
   std::uint64_t outstanding() const {

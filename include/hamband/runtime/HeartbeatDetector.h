@@ -51,7 +51,6 @@ public:
   /// Undoes suspendBeating(): the beat timer (which keeps ticking while
   /// suspended) resumes advancing the counter on its next tick.
   void resumeBeating() { Beating = true; }
-  bool isBeating() const { return Beating; }
 
   /// Registers a suspicion callback; fired at most once per peer.
   void onSuspect(std::function<void(rdma::NodeId)> Fn) {
@@ -65,7 +64,6 @@ public:
   /// and start monitoring joiners; re-monitoring resets the miss count and
   /// any previous suspicion so a joiner starts with a clean slate.
   void setMonitored(rdma::NodeId Peer, bool M);
-  bool isMonitored(rdma::NodeId Peer) const { return Monitored[Peer]; }
 
 private:
   void beat();

@@ -191,9 +191,6 @@ public:
   /// First offset of this map within the registered region.
   rdma::MemOffset baseOffset() const { return Base; }
 
-  /// Bytes occupied by this map alone (totalBytes() - baseOffset()).
-  std::size_t sizeBytes() const { return Total - Base; }
-
 private:
   unsigned Procs;
   unsigned SumGroups;

@@ -91,9 +91,9 @@ struct ReconfigConfig {
   rdma::RegionKey InitialDataKey = rdma::UnprotectedRegion;
 };
 
-/// Minimal serialized call for the transfer log: u16 method | u16 argc |
-/// u32 issuer | u64 req | i64 args[argc]. (No deps/seq: transferred calls
-/// are applied unconditionally in donor apply order.)
+/// Minimal serialized call for the transfer log: one writeCallBlock block
+/// (WireFormat.h). No deps/seq: transferred calls are applied
+/// unconditionally in donor apply order.
 std::vector<std::uint8_t> encodeLoggedCall(const Call &C);
 bool decodeLoggedCall(const std::uint8_t *Data, std::size_t Len, Call &Out);
 

@@ -82,6 +82,18 @@ private:
   bool Failed = false;
 };
 
+/// Writes the call block that mailbox messages, summary images and the
+/// reconfiguration log share:
+///   u16 method | u16 argc | u32 issuer | u64 req | i64 args[argc]
+/// (encodeCall has its own layout: bcastSeq and epoch sit between req and
+/// the args).
+void writeCallBlock(ByteWriter &W, const Call &C);
+
+/// Reads a writeCallBlock block into \p Out. False when the buffer ends
+/// early; an argc needing more bytes than remain fails before any
+/// argument is read.
+bool readCallBlock(ByteReader &R, Call &Out);
+
 /// A decoded buffer entry: the call, its dependency map, and the
 /// per-issuer broadcast sequence number used for reliable-broadcast
 /// deduplication.

@@ -9,13 +9,16 @@
 ///
 /// A FaultPlan is generated from a single RNG seed: timed node crashes,
 /// heartbeat suspensions with recovery, and link partitions with healing,
-/// plus per-operation probabilities for message delays, drops and
-/// duplications. A FaultInjector executes the plan against a run by
-/// plugging into the explicit hook points of the stack:
+/// plus per-operation probabilities for one-sided verb delays and for
+/// crashes at reliable-broadcast stages. It models the network the
+/// Hamband runtime uses: every byte moves by one-sided verbs over
+/// Reliable-Connection queue pairs, which a fault delays but never loses.
+/// A FaultInjector executes the plan against a run by plugging into the
+/// explicit hook points of the stack:
 ///
 ///  - rdma::Fabric consults it (through rdma::FabricFaultHook, declared in
-///    rdma/NetworkModel.h) for every one-sided verb and two-sided message
-///    that reaches the wire;
+///    rdma/NetworkModel.h) for every one-sided verb that reaches the wire;
+///    a delay or an active partition adds wire latency;
 ///  - sim::Simulator carries its timed fault events (crash / suspend /
 ///    recover / partition) at exact virtual times;
 ///  - runtime::ReliableBroadcast reports every backup-slot stage through
@@ -58,12 +61,8 @@ namespace sim {
 /// traces.
 enum class FaultKind : std::uint8_t {
   None = 0,
-  /// Extra delivery delay on one operation (one- or two-sided).
+  /// Extra delivery delay on one one-sided verb.
   Delay,
-  /// A two-sided message was dropped.
-  Drop,
-  /// A two-sided message was delivered more than once.
-  Duplicate,
   /// A node's CPU crashed (permanent; its memory stays remotely
   /// accessible, per the RDMA failure model).
   Crash,
@@ -91,12 +90,12 @@ const char *faultKindName(FaultKind K);
 
 /// The hook site an event was keyed on. Each channel has its own
 /// monotonically increasing operation counter; a trace event stores the
-/// counter value at which it fired, which is what makes replay exact.
+/// counter value at which it fired, which is what makes replay exact. The
+/// numbers are the trace file's channel field; 1 (two-sided messages) is
+/// retired, and FaultTrace::deserialize rejects it.
 enum class FaultChannel : std::uint8_t {
   /// One-sided WRITE/READ verbs hitting the wire.
   OneSided = 0,
-  /// Two-sided messages hitting the wire.
-  TwoSided = 1,
   /// Timed events scheduled on the simulator.
   Timed = 2,
   /// ReliableBroadcast backup-slot stages.
@@ -117,12 +116,6 @@ inline constexpr unsigned NumFaultChannels = 7;
 struct FaultSpec {
   /// Probability that a one-sided verb is delayed by up to MaxExtraDelay.
   double OneSidedDelayProb = 0.0;
-  /// Probability that a two-sided message is delayed / dropped /
-  /// duplicated (checked in drop, duplicate, delay order; at most one
-  /// fires per message).
-  double TwoSidedDropProb = 0.0;
-  double TwoSidedDupProb = 0.0;
-  double TwoSidedDelayProb = 0.0;
   /// Injected delays are uniform in (0, MaxExtraDelay].
   SimDuration MaxExtraDelay = micros(40);
   /// Probability that a reliable-broadcast stage crashes its source
@@ -184,8 +177,8 @@ struct TraceEvent {
   std::uint32_t A = 0;
   /// Endpoint B (destination for per-op events).
   std::uint32_t B = 0;
-  /// Kind-specific payload: Delay = extra nanoseconds, Duplicate = copy
-  /// count, PartitionStart = heal time, Note = driver payload.
+  /// Kind-specific payload: Delay = extra nanoseconds, PartitionStart =
+  /// heal time, Note = driver payload.
   std::int64_t Param = 0;
 
   bool operator==(const TraceEvent &) const = default;
@@ -204,7 +197,8 @@ struct FaultTrace {
   /// form).
   std::string serialize() const;
 
-  /// Parses serialize() output. Returns false on malformed input.
+  /// Parses serialize() output. Returns false on malformed input,
+  /// including an unknown kind name or the retired channel 1.
   static bool deserialize(const std::string &Text, FaultTrace &Out);
 };
 
@@ -288,18 +282,12 @@ public:
   /// True while the (A, B) link is partitioned (either direction).
   bool isPartitioned(std::uint32_t A, std::uint32_t B) const;
 
-  /// True if the injector has crashed \p Node.
-  bool hasCrashed(std::uint32_t Node) const { return Crashed[Node]; }
-
   /// The events applied so far this run.
   const FaultTrace &trace() const { return Trace; }
 
   // -- rdma::FabricFaultHook ----------------------------------------------
-  rdma::FaultDecision onOneSidedOp(rdma::NodeId Src, rdma::NodeId Dst,
-                                   bool IsWrite,
-                                   std::size_t Bytes) override;
-  rdma::FaultDecision onTwoSidedMsg(rdma::NodeId Src, rdma::NodeId Dst,
-                                    std::size_t Bytes) override;
+  SimDuration onOneSidedOp(rdma::NodeId Src, rdma::NodeId Dst, bool IsWrite,
+                           std::size_t Bytes) override;
 
 private:
   /// Appends an applied event to the trace.

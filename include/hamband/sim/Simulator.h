@@ -78,9 +78,6 @@ public:
   /// Installs (or, with nullptr, removes) the tie-break chooser.
   void setScheduleChooser(ScheduleChooser C) { Chooser = std::move(C); }
 
-  /// True when a schedule chooser is currently installed.
-  bool hasScheduleChooser() const { return static_cast<bool>(Chooser); }
-
   /// Installs (or removes) the executed-event observer.
   void setPopObserver(PopObserver O) { Observer = std::move(O); }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
-# twin, delta twin, reconfig, delta + reconfig, pinned regression runs),
+# twin, delta twin, reconfig, delta + reconfig, pinned regression runs,
+# cross-process trace determinism),
 # the bench-report smoke with its built-in gates and one doctored report
 # per gate, the bounded coordination-verifier gate (including keyed-lift
 # preservation), the hamband_mc exhaustive small-scope sweep
@@ -255,6 +256,22 @@ rc=0; "$BUILD/tools/hamband_fuzz" --reconfig \
 if [ "$rc" -ne 2 ]; then
   echo "ci: hamband_fuzz --reconfig with a pre-epoch trace must exit 2" \
        "(got $rc)" >&2
+  exit 1
+fi
+
+# Cross-process trace determinism: run 0 of seed 42 is the network-noise
+# profile (one-sided delays and a partition). Two processes dumping it
+# must write byte-identical traces, and the trace must replay bit for bit.
+for COPY in a b; do
+  "$BUILD/tools/hamband_fuzz" --seed 42 --only 0 \
+    --dump "$BUILD/noise_$COPY.ftrace" >/dev/null
+done
+cmp "$BUILD/noise_a.ftrace" "$BUILD/noise_b.ftrace" || {
+  echo "ci: two processes dumped different traces of --seed 42 --only 0" >&2
+  exit 1; }
+if ! out=$("$BUILD/tools/hamband_fuzz" --replay-trace "$BUILD/noise_a.ftrace") ||
+   ! grep -qF "trace=identical" <<<"$out"; then
+  echo "ci: the --seed 42 --only 0 trace did not replay identically: $out" >&2
   exit 1
 fi
 

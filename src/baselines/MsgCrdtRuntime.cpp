@@ -12,8 +12,6 @@
 using namespace hamband;
 using namespace hamband::baselines;
 using hamband::runtime::WireCall;
-using hamband::semantics::DepEntry;
-using hamband::semantics::DepMap;
 
 namespace {
 /// Message kinds on the wire.
@@ -59,14 +57,6 @@ std::uint64_t MsgCrdtRuntime::applied(rdma::NodeId Node, ProcessId From,
   return Replicas[Node]->Applied[From][U];
 }
 
-bool MsgCrdtRuntime::depsSatisfied(const Replica &R,
-                                   const DepMap &D) const {
-  for (const DepEntry &E : D)
-    if (R.Applied[E.P][E.U] < E.Count)
-      return false;
-  return true;
-}
-
 void MsgCrdtRuntime::submit(rdma::NodeId Origin, const Call &C,
                             runtime::SubmitCallback Done) {
   assert(Origin < numNodes());
@@ -99,10 +89,7 @@ void MsgCrdtRuntime::submit(rdma::NodeId Origin, const Call &C,
 
         WireCall WC;
         WC.TheCall = P;
-        for (MethodId Dep : Spec.dependencies(P.Method))
-          for (ProcessId Q = 0; Q < numNodes(); ++Q)
-            if (std::uint64_t N = R.Applied[Q][Dep])
-              WC.Deps.push_back(DepEntry{Q, Dep, N});
+        WC.Deps = runtime::projectDeps(Spec, R.Applied, P.Method);
         WC.BcastSeq = R.SeqOut++;
 
         unsigned Peers = numNodes() - 1;
@@ -177,7 +164,7 @@ void MsgCrdtRuntime::applyPending(rdma::NodeId Node) {
     Progress = false;
     for (unsigned Src = 0; Src < numNodes(); ++Src) {
       auto &Q = R.Pending[Src];
-      while (!Q.empty() && depsSatisfied(R, Q.front().Deps)) {
+      while (!Q.empty() && runtime::depsSatisfied(R.Applied, Q.front().Deps)) {
         const Call &C = Q.front().TheCall;
         Type.apply(*R.Stored, C);
         R.Applied[C.Issuer][C.Method] += 1;

@@ -171,8 +171,7 @@ void Fabric::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
         sim::SimDuration Wire = Model.writeWire(Payload->size());
         if (Hook)
           Wire += Hook->onOneSidedOp(Src, Dst, /*IsWrite=*/true,
-                                     Payload->size())
-                      .ExtraDelay;
+                                     Payload->size());
         if (HistWireNs)
           HistWireNs->record(Wire);
         sim::SimTime DeliverAt = channelDeliveryTime(Src, Dst, Wire);
@@ -214,8 +213,7 @@ void Fabric::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
        OnComplete = std::move(OnComplete)]() {
         sim::SimDuration Wire = Model.readWire(Len);
         if (Hook)
-          Wire += Hook->onOneSidedOp(Src, Dst, /*IsWrite=*/false, Len)
-                      .ExtraDelay;
+          Wire += Hook->onOneSidedOp(Src, Dst, /*IsWrite=*/false, Len);
         if (HistWireNs)
           HistWireNs->record(Wire);
         sim::SimTime SampleAt = channelDeliveryTime(Src, Dst, Wire);
@@ -245,28 +243,18 @@ void Fabric::send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
       Src, Model.MsgStackSendCpu,
       [this, Src, Dst, Payload, Lane,
        OnComplete = std::move(OnComplete)]() {
-        sim::SimDuration Wire = Model.msgWire(Payload->size());
-        FaultDecision Fault;
-        if (Hook)
-          Fault = Hook->onTwoSidedMsg(Src, Dst, Payload->size());
-        // A dropped or duplicated message completes normally at the
-        // sender either way (TCP-like: the sender cannot tell).
-        unsigned Copies = Fault.Drop ? 0 : 1 + Fault.Duplicates;
-        for (unsigned I = 0; I < Copies; ++I) {
-          sim::SimTime DeliverAt =
-              channelDeliveryTime(Src, Dst, Wire + Fault.ExtraDelay);
-          Sim.scheduleAt(DeliverAt,
-                         {sim::EventKind::TwoSidedDelivery, Dst, Src},
-                         [this, Src, Dst, Payload]() {
-            NodeCtx &Ctx = *Nodes[Dst];
-            if (!Ctx.Alive || !Ctx.OnRecv)
-              return; // Dropped at a dead receiver.
-            runOnCpu(
-                Dst, Model.MsgStackRecvCpu,
-                [&Ctx, Src, Payload]() { Ctx.OnRecv(Src, *Payload); },
-                LanePoller);
-          });
-        }
+        sim::SimTime DeliverAt =
+            channelDeliveryTime(Src, Dst, Model.msgWire(Payload->size()));
+        Sim.scheduleAt(DeliverAt, {sim::EventKind::TwoSidedDelivery, Dst, Src},
+                       [this, Src, Dst, Payload]() {
+          NodeCtx &Ctx = *Nodes[Dst];
+          if (!Ctx.Alive || !Ctx.OnRecv)
+            return; // Dropped at a dead receiver.
+          runOnCpu(
+              Dst, Model.MsgStackRecvCpu,
+              [&Ctx, Src, Payload]() { Ctx.OnRecv(Src, *Payload); },
+              LanePoller);
+        });
         if (OnComplete)
           complete(Src, Lane,
                    [OnComplete]() { OnComplete(WcStatus::Success); });

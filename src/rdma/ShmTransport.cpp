@@ -145,41 +145,6 @@ void ShmTransport::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
             /*NeedsAlive=*/true);
 }
 
-void ShmTransport::send(NodeId Src, NodeId Dst,
-                        std::vector<std::uint8_t> Msg,
-                        CompletionFn OnComplete, unsigned Lane) {
-  (void)Lane;
-  assert(Src < Nodes.size() && Dst < Nodes.size());
-  if (!Nodes[Src]->Alive.load(std::memory_order_acquire))
-    return;
-  if (CtrSend)
-    CtrSend->add();
-  ShmNode *D = Nodes[Dst].get();
-  enqueue(Dst,
-          [D, Src, Msg = std::move(Msg)]() {
-            RecvHandler H;
-            {
-              std::lock_guard<std::mutex> G(D->Mu);
-              H = D->OnRecv;
-            }
-            if (H)
-              H(Src, Msg);
-          },
-          /*NeedsAlive=*/true);
-  // TCP-like: the sender's completion succeeds whether or not the
-  // receiver is alive to process the message.
-  if (OnComplete)
-    enqueue(Src, [OnComplete = std::move(OnComplete)]() {
-      OnComplete(WcStatus::Success);
-    }, /*NeedsAlive=*/true);
-}
-
-void ShmTransport::setRecvHandler(NodeId Node, RecvHandler Handler) {
-  assert(Node < Nodes.size());
-  std::lock_guard<std::mutex> G(Nodes[Node]->Mu);
-  Nodes[Node]->OnRecv = std::move(Handler);
-}
-
 void ShmTransport::runOnCpu(NodeId Node, sim::SimDuration Cost,
                             std::function<void()> Fn, unsigned Lane) {
   (void)Cost;
@@ -239,16 +204,9 @@ bool ShmTransport::isAlive(NodeId Node) const {
   return Nodes[Node]->Alive.load(std::memory_order_acquire);
 }
 
-void ShmTransport::setFaultHook(FabricFaultHook *H) {
-  assert(H == nullptr &&
-         "fault injection is sim-only; see docs/transport.md");
-  (void)H;
-}
-
 void ShmTransport::setObs(obs::Registry &R) {
   CtrWrite = &R.counter("rdma.write");
   CtrRead = &R.counter("rdma.read");
-  CtrSend = &R.counter("rdma.send");
   CtrBytes = &R.counter("rdma.bytes_written");
 }
 
@@ -272,7 +230,6 @@ void ShmTransport::shutdown() {
   for (auto &N : Nodes) {
     N->Queue.clear();
     N->Timers.clear();
-    N->OnRecv = nullptr;
   }
   Joined = true;
 }

@@ -365,7 +365,7 @@ void HambandCluster::hookShards(sim::FaultInjector &FI, unsigned First,
     for (rdma::NodeId N = 0; N < numNodes(); ++N)
       Shards[S].Nodes[N]->broadcast().setOnStage(
           [&FI, N]() { FI.onBroadcastStaged(N); });
-  Trans->setFaultHook(&FI);
+  fabric().setFaultHook(&FI);
   FaultInj = &FI;
 }
 

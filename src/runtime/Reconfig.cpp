@@ -45,28 +45,14 @@ bool runtime::decodeMembership(const std::uint8_t *Data, std::size_t Len,
 
 std::vector<std::uint8_t> runtime::encodeLoggedCall(const Call &C) {
   ByteWriter W;
-  W.u16(C.Method);
-  W.u16(static_cast<std::uint16_t>(C.Args.size()));
-  W.u32(C.Issuer);
-  W.u64(C.Req);
-  for (Value V : C.Args)
-    W.i64(V);
+  writeCallBlock(W, C);
   return W.take();
 }
 
 bool runtime::decodeLoggedCall(const std::uint8_t *Data, std::size_t Len,
                                Call &Out) {
   ByteReader R(Data, Len);
-  Out.Method = R.u16();
-  std::uint16_t Argc = R.u16();
-  Out.Issuer = R.u32();
-  Out.Req = R.u64();
-  if (!R.ok() || static_cast<std::size_t>(Argc) * 8 > R.remaining())
-    return false;
-  Out.Args.resize(Argc);
-  for (std::uint16_t I = 0; I < Argc; ++I)
-    Out.Args[I] = R.i64();
-  return R.ok();
+  return readCallBlock(R, Out);
 }
 
 std::vector<std::uint8_t>

@@ -407,16 +407,9 @@ struct DelayWrites final : rdma::FabricFaultHook {
   sim::SimDuration Delay;
   DelayWrites(rdma::NodeId S, rdma::NodeId D, sim::SimDuration Dl)
       : Src(S), Dst(D), Delay(Dl) {}
-  rdma::FaultDecision onOneSidedOp(rdma::NodeId S, rdma::NodeId D,
-                                   bool IsWrite, std::size_t) override {
-    rdma::FaultDecision F;
-    if (S == Src && D == Dst && IsWrite)
-      F.ExtraDelay = Delay;
-    return F;
-  }
-  rdma::FaultDecision onTwoSidedMsg(rdma::NodeId, rdma::NodeId,
-                                    std::size_t) override {
-    return {};
+  sim::SimDuration onOneSidedOp(rdma::NodeId S, rdma::NodeId D,
+                                bool IsWrite, std::size_t) override {
+    return S == Src && D == Dst && IsWrite ? Delay : 0;
   }
 };
 

@@ -98,11 +98,8 @@ std::uint64_t mixSeed(std::uint64_t A, std::uint64_t B) {
 FaultSpec specForProfile(unsigned Profile) {
   FaultSpec S;
   switch (Profile % 4) {
-  case 0: // Network noise: delays, drops, duplicates, one partition.
+  case 0: // Network noise: one-sided delays and one partition.
     S.OneSidedDelayProb = 0.05;
-    S.TwoSidedDropProb = 0.05;
-    S.TwoSidedDupProb = 0.03;
-    S.TwoSidedDelayProb = 0.10;
     S.NumPartitions = 1;
     break;
   case 1: // The paper's injection: suspend a node, then recover it.
@@ -155,10 +152,8 @@ FaultPlan minimizePlan(const RunSpec &Cfg, FaultPlan Plan) {
       }
     }
   }
-  double FaultSpec::*Knobs[] = {
-      &FaultSpec::OneSidedDelayProb, &FaultSpec::TwoSidedDropProb,
-      &FaultSpec::TwoSidedDupProb, &FaultSpec::TwoSidedDelayProb,
-      &FaultSpec::CrashOnStageProb};
+  double FaultSpec::*Knobs[] = {&FaultSpec::OneSidedDelayProb,
+                                &FaultSpec::CrashOnStageProb};
   for (auto Knob : Knobs) {
     if (Plan.Spec.*Knob == 0)
       continue;
@@ -171,11 +166,10 @@ FaultPlan minimizePlan(const RunSpec &Cfg, FaultPlan Plan) {
 }
 
 void printPlan(const FaultPlan &Plan) {
-  std::printf("  plan: seed=%" PRIu64 " nodes=%u probs[1s-delay=%g drop=%g "
-              "dup=%g 2s-delay=%g stage-crash=%g]\n",
+  std::printf("  plan: seed=%" PRIu64 " nodes=%u probs[1s-delay=%g "
+              "stage-crash=%g]\n",
               Plan.Seed, Plan.NumNodes, Plan.Spec.OneSidedDelayProb,
-              Plan.Spec.TwoSidedDropProb, Plan.Spec.TwoSidedDupProb,
-              Plan.Spec.TwoSidedDelayProb, Plan.Spec.CrashOnStageProb);
+              Plan.Spec.CrashOnStageProb);
   for (const TimedFault &F : Plan.Timed)
     std::printf("  at %" PRIu64 "ns %s node/link %u %u until %" PRIu64 "\n",
                 F.At, faultKindName(F.Kind), F.A, F.B, F.Until);
