@@ -80,7 +80,7 @@ struct RunnerOptions {
   /// clients retry closed-epoch rejections against the new epoch.
   std::string ReconfigAction;
   /// Fraction of ops issued when the transition starts.
-  double ReconfigAtFraction = 0.4;
+  static constexpr double ReconfigAtFraction = 0.4;
 };
 
 /// Runs the workload once with the given seed.

@@ -17,7 +17,7 @@
 /// scratch with the prefix forced, which keeps the cluster, fabric and
 /// fault injector entirely unaware they are being model-checked.
 ///
-/// Three reductions keep the tree tractable (each can be disabled):
+/// Three reductions keep the tree tractable:
 ///
 ///  - Dynamic partial-order reduction: a branch whose event is pairwise
 ///    independent of every earlier branch at the same choice point is
@@ -38,11 +38,11 @@
 /// slot window) and once per (node, time) timed-crash placement, all
 /// within the minority budget.
 ///
-/// A violated oracle yields a *certified counterexample*: the decision
-/// prefix is greedily minimized while the failure persists, and the
-/// surviving run's FaultTrace (which embeds every schedule choice and
-/// crash decision) replays bit-for-bit under `hamband_fuzz
-/// --replay-trace`.
+/// The first violated oracle stops exploration and yields a *certified
+/// counterexample*: the decision prefix is greedily minimized while the
+/// failure persists, and the surviving run's FaultTrace (which embeds
+/// every schedule choice and crash decision) replays bit-for-bit under
+/// `hamband_fuzz --replay-trace`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,13 +52,13 @@
 #include "hamband/explore/Harness.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <vector>
 
 namespace hamband {
 namespace explore {
 
-/// Exploration bounds and reduction toggles.
+/// Exploration bounds.
 struct McOptions {
   /// Maximum schedules to execute. The budget is split fairly over the
   /// crash placements (remaining budget / remaining placements, with
@@ -72,12 +72,6 @@ struct McOptions {
   unsigned MaxCrashPoints = 1;
   /// Cap on enumerated broadcast-stage crash placements.
   unsigned MaxStagePlacements = 6;
-  bool UseDpor = true;
-  bool UseSleep = true;
-  bool UseDedup = true;
-  /// Stop at (and minimize) the first violated oracle.
-  bool StopAtFirstViolation = true;
-  bool Minimize = true;
 };
 
 /// One certified counterexample.
@@ -96,8 +90,9 @@ struct McViolation {
 
 struct McReport {
   RunSpec Base;
-  bool Ok = true;
-  std::vector<McViolation> Violations;
+  /// The first violated oracle's certified counterexample (exploration
+  /// stops there); empty when every explored schedule passed.
+  std::optional<McViolation> Violation;
   /// Schedules fully executed.
   std::uint64_t Explored = 0;
   /// Choice points consulted across all runs.
@@ -115,6 +110,9 @@ struct McReport {
   long double NaiveLog10 = 0;
   /// True when MaxRuns or MaxBranchIdx cut exploration short.
   bool BudgetExhausted = false;
+
+  /// Every explored schedule passed every oracle.
+  bool ok() const { return !Violation; }
 };
 
 /// Explores every schedule of \p Base up to the bounds in \p Opt.

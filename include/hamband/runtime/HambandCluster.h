@@ -22,8 +22,8 @@
 /// (core/KeyedObjectType.h): string object ids are consistent-hashed onto
 /// the shards (runtime/Keyspace.h), every call carries its object's
 /// interned key, and submit() routes it to the owning shard. Shard leaders
-/// rotate across nodes by default (KeyspaceConfig::RotateLeaders -> shard
-/// s leads its group g at node (g + s) % N).
+/// rotate across nodes: shard s leads its group g at node (g + s) % N
+/// (HambandConfig::LeaderOffset), so no node leads every shard's group 0.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -96,11 +96,6 @@ struct HambandConfig {
   /// or its group's log position.
   sim::SimDuration PermissibilityWait = sim::micros(150);
   HeartbeatDetector::Config Heartbeat;
-  /// Ablation: stage broadcasts in the backup slot (reliable) or not.
-  bool UseBackupSlot = true;
-  /// Ablation: complete client calls after remote-write completions
-  /// (true, default) or right after the local apply (unsafe-fast).
-  bool RespondAfterCompletion = true;
   /// Reduction-aware batching of the broadcast hot path.
   BatchingConfig Batch;
   /// Delta-state propagation of reducible summaries (docs/deltas.md).
@@ -351,9 +346,8 @@ private:
   /// when nothing is pending).
   void flush(FlushCause Cause);
   /// Stages \p S's image in the backup slot, posts its writes to every
-  /// active peer, clears the slot once all complete unless a later flush
-  /// staged over it, and responds to the calls early or late
-  /// (Cfg.RespondAfterCompletion).
+  /// active peer, and once all complete clears the slot (unless a later
+  /// flush staged over it) and answers the calls.
   void ship(Shipment S);
   /// Effective byte cap for the encoded free-batch record.
   std::size_t freeBatchCapBytes() const;

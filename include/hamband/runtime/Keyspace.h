@@ -45,10 +45,6 @@ struct KeyspaceConfig {
   /// Folded into every placement hash, so two deployments can place the
   /// same ids differently.
   std::uint64_t HashSeed = 0;
-  /// Spread shard leaders across nodes (shard s leads group g at node
-  /// (g + s) % N) instead of stacking every shard's group-0 leader on
-  /// node 0. See HambandConfig::LeaderOffset.
-  bool RotateLeaders = true;
 };
 
 /// Consistent-hash placement plus id interning for one deployment.

@@ -80,12 +80,12 @@ struct ReconfigConfig {
   /// monitor it until a transition adds it.
   std::vector<std::uint8_t> InitialActive;
   /// Size of the one-sided state-transfer staging slot on every node.
-  std::uint32_t TransferSlotBytes = 1u << 16;
+  static constexpr std::uint32_t TransferSlotBytes = 1u << 16;
   /// Coordinator state-machine tick period.
   sim::SimDuration TickInterval = sim::micros(5);
   /// Consecutive quiescent-and-identical probe rounds required to leave
   /// Drain.
-  unsigned StableProbeRounds = 2;
+  static constexpr unsigned StableProbeRounds = 2;
   /// Epoch-0 data-plane region key. Filled in by HambandCluster::build()
   /// (createRegionKey) before the nodes are constructed; not a user knob.
   rdma::RegionKey InitialDataKey = rdma::UnprotectedRegion;

@@ -48,9 +48,8 @@ struct HambandConfig;
 struct DeltaConfig {
   /// Master switch.
   bool Enabled = false;
-  /// Anti-entropy period: every this many delta flushes of a group, ship
-  /// a full image instead of a delta (0 = never; gaps then heal only
-  /// through backup-slot recovery).
+  /// Anti-entropy period (>= 1): every this many delta flushes of a
+  /// group, ship a full image instead of a delta.
   std::uint32_t AntiEntropyEvery = 64;
 };
 
@@ -84,9 +83,9 @@ public:
   bool fold(const Call &P);
   /// Ships every group with unshipped calls: appends its slot write, full
   /// frames or delta frame to \p Out, and stages its full image, else its
-  /// delta frame, in \p Staged (null: stage nothing) while that fits the
-  /// \p Room bytes left in the backup slot.
-  void ship(std::uint32_t Epoch, Outgoing &Out, FlushImage *Staged,
+  /// delta frame, in \p Staged while that fits the \p Room bytes left in
+  /// the backup slot.
+  void ship(std::uint32_t Epoch, Outgoing &Out, FlushImage &Staged,
             std::size_t &Room);
   /// Marks every group shipped without sending it (no active peer).
   void markShipped();

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Benchmark-regression harness: runs hamband_bench_report, which emits
-# BENCH_pr19.json (the fig8/fig9 headline points and the batched fig8
-# twin, the fig_shard keyspace-scaling sweep, the fig_bigstate
-# delta-bytes sweep, the fig_reconfig online-membership sweep and the
-# paper section with every point of the paper's Figs 8-13, the headline
-# aggregate and the ablations), then gates it:
+# Benchmark-regression harness: runs hamband_bench_report, which writes
+# its report to --out (default <build-dir>/BENCH_full.json, or
+# <build-dir>/BENCH_smoke.json with --smoke): the fig8/fig9 headline
+# points and the batched fig8 twin, the fig_shard keyspace-scaling sweep,
+# the fig_bigstate delta-bytes sweep, the fig_reconfig online-membership
+# sweep and the paper section with every point of the paper's Figs 8-13,
+# the headline aggregate and the ablations. It then gates the report:
 #
 #  - the tool's bare --check requires every sim section and applies every
 #    built-in gate: the paper's relative claims and the extension floors
@@ -13,12 +14,14 @@
 #    (HeadlineMinVsMsg ... MinReconfigAfter), not options; its header
 #    lists them.
 #  - no-regression: the tool's --compare holds every sim point to the
-#    committed baseline report, BENCH_pr19.json unless --baseline points
+#    committed baseline report, BENCH_pr25.json unless --baseline points
 #    elsewhere, within its built-in tolerance (CompareTolerance). It lists
 #    every point's old and new value and names each failing one. Full runs
 #    only: the smoke op count is too small to compare against a full-run
-#    baseline. Skipped when --out is the baseline itself, which is how the
-#    baseline is regenerated.
+#    baseline. Skipped when --out is the baseline itself.
+#
+# A new baseline is a full run with --out BENCH_prN.json at the repository
+# root; that run prints its compare against the old baseline.
 #
 # The report also carries a transport dimension (--transport, default
 # "both"): alongside the simulated-time figures it records fig8_shm /
@@ -37,8 +40,8 @@ set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$REPO/build"
-OUT="$REPO/BENCH_pr19.json"
-BASELINE="$REPO/BENCH_pr19.json"
+OUT=""
+BASELINE="$REPO/BENCH_pr25.json"
 OPS=6000
 REPS=1
 TRANSPORT=both
@@ -61,7 +64,12 @@ while [ $# -gt 0 ]; do
 done
 
 REPORT_ARGS=(--ops "$OPS" --reps "$REPS" --transport "$TRANSPORT")
-[ "$SMOKE" = 1 ] && REPORT_ARGS+=(--smoke)
+if [ "$SMOKE" = 1 ]; then
+  REPORT_ARGS+=(--smoke)
+  OUT="${OUT:-$BUILD/BENCH_smoke.json}"
+else
+  OUT="${OUT:-$BUILD/BENCH_full.json}"
+fi
 
 cmake -B "$BUILD" -S "$REPO" >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" --target hamband_bench_report

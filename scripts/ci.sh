@@ -3,7 +3,8 @@
 # twin, delta twin, reconfig, delta + reconfig, pinned regression runs,
 # cross-process trace determinism),
 # the bench-report smoke with its built-in gates and one doctored report
-# per gate, the bounded coordination-verifier gate (including keyed-lift
+# per gate, the full sim report compared against the committed baseline,
+# the bounded coordination-verifier gate (including keyed-lift
 # preservation), the hamband_mc exhaustive small-scope sweep
 # (plus a delta-mode exploration), the end-to-end benchmark smoke
 # (bench/e2e's own build and ctests), a TSan flavor (threaded obs mutation,
@@ -164,6 +165,13 @@ no_reconfig check fig_reconfig.points missing or empty
 cmp_shard compare fig_shard/shards=8 outside tolerance
 cmp_paper compare paper.fig11/project-management/hamband/nodes:4/upd:50/ops:24000/base outside tolerance
 CASES
+
+# Bench no-regression gate: the full simulated-time report, checked and
+# compared point by point against the committed baseline (about 30 s on
+# 4 cores). The smoke report above is too small to compare.
+echo "ci: full sim report against the committed baseline"
+"$REPO/scripts/bench_regress.sh" --transport sim --out "$BUILD/BENCH_full.json" \
+  "$BUILD"
 
 # End-to-end benchmark smoke: bench/e2e is its own CMake project (the
 # build bench/e2e/run.py uses), so its two ctests -- the tiny-size run of

@@ -326,7 +326,8 @@ RunResult benchlib::runOnce(const ObjectType &Type,
       }
       if (DoReconfig && !State->ReconfigTriggered &&
           static_cast<double>(State->IssuedTotal) >=
-              Opts.ReconfigAtFraction * static_cast<double>(W.NumOps)) {
+              RunnerOptions::ReconfigAtFraction *
+                  static_cast<double>(W.NumOps)) {
         State->ReconfigTriggered = true;
         State->Phase = 1;
         State->TransStartT = T.now();

@@ -140,13 +140,11 @@ RunOutcome runControlled(const RunSpec &RS, const Placement &PL,
     }
     if (!Cap || StopBranching)
       return 0;
-    // Only ties with some mutually *dependent* pair can change the
-    // outcome (with DPOR off, every tie branches).
+    // Only ties with some mutually *dependent* pair can change the outcome.
     bool Branchy = false;
     for (std::size_t I = 1; I < Enabled.size() && !Branchy; ++I)
       for (std::size_t J = 0; J < I; ++J)
-        if (!Opt.UseDpor ||
-            !Enabled[I].Label.independentOf(Enabled[J].Label)) {
+        if (!Enabled[I].Label.independentOf(Enabled[J].Label)) {
           Branchy = true;
           break;
         }
@@ -172,7 +170,7 @@ RunOutcome runControlled(const RunSpec &RS, const Placement &PL,
     BR.Idx = Idx;
     BR.Enabled = Enabled;
     BR.Sleep = CurSleep;
-    BR.ZeroAsleep = Opt.UseSleep && asleep(CurSleep, Enabled[0].Id);
+    BR.ZeroAsleep = asleep(CurSleep, Enabled[0].Id);
     bool Redundant = BR.ZeroAsleep;
     Cap->Branches.push_back(std::move(BR));
     if (Redundant)
@@ -186,7 +184,7 @@ RunOutcome runControlled(const RunSpec &RS, const Placement &PL,
 
 /// Turns a finished run's frontier into sibling work items (the DPOR
 /// branch rule). Stack order makes the DFS take deepest siblings first.
-void expand(const WorkItem &W, const RunCapture &Cap, const McOptions &Opt,
+void expand(const WorkItem &W, const RunCapture &Cap,
             std::vector<WorkItem> &Stack, McReport &Rep) {
   for (const BranchRec &BR : Cap.Branches) {
     if (BR.ZeroAsleep)
@@ -195,20 +193,18 @@ void expand(const WorkItem &W, const RunCapture &Cap, const McOptions &Opt,
     Explored.push_back({BR.Enabled[0].Id, BR.Enabled[0].Label});
     for (std::size_t I = 1; I < BR.Enabled.size(); ++I) {
       const EnabledEvent &E = BR.Enabled[I];
-      if (Opt.UseSleep && asleep(BR.Sleep, E.Id)) {
+      if (asleep(BR.Sleep, E.Id)) {
         ++Rep.PrunedSleep;
         continue;
       }
-      if (Opt.UseDpor) {
-        // Independent of every earlier branch here: executing it first
-        // commutes into an explored order.
-        bool Dependent = false;
-        for (std::size_t J = 0; J < I && !Dependent; ++J)
-          Dependent = !E.Label.independentOf(BR.Enabled[J].Label);
-        if (!Dependent) {
-          ++Rep.PrunedDependence;
-          continue;
-        }
+      // Independent of every earlier branch here: executing it first
+      // commutes into an explored order.
+      bool Dependent = false;
+      for (std::size_t J = 0; J < I && !Dependent; ++J)
+        Dependent = !E.Label.independentOf(BR.Enabled[J].Label);
+      if (!Dependent) {
+        ++Rep.PrunedDependence;
+        continue;
       }
       WorkItem Child;
       Child.Prefix = W.Prefix;
@@ -240,26 +236,24 @@ McViolation minimizeViolation(const RunSpec &RS, Placement PL,
     W.Prefix = Pre;
     return !runControlled(RS, P, W, Opt, nullptr, nullptr, nullptr).Ok;
   };
-  if (Opt.Minimize) {
-    if (PL.K != Placement::None && failsWith(Placement(), Prefix))
-      PL = Placement();
-    bool Progress = true;
-    while (Progress) {
-      Progress = false;
-      for (std::size_t I = Prefix.size(); I-- > 0;) {
-        if (Prefix[I] == 0)
-          continue;
-        std::vector<std::uint32_t> Cand = Prefix;
-        Cand[I] = 0;
-        if (failsWith(PL, Cand)) {
-          Prefix = std::move(Cand);
-          Progress = true;
-        }
+  if (PL.K != Placement::None && failsWith(Placement(), Prefix))
+    PL = Placement();
+  bool Progress = true;
+  while (Progress) {
+    Progress = false;
+    for (std::size_t I = Prefix.size(); I-- > 0;) {
+      if (Prefix[I] == 0)
+        continue;
+      std::vector<std::uint32_t> Cand = Prefix;
+      Cand[I] = 0;
+      if (failsWith(PL, Cand)) {
+        Prefix = std::move(Cand);
+        Progress = true;
       }
     }
-    while (!Prefix.empty() && Prefix.back() == 0)
-      Prefix.pop_back();
   }
+  while (!Prefix.empty() && Prefix.back() == 0)
+    Prefix.pop_back();
   WorkItem W;
   W.Prefix = Prefix;
   RunOutcome Final = runControlled(RS, PL, W, Opt, nullptr, nullptr, nullptr);
@@ -318,9 +312,7 @@ McReport explore::exploreType(const RunSpec &Base, const McOptions &Opt) {
       WorkItem W = std::move(Stack.back());
       Stack.pop_back();
       RunCapture Cap;
-      RunOutcome Out =
-          runControlled(RS, PL, W, Opt,
-                        Opt.UseDedup ? &Visited : nullptr, &Cap, &Rep);
+      RunOutcome Out = runControlled(RS, PL, W, Opt, &Visited, &Cap, &Rep);
       ++Rep.Explored;
       if (Cap.Truncated)
         Rep.BudgetExhausted = true;
@@ -351,15 +343,10 @@ McReport explore::exploreType(const RunSpec &Base, const McOptions &Opt) {
         }
       }
       if (!Out.Ok) {
-        Rep.Ok = false;
-        Rep.Violations.push_back(
-            minimizeViolation(RS, PL, W.Prefix, Out, Opt));
-        if (Opt.StopAtFirstViolation)
-          return Rep;
-        continue; // A failing schedule's siblings still expand from
-                  // other work items; don't fork the failure itself.
+        Rep.Violation = minimizeViolation(RS, PL, W.Prefix, Out, Opt);
+        return Rep;
       }
-      expand(W, Cap, Opt, Stack, Rep);
+      expand(W, Cap, Stack, Rep);
     }
   }
   return Rep;

@@ -64,8 +64,7 @@ HambandCluster::HambandCluster(sim::Simulator *Sim, rdma::TransportKind Kind,
         NumNodes, Spec.numSumGroups(), Spec.numSyncGroups(),
         this->Cfg.FreeGeom, this->Cfg.ConfGeom, this->Cfg.MailGeom,
         this->Cfg.SummarySlotBytes, this->Cfg.BackupSlotBytes, Base,
-        this->Cfg.Reconfig.Enabled ? this->Cfg.Reconfig.TransferSlotBytes
-                                   : 0);
+        this->Cfg.Reconfig.Enabled ? ReconfigConfig::TransferSlotBytes : 0);
     Base = (Sh.Map->totalBytes() + 63) & ~rdma::MemOffset(63);
   }
   std::size_t MemBytes = Shards.back().Map->totalBytes() + (1u << 20);
@@ -118,7 +117,7 @@ void HambandCluster::build(unsigned NumNodes) {
   }
   for (unsigned S = 0; S < numShards(); ++S) {
     HambandConfig ShardCfg = Cfg;
-    if (KS && KS->config().RotateLeaders)
+    if (KS)
       ShardCfg.LeaderOffset = S;
     Shard &Sh = Shards[S];
     Sh.Failed.assign(NumNodes, false);

@@ -600,24 +600,23 @@ void HambandNode::flush(FlushCause Cause) {
   std::size_t Used = ReliableBroadcast::OverheadBytes + FlushImageBaseBytes;
   std::size_t Room = Cfg.BackupSlotBytes > Used ? Cfg.BackupSlotBytes - Used
                                                 : 0;
-  FlushImage *Staged = Cfg.UseBackupSlot ? &S.Staged : nullptr;
   // The free calls ship as one wire record (handleFree flushes before the
   // batch outgrows its cap); recovery decodes a batch, even of one call.
   std::vector<std::uint8_t> FreeRecord;
   if (!AllCalls.empty()) {
     std::vector<std::uint8_t> Batch = encodeCallBatch(AllCalls);
     FreeRecord = AllCalls.size() == 1 ? std::move(AllCalls[0]) : Batch;
-    if (Staged && Batch.size() <= Room) {
+    if (Batch.size() <= Room) {
       Room -= Batch.size();
-      Staged->FreeRecord = std::move(Batch);
-    } else if (Staged) {
+      S.Staged.FreeRecord = std::move(Batch);
+    } else {
       CtrStageSkipped->add();
     }
   }
 
   // Post order: summary-slot writes, full frames, delta frames, then the
   // free record.
-  Sums.ship(CurrentEpoch, S, Staged, Room);
+  Sums.ship(CurrentEpoch, S, S.Staged, Room);
   if (!FreeRecord.empty())
     S.Records.push_back(std::move(FreeRecord));
   ship(std::move(S));
@@ -644,11 +643,6 @@ void HambandNode::ship(Shipment S) {
     // One serialization charge per flush (vs one per call unbatched).
     Fabric.runOnCpu(Self, Fabric.model().ParseCpu, []() {},
                     rdma::Transport::LaneClient);
-  }
-  if (!Cfg.RespondAfterCompletion) {
-    for (SubmitCallback &D : S.Dones)
-      D(true, 0);
-    S.Dones.clear();
   }
 
   auto Remaining = std::make_shared<unsigned>(Writes);
@@ -691,8 +685,6 @@ void HambandNode::ship(Shipment S) {
 
 void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
   Conf->onPeerSuspected(Peer);
-  if (!Cfg.UseBackupSlot)
-    return;
   Broadcast->fetch(Peer, [this, Peer](ReliableBroadcast::BackupMessage Msg) {
     if (Msg.TheKind == ReliableBroadcast::Kind::None)
       return;

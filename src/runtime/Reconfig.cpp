@@ -385,7 +385,7 @@ void ReconfigManager::runDrainStage() {
       ++StableRounds;
     else
       StableRounds = 0;
-    if (StableRounds >= C.config().Reconfig.StableProbeRounds) {
+    if (StableRounds >= ReconfigConfig::StableProbeRounds) {
       // Every member agrees (the digest covers the L-ring positions);
       // capture the post-transition per-group log indexes from the
       // coordinator replica.

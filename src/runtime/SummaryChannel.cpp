@@ -21,6 +21,7 @@ SummaryChannel::SummaryChannel(
     : Fabric(Fabric), Self(Self), Type(Type), Spec(Type.coordination()),
       Map(Map), Delta(Cfg.Delta), Applied(Applied),
       OnChange(std::move(OnChange)) {
+  assert(Delta.AntiEntropyEvery >= 1 && "anti-entropy period must be >= 1");
   unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSumGroups();
   GroupMethods.resize(Groups);
@@ -91,7 +92,7 @@ bool SummaryChannel::fold(const Call &P) {
 }
 
 void SummaryChannel::ship(std::uint32_t Epoch, Outgoing &Out,
-                          FlushImage *Staged, std::size_t &Room) {
+                          FlushImage &Staged, std::size_t &Room) {
   auto Reserve = [&Room](std::size_t Bytes) {
     if (Bytes > Room)
       return false;
@@ -117,8 +118,7 @@ void SummaryChannel::ship(std::uint32_t Epoch, Outgoing &Out,
     std::size_t FullBytes =
         summaryImageBytes(Img.Summary.Args.size(), Img.AppliedCounts.size());
     std::vector<std::uint8_t> DeltaFrame;
-    if (Delta.Enabled && !(Delta.AntiEntropyEvery > 0 &&
-                           DeltasSinceFull[G] + 1 >= Delta.AntiEntropyEvery)) {
+    if (Delta.Enabled && DeltasSinceFull[G] + 1 < Delta.AntiEntropyEvery) {
       assert(PendingDelta[G] && "dirty group without a pending delta");
       SummaryDeltaFrame F;
       F.Group = static_cast<std::uint8_t>(G);
@@ -146,23 +146,21 @@ void SummaryChannel::ship(std::uint32_t Epoch, Outgoing &Out,
       DeltasSinceFull[G] = 0;
     }
 
-    bool StageFull = Staged && Reserve(flushImageSummaryBytes(FullBytes));
+    bool StageFull = Reserve(flushImageSummaryBytes(FullBytes));
     std::vector<std::uint8_t> Bytes;
     if (SlotWrite || StageFull)
       Bytes = encodeSummary(Img);
     if (SlotWrite)
       Out.SlotWrites.emplace_back(
           G, encodeSummarySlot(Bytes, Map.summarySlotBytes()));
-    if (StageFull) {
-      Staged->Summaries.emplace_back(static_cast<std::uint8_t>(G),
-                                     std::move(Bytes));
-    } else if (Staged) {
-      if (!DeltaFrame.empty() &&
-          Reserve(flushImageDeltaBytes(DeltaFrame.size())))
-        Staged->Deltas.push_back(DeltaFrame);
-      else
-        CtrStageSkipped->add();
-    }
+    if (StageFull)
+      Staged.Summaries.emplace_back(static_cast<std::uint8_t>(G),
+                                    std::move(Bytes));
+    else if (!DeltaFrame.empty() &&
+             Reserve(flushImageDeltaBytes(DeltaFrame.size())))
+      Staged.Deltas.push_back(DeltaFrame);
+    else
+      CtrStageSkipped->add();
     if (!DeltaFrame.empty())
       DeltaFrames.push_back(std::move(DeltaFrame));
     Shipped[G] = Img.Seq;

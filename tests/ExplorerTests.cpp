@@ -184,8 +184,7 @@ TEST(Explorer, CounterTreeConvergesCrashFree) {
   Opt.MaxRuns = 500;
   Opt.MaxCrashPoints = 0;
   McReport R = exploreType(RS, Opt);
-  EXPECT_TRUE(R.Ok) << (R.Violations.empty() ? std::string("?")
-                                             : R.Violations[0].Failure);
+  EXPECT_TRUE(R.ok()) << (R.Violation ? R.Violation->Failure : "?");
   // The tree converges well inside the run budget. (BudgetExhausted may
   // still be set: the depth bound MaxBranchIdx always truncates the long
   // poll-tie tail of each run.)
@@ -205,7 +204,7 @@ TEST(Explorer, DporPrunesAtLeastFiveFold) {
   Opt.MaxRuns = 500;
   Opt.MaxCrashPoints = 0;
   McReport R = exploreType(RS, Opt);
-  ASSERT_TRUE(R.Ok);
+  ASSERT_TRUE(R.ok());
   ASSERT_GT(R.Explored, 0u);
   // naive / explored >= 5 <=> log10(naive) - log10(explored) >= log10(5).
   long double ReductionLog10 =
@@ -224,9 +223,8 @@ TEST(Explorer, CorruptedBankYieldsReplayableCounterexample) {
   Opt.MaxRuns = 600;
   Opt.MaxCrashPoints = 0;
   McReport R = exploreType(RS, Opt);
-  ASSERT_FALSE(R.Ok);
-  ASSERT_FALSE(R.Violations.empty());
-  const McViolation &V = R.Violations.front();
+  ASSERT_FALSE(R.ok());
+  const McViolation &V = *R.Violation;
   EXPECT_FALSE(V.Failure.empty());
 
   // Round-trip the certificate through the dump format hamband_fuzz
@@ -261,8 +259,7 @@ TEST(Explorer, CorrectBankSpecSurvivesTheSameScope) {
   Opt.MaxRuns = 600;
   Opt.MaxCrashPoints = 0;
   McReport R = exploreType(RS, Opt);
-  EXPECT_TRUE(R.Ok) << (R.Violations.empty() ? std::string("?")
-                                             : R.Violations[0].Failure);
+  EXPECT_TRUE(R.ok()) << (R.Violation ? R.Violation->Failure : "?");
 }
 
 TEST(Explorer, CrashPlacementsAreEnumerated) {
@@ -276,8 +273,7 @@ TEST(Explorer, CrashPlacementsAreEnumerated) {
   Opt.MaxCrashPoints = 1;
   Opt.MaxStagePlacements = 2;
   McReport R = exploreType(RS, Opt);
-  EXPECT_TRUE(R.Ok) << (R.Violations.empty() ? std::string("?")
-                                             : R.Violations[0].Failure);
+  EXPECT_TRUE(R.ok()) << (R.Violation ? R.Violation->Failure : "?");
   EXPECT_GT(R.CrashPlacements, 0u);
 }
 

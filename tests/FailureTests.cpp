@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 using namespace hamband;
 using namespace hamband::runtime;
 using namespace hamband::types;
@@ -527,6 +529,39 @@ TEST(BackupRecovery, OverlappingFlushesSurviveACrashBetweenTheirPosts) {
         ASSERT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
       }
   }
+}
+
+TEST(ResponsePoint, UpdateAnsweredOnlyAfterEveryPeerWriteCompletes) {
+  // Reliable broadcast answers the client only once every remote write of
+  // the call's flush has completed. Node 0's writes to one peer take 40 us
+  // longer, so its answer to an update must come no sooner, whether the
+  // update ships in a summary (counter) or an F-ring record (orset), alone
+  // or in a batch.
+  const sim::SimDuration Slow = sim::micros(40);
+  for (const char *Name : {"counter", "orset"})
+    for (bool Batched : {false, true})
+      for (rdma::NodeId Peer : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message() << Name << " batched=" << Batched
+                                        << " slow peer " << Peer);
+        sim::Simulator Sim;
+        auto T = makeType(Name);
+        MethodId Add = T->methodId("add");
+        HambandConfig Cfg;
+        Cfg.Batch.Enabled = Batched;
+        HambandCluster C(Sim, 3, *T, {}, Cfg);
+        DelayWrites SlowLink(0, Peer, Slow);
+        C.fabric().setFaultHook(&SlowLink);
+        C.start();
+        const sim::SimTime Submitted = Sim.now();
+        std::optional<sim::SimTime> Answered;
+        C.submit(0, Call(Add, {7}, 0, 1), [&](bool Ok, Value) {
+          EXPECT_TRUE(Ok);
+          Answered = Sim.now();
+        });
+        ASSERT_TRUE(runUntil(Sim, [&] { return Answered.has_value(); }));
+        EXPECT_GE(*Answered - Submitted, Slow);
+        C.fabric().setFaultHook(nullptr);
+      }
 }
 
 TEST(LeaderChange, ConcurrentCandidatesConvergeOnOneLeader) {

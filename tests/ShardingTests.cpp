@@ -145,7 +145,7 @@ TEST(KeyspaceTest, VirtualNodesBoundImbalance) {
 }
 
 TEST(KeyspaceTest, InterningIsDenseAndIdempotent) {
-  Keyspace K({3, 16, 0, true});
+  Keyspace K({3, 16, 0});
   EXPECT_EQ(K.numObjects(), 0u);
   EXPECT_EQ(K.imbalance(), 1.0); // Defined as balanced when empty.
   Value A = K.registerObject("alpha");
@@ -265,20 +265,6 @@ TEST(ShardedClusterTest, LeadersRotateAcrossShards) {
     EXPECT_EQ(C.leaderOf(S * C.groupsPerShard(), 0),
               C.leaderOfShard(S, 0, 0));
   }
-}
-
-TEST(ShardedClusterTest, LeaderRotationCanBeDisabled) {
-  sim::Simulator Sim;
-  auto T = makeType("bank-account");
-  KeyspaceConfig KC;
-  KC.NumShards = 3;
-  KC.RotateLeaders = false;
-  HambandCluster C(Sim, 4, *T, KC);
-  C.registerObject("a");
-  C.start();
-  Sim.run(sim::millis(1));
-  for (unsigned S = 0; S < 3; ++S)
-    EXPECT_EQ(C.leaderOfShard(S, 0, 0), 0u) << "shard " << S;
 }
 
 TEST(ShardedClusterTest, FaultInjectionIsSimOnly) {

@@ -360,8 +360,7 @@ std::vector<PaperFigure> paperFigures() {
   }
 
   // Ablations of the design choices: (i) summaries vs buffers, (ii) the
-  // traversal threads' poll interval, (iii) responding after the remote
-  // writes complete vs after the local apply, (iv) the backup slot.
+  // traversal threads' poll interval.
   PaperFigure &Ab = Figs.emplace_back(PaperFigure{"ablations", {}});
   for (const char *T : {"gset", "gset-buffered"}) {
     Ab.Points.push_back(Point(T, RuntimeKind::Hamband, 4, 25, 24000));
@@ -373,18 +372,6 @@ std::vector<PaperFigure> paperFigures() {
     std::snprintf(Buf, sizeof(Buf), "poll_us:%g", PollUs);
     P.Variant = Buf;
     P.Cfg.PollInterval = sim::micros(PollUs);
-    Ab.Points.push_back(std::move(P));
-  }
-  for (bool Late : {true, false}) {
-    PaperPoint P = Point("counter", RuntimeKind::Hamband, 4, 25, 24000);
-    P.Variant = Late ? "respond:after_completion" : "respond:after_local_apply";
-    P.Cfg.RespondAfterCompletion = Late;
-    Ab.Points.push_back(std::move(P));
-  }
-  for (bool Backup : {true, false}) {
-    PaperPoint P = Point("counter", RuntimeKind::Hamband, 4, 25, 24000);
-    P.Variant = Backup ? "backup_slot:on" : "backup_slot:off";
-    P.Cfg.UseBackupSlot = Backup;
     Ab.Points.push_back(std::move(P));
   }
   return Figs;
@@ -1242,7 +1229,8 @@ int main(int Argc, char **Argv) {
       json::Value Rec = json::Value::makeObject();
       Rec.add("type", json::Value::makeString("counter"));
       Rec.add("nodes", json::Value::makeUInt(4));
-      Rec.add("at_fraction", json::Value::makeDouble(0.4));
+      Rec.add("at_fraction",
+              json::Value::makeDouble(RunnerOptions::ReconfigAtFraction));
       json::Value Points = json::Value::makeArray();
       for (const char *Action : {"add", "remove"}) {
         RunResult P = runReconfigPoint(Action, Opt);

@@ -58,10 +58,6 @@ struct Options {
   std::string DumpFile;
   bool Json = false;
   bool Verbose = false;
-  bool NoDpor = false;
-  bool NoSleep = false;
-  bool NoDedup = false;
-  bool NoMinimize = false;
   // Explore the cluster with delta-state summary propagation enabled
   // (bounded SummaryDelta frames + anti-entropy, see docs/deltas.md).
   bool Deltas = false;
@@ -80,7 +76,6 @@ int usage(const char *Argv0) {
       "usage: %s [--type NAME|all] [--calls N] [--nodes N] [--crashes K]\n"
       "          [--seed S] [--budget RUNS] [--max-branch IDX]\n"
       "          [--mutate KIND:mA/mB] [--dump FILE] [--json] [--verbose]\n"
-      "          [--no-dpor] [--no-sleep] [--no-dedup] [--no-minimize]\n"
       "          [--deltas] [--reconfig] [--transport sim] [--shards 1]\n",
       Argv0);
   return 2;
@@ -108,7 +103,7 @@ obs::json::Value reportToJson(const McReport &R) {
   O.add("work_seed", Value::makeUInt(R.Base.WorkSeed));
   O.add("deltas", Value::makeBool(R.Base.Deltas));
   O.add("reconfig", Value::makeBool(R.Base.Reconfig));
-  O.add("ok", Value::makeBool(R.Ok));
+  O.add("ok", Value::makeBool(R.ok()));
   O.add("explored", Value::makeUInt(R.Explored));
   O.add("choice_points", Value::makeUInt(R.ChoicePoints));
   O.add("branch_points", Value::makeUInt(R.BranchPoints));
@@ -120,7 +115,8 @@ obs::json::Value reportToJson(const McReport &R) {
   O.add("reduction_factor", Value::makeDouble(reductionFactor(R)));
   O.add("budget_exhausted", Value::makeBool(R.BudgetExhausted));
   Value Viols = obs::json::Value::makeArray();
-  for (const McViolation &V : R.Violations) {
+  if (R.Violation) {
+    const McViolation &V = *R.Violation;
     Value VO = Value::makeObject();
     VO.add("failure", Value::makeString(V.Failure));
     VO.add("placement", Value::makeString(V.Placement));
@@ -164,14 +160,6 @@ int main(int Argc, char **Argv) {
       Opt.Json = true;
     else if (A == "--verbose")
       Opt.Verbose = true;
-    else if (A == "--no-dpor")
-      Opt.NoDpor = true;
-    else if (A == "--no-sleep")
-      Opt.NoSleep = true;
-    else if (A == "--no-dedup")
-      Opt.NoDedup = true;
-    else if (A == "--no-minimize")
-      Opt.NoMinimize = true;
     else if (A == "--deltas")
       Opt.Deltas = true;
     else if (A == "--reconfig")
@@ -248,10 +236,6 @@ int main(int Argc, char **Argv) {
   MO.MaxRuns = Opt.Budget;
   MO.MaxBranchIdx = Opt.MaxBranch;
   MO.MaxCrashPoints = Opt.Crashes;
-  MO.UseDpor = !Opt.NoDpor;
-  MO.UseSleep = !Opt.NoSleep;
-  MO.UseDedup = !Opt.NoDedup;
-  MO.Minimize = !Opt.NoMinimize;
 
   obs::json::Value Out = obs::json::Value::makeObject();
   Out.add("schema", obs::json::Value::makeString("hamband-mc-v1"));
@@ -273,7 +257,7 @@ int main(int Argc, char **Argv) {
     RS.Deltas = Opt.Deltas;
     RS.Reconfig = Opt.Reconfig;
     McReport R = exploreType(RS, MO);
-    AllOk &= R.Ok;
+    AllOk &= R.ok();
     if (!Opt.Json || Opt.Verbose)
       std::printf("%-18s%s explored=%" PRIu64 " choice-points=%" PRIu64
                   " branch-points=%" PRIu64 " pruned[dep=%" PRIu64
@@ -284,8 +268,9 @@ int main(int Argc, char **Argv) {
                   R.PrunedDependence, R.PrunedSleep, R.DedupedSubtrees,
                   R.CrashPlacements, reductionFactor(R),
                   R.BudgetExhausted ? " (budget exhausted)" : "",
-                  R.Ok ? "OK" : "VIOLATION");
-    for (const McViolation &V : R.Violations) {
+                  R.ok() ? "OK" : "VIOLATION");
+    if (R.Violation) {
+      const McViolation &V = *R.Violation;
       if (!Opt.Json || Opt.Verbose)
         std::printf("  violation: %s\n  placement=%s forced-picks=%u "
                     "trace-events=%zu\n",
