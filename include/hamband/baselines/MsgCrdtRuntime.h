@@ -47,7 +47,6 @@ public:
     return static_cast<unsigned>(Replicas.size());
   }
   rdma::Transport &transport() override { return *Fab; }
-  sim::Simulator *simulator() override { return &Sim; }
   rdma::Fabric &fabric() { return *Fab; }
   const ObjectType &objectType() const override { return Type; }
   void submit(rdma::NodeId Origin, const Call &C,
@@ -81,7 +80,6 @@ private:
                  const std::vector<std::uint8_t> &Msg);
   void applyPending(rdma::NodeId Node);
 
-  sim::Simulator &Sim;
   const ObjectType &Type;
   const CoordinationSpec &Spec;
   std::unique_ptr<rdma::Fabric> Fab;

@@ -10,18 +10,18 @@
 /// complete": this baseline therefore wraps the object type with a
 /// CoordinationSpec in which *every* update method conflicts with every
 /// other, producing a single synchronization group whose single Mu leader
-/// totally orders all updates -- exactly an SMR. Queries stay local reads
-/// at each replica (the common local-read optimization; this is what lets
-/// Mu's throughput improve as the update ratio drops in Figure 8).
+/// totally orders all updates -- exactly an SMR. A Mu SMR deployment is a
+/// runtime::HambandCluster over the adapted type; the adapter must outlive
+/// the cluster. Queries stay local reads at each replica (the common
+/// local-read optimization; this is what lets Mu's throughput improve as
+/// the update ratio drops in Figure 8).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HAMBAND_BASELINES_MUSMRRUNTIME_H
 #define HAMBAND_BASELINES_MUSMRRUNTIME_H
 
-#include "hamband/runtime/HambandCluster.h"
-
-#include <memory>
+#include "hamband/core/ObjectType.h"
 
 namespace hamband {
 namespace baselines {
@@ -60,48 +60,6 @@ public:
 private:
   const ObjectType &Inner;
   CoordinationSpec Spec;
-};
-
-/// A Mu SMR deployment: the Hamband runtime driving the SMR-adapted type,
-/// i.e. one consensus instance ordering every update.
-class MuSmrRuntime : public runtime::ReplicaRuntime {
-public:
-  MuSmrRuntime(sim::Simulator &Sim, unsigned NumNodes,
-               const ObjectType &Type,
-               rdma::NetworkModel Model = rdma::NetworkModel(),
-               runtime::HambandConfig Cfg = runtime::HambandConfig());
-
-  void start() { Cluster->start(); }
-  runtime::HambandCluster &cluster() { return *Cluster; }
-
-  unsigned numNodes() const override { return Cluster->numNodes(); }
-  rdma::Transport &transport() override { return Cluster->transport(); }
-  rdma::Fabric &fabric() { return Cluster->fabric(); }
-  const ObjectType &objectType() const override { return *Adapter; }
-  void submit(rdma::NodeId Origin, const Call &C,
-              runtime::SubmitCallback Done) override {
-    Cluster->submit(Origin, C, std::move(Done));
-  }
-  bool fullyReplicated() const override {
-    return Cluster->fullyReplicated();
-  }
-  void injectFailure(rdma::NodeId Node) override {
-    Cluster->injectFailure(Node);
-  }
-  bool isFailed(rdma::NodeId Node) const override {
-    return Cluster->isFailed(Node);
-  }
-  rdma::NodeId leaderOf(unsigned Group,
-                        rdma::NodeId Observer) const override {
-    return Cluster->leaderOf(Group, Observer);
-  }
-  std::uint64_t replicationBacklog() const override {
-    return Cluster->replicationBacklog();
-  }
-
-private:
-  std::unique_ptr<SmrTypeAdapter> Adapter;
-  std::unique_ptr<runtime::HambandCluster> Cluster;
 };
 
 } // namespace baselines

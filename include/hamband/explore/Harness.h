@@ -132,9 +132,12 @@ struct ScheduleControl {
 /// unknown type name or invalid mutation.
 std::unique_ptr<ObjectType> makeRunType(const RunSpec &Spec);
 
-/// Exact runtime-vs-semantics state agreement is only meaningful for
-/// types whose prepared effects do not depend on the issuing replica's
-/// observations (see tests/CrossValidationTests.cpp).
+/// Types whose prepared effect does not depend on the issuing replica's
+/// observations: the final state is a pure function of the call multiset,
+/// so exact state agreement -- runtime against semantics, batched or
+/// delta against classic -- is only meaningful for them. (An ORSet remove
+/// deletes the tags its replica had seen, which varies with propagation
+/// timing.)
 bool isObservationIndependent(const std::string &TypeName);
 
 /// Executes one run. With \p PlanOverride the given plan is used instead

@@ -10,8 +10,9 @@
 /// "committed", "rejected" or "retry". One request table holds every call
 /// submitted at the node; a call at the leader skips only the mailbox hop,
 /// and its answer reaches the handler of a ConfResponse mail, where
-/// "retry" re-routes it. The node owns A, the stored state and the visible
-/// cache; the channel reads A and reaches the rest through four hooks.
+/// "retry" re-routes it. The node owns A, its installed membership, the
+/// stored state and the visible cache; the channel reads A and the
+/// membership and reaches the rest through four hooks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include "hamband/obs/Metrics.h"
 #include "hamband/runtime/HeartbeatDetector.h"
 #include "hamband/runtime/MuConsensus.h"
+#include "hamband/runtime/Reconfig.h"
 #include "hamband/runtime/Runtime.h"
 #include "hamband/runtime/WireFormat.h"
 
@@ -55,16 +57,18 @@ public:
   /// Per group, the (issuer, request) sequence this node applied.
   using ApplyLog = std::vector<std::vector<std::pair<ProcessId, RequestId>>>;
 
-  /// \p Epoch is the node's installed membership epoch; \p Active its
-  /// initial active set (empty: every node).
+  /// \p Members is the node's installed membership, read on every use.
+  /// Group g's home leader is the first active node from
+  /// (g + \p LeaderOffset) % N; a keyed cluster offsets each shard so
+  /// shard leaders spread across the nodes.
   ConfChannel(rdma::Transport &Fabric, rdma::NodeId Self,
               const ObjectType &Type, const MemoryMap &Map,
               const HambandConfig &Cfg,
               const std::vector<rdma::RegionKey> &ConfKeys,
-              const std::vector<std::uint8_t> &Active,
+              const Membership &Members, unsigned LeaderOffset,
               const std::vector<std::vector<std::uint64_t>> &Applied,
-              const std::uint32_t &Epoch, const HeartbeatDetector &Detector,
-              obs::Registry &Stats, NodeHooks Hooks);
+              const HeartbeatDetector &Detector, obs::Registry &Stats,
+              NodeHooks Hooks);
 
   /// Records a client call in the request table, then orders it here (this
   /// node leads its group) or mails it to the leader.
@@ -87,9 +91,9 @@ public:
   // Membership reconfiguration (docs/reconfig.md).
   /// Resumes every group's log at \p Next (a joiner's state transfer).
   void importLog(const std::vector<std::uint64_t> &Next);
-  /// Hands group g to its post-transition leader at log index \p Next[g].
-  void installMembership(const std::vector<std::uint8_t> &Active,
-                         const std::vector<std::uint64_t> &Next);
+  /// Hands group g to its leader under the newly installed membership at
+  /// log index \p Next[g].
+  void installMembership(const std::vector<std::uint64_t> &Next);
   /// Records \p C in the apply log (under Cfg.RecordApplyLog).
   void logApplied(const Call &C);
 
@@ -156,8 +160,7 @@ private:
     return N;
   }
   unsigned groupOf(const Call &C) const { return *Spec.syncGroup(C.Method); }
-  rdma::NodeId homeLeader(unsigned G,
-                          const std::vector<std::uint8_t> &Active) const;
+  rdma::NodeId homeLeader(unsigned G) const;
   /// Orders \p C here (\p Leader is this node) or mails it to \p Leader.
   void dispatch(rdma::NodeId Leader, Call C);
   void mail(rdma::NodeId To, MailMsg Msg);
@@ -188,8 +191,9 @@ private:
   const ObjectType &Type;
   const CoordinationSpec &Spec;
   const HambandConfig &Cfg;
+  const Membership &Members;
+  unsigned LeaderOffset;
   const std::vector<std::vector<std::uint64_t>> &Applied;
-  const std::uint32_t &Epoch;
   NodeHooks Hooks;
 
   std::vector<std::unique_ptr<MuConsensus>> Consensus; // [group]

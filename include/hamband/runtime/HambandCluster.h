@@ -22,8 +22,9 @@
 /// (core/KeyedObjectType.h): string object ids are consistent-hashed onto
 /// the shards (runtime/Keyspace.h), every call carries its object's
 /// interned key, and submit() routes it to the owning shard. Shard leaders
-/// rotate across nodes: shard s leads its group g at node (g + s) % N
-/// (HambandConfig::LeaderOffset), so no node leads every shard's group 0.
+/// rotate across nodes: build() places shard s's replicas so that its
+/// group g starts led by node (g + s) % N, so no node leads every shard's
+/// group 0.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -102,11 +102,6 @@ struct HambandConfig {
   DeltaConfig Delta;
   /// Online membership reconfiguration (docs/reconfig.md).
   ReconfigConfig Reconfig;
-  /// Rotates initial consensus leadership: group G starts led by node
-  /// (G + LeaderOffset) % N. A sharded deployment gives each shard a
-  /// distinct offset so shard leaders spread across the cluster instead
-  /// of piling every group-0 leader onto node 0.
-  unsigned LeaderOffset = 0;
   /// Keep per-issuer/per-group apply-order logs (confApplyLog(),
   /// freeApplyLog()) for the explorer's agreement and recovery-atomicity
   /// oracles. Off by default: the logs grow with the run and would tax
@@ -125,10 +120,16 @@ struct HambandConfig {
 /// One replica node of a Hamband cluster.
 class HambandNode {
 public:
+  /// Places the replica: \p Initial is the initial membership (one flag
+  /// per provisioned node) and \p DataKey the data-plane region key of
+  /// its epoch; sync group g starts led by the first active node from
+  /// (g + \p LeaderOffset) % N.
   HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
               const ObjectType &Type, const MemoryMap &Map,
               const HambandConfig &Cfg,
-              const std::vector<rdma::RegionKey> &ConfKeys);
+              const std::vector<rdma::RegionKey> &ConfKeys,
+              Membership Initial, rdma::RegionKey DataKey,
+              unsigned LeaderOffset);
   ~HambandNode();
 
   HambandNode(const HambandNode &) = delete;
@@ -261,11 +262,6 @@ public:
   /// id or local-only cursors). Drained members of a group must agree.
   std::uint64_t reconfigDigest();
 
-  /// True when \p N is in service under this node's installed membership.
-  bool activeNode(rdma::NodeId N) const {
-    return Active.empty() || Active[N] != 0;
-  }
-
   /// Donor side of the state transfer: packages everything a joiner needs
   /// (applied table, broadcast cursors, summary images, per-group log
   /// positions \p ConfNext, and the retained irreducible-call log).
@@ -278,11 +274,11 @@ public:
   /// apply order.
   void absorbTransfer(const TransferImage &Img);
 
-  /// Installs membership \p M on this node: swaps the epoch and active
-  /// set, re-tags the F-ring writers and summary writes with \p NewKey,
-  /// restricts the failure detector to active peers, and hands each sync
-  /// group to its deterministic post-transition leader at log index
-  /// \p ConfNext[group]. The caller must have one-sided-written the
+  /// Installs membership \p M on this node: replaces the installed view
+  /// (epoch and active set), re-tags the F-ring writers and summary writes
+  /// with \p NewKey, restricts the failure detector to active peers, and
+  /// hands each sync group to its deterministic post-transition leader at
+  /// log index \p ConfNext[group]. The caller must have one-sided-written the
   /// encoded membership record into this node's membership slot first;
   /// installMembership verifies it matches.
   void installMembership(const Membership &M, rdma::RegionKey NewKey,
@@ -358,6 +354,10 @@ private:
   const CoordinationSpec &Spec;
   const MemoryMap &Map;
   HambandConfig Cfg;
+  /// The installed membership: the epoch and active set that the broadcast
+  /// fan-out, the conflicting-call channel and every Mu instance read.
+  /// Declared before the components that keep a reference to it.
+  Membership Members;
 
   /// Declared before every component that caches pointers into it.
   obs::Registry Stats;
@@ -427,15 +427,12 @@ private:
   obs::Counter *CtrStageSkipped = nullptr;
 
   // Membership-reconfiguration state (docs/reconfig.md). All dormant on
-  // fixed-membership clusters: epoch 0, empty mask, unprotected key.
-  std::uint32_t CurrentEpoch = 0;
+  // fixed-membership clusters: epoch 0, every node active, unprotected key.
   bool EpochClosed = false;
   /// Data-plane region key of the current epoch; tags the F-ring writers
   /// and summary-slot writes so a fence can revoke the whole old data
   /// plane in one sweep.
-  rdma::RegionKey DataKey = rdma::UnprotectedRegion;
-  /// Installed active set; empty = every provisioned node.
-  std::vector<std::uint8_t> Active;
+  rdma::RegionKey DataKey;
   /// Irreducible calls in local apply order (Cfg.Reconfig.Enabled only):
   /// the donor's transfer log for joiners.
   std::vector<std::vector<std::uint8_t>> ReconfigLog;
@@ -443,8 +440,6 @@ private:
   obs::Counter *CtrCrossEpochDrop = nullptr;
   obs::Counter *CtrCrossEpochApply = nullptr;
   obs::Counter *CtrEpochInstall = nullptr;
-  /// Number of active peers (broadcast fan-out / completion quorum size).
-  unsigned activePeerCount() const;
 
   sim::SimDuration PollBaseCost = 0;
   bool Started = false;

@@ -49,8 +49,7 @@ public:
       : Procs(NumProcesses), SumGroups(NumSumGroups),
         SyncGroups(NumSyncGroups), FreeGeom(FreeGeom), ConfGeom(ConfGeom),
         MailGeom(MailGeom), SummaryBytes(SummarySlotBytes),
-        BackupBytes(BackupSlotBytes), TransferBytes(TransferSlotBytes),
-        Base(Base) {
+        TransferBytes(TransferSlotBytes) {
     // Keep the first 64 bytes of every map unused to catch zero-offset
     // bugs; with a non-zero Base the map occupies [Base, totalBytes()),
     // which lets several maps (one per shard) share one registered region.
@@ -70,7 +69,7 @@ public:
     MailFeedbackBase = Cur;
     Cur += static_cast<rdma::MemOffset>(Procs) * 8;
     BackupBase = Cur;
-    Cur += BackupBytes;
+    Cur += BackupSlotBytes;
     HeartbeatBase = Cur;
     Cur += 8;
     ProposalBase = Cur;
@@ -91,7 +90,6 @@ public:
   const RingGeometry &confGeom() const { return ConfGeom; }
   const RingGeometry &mailGeom() const { return MailGeom; }
   std::uint32_t summarySlotBytes() const { return SummaryBytes; }
-  std::uint32_t backupSlotBytes() const { return BackupBytes; }
 
   /// Summary slot for (summarization group, source process).
   rdma::MemOffset summarySlot(unsigned Group, ProcessId From) const {
@@ -185,11 +183,8 @@ public:
   std::uint32_t transferSlotBytes() const { return TransferBytes; }
 
   /// End offset of the map: the number of bytes a node must register for
-  /// its slots to be addressable (includes the [0, baseOffset()) prefix).
+  /// its slots to be addressable (includes the [0, Base) prefix).
   std::size_t totalBytes() const { return Total; }
-
-  /// First offset of this map within the registered region.
-  rdma::MemOffset baseOffset() const { return Base; }
 
 private:
   unsigned Procs;
@@ -199,9 +194,7 @@ private:
   RingGeometry ConfGeom;
   RingGeometry MailGeom;
   std::uint32_t SummaryBytes;
-  std::uint32_t BackupBytes;
   std::uint32_t TransferBytes = 0;
-  rdma::MemOffset Base = 0;
 
   rdma::MemOffset SummaryBase = 0, FreeDataBase = 0, FreeFeedbackBase = 0,
                   ConfDataBase = 0, ConfFeedbackBase = 0, MailDataBase = 0,

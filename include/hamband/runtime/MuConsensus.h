@@ -33,6 +33,7 @@
 
 #include "hamband/obs/Metrics.h"
 #include "hamband/runtime/MemoryMap.h"
+#include "hamband/runtime/Reconfig.h"
 #include "hamband/runtime/RingBuffer.h"
 
 #include <functional>
@@ -63,14 +64,14 @@ public:
   };
 
   /// Denies L-ring write permission on this node to everyone but
-  /// \p InitialLeader. \p ActiveMask restricts the group to a subset of
-  /// the provisioned nodes (per-node flags; empty means all active).
-  /// Inactive nodes are excluded from replication targets, majorities and
-  /// campaign quorums (docs/reconfig.md).
+  /// \p InitialLeader. \p Members is the owning node's installed
+  /// membership, read on every use: nodes outside it are excluded from
+  /// replication targets, majorities and campaign quorums
+  /// (docs/reconfig.md).
   MuConsensus(rdma::Transport &Fabric, rdma::NodeId Self, unsigned Group,
               rdma::NodeId InitialLeader, const MemoryMap &Map,
               rdma::RegionKey LogKey, Hooks TheHooks,
-              std::vector<std::uint8_t> ActiveMask = {});
+              const Membership &Members);
 
   rdma::NodeId currentLeader() const { return Leader; }
   bool isLeader() const { return Leader == Self && !CatchingUp && !Refused; }
@@ -96,21 +97,16 @@ public:
   /// Failure-detector hook: if \p Peer is the current leader, campaign.
   void onPeerSuspected(rdma::NodeId Peer);
 
-  /// True when \p Node participates in this group's quorums.
-  bool isActive(rdma::NodeId Node) const {
-    return Active.empty() || Active[Node] != 0;
-  }
-
   /// Deterministic leadership handoff during a membership installation:
   /// every member calls this with the same (NewLeader, LogIndex) computed
   /// from the drained, agreed state, so no campaign round is needed.
-  /// Installs the new \p ActiveMask, bumps the consensus epoch (failing
-  /// any in-flight appends of the old leadership), swaps L-ring write
-  /// permission on this node's own ring, and -- on the new leader --
-  /// resumes appending at \p LogIndex with fresh writers to every active
-  /// follower. A no-op epoch-wise when the leader is unchanged.
-  void adoptLeadership(rdma::NodeId NewLeader, std::uint64_t LogIndex,
-                       std::vector<std::uint8_t> ActiveMask);
+  /// Called after the node installed the new membership: bumps the
+  /// consensus epoch (failing any in-flight appends of the old
+  /// leadership), swaps L-ring write permission on this node's own ring,
+  /// and -- on the new leader -- resumes appending at \p LogIndex with
+  /// fresh writers to every active follower. A no-op epoch-wise when the
+  /// leader is unchanged.
+  void adoptLeadership(rdma::NodeId NewLeader, std::uint64_t LogIndex);
 
   /// Delivers up to 64 entries from this node's L ring; returns how many.
   unsigned pollLog();
@@ -147,13 +143,10 @@ private:
   const MemoryMap &Map;
   rdma::RegionKey LogKey;
   Hooks TheHooks;
-
-  unsigned activeCount() const;
+  const Membership &Members;
 
   rdma::NodeId Leader;
   std::uint64_t Epoch = 0;
-  /// Per-node participation flags; empty = every provisioned node.
-  std::vector<std::uint8_t> Active;
   /// Leader state.
   std::uint64_t NextIndex = 0;
   bool CatchingUp = false;

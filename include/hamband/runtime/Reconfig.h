@@ -45,7 +45,8 @@ namespace runtime {
 class HambandCluster;
 
 /// The in-service subset of a provisioned cluster, stamped with the epoch
-/// it was installed in.
+/// it was installed in. Each HambandNode holds one installed view; its
+/// conflicting-call channel and Mu instances read that view.
 struct Membership {
   std::uint32_t Epoch = 0;
   /// Per provisioned node: 1 when in service. Size = numNodes().
@@ -59,6 +60,10 @@ struct Membership {
     for (std::uint8_t A : Active)
       C += A != 0;
     return C;
+  }
+  /// Active nodes other than \p Self: a broadcast's fan-out.
+  unsigned peerCount(rdma::NodeId Self) const {
+    return activeCount() - (isActive(Self) ? 1 : 0);
   }
 };
 
@@ -86,9 +91,6 @@ struct ReconfigConfig {
   /// Consecutive quiescent-and-identical probe rounds required to leave
   /// Drain.
   static constexpr unsigned StableProbeRounds = 2;
-  /// Epoch-0 data-plane region key. Filled in by HambandCluster::build()
-  /// (createRegionKey) before the nodes are constructed; not a user knob.
-  rdma::RegionKey InitialDataKey = rdma::UnprotectedRegion;
 };
 
 /// Minimal serialized call for the transfer log: one writeCallBlock block
@@ -145,8 +147,9 @@ public:
     StAbort = 7,
   };
 
+  /// \p DataKey is the data-plane region key of \p Initial's epoch.
   ReconfigManager(HambandCluster &Cluster, Membership Initial,
-                  rdma::RegionKey InitialDataKey);
+                  rdma::RegionKey DataKey);
 
   /// Begins a transition to \p TargetActive (same provisioned size; at
   /// most one joiner). Returns false when a transition is already in

@@ -50,9 +50,7 @@ public:
 
   /// The driving simulator, or nullptr on a non-simulated transport.
   /// Anything needing determinism (fault schedules, replay) checks this.
-  virtual sim::Simulator *simulator() {
-    return transport().simulatorOrNull();
-  }
+  sim::Simulator *simulator() { return transport().simulatorOrNull(); }
 
   virtual const ObjectType &objectType() const = 0;
 

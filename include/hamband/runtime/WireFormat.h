@@ -82,11 +82,9 @@ private:
   bool Failed = false;
 };
 
-/// Writes the call block that mailbox messages, summary images and the
-/// reconfiguration log share:
+/// Writes the call block that ring entries, mailbox messages, summary
+/// images and the reconfiguration log share:
 ///   u16 method | u16 argc | u32 issuer | u64 req | i64 args[argc]
-/// (encodeCall has its own layout: bcastSeq and epoch sit between req and
-/// the args).
 void writeCallBlock(ByteWriter &W, const Call &C);
 
 /// Reads a writeCallBlock block into \p Out. False when the buffer ends
@@ -117,8 +115,8 @@ bool depsSatisfied(const std::vector<std::vector<std::uint64_t>> &A,
                    const semantics::DepMap &D);
 
 /// Serializes a call with its dependency arrays. The layout is:
-///   u16 method, u16 argc, u32 issuer, u64 req, u64 bcastSeq, u32 epoch,
-///   i64 args[argc], u64 depCounts[|P| * |Dep(method)|]
+///   writeCallBlock block | u64 bcastSeq | u32 epoch |
+///   u64 depCounts[|P| * |Dep(method)|]
 /// The dependency block length is implied by the method id and the
 /// process count, as in the paper.
 std::vector<std::uint8_t> encodeCall(const CoordinationSpec &Spec,

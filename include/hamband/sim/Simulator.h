@@ -99,9 +99,6 @@ public:
   /// Number of pending events (diagnostics).
   std::size_t pendingEvents() const { return Queue.size(); }
 
-  /// Total number of events executed so far (diagnostics).
-  std::uint64_t executedEvents() const { return Executed; }
-
   /// Hash of the pending-event multiset (state fingerprints).
   std::uint64_t queueDigest() const { return Queue.digest(); }
 
@@ -110,7 +107,6 @@ private:
   ScheduleChooser Chooser;
   PopObserver Observer;
   SimTime Now = 0;
-  std::uint64_t Executed = 0;
   bool StopRequested = false;
 };
 

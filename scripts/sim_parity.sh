@@ -8,6 +8,10 @@
 # session and the micro-benchmark probes). Simulated time, visibility,
 # fold counts and the per-layer event counts all compare exactly.
 #
+# It also builds both trees' hamband_fuzz and hamband_mc and cmp's the
+# outputs of scripts/ci.sh's explorer commands: the fuzz smokes (run with
+# --verbose) and the three hamband_mc explorations (run with --json).
+#
 # A refactor that claims "the simulator replays the same events" must
 # pass this against its parent.
 #
@@ -17,7 +21,8 @@
 # Usage: scripts/sim_parity.sh REV [--build DIR]
 #   REV       revision to compare against (e.g. HEAD~1)
 #   --build   scratch directory (default build/parity); REV's sources are
-#             exported there with `git archive` and both trees build there
+#             exported there with `git archive` and both trees build there;
+#             REV's results are cached there per commit
 
 set -euo pipefail
 
@@ -52,16 +57,56 @@ fi
 build() { # SRC_ROOT BUILD_DIR
   cmake -S "$1/bench/e2e" -B "$2" -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "$2" -j"$JOBS" --target hamband_e2e >/dev/null
+  cmake -S "$1" -B "$2-tools" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$2-tools" -j"$JOBS" --target hamband_fuzz hamband_mc \
+    >/dev/null
 }
 echo "sim_parity: building working tree and $REV ($SHA)"
 build "$REPO" "$OUT/head"
 build "$REV_SRC" "$OUT/rev-$SHA"
 
+FAIL=0
+
+# scripts/ci.sh's explorer commands at its default FUZZ_RUNS=50 (fuzz
+# smokes with --verbose, explorations with --json). Output and exit status
+# must be byte-identical; REV's are computed once per commit.
+EXPLORE=(
+  "fuzz --runs 50 --seed 42 --verbose"
+  "fuzz --runs 25 --seed 43 --batch --verbose"
+  "fuzz --runs 25 --seed 44 --deltas --verbose"
+  "fuzz --runs 25 --seed 45 --reconfig --verbose"
+  "fuzz --runs 25 --seed 53 --deltas --reconfig --verbose"
+  "fuzz --runs 25 --seed 49 --nodes 2 --deltas --reconfig --verbose"
+  "mc --type all --calls 4 --crashes 1 --budget 1600 --json"
+  "mc --type counter --calls 3 --crashes 1 --deltas --json"
+  "mc --type counter --calls 2 --nodes 3 --crashes 0 --budget 40 --reconfig --json"
+)
+explore() { # TOOLS_DIR TOOL ARGS...: prints the run's output and status
+  local RC=0
+  "$1/hamband_$2" "${@:3}" 2>&1 || RC=$?
+  echo "exit $RC"
+}
+for E in "${EXPLORE[@]}"; do
+  read -r -a CMD <<<"$E"
+  NAME="explore-${E// /_}.out"
+  CACHE="$OUT/rev-$SHA/$NAME"
+  if [ ! -s "$CACHE" ]; then
+    explore "$OUT/rev-$SHA-tools/tools" "${CMD[@]}" >"$CACHE.tmp"
+    mv "$CACHE.tmp" "$CACHE"
+  fi
+  explore "$OUT/head-tools/tools" "${CMD[@]}" >"$OUT/head/$NAME"
+  if cmp -s "$CACHE" "$OUT/head/$NAME"; then
+    echo "sim_parity: same hamband_$E"
+  else
+    echo "sim_parity: DIFF hamband_$E (cmp $CACHE $OUT/head/$NAME)"
+    FAIL=1
+  fi
+done
+
 WORKLOADS="$(python3 -c 'import json,sys
 print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
   "$REPO/BENCHMARK.json")"
 
-FAIL=0
 for SEED in "${SEEDS[@]}"; do
   for W in $WORKLOADS; do
     for TRACE in 0 1; do

@@ -22,8 +22,7 @@ constexpr std::uint8_t MsgAck = 1;
 MsgCrdtRuntime::MsgCrdtRuntime(sim::Simulator &Sim, unsigned NumNodes,
                                const ObjectType &Type,
                                rdma::NetworkModel Model)
-    : Sim(Sim), Type(Type), Spec(Type.coordination()),
-      Failed(NumNodes, false) {
+    : Type(Type), Spec(Type.coordination()), Failed(NumNodes, false) {
   assert(NumNodes <= 16 && "Replica::Pending is sized for 16 nodes");
   assert(Spec.numSyncGroups() == 0 &&
          "the MSG baseline supports conflict-free types only");

@@ -26,11 +26,3 @@ SmrTypeAdapter::SmrTypeAdapter(const ObjectType &Inner)
       Spec.addConflict(A, B);
   Spec.finalize();
 }
-
-MuSmrRuntime::MuSmrRuntime(sim::Simulator &Sim, unsigned NumNodes,
-                           const ObjectType &Type, rdma::NetworkModel Model,
-                           runtime::HambandConfig Cfg)
-    : Adapter(std::make_unique<SmrTypeAdapter>(Type)) {
-  Cluster = std::make_unique<runtime::HambandCluster>(Sim, NumNodes,
-                                                      *Adapter, Model, Cfg);
-}

@@ -114,6 +114,8 @@ RunResult benchlib::runOnce(const ObjectType &Type,
     return R;
   }
   sim::Simulator SimObj; // The baselines' simulator.
+  // Outlives the Mu baseline's cluster, which replicates it.
+  std::unique_ptr<baselines::SmrTypeAdapter> SmrType;
   std::unique_ptr<ReplicaRuntime> RT;
   runtime::HambandCluster *Cluster = nullptr;
   switch (Opts.Kind) {
@@ -142,8 +144,9 @@ RunResult benchlib::runOnce(const ObjectType &Type,
     break;
   }
   case RuntimeKind::MuSmr: {
-    auto C = std::make_unique<baselines::MuSmrRuntime>(
-        SimObj, Opts.NumNodes, Type, Opts.Model, Opts.Cfg);
+    SmrType = std::make_unique<baselines::SmrTypeAdapter>(Type);
+    auto C = std::make_unique<runtime::HambandCluster>(
+        SimObj, Opts.NumNodes, *SmrType, Opts.Model, Opts.Cfg);
     C->start();
     RT = std::move(C);
     break;

@@ -15,13 +15,13 @@ using namespace hamband::runtime;
 ConfChannel::ConfChannel(
     rdma::Transport &Fabric, rdma::NodeId Self, const ObjectType &Type,
     const MemoryMap &Map, const HambandConfig &Cfg,
-    const std::vector<rdma::RegionKey> &ConfKeys,
-    const std::vector<std::uint8_t> &Active,
+    const std::vector<rdma::RegionKey> &ConfKeys, const Membership &Members,
+    unsigned LeaderOffset,
     const std::vector<std::vector<std::uint64_t>> &Applied,
-    const std::uint32_t &Epoch, const HeartbeatDetector &Detector,
-    obs::Registry &Stats, NodeHooks Hooks)
+    const HeartbeatDetector &Detector, obs::Registry &Stats, NodeHooks Hooks)
     : Fabric(Fabric), Self(Self), Type(Type), Spec(Type.coordination()),
-      Cfg(Cfg), Applied(Applied), Epoch(Epoch), Hooks(std::move(Hooks)) {
+      Cfg(Cfg), Members(Members), LeaderOffset(LeaderOffset),
+      Applied(Applied), Hooks(std::move(Hooks)) {
   unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSyncGroups();
   assert(ConfKeys.size() == Groups && "one region key per sync group");
@@ -76,24 +76,22 @@ ConfChannel::ConfChannel(
       return Detector.isSuspected(P);
     };
     Consensus.push_back(std::make_unique<MuConsensus>(
-        Fabric, Self, G, homeLeader(G, Active), Map, ConfKeys[G],
-        std::move(H), Active));
+        Fabric, Self, G, homeLeader(G), Map, ConfKeys[G], std::move(H),
+        Members));
     Consensus[G]->attachStats(Stats);
   }
 }
 
-rdma::NodeId
-ConfChannel::homeLeader(unsigned G,
-                        const std::vector<std::uint8_t> &Active) const {
+rdma::NodeId ConfChannel::homeLeader(unsigned G) const {
   // The first in-service node from the group's rotation slot: every
   // replica picks the same.
   unsigned N = Fabric.numNodes();
   for (unsigned K = 0; K < N; ++K) {
-    rdma::NodeId Cand = (G + Cfg.LeaderOffset + K) % N;
-    if (Active.empty() || Active[Cand] != 0)
+    rdma::NodeId Cand = (G + LeaderOffset + K) % N;
+    if (Members.isActive(Cand))
       return Cand;
   }
-  return (G + Cfg.LeaderOffset) % N;
+  return (G + LeaderOffset) % N;
 }
 
 void ConfChannel::start() {
@@ -138,7 +136,7 @@ void ConfChannel::dispatch(rdma::NodeId Leader, Call C) {
 
 void ConfChannel::mail(rdma::NodeId To, MailMsg Msg) {
   Msg.Origin = Self;
-  Msg.Epoch = Epoch;
+  Msg.Epoch = Members.Epoch;
   MailWriters[To]->appendOrdered(encodeMail(Msg), nullptr, Cfg.PollInterval);
 }
 
@@ -226,7 +224,7 @@ bool ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
   // request id keeps end-to-end identity for deduplication).
   Prepared.Issuer = Self;
   WireCall WC{Prepared, projectDeps(Spec, Applied, Prepared.Method),
-              Mu.nextIndex(), Epoch};
+              Mu.nextIndex(), Members.Epoch};
   std::vector<std::uint8_t> Entry = encodeCall(Spec, Fabric.numNodes(), WC);
   if (Entry.size() > Cfg.ConfGeom.maxPayload()) {
     // A log entry is one L-ring cell; an entry that cannot fit is refused
@@ -342,7 +340,7 @@ unsigned ConfChannel::pollMailboxes(bool AcceptRequests) {
       }
       if (!AcceptRequests)
         continue; // Dropped; the origin retries against the next leader.
-      if (Msg.Epoch != Epoch) {
+      if (Msg.Epoch != Members.Epoch) {
         // Cross-epoch request (mailboxes are unfenced): the origin
         // re-resolves the leader under its installed epoch.
         CtrCrossEpochDrop->add();
@@ -375,7 +373,7 @@ unsigned ConfChannel::applyPending() {
          It != M.end() && depsSatisfied(Applied, It->second.Deps);
          It = M.find(AppliedIdx[G])) {
       const Call &C = It->second.TheCall;
-      if (It->second.Epoch != Epoch) {
+      if (It->second.Epoch != Members.Epoch) {
         // Delivered before an epoch install that the drain stage should
         // have flushed; counted so the reconfig oracles can assert it
         // never happens.
@@ -417,10 +415,9 @@ void ConfChannel::importLog(const std::vector<std::uint64_t> &Next) {
   AppliedIdx = Next;
 }
 
-void ConfChannel::installMembership(const std::vector<std::uint8_t> &Active,
-                                    const std::vector<std::uint64_t> &Next) {
+void ConfChannel::installMembership(const std::vector<std::uint64_t> &Next) {
   for (unsigned G = 0; G < Consensus.size(); ++G)
-    Consensus[G]->adoptLeadership(homeLeader(G, Active), Next[G], Active);
+    Consensus[G]->adoptLeadership(homeLeader(G), Next[G]);
 }
 
 void ConfChannel::logApplied(const Call &C) {

@@ -106,31 +106,30 @@ void HambandCluster::build(unsigned NumNodes) {
   for (Shard &Sh : Shards)
     for (unsigned G = 0; G < groupsPerShard(); ++G)
       Sh.ConfKeys.push_back(Trans->createRegionKey());
+  // Epoch 0's view: every node, or the configured subset when
+  // reconfiguration is on (the rest are standbys). Its data plane is
+  // unprotected unless a transition may later fence it.
+  Membership Init{0, std::vector<std::uint8_t>(NumNodes, 1)};
+  rdma::RegionKey DataKey = rdma::UnprotectedRegion;
   if (Cfg.Reconfig.Enabled) {
-    // The epoch-0 data-plane key; every transition mints a successor and
-    // fences this one. Filled in before the nodes capture their config.
-    Cfg.Reconfig.InitialDataKey = Trans->createRegionKey();
-    if (Cfg.Reconfig.InitialActive.empty())
-      Cfg.Reconfig.InitialActive.assign(NumNodes, 1);
-    assert(Cfg.Reconfig.InitialActive.size() == NumNodes &&
+    DataKey = Trans->createRegionKey();
+    if (!Cfg.Reconfig.InitialActive.empty())
+      Init.Active = Cfg.Reconfig.InitialActive;
+    assert(Init.Active.size() == NumNodes &&
            "InitialActive must name every provisioned node");
   }
+  // Shard s leads its group g from node (g + s) % N, so no node leads
+  // every shard's group 0.
   for (unsigned S = 0; S < numShards(); ++S) {
-    HambandConfig ShardCfg = Cfg;
-    if (KS)
-      ShardCfg.LeaderOffset = S;
     Shard &Sh = Shards[S];
     Sh.Failed.assign(NumNodes, false);
     for (rdma::NodeId N = 0; N < NumNodes; ++N)
       Sh.Nodes.push_back(std::make_unique<HambandNode>(
-          *Trans, N, Type, *Sh.Map, ShardCfg, Sh.ConfKeys));
+          *Trans, N, Type, *Sh.Map, Cfg, Sh.ConfKeys, Init, DataKey, S));
   }
   if (Cfg.Reconfig.Enabled) {
-    Membership Init;
-    Init.Epoch = 0;
-    Init.Active = Cfg.Reconfig.InitialActive;
-    Reconfig = std::make_unique<ReconfigManager>(
-        *this, std::move(Init), Cfg.Reconfig.InitialDataKey);
+    Reconfig = std::make_unique<ReconfigManager>(*this, std::move(Init),
+                                                 DataKey);
     Reconfig->attachStats(ClusterStats);
   }
 }

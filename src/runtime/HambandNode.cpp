@@ -46,12 +46,15 @@ HambandConfig HambandConfig::tunedFor(rdma::TransportKind Kind) const {
 HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
                          const ObjectType &Type, const MemoryMap &Map,
                          const HambandConfig &Cfg,
-                         const std::vector<rdma::RegionKey> &ConfKeys)
+                         const std::vector<rdma::RegionKey> &ConfKeys,
+                         Membership Initial, rdma::RegionKey DataKey,
+                         unsigned LeaderOffset)
     : Fabric(Fabric), Self(Self), Type(Type), Spec(Type.coordination()),
-      Map(Map), Cfg(Cfg),
+      Map(Map), Cfg(Cfg), Members(std::move(Initial)),
       Sums(Fabric, Self, Type, Map, Cfg, Applied, Stats,
            [this](ProcessId Src, const SummaryChannel::Counts &C,
-                  const Call *Delta) { summaryChanged(Src, C, Delta); }) {
+                  const Call *Delta) { summaryChanged(Src, C, Delta); }),
+      DataKey(DataKey) {
   unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSyncGroups();
   unsigned SumGroups = Spec.numSumGroups();
@@ -77,20 +80,10 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   CtrCrossEpochApply = &Stats.counter("reconfig.cross_epoch_apply");
   CtrEpochInstall = &Stats.counter("reconfig.installs");
 
-  // Membership-reconfiguration state. With the feature off everything
-  // stays at its identity value (epoch 0, empty mask, unprotected key)
-  // and no code path below behaves differently.
-  if (Cfg.Reconfig.Enabled) {
-    DataKey = Cfg.Reconfig.InitialDataKey;
-    if (!Cfg.Reconfig.InitialActive.empty()) {
-      assert(Cfg.Reconfig.InitialActive.size() == N &&
-             "one InitialActive flag per provisioned node");
-      Active = Cfg.Reconfig.InitialActive;
-    }
-    // A provisioned standby starts with its epoch closed: it rejects
-    // client updates until a transition adds it to the membership.
-    EpochClosed = !activeNode(Self);
-  }
+  assert(Members.Active.size() == N && "one active flag per provisioned node");
+  // A provisioned standby starts with its epoch closed: it rejects client
+  // updates until a transition adds it to the membership.
+  EpochClosed = !Members.isActive(Self);
 
   Stored = Type.initialState();
   Applied.assign(N, std::vector<std::uint64_t>(Type.numMethods(), 0));
@@ -120,13 +113,12 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   Detector->onSuspect([this](rdma::NodeId Peer) { onPeerSuspected(Peer); });
   // Monitor only in-service peers (and nobody while we are a standby);
   // installMembership re-enables monitoring when the active set changes.
-  if (!Active.empty())
-    for (rdma::NodeId P = 0; P < N; ++P)
-      if (P != Self)
-        Detector->setMonitored(P, activeNode(Self) && activeNode(P));
+  for (rdma::NodeId P = 0; P < N; ++P)
+    if (P != Self)
+      Detector->setMonitored(P, Members.isActive(Self) && Members.isActive(P));
   Conf = std::make_unique<ConfChannel>(
-      Fabric, Self, Type, Map, this->Cfg, ConfKeys, Active, Applied,
-      CurrentEpoch, *Detector, Stats,
+      Fabric, Self, Type, Map, this->Cfg, ConfKeys, Members, LeaderOffset,
+      Applied, *Detector, Stats,
       ConfChannel::NodeHooks{
           [this]() -> const ObjectState & { return visibleState(); },
           [this]() { return ViewVersion; },
@@ -356,7 +348,7 @@ void HambandNode::handleFree(Call C, SubmitCallback Done) {
         WC.TheCall = P;
         WC.Deps = projectDeps(Spec, Applied, P.Method);
         WC.BcastSeq = BcastSeqOut++;
-        WC.Epoch = CurrentEpoch;
+        WC.Epoch = Members.Epoch;
         std::vector<std::uint8_t> Bytes =
             encodeCall(Spec, Fabric.numNodes(), WC);
         // Pre-flush when this call would overflow the batch record cap, so
@@ -446,7 +438,7 @@ unsigned HambandNode::pollFreeRings() {
 bool HambandNode::deliverFree(ProcessId Issuer, WireCall WC) {
   // A call from another epoch is dropped: the epoch fence guarantees its
   // writer can never complete, so the sequence it claimed is dead.
-  if (WC.Epoch != CurrentEpoch) {
+  if (WC.Epoch != Members.Epoch) {
     CtrCrossEpochDrop->add();
     return false;
   }
@@ -468,7 +460,7 @@ unsigned HambandNode::applyPendingFree() {
          It != M.end() && depsSatisfied(Applied, It->second.Deps);
          It = M.find(FreeApplyNext[J])) {
       const Call &C = It->second.TheCall;
-      if (It->second.Epoch != CurrentEpoch) {
+      if (It->second.Epoch != Members.Epoch) {
         // Held before an epoch install that the drain stage should have
         // flushed; counted so the reconfig oracles can assert it never
         // happens (reconfig.cross_epoch_apply stays 0).
@@ -561,7 +553,7 @@ void HambandNode::flush(FlushCause Cause) {
   Shipment S;
   S.Coalesced = Cause != FlushCause::Single;
   // node.batch.* describes coalesced flushes that reach the wire.
-  if (S.Coalesced && activePeerCount() > 0) {
+  if (S.Coalesced && Members.peerCount(Self) > 0) {
     obs::Counter *Ctrs[] = {CtrFlushPipe, CtrFlushSize, CtrFlushTimeout,
                             CtrFlushConf};
     Ctrs[static_cast<unsigned>(Cause)]->add();
@@ -586,7 +578,7 @@ void HambandNode::flush(FlushCause Cause) {
     S.Dones.push_back(std::move(B.Done));
     AllCalls.push_back(std::move(B.Bytes));
   }
-  if (activePeerCount() == 0) {
+  if (Members.peerCount(Self) == 0) {
     // Nobody to ship to: the calls are complete once applied locally.
     Sums.markShipped();
     for (SubmitCallback &D : S.Dones)
@@ -616,7 +608,7 @@ void HambandNode::flush(FlushCause Cause) {
 
   // Post order: summary-slot writes, full frames, delta frames, then the
   // free record.
-  Sums.ship(CurrentEpoch, S, S.Staged, Room);
+  Sums.ship(Members.Epoch, S, S.Staged, Room);
   if (!FreeRecord.empty())
     S.Records.push_back(std::move(FreeRecord));
   ship(std::move(S));
@@ -625,7 +617,7 @@ void HambandNode::flush(FlushCause Cause) {
 void HambandNode::ship(Shipment S) {
   unsigned N = Fabric.numNodes();
   unsigned Writes = static_cast<unsigned>(
-      (S.SlotWrites.size() + S.Records.size()) * activePeerCount());
+      (S.SlotWrites.size() + S.Records.size()) * Members.peerCount(Self));
   assert(Writes > 0 && "flush() ships only to active peers");
 
   // flush() sized the image to the backup slot. A flush that staged
@@ -634,7 +626,7 @@ void HambandNode::ship(Shipment S) {
   std::uint64_t Stage = 0;
   if (!Img.Summaries.empty() || !Img.Deltas.empty() ||
       !Img.FreeRecord.empty()) {
-    Broadcast->stage(encodeFlushImage(Img), CurrentEpoch);
+    Broadcast->stage(encodeFlushImage(Img), Members.Epoch);
     Stage = ++LastStage;
   }
 
@@ -672,12 +664,12 @@ void HambandNode::ship(Shipment S) {
   // post order.
   for (const auto &[G, Slot] : S.SlotWrites)
     for (rdma::NodeId Peer = 0; Peer < N; ++Peer)
-      if (Peer != Self && activeNode(Peer))
+      if (Peer != Self && Members.isActive(Peer))
         Fabric.postWrite(Self, Peer, Map.summarySlot(G, Self), Slot, DataKey,
                          Finish, rdma::Transport::LaneClient);
   for (const std::vector<std::uint8_t> &Rec : S.Records)
     for (rdma::NodeId Peer = 0; Peer < N; ++Peer)
-      if (Peer != Self && activeNode(Peer))
+      if (Peer != Self && Members.isActive(Peer))
         FreeWriters[Peer]->appendOrdered(Rec, Finish, Cfg.PollInterval);
 }
 
@@ -688,7 +680,7 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
   Broadcast->fetch(Peer, [this, Peer](ReliableBroadcast::BackupMessage Msg) {
     if (Msg.TheKind == ReliableBroadcast::Kind::None)
       return;
-    if (Msg.Epoch != CurrentEpoch) {
+    if (Msg.Epoch != Members.Epoch) {
       // A slot staged in another epoch: the fence already killed its
       // writes, and recovery must not resurrect them across the boundary.
       CtrCrossEpochDrop->add();
@@ -739,21 +731,10 @@ std::uint64_t HambandNode::reconfigDigest() {
   return replicatedStateHash(0x5bd1e9955bd1e995ull);
 }
 
-unsigned HambandNode::activePeerCount() const {
-  unsigned N = Fabric.numNodes();
-  if (Active.empty())
-    return N - 1;
-  unsigned C = 0;
-  for (rdma::NodeId P = 0; P < N; ++P)
-    if (P != Self && Active[P] != 0)
-      ++C;
-  return C;
-}
-
 TransferImage HambandNode::buildTransferImage(
     const std::vector<std::uint64_t> &ConfNext) const {
   TransferImage Img;
-  Img.Epoch = CurrentEpoch;
+  Img.Epoch = Members.Epoch;
   Img.Applied = Applied;
   // The contiguously received position of every issuer; the joiner needs
   // the donor's *outgoing* position in the donor's own entry.
@@ -813,8 +794,7 @@ void HambandNode::installMembership(const Membership &M,
     (void)Ok;
     (void)Rec;
   }
-  CurrentEpoch = M.Epoch;
-  Active = M.Active;
+  Members = M;
   // Held calls behind a sequence gap wait for a predecessor that can no
   // longer arrive (its source crashed before posting it, or the fence
   // killed the write), so they are dropped; the contiguous ones stay and
@@ -830,13 +810,13 @@ void HambandNode::installMembership(const Membership &M,
   for (auto &W : FreeWriters)
     if (W)
       W->setRegionKey(NewKey);
-  bool SelfActive = activeNode(Self);
+  bool SelfActive = Members.isActive(Self);
   if (Detector)
     for (rdma::NodeId P = 0; P < Fabric.numNodes(); ++P)
       if (P != Self)
-        Detector->setMonitored(P, SelfActive && activeNode(P));
+        Detector->setMonitored(P, SelfActive && Members.isActive(P));
   if (!SelfActive)
     OutOfService = true;
-  Conf->installMembership(Active, ConfNext);
+  Conf->installMembership(ConfNext);
   CtrEpochInstall->add();
 }

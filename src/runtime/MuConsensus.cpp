@@ -24,10 +24,9 @@ struct CommitTally {
 MuConsensus::MuConsensus(rdma::Transport &Fabric, rdma::NodeId Self,
                          unsigned Group, rdma::NodeId InitialLeader,
                          const MemoryMap &Map, rdma::RegionKey LogKey,
-                         Hooks TheHooks, std::vector<std::uint8_t> ActiveMask)
+                         Hooks TheHooks, const Membership &Members)
     : Fabric(Fabric), Self(Self), Group(Group), Map(Map), LogKey(LogKey),
-      TheHooks(std::move(TheHooks)), Leader(InitialLeader),
-      Active(std::move(ActiveMask)),
+      TheHooks(std::move(TheHooks)), Members(Members), Leader(InitialLeader),
       Reader(Fabric, Self, InitialLeader, Map.confRingData(Group),
              Map.confRingFeedback(Group, Self), Map.confGeom(),
              rdma::Transport::LanePoller),
@@ -36,23 +35,12 @@ MuConsensus::MuConsensus(rdma::Transport &Fabric, rdma::NodeId Self,
     Fabric.setWritePermission(Self, W, LogKey, W == Leader);
   if (Self == InitialLeader)
     for (rdma::NodeId F = 0; F < Fabric.numNodes(); ++F)
-      if (F != Self && isActive(F))
+      if (F != Self && Members.isActive(F))
         writerTo(F);
 }
 
-unsigned MuConsensus::activeCount() const {
-  if (Active.empty())
-    return Fabric.numNodes();
-  unsigned N = 0;
-  for (std::uint8_t A : Active)
-    N += A != 0;
-  return N;
-}
-
 void MuConsensus::adoptLeadership(rdma::NodeId NewLeader,
-                                  std::uint64_t LogIndex,
-                                  std::vector<std::uint8_t> ActiveMask) {
-  Active = std::move(ActiveMask);
+                                  std::uint64_t LogIndex) {
   rdma::NodeId Old = Leader;
   if (Old != NewLeader) {
     ++Epoch;
@@ -70,7 +58,7 @@ void MuConsensus::adoptLeadership(rdma::NodeId NewLeader,
   if (Self == Leader) {
     NextIndex = LogIndex;
     for (rdma::NodeId F = 0; F < Fabric.numNodes(); ++F)
-      if (F != Self && isActive(F))
+      if (F != Self && Members.isActive(F))
         writerTo(F);
   }
   // Re-aligned even when the leader stayed: a joiner's reader must resume
@@ -139,7 +127,7 @@ bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
   if (CtrAppend)
     CtrAppend->add();
 
-  unsigned Majority = activeCount() / 2 + 1;
+  unsigned Majority = Members.activeCount() / 2 + 1;
   // The leader's own log copy counts toward the majority.
   unsigned NeededRemote = Majority > 0 ? Majority - 1 : 0;
 
@@ -226,7 +214,7 @@ void MuConsensus::poll() {
   rdma::NodeId BestCand = Leader;
   std::uint64_t BestEpoch = Epoch;
   for (rdma::NodeId Cand = 0; Cand < Fabric.numNodes(); ++Cand) {
-    if (!isActive(Cand))
+    if (!Members.isActive(Cand))
       continue; // A removed node's stale proposal must not depose anyone.
     std::uint64_t E = Mem.readU64(Map.proposalSlot(Group, Cand));
     if (E > BestEpoch || (E == BestEpoch && E > 0 && Cand < BestCand)) {
@@ -274,7 +262,7 @@ void MuConsensus::poll() {
     return;
   bool NewAck = false;
   for (rdma::NodeId Voter = 0; Voter < Fabric.numNodes(); ++Voter) {
-    if (AckSeen[Voter] || !isActive(Voter))
+    if (AckSeen[Voter] || !Members.isActive(Voter))
       continue;
     std::uint8_t Raw[24];
     // Stable snapshot: on the shm transport a voter may be overwriting
@@ -301,14 +289,14 @@ void MuConsensus::poll() {
     unsigned Acks = 0;
     bool AllResponsive = true;
     for (rdma::NodeId V = 0; V < Fabric.numNodes(); ++V) {
-      if (!isActive(V))
+      if (!Members.isActive(V))
         continue;
       if (AckSeen[V])
         ++Acks;
       else if (!TheHooks.IsSuspected || !TheHooks.IsSuspected(V))
         AllResponsive = false;
     }
-    if (!AllResponsive || Acks < activeCount() / 2 + 1)
+    if (!AllResponsive || Acks < Members.activeCount() / 2 + 1)
       return;
     Campaigning = false;
     std::uint64_t MaxReceived =
@@ -381,7 +369,7 @@ void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
 
 void MuConsensus::replicateMissingToFollowers() {
   for (rdma::NodeId V = 0; V < Fabric.numNodes(); ++V) {
-    if (V == Self || !isActive(V) || !AckSeen[V] || Writers.count(V))
+    if (V == Self || !Members.isActive(V) || !AckSeen[V] || Writers.count(V))
       continue;
     RingWriter &W = writerTo(V);
     // Clamp: a voter can never legitimately be ahead of the adopted log.

@@ -141,8 +141,8 @@ bool runtime::decodeTransferImage(const std::uint8_t *Data, std::size_t Len,
 // -- ReconfigManager ---------------------------------------------------------
 
 ReconfigManager::ReconfigManager(HambandCluster &Cluster, Membership Initial,
-                                 rdma::RegionKey InitialDataKey)
-    : C(Cluster), Current(std::move(Initial)), OldKey(InitialDataKey) {
+                                 rdma::RegionKey DataKey)
+    : C(Cluster), Current(std::move(Initial)), OldKey(DataKey) {
   unsigned N = C.numNodes();
   NodeSeen = std::make_unique<std::atomic<std::uint8_t>[]>(N);
   NodeIdle = std::make_unique<std::atomic<std::uint8_t>[]>(N);

@@ -16,7 +16,9 @@ ReliableBroadcast::ReliableBroadcast(rdma::Transport &Fabric, rdma::NodeId Self,
                                      rdma::MemOffset BackupOff,
                                      std::uint32_t SlotBytes)
     : Fabric(Fabric), Self(Self), BackupOff(BackupOff),
-      SlotBytes(SlotBytes) {}
+      SlotBytes(SlotBytes) {
+  assert(SlotBytes >= OverheadBytes && "backup slot smaller than its header");
+}
 
 void ReliableBroadcast::attachStats(obs::Registry &R) {
   CtrStage = &R.counter("bcast.stage");
@@ -63,7 +65,9 @@ void ReliableBroadcast::fetch(
         std::memcpy(&Msg.Epoch, Data.data() + 1, 4);
         std::uint32_t Len = 0;
         std::memcpy(&Len, Data.data() + 5, 4);
-        if (Len + OverheadBytes <= SlotBytes)
+        // Len is remote bytes: compare without the sum, which a corrupt
+        // length near 2^32 would wrap past the check.
+        if (Len <= SlotBytes - OverheadBytes)
           Msg.Payload.assign(Data.begin() + 9, Data.begin() + 9 + Len);
         else
           Msg.TheKind = Kind::None; // Torn slot; treat as empty.

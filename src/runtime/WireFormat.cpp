@@ -140,14 +140,9 @@ std::vector<std::uint8_t> runtime::encodeCall(const CoordinationSpec &Spec,
                                               const WireCall &WC) {
   ByteWriter W;
   const Call &C = WC.TheCall;
-  W.u16(C.Method);
-  W.u16(static_cast<std::uint16_t>(C.Args.size()));
-  W.u32(C.Issuer);
-  W.u64(C.Req);
+  writeCallBlock(W, C);
   W.u64(WC.BcastSeq);
   W.u32(WC.Epoch);
-  for (Value V : C.Args)
-    W.i64(V);
   for (std::uint64_t N : denseDeps(Spec, NumProcesses, C.Method, WC.Deps))
     W.u64(N);
   return W.take();
@@ -349,17 +344,12 @@ bool runtime::decodeCall(const CoordinationSpec &Spec,
                          unsigned NumProcesses, const std::uint8_t *Data,
                          std::size_t Len, WireCall &Out) {
   ByteReader R(Data, Len);
-  Out.TheCall.Method = R.u16();
-  std::uint16_t Argc = R.u16();
-  Out.TheCall.Issuer = R.u32();
-  Out.TheCall.Req = R.u64();
+  if (!readCallBlock(R, Out.TheCall))
+    return false;
   Out.BcastSeq = R.u64();
   Out.Epoch = R.u32();
   if (!R.ok() || Out.TheCall.Method >= Spec.numMethods())
     return false;
-  Out.TheCall.Args.clear();
-  for (unsigned I = 0; I < Argc; ++I)
-    Out.TheCall.Args.push_back(R.i64());
   // The dependency block size is implied by the method id (Section 4).
   const std::vector<MethodId> &DepMethods =
       Spec.dependencies(Out.TheCall.Method);

@@ -28,7 +28,6 @@ bool Simulator::runOne() {
   }
   assert(Ev.At >= Now && "event queue went backwards in time");
   Now = Ev.At;
-  ++Executed;
   if (Observer)
     Observer(Ev.Label);
   Ev.Fn();

@@ -6,6 +6,7 @@
 
 #include "hamband/baselines/MsgCrdtRuntime.h"
 #include "hamband/baselines/MuSmrRuntime.h"
+#include "hamband/runtime/HambandCluster.h"
 #include "hamband/types/BankAccount.h"
 #include "hamband/types/Counter.h"
 #include "hamband/types/Movie.h"
@@ -53,8 +54,9 @@ TEST(SmrAdapter, MultiMethodTypeCollapsesToOneGroup) {
 
 TEST(MuSmr, TotallyOrdersAndConverges) {
   sim::Simulator Sim;
-  Counter T;
-  MuSmrRuntime RT(Sim, 3, T);
+  Counter Inner;
+  SmrTypeAdapter T(Inner);
+  runtime::HambandCluster RT(Sim, 3, T);
   RT.start();
   rdma::NodeId Leader = RT.leaderOf(0, 0);
   int Done = 0;
@@ -74,8 +76,9 @@ TEST(MuSmr, TotallyOrdersAndConverges) {
 
 TEST(MuSmr, PreservesBankInvariant) {
   sim::Simulator Sim;
-  BankAccount T;
-  MuSmrRuntime RT(Sim, 3, T);
+  BankAccount Inner;
+  SmrTypeAdapter T(Inner);
+  runtime::HambandCluster RT(Sim, 3, T);
   RT.start();
   rdma::NodeId Leader = RT.leaderOf(0, 0);
   int Ok = 0, Fail = 0, Done = 0;

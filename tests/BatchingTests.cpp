@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "hamband/core/TypeRegistry.h"
+#include "hamband/explore/Harness.h"
 #include "hamband/runtime/HambandCluster.h"
 #include "hamband/sim/FaultInjector.h"
 
@@ -50,18 +51,6 @@ std::uint64_t typeSeed(const std::string &Name) {
     H *= 1099511628211ull;
   }
   return H;
-}
-
-/// Types whose prepared effect does not depend on the issuing replica's
-/// observations: the final state is a pure function of the call multiset,
-/// so batched and unbatched worlds must agree *exactly*, replica by
-/// replica. (An ORSet remove deletes the tags its replica had seen, which
-/// legitimately varies with propagation timing -- and batching changes
-/// propagation timing by design.)
-bool isObservationIndependent(const std::string &Name) {
-  return Name == "counter" || Name == "pn-counter" || Name == "gset" ||
-         Name == "gset-buffered" || Name == "two-phase-set" ||
-         Name == "lww-register";
 }
 
 unsigned scheduleCount() {
@@ -129,7 +118,10 @@ TEST_P(BatchingEquivalence, MatchesUnbatchedAtEveryQuiescentPoint) {
   auto T = makeType(GetParam());
   const CoordinationSpec &Spec = T->coordination();
   const unsigned Nodes = 3;
-  const bool Exact = isObservationIndependent(GetParam());
+  // Batching changes propagation timing by design, so only types whose
+  // final state is a pure function of the call multiset must match the
+  // unbatched world exactly.
+  const bool Exact = explore::isObservationIndependent(GetParam());
   const unsigned Schedules = scheduleCount();
 
   for (unsigned S = 0; S < Schedules; ++S) {

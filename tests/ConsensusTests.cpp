@@ -26,7 +26,8 @@ namespace {
 struct MiniNode {
   MiniNode(rdma::Fabric &Fab, rdma::NodeId Self, const MemoryMap &Map,
            rdma::RegionKey Key, rdma::NodeId InitialLeader)
-      : Fab(Fab), Self(Self) {
+      : Fab(Fab), Self(Self),
+        Members{0, std::vector<std::uint8_t>(Fab.numNodes(), 1)} {
     MuConsensus::Hooks Hooks;
     Hooks.ReceivedCount = [this]() { return Received; };
     Hooks.DeliverEntry = [this](std::uint64_t Idx,
@@ -41,7 +42,7 @@ struct MiniNode {
       return Suspected.count(Peer) != 0;
     };
     Cons = std::make_unique<MuConsensus>(Fab, Self, 0, InitialLeader, Map,
-                                         Key, std::move(Hooks));
+                                         Key, std::move(Hooks), Members);
   }
 
   void bump() {
@@ -56,6 +57,8 @@ struct MiniNode {
 
   rdma::Fabric &Fab;
   rdma::NodeId Self;
+  /// Every node active, as a fixed-membership HambandNode installs.
+  Membership Members;
   std::unique_ptr<MuConsensus> Cons;
   std::map<std::uint64_t, std::vector<std::uint8_t>> Entries;
   std::uint64_t Received = 0;

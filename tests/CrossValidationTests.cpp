@@ -13,6 +13,7 @@
 // commutative observables (counts of applied calls) match.
 //===----------------------------------------------------------------------===//
 
+#include "hamband/explore/Harness.h"
 #include "hamband/runtime/HambandCluster.h"
 #include "hamband/semantics/RdmaSemantics.h"
 #include "hamband/core/TypeRegistry.h"
@@ -257,12 +258,6 @@ std::uint64_t typeSeed(const std::string &Name) {
   return H;
 }
 
-bool isObservationIndependent(const std::string &Name) {
-  return Name == "counter" || Name == "pn-counter" || Name == "gset" ||
-         Name == "gset-buffered" || Name == "two-phase-set" ||
-         Name == "lww-register";
-}
-
 /// Runs \p Count calls against a cluster executing under the fault
 /// schedule derived from \p Seed and \p Spec, then hands the quiesced
 /// cluster to \p Check (the cluster dies when this returns). Requests at
@@ -374,7 +369,7 @@ void softFaultAgreement(const std::string &Name, const HambandConfig &Cfg,
         ASSERT_TRUE(K.quiescent());
         EXPECT_TRUE(K.checkConvergence()) << Name;
         EXPECT_TRUE(K.checkIntegrity()) << Name;
-        if (!isObservationIndependent(Name))
+        if (!explore::isObservationIndependent(Name))
           return;
         // Exact two-world agreement, replica by replica.
         for (ProcessId P = 0; P < Nodes; ++P) {

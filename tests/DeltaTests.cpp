@@ -25,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "hamband/core/TypeRegistry.h"
+#include "hamband/explore/Harness.h"
 #include "hamband/runtime/HambandCluster.h"
 #include "hamband/semantics/RdmaSemantics.h"
 #include "hamband/sim/FaultInjector.h"
@@ -71,16 +72,6 @@ std::string sanitized(std::string Name) {
     if (C == '-')
       C = '_';
   return Name;
-}
-
-/// Types whose prepared effect does not depend on the issuing replica's
-/// observations: the final state is a pure function of the call multiset,
-/// so delta and classic worlds must agree *exactly*, replica by replica
-/// (see BatchingTests.cpp for the ORSet counterexample).
-bool isObservationIndependent(const std::string &Name) {
-  return Name == "counter" || Name == "pn-counter" || Name == "gset" ||
-         Name == "gset-buffered" || Name == "two-phase-set" ||
-         Name == "lww-register";
 }
 
 unsigned scheduleCount() {
@@ -159,7 +150,7 @@ TEST_P(DeltaEquivalence, MatchesClassicAtEveryQuiescentPoint) {
   auto T = makeType(GetParam());
   const CoordinationSpec &Spec = T->coordination();
   const unsigned Nodes = 3;
-  const bool Exact = isObservationIndependent(GetParam());
+  const bool Exact = explore::isObservationIndependent(GetParam());
   const unsigned Schedules = scheduleCount();
 
   for (unsigned S = 0; S < Schedules; ++S) {

@@ -525,6 +525,27 @@ TEST(BroadcastTest, StageFetchClear) {
   EXPECT_EQ(Got.TheKind, ReliableBroadcast::Kind::None);
 }
 
+// A staged slot whose length field is corrupt (the canary still set) reads
+// as empty: no length may carry the payload read past the slot, including
+// one whose sum with the slot overhead wraps around 2^32.
+TEST(BroadcastTest, CorruptLengthReadsAsEmpty) {
+  sim::Simulator Sim;
+  rdma::Fabric Fab(Sim, 2, rdma::NetworkModel(), 1u << 20);
+  ReliableBroadcast B0(Fab, 0, 512, 256);
+  ReliableBroadcast B1(Fab, 1, 512, 256);
+  const std::uint32_t TooLong = 256 - ReliableBroadcast::OverheadBytes + 1;
+  for (std::uint32_t Len : {TooLong, 0xFFFFFFF7u, 0xFFFFFFFFu}) {
+    B0.stage({1, 2, 3}, /*Epoch=*/7);
+    Fab.memory(0).write(512 + 5, &Len, 4); // After u8 kind | u32 epoch.
+    ReliableBroadcast::BackupMessage Got;
+    Got.TheKind = ReliableBroadcast::Kind::Flush;
+    B1.fetch(0, [&](ReliableBroadcast::BackupMessage M) { Got = M; });
+    Sim.run();
+    EXPECT_EQ(Got.TheKind, ReliableBroadcast::Kind::None) << "len " << Len;
+    EXPECT_TRUE(Got.Payload.empty()) << "len " << Len;
+  }
+}
+
 // -- Full cluster -------------------------------------------------------------
 
 struct ClusterTest : ::testing::Test {
