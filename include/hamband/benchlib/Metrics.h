@@ -43,7 +43,9 @@ private:
 
 /// The outcome of one workload run (one point in a figure).
 struct RunResult {
-  /// Total calls / time until full replication, in ops per simulated us.
+  /// Calls answered by the moment the last call was issued, divided by
+  /// the time from the first issue to that moment, in ops per simulated
+  /// us. The drain that follows (DrainUs) is left out.
   double ThroughputOpsPerUs = 0;
   /// Mean response time over all calls, simulated us.
   double MeanResponseUs = 0;
@@ -61,11 +63,14 @@ struct RunResult {
   std::uint64_t RejectedOps = 0;
   /// Simulated wall time from first issue until full replication, us.
   double DurationUs = 0;
+  /// The end of DurationUs spent after the last call was issued: the
+  /// outstanding calls are answered and every update replicated, us.
+  double DrainUs = 0;
   /// True when the run reached full replication before the safety cap.
   bool Completed = false;
   /// Staleness: replication backlog (calls applied somewhere but not
-  /// everywhere), sampled every driver slice. A recency measure in the
-  /// spirit of Hampa [58].
+  /// everywhere), sampled every 20 simulated us and at the end of the
+  /// run. A recency measure in the spirit of Hampa [58].
   double MeanBacklogCalls = 0;
   double MaxBacklogCalls = 0;
   /// Merged runtime metrics captured at the end of the run (empty when the

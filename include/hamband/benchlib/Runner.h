@@ -6,11 +6,13 @@
 ///
 /// \file
 /// Drives one workload against one runtime (Hamband, MSG, or Mu SMR) on a
-/// fresh simulated cluster and reports throughput and response times the
-/// way the paper computes them: throughput is the total number of calls
-/// divided by the time it takes for all update calls to be replicated on
-/// all nodes; response time is the mean over all calls. Each experiment
-/// is repeated and averaged.
+/// fresh simulated cluster and reports throughput and response times. A
+/// run lasts until every call is answered and every update is replicated
+/// on all nodes; on the simulator it ends at the event that completes it.
+/// Throughput counts the calls answered up to the moment the last call is
+/// issued, over the time to that moment, so the end-of-run drain (reported
+/// apart, RunResult::DrainUs) does not dilute it; response time is the
+/// mean over all calls. Each experiment is repeated and averaged.
 ///
 //===----------------------------------------------------------------------===//
 

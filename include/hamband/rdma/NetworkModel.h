@@ -96,12 +96,15 @@ struct NetworkModel {
   /// CPU time to apply one update call to the local object state.
   sim::SimDuration ApplyCpu = sim::nanos(150);
 
-  /// CPU time to execute one query against local state.
+  /// CPU time to execute one query against local state, on the client
+  /// lane. A Hamband query reads the Apply(S)(σ) its poller keeps
+  /// materialized (Section 3.3 QUERY rule) and pays nothing more.
   sim::SimDuration QueryCpu = sim::nanos(60);
 
-  /// CPU time a query pays per stored summary call it folds in (queries
-  /// evaluate Apply(S)(σ), Section 3.3 QUERY rule). Summary folds are a
-  /// handful of arithmetic ops on hot cache lines.
+  /// Poller CPU time per summary call folded into the materialized
+  /// Apply(S)(σ): one per peer delta joined, and one per held image when
+  /// a poll round rebuilds the view after a whole image was replaced.
+  /// Summary folds are a handful of arithmetic ops on hot cache lines.
   sim::SimDuration ApplySummaryCpu = sim::nanos(10);
 
   /// CPU time to parse one buffered call (deserialize + dep check).

@@ -9,7 +9,7 @@
 /// RDMA WRDT semantics (Figure 7) over the simulated fabric.
 ///
 /// Request processing ("Processing requests", Section 4):
-///  1. queries execute locally against Apply(S)(σ);
+///  1. queries read Apply(S)(σ), which the poller keeps materialized;
 ///  2. reducible calls fold into the local summary (SummaryChannel) and
 ///     are remotely overwritten into every peer's summary slot, or shipped
 ///     as delta / full-image frames over the F rings;
@@ -26,7 +26,9 @@
 ///
 /// Two logical poller threads (one CPU lane here) traverse the buffers and
 /// apply free calls whose dependency arrays are satisfied by A; the
-/// channels poll their own slots, L rings and mailboxes.
+/// channels poll their own slots, L rings and mailboxes. The poller also
+/// pays for the view: each peer delta it folds in, and a rebuild after a
+/// round that replaced a whole image.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -298,8 +300,9 @@ private:
 
   // State helpers.
   void applyToStored(const Call &C);
-  /// The summary channel's hook: raises \p Src's applied counts to \p C
-  /// and absorbs \p Delta into the visible cache (nullptr: invalidate).
+  /// The summary channel's hook: raises \p Src's applied counts to \p C,
+  /// absorbs \p Delta into the visible cache (nullptr: invalidate) and
+  /// records the fold the poller owes for it.
   void summaryChanged(ProcessId Src, const SummaryChannel::Counts &C,
                       const Call *Delta);
   /// Hash of the replicated state (visible state, applied table, received
@@ -371,10 +374,17 @@ private:
   obs::Gauge *GaugePendingFree = nullptr;
   obs::Gauge *GaugePendingConf = nullptr;
 
-  // Object state.
+  // Object state. The host rebuilds VisibleCache lazily; the simulated
+  // bill for keeping Apply(S)(σ) materialized goes to the poller.
   StatePtr Stored;
   StatePtr VisibleCache;
   bool VisibleDirty = true;
+  /// Folds the next poll round bills for the materialized view: a whole
+  /// rebuild (an image was replaced) and the peer deltas joined into it.
+  bool ViewRebuildOwed = false;
+  unsigned ViewDeltaFoldsOwed = 0;
+  obs::Counter *CtrViewRebuilds = nullptr;
+  obs::Counter *CtrViewDeltaFolds = nullptr;
   /// Moves whenever Apply(S)(σ) changes (ConfChannel's parked calls).
   std::uint64_t ViewVersion = 0;
   std::vector<std::vector<std::uint64_t>> Applied; // [proc][method]

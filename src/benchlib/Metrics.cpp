@@ -35,6 +35,7 @@ RunResult hamband::benchlib::averageRuns(const std::vector<RunResult> &Runs) {
     Avg.CompletedOps += R.CompletedOps;
     Avg.RejectedOps += R.RejectedOps;
     Avg.DurationUs += R.DurationUs;
+    Avg.DrainUs += R.DrainUs;
     Avg.MeanBacklogCalls += R.MeanBacklogCalls;
     Avg.MaxBacklogCalls = std::max(Avg.MaxBacklogCalls, R.MaxBacklogCalls);
     Avg.Completed = Avg.Completed && R.Completed;
@@ -60,6 +61,7 @@ RunResult hamband::benchlib::averageRuns(const std::vector<RunResult> &Runs) {
   Avg.P50ResponseUs /= K;
   Avg.P99ResponseUs /= K;
   Avg.DurationUs /= K;
+  Avg.DrainUs /= K;
   Avg.MeanBacklogCalls /= K;
   Avg.SteadyThroughputOpsPerUs /= K;
   Avg.DuringThroughputOpsPerUs /= K;

@@ -61,6 +61,10 @@ struct DriverState {
   /// When the most recent call completed -- the after-phase window ends
   /// here, not at the full-replication drain.
   sim::SimTime LastDoneT = 0;
+  /// When the workload's last call was issued, and how many calls had
+  /// been answered by then: throughput is measured up to this moment.
+  sim::SimTime LastIssueT = 0;
+  std::uint64_t CompletedAtLastIssue = 0;
   RunResult Result;
   double UpdateRespSum = 0;
   std::uint64_t UpdateRespN = 0;
@@ -336,7 +340,10 @@ RunResult benchlib::runOnce(const ObjectType &Type,
         State->TransStartT = T.now();
         TriggerReconfig = true; // Start it below, outside the lock.
       }
-      ++State->IssuedTotal;
+      if (++State->IssuedTotal == W.NumOps) {
+        State->LastIssueT = T.now();
+        State->CompletedAtLastIssue = State->Completed;
+      }
       unsigned Origin = AliveOrigin(Node);
       C = Gens[Node]->next(Origin, State->NextReq++);
       IsUpdate = Gens[Node]->lastWasUpdate();
@@ -412,26 +419,29 @@ RunResult benchlib::runOnce(const ObjectType &Type,
                  [IssueNext, N]() { (*IssueNext)(N); });
   }
 
-  // Run in slices until every call completed and replication finished,
-  // sampling the replication backlog (staleness) along the way.
+  // Run until every call completed and replication finished, sampling the
+  // replication backlog (staleness) along the way.
   bool Done = false;
   double BacklogSum = 0;
   double BacklogMax = 0;
   std::uint64_t BacklogSamples = 0;
+  auto SampleBacklog = [&]() {
+    double Backlog = static_cast<double>(RT->replicationBacklog());
+    BacklogSum += Backlog;
+    BacklogMax = std::max(BacklogMax, Backlog);
+    ++BacklogSamples;
+  };
   if (!OnShm) {
+    // One event at a time, so the run ends at the event that completes
+    // it; the backlog is sampled at every 20-us boundary and at the end.
     sim::Simulator &Sim = *RT->simulator();
     const sim::SimDuration Slice = sim::micros(20);
-    while (Sim.now() < Opts.SafetyCap) {
-      Sim.run(Sim.now() + Slice);
-      double Backlog = static_cast<double>(RT->replicationBacklog());
-      BacklogSum += Backlog;
-      BacklogMax = std::max(BacklogMax, Backlog);
-      ++BacklogSamples;
-      if (State->Completed >= W.NumOps && RT->fullyReplicated()) {
-        Done = true;
-        break;
-      }
-      if (Sim.idle())
+    for (sim::SimTime Boundary = StartT + Slice;
+         !Done && Sim.now() < Opts.SafetyCap; Boundary += Slice) {
+      while (!Done && Sim.run(Boundary, 1) == 1)
+        Done = State->Completed >= W.NumOps && RT->fullyReplicated();
+      SampleBacklog();
+      if (!Done && Sim.idle())
         break; // Nothing scheduled: the run cannot progress further.
     }
   } else {
@@ -442,10 +452,7 @@ RunResult benchlib::runOnce(const ObjectType &Type,
       std::this_thread::sleep_for(Slice);
       bool AllDone = false;
       Cluster->withPausedWorld([&]() {
-        double Backlog = static_cast<double>(RT->replicationBacklog());
-        BacklogSum += Backlog;
-        BacklogMax = std::max(BacklogMax, Backlog);
-        ++BacklogSamples;
+        SampleBacklog();
         std::lock_guard<std::mutex> G(State->Mu);
         AllDone = State->Completed >= W.NumOps && RT->fullyReplicated();
       });
@@ -469,9 +476,17 @@ RunResult benchlib::runOnce(const ObjectType &Type,
   if (BacklogSamples)
     R.MeanBacklogCalls = BacklogSum / static_cast<double>(BacklogSamples);
   R.MaxBacklogCalls = BacklogMax;
-  if (R.DurationUs > 0)
+  // Throughput counts the calls answered while the clients still had
+  // calls to issue; the tail after the last issue is the drain.
+  const bool AllIssued = State->IssuedTotal >= W.NumOps;
+  const sim::SimTime MeasuredEnd = AllIssued ? State->LastIssueT : EndT;
+  const double MeasuredUs = sim::toMicros(MeasuredEnd - StartT);
+  R.DrainUs = sim::toMicros(EndT - MeasuredEnd);
+  if (MeasuredUs > 0)
     R.ThroughputOpsPerUs =
-        static_cast<double>(State->Completed) / R.DurationUs;
+        static_cast<double>(AllIssued ? State->CompletedAtLastIssue
+                                      : State->Completed) /
+        MeasuredUs;
   if (State->Completed)
     R.MeanResponseUs =
         State->RespSum / static_cast<double>(State->Completed);

@@ -79,6 +79,8 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   CtrCrossEpochDrop = &Stats.counter("reconfig.cross_epoch_drop");
   CtrCrossEpochApply = &Stats.counter("reconfig.cross_epoch_apply");
   CtrEpochInstall = &Stats.counter("reconfig.installs");
+  CtrViewRebuilds = &Stats.counter("node.view.rebuilds");
+  CtrViewDeltaFolds = &Stats.counter("node.view.delta_folds");
 
   assert(Members.Active.size() == N && "one active flag per provisioned node");
   // A provisioned standby starts with its epoch closed: it rejects client
@@ -166,6 +168,14 @@ void HambandNode::summaryChanged(ProcessId Src,
   for (const auto &[U, Cnt] : C)
     Applied[Src][U] = std::max(Applied[Src][U], Cnt);
   ++ViewVersion;
+  // The poller keeps Apply(S)(σ) materialized and pays for it: a replaced
+  // image rebuilds the view at the end of the round, a peer's delta is
+  // folded into it unless that rebuild already covers it. Own folds are
+  // billed with the call on the client lane.
+  if (!Delta)
+    ViewRebuildOwed = true;
+  else if (Src != Self && !ViewRebuildOwed)
+    ++ViewDeltaFoldsOwed;
   // Summarized calls are conflict-free, so an appended delta commutes
   // with everything the cache already holds.
   if (Delta && VisibleCache && !VisibleDirty)
@@ -293,15 +303,9 @@ void HambandNode::submit(const Call &C, SubmitCallback Done) {
 }
 
 void HambandNode::handleQuery(const Call &C, SubmitCallback Done) {
-  const rdma::NetworkModel &M = Fabric.model();
-  unsigned NumSummaries = 0;
-  for (const auto &Group : Sums.images())
-    for (const std::optional<Call> &S : Group)
-      if (S)
-        ++NumSummaries;
-  sim::SimDuration Cost = M.QueryCpu + NumSummaries * M.ApplySummaryCpu;
+  // The poller keeps Apply(S)(σ) materialized, so a query only reads it.
   Fabric.runOnCpu(
-      Self, Cost,
+      Self, Fabric.model().QueryCpu,
       [this, C, Done = std::move(Done)]() {
         Value V = Type.query(visibleState(), C);
         Done(true, V);
@@ -387,8 +391,21 @@ void HambandNode::pollOnce() {
   unsigned Rechecks = Conf->poll();
   GaugePendingFree->set(static_cast<std::int64_t>(pendingFreeTotal()));
   GaugePendingConf->set(static_cast<std::int64_t>(Conf->pendingTotal()));
-  sim::SimDuration Extra =
-      Parsed * M.ParseCpu + (AppliedN + Rechecks) * M.ApplyCpu;
+  // The view folds owed since the last round, recoveries and transfers
+  // included: one per peer delta, plus one per held image for a rebuild.
+  unsigned Folds = ViewDeltaFoldsOwed;
+  CtrViewDeltaFolds->add(ViewDeltaFoldsOwed);
+  if (ViewRebuildOwed) {
+    CtrViewRebuilds->add();
+    for (const auto &Group : Sums.images())
+      for (const std::optional<Call> &S : Group)
+        Folds += S.has_value();
+  }
+  ViewRebuildOwed = false;
+  ViewDeltaFoldsOwed = 0;
+  sim::SimDuration Extra = Parsed * M.ParseCpu +
+                           (AppliedN + Rechecks) * M.ApplyCpu +
+                           Folds * M.ApplySummaryCpu;
   if (Extra > 0)
     Fabric.runOnCpu(Self, Extra, []() {}, rdma::Transport::LanePoller);
   schedulePoll();
@@ -773,6 +790,7 @@ void HambandNode::absorbTransfer(const TransferImage &Img) {
   }
   Conf->importLog(Img.ConfNextIndex);
   ++ViewVersion;
+  ViewRebuildOwed = true;
   VisibleDirty = true;
   VisibleCache.reset();
 }

@@ -32,10 +32,13 @@ TEST(AverageRuns, AveragesScalars) {
   B.ThroughputOpsPerUs = 4.0;
   A.MeanResponseUs = 1.0;
   B.MeanResponseUs = 3.0;
+  A.DrainUs = 10.0;
+  B.DrainUs = 30.0;
   A.Completed = B.Completed = true;
   RunResult Avg = averageRuns({A, B});
   EXPECT_DOUBLE_EQ(Avg.ThroughputOpsPerUs, 3.0);
   EXPECT_DOUBLE_EQ(Avg.MeanResponseUs, 2.0);
+  EXPECT_DOUBLE_EQ(Avg.DrainUs, 20.0);
   EXPECT_TRUE(Avg.Completed);
 }
 
@@ -101,6 +104,33 @@ TEST(Runner, HambandCompletesCounterWorkload) {
   EXPECT_EQ(R.CompletedOps, 600u);
   EXPECT_GT(R.ThroughputOpsPerUs, 0.0);
   EXPECT_GT(R.MeanResponseUs, 0.0);
+}
+
+TEST(Runner, RunEndsAtTheEventThatCompletesIt) {
+  // A dozen calls replicate well inside one 20-us backlog sample period;
+  // the run's length is not rounded up to it.
+  Counter T;
+  WorkloadSpec W = quickWorkload();
+  W.NumOps = 12;
+  RunResult R = runOnce(T, W, quickOpts(RuntimeKind::Hamband), 1);
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(R.CompletedOps, 12u);
+  EXPECT_GT(R.DurationUs, 0.0);
+  EXPECT_LT(R.DurationUs, 20.0);
+}
+
+TEST(Runner, DrainReportedSeparately) {
+  // Throughput covers the run up to its last issue; the drain after it
+  // is part of DurationUs and reported on its own.
+  Counter T;
+  RunResult R = runOnce(T, quickWorkload(), quickOpts(RuntimeKind::Hamband),
+                        1);
+  ASSERT_TRUE(R.Completed);
+  EXPECT_GT(R.DrainUs, 0.0);
+  EXPECT_LT(R.DrainUs, R.DurationUs);
+  EXPECT_GT(R.ThroughputOpsPerUs, 0.0);
+  EXPECT_LE(R.ThroughputOpsPerUs * (R.DurationUs - R.DrainUs),
+            static_cast<double>(R.CompletedOps));
 }
 
 TEST(Runner, MsgCompletesCounterWorkload) {

@@ -786,6 +786,71 @@ TEST_F(ClusterTest, PNCounterUsesTwoSummarySlotsPerPeer) {
   }
 }
 
+TEST_F(ClusterTest, QueryReadsTheMaterializedViewAtQueryCpu) {
+  // Every node holds three images, one per issuer. The poller keeps
+  // Apply(S)(σ) materialized, so a query on an idle client lane is
+  // answered exactly QueryCpu after its submit, folding nothing.
+  Counter T;
+  auto C = makeCluster(T);
+  int Done = 0;
+  for (rdma::NodeId N = 0; N < 3; ++N)
+    C->submit(N, Call(Counter::Add, {N + 1}, N, 1 + N),
+              [&](bool, Value) { ++Done; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done == 3 && C->fullyReplicated(); }));
+  Sim.run(Sim.now() + sim::micros(20));
+  const sim::SimTime Submitted = Sim.now();
+  sim::SimTime Answered = 0;
+  Value V = -1;
+  C->submit(0, Call(Counter::Read, {}, 0, 100), [&](bool, Value Got) {
+    V = Got;
+    Answered = Sim.now();
+  });
+  ASSERT_TRUE(runUntil(Sim, [&] { return V >= 0; }));
+  EXPECT_EQ(V, 6);
+  EXPECT_EQ(Answered - Submitted, C->transport().model().QueryCpu);
+}
+
+TEST_F(ClusterTest, PollRoundThatInstallsImagesBillsOneRebuild) {
+  Counter T;
+  auto C = makeCluster(T);
+  auto Count = [&](const char *Name) {
+    return C->node(1).statsSnapshot().counter(Name);
+  };
+  // Rounds that install nothing bill nothing.
+  Sim.run(Sim.now() + sim::micros(20));
+  EXPECT_EQ(Count("node.view.rebuilds"), 0u);
+  // Nodes 0 and 2 update at the same instant, so their slot writes land
+  // at node 1 together and one of its poll rounds installs both images.
+  int Done = 0;
+  C->submit(0, Call(Counter::Add, {1}, 0, 1), [&](bool, Value) { ++Done; });
+  C->submit(2, Call(Counter::Add, {1}, 2, 2), [&](bool, Value) { ++Done; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done == 2 && C->fullyReplicated(); }));
+  EXPECT_EQ(C->node(1).applied(0, Counter::Add), 1u);
+  EXPECT_EQ(C->node(1).applied(2, Counter::Add), 1u);
+  EXPECT_EQ(Count("node.view.rebuilds"), 1u);
+  EXPECT_EQ(Count("node.view.delta_folds"), 0u);
+  Sim.run(Sim.now() + sim::micros(50));
+  EXPECT_EQ(Count("node.view.rebuilds"), 1u);
+}
+
+TEST_F(ClusterTest, PeerDeltaFoldsIntoTheViewWithoutARebuild) {
+  Counter T;
+  HambandConfig Cfg;
+  Cfg.Delta.Enabled = true;
+  HambandCluster C(Sim, 3, T, rdma::NetworkModel(), Cfg);
+  C.start();
+  bool Done = false;
+  C.submit(0, Call(Counter::Add, {4}, 0, 1), [&](bool, Value) { Done = true; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done && C.fullyReplicated(); }));
+  for (rdma::NodeId N = 1; N < 3; ++N) {
+    obs::StatsSnapshot S = C.node(N).statsSnapshot();
+    EXPECT_EQ(S.counter("node.view.delta_folds"), 1u) << "node " << N;
+    EXPECT_EQ(S.counter("node.view.rebuilds"), 0u) << "node " << N;
+  }
+  // The issuer folds its own call on the client lane.
+  EXPECT_EQ(C.node(0).statsSnapshot().counter("node.view.delta_folds"), 0u);
+}
+
 TEST_F(ClusterTest, DuplicateConfRequestAppliedOnce) {
   BankAccount T;
   auto C = makeCluster(T);

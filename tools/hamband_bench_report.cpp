@@ -56,7 +56,9 @@
 //    carries the runtime's own counters next to the driver's figures.
 //
 // Every point's response mean and percentiles, in every section, come
-// from the driver's exact per-call samples (benchlib::RunResult).
+// from the driver's exact per-call samples (benchlib::RunResult). Its
+// throughput counts the calls answered up to the moment the last call
+// is issued; the drain from there to full replication is its drain_us.
 //
 // The gates are the constants below, not options. --check requires every
 // simulated-time section, validates the shape of every point, and gates:
@@ -406,6 +408,7 @@ json::Value paperPointToJson(const PaperPoint &P, const RunResult &R) {
   O.add("query_response_us", json::Value::makeDouble(R.MeanQueryResponseUs));
   O.add("resp_p50_us", json::Value::makeDouble(R.P50ResponseUs));
   O.add("resp_p99_us", json::Value::makeDouble(R.P99ResponseUs));
+  O.add("drain_us", json::Value::makeDouble(R.DrainUs));
   O.add("rejected", json::Value::makeUInt(R.RejectedOps));
   O.add("stale_mean", json::Value::makeDouble(R.MeanBacklogCalls));
   O.add("stale_max", json::Value::makeDouble(R.MaxBacklogCalls));
@@ -491,6 +494,7 @@ json::Value pointToJson(const std::string &TypeName, unsigned Nodes,
   O.add("p50_response_us", json::Value::makeDouble(R.P50ResponseUs));
   O.add("p99_response_us", json::Value::makeDouble(R.P99ResponseUs));
   O.add("max_response_us", json::Value::makeDouble(R.MaxResponseUs));
+  O.add("drain_us", json::Value::makeDouble(R.DrainUs));
   O.add("completed_ops", json::Value::makeUInt(R.CompletedOps));
   O.add("completed", json::Value::makeBool(R.Completed));
   return O;
