@@ -68,9 +68,9 @@ struct RunSpec {
   std::uint64_t FaultSeed = 0; // Fault-plan seed.
   sim::FaultSpec Spec;
   bool Batched = false; // Enable the call-batching layer.
-  /// Enable delta-state summary propagation (docs/deltas.md), with the
-  /// anti-entropy period shortened so full-image rounds fire within a
-  /// fuzz-sized schedule.
+  /// Enable delta-state summary propagation (docs/deltas.md). Fuzz-sized
+  /// images are about the size of a delta frame, so full-image rounds
+  /// fire between the delta frames of every schedule.
   bool Deltas = false;
   /// Run an online membership transition through the middle of the
   /// workload (docs/reconfig.md): the last provisioned node starts as a

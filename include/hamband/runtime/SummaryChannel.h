@@ -41,16 +41,21 @@ struct HambandConfig;
 /// When enabled, a flush ships the *fold of the calls since the last
 /// shipped image* as a bounded F-ring frame tagged with the half-open
 /// version interval it covers, instead of overwriting every peer's
-/// summary slot with the full image. Periodic full-image anti-entropy
-/// (chunked over the same rings) bounds divergence after gaps and keeps
-/// recovery idempotent. Off by default: full images preserve the
-/// classic per-flush summary-slot path unchanged.
+/// summary slot with the full image. Full-image anti-entropy (chunked
+/// over the same rings) bounds divergence after gaps and keeps recovery
+/// idempotent: a group re-ships its full image once the delta frames
+/// shipped since its last one add up to the image's encoded size, so
+/// anti-entropy never costs more bytes than the deltas did. A small image
+/// (a counter's) alternates delta and full frames; a big one heals a gap
+/// only after about image / delta-frame flushes of its source (at least
+/// 527 for a 5000-element gset). Gaps come only from frames a crashed source
+/// never posted, which no image of that source can repair, and from the
+/// dropDeltasForTest hook: a reconfiguration drains every write before
+/// its fence. Off by default: full images preserve the classic per-flush
+/// summary-slot path unchanged.
 struct DeltaConfig {
   /// Master switch.
   bool Enabled = false;
-  /// Anti-entropy period (>= 1): every this many delta flushes of a
-  /// group, ship a full image instead of a delta.
-  std::uint32_t AntiEntropyEvery = 64;
 };
 
 /// One node's summaries and their propagation.
@@ -120,8 +125,8 @@ public:
     return Buffered[G][Src].size();
   }
   bool hasBufferedFrames() const;
-  /// Feeds the versions, shipped cursors and receive-buffer shapes to
-  /// \p Mix (the node's state digest).
+  /// Feeds the versions, shipped cursors, anti-entropy budgets and
+  /// receive-buffer shapes to \p Mix (the node's state digest).
   void digest(const std::function<void(std::uint64_t)> &Mix) const;
   /// Test hook: while set, this node discards every delta frame it
   /// receives (rings and recovery alike), leaving a durable version gap
@@ -167,8 +172,9 @@ private:
   std::vector<std::uint64_t> Shipped; // [group]
   /// Fold of the calls in that interval (deltas on).
   std::vector<std::optional<Call>> PendingDelta; // [group]
-  /// Delta ships since the last full image (anti-entropy trigger).
-  std::vector<std::uint32_t> DeltasSinceFull; // [group]
+  /// Delta-frame bytes shipped since the last full image: the group
+  /// ships its full image once they reach the image's size.
+  std::vector<std::size_t> DeltaBytesSinceFull; // [group]
 
   /// Out-of-order delta frames, at most MaxBufferedFrames per (group,
   /// source); frames beyond it are dropped (counted) and heal via
@@ -191,6 +197,8 @@ private:
   obs::Counter *CtrDeltaGap = nullptr;
   obs::Counter *CtrDeltaDropped = nullptr;
   obs::Counter *CtrDeltaFullOut = nullptr;
+  obs::Counter *CtrDeltaBytesOut = nullptr;
+  obs::Counter *CtrDeltaFullBytesOut = nullptr;
   obs::Counter *CtrDeltaFullIn = nullptr;
   obs::Counter *CtrSlotOverflow = nullptr;
   obs::Counter *CtrOversizeReject = nullptr;

@@ -6,7 +6,8 @@
 # per gate, the full sim report compared against the committed baseline,
 # the bounded coordination-verifier gate (including keyed-lift
 # preservation), the hamband_mc exhaustive small-scope sweep
-# (plus a delta-mode exploration), the end-to-end benchmark smoke
+# (plus delta-mode explorations of the counter and the gset), the
+# end-to-end benchmark smoke
 # (bench/e2e's own build and ctests), a TSan flavor (threaded obs mutation,
 # shm ring stress, the shm transport conformance corpus, the shm sharded
 # keyspace corpus, and the shm delta corpus), an ASan+UBSan+LSan pass of
@@ -211,12 +212,14 @@ echo "ci: exhaustive schedule exploration (hamband_mc small-scope sweep)"
   --json > "$BUILD/MC_sweep.json"
 echo "ci: explored-state counts recorded in $BUILD/MC_sweep.json"
 
-# A smaller delta-mode exploration: every interleaving of the counter at
-# 3 calls with one crash point, against a cluster shipping SummaryDelta
-# frames. Exercises the delta apply/gap/anti-entropy paths under
-# exhaustive scheduling rather than random fuzz.
+# Smaller delta-mode explorations: interleavings of the counter and of
+# the gset at 3 calls with one crash point, against a cluster shipping
+# SummaryDelta frames. Exercises the delta apply/gap/anti-entropy paths
+# under exhaustive scheduling rather than random fuzz; the gset's image
+# grows with every call, the counter's never does.
 echo "ci: exhaustive delta-mode exploration (hamband_mc --deltas)"
 "$BUILD/tools/hamband_mc" --type counter --calls 3 --crashes 1 --deltas
+"$BUILD/tools/hamband_mc" --type gset --calls 3 --crashes 1 --deltas
 
 # A reconfig-mode exploration: schedule interleavings of the counter
 # with an online membership transition at the midpoint (no crash points

@@ -10,7 +10,7 @@
 #
 # It also builds both trees' hamband_fuzz and hamband_mc and cmp's the
 # outputs of scripts/ci.sh's explorer commands: the fuzz smokes (run with
-# --verbose) and the three hamband_mc explorations (run with --json).
+# --verbose) and the four hamband_mc explorations (run with --json).
 #
 # A refactor that claims "the simulator replays the same events" must
 # pass this against its parent.
@@ -79,6 +79,7 @@ EXPLORE=(
   "fuzz --runs 25 --seed 49 --nodes 2 --deltas --reconfig --verbose"
   "mc --type all --calls 4 --crashes 1 --budget 1600 --json"
   "mc --type counter --calls 3 --crashes 1 --deltas --json"
+  "mc --type gset --calls 3 --crashes 1 --deltas --json"
   "mc --type counter --calls 2 --nodes 3 --crashes 0 --budget 40 --reconfig --json"
 )
 explore() { # TOOLS_DIR TOOL ARGS...: prints the run's output and status

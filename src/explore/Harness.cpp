@@ -80,9 +80,6 @@ RunOutcome explore::runSchedule(const RunSpec &Cfg,
   HCfg.Batch.Enabled = Cfg.Batched;
   HCfg.Batch.MaxCalls = 6;
   HCfg.Delta.Enabled = Cfg.Deltas;
-  // Short anti-entropy period so fuzz-sized schedules exercise both the
-  // delta-frame and the full-image rounds.
-  HCfg.Delta.AntiEntropyEvery = 3;
   HCfg.RecordApplyLog = true;
   if (Cfg.Reconfig) {
     if (Cfg.Nodes < 2) {

@@ -21,7 +21,6 @@ SummaryChannel::SummaryChannel(
     : Fabric(Fabric), Self(Self), Type(Type), Spec(Type.coordination()),
       Map(Map), Delta(Cfg.Delta), Applied(Applied),
       OnChange(std::move(OnChange)) {
-  assert(Delta.AntiEntropyEvery >= 1 && "anti-entropy period must be >= 1");
   unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSumGroups();
   GroupMethods.resize(Groups);
@@ -32,7 +31,7 @@ SummaryChannel::SummaryChannel(
   Versions.assign(Groups, std::vector<std::uint64_t>(N, 0));
   Shipped.assign(Groups, 0);
   PendingDelta.assign(Groups, std::nullopt);
-  DeltasSinceFull.assign(Groups, 0);
+  DeltaBytesSinceFull.assign(Groups, 0);
   Buffered.assign(Groups, std::vector<std::deque<SummaryDeltaFrame>>(N));
   Assemblies.assign(Groups, std::vector<ChunkAssembly>(N));
 
@@ -44,6 +43,8 @@ SummaryChannel::SummaryChannel(
   CtrDeltaDropped = &Stats.counter("node.delta.dropped");
   CtrDeltaFullOut = &Stats.counter("node.delta.full_out");
   CtrDeltaFullIn = &Stats.counter("node.delta.full_in");
+  CtrDeltaBytesOut = &Stats.counter("node.delta.bytes_out");
+  CtrDeltaFullBytesOut = &Stats.counter("node.delta.full_bytes_out");
   CtrSlotOverflow = &Stats.counter("node.summary.slot_overflow");
   CtrOversizeReject = &Stats.counter("node.summary.oversize_reject");
   CtrStageSkipped = &Stats.counter("node.delta.stage_skipped");
@@ -118,7 +119,9 @@ void SummaryChannel::ship(std::uint32_t Epoch, Outgoing &Out,
     std::size_t FullBytes =
         summaryImageBytes(Img.Summary.Args.size(), Img.AppliedCounts.size());
     std::vector<std::uint8_t> DeltaFrame;
-    if (Delta.Enabled && DeltasSinceFull[G] + 1 < Delta.AntiEntropyEvery) {
+    // Anti-entropy: once the deltas shipped since the last full image
+    // outweigh it, the full image ships instead.
+    if (Delta.Enabled && DeltaBytesSinceFull[G] < FullBytes) {
       assert(PendingDelta[G] && "dirty group without a pending delta");
       SummaryDeltaFrame F;
       F.Group = static_cast<std::uint8_t>(G);
@@ -136,14 +139,17 @@ void SummaryChannel::ship(std::uint32_t Epoch, Outgoing &Out,
         !Delta.Enabled && fitsSummarySlot(FullBytes, Map.summarySlotBytes());
     if (!DeltaFrame.empty()) {
       CtrDeltaOut->add();
-      ++DeltasSinceFull[G];
+      CtrDeltaBytesOut->add(DeltaFrame.size());
+      DeltaBytesSinceFull[G] += DeltaFrame.size();
     } else if (!SlotWrite) {
       if (!Delta.Enabled)
         CtrSlotOverflow->add();
-      for (std::vector<std::uint8_t> &Frame : encodeFullFrames(G, Img, Epoch))
+      for (std::vector<std::uint8_t> &Frame : encodeFullFrames(G, Img, Epoch)) {
+        CtrDeltaFullBytesOut->add(Frame.size());
         Out.Records.push_back(std::move(Frame));
+      }
       CtrDeltaFullOut->add();
-      DeltasSinceFull[G] = 0;
+      DeltaBytesSinceFull[G] = 0;
     }
 
     bool StageFull = Reserve(flushImageSummaryBytes(FullBytes));
@@ -470,6 +476,8 @@ void SummaryChannel::digest(
       Mix(V);
   for (std::uint64_t V : Shipped)
     Mix(V);
+  for (std::size_t B : DeltaBytesSinceFull)
+    Mix(B);
   for (const auto &PerSrc : Buffered)
     for (const auto &Q : PerSrc)
       Mix(Q.size());

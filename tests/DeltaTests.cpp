@@ -4,16 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 // Delta-state summary propagation must be *observationally invisible*: a
-// cluster shipping bounded delta frames (plus periodic full-image
-// anti-entropy) fed the same client schedule as a classic full-image
-// cluster must reach the same converged state and answer every query the
-// same way at every quiescent point. This suite drives randomized
+// cluster shipping bounded delta frames (plus full-image anti-entropy once
+// the deltas outweigh the image) fed the same client schedule as a classic
+// full-image cluster must reach the same converged state and answer every
+// query the same way at every quiescent point. This suite drives randomized
 // schedules through classic, delta-unbatched and delta-batched worlds in
 // lockstep for every registered type, replays delta executions under
 // recorded fault schedules, pins the crash-mid-delta-stream and
 // crash-mid-anti-entropy recovery paths deterministically, exercises gap
-// healing after dropped frames, and regression-tests the summary-slot
-// overflow fallback and the oversize-reject gate (docs/deltas.md).
+// healing after dropped frames, pins the anti-entropy byte budget, and
+// regression-tests the summary-slot overflow fallback and the
+// oversize-reject gate (docs/deltas.md).
 //
 // The cluster-level corpus also runs on the shared-memory transport (one
 // OS thread per node); those instances carry "shm_" in their names so the
@@ -127,11 +128,14 @@ struct World {
   }
 };
 
-HambandConfig deltaConfig(std::uint32_t AntiEntropyEvery = 3) {
+HambandConfig deltaConfig() {
   HambandConfig Cfg;
   Cfg.Delta.Enabled = true;
-  Cfg.Delta.AntiEntropyEvery = AntiEntropyEvery;
   return Cfg;
+}
+
+std::uint64_t nodeCounter(HambandCluster &C, ProcessId P, const char *Name) {
+  return C.node(P).statsSnapshot().counter(Name);
 }
 
 } // namespace
@@ -140,9 +144,10 @@ HambandConfig deltaConfig(std::uint32_t AntiEntropyEvery = 3) {
 // Randomized delta-vs-classic equivalence, all registered types
 //===----------------------------------------------------------------------===//
 // Three worlds in lockstep per schedule: the classic full-image reference,
-// a delta-unbatched world and a delta-batched world, with the anti-entropy
-// period randomized small enough that full-image rounds interleave with
-// delta rounds inside every schedule.
+// a delta-unbatched world and a delta-batched world. Fuzz-sized images are
+// about the size of a delta frame, so full-image rounds interleave with
+// delta rounds; each delta world of a summarizing type must ship both
+// kinds of frame across its schedules.
 
 class DeltaEquivalence : public ::testing::TestWithParam<std::string> {};
 
@@ -152,14 +157,14 @@ TEST_P(DeltaEquivalence, MatchesClassicAtEveryQuiescentPoint) {
   const unsigned Nodes = 3;
   const bool Exact = explore::isObservationIndependent(GetParam());
   const unsigned Schedules = scheduleCount();
+  // Delta and full-image frames shipped by the delta-unbatched and the
+  // delta-batched worlds over all schedules.
+  std::uint64_t Deltas[2] = {0, 0}, Fulls[2] = {0, 0};
 
   for (unsigned S = 0; S < Schedules; ++S) {
     std::uint64_t Seed = typeSeed(GetParam()) ^ (0xde17a5ull * (S + 1));
     sim::Rng Knobs(Seed);
-    HambandConfig DCfg;
-    DCfg.Delta.Enabled = true;
-    DCfg.Delta.AntiEntropyEvery =
-        static_cast<std::uint32_t>(Knobs.uniformInt(2, 8));
+    HambandConfig DCfg = deltaConfig();
     HambandConfig BCfg = DCfg;
     BCfg.Batch.Enabled = true;
     BCfg.Batch.MaxCalls =
@@ -235,6 +240,18 @@ TEST_P(DeltaEquivalence, MatchesClassicAtEveryQuiescentPoint) {
         }
       }
     }
+    for (unsigned K = 0; K < 2; ++K) {
+      obs::StatsSnapshot Stats = (K == 0 ? D : B).C.statsSnapshot();
+      Deltas[K] += Stats.counter("node.delta.out");
+      Fulls[K] += Stats.counter("node.delta.full_out");
+    }
+  }
+  if (Spec.numSumGroups() == 0)
+    return;
+  for (unsigned K = 0; K < 2; ++K) {
+    const char *World = K == 0 ? "delta" : "delta+batched";
+    EXPECT_GE(Deltas[K], 1u) << GetParam() << " " << World;
+    EXPECT_GE(Fulls[K], 1u) << GetParam() << " " << World;
   }
 }
 
@@ -244,8 +261,8 @@ TEST_P(DeltaEquivalence, MatchesClassicAtEveryQuiescentPoint) {
 // A delta-shipping batched cluster runs under a generated fault schedule
 // (one-sided delays model dropped/late doorbells; CrashOnStageProb crashes
 // sources in the exact window where a flush image is staged but its remote
-// writes are not yet posted), with the anti-entropy period small enough
-// that full-image rounds fire during the run. The recorded trace then
+// writes are not yet posted); the small images ship full-image rounds
+// between their delta frames. The recorded trace then
 // drives a second, identical run: determinism demands bit-identical traces
 // and per-node outcomes.
 
@@ -263,7 +280,7 @@ FaultRunResult runDeltaUnderFaults(const ObjectType &T, unsigned Nodes,
                                    const sim::FaultSpec &Spec,
                                    const sim::FaultTrace *Replay) {
   const CoordinationSpec &CSpec = T.coordination();
-  HambandConfig Cfg = deltaConfig(3);
+  HambandConfig Cfg = deltaConfig();
   Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   sim::Simulator Sim;
@@ -359,47 +376,60 @@ INSTANTIATE_TEST_SUITE_P(
 //===----------------------------------------------------------------------===//
 
 TEST(DeltaCrashRecovery, CrashMidDeltaStreamRecoversFromStagedImage) {
-  // Unbatched delta mode: each add ships one delta frame and stages the
-  // full image (it fits the backup slot) for crash-atomicity. The source
-  // crashes at stage #2 -- the second frame's image is staged but its
-  // remote writes are not posted -- so peers sit one version behind with
-  // no torn delta, and recovery installs the staged FULL image (the
+  // Unbatched delta mode: a counter's image is the size of a delta frame,
+  // so its flushes alternate delta frame and full image, and each stages
+  // the full image (it fits the backup slot) for crash-atomicity. The
+  // source crashes at stage #3 -- the second delta's image is staged but
+  // its remote writes are not posted -- so peers sit one version behind
+  // with no torn delta, and recovery installs the staged FULL image (the
   // idempotent tier), not a replayed delta.
   sim::Simulator Sim;
   auto T = makeType("counter");
   MethodId Add = T->methodId("add");
-  HambandCluster C(Sim, 3, *T, {}, deltaConfig(/*AntiEntropyEvery=*/64));
+  HambandCluster C(Sim, 3, *T, {}, deltaConfig());
   C.start();
 
   unsigned Stages = 0;
+  std::uint64_t DeltasAtCrash = 0, FullsAtCrash = 0;
   C.node(0).broadcast().setOnStage([&] {
-    if (++Stages == 2)
-      C.crashNode(0);
+    if (++Stages != 3)
+      return;
+    // ship() counts the flush's frame before it stages.
+    DeltasAtCrash = nodeCounter(C, 0, "node.delta.out");
+    FullsAtCrash = nodeCounter(C, 0, "node.delta.full_out");
+    C.crashNode(0);
   });
-  // Delta #1 replicates over the rings; the remaining five never get past
-  // the second stage (the crash also cancels their in-flight writes).
+  // Delta #1 and full image #2 replicate over the rings; the remaining
+  // four never get past the third stage (the crash also cancels their
+  // in-flight writes).
   unsigned Done = 0;
-  C.submit(0, Call(Add, {5}, 0, 100), [&](bool, Value) { ++Done; });
-  ASSERT_TRUE(runUntil(Sim, [&] { return Done == 1 && C.fullyReplicated(); }));
-  for (unsigned I = 1; I < 6; ++I)
+  for (unsigned I = 0; I < 2; ++I) {
+    C.submit(0, Call(Add, {5}, 0, 100 + I), [&](bool, Value) { ++Done; });
+    ASSERT_TRUE(
+        runUntil(Sim, [&] { return Done == I + 1 && C.fullyReplicated(); }));
+  }
+  for (unsigned I = 2; I < 6; ++I)
     C.submit(0, Call(Add, {5}, 0, 100 + I), [](bool, Value) {});
 
   ASSERT_TRUE(runUntil(Sim, [&] {
-    return C.node(1).applied(0, Add) == 2 && C.node(2).applied(0, Add) == 2;
+    return C.node(1).applied(0, Add) == 3 && C.node(2).applied(0, Add) == 3;
   }));
-  EXPECT_EQ(Stages, 2u);
+  EXPECT_EQ(Stages, 3u);
+  EXPECT_EQ(DeltasAtCrash, 2u) << "the crashed flush must ship a delta";
+  EXPECT_EQ(FullsAtCrash, 1u);
   EXPECT_FALSE(C.isLive(0));
   MethodId Read = T->methodId("read");
-  EXPECT_EQ(T->query(C.node(1).visibleState(), Call(Read, {}, 1, 0)), 10);
+  EXPECT_EQ(T->query(C.node(1).visibleState(), Call(Read, {}, 1, 0)), 15);
   EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
-  // Both peers saw delta #1 over the ring and recovered version 2 from the
-  // staged image; neither buffered a torn frame.
+  // Both peers saw delta #1 and full image #2 over the ring and recovered
+  // version 3 from the staged image; neither buffered a torn frame.
   for (ProcessId P = 1; P < 3; ++P) {
     obs::StatsSnapshot S = C.node(P).statsSnapshot();
-    EXPECT_GE(S.counter("node.delta.in"), 1u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.in"), 1u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_in"), 1u) << "node " << P;
     EXPECT_EQ(C.node(P).recoveredBroadcasts(), 1u) << "node " << P;
     EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
-    EXPECT_EQ(C.node(P).summaries().version(0, 0), 2u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), 3u) << "node " << P;
   }
 }
 
@@ -417,78 +447,111 @@ Call bigGSetSummary(const ObjectType &T, unsigned N) {
 } // namespace
 
 TEST(DeltaCrashRecovery, ChunkedAntiEntropyDeliversAtomically) {
-  // A seeded 300-element gset with AntiEntropyEvery=1 makes the very next
-  // ship a full image, and a ring geometry with ~240 summary args per
-  // record forces it into two chunks. Both chunks must reassemble into one
-  // atomic install: the peers jump from the seeded version straight to the
-  // new one with the complete element set.
+  // A seeded 300-element gset ships one-element delta frames until they
+  // outweigh its growing image (36 of them), then the full image, which a
+  // ring geometry with ~240 summary args per record splits into two
+  // chunks. Both chunks must reassemble into one atomic install: the peers
+  // jump to the image's version with the complete element set.
   sim::Simulator Sim;
   auto T = makeType("gset");
   MethodId Add = T->methodId("add");
-  HambandConfig Cfg = deltaConfig(/*AntiEntropyEvery=*/1);
+  HambandConfig Cfg = deltaConfig();
   Cfg.FreeGeom = RingGeometry{64, 64};
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
   C.seedReducibleState(0, 0, bigGSetSummary(*T, 300), 300);
 
-  unsigned Done = 0;
-  C.submit(0, Call(Add, {1000}, 0, 1), [&](bool Ok, Value) {
-    EXPECT_TRUE(Ok);
-    ++Done;
-  });
-  ASSERT_TRUE(runUntil(Sim, [&] {
-    return Done == 1 && C.fullyReplicated();
-  }));
+  // One call per flush, each replicated before the next, until a flush
+  // ships the full image.
+  unsigned Calls = 0, Done = 0;
+  while (nodeCounter(C, 0, "node.delta.full_out") == 0) {
+    ASSERT_LT(Calls, 100u) << "no full image after " << Calls << " deltas";
+    C.submit(0, Call(Add, {static_cast<Value>(1000 + Calls)}, 0, 1 + Calls),
+             [&](bool Ok, Value) {
+               EXPECT_TRUE(Ok);
+               ++Done;
+             });
+    ++Calls;
+    ASSERT_TRUE(runUntil(Sim, [&] {
+      return Done == Calls && C.fullyReplicated();
+    }));
+  }
+  EXPECT_EQ(nodeCounter(C, 0, "node.delta.out"), Calls - 1);
 
   MethodId Size = T->methodId("size");
   MethodId Contains = T->methodId("contains");
   for (ProcessId P = 0; P < 3; ++P) {
-    EXPECT_EQ(C.node(P).applied(0, Add), 301u) << "node " << P;
-    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)), 301)
+    EXPECT_EQ(C.node(P).applied(0, Add), 300u + Calls) << "node " << P;
+    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)),
+              static_cast<Value>(300 + Calls))
         << "node " << P;
-    EXPECT_EQ(
-        T->query(C.node(P).visibleState(), Call(Contains, {1000}, P, 0)), 1)
+    // The last call's element travelled only in the full image.
+    EXPECT_EQ(T->query(C.node(P).visibleState(),
+                       Call(Contains, {static_cast<Value>(999 + Calls)}, P,
+                            0)),
+              1)
         << "node " << P;
   }
-  for (ProcessId P = 1; P < 3; ++P)
-    EXPECT_GE(C.node(P).statsSnapshot().counter("node.delta.full_in"), 2u)
+  for (ProcessId P = 1; P < 3; ++P) {
+    EXPECT_EQ(C.node(P).statsSnapshot().counter("node.delta.full_in"), 2u)
         << "node " << P << " must receive both chunks";
-  EXPECT_GE(C.node(0).statsSnapshot().counter("node.delta.full_out"), 1u);
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), 300u + Calls)
+        << "node " << P;
+  }
 }
 
 TEST(DeltaCrashRecovery, CrashMidAntiEntropyRecoversUntorn) {
-  // Same chunked-anti-entropy setup, but the source crashes at the stage
-  // point: the full image is staged whole while NONE of its chunk writes
-  // are posted. Peers must recover the complete 301-element image from the
+  // Same chunked-anti-entropy setup: delta flushes spend the budget, and
+  // the source crashes at the stage point of the flush that ships the
+  // chunked full image: the image is staged whole while NONE of its chunk
+  // writes are posted. Peers must recover the complete image from the
   // backup slot -- never a torn prefix of its chunks.
   sim::Simulator Sim;
   auto T = makeType("gset");
   MethodId Add = T->methodId("add");
-  HambandConfig Cfg = deltaConfig(/*AntiEntropyEvery=*/1);
+  HambandConfig Cfg = deltaConfig();
   Cfg.FreeGeom = RingGeometry{64, 64};
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
   C.seedReducibleState(0, 0, bigGSetSummary(*T, 300), 300);
 
-  unsigned Stages = 0;
+  // ship() counts the full image before its flush stages.
+  bool CrashedOnFull = false;
   C.node(0).broadcast().setOnStage([&] {
-    if (++Stages == 1)
-      C.crashNode(0);
+    if (nodeCounter(C, 0, "node.delta.full_out") == 0)
+      return;
+    CrashedOnFull = true;
+    C.crashNode(0);
   });
-  C.submit(0, Call(Add, {1000}, 0, 1), [](bool, Value) {});
+  unsigned Calls = 0, Done = 0;
+  while (C.isLive(0)) {
+    ASSERT_LT(Calls, 100u) << "no full image after " << Calls << " deltas";
+    C.submit(0, Call(Add, {static_cast<Value>(1000 + Calls)}, 0, 1 + Calls),
+             [&](bool, Value) { ++Done; });
+    ++Calls;
+    ASSERT_TRUE(runUntil(Sim, [&] {
+      return !C.isLive(0) || (Done == Calls && C.fullyReplicated());
+    }));
+  }
+  ASSERT_TRUE(CrashedOnFull);
+  ASSERT_GE(Calls, 2u) << "the budget must be spent by deltas first";
 
+  const std::uint64_t Version = 300 + Calls;
   ASSERT_TRUE(runUntil(Sim, [&] {
-    return C.node(1).applied(0, Add) == 301 &&
-           C.node(2).applied(0, Add) == 301;
+    return C.node(1).applied(0, Add) == Version &&
+           C.node(2).applied(0, Add) == Version;
   }));
-  EXPECT_EQ(Stages, 1u);
-  EXPECT_FALSE(C.isLive(0));
   MethodId Size = T->methodId("size");
   for (ProcessId P = 1; P < 3; ++P) {
-    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)), 301)
+    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)),
+              static_cast<Value>(Version))
         << "node " << P;
-    EXPECT_EQ(C.node(P).summaries().version(0, 0), 301u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), Version) << "node " << P;
     EXPECT_EQ(C.node(P).recoveredBroadcasts(), 1u) << "node " << P;
+    obs::StatsSnapshot S = C.node(P).statsSnapshot();
+    EXPECT_EQ(S.counter("node.delta.in"), Calls - 1) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_in"), 0u)
+        << "node " << P << " must get the image from the backup slot";
   }
   EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
 }
@@ -500,7 +563,7 @@ TEST(DeltaCrashRecovery, BatchedFlushStagesDeltaWhenFullImageOutgrowsSlot) {
   sim::Simulator Sim;
   auto T = makeType("gset");
   MethodId Add = T->methodId("add");
-  HambandConfig Cfg = deltaConfig(/*AntiEntropyEvery=*/64);
+  HambandConfig Cfg = deltaConfig();
   Cfg.Batch.Enabled = true;
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
@@ -536,65 +599,186 @@ TEST(DeltaCrashRecovery, BatchedFlushStagesDeltaWhenFullImageOutgrowsSlot) {
 //===----------------------------------------------------------------------===//
 
 TEST(DeltaGapHealing, DroppedDeltasBufferThenHealViaAntiEntropy) {
-  // Frame #1 arrives normally; frame #2 is dropped by both receivers (the
-  // test hook models a lost doorbell with its backup cleared); frame #3
-  // then arrives with FromSeq=2 against a seen version of 1 -- a GAP the
-  // peers must buffer, not apply. The 4th ship hits the anti-entropy period
-  // (dropped deltas still advance it), so a full image at version 4
-  // arrives, supersedes the buffered frame and restores convergence.
+  // A gset seeded with 40 elements ships about five one-element delta
+  // frames per full image. Frame #1 arrives normally; frame #2 is dropped
+  // by both receivers (the test hook models a lost doorbell with its
+  // backup cleared); frame #3 then arrives with FromSeq=42 against a seen
+  // version of 41 -- a GAP the peers must buffer, not apply -- and so does
+  // every later delta. Once the deltas outweigh the image, a full image
+  // ships, supersedes the buffered frames and restores convergence.
   sim::Simulator Sim;
-  auto T = makeType("counter");
+  auto T = makeType("gset");
   MethodId Add = T->methodId("add");
-  HambandCluster C(Sim, 3, *T, {}, deltaConfig(/*AntiEntropyEvery=*/4));
+  HambandCluster C(Sim, 3, *T, {}, deltaConfig());
   C.start();
+  const unsigned SeedElems = 40;
+  C.seedReducibleState(0, 0, bigGSetSummary(*T, SeedElems), SeedElems);
 
-  unsigned Done = 0;
-  auto Submit = [&](Value V, RequestId R) {
-    C.submit(0, Call(Add, {V}, 0, R), [&](bool, Value) { ++Done; });
+  unsigned Done = 0, Calls = 0;
+  auto Submit = [&] {
+    ++Calls;
+    C.submit(0, Call(Add, {static_cast<Value>(1000 + Calls)}, 0, Calls),
+             [&](bool, Value) { ++Done; });
   };
 
-  Submit(1, 1);
+  Submit();
   ASSERT_TRUE(runUntil(Sim, [&] { return Done == 1 && C.fullyReplicated(); }));
-  EXPECT_EQ(C.node(1).summaries().version(0, 0), 1u);
+  EXPECT_EQ(C.node(1).summaries().version(0, 0), SeedElems + 1u);
 
   for (ProcessId P = 1; P < 3; ++P)
     C.node(P).summaries().dropDeltasForTest(true);
-  Submit(2, 2);
+  Submit();
   ASSERT_TRUE(runUntil(Sim, [&] { return Done == 2; }));
   Sim.run(Sim.now() + sim::micros(50));
   // The drop is invisible to the source but the peers never advance.
-  EXPECT_EQ(C.node(1).summaries().version(0, 0), 1u);
-  EXPECT_EQ(C.node(2).summaries().version(0, 0), 1u);
-
+  EXPECT_EQ(C.node(1).summaries().version(0, 0), SeedElems + 1u);
+  EXPECT_EQ(C.node(2).summaries().version(0, 0), SeedElems + 1u);
   for (ProcessId P = 1; P < 3; ++P)
     C.node(P).summaries().dropDeltasForTest(false);
-  Submit(4, 3);
-  ASSERT_TRUE(runUntil(Sim, [&] {
-    return Done == 3 && C.node(1).summaries().bufferedFrames(0, 0) == 1 &&
-           C.node(2).summaries().bufferedFrames(0, 0) == 1;
-  }));
-  // The gap frame is parked: versions and state stay at the last applied.
-  for (ProcessId P = 1; P < 3; ++P) {
-    obs::StatsSnapshot S = C.node(P).statsSnapshot();
-    EXPECT_GE(S.counter("node.delta.gap"), 1u) << "node " << P;
-    EXPECT_EQ(C.node(P).summaries().version(0, 0), 1u) << "node " << P;
-    EXPECT_EQ(C.node(P).applied(0, Add), 1u) << "node " << P;
-  }
 
-  // 4th ship: the delta-ship count reaches the period, so a full image
-  // at version 4 ships, installs, and supersedes the buffered frame.
-  Submit(8, 4);
-  ASSERT_TRUE(runUntil(Sim, [&] { return Done == 4 && C.fullyReplicated(); }));
-  MethodId Read = T->methodId("read");
+  // Every later delta lands behind the gap and is parked, until a flush
+  // ships the full image.
+  std::size_t Parked = 0;
+  for (;;) {
+    ASSERT_LT(Calls, 50u) << "no full image after " << Calls << " deltas";
+    Submit();
+    ASSERT_TRUE(runUntil(Sim, [&] { return Done == Calls; }));
+    if (nodeCounter(C, 0, "node.delta.full_out") != 0)
+      break;
+    ++Parked;
+    ASSERT_TRUE(runUntil(Sim, [&] {
+      return C.node(1).summaries().bufferedFrames(0, 0) == Parked &&
+             C.node(2).summaries().bufferedFrames(0, 0) == Parked;
+    }));
+    // The gap frames are parked: versions and state stay at the last
+    // applied.
+    for (ProcessId P = 1; P < 3; ++P) {
+      EXPECT_EQ(C.node(P).summaries().version(0, 0), SeedElems + 1u)
+          << "node " << P;
+      EXPECT_EQ(C.node(P).applied(0, Add), SeedElems + 1u) << "node " << P;
+    }
+  }
+  ASSERT_GE(Parked, 1u) << "the gap must form before the full image";
+  for (ProcessId P = 1; P < 3; ++P)
+    EXPECT_GE(C.node(P).statsSnapshot().counter("node.delta.gap"), Parked)
+        << "node " << P;
+
+  // The full image installs at the latest version and supersedes every
+  // buffered frame.
+  ASSERT_TRUE(runUntil(Sim, [&] { return C.fullyReplicated(); }));
+  MethodId Size = T->methodId("size");
   for (ProcessId P = 0; P < 3; ++P)
-    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Read, {}, P, 0)), 15)
+    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)),
+              static_cast<Value>(SeedElems + Calls))
         << "node " << P;
   for (ProcessId P = 1; P < 3; ++P) {
-    obs::StatsSnapshot S = C.node(P).statsSnapshot();
-    EXPECT_GE(S.counter("node.delta.full_in"), 1u) << "node " << P;
+    EXPECT_EQ(C.node(P).statsSnapshot().counter("node.delta.full_in"), 1u)
+        << "node " << P;
     EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
-    EXPECT_EQ(C.node(P).summaries().version(0, 0), 4u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), SeedElems + Calls)
+        << "node " << P;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Anti-entropy budget: one image's worth of delta bytes per full image
+//===----------------------------------------------------------------------===//
+// A group re-ships its full image once the delta frames shipped since its
+// last one add up to the image's encoded size, whatever the image size.
+
+TEST(DeltaAntiEntropyBudget, BigImageShipsItsSizeInDeltasBetweenFullImages) {
+  // Every issuer of a 3-node gset holds 5000 seeded elements (a 40-KB
+  // image), and node 0 ships one-element delta frames (76 B), one flush at
+  // a time, past its second full image. At least image / frame deltas
+  // (526) ship between the two full images (659 here, as the image grows
+  // with every call), and the full images cost no more bytes than the
+  // deltas plus one image. A fixed period of 64 flushes would ship 63
+  // deltas between them and about 8.5 times more full-image bytes than
+  // delta bytes.
+  sim::Simulator Sim;
+  auto T = makeType("gset");
+  MethodId Add = T->methodId("add");
+  const unsigned Nodes = 3, SeedElems = 5000;
+  HambandCluster C(Sim, Nodes, *T, {}, deltaConfig());
+  C.start();
+  for (ProcessId P = 0; P < Nodes; ++P) {
+    Call Seed = bigGSetSummary(*T, SeedElems);
+    Seed.Issuer = P;
+    C.seedReducibleState(0, P, Seed, SeedElems);
+  }
+
+  // Node 0's delta-frame count when each of its full images shipped.
+  std::vector<std::uint64_t> DeltasAtFull;
+  unsigned Calls = 0, Done = 0;
+  while (DeltasAtFull.size() < 2) {
+    ASSERT_LT(Calls, 2000u) << "only " << DeltasAtFull.size()
+                            << " full images after " << Calls << " calls";
+    C.submit(0,
+             Call(Add, {static_cast<Value>(SeedElems + Calls)}, 0, 1 + Calls),
+             [&](bool Ok, Value) {
+               EXPECT_TRUE(Ok);
+               ++Done;
+             });
+    ++Calls;
+    ASSERT_TRUE(runUntil(Sim, [&] { return Done == Calls; }));
+    if (nodeCounter(C, 0, "node.delta.full_out") > DeltasAtFull.size())
+      DeltasAtFull.push_back(nodeCounter(C, 0, "node.delta.out"));
+  }
+  ASSERT_TRUE(runUntil(Sim, [&] { return C.fullyReplicated(); }));
+
+  obs::StatsSnapshot S = C.node(0).statsSnapshot();
+  const std::uint64_t Deltas = S.counter("node.delta.out");
+  const std::uint64_t DeltaBytes = S.counter("node.delta.bytes_out");
+  const std::uint64_t FullBytes = S.counter("node.delta.full_bytes_out");
+  ASSERT_EQ(S.counter("node.delta.full_out"), 2u);
+  ASSERT_EQ(Deltas, Calls - 2u);
+  // Every delta frame carries one element, so all are the same size.
+  const std::uint64_t FrameBytes = DeltaBytes / Deltas;
+  EXPECT_EQ(FrameBytes * Deltas, DeltaBytes);
+  const std::uint64_t ImageBytes = summaryImageBytes(SeedElems, 1);
+  EXPECT_GE(DeltasAtFull[1] - DeltasAtFull[0], ImageBytes / FrameBytes);
+  // The two full images are about the same size.
+  EXPECT_LE(FullBytes, DeltaBytes + FullBytes / 2)
+      << "full-image bytes " << FullBytes << ", delta bytes " << DeltaBytes;
+
+  MethodId Size = T->methodId("size");
+  for (ProcessId P = 0; P < Nodes; ++P)
+    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)),
+              static_cast<Value>(SeedElems + Calls))
+        << "node " << P;
+}
+
+TEST(DeltaAntiEntropyBudget, CounterAlternatesDeltaAndFullFrames) {
+  // A counter's image is one number, no bigger than a delta frame, so one
+  // delta spends the budget: flushes alternate delta frame and full image,
+  // and a gap heals within two flushes. A fixed period of 64 flushes ships
+  // 63 deltas per full image.
+  sim::Simulator Sim;
+  auto T = makeType("counter");
+  MethodId Add = T->methodId("add");
+  HambandCluster C(Sim, 3, *T, {}, deltaConfig());
+  C.start();
+
+  std::string Kinds; // One letter per flush: d(elta) or F(ull).
+  std::uint64_t Seen = 0;
+  unsigned Done = 0;
+  for (unsigned I = 0; I < 8; ++I) {
+    C.submit(0, Call(Add, {1}, 0, 1 + I), [&](bool, Value) { ++Done; });
+    ASSERT_TRUE(
+        runUntil(Sim, [&] { return Done == I + 1 && C.fullyReplicated(); }));
+    std::uint64_t Fulls = nodeCounter(C, 0, "node.delta.full_out");
+    Kinds += Fulls > Seen ? 'F' : 'd';
+    Seen = Fulls;
+  }
+  EXPECT_EQ(Kinds, "dFdFdFdF");
+  obs::StatsSnapshot S = C.node(0).statsSnapshot();
+  EXPECT_EQ(S.counter("node.delta.out"), 4u);
+  EXPECT_EQ(S.counter("node.delta.bytes_out"),
+            S.counter("node.delta.full_bytes_out"));
+  MethodId Read = T->methodId("read");
+  for (ProcessId P = 0; P < 3; ++P)
+    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Read, {}, P, 0)), 8)
+        << "node " << P;
 }
 
 //===----------------------------------------------------------------------===//
@@ -880,7 +1064,7 @@ TEST(DeltaBytes, BigStateDeltaShipsFractionOfFullImageBytes) {
   };
 
   std::uint64_t ClassicBytes = runWorld(HambandConfig{});
-  std::uint64_t DeltaBytes = runWorld(deltaConfig(/*AntiEntropyEvery=*/64));
+  std::uint64_t DeltaBytes = runWorld(deltaConfig());
   ASSERT_GT(DeltaBytes, 0u);
   EXPECT_GE(ClassicBytes, 5 * DeltaBytes)
       << "classic shipped " << ClassicBytes << "B, delta " << DeltaBytes
@@ -1031,12 +1215,12 @@ class DeltaConflictFreeConformance
 
 TEST_P(DeltaConflictFreeConformance, DeltaRuntimeMatchesSemanticsExactly) {
   deltaConformConflictFree(std::get<0>(GetParam()), std::get<1>(GetParam()),
-                           deltaConfig(3), 1);
+                           deltaConfig(), 1);
 }
 
 TEST_P(DeltaConflictFreeConformance,
        BatchedDeltaRuntimeMatchesSemanticsExactly) {
-  HambandConfig Cfg = deltaConfig(3);
+  HambandConfig Cfg = deltaConfig();
   Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   deltaConformConflictFree(std::get<0>(GetParam()), std::get<1>(GetParam()),
@@ -1055,7 +1239,7 @@ class DeltaConflictingConformance
     : public ::testing::TestWithParam<ClusterParam> {};
 
 TEST_P(DeltaConflictingConformance, WorldConvergesWithInvariantIntact) {
-  HambandConfig Cfg = deltaConfig(3);
+  HambandConfig Cfg = deltaConfig();
   Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   deltaConformConflicting(std::get<0>(GetParam()), std::get<1>(GetParam()),
