@@ -24,6 +24,7 @@
 #include "hamband/runtime/HeartbeatDetector.h"
 #include "hamband/runtime/MuConsensus.h"
 #include "hamband/runtime/Reconfig.h"
+#include "hamband/runtime/RequestIdSet.h"
 #include "hamband/runtime/Runtime.h"
 #include "hamband/runtime/WireFormat.h"
 
@@ -33,7 +34,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace hamband {
@@ -71,7 +71,8 @@ public:
               NodeHooks Hooks);
 
   /// Records a client call in the request table, then orders it here (this
-  /// node leads its group) or mails it to the leader.
+  /// node leads its group) or mails it to the leader. A request id that is
+  /// still outstanding here is not sent again: \p Done joins its answer.
   void submit(const Call &C, SubmitCallback Done);
   /// Arms the next request-table timeout scan.
   void start();
@@ -180,6 +181,8 @@ private:
   /// call never waited) when its call is appended or rejected.
   void endWait(sim::SimTime Deadline);
   void answer(ProcessId Origin, RequestId Id, ConfOutcome Outcome);
+  /// Sets node.conf.dedup_bytes after a change to a dedup set.
+  void updateDedupGauge();
   /// Origin side: completes request \p Id, or re-routes it on Retry.
   void onAnswer(RequestId Id, ConfOutcome Outcome);
   /// The one insert into the pending log: ring-read, caught-up and
@@ -200,12 +203,13 @@ private:
   std::vector<std::unique_ptr<RingReader>> MailReaders; // [peer]
   std::vector<std::unique_ptr<RingWriter>> MailWriters; // [peer]
   // Per group: delivered entries awaiting apply, by index; the next index
-  // to apply; requests delivered or appended here (dedup); entries
-  // appended here and not yet applied (speculative permissibility); calls
-  // waiting to be appended.
+  // to apply; requests delivered or appended here, minus appends refused
+  // in their view (dedup; exact, since a rejected id may come back);
+  // entries appended here and not yet applied (speculative
+  // permissibility); calls waiting to be appended.
   std::vector<std::map<std::uint64_t, WireCall>> Pending;
   std::vector<std::uint64_t> AppliedIdx;
-  std::vector<std::unordered_set<RequestId>> Seen;
+  std::vector<RequestIdSet> Seen;
   std::vector<std::deque<Call>> Speculative;
   std::vector<std::deque<Queued>> LeaderQueue;
   std::unordered_map<RequestId, Request> Requests;
@@ -218,6 +222,7 @@ private:
   obs::Counter *CtrParked = nullptr;
   obs::Counter *CtrRechecks = nullptr;
   obs::Histogram *HistParkNs = nullptr;
+  obs::Gauge *GaugeDedupBytes = nullptr;
 };
 
 } // namespace runtime

@@ -32,6 +32,7 @@ ConfChannel::ConfChannel(
   CtrParked = &Stats.counter("node.conf.parked");
   CtrRechecks = &Stats.counter("node.conf.rechecks");
   HistParkNs = &Stats.histogram("node.conf.park_ns");
+  GaugeDedupBytes = &Stats.gauge("node.conf.dedup_bytes");
   Pending.resize(Groups);
   AppliedIdx.assign(Groups, 0);
   Seen.resize(Groups);
@@ -106,9 +107,22 @@ void ConfChannel::start() {
 // -- Origin side -------------------------------------------------------------
 
 void ConfChannel::submit(const Call &C, SubmitCallback Done) {
+  auto [It, Fresh] = Requests.try_emplace(C.Req);
+  if (!Fresh) {
+    // Sent again, the copy could only be answered from the dedup set,
+    // ahead of the outcome of the append it found there.
+    It->second.Done = [First = std::move(It->second.Done),
+                       Then = std::move(Done)](bool Ok, Value V) {
+      if (First)
+        First(Ok, V);
+      if (Then)
+        Then(Ok, V);
+    };
+    return;
+  }
   const rdma::NetworkModel &M = Fabric.model();
   rdma::NodeId Leader = knownLeader(groupOf(C));
-  Requests.emplace(C.Req, Request{C, std::move(Done), Fabric.now(), Leader});
+  It->second = Request{C, std::move(Done), Fabric.now(), Leader};
   // The leader parses and checks the call; a redirect only serializes it.
   Fabric.runOnCpu(
       Self, Leader == Self ? M.ParseCpu + M.ApplyCpu : M.ParseCpu,
@@ -242,8 +256,10 @@ bool ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
         // An append refused in this view is in no log this node knows
         // of, so its dedup entry goes too.
         if (!Committed || Consensus[G]->epoch() != Term) {
-          if (!Committed && Consensus[G]->epoch() == Term)
+          if (!Committed && Consensus[G]->epoch() == Term) {
             Seen[G].erase(Id);
+            updateDedupGauge();
+          }
           answer(Origin, Id, ConfOutcome::Retry);
           return;
         }
@@ -254,6 +270,7 @@ bool ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
   (void)Posted;
   endWait(WaitDeadline);
   Seen[G].insert(Id);
+  updateDedupGauge();
   Speculative[G].push_back(Prepared);
   // Sequencing an entry occupies the leader beyond the raw verb posts.
   Fabric.runOnCpu(Self, Fabric.model().ConsensusEntryCpu, []() {},
@@ -312,6 +329,13 @@ void ConfChannel::answer(ProcessId Origin, RequestId Id,
   mail(Origin, std::move(Msg));
 }
 
+void ConfChannel::updateDedupGauge() {
+  std::size_t Bytes = 0;
+  for (const RequestIdSet &S : Seen)
+    Bytes += S.bytes();
+  GaugeDedupBytes->set(static_cast<std::int64_t>(Bytes));
+}
+
 // -- Poller ------------------------------------------------------------------
 
 unsigned ConfChannel::pollLog() {
@@ -362,6 +386,7 @@ void ConfChannel::deliver(unsigned G, std::uint64_t Index, WireCall WC) {
   // Delivered entries count as seen, so a client retry of an already
   // committed request is answered without re-appending it.
   Seen[G].insert(WC.TheCall.Req);
+  updateDedupGauge();
   Pending[G].emplace(Index, std::move(WC));
 }
 

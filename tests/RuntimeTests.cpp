@@ -8,6 +8,7 @@
 #include "hamband/rdma/Fabric.h"
 #include "hamband/core/TypeRegistry.h"
 #include "hamband/runtime/HambandCluster.h"
+#include "hamband/runtime/RequestIdSet.h"
 #include "hamband/types/BankAccount.h"
 #include "hamband/types/Counter.h"
 #include "hamband/types/Movie.h"
@@ -16,6 +17,9 @@
 #include "hamband/types/Schema.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <set>
 
 using namespace hamband;
 using namespace hamband::runtime;
@@ -546,6 +550,111 @@ TEST(BroadcastTest, CorruptLengthReadsAsEmpty) {
   }
 }
 
+// -- Dedup set ----------------------------------------------------------------
+
+TEST(RequestIdSet, HoldsIdsInOrderBelowTheLastWordAndFarApart) {
+  RequestIdSet S;
+  const std::vector<RequestId> InOrder = {
+      0, 63, 64, (std::uint64_t{1} << 32) + 7, std::uint64_t{1} << 63,
+      UINT64_MAX};
+  // Below the last word: into an existing word, and as new words.
+  const std::vector<RequestId> Below = {65, 1000, std::uint64_t{1} << 40,
+                                        (std::uint64_t{1} << 63) - 1};
+  for (RequestId Id : InOrder)
+    S.insert(Id);
+  for (RequestId Id : Below)
+    S.insert(Id);
+  S.insert(1000); // Again: no change.
+  std::set<RequestId> Want(InOrder.begin(), InOrder.end());
+  Want.insert(Below.begin(), Below.end());
+  std::set<std::uint64_t> Bases;
+  for (RequestId Id : Want) {
+    EXPECT_TRUE(S.count(Id)) << Id;
+    Bases.insert(Id >> 6);
+    // Neighbours share a word or sit next to one; they count only if
+    // inserted themselves.
+    for (RequestId Near : {Id - 1, Id + 1, Id ^ 32})
+      EXPECT_EQ(S.count(Near), Want.count(Near) != 0) << Near;
+  }
+  EXPECT_EQ(S.bytes(), 16 * Bases.size());
+}
+
+TEST(RequestIdSet, EraseOfTheLastIdInAWordDropsTheWord) {
+  RequestIdSet S;
+  for (RequestId Id : {128, 130, 200})
+    S.insert(Id);
+  EXPECT_EQ(S.bytes(), 32u);
+  S.erase(128);
+  EXPECT_FALSE(S.count(128));
+  EXPECT_TRUE(S.count(130));
+  EXPECT_EQ(S.bytes(), 32u);
+  S.erase(130); // The word of 128..191 is empty now.
+  EXPECT_FALSE(S.count(130));
+  EXPECT_TRUE(S.count(200));
+  EXPECT_EQ(S.bytes(), 16u);
+  S.erase(130); // Absent id, absent word: no change.
+  S.erase(5);
+  EXPECT_EQ(S.bytes(), 16u);
+  S.insert(130); // An erased id may come back.
+  EXPECT_TRUE(S.count(130));
+  EXPECT_EQ(S.bytes(), 32u);
+}
+
+TEST(RequestIdSet, NeverCountsAnIdNotInserted) {
+  // Inserts and erases in random order, clustered and far apart, against
+  // a reference set; every probe must agree with it.
+  sim::Rng R(0x5EED);
+  RequestIdSet S;
+  std::set<RequestId> Ref;
+  auto randomId = [&] {
+    return R.bernoulli(0.5) ? static_cast<RequestId>(R.index(4096))
+                            : R.nextU64();
+  };
+  for (int I = 0; I < 20000; ++I) {
+    RequestId Id = randomId();
+    if (R.bernoulli(0.2) && !Ref.empty()) {
+      auto It = Ref.lower_bound(Id);
+      Id = It == Ref.end() ? *Ref.begin() : *It;
+      S.erase(Id);
+      Ref.erase(Id);
+    } else {
+      S.insert(Id);
+      Ref.insert(Id);
+    }
+  }
+  std::set<std::uint64_t> Bases;
+  for (RequestId Id : Ref) {
+    ASSERT_TRUE(S.count(Id)) << Id;
+    Bases.insert(Id >> 6);
+  }
+  for (int I = 0; I < 20000; ++I) {
+    RequestId Id = randomId();
+    ASSERT_EQ(S.count(Id), Ref.count(Id) != 0) << Id;
+  }
+  EXPECT_EQ(S.bytes(), 16 * Bases.size());
+}
+
+TEST(RequestIdSet, FootprintPerId) {
+  // Ids 64 or more apart take one 16-B word each.
+  RequestIdSet Sparse;
+  const std::uint64_t SparseN = 5000;
+  for (std::uint64_t I = 0; I < SparseN; ++I)
+    Sparse.insert(I * 100);
+  EXPECT_LE(Sparse.bytes(), 16 * SparseN);
+  // About a fifth of request ids are conflicting calls in the
+  // courseware-fault benchmark; at 20% random density a word holds about
+  // 13 of them.
+  sim::Rng R(20);
+  RequestIdSet Dense;
+  std::uint64_t DenseN = 0;
+  for (RequestId Id = 1; Id <= 200000; ++Id)
+    if (R.bernoulli(0.2)) {
+      Dense.insert(Id);
+      ++DenseN;
+    }
+  EXPECT_LE(Dense.bytes(), 2 * DenseN);
+}
+
 // -- Full cluster -------------------------------------------------------------
 
 struct ClusterTest : ::testing::Test {
@@ -880,6 +989,140 @@ TEST_F(ClusterTest, DuplicateConfRequestAppliedOnce) {
             [&](bool, Value Got) { V = Got; });
   runUntil(Sim, [&] { return V >= 0; });
   EXPECT_EQ(V, 6); // ...but only one withdrawal applied.
+}
+
+TEST_F(ClusterTest, DuplicateConfRequestWhileOutstandingAnswersEach) {
+  // The same request id submitted again before its first submission is
+  // answered, from the group leader and from a non-leader origin: each
+  // submission gets one answer, the request's outcome, and the call
+  // applies once.
+  BankAccount T;
+  auto C = makeCluster(T);
+  rdma::NodeId Leader = C->leaderOf(0, 0);
+  int Deposited = 0;
+  C->submit(Leader, Call(BankAccount::Deposit, {100}, Leader, 1),
+            [&](bool, Value) { ++Deposited; });
+  ASSERT_TRUE(
+      runUntil(Sim, [&] { return Deposited == 1 && C->fullyReplicated(); }));
+  RequestId Id = 77;
+  unsigned Withdrawn = 0;
+  for (rdma::NodeId Origin : {Leader, (Leader + 1) % 3}) {
+    for (double GapUs : {0.0, 1.0}) {
+      int Answers = 0, Oks = 0;
+      for (int I = 0; I < 2; ++I) {
+        C->submit(Origin, Call(BankAccount::Withdraw, {1}, Origin, Id),
+                  [&](bool Ok, Value) {
+                    ++Answers;
+                    Oks += Ok;
+                  });
+        Sim.run(Sim.now() + sim::micros(GapUs));
+      }
+      ASSERT_TRUE(runUntil(Sim, [&] {
+        return Answers == 2 && C->fullyReplicated();
+      })) << "origin " << Origin << " gap " << GapUs << " us";
+      Sim.run(Sim.now() + sim::micros(50));
+      EXPECT_EQ(Answers, 2);
+      EXPECT_EQ(Oks, 2);
+      ++Withdrawn;
+      ++Id;
+    }
+  }
+  EXPECT_EQ(C->node(Leader).applied(Leader, BankAccount::Withdraw), Withdrawn);
+  for (rdma::NodeId N = 0; N < 3; ++N) {
+    Value V = -1;
+    C->submit(N, Call(BankAccount::Balance, {}, N, 9000 + N),
+              [&](bool, Value Got) { V = Got; });
+    runUntil(Sim, [&] { return V >= 0; });
+    EXPECT_EQ(V, 100 - static_cast<Value>(Withdrawn)) << "node " << N;
+  }
+}
+
+TEST_F(ClusterTest, ResubmittedCommittedConfIdsApplyNothing) {
+  // Committed ids that arrive out of order and far apart sit in separate
+  // words of the dedup set, some inserted below its last word. Each one
+  // resubmitted, at the leader and at a non-leader, is answered Ok from
+  // the set and applies nothing.
+  BankAccount T;
+  auto C = makeCluster(T);
+  rdma::NodeId Leader = C->leaderOf(0, 0);
+  rdma::NodeId Other = (Leader + 1) % 3;
+  int Done = 0;
+  C->submit(Leader, Call(BankAccount::Deposit, {1000}, Leader, 1),
+            [&](bool, Value) { ++Done; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done == 1 && C->fullyReplicated(); }));
+  const std::vector<RequestId> Ids = {
+      std::uint64_t{1} << 40, 5000, UINT64_MAX, 64, std::uint64_t{1} << 63,
+      4999, 63, (std::uint64_t{1} << 32) + 7};
+  auto withdrawEach = [&](rdma::NodeId Origin) {
+    int Oks = 0;
+    for (RequestId Id : Ids) {
+      int Answered = 0;
+      C->submit(Origin, Call(BankAccount::Withdraw, {1}, Origin, Id),
+                [&](bool Ok, Value) {
+                  Oks += Ok;
+                  ++Answered;
+                });
+      EXPECT_TRUE(runUntil(Sim, [&] { return Answered == 1; })) << Id;
+    }
+    EXPECT_TRUE(runUntil(Sim, [&] { return C->fullyReplicated(); }));
+    return Oks;
+  };
+  ASSERT_EQ(withdrawEach(Other), static_cast<int>(Ids.size()));
+  std::set<std::uint64_t> Words;
+  for (RequestId Id : Ids)
+    Words.insert(Id >> 6);
+  // Every replica delivered each entry, so each holds every id.
+  const auto DedupBytes = static_cast<std::int64_t>(16 * Words.size());
+  for (rdma::NodeId N = 0; N < 3; ++N)
+    EXPECT_EQ(C->node(N).statsSnapshot().gauge("node.conf.dedup_bytes"),
+              DedupBytes)
+        << "node " << N;
+
+  for (rdma::NodeId Origin : {Leader, Other})
+    EXPECT_EQ(withdrawEach(Origin), static_cast<int>(Ids.size()))
+        << "origin " << Origin;
+  EXPECT_EQ(C->node(Leader).applied(Leader, BankAccount::Withdraw),
+            Ids.size());
+  for (rdma::NodeId N = 0; N < 3; ++N) {
+    EXPECT_EQ(C->node(N).statsSnapshot().gauge("node.conf.dedup_bytes"),
+              DedupBytes)
+        << "node " << N;
+    Value V = -1;
+    C->submit(N, Call(BankAccount::Balance, {}, N, 9000 + N),
+              [&](bool, Value Got) { V = Got; });
+    runUntil(Sim, [&] { return V >= 0; });
+    EXPECT_EQ(V, 1000 - static_cast<Value>(Ids.size())) << "node " << N;
+  }
+}
+
+TEST_F(ClusterTest, RejectedConfRequestIsJudgedAgainOnResubmit) {
+  // A rejected id stays out of the dedup set even after a higher id
+  // commits, so no high-water mark of ids could stand in for the set:
+  // resubmitted once the balance allows it, the call is judged again and
+  // applies.
+  BankAccount T;
+  auto C = makeCluster(T);
+  rdma::NodeId Leader = C->leaderOf(0, 0);
+  rdma::NodeId Other = (Leader + 1) % 3;
+  auto run = [&](rdma::NodeId Origin, Call Cl) {
+    int Result = -1;
+    C->submit(Origin, std::move(Cl), [&](bool Ok, Value) { Result = Ok; });
+    EXPECT_TRUE(runUntil(Sim, [&] {
+      return Result >= 0 && C->fullyReplicated();
+    }));
+    return Result;
+  };
+  EXPECT_EQ(run(Leader, Call(BankAccount::Deposit, {10}, Leader, 1)), 1);
+  EXPECT_EQ(run(Other, Call(BankAccount::Withdraw, {50}, Other, 500)), 0);
+  EXPECT_EQ(run(Other, Call(BankAccount::Withdraw, {5}, Other, 600)), 1);
+  EXPECT_EQ(run(Leader, Call(BankAccount::Deposit, {100}, Leader, 2)), 1);
+  EXPECT_EQ(run(Other, Call(BankAccount::Withdraw, {50}, Other, 500)), 1);
+  EXPECT_EQ(C->node(Leader).applied(Leader, BankAccount::Withdraw), 2u);
+  Value V = -1;
+  C->submit(Other, Call(BankAccount::Balance, {}, Other, 9000),
+            [&](bool, Value Got) { V = Got; });
+  runUntil(Sim, [&] { return V >= 0; });
+  EXPECT_EQ(V, 55);
 }
 
 TEST_F(ClusterTest, FullMailboxKeepsConfRequestsInPostOrder) {
