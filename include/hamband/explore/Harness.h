@@ -68,9 +68,9 @@ struct RunSpec {
   std::uint64_t FaultSeed = 0; // Fault-plan seed.
   sim::FaultSpec Spec;
   bool Batched = false; // Enable the call-batching layer.
-  /// Enable delta-state summary propagation (docs/deltas.md). Fuzz-sized
-  /// images are about the size of a delta frame, so full-image rounds
-  /// fire between the delta frames of every schedule.
+  /// Enable delta-state summary propagation (docs/deltas.md). A full
+  /// image ships only when a receiver finds a gap and asks for it (a
+  /// recovered staged frame ahead of its ring predecessor).
   bool Deltas = false;
   /// Run an online membership transition through the middle of the
   /// workload (docs/reconfig.md): the last provisioned node starts as a

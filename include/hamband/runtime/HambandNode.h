@@ -322,8 +322,17 @@ private:
 
   // Propagation pipeline (docs/batching.md).
   /// Why a flush fired (obs counter selection). Single is the unbatched
-  /// flush of one call, which counts as no coalesced flush.
-  enum class FlushCause : std::uint8_t { Pipe, Size, Timeout, Conf, Single };
+  /// flush of one call, and Repair the poller's flush of a full image a
+  /// peer asked for while no call was pending; neither counts as a
+  /// coalesced flush.
+  enum class FlushCause : std::uint8_t {
+    Pipe,
+    Size,
+    Timeout,
+    Conf,
+    Single,
+    Repair
+  };
   /// Everything one flush ships, in post order: the summary channel's
   /// slot writes and records, then the free record.
   struct Shipment : SummaryChannel::Outgoing {
@@ -342,7 +351,8 @@ private:
   void noteEnqueued();
   void armFlushTimer();
   /// Turns the pending flush state into one Shipment and ships it (no-op
-  /// when nothing is pending).
+  /// when nothing is pending, except for a Repair flush, which ships the
+  /// owed full images alone).
   void flush(FlushCause Cause);
   /// Stages \p S's image in the backup slot, posts its writes to every
   /// active peer, and once all complete clears the slot (unless a later

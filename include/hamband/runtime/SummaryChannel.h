@@ -41,18 +41,17 @@ struct HambandConfig;
 /// When enabled, a flush ships the *fold of the calls since the last
 /// shipped image* as a bounded F-ring frame tagged with the half-open
 /// version interval it covers, instead of overwriting every peer's
-/// summary slot with the full image. Full-image anti-entropy (chunked
-/// over the same rings) bounds divergence after gaps and keeps recovery
-/// idempotent: a group re-ships its full image once the delta frames
-/// shipped since its last one add up to the image's encoded size, so
-/// anti-entropy never costs more bytes than the deltas did. A small image
-/// (a counter's) alternates delta and full frames; a big one heals a gap
-/// only after about image / delta-frame flushes of its source (at least
-/// 527 for a 5000-element gset). Gaps come only from frames a crashed source
-/// never posted, which no image of that source can repair, and from the
-/// dropDeltasForTest hook: a reconfiguration drains every write before
-/// its fence. Off by default: full images preserve the classic per-flush
-/// summary-slot path unchanged.
+/// summary slot with the full image. A full image (chunked over the same
+/// rings) ships only on request: a receiver that parks a frame behind a
+/// version gap asks the frame's source for it, once per held version, and
+/// the source's next flush of the group ships the image in place of its
+/// delta, at once when no call is pending. A delta frame too big for one
+/// ring record also ships as the full image. A run without gaps ships no
+/// full image. Gaps come from frames a crashed source never posted, which
+/// no image of that source can repair, from a recovered staged frame that
+/// overtakes its ring predecessor, and from the dropDeltasForTest hook: a
+/// reconfiguration drains every write before its fence. Off by default:
+/// full images preserve the classic per-flush summary-slot path unchanged.
 struct DeltaConfig {
   /// Master switch.
   bool Enabled = false;
@@ -68,6 +67,10 @@ public:
   /// image was replaced and the cache must be rebuilt).
   using ChangeFn =
       std::function<void(ProcessId Src, const Counts &C, const Call *Delta)>;
+  /// The hook that posts \p Frame, a full-image request, to \p Src over
+  /// this node's F ring toward it.
+  using RequestFn =
+      std::function<void(ProcessId Src, std::vector<std::uint8_t> Frame)>;
 
   /// One flush's writes, in post order.
   struct Outgoing {
@@ -81,25 +84,29 @@ public:
                  const ObjectType &Type, const MemoryMap &Map,
                  const HambandConfig &Cfg,
                  const std::vector<std::vector<std::uint64_t>> &Applied,
-                 obs::Registry &Stats, ChangeFn OnChange);
+                 obs::Registry &Stats, ChangeFn OnChange,
+                 RequestFn SendRequest);
 
   /// Folds the local reducible call \p P into this node's image. False,
   /// changing nothing, when the grown image could never ship.
   bool fold(const Call &P);
-  /// Ships every group with unshipped calls: appends its slot write, full
-  /// frames or delta frame to \p Out, and stages its full image, else its
-  /// delta frame, in \p Staged while that fits the \p Room bytes left in
-  /// the backup slot.
+  /// Ships every group with unshipped calls or an owed full image: appends
+  /// its slot write, full frames or delta frame to \p Out, and stages its
+  /// full image, else its delta frame, in \p Staged while that fits the
+  /// \p Room bytes left in the backup slot.
   void ship(std::uint32_t Epoch, Outgoing &Out, FlushImage &Staged,
             std::size_t &Room);
   /// Marks every group shipped without sending it (no active peer).
   void markShipped();
+  /// True when a peer asked for a full image that no flush has shipped yet.
+  bool fullImageOwed() const;
 
   /// Installs every peer slot holding a newer image; returns the number
   /// of slots parsed.
   unsigned pollSlots();
-  /// Handles one SummaryDeltaFrame record from \p Src; true when it
-  /// advanced the (group, \p Src) version.
+  /// Handles one SummaryDeltaFrame record from \p Src (a delta, a
+  /// full-image chunk or a full-image request); true when it advanced the
+  /// (group, \p Src) version.
   bool receive(ProcessId Src, const std::uint8_t *Data, std::size_t Len);
   /// Delivers the summary entries of \p Src's staged flush image; returns
   /// how many advanced a version.
@@ -125,13 +132,17 @@ public:
     return Buffered[G][Src].size();
   }
   bool hasBufferedFrames() const;
-  /// Feeds the versions, shipped cursors, anti-entropy budgets and
-  /// receive-buffer shapes to \p Mix (the node's state digest).
+  /// Feeds the versions, shipped cursors, owed full images, open
+  /// requests and receive-buffer shapes to \p Mix (the node's state
+  /// digest).
   void digest(const std::function<void(std::uint64_t)> &Mix) const;
-  /// Test hook: while set, this node discards every delta frame it
-  /// receives (rings and recovery alike), leaving a durable version gap
-  /// that only a full image heals.
-  void dropDeltasForTest(bool Drop) { DropDeltas = Drop; }
+  /// Test hook: this node discards the next \p Frames delta frames it
+  /// receives from \p Src (rings and recovery alike), leaving a version
+  /// gap that the next frame from \p Src reveals and only a full image
+  /// heals. Call it in the node's own context (Transport::callOn).
+  void dropDeltasForTest(ProcessId Src, unsigned Frames) {
+    DropFrom[Src] = Frames;
+  }
 
 private:
   /// The one install of a whole image (slot, reassembled full frames,
@@ -140,7 +151,12 @@ private:
   bool install(unsigned G, ProcessId Src, SummaryImage Img);
   /// Joins a delta frame starting at the held version; false on a gap.
   bool tryJoin(ProcessId Src, const SummaryDeltaFrame &F);
+  /// Joins every buffered frame of (\p G, \p Src) the held version now
+  /// reaches; once none waits, the gap is closed and so is its request.
   void retryBuffered(unsigned G, ProcessId Src);
+  /// Asks \p Src for (\p G)'s full image unless a request at the held
+  /// version is already out.
+  void requestFull(unsigned G, ProcessId Src, std::uint32_t Epoch);
   /// Summary arguments per full-image chunk so a frame carrying
   /// \p NumCounts applied counts fits one ring record; 0 when not even
   /// one argument fits.
@@ -161,7 +177,9 @@ private:
   const MemoryMap &Map;
   DeltaConfig Delta;
   const std::vector<std::vector<std::uint64_t>> &Applied;
+  obs::Registry &Stats;
   ChangeFn OnChange;
+  RequestFn SendRequest;
   /// Update methods per group: the applied counts its image carries.
   std::vector<std::vector<MethodId>> GroupMethods;
 
@@ -172,13 +190,20 @@ private:
   std::vector<std::uint64_t> Shipped; // [group]
   /// Fold of the calls in that interval (deltas on).
   std::vector<std::optional<Call>> PendingDelta; // [group]
-  /// Delta-frame bytes shipped since the last full image: the group
-  /// ships its full image once they reach the image's size.
-  std::vector<std::size_t> DeltaBytesSinceFull; // [group]
+  /// Groups a peer asked to re-ship whole: the next flush of the group
+  /// ships its full image in place of the delta.
+  std::vector<std::uint8_t> FullOwed; // [group]
+  /// This node's open full-image request to a source: the held version it
+  /// asked at, and the delta.repair_ns span that ends when the gap closes.
+  struct Repair {
+    std::optional<std::uint64_t> HeldAt;
+    obs::Span Span;
+  };
+  std::vector<std::vector<Repair>> Repairs; // [group][src]
 
   /// Out-of-order delta frames, at most MaxBufferedFrames per (group,
-  /// source); frames beyond it are dropped (counted) and heal via
-  /// anti-entropy.
+  /// source); frames beyond it are dropped (counted) and heal with the
+  /// full image the first parked frame asked for.
   std::vector<std::vector<std::deque<SummaryDeltaFrame>>> Buffered;
   static constexpr std::size_t MaxBufferedFrames = 64;
   /// A partial full-image chunk set, keyed by its version.
@@ -188,7 +213,8 @@ private:
     std::uint32_t Have = 0;
   };
   std::vector<std::vector<ChunkAssembly>> Assemblies; // [group][src]
-  bool DropDeltas = false;
+  /// Delta frames still to discard per source (dropDeltasForTest).
+  std::vector<unsigned> DropFrom; // [src]
 
   obs::Counter *CtrReductions = nullptr;
   obs::Counter *CtrDeltaOut = nullptr;
@@ -200,6 +226,8 @@ private:
   obs::Counter *CtrDeltaBytesOut = nullptr;
   obs::Counter *CtrDeltaFullBytesOut = nullptr;
   obs::Counter *CtrDeltaFullIn = nullptr;
+  obs::Counter *CtrFullReqOut = nullptr;
+  obs::Counter *CtrFullReqIn = nullptr;
   obs::Counter *CtrSlotOverflow = nullptr;
   obs::Counter *CtrOversizeReject = nullptr;
   obs::Counter *CtrStageSkipped = nullptr;

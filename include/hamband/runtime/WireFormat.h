@@ -202,11 +202,19 @@ inline constexpr std::uint16_t SummaryDeltaMarker = 0xFFFE;
 /// one summarization group; the receiver joins it into its cached image
 /// when FromSeq matches the version it has seen. A *full* frame
 /// (Full = 1) carries chunk ChunkIdx of ChunkCount of a complete summary
-/// image at version ToSeq (anti-entropy / slot-overflow fallback); the
-/// receiver reassembles all chunks and installs the image atomically.
+/// image at version ToSeq (the answer to a request, a delta too big for
+/// one record, or the classic slot-overflow fallback); the receiver
+/// reassembles all chunks and installs the image atomically. A *request*
+/// (Full = FullRequest) travels the other way, from a receiver that found
+/// a gap to the group's source: FromSeq is the version the receiver holds
+/// and the image is empty.
 struct SummaryDeltaFrame {
+  /// The Full value of a full-image request.
+  static constexpr std::uint8_t FullRequest = 2;
+
   std::uint8_t Group = 0;
-  /// 0: delta over (FromSeq, ToSeq]; 1: full-image chunk at ToSeq.
+  /// 0: delta over (FromSeq, ToSeq]; 1: full-image chunk at ToSeq;
+  /// FullRequest: a request for the group's full image.
   std::uint8_t Full = 0;
   std::uint16_t ChunkIdx = 0;
   std::uint16_t ChunkCount = 1;

@@ -36,9 +36,10 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 "$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 43 --batch
 
 # Delta smoke: the same twin-diff discipline for delta-state summary
-# propagation (bounded SummaryDelta frames + anti-entropy full images,
-# see docs/deltas.md). Delta shipping is a transport-level optimization
-# and must be invisible in the converged states.
+# propagation (bounded SummaryDelta frames, plus the full image a
+# receiver asks for when it finds a gap, see docs/deltas.md). Delta
+# shipping is a transport-level optimization and must be invisible in
+# the converged states.
 "$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 44 --deltas
 
 # Reconfig smoke: every schedule runs an online membership transition at
@@ -214,9 +215,9 @@ echo "ci: explored-state counts recorded in $BUILD/MC_sweep.json"
 
 # Smaller delta-mode explorations: interleavings of the counter and of
 # the gset at 3 calls with one crash point, against a cluster shipping
-# SummaryDelta frames. Exercises the delta apply/gap/anti-entropy paths
-# under exhaustive scheduling rather than random fuzz; the gset's image
-# grows with every call, the counter's never does.
+# SummaryDelta frames. Exercises the delta apply and gap paths under
+# exhaustive scheduling rather than random fuzz; the gset's image grows
+# with every call, the counter's never does.
 echo "ci: exhaustive delta-mode exploration (hamband_mc --deltas)"
 "$BUILD/tools/hamband_mc" --type counter --calls 3 --crashes 1 --deltas
 "$BUILD/tools/hamband_mc" --type gset --calls 3 --crashes 1 --deltas
@@ -306,8 +307,10 @@ fi
 #    fault-injection policy pin, with several shards multiplexed onto
 #    each node thread.
 #  - the shm half of the delta-propagation suite -- the delta-vs-semantics
-#    lockstep corpus, batched and unbatched, with delta frames and
-#    anti-entropy full images flowing between real node threads.
+#    lockstep corpus, batched and unbatched, with delta frames flowing
+#    between real node threads; in the unbatched half one receiver drops
+#    one frame (the hook set in its own thread), so a full-image request
+#    and the chunked image that answers it cross threads too.
 #  - the reconfig suite -- the full membership-transition matrix
 #    (join/leave, epoch-fence rejections, crash-at-every-stage with
 #    FaultTrace replay). The suite is sim-deterministic, but under TSan

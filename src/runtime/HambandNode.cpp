@@ -53,7 +53,11 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
       Map(Map), Cfg(Cfg), Members(std::move(Initial)),
       Sums(Fabric, Self, Type, Map, Cfg, Applied, Stats,
            [this](ProcessId Src, const SummaryChannel::Counts &C,
-                  const Call *Delta) { summaryChanged(Src, C, Delta); }),
+                  const Call *Delta) { summaryChanged(Src, C, Delta); },
+           [this](ProcessId Src, std::vector<std::uint8_t> Frame) {
+             FreeWriters[Src]->appendOrdered(std::move(Frame), nullptr,
+                                             this->Cfg.PollInterval);
+           }),
       DataKey(DataKey) {
   unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSyncGroups();
@@ -408,6 +412,10 @@ void HambandNode::pollOnce() {
                            Folds * M.ApplySummaryCpu;
   if (Extra > 0)
     Fabric.runOnCpu(Self, Extra, []() {}, rdma::Transport::LanePoller);
+  // A peer asked for a full image this round: ship it now, unless the
+  // flush of a pending call will carry it.
+  if (BatchedPending == 0 && Sums.fullImageOwed())
+    flush(FlushCause::Repair);
   schedulePoll();
 }
 
@@ -565,10 +573,10 @@ void HambandNode::armFlushTimer() {
 }
 
 void HambandNode::flush(FlushCause Cause) {
-  if (BatchedPending == 0)
+  if (BatchedPending == 0 && Cause != FlushCause::Repair)
     return;
   Shipment S;
-  S.Coalesced = Cause != FlushCause::Single;
+  S.Coalesced = Cause != FlushCause::Single && Cause != FlushCause::Repair;
   // node.batch.* describes coalesced flushes that reach the wire.
   if (S.Coalesced && Members.peerCount(Self) > 0) {
     obs::Counter *Ctrs[] = {CtrFlushPipe, CtrFlushSize, CtrFlushTimeout,
@@ -670,7 +678,7 @@ void HambandNode::ship(Shipment S) {
     for (SubmitCallback &D : *Dones)
       D(true, 0);
     // The coalescing continuation: ship whatever accumulated meanwhile.
-    if (BatchedPending > 0)
+    if (Coalesced && BatchedPending > 0)
       flush(BatchedPending >= Cfg.Batch.MaxCalls ? FlushCause::Size
                                                  : FlushCause::Pipe);
   };

@@ -17,10 +17,10 @@ SummaryChannel::SummaryChannel(
     rdma::Transport &Fabric, rdma::NodeId Self, const ObjectType &Type,
     const MemoryMap &Map, const HambandConfig &Cfg,
     const std::vector<std::vector<std::uint64_t>> &Applied,
-    obs::Registry &Stats, ChangeFn OnChange)
+    obs::Registry &Stats, ChangeFn OnChange, RequestFn SendRequest)
     : Fabric(Fabric), Self(Self), Type(Type), Spec(Type.coordination()),
-      Map(Map), Delta(Cfg.Delta), Applied(Applied),
-      OnChange(std::move(OnChange)) {
+      Map(Map), Delta(Cfg.Delta), Applied(Applied), Stats(Stats),
+      OnChange(std::move(OnChange)), SendRequest(std::move(SendRequest)) {
   unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSumGroups();
   GroupMethods.resize(Groups);
@@ -31,9 +31,11 @@ SummaryChannel::SummaryChannel(
   Versions.assign(Groups, std::vector<std::uint64_t>(N, 0));
   Shipped.assign(Groups, 0);
   PendingDelta.assign(Groups, std::nullopt);
-  DeltaBytesSinceFull.assign(Groups, 0);
+  FullOwed.assign(Groups, 0);
+  Repairs.assign(Groups, std::vector<Repair>(N));
   Buffered.assign(Groups, std::vector<std::deque<SummaryDeltaFrame>>(N));
   Assemblies.assign(Groups, std::vector<ChunkAssembly>(N));
+  DropFrom.assign(N, 0);
 
   CtrReductions = &Stats.counter("node.reductions");
   CtrDeltaOut = &Stats.counter("node.delta.out");
@@ -43,6 +45,8 @@ SummaryChannel::SummaryChannel(
   CtrDeltaDropped = &Stats.counter("node.delta.dropped");
   CtrDeltaFullOut = &Stats.counter("node.delta.full_out");
   CtrDeltaFullIn = &Stats.counter("node.delta.full_in");
+  CtrFullReqOut = &Stats.counter("node.delta.full_req_out");
+  CtrFullReqIn = &Stats.counter("node.delta.full_req_in");
   CtrDeltaBytesOut = &Stats.counter("node.delta.bytes_out");
   CtrDeltaFullBytesOut = &Stats.counter("node.delta.full_bytes_out");
   CtrSlotOverflow = &Stats.counter("node.summary.slot_overflow");
@@ -102,33 +106,33 @@ void SummaryChannel::ship(std::uint32_t Epoch, Outgoing &Out,
   };
   std::vector<std::vector<std::uint8_t>> DeltaFrames;
   for (unsigned G = 0; G < Images.size(); ++G) {
-    if (Shipped[G] == Versions[G][Self])
+    if (Shipped[G] == Versions[G][Self] && !FullOwed[G])
       continue;
     // One image covers every call folded since the last ship (the version
     // jump is fine: peers only check for newer). It carries the applied
     // counts, so peers advance A(self, u) without a separate write, and
     // ships through one of three channels: the classic summary slot
     // (fits, deltas off), a delta frame over the F-rings (deltas on), or
-    // chunked full-image frames (anti-entropy round, slot overflow, or an
-    // oversized delta).
-    SummaryImage Img;
-    Img.Seq = Versions[G][Self];
-    Img.Summary = *Images[G][Self];
+    // chunked full-image frames (a peer's request, slot overflow, or an
+    // oversized delta). A group a peer asked for ships whole even when it
+    // has no new call.
+    assert(Images[G][Self] && "a shipped group holds an own image");
+    const Call &Own = *Images[G][Self];
+    const std::uint64_t Seq = Versions[G][Self];
+    Counts AppliedCounts;
     for (MethodId U : GroupMethods[G])
-      Img.AppliedCounts.emplace_back(U, Applied[Self][U]);
+      AppliedCounts.emplace_back(U, Applied[Self][U]);
     std::size_t FullBytes =
-        summaryImageBytes(Img.Summary.Args.size(), Img.AppliedCounts.size());
+        summaryImageBytes(Own.Args.size(), AppliedCounts.size());
     std::vector<std::uint8_t> DeltaFrame;
-    // Anti-entropy: once the deltas shipped since the last full image
-    // outweigh it, the full image ships instead.
-    if (Delta.Enabled && DeltaBytesSinceFull[G] < FullBytes) {
+    if (Delta.Enabled && !FullOwed[G]) {
       assert(PendingDelta[G] && "dirty group without a pending delta");
       SummaryDeltaFrame F;
       F.Group = static_cast<std::uint8_t>(G);
       F.FromSeq = Shipped[G];
-      F.ToSeq = Img.Seq;
+      F.ToSeq = Seq;
       F.Epoch = Epoch;
-      F.Image = encodeSummary({Img.Seq, *PendingDelta[G], Img.AppliedCounts});
+      F.Image = encodeSummary({Seq, *PendingDelta[G], AppliedCounts});
       DeltaFrame = encodeSummaryDelta(F);
       // A delta too large for one record (giant call arguments) ships as
       // the full image instead, which chunks.
@@ -137,40 +141,48 @@ void SummaryChannel::ship(std::uint32_t Epoch, Outgoing &Out,
     }
     bool SlotWrite =
         !Delta.Enabled && fitsSummarySlot(FullBytes, Map.summarySlotBytes());
+    bool FullFrames = DeltaFrame.empty() && !SlotWrite;
     if (!DeltaFrame.empty()) {
       CtrDeltaOut->add();
       CtrDeltaBytesOut->add(DeltaFrame.size());
-      DeltaBytesSinceFull[G] += DeltaFrame.size();
-    } else if (!SlotWrite) {
-      if (!Delta.Enabled)
-        CtrSlotOverflow->add();
-      for (std::vector<std::uint8_t> &Frame : encodeFullFrames(G, Img, Epoch)) {
-        CtrDeltaFullBytesOut->add(Frame.size());
-        Out.Records.push_back(std::move(Frame));
-      }
-      CtrDeltaFullOut->add();
-      DeltaBytesSinceFull[G] = 0;
     }
-
     bool StageFull = Reserve(flushImageSummaryBytes(FullBytes));
-    std::vector<std::uint8_t> Bytes;
-    if (SlotWrite || StageFull)
-      Bytes = encodeSummary(Img);
-    if (SlotWrite)
-      Out.SlotWrites.emplace_back(
-          G, encodeSummarySlot(Bytes, Map.summarySlotBytes()));
-    if (StageFull)
-      Staged.Summaries.emplace_back(static_cast<std::uint8_t>(G),
-                                    std::move(Bytes));
-    else if (!DeltaFrame.empty() &&
-             Reserve(flushImageDeltaBytes(DeltaFrame.size())))
-      Staged.Deltas.push_back(DeltaFrame);
-    else
-      CtrStageSkipped->add();
+    // Only the writes that carry the image whole copy it; a delta flush
+    // that stages its frame never does.
+    if (SlotWrite || FullFrames || StageFull) {
+      SummaryImage Img{Seq, Own, std::move(AppliedCounts)};
+      if (FullFrames) {
+        if (!Delta.Enabled)
+          CtrSlotOverflow->add();
+        for (std::vector<std::uint8_t> &Frame :
+             encodeFullFrames(G, Img, Epoch)) {
+          CtrDeltaFullBytesOut->add(Frame.size());
+          Out.Records.push_back(std::move(Frame));
+        }
+        CtrDeltaFullOut->add();
+      }
+      if (SlotWrite || StageFull) {
+        std::vector<std::uint8_t> Bytes = encodeSummary(Img);
+        if (SlotWrite)
+          Out.SlotWrites.emplace_back(
+              G, encodeSummarySlot(Bytes, Map.summarySlotBytes()));
+        if (StageFull)
+          Staged.Summaries.emplace_back(static_cast<std::uint8_t>(G),
+                                        std::move(Bytes));
+      }
+    }
+    if (!StageFull) {
+      if (!DeltaFrame.empty() &&
+          Reserve(flushImageDeltaBytes(DeltaFrame.size())))
+        Staged.Deltas.push_back(DeltaFrame);
+      else
+        CtrStageSkipped->add();
+    }
     if (!DeltaFrame.empty())
       DeltaFrames.push_back(std::move(DeltaFrame));
-    Shipped[G] = Img.Seq;
+    Shipped[G] = Seq;
     PendingDelta[G].reset();
+    FullOwed[G] = 0;
   }
   for (std::vector<std::uint8_t> &Frame : DeltaFrames)
     Out.Records.push_back(std::move(Frame));
@@ -182,7 +194,13 @@ void SummaryChannel::markShipped() {
   for (unsigned G = 0; G < Images.size(); ++G) {
     Shipped[G] = Versions[G][Self];
     PendingDelta[G].reset();
+    FullOwed[G] = 0;
   }
+}
+
+bool SummaryChannel::fullImageOwed() const {
+  return std::any_of(FullOwed.begin(), FullOwed.end(),
+                     [](std::uint8_t Owed) { return Owed != 0; });
 }
 
 std::size_t SummaryChannel::frameChunkMaxArgs(std::size_t NumCounts) const {
@@ -277,8 +295,8 @@ unsigned SummaryChannel::recover(ProcessId Src, const FlushImage &Img) {
       ++Advanced;
   }
   // A staged delta frame goes through the regular gap-checked receive
-  // rules (a dup is dropped, a gap is buffered and heals via
-  // anti-entropy).
+  // rules (a dup is dropped, a gap is buffered and asks the source for
+  // its full image).
   for (const std::vector<std::uint8_t> &Frame : Img.Deltas)
     if (receive(Src, Frame.data(), Frame.size()))
       ++Advanced;
@@ -306,12 +324,22 @@ bool SummaryChannel::install(unsigned G, ProcessId Src, SummaryImage Img) {
 
 bool SummaryChannel::receive(ProcessId Src, const std::uint8_t *Data,
                              std::size_t Len) {
-  SummaryDeltaFrame F;
-  bool Ok = decodeSummaryDelta(Data, Len, F);
-  assert(Ok && "malformed summary-delta frame");
-  unsigned G = F.Group;
-  if (!Ok || G >= Images.size() || Src >= Fabric.numNodes() || Src == Self)
+  if (Src >= Fabric.numNodes() || Src == Self)
     return false;
+  SummaryDeltaFrame F;
+  if (!decodeSummaryDelta(Data, Len, F) || F.Group >= Images.size()) {
+    CtrDeltaDropped->add(); // Undecodable.
+    return false;
+  }
+  unsigned G = F.Group;
+  if (F.Full == SummaryDeltaFrame::FullRequest) {
+    // A peer found a gap in this node's stream of the group: the group's
+    // next flush ships its full image (the poller starts one when no call
+    // is pending).
+    CtrFullReqIn->add();
+    FullOwed[G] = 1;
+    return false;
+  }
   if (F.Full) {
     CtrDeltaFullIn->add();
     SummaryImage Img;
@@ -353,8 +381,10 @@ bool SummaryChannel::receive(ProcessId Src, const std::uint8_t *Data,
     return install(G, Src, std::move(Whole));
   }
   // Delta frame.
-  if (DropDeltas)
+  if (DropFrom[Src] > 0) {
+    --DropFrom[Src];
     return false;
+  }
   if (F.ToSeq <= Versions[G][Src]) {
     CtrDeltaDup->add();
     return false;
@@ -363,9 +393,11 @@ bool SummaryChannel::receive(ProcessId Src, const std::uint8_t *Data,
     retryBuffered(G, Src);
     return true;
   }
-  // Version gap: park the frame until the gap closes or anti-entropy
-  // leapfrogs it.
+  // Version gap: park the frame until the gap closes, and ask the source
+  // for the full image that leapfrogs it. Only this node can tell that it
+  // lacks a frame.
   CtrDeltaGap->add();
+  requestFull(G, Src, F.Epoch);
   auto &Buf = Buffered[G][Src];
   if (Buf.size() >= MaxBufferedFrames) {
     CtrDeltaDropped->add();
@@ -418,6 +450,33 @@ void SummaryChannel::retryBuffered(unsigned G, ProcessId Src) {
       }
     }
   }
+  Repair &R = Repairs[G][Src];
+  if (Buf.empty() && R.HeldAt) {
+    R.Span.finish(Fabric.now());
+    R = Repair();
+  }
+}
+
+void SummaryChannel::requestFull(unsigned G, ProcessId Src,
+                                 std::uint32_t Epoch) {
+  Repair &R = Repairs[G][Src];
+  const std::uint64_t Held = Versions[G][Src];
+  if (R.HeldAt == Held)
+    return;
+  // The repair runs from the first request to the install that closes the
+  // gap, whatever the held version in between.
+  if (!R.HeldAt)
+    R.Span = obs::Span(Stats, "delta.repair_ns", Fabric.now());
+  R.HeldAt = Held;
+  // Point-to-point, unstaged and without a completion: a request lost with
+  // a crashed source changes nothing, since that source ships no image.
+  SummaryDeltaFrame Req;
+  Req.Group = static_cast<std::uint8_t>(G);
+  Req.Full = SummaryDeltaFrame::FullRequest;
+  Req.FromSeq = Held;
+  Req.Epoch = Epoch;
+  CtrFullReqOut->add();
+  SendRequest(Src, encodeSummaryDelta(Req));
 }
 
 // -- Seeding and state transfer ----------------------------------------------
@@ -476,8 +535,11 @@ void SummaryChannel::digest(
       Mix(V);
   for (std::uint64_t V : Shipped)
     Mix(V);
-  for (std::size_t B : DeltaBytesSinceFull)
-    Mix(B);
+  for (std::uint8_t Owed : FullOwed)
+    Mix(Owed);
+  for (const auto &PerSrc : Repairs)
+    for (const Repair &R : PerSrc)
+      Mix(R.HeldAt ? *R.HeldAt + 1 : 0);
   for (const auto &PerSrc : Buffered)
     for (const auto &Q : PerSrc)
       Mix(Q.size());

@@ -4,21 +4,24 @@
 //
 //===----------------------------------------------------------------------===//
 // Delta-state summary propagation must be *observationally invisible*: a
-// cluster shipping bounded delta frames (plus full-image anti-entropy once
-// the deltas outweigh the image) fed the same client schedule as a classic
-// full-image cluster must reach the same converged state and answer every
-// query the same way at every quiescent point. This suite drives randomized
-// schedules through classic, delta-unbatched and delta-batched worlds in
-// lockstep for every registered type, replays delta executions under
+// cluster shipping bounded delta frames (plus a full image whenever a
+// receiver asks for one after a gap) fed the same client schedule as a
+// classic full-image cluster must reach the same converged state and
+// answer every query the same way at every quiescent point. This suite
+// drives randomized schedules through classic, delta-unbatched and
+// delta-batched worlds in lockstep for every registered type, heals a
+// dropped frame for every summarizing type, replays delta executions under
 // recorded fault schedules, pins the crash-mid-delta-stream and
 // crash-mid-anti-entropy recovery paths deterministically, exercises gap
-// healing after dropped frames, pins the anti-entropy byte budget, and
-// regression-tests the summary-slot overflow fallback and the
+// healing after dropped frames, pins that a gap-free run ships no full
+// image, and regression-tests the summary-slot overflow fallback and the
 // oversize-reject gate (docs/deltas.md).
 //
 // The cluster-level corpus also runs on the shared-memory transport (one
 // OS thread per node); those instances carry "shm_" in their names so the
-// CI TSan pass can select them.
+// CI TSan pass can select them. Its unbatched half drops one frame, so a
+// full-image request and the chunked image that answers it cross node
+// threads.
 //
 // Schedule count per type defaults to a smoke-sized value; set the
 // HAMBAND_DELTA_SCHEDULES environment variable (e.g. to 1000) for the
@@ -138,16 +141,44 @@ std::uint64_t nodeCounter(HambandCluster &C, ProcessId P, const char *Name) {
   return C.node(P).statsSnapshot().counter(Name);
 }
 
+/// Gap repairs node \p P completed: the count of its delta.repair_ns
+/// spans.
+std::uint64_t repairSpans(HambandCluster &C, ProcessId P) {
+  obs::StatsSnapshot S = C.node(P).statsSnapshot();
+  const obs::HistogramSnapshot *H = S.histogram("delta.repair_ns");
+  return H ? H->Count : 0;
+}
+
+/// A call of \p Calls whose frame can be dropped and still be revealed as
+/// a gap: the first reducible call of its origin such that the origin
+/// issues a later call of the same summarization group. Unbatched, it is
+/// the first frame its origin ships. Its index, or Calls.size() when none.
+std::size_t droppableCall(const ObjectType &T,
+                          const std::vector<IssuedCall> &Calls) {
+  const CoordinationSpec &Spec = T.coordination();
+  std::vector<bool> Reduced(Calls.size(), false); // Per origin.
+  for (std::size_t I = 0; I < Calls.size(); ++I) {
+    std::optional<unsigned> G = Spec.sumGroup(Calls[I].TheCall.Method);
+    if (!G || Reduced[Calls[I].Origin])
+      continue;
+    Reduced[Calls[I].Origin] = true;
+    for (std::size_t J = I + 1; J < Calls.size(); ++J)
+      if (Calls[J].Origin == Calls[I].Origin &&
+          Spec.sumGroup(Calls[J].TheCall.Method) == G)
+        return I;
+  }
+  return Calls.size();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // Randomized delta-vs-classic equivalence, all registered types
 //===----------------------------------------------------------------------===//
 // Three worlds in lockstep per schedule: the classic full-image reference,
-// a delta-unbatched world and a delta-batched world. Fuzz-sized images are
-// about the size of a delta frame, so full-image rounds interleave with
-// delta rounds; each delta world of a summarizing type must ship both
-// kinds of frame across its schedules.
+// a delta-unbatched world and a delta-batched world. Nothing drops a frame,
+// so no receiver finds a gap: each delta world of a summarizing type ships
+// delta frames only, and nobody asks for a full image.
 
 class DeltaEquivalence : public ::testing::TestWithParam<std::string> {};
 
@@ -157,9 +188,9 @@ TEST_P(DeltaEquivalence, MatchesClassicAtEveryQuiescentPoint) {
   const unsigned Nodes = 3;
   const bool Exact = explore::isObservationIndependent(GetParam());
   const unsigned Schedules = scheduleCount();
-  // Delta and full-image frames shipped by the delta-unbatched and the
-  // delta-batched worlds over all schedules.
-  std::uint64_t Deltas[2] = {0, 0}, Fulls[2] = {0, 0};
+  // Delta frames, full images and full-image requests shipped by the
+  // delta-unbatched and the delta-batched worlds over all schedules.
+  std::uint64_t Deltas[2] = {0, 0}, Fulls[2] = {0, 0}, Requests[2] = {0, 0};
 
   for (unsigned S = 0; S < Schedules; ++S) {
     std::uint64_t Seed = typeSeed(GetParam()) ^ (0xde17a5ull * (S + 1));
@@ -244,14 +275,16 @@ TEST_P(DeltaEquivalence, MatchesClassicAtEveryQuiescentPoint) {
       obs::StatsSnapshot Stats = (K == 0 ? D : B).C.statsSnapshot();
       Deltas[K] += Stats.counter("node.delta.out");
       Fulls[K] += Stats.counter("node.delta.full_out");
+      Requests[K] += Stats.counter("node.delta.full_req_out");
     }
   }
-  if (Spec.numSumGroups() == 0)
-    return;
   for (unsigned K = 0; K < 2; ++K) {
     const char *World = K == 0 ? "delta" : "delta+batched";
-    EXPECT_GE(Deltas[K], 1u) << GetParam() << " " << World;
-    EXPECT_GE(Fulls[K], 1u) << GetParam() << " " << World;
+    EXPECT_EQ(Fulls[K], 0u) << GetParam() << " " << World;
+    EXPECT_EQ(Requests[K], 0u) << GetParam() << " " << World;
+    if (Spec.numSumGroups() != 0) {
+      EXPECT_GE(Deltas[K], 1u) << GetParam() << " " << World;
+    }
   }
 }
 
@@ -261,8 +294,8 @@ TEST_P(DeltaEquivalence, MatchesClassicAtEveryQuiescentPoint) {
 // A delta-shipping batched cluster runs under a generated fault schedule
 // (one-sided delays model dropped/late doorbells; CrashOnStageProb crashes
 // sources in the exact window where a flush image is staged but its remote
-// writes are not yet posted); the small images ship full-image rounds
-// between their delta frames. The recorded trace then
+// writes are not yet posted, and a recovered staged frame that overtakes
+// its ring predecessor asks for a full image). The recorded trace then
 // drives a second, identical run: determinism demands bit-identical traces
 // and per-node outcomes.
 
@@ -372,17 +405,136 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 //===----------------------------------------------------------------------===//
+// A dropped frame heals on request, every summarizing type
+//===----------------------------------------------------------------------===//
+// One schedule runs through the classic reference, a delta-unbatched world
+// and a delta-batched world. In each delta world one receiver drops the
+// frame of a reducible call whose source issues a later call of the same
+// group: that later frame reveals the gap, the receiver asks the source
+// for the full image once, the source ships it once (in the batched world
+// often in place of a pending delta), and the world must end where the
+// classic reference does.
+
+namespace {
+
+/// The registered types with at least one summarization group.
+std::vector<std::string> summarizingTypeNames() {
+  std::vector<std::string> Out;
+  for (const std::string &Name : registeredTypeNames())
+    if (makeType(Name)->coordination().numSumGroups() != 0)
+      Out.push_back(Name);
+  return Out;
+}
+
+} // namespace
+
+class DeltaRepairEquivalence : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(DeltaRepairEquivalence, DroppedFrameHealsToTheClassicState) {
+  auto T = makeType(GetParam());
+  const CoordinationSpec &Spec = T->coordination();
+  const unsigned Nodes = 3;
+  const bool Exact = explore::isObservationIndependent(GetParam());
+  const std::uint64_t Seed = typeSeed(GetParam()) ^ 0x4e9a1full;
+  std::vector<IssuedCall> Calls = makeSchedule(*T, Nodes, 24, Seed);
+  const std::size_t K = droppableCall(*T, Calls);
+  ASSERT_LT(K, Calls.size()) << GetParam() << ": no droppable call";
+  const ProcessId Src = Calls[K].Origin;
+  const ProcessId Dst = (Src + 1) % Nodes;
+
+  World R(*T, Nodes, HambandConfig{});
+  for (const IssuedCall &IC : Calls)
+    R.submit(IC);
+  ASSERT_TRUE(R.drain(Calls.size())) << GetParam();
+  ASSERT_TRUE(R.C.converged()) << GetParam();
+
+  HambandConfig BCfg = deltaConfig();
+  BCfg.Batch.Enabled = true;
+  for (const HambandConfig &Cfg : {deltaConfig(), BCfg}) {
+    const std::string Label =
+        GetParam() + (Cfg.Batch.Enabled ? " delta+batched" : " delta");
+    World D(*T, Nodes, Cfg);
+    // One call at a time up to the dropped one, so its frame carries it
+    // alone; the rest of the schedule in one burst.
+    for (std::size_t I = 0; I < K; ++I) {
+      D.submit(Calls[I]);
+      ASSERT_TRUE(D.drain(I + 1)) << Label;
+    }
+    D.C.node(Dst).summaries().dropDeltasForTest(Src, 1);
+    bool Folded = false;
+    D.C.submit(Calls[K].Origin, Calls[K].TheCall, [&](bool Ok, Value) {
+      Folded = Ok;
+      ++D.Done;
+    });
+    ASSERT_TRUE(runUntil(D.Sim, [&] { return D.Done == K + 1; })) << Label;
+    ASSERT_TRUE(Folded) << Label << ": the dropped call must ship a frame";
+    for (std::size_t I = K + 1; I < Calls.size(); ++I)
+      D.submit(Calls[I]);
+    ASSERT_TRUE(D.drain(Calls.size())) << Label;
+    ASSERT_TRUE(D.C.converged()) << Label;
+
+    // One gap, one request, one image, one completed repair.
+    for (ProcessId P = 0; P < Nodes; ++P) {
+      obs::StatsSnapshot S = D.C.node(P).statsSnapshot();
+      EXPECT_EQ(S.counter("node.delta.full_req_out"), P == Dst ? 1u : 0u)
+          << Label << " node " << P;
+      EXPECT_EQ(S.counter("node.delta.full_req_in"), P == Src ? 1u : 0u)
+          << Label << " node " << P;
+      EXPECT_EQ(S.counter("node.delta.full_out"), P == Src ? 1u : 0u)
+          << Label << " node " << P;
+      EXPECT_EQ(repairSpans(D.C, P), P == Dst ? 1u : 0u)
+          << Label << " node " << P;
+      EXPECT_TRUE(T->invariant(D.C.node(P).visibleState()))
+          << Label << " node " << P;
+    }
+    EXPECT_GE(nodeCounter(D.C, Dst, "node.delta.gap"), 1u) << Label;
+    if (!Exact) {
+      EXPECT_TRUE(D.C.appliedTablesEqual()) << Label;
+      continue;
+    }
+    sim::Rng QueryRng(Seed ^ 0x9e5ull);
+    for (ProcessId P = 0; P < Nodes; ++P) {
+      EXPECT_TRUE(R.C.node(P).visibleState().equals(
+          D.C.node(P).visibleState()))
+          << Label << " node " << P
+          << ":\n  classic: " << R.C.node(P).visibleState().str()
+          << "\n  delta:   " << D.C.node(P).visibleState().str();
+      for (ProcessId From = 0; From < Nodes; ++From)
+        for (MethodId M = 0; M < T->numMethods(); ++M)
+          EXPECT_EQ(R.C.node(P).applied(From, M),
+                    D.C.node(P).applied(From, M))
+              << Label << " node " << P;
+      for (MethodId M = 0; M < T->numMethods(); ++M) {
+        if (Spec.category(M) != MethodCategory::Query)
+          continue;
+        Call QC = T->randomClientCall(M, P, 9000, QueryRng);
+        EXPECT_EQ(T->query(R.C.node(P).visibleState(), QC),
+                  T->query(D.C.node(P).visibleState(), QC))
+            << Label << " query " << QC.str();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SummarizingTypes, DeltaRepairEquivalence,
+    ::testing::ValuesIn(summarizingTypeNames()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return sanitized(Info.param);
+    });
+
+//===----------------------------------------------------------------------===//
 // Deterministic crash recovery
 //===----------------------------------------------------------------------===//
 
 TEST(DeltaCrashRecovery, CrashMidDeltaStreamRecoversFromStagedImage) {
-  // Unbatched delta mode: a counter's image is the size of a delta frame,
-  // so its flushes alternate delta frame and full image, and each stages
-  // the full image (it fits the backup slot) for crash-atomicity. The
-  // source crashes at stage #3 -- the second delta's image is staged but
-  // its remote writes are not posted -- so peers sit one version behind
-  // with no torn delta, and recovery installs the staged FULL image (the
-  // idempotent tier), not a replayed delta.
+  // Unbatched delta mode: every flush of a counter ships a delta frame and
+  // stages the full image (it fits the backup slot) for crash-atomicity.
+  // The source crashes at stage #3 -- the third delta's image is staged
+  // but its remote writes are not posted -- so peers sit one version
+  // behind with no torn delta, and recovery installs the staged FULL image
+  // (the idempotent tier), not a replayed delta.
   sim::Simulator Sim;
   auto T = makeType("counter");
   MethodId Add = T->methodId("add");
@@ -399,9 +551,9 @@ TEST(DeltaCrashRecovery, CrashMidDeltaStreamRecoversFromStagedImage) {
     FullsAtCrash = nodeCounter(C, 0, "node.delta.full_out");
     C.crashNode(0);
   });
-  // Delta #1 and full image #2 replicate over the rings; the remaining
-  // four never get past the third stage (the crash also cancels their
-  // in-flight writes).
+  // Deltas #1 and #2 replicate over the rings; the remaining four never
+  // get past the third stage (the crash also cancels their in-flight
+  // writes).
   unsigned Done = 0;
   for (unsigned I = 0; I < 2; ++I) {
     C.submit(0, Call(Add, {5}, 0, 100 + I), [&](bool, Value) { ++Done; });
@@ -415,18 +567,18 @@ TEST(DeltaCrashRecovery, CrashMidDeltaStreamRecoversFromStagedImage) {
     return C.node(1).applied(0, Add) == 3 && C.node(2).applied(0, Add) == 3;
   }));
   EXPECT_EQ(Stages, 3u);
-  EXPECT_EQ(DeltasAtCrash, 2u) << "the crashed flush must ship a delta";
-  EXPECT_EQ(FullsAtCrash, 1u);
+  EXPECT_EQ(DeltasAtCrash, 3u) << "the crashed flush must ship a delta";
+  EXPECT_EQ(FullsAtCrash, 0u);
   EXPECT_FALSE(C.isLive(0));
   MethodId Read = T->methodId("read");
   EXPECT_EQ(T->query(C.node(1).visibleState(), Call(Read, {}, 1, 0)), 15);
   EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
-  // Both peers saw delta #1 and full image #2 over the ring and recovered
+  // Both peers joined deltas #1 and #2 from the ring and recovered
   // version 3 from the staged image; neither buffered a torn frame.
   for (ProcessId P = 1; P < 3; ++P) {
     obs::StatsSnapshot S = C.node(P).statsSnapshot();
-    EXPECT_EQ(S.counter("node.delta.in"), 1u) << "node " << P;
-    EXPECT_EQ(S.counter("node.delta.full_in"), 1u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.in"), 2u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_in"), 0u) << "node " << P;
     EXPECT_EQ(C.node(P).recoveredBroadcasts(), 1u) << "node " << P;
     EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
     EXPECT_EQ(C.node(P).summaries().version(0, 0), 3u) << "node " << P;
@@ -444,14 +596,43 @@ Call bigGSetSummary(const ObjectType &T, unsigned N) {
   return Call(T.methodId("add"), std::move(Elems), 0, 0);
 }
 
+/// The gap the chunked-image tests open on a 3-node cluster whose node 0
+/// holds a seeded gset: call 1 replicates, both receivers drop call 2's
+/// frame, and call 3's frame reveals the gap, so each receiver asks node 0
+/// for its full image. Returns the number of calls submitted.
+unsigned openGapAtBothPeers(sim::Simulator &Sim, HambandCluster &C,
+                            const ObjectType &T) {
+  MethodId Add = T.methodId("add");
+  unsigned Calls = 0, Done = 0;
+  auto Submit = [&] {
+    ++Calls;
+    C.submit(0, Call(Add, {static_cast<Value>(1000 + Calls)}, 0, Calls),
+             [&Done](bool Ok, Value) {
+               EXPECT_TRUE(Ok);
+               ++Done;
+             });
+  };
+  Submit();
+  EXPECT_TRUE(runUntil(Sim, [&] { return Done == 1 && C.fullyReplicated(); }));
+  for (ProcessId P = 1; P < 3; ++P)
+    C.node(P).summaries().dropDeltasForTest(0, 1);
+  Submit();
+  Submit();
+  // Both calls are answered (their frames sit in the peers' rings) before
+  // the requests they provoke reach node 0.
+  EXPECT_TRUE(runUntil(Sim, [&] { return Done == Calls; }));
+  return Calls;
+}
+
 } // namespace
 
 TEST(DeltaCrashRecovery, ChunkedAntiEntropyDeliversAtomically) {
-  // A seeded 300-element gset ships one-element delta frames until they
-  // outweigh its growing image (36 of them), then the full image, which a
-  // ring geometry with ~240 summary args per record splits into two
-  // chunks. Both chunks must reassemble into one atomic install: the peers
-  // jump to the image's version with the complete element set.
+  // A seeded 300-element gset ships one-element delta frames. Both
+  // receivers drop the second, the third reveals the gap, and each asks
+  // for the full image, which a ring geometry with ~240 summary args per
+  // record splits into two chunks. Both chunks must reassemble into one
+  // atomic install: the peers jump to the image's version with the
+  // complete element set, including the element only the image carried.
   sim::Simulator Sim;
   auto T = makeType("gset");
   MethodId Add = T->methodId("add");
@@ -461,22 +642,10 @@ TEST(DeltaCrashRecovery, ChunkedAntiEntropyDeliversAtomically) {
   C.start();
   C.seedReducibleState(0, 0, bigGSetSummary(*T, 300), 300);
 
-  // One call per flush, each replicated before the next, until a flush
-  // ships the full image.
-  unsigned Calls = 0, Done = 0;
-  while (nodeCounter(C, 0, "node.delta.full_out") == 0) {
-    ASSERT_LT(Calls, 100u) << "no full image after " << Calls << " deltas";
-    C.submit(0, Call(Add, {static_cast<Value>(1000 + Calls)}, 0, 1 + Calls),
-             [&](bool Ok, Value) {
-               EXPECT_TRUE(Ok);
-               ++Done;
-             });
-    ++Calls;
-    ASSERT_TRUE(runUntil(Sim, [&] {
-      return Done == Calls && C.fullyReplicated();
-    }));
-  }
-  EXPECT_EQ(nodeCounter(C, 0, "node.delta.out"), Calls - 1);
+  const unsigned Calls = openGapAtBothPeers(Sim, C, *T);
+  ASSERT_TRUE(runUntil(Sim, [&] { return C.fullyReplicated(); }));
+  EXPECT_EQ(nodeCounter(C, 0, "node.delta.out"), Calls);
+  EXPECT_EQ(nodeCounter(C, 0, "node.delta.full_out"), 1u);
 
   MethodId Size = T->methodId("size");
   MethodId Contains = T->methodId("contains");
@@ -485,10 +654,9 @@ TEST(DeltaCrashRecovery, ChunkedAntiEntropyDeliversAtomically) {
     EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)),
               static_cast<Value>(300 + Calls))
         << "node " << P;
-    // The last call's element travelled only in the full image.
+    // The dropped call's element reached the peers only in the full image.
     EXPECT_EQ(T->query(C.node(P).visibleState(),
-                       Call(Contains, {static_cast<Value>(999 + Calls)}, P,
-                            0)),
+                       Call(Contains, {static_cast<Value>(1002)}, P, 0)),
               1)
         << "node " << P;
   }
@@ -497,15 +665,16 @@ TEST(DeltaCrashRecovery, ChunkedAntiEntropyDeliversAtomically) {
         << "node " << P << " must receive both chunks";
     EXPECT_EQ(C.node(P).summaries().version(0, 0), 300u + Calls)
         << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
   }
 }
 
 TEST(DeltaCrashRecovery, CrashMidAntiEntropyRecoversUntorn) {
-  // Same chunked-anti-entropy setup: delta flushes spend the budget, and
-  // the source crashes at the stage point of the flush that ships the
-  // chunked full image: the image is staged whole while NONE of its chunk
-  // writes are posted. Peers must recover the complete image from the
-  // backup slot -- never a torn prefix of its chunks.
+  // Same chunked-image setup, and the source crashes at the stage point of
+  // the flush that ships the chunked full image both receivers asked for:
+  // the image is staged whole while NONE of its chunk writes are posted.
+  // Peers must recover the complete image from the backup slot -- never a
+  // torn prefix of its chunks -- and that install closes their gap.
   sim::Simulator Sim;
   auto T = makeType("gset");
   MethodId Add = T->methodId("add");
@@ -523,18 +692,11 @@ TEST(DeltaCrashRecovery, CrashMidAntiEntropyRecoversUntorn) {
     CrashedOnFull = true;
     C.crashNode(0);
   });
-  unsigned Calls = 0, Done = 0;
-  while (C.isLive(0)) {
-    ASSERT_LT(Calls, 100u) << "no full image after " << Calls << " deltas";
-    C.submit(0, Call(Add, {static_cast<Value>(1000 + Calls)}, 0, 1 + Calls),
-             [&](bool, Value) { ++Done; });
-    ++Calls;
-    ASSERT_TRUE(runUntil(Sim, [&] {
-      return !C.isLive(0) || (Done == Calls && C.fullyReplicated());
-    }));
-  }
+  const unsigned Calls = openGapAtBothPeers(Sim, C, *T);
+  ASSERT_TRUE(runUntil(Sim, [&] { return !C.isLive(0); }));
   ASSERT_TRUE(CrashedOnFull);
-  ASSERT_GE(Calls, 2u) << "the budget must be spent by deltas first";
+  EXPECT_EQ(nodeCounter(C, 0, "node.delta.full_req_in"), 2u)
+      << "the image answers both requests";
 
   const std::uint64_t Version = 300 + Calls;
   ASSERT_TRUE(runUntil(Sim, [&] {
@@ -547,9 +709,11 @@ TEST(DeltaCrashRecovery, CrashMidAntiEntropyRecoversUntorn) {
               static_cast<Value>(Version))
         << "node " << P;
     EXPECT_EQ(C.node(P).summaries().version(0, 0), Version) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
     EXPECT_EQ(C.node(P).recoveredBroadcasts(), 1u) << "node " << P;
+    EXPECT_EQ(repairSpans(C, P), 1u) << "node " << P;
     obs::StatsSnapshot S = C.node(P).statsSnapshot();
-    EXPECT_EQ(S.counter("node.delta.in"), Calls - 1) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.in"), 1u) << "node " << P;
     EXPECT_EQ(S.counter("node.delta.full_in"), 0u)
         << "node " << P << " must get the image from the backup slot";
   }
@@ -595,17 +759,17 @@ TEST(DeltaCrashRecovery, BatchedFlushStagesDeltaWhenFullImageOutgrowsSlot) {
 }
 
 //===----------------------------------------------------------------------===//
-// Gap healing: dropped deltas buffer, anti-entropy repairs
+// Gap healing: dropped deltas buffer, the receiver asks, the image repairs
 //===----------------------------------------------------------------------===//
 
 TEST(DeltaGapHealing, DroppedDeltasBufferThenHealViaAntiEntropy) {
-  // A gset seeded with 40 elements ships about five one-element delta
-  // frames per full image. Frame #1 arrives normally; frame #2 is dropped
-  // by both receivers (the test hook models a lost doorbell with its
-  // backup cleared); frame #3 then arrives with FromSeq=42 against a seen
-  // version of 41 -- a GAP the peers must buffer, not apply -- and so does
-  // every later delta. Once the deltas outweigh the image, a full image
-  // ships, supersedes the buffered frames and restores convergence.
+  // A gset seeded with 40 elements ships one-element delta frames. Frame
+  // #1 arrives normally; both receivers drop frame #2 (the test hook models
+  // a lost doorbell with its backup cleared); frame #3 then arrives with
+  // FromSeq=42 against a held version of 41 -- a GAP each peer must park,
+  // not apply -- and each peer asks node 0 once for its full image. Node
+  // 0's next flush ships that image, which supersedes the parked frame;
+  // later deltas join again without another gap or request.
   sim::Simulator Sim;
   auto T = makeType("gset");
   MethodId Add = T->methodId("add");
@@ -626,79 +790,183 @@ TEST(DeltaGapHealing, DroppedDeltasBufferThenHealViaAntiEntropy) {
   EXPECT_EQ(C.node(1).summaries().version(0, 0), SeedElems + 1u);
 
   for (ProcessId P = 1; P < 3; ++P)
-    C.node(P).summaries().dropDeltasForTest(true);
+    C.node(P).summaries().dropDeltasForTest(0, 1);
   Submit();
   ASSERT_TRUE(runUntil(Sim, [&] { return Done == 2; }));
   Sim.run(Sim.now() + sim::micros(50));
-  // The drop is invisible to the source but the peers never advance.
-  EXPECT_EQ(C.node(1).summaries().version(0, 0), SeedElems + 1u);
-  EXPECT_EQ(C.node(2).summaries().version(0, 0), SeedElems + 1u);
-  for (ProcessId P = 1; P < 3; ++P)
-    C.node(P).summaries().dropDeltasForTest(false);
-
-  // Every later delta lands behind the gap and is parked, until a flush
-  // ships the full image.
-  std::size_t Parked = 0;
-  for (;;) {
-    ASSERT_LT(Calls, 50u) << "no full image after " << Calls << " deltas";
-    Submit();
-    ASSERT_TRUE(runUntil(Sim, [&] { return Done == Calls; }));
-    if (nodeCounter(C, 0, "node.delta.full_out") != 0)
-      break;
-    ++Parked;
-    ASSERT_TRUE(runUntil(Sim, [&] {
-      return C.node(1).summaries().bufferedFrames(0, 0) == Parked &&
-             C.node(2).summaries().bufferedFrames(0, 0) == Parked;
-    }));
-    // The gap frames are parked: versions and state stay at the last
-    // applied.
-    for (ProcessId P = 1; P < 3; ++P) {
-      EXPECT_EQ(C.node(P).summaries().version(0, 0), SeedElems + 1u)
-          << "node " << P;
-      EXPECT_EQ(C.node(P).applied(0, Add), SeedElems + 1u) << "node " << P;
-    }
-  }
-  ASSERT_GE(Parked, 1u) << "the gap must form before the full image";
-  for (ProcessId P = 1; P < 3; ++P)
-    EXPECT_GE(C.node(P).statsSnapshot().counter("node.delta.gap"), Parked)
+  // The drop is invisible to the source and to the peers: nothing reveals
+  // the gap yet, so nothing is parked or asked for.
+  for (ProcessId P = 1; P < 3; ++P) {
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), SeedElems + 1u)
         << "node " << P;
+    EXPECT_EQ(nodeCounter(C, P, "node.delta.gap"), 0u) << "node " << P;
+    EXPECT_EQ(nodeCounter(C, P, "node.delta.full_req_out"), 0u)
+        << "node " << P;
+  }
 
-  // The full image installs at the latest version and supersedes every
-  // buffered frame.
-  ASSERT_TRUE(runUntil(Sim, [&] { return C.fullyReplicated(); }));
+  // Frame #3 parks behind the gap at each peer, and the image its request
+  // brings back installs at the latest version.
+  Submit();
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done == 3 && C.fullyReplicated(); }));
+  obs::StatsSnapshot Src = C.node(0).statsSnapshot();
+  EXPECT_EQ(Src.counter("node.delta.out"), 3u);
+  EXPECT_EQ(Src.counter("node.delta.full_out"), 1u)
+      << "one image answers both requests";
+  EXPECT_EQ(Src.counter("node.delta.full_req_in"), 2u);
+  EXPECT_EQ(Src.counter("node.delta.full_req_out"), 0u);
+  for (ProcessId P = 1; P < 3; ++P) {
+    obs::StatsSnapshot S = C.node(P).statsSnapshot();
+    EXPECT_EQ(S.counter("node.delta.gap"), 1u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_req_out"), 1u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_in"), 1u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.in"), 1u) << "node " << P;
+    EXPECT_EQ(repairSpans(C, P), 1u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), SeedElems + 3u)
+        << "node " << P;
+  }
+
+  // The stream is whole again: later deltas join directly.
+  for (unsigned I = 0; I < 3; ++I) {
+    Submit();
+    ASSERT_TRUE(
+        runUntil(Sim, [&] { return Done == Calls && C.fullyReplicated(); }));
+  }
   MethodId Size = T->methodId("size");
   for (ProcessId P = 0; P < 3; ++P)
     EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)),
               static_cast<Value>(SeedElems + Calls))
         << "node " << P;
+  EXPECT_EQ(nodeCounter(C, 0, "node.delta.full_out"), 1u);
   for (ProcessId P = 1; P < 3; ++P) {
-    EXPECT_EQ(C.node(P).statsSnapshot().counter("node.delta.full_in"), 1u)
-        << "node " << P;
-    EXPECT_EQ(C.node(P).summaries().bufferedFrames(0, 0), 0u) << "node " << P;
+    obs::StatsSnapshot S = C.node(P).statsSnapshot();
+    EXPECT_EQ(S.counter("node.delta.in"), 4u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.gap"), 1u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_req_out"), 1u) << "node " << P;
     EXPECT_EQ(C.node(P).summaries().version(0, 0), SeedElems + Calls)
         << "node " << P;
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Anti-entropy budget: one image's worth of delta bytes per full image
-//===----------------------------------------------------------------------===//
-// A group re-ships its full image once the delta frames shipped since its
-// last one add up to the image's encoded size, whatever the image size.
+TEST(DeltaGapHealing, QuietSourceHealsWithoutAnotherCall) {
+  // Batched delta mode: node 1 drops node 0's second frame, the third
+  // reveals the gap, and node 0 then issues nothing more. Its poller must
+  // ship the image node 1 asked for on its own (a repair flush carries no
+  // call and counts as no coalesced flush), or node 1 stays behind forever.
+  sim::Simulator Sim;
+  auto T = makeType("counter");
+  MethodId Add = T->methodId("add");
+  HambandConfig Cfg = deltaConfig();
+  Cfg.Batch.Enabled = true;
+  HambandCluster C(Sim, 3, *T, {}, Cfg);
+  C.start();
 
-TEST(DeltaAntiEntropyBudget, BigImageShipsItsSizeInDeltasBetweenFullImages) {
-  // Every issuer of a 3-node gset holds 5000 seeded elements (a 40-KB
-  // image), and node 0 ships one-element delta frames (76 B), one flush at
-  // a time, past its second full image. At least image / frame deltas
-  // (526) ship between the two full images (659 here, as the image grows
-  // with every call), and the full images cost no more bytes than the
-  // deltas plus one image. A fixed period of 64 flushes would ship 63
-  // deltas between them and about 8.5 times more full-image bytes than
-  // delta bytes.
+  unsigned Done = 0;
+  for (unsigned I = 0; I < 3; ++I) {
+    if (I == 1)
+      C.node(1).summaries().dropDeltasForTest(0, 1);
+    C.submit(0, Call(Add, {1}, 0, 1 + I), [&](bool, Value) { ++Done; });
+    ASSERT_TRUE(runUntil(Sim, [&] { return Done == I + 1; }));
+  }
+  const std::uint64_t Flushes = nodeCounter(C, 0, "node.batch.flush.pipe");
+  EXPECT_EQ(Flushes, 3u) << "each call ships in its own flush";
+
+  ASSERT_TRUE(runUntil(Sim, [&] { return C.fullyReplicated(); }));
+  MethodId Read = T->methodId("read");
+  for (ProcessId P = 0; P < 3; ++P)
+    EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Read, {}, P, 0)), 3)
+        << "node " << P;
+  EXPECT_EQ(C.node(1).summaries().version(0, 0), 3u);
+  EXPECT_EQ(C.node(1).summaries().bufferedFrames(0, 0), 0u);
+  EXPECT_EQ(nodeCounter(C, 1, "node.delta.full_req_out"), 1u);
+  EXPECT_EQ(nodeCounter(C, 1, "node.delta.full_in"), 1u);
+  EXPECT_EQ(repairSpans(C, 1), 1u);
+  EXPECT_EQ(nodeCounter(C, 2, "node.delta.full_req_out"), 0u);
+  obs::StatsSnapshot S = C.node(0).statsSnapshot();
+  EXPECT_EQ(S.counter("node.delta.full_req_in"), 1u);
+  EXPECT_EQ(S.counter("node.delta.full_out"), 1u);
+  EXPECT_EQ(S.counter("node.delta.out"), 3u);
+  EXPECT_EQ(S.counter("node.batch.flush.pipe"), Flushes);
+  EXPECT_EQ(S.histogram("node.batch.calls")->Count, Flushes);
+}
+
+TEST(DeltaGapHealing, RequestShipsTheImageInPlaceOfThePendingDelta) {
+  // Batched delta mode: call A ships in a pipe flush and call B waits for
+  // A's writes. A full-image request that reaches node 0 meanwhile finds a
+  // call pending, so no repair flush starts: the flush that carries B
+  // ships the full image instead of B's delta.
   sim::Simulator Sim;
   auto T = makeType("gset");
   MethodId Add = T->methodId("add");
-  const unsigned Nodes = 3, SeedElems = 5000;
+  HambandConfig Cfg = deltaConfig();
+  Cfg.Batch.Enabled = true;
+  HambandCluster C(Sim, 3, *T, {}, Cfg);
+  C.start();
+
+  unsigned Done = 0;
+  for (unsigned I = 0; I < 2; ++I)
+    C.submit(0, Call(Add, {static_cast<Value>(10 + I)}, 0, 1 + I),
+             [&](bool, Value) { ++Done; });
+  while (C.node(0).localUpdates() < 2)
+    ASSERT_TRUE(Sim.runOne());
+  ASSERT_EQ(nodeCounter(C, 0, "node.delta.out"), 1u) << "A is in flight";
+  ASSERT_EQ(Done, 0u);
+
+  SummaryDeltaFrame Req;
+  Req.Full = SummaryDeltaFrame::FullRequest;
+  std::vector<std::uint8_t> Bytes = encodeSummaryDelta(Req);
+  C.node(0).summaries().receive(1, Bytes.data(), Bytes.size());
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done == 2 && C.fullyReplicated(); }));
+
+  obs::StatsSnapshot S = C.node(0).statsSnapshot();
+  EXPECT_EQ(S.counter("node.delta.out"), 1u);
+  EXPECT_EQ(S.counter("node.delta.full_out"), 1u);
+  EXPECT_EQ(S.counter("node.batch.flush.pipe"), 2u);
+  for (ProcessId P = 1; P < 3; ++P) {
+    EXPECT_EQ(nodeCounter(C, P, "node.delta.in"), 1u) << "node " << P;
+    EXPECT_EQ(nodeCounter(C, P, "node.delta.full_in"), 1u) << "node " << P;
+    EXPECT_EQ(C.node(P).summaries().version(0, 0), 2u) << "node " << P;
+  }
+}
+
+TEST(DeltaGapHealing, UndecodableFrameCountsAsDropped) {
+  // A summary record that does not decode, or names a group the type does
+  // not have, is discarded and counted, and changes no version.
+  sim::Simulator Sim;
+  auto T = makeType("counter");
+  HambandCluster C(Sim, 3, *T, {}, deltaConfig());
+  C.start();
+  SummaryDeltaFrame F;
+  F.ToSeq = 1;
+  std::vector<std::uint8_t> Truncated = encodeSummaryDelta(F);
+  Truncated.resize(Truncated.size() - 3);
+  F.Group = 7;
+  std::vector<std::uint8_t> BadGroup = encodeSummaryDelta(F);
+  SummaryChannel &Sums = C.node(0).summaries();
+  EXPECT_FALSE(Sums.receive(1, Truncated.data(), Truncated.size()));
+  EXPECT_FALSE(Sums.receive(1, BadGroup.data(), BadGroup.size()));
+  EXPECT_EQ(nodeCounter(C, 0, "node.delta.dropped"), 2u);
+  EXPECT_EQ(Sums.version(0, 1), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Gap-free runs ship no full image
+//===----------------------------------------------------------------------===//
+// A full image costs its whole size on every peer's ring and holds the
+// channel while the delta frames behind it wait; only a receiver that
+// found a gap asks for one.
+
+TEST(DeltaAntiEntropyOnRequest, GapFreeBigImageShipsNoFullImage) {
+  // Every issuer of a 3-node gset holds 5000 seeded elements (a 40-KB
+  // image), and node 0 ships 1000 one-element delta frames (76 B), one
+  // flush at a time. Nothing is lost, so no node asks for an image and
+  // none ships: every byte of summary traffic is delta bytes. (A byte
+  // budget of one image per image-size of deltas would ship one after
+  // about 527 flushes.)
+  sim::Simulator Sim;
+  auto T = makeType("gset");
+  MethodId Add = T->methodId("add");
+  const unsigned Nodes = 3, SeedElems = 5000, Calls = 1000;
   HambandCluster C(Sim, Nodes, *T, {}, deltaConfig());
   C.start();
   for (ProcessId P = 0; P < Nodes; ++P) {
@@ -707,40 +975,30 @@ TEST(DeltaAntiEntropyBudget, BigImageShipsItsSizeInDeltasBetweenFullImages) {
     C.seedReducibleState(0, P, Seed, SeedElems);
   }
 
-  // Node 0's delta-frame count when each of its full images shipped.
-  std::vector<std::uint64_t> DeltasAtFull;
-  unsigned Calls = 0, Done = 0;
-  while (DeltasAtFull.size() < 2) {
-    ASSERT_LT(Calls, 2000u) << "only " << DeltasAtFull.size()
-                            << " full images after " << Calls << " calls";
-    C.submit(0,
-             Call(Add, {static_cast<Value>(SeedElems + Calls)}, 0, 1 + Calls),
+  unsigned Done = 0;
+  for (unsigned I = 0; I < Calls; ++I) {
+    C.submit(0, Call(Add, {static_cast<Value>(SeedElems + I)}, 0, 1 + I),
              [&](bool Ok, Value) {
                EXPECT_TRUE(Ok);
                ++Done;
              });
-    ++Calls;
-    ASSERT_TRUE(runUntil(Sim, [&] { return Done == Calls; }));
-    if (nodeCounter(C, 0, "node.delta.full_out") > DeltasAtFull.size())
-      DeltasAtFull.push_back(nodeCounter(C, 0, "node.delta.out"));
+    ASSERT_TRUE(runUntil(Sim, [&] { return Done == I + 1; }));
   }
   ASSERT_TRUE(runUntil(Sim, [&] { return C.fullyReplicated(); }));
 
-  obs::StatsSnapshot S = C.node(0).statsSnapshot();
-  const std::uint64_t Deltas = S.counter("node.delta.out");
-  const std::uint64_t DeltaBytes = S.counter("node.delta.bytes_out");
-  const std::uint64_t FullBytes = S.counter("node.delta.full_bytes_out");
-  ASSERT_EQ(S.counter("node.delta.full_out"), 2u);
-  ASSERT_EQ(Deltas, Calls - 2u);
-  // Every delta frame carries one element, so all are the same size.
-  const std::uint64_t FrameBytes = DeltaBytes / Deltas;
-  EXPECT_EQ(FrameBytes * Deltas, DeltaBytes);
-  const std::uint64_t ImageBytes = summaryImageBytes(SeedElems, 1);
-  EXPECT_GE(DeltasAtFull[1] - DeltasAtFull[0], ImageBytes / FrameBytes);
-  // The two full images are about the same size.
-  EXPECT_LE(FullBytes, DeltaBytes + FullBytes / 2)
-      << "full-image bytes " << FullBytes << ", delta bytes " << DeltaBytes;
-
+  obs::StatsSnapshot Src = C.node(0).statsSnapshot();
+  EXPECT_EQ(Src.counter("node.delta.out"), Calls);
+  EXPECT_EQ(Src.counter("node.delta.bytes_out"),
+            Calls * (SummaryDeltaHeaderBytes + summaryImageBytes(1, 1)));
+  for (ProcessId P = 0; P < Nodes; ++P) {
+    obs::StatsSnapshot S = C.node(P).statsSnapshot();
+    EXPECT_EQ(S.counter("node.delta.full_out"), 0u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_bytes_out"), 0u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_in"), 0u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_req_out"), 0u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.full_req_in"), 0u) << "node " << P;
+    EXPECT_EQ(S.counter("node.delta.gap"), 0u) << "node " << P;
+  }
   MethodId Size = T->methodId("size");
   for (ProcessId P = 0; P < Nodes; ++P)
     EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Size, {}, P, 0)),
@@ -748,11 +1006,10 @@ TEST(DeltaAntiEntropyBudget, BigImageShipsItsSizeInDeltasBetweenFullImages) {
         << "node " << P;
 }
 
-TEST(DeltaAntiEntropyBudget, CounterAlternatesDeltaAndFullFrames) {
-  // A counter's image is one number, no bigger than a delta frame, so one
-  // delta spends the budget: flushes alternate delta frame and full image,
-  // and a gap heals within two flushes. A fixed period of 64 flushes ships
-  // 63 deltas per full image.
+TEST(DeltaAntiEntropyOnRequest, CounterShipsOnlyDeltaFrames) {
+  // A counter's image is one number, no bigger than a delta frame, yet
+  // without a gap every flush still ships a delta frame. (A byte budget
+  // alternated delta frame and full image.)
   sim::Simulator Sim;
   auto T = makeType("counter");
   MethodId Add = T->methodId("add");
@@ -770,15 +1027,17 @@ TEST(DeltaAntiEntropyBudget, CounterAlternatesDeltaAndFullFrames) {
     Kinds += Fulls > Seen ? 'F' : 'd';
     Seen = Fulls;
   }
-  EXPECT_EQ(Kinds, "dFdFdFdF");
+  EXPECT_EQ(Kinds, "dddddddd");
   obs::StatsSnapshot S = C.node(0).statsSnapshot();
-  EXPECT_EQ(S.counter("node.delta.out"), 4u);
-  EXPECT_EQ(S.counter("node.delta.bytes_out"),
-            S.counter("node.delta.full_bytes_out"));
+  EXPECT_EQ(S.counter("node.delta.out"), 8u);
+  EXPECT_EQ(S.counter("node.delta.full_bytes_out"), 0u);
   MethodId Read = T->methodId("read");
-  for (ProcessId P = 0; P < 3; ++P)
+  for (ProcessId P = 0; P < 3; ++P) {
     EXPECT_EQ(T->query(C.node(P).visibleState(), Call(Read, {}, P, 0)), 8)
         << "node " << P;
+    EXPECT_EQ(nodeCounter(C, P, "node.delta.full_req_out"), 0u)
+        << "node " << P;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -1134,9 +1393,12 @@ std::string clusterParamName(
 /// observation-independent conflict-free types the final state is a pure
 /// function of the call multiset, so the delta-shipping runtime -- on
 /// EITHER backend -- must land bit-for-bit on the semantics world's state.
+/// With \p DropOne (unbatched only) one receiver drops the first frame of
+/// one source, so it asks that source for the full image and the image
+/// heals it.
 void deltaConformConflictFree(TransportKind Kind, const std::string &Name,
-                              const HambandConfig &Cfg,
-                              unsigned BurstSize) {
+                              const HambandConfig &Cfg, unsigned BurstSize,
+                              bool DropOne = false) {
   auto T = makeType(Name);
   ASSERT_EQ(T->coordination().numSyncGroups(), 0u);
   const unsigned Nodes = 3;
@@ -1152,6 +1414,20 @@ void deltaConformConflictFree(TransportKind Kind, const std::string &Name,
   ASSERT_TRUE(K.checkConvergence());
 
   ClusterWorld W(Kind, Nodes, *T, Cfg);
+  const std::size_t Dropped = DropOne ? droppableCall(*T, Calls) : Calls.size();
+  const ProcessId Src = Dropped < Calls.size() ? Calls[Dropped].Origin : 0;
+  const ProcessId Dst = (Src + 1) % Nodes;
+  if (Dropped < Calls.size()) {
+    // Armed in the receiver's own context before the source ships: its
+    // first frame, which a later one of the same group follows, is lost.
+    std::atomic<bool> Armed{false};
+    W.C.transport().callOn(Dst, [&W, &Armed, Src, Dst] {
+      W.C.node(Dst).summaries().dropDeltasForTest(Src, 1);
+      Armed = true;
+    });
+    while (!Armed)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::atomic<unsigned> Done{0};
   std::atomic<unsigned> Failed{0};
   for (std::size_t I = 0; I < Calls.size(); ++I) {
@@ -1168,6 +1444,11 @@ void deltaConformConflictFree(TransportKind Kind, const std::string &Name,
       << Name << ": cluster did not finish (" << Done.load() << "/"
       << Calls.size() << " done)";
   EXPECT_EQ(Failed.load(), 0u) << Name;
+  if (Dropped < Calls.size()) {
+    EXPECT_GE(nodeCounter(W.C, Dst, "node.delta.full_req_out"), 1u) << Name;
+    EXPECT_GE(nodeCounter(W.C, Src, "node.delta.full_out"), 1u) << Name;
+    EXPECT_GE(nodeCounter(W.C, Dst, "node.delta.full_in"), 1u) << Name;
+  }
 
   for (ProcessId P = 0; P < Nodes; ++P) {
     StatePtr FromSemantics = K.visibleState(P);
@@ -1214,8 +1495,12 @@ class DeltaConflictFreeConformance
     : public ::testing::TestWithParam<ClusterParam> {};
 
 TEST_P(DeltaConflictFreeConformance, DeltaRuntimeMatchesSemanticsExactly) {
+  // Records of at most 115 B: a full image of more than a few arguments
+  // ships as several chunks.
+  HambandConfig Cfg = deltaConfig();
+  Cfg.FreeGeom = RingGeometry{8, 32};
   deltaConformConflictFree(std::get<0>(GetParam()), std::get<1>(GetParam()),
-                           deltaConfig(), 1);
+                           Cfg, 1, /*DropOne=*/true);
 }
 
 TEST_P(DeltaConflictFreeConformance,

@@ -39,7 +39,8 @@
 // are diffed replica by replica -- batching must be invisible.
 //
 // --deltas does the same for delta-state summary propagation (bounded
-// SummaryDelta frames plus anti-entropy full images, see docs/deltas.md):
+// SummaryDelta frames, plus a full image for a receiver that finds a gap
+// and asks for it, see docs/deltas.md):
 // a delta twin of every schedule, and a delta+batched twin when both
 // flags are given. Like batching, delta shipping is a transport-level
 // optimization and must be invisible in the final states.
@@ -347,7 +348,7 @@ int main(int Argc, char **Argv) {
     // Twin runs: the same workload and fault plan against a cluster with
     // one transport-level optimization enabled. A twin faces every check
     // the baseline run does, including its own bit-for-bit replay (its
-    // trace differs -- flushes and delta/anti-entropy rounds change the
+    // trace differs -- flushes and delta frames change the
     // number and timing of stage events -- so it replays separately).
     // For crash-free schedules over observation-independent types the
     // final state is a pure function of the call multiset, so the twin

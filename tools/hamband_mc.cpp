@@ -59,7 +59,8 @@ struct Options {
   bool Json = false;
   bool Verbose = false;
   // Explore the cluster with delta-state summary propagation enabled
-  // (bounded SummaryDelta frames + anti-entropy, see docs/deltas.md).
+  // (bounded SummaryDelta frames, full images on request, see
+  // docs/deltas.md).
   bool Deltas = false;
   // Explore the cluster with an online membership transition folded into
   // the workload (docs/reconfig.md): the last provisioned node joins at
