@@ -86,25 +86,29 @@ public:
   /// The declared coordination relations (finalized).
   virtual const CoordinationSpec &coordination() const = 0;
 
-  /// Summarize(c, c') from Section 3.3: produces \p Out such that
-  /// Out(σ) == c'(c(σ)) for all σ. Either argument may itself be a fold:
-  /// the runtime folds each call into an image and joins images. Returns
-  /// false when the calls cannot be summarized (different groups or
-  /// non-summarizable methods).
-  virtual bool summarize(const Call &First, const Call &Second,
-                         Call &Out) const;
+  /// The summarization primitive, in place: \p Into := Summarize(\p Into,
+  /// \p Delta) (Section 3.3), so that Into'(σ) == Delta(Into(σ)) for all
+  /// σ. Either argument may itself be a fold: the runtime folds each call
+  /// into its own image and joins a peer's delta into the image it holds,
+  /// both through this call, without copying the image. Returns false,
+  /// leaving \p Into unchanged, when the calls cannot be summarized
+  /// (different groups or non-summarizable methods). The default
+  /// summarizes nothing.
+  virtual bool joinInto(Call &Into, const Call &Delta) const;
+
+  /// Summarize(c, c'): \p Out := joinInto on a copy of \p First. Not
+  /// virtual, so the summarize() that analysis::Verifier checks, on calls
+  /// and on folds alike, is exactly the join the runtime runs. \p Out is
+  /// unchanged when it returns false.
+  bool summarize(const Call &First, const Call &Second, Call &Out) const;
 
   // -- Delta-state propagation (docs/deltas.md) ---------------------------
 
-  /// Joins a delta summary into a base summary: the runtime's delta-state
-  /// propagation ships the fold of the calls issued since the last shipped
-  /// image (\p Delta) instead of the whole folded summary, and the
-  /// receiver rebuilds the full image as join(\p Base, \p Delta). The
-  /// join is summarize() itself, with both arguments already folds; not
-  /// virtual, so the summarize() that analysis::Verifier checks on folded
-  /// arguments is exactly the join the runtime runs. Returns false when
-  /// the calls are not joinable (different groups).
-  bool applyDelta(const Call &Base, const Call &Delta, Call &Out) const;
+  /// The delta join under its docs/deltas.md name: summarize(\p Base,
+  /// \p Delta). The runtime joins in place through joinInto().
+  bool applyDelta(const Call &Base, const Call &Delta, Call &Out) const {
+    return summarize(Base, Delta, Out);
+  }
 
   /// Splits a summary call into contiguous chunks of at most
   /// \p MaxArgsPerChunk arguments each, in argument order (the summary
@@ -166,6 +170,11 @@ public:
     return coordination().category(M);
   }
 };
+
+/// Appends each value of \p From that \p Into lacks, in \p From's order:
+/// the join of set-valued summaries, which keeps an image's argument
+/// order.
+void appendUnion(std::vector<Value> &Into, const std::vector<Value> &From);
 
 } // namespace hamband
 

@@ -39,8 +39,9 @@
 /// the runtime joins them: every run of 2 to Bound calls from the group's
 /// alphabet, split at every point, must satisfy
 /// summarize(fold(left), fold(right)) == the run applied in order, on
-/// every reachable state. This covers associativity, the delta join
-/// (ObjectType::applyDelta) and the pairwise law of Section 3.3.
+/// every reachable state. This covers associativity, the in-place join
+/// the runtime folds and joins deltas with (ObjectType::joinInto, which
+/// summarize() wraps) and the pairwise law of Section 3.3.
 ///
 //===----------------------------------------------------------------------===//
 

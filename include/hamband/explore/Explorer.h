@@ -110,6 +110,9 @@ struct McReport {
   long double NaiveLog10 = 0;
   /// True when MaxRuns or MaxBranchIdx cut exploration short.
   bool BudgetExhausted = false;
+  /// Batched runs: conflicting calls appended behind another call of the
+  /// same log entry (node.conf.coalesced), summed over executed runs.
+  std::uint64_t CoalescedCalls = 0;
 
   /// Every explored schedule passed every oracle.
   bool ok() const { return !Violation; }

@@ -14,6 +14,11 @@
 /// stored state and the visible cache; the channel reads A and the
 /// membership and reaches the rest through four hooks.
 ///
+/// A log entry is one L-ring cell holding one call, or, with batching on,
+/// the calls the leader accepted within one client-lane burst
+/// (docs/batching.md): the append of an accepted call waits only for the
+/// lane slot its posts would have taken anyway.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HAMBAND_RUNTIME_CONFCHANNEL_H
@@ -111,14 +116,26 @@ public:
       ++R;
     return R;
   }
-  std::size_t pendingTotal() const { return total(Pending); }
-  std::size_t leaderQueueTotal() const { return total(LeaderQueue); }
+  /// Delivered calls not yet applied (calls, not entries).
+  std::size_t pendingTotal() const { return PendingCalls; }
+  /// Calls parked at the leader, plus those accepted and not yet appended.
+  std::size_t leaderQueueTotal() const {
+    return total(LeaderQueue) + total(Accepted);
+  }
   std::size_t requestCount() const { return Requests.size(); }
   bool idle() const {
     return pendingTotal() == 0 && leaderQueueTotal() == 0 && Requests.empty();
   }
-  /// True while entries this node appended are unapplied.
+  /// True while calls this node accepted are unapplied.
   bool speculating() const { return total(Speculative) != 0; }
+  /// The speculative window of \p G: accepted calls not yet applied.
+  const std::deque<Call> &speculative(unsigned G) const {
+    return Speculative[G];
+  }
+  /// Whether \p G's dedup set holds request \p Id.
+  bool deduplicates(unsigned G, RequestId Id) const {
+    return Seen[G].count(Id);
+  }
   const ApplyLog &applyLog() const { return Log; }
   void digest(const std::function<void(std::uint64_t)> &Mix) const;
 
@@ -153,6 +170,14 @@ private:
     sim::SimTime WaitDeadline = 0;
     std::optional<ViewStamp> JudgedAt;
   };
+  /// A call the leader judged and accepted, not yet appended. Its dedup id
+  /// and speculative entry are in place; Entry is its encodeCall bytes at
+  /// index WC.BcastSeq.
+  struct AcceptedCall {
+    Queued Parked; // As judged: what a refused append parks again.
+    WireCall WC;
+    std::vector<std::uint8_t> Entry;
+  };
 
   template <typename T> static std::size_t total(const std::vector<T> &V) {
     std::size_t N = 0;
@@ -172,10 +197,22 @@ private:
   /// Returns true when it judged the call's permissibility.
   bool sequence(unsigned G, ProcessId Origin, Call C,
                 sim::SimTime WaitDeadline);
+  /// Appends \p G's accepted calls, in judging order, as entries of at
+  /// most one L-ring cell each; parks again the calls the instance refuses.
+  void appendAccepted(unsigned G);
+  /// Withdraws \p Calls from \p From on, whose append was refused -- the
+  /// newest accepted calls -- from the dedup set and the speculative
+  /// window, and parks them at the head of the retry queue in judging
+  /// order.
+  void refuseAccepted(unsigned G, std::vector<AcceptedCall> &Calls,
+                      std::size_t From);
   /// Judges again the parked calls whose view moved; returns how many.
   unsigned retryQueue(unsigned G);
+  /// The log position counts accepted calls too: the speculative window
+  /// holds them before their entry is appended.
   ViewStamp viewOf(unsigned G) const {
-    return {Hooks.ViewVersion(), Consensus[G]->nextIndex()};
+    return {Hooks.ViewVersion(),
+            Consensus[G]->nextIndex() + Accepted[G].size()};
   }
   /// Ends the permissibility wait that runs out at \p Deadline (0: the
   /// call never waited) when its call is appended or rejected.
@@ -187,7 +224,7 @@ private:
   void onAnswer(RequestId Id, ConfOutcome Outcome);
   /// The one insert into the pending log: ring-read, caught-up and
   /// self-committed entries alike.
-  void deliver(unsigned G, std::uint64_t Index, WireCall WC);
+  void deliver(unsigned G, std::uint64_t Index, std::vector<WireCall> Calls);
 
   rdma::Transport &Fabric;
   rdma::NodeId Self;
@@ -202,16 +239,21 @@ private:
   std::vector<std::unique_ptr<MuConsensus>> Consensus; // [group]
   std::vector<std::unique_ptr<RingReader>> MailReaders; // [peer]
   std::vector<std::unique_ptr<RingWriter>> MailWriters; // [peer]
-  // Per group: delivered entries awaiting apply, by index; the next index
-  // to apply; requests delivered or appended here, minus appends refused
+  // Per group: delivered entries awaiting apply, by index, each a list of
+  // calls; the next index to apply and the calls of that entry already
+  // applied; requests delivered or accepted here, minus appends refused
   // in their view (dedup; exact, since a rejected id may come back);
-  // entries appended here and not yet applied (speculative
-  // permissibility); calls waiting to be appended.
-  std::vector<std::map<std::uint64_t, WireCall>> Pending;
+  // calls accepted here and not yet applied (speculative
+  // permissibility); calls waiting to be judged; calls accepted and
+  // waiting for their append.
+  std::vector<std::map<std::uint64_t, std::vector<WireCall>>> Pending;
+  std::size_t PendingCalls = 0;
   std::vector<std::uint64_t> AppliedIdx;
+  std::vector<std::size_t> AppliedInEntry;
   std::vector<RequestIdSet> Seen;
   std::vector<std::deque<Call>> Speculative;
   std::vector<std::deque<Queued>> LeaderQueue;
+  std::vector<std::vector<AcceptedCall>> Accepted;
   std::unordered_map<RequestId, Request> Requests;
   ApplyLog Log;
 
@@ -221,6 +263,8 @@ private:
   obs::Counter *CtrOversizeReject = nullptr;
   obs::Counter *CtrParked = nullptr;
   obs::Counter *CtrRechecks = nullptr;
+  /// Calls appended behind another call of the same entry.
+  obs::Counter *CtrCoalesced = nullptr;
   obs::Histogram *HistParkNs = nullptr;
   obs::Gauge *GaugeDedupBytes = nullptr;
 };

@@ -36,6 +36,7 @@
 #include "hamband/runtime/Reconfig.h"
 #include "hamband/runtime/RingBuffer.h"
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -162,8 +163,15 @@ private:
   std::vector<std::uint64_t> AckReceived;
   std::vector<bool> AckSeen;
   /// Recent entry payloads for laggard replication, pruned as followers
-  /// advance.
-  std::map<std::uint64_t, std::vector<std::uint8_t>> LogCache;
+  /// advance once more than MaxCachedEntries are held: the payload of
+  /// entry LogCacheBase + i at position i, empty where none is held. A
+  /// deque of payloads, not a map, because it holds thousands of them.
+  static constexpr std::size_t MaxCachedEntries = 8192;
+  std::deque<std::vector<std::uint8_t>> LogCache;
+  std::uint64_t LogCacheBase = 0;
+  std::size_t LogCacheHeld = 0;
+  void cacheEntry(std::uint64_t Index, std::vector<std::uint8_t> Payload);
+  const std::vector<std::uint8_t> *cachedEntry(std::uint64_t Index) const;
 };
 
 } // namespace runtime

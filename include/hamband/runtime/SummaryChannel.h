@@ -161,11 +161,12 @@ private:
   /// \p NumCounts applied counts fits one ring record; 0 when not even
   /// one argument fits.
   std::size_t frameChunkMaxArgs(std::size_t NumCounts) const;
-  /// True when an image of \p Summary with \p NumCounts applied counts
-  /// can ship at all: slots are in use (deltas off) and it fits the slot,
-  /// or it splits into at most 65535 chunk frames of
-  /// frameChunkMaxArgs(NumCounts) arguments each.
-  bool shippable(const Call &Summary, std::size_t NumCounts) const;
+  /// True when an image of \p NumArgs summary arguments and \p NumCounts
+  /// applied counts can ship at all: slots are in use (deltas off) and it
+  /// fits the slot, or it splits into at most 65535 chunk frames of
+  /// frameChunkMaxArgs(NumCounts) arguments each. False from some
+  /// argument count on, and for every larger one.
+  bool shippable(std::size_t NumArgs, std::size_t NumCounts) const;
   std::vector<std::vector<std::uint8_t>>
   encodeFullFrames(unsigned G, const SummaryImage &Img,
                    std::uint32_t Epoch) const;

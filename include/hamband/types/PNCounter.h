@@ -57,8 +57,7 @@ public:
   void apply(ObjectState &S, const Call &C) const override;
   Value query(const ObjectState &S, const Call &C) const override;
   const CoordinationSpec &coordination() const override { return Spec; }
-  bool summarize(const Call &First, const Call &Second,
-                 Call &Out) const override;
+  bool joinInto(Call &Into, const Call &Delta) const override;
   Call randomClientCall(MethodId M, ProcessId Issuer, RequestId Req,
                         sim::Rng &R) const override;
 

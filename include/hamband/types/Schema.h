@@ -74,8 +74,7 @@ public:
   void apply(ObjectState &S, const Call &C) const override;
   Value query(const ObjectState &S, const Call &C) const override;
   const CoordinationSpec &coordination() const override { return Spec; }
-  bool summarize(const Call &First, const Call &Second,
-                 Call &Out) const override;
+  bool joinInto(Call &Into, const Call &Delta) const override;
   std::vector<Call> enumerateCalls(MethodId M, unsigned Bound) const override;
 
 private:

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
-# twin, delta twin, reconfig, delta + reconfig, pinned regression runs,
-# cross-process trace determinism),
+# twin, delta twin, reconfig, delta + reconfig, batched + reconfig,
+# pinned regression runs, cross-process trace determinism),
 # the bench-report smoke with its built-in gates and one doctored report
 # per gate, the full sim report compared against the committed baseline,
 # the bounded coordination-verifier gate (including keyed-lift
 # preservation), the hamband_mc exhaustive small-scope sweep
-# (plus delta-mode explorations of the counter and the gset), the
+# (plus delta-mode explorations of the counter and the gset, and batched
+# explorations of the bank account and courseware), the
 # end-to-end benchmark smoke
 # (bench/e2e's own build and ctests), a TSan flavor (threaded obs mutation,
 # shm ring stress, the shm transport conformance corpus, the shm sharded
@@ -57,6 +58,12 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
   --reconfig
 "$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 49 --nodes 2 \
   --deltas --reconfig
+
+# Batched + reconfig smoke: a membership transition must drain the calls
+# a batched leader accepted and has not yet appended (docs/batching.md),
+# and the batched twin must still converge with the unbatched one.
+"$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 902 --batch \
+  --reconfig
 
 # Pinned fuzz regressions: runs whose semantics replay let a new leader
 # append ahead of entries it had not applied (a Mu leader catches up
@@ -230,6 +237,25 @@ echo "ci: exhaustive delta-mode exploration (hamband_mc --deltas)"
 echo "ci: exhaustive reconfig-mode exploration (hamband_mc --reconfig)"
 "$BUILD/tools/hamband_mc" --type counter --calls 2 --nodes 3 --crashes 0 \
   --budget 40 --reconfig
+
+# Batched explorations of two types with conflicting calls: a group
+# leader coalesces the calls it accepts in one client-lane burst into one
+# log entry, and the oracles judge every schedule, crash points included.
+# Each scope is pinned so that some explored schedule forms a multi-call
+# entry (the report's coalesced count); a scope that no longer reaches
+# that path fails here. About 3 s each.
+echo "ci: exhaustive batched exploration (hamband_mc --batch)"
+for MC in "--type bank-account --calls 6 --seed 2" \
+  "--type courseware --calls 4"; do
+  # shellcheck disable=SC2086
+  out=$("$BUILD/tools/hamband_mc" $MC --crashes 1 --batch) ||
+    { echo "$out" >&2; echo "ci: hamband_mc $MC --batch failed" >&2; exit 1; }
+  echo "$out"
+  if ! grep -q 'coalesced=[1-9]' <<<"$out"; then
+    echo "ci: hamband_mc $MC --batch formed no multi-call entry" >&2
+    exit 1
+  fi
+done
 
 # Transport policy smoke: fault-schedule fuzzing is sim-only and must
 # refuse the shm transport with a clear error (exit 2), not fall through

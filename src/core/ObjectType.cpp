@@ -28,15 +28,22 @@ Call ObjectType::prepare(const ObjectState &, const Call &C) const {
   return C;
 }
 
-bool ObjectType::summarize(const Call &, const Call &, Call &) const {
-  return false;
+bool ObjectType::joinInto(Call &, const Call &) const { return false; }
+
+bool ObjectType::summarize(const Call &First, const Call &Second,
+                           Call &Out) const {
+  Call Joined = First;
+  if (!joinInto(Joined, Second))
+    return false;
+  Out = std::move(Joined);
+  return true;
 }
 
-bool ObjectType::applyDelta(const Call &Base, const Call &Delta,
-                            Call &Out) const {
-  // Summarize is the group's join: folding the delta into the base is the
-  // same operation the issuer used to fold the underlying calls.
-  return summarize(Base, Delta, Out);
+void hamband::appendUnion(std::vector<Value> &Into,
+                          const std::vector<Value> &From) {
+  for (Value V : From)
+    if (std::find(Into.begin(), Into.end(), V) == Into.end())
+      Into.push_back(V);
 }
 
 std::vector<Call> ObjectType::decomposeSummary(

@@ -138,9 +138,8 @@ public:
     return Base->prepare(S, C);
   }
   const CoordinationSpec &coordination() const override { return Spec; }
-  bool summarize(const Call &First, const Call &Second,
-                 Call &Out) const override {
-    return Base->summarize(First, Second, Out);
+  bool joinInto(Call &Into, const Call &Delta) const override {
+    return Base->joinInto(Into, Delta);
   }
   bool concurrentlyIssuable(const Call &A, const Call &B) const override {
     return Base->concurrentlyIssuable(A, B);

@@ -179,7 +179,14 @@ RunOutcome runControlled(const RunSpec &RS, const Placement &PL,
     return 0;
   };
 
-  return runSchedule(RS, PlanPtr, nullptr, nullptr, &Ctl);
+  // A batched run reports the conflicting calls that shared a log entry.
+  obs::StatsSnapshot Stats;
+  bool Count = Rep && RS.Batched;
+  RunOutcome Out =
+      runSchedule(RS, PlanPtr, nullptr, Count ? &Stats : nullptr, &Ctl);
+  if (Count)
+    Rep->CoalescedCalls += Stats.counter("node.conf.coalesced");
+  return Out;
 }
 
 /// Turns a finished run's frontier into sibling work items (the DPOR

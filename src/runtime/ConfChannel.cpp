@@ -31,13 +31,16 @@ ConfChannel::ConfChannel(
   CtrOversizeReject = &Stats.counter("node.conf.oversize_reject");
   CtrParked = &Stats.counter("node.conf.parked");
   CtrRechecks = &Stats.counter("node.conf.rechecks");
+  CtrCoalesced = &Stats.counter("node.conf.coalesced");
   HistParkNs = &Stats.histogram("node.conf.park_ns");
   GaugeDedupBytes = &Stats.gauge("node.conf.dedup_bytes");
   Pending.resize(Groups);
   AppliedIdx.assign(Groups, 0);
+  AppliedInEntry.assign(Groups, 0);
   Seen.resize(Groups);
   Speculative.resize(Groups);
   LeaderQueue.resize(Groups);
+  Accepted.resize(Groups);
   Log.resize(Groups);
 
   MailReaders.resize(N);
@@ -60,12 +63,16 @@ ConfChannel::ConfChannel(
     H.ReceivedCount = [this, G]() { return receivedContig(G); };
     H.DeliverEntry = [this, G](std::uint64_t Idx,
                                std::vector<std::uint8_t> Payload) {
-      WireCall WC;
-      bool Ok = decodeCall(Spec, this->Fabric.numNodes(), Payload.data(),
-                           Payload.size(), WC);
+      // An entry is one bare call or a call batch of two or more.
+      unsigned N = this->Fabric.numNodes();
+      std::vector<WireCall> Calls(1);
+      bool Ok =
+          isCallBatch(Payload.data(), Payload.size())
+              ? decodeCallBatch(Spec, N, Payload.data(), Payload.size(), Calls)
+              : decodeCall(Spec, N, Payload.data(), Payload.size(), Calls[0]);
       assert(Ok && "malformed L-ring entry");
       if (Ok)
-        deliver(G, Idx, std::move(WC));
+        deliver(G, Idx, std::move(Calls));
     };
     // Stale speculative entries belong to the deposed leadership; the
     // permissibility window restarts from the applied state.
@@ -212,7 +219,7 @@ bool ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
   }
 
   // Speculative permissibility: the call must keep the invariant after
-  // every already-appended (but not yet applied) call of this group.
+  // every call of this group accepted here and not yet applied.
   const ObjectState &S = Hooks.Visible();
   Call Prepared = Type.prepare(S, C);
   if (!Type.invariantAfter(S, Speculative[G], Prepared)) {
@@ -248,34 +255,113 @@ bool ConfChannel::sequence(unsigned G, ProcessId Origin, Call C,
     answer(Origin, Id, ConfOutcome::Rejected);
     return true;
   }
-  bool Posted = Mu.leaderAppend(
-      Entry,
-      [this, G, WC, Origin, Id, Term = Mu.epoch()](bool Committed) {
-        // A commit that lands after this node was deposed must not enter
-        // the log copy: the new leader's log decides the entry's fate.
-        // An append refused in this view is in no log this node knows
-        // of, so its dedup entry goes too.
-        if (!Committed || Consensus[G]->epoch() != Term) {
-          if (!Committed && Consensus[G]->epoch() == Term) {
-            Seen[G].erase(Id);
-            updateDedupGauge();
-          }
-          answer(Origin, Id, ConfOutcome::Retry);
-          return;
-        }
-        deliver(G, WC.BcastSeq, WC);
-        answer(Origin, Id, ConfOutcome::Committed);
-      });
-  assert(Posted && "canAppend() was checked above");
-  (void)Posted;
-  endWait(WaitDeadline);
+  // Accepted: the call holds its dedup id and speculative entry from here
+  // on, so the calls judged after it see it.
   Seen[G].insert(Id);
   updateDedupGauge();
   Speculative[G].push_back(Prepared);
-  // Sequencing an entry occupies the leader beyond the raw verb posts.
-  Fabric.runOnCpu(Self, Fabric.model().ConsensusEntryCpu, []() {},
-                  rdma::Transport::LaneClient);
+  std::vector<AcceptedCall> &List = Accepted[G];
+  List.push_back({{std::move(C), Origin, WaitDeadline, std::nullopt},
+                  std::move(WC),
+                  std::move(Entry)});
+  if (!Cfg.Batch.Enabled) {
+    appendAccepted(G);
+  } else if (List.size() == 1) {
+    // The append takes the lane slot this call's posts would have taken;
+    // every call accepted before it runs joins its entry.
+    Fabric.runOnCpu(
+        Self, 0, [this, G]() { appendAccepted(G); },
+        rdma::Transport::LaneClient);
+  }
   return true;
+}
+
+void ConfChannel::appendAccepted(unsigned G) {
+  std::vector<AcceptedCall> Calls = std::move(Accepted[G]);
+  Accepted[G].clear();
+  MuConsensus &Mu = *Consensus[G];
+  const std::size_t MaxEntry = Cfg.ConfGeom.maxPayload();
+  std::size_t Next = 0;
+  while (Next < Calls.size() && Mu.canAppend()) {
+    // Pack the next entry: as many calls, in judging order, as the batch
+    // framing fits into one cell (a lone call fits: it was size-checked).
+    std::uint64_t Index = Mu.nextIndex();
+    std::size_t End = Next;
+    std::size_t Framed = 4; // u16 marker | u16 count
+    for (; End < Calls.size(); ++End) {
+      AcceptedCall &A = Calls[End];
+      if (A.WC.BcastSeq != Index) {
+        A.WC.BcastSeq = Index;
+        A.Entry = encodeCall(Spec, Fabric.numNodes(), A.WC);
+      }
+      if (End > Next && Framed + 4 + A.Entry.size() > MaxEntry)
+        break;
+      Framed += 4 + A.Entry.size();
+    }
+    std::vector<std::uint8_t> Entry;
+    std::vector<WireCall> Batch;
+    std::vector<std::pair<ProcessId, RequestId>> Answers;
+    if (End - Next == 1) {
+      Entry = std::move(Calls[Next].Entry);
+    } else {
+      std::vector<std::vector<std::uint8_t>> Encoded;
+      for (std::size_t I = Next; I < End; ++I)
+        Encoded.push_back(std::move(Calls[I].Entry));
+      Entry = encodeCallBatch(Encoded);
+    }
+    for (std::size_t I = Next; I < End; ++I) {
+      Answers.emplace_back(Calls[I].Parked.Origin, Calls[I].WC.TheCall.Req);
+      Batch.push_back(std::move(Calls[I].WC));
+    }
+    bool Posted = Mu.leaderAppend(
+        Entry, [this, G, Index, Batch = std::move(Batch), Answers,
+                Term = Mu.epoch()](bool Committed) mutable {
+          // A commit that lands after this node was deposed must not enter
+          // the log copy: the new leader's log decides the entry's fate.
+          // An append refused in this view is in no log this node knows
+          // of, so its dedup entries go too.
+          if (!Committed || Consensus[G]->epoch() != Term) {
+            if (!Committed && Consensus[G]->epoch() == Term) {
+              for (const auto &[Origin, Id] : Answers)
+                Seen[G].erase(Id);
+              updateDedupGauge();
+            }
+            for (const auto &[Origin, Id] : Answers)
+              answer(Origin, Id, ConfOutcome::Retry);
+            return;
+          }
+          deliver(G, Index, std::move(Batch));
+          for (const auto &[Origin, Id] : Answers)
+            answer(Origin, Id, ConfOutcome::Committed);
+        });
+    assert(Posted && "canAppend() was checked above");
+    (void)Posted;
+    for (std::size_t I = Next; I < End; ++I)
+      endWait(Calls[I].Parked.WaitDeadline);
+    CtrCoalesced->add(End - Next - 1);
+    // Sequencing an entry occupies the leader beyond the raw verb posts.
+    Fabric.runOnCpu(Self, Fabric.model().ConsensusEntryCpu, []() {},
+                    rdma::Transport::LaneClient);
+    Next = End;
+  }
+  if (Next < Calls.size())
+    refuseAccepted(G, Calls, Next);
+}
+
+void ConfChannel::refuseAccepted(unsigned G, std::vector<AcceptedCall> &Calls,
+                                 std::size_t From) {
+  // Deposed, catching up or a follower ring full since the calls were
+  // judged: they are in no log, so undo their acceptance newest first
+  // (a deposition already cleared the speculative window) and park them
+  // as if the instance had refused them at judging.
+  for (std::size_t I = Calls.size(); I-- > From;) {
+    const Call &Withdrawn = Calls[I].WC.TheCall;
+    Seen[G].erase(Withdrawn.Req);
+    if (!Speculative[G].empty() && Speculative[G].back() == Withdrawn)
+      Speculative[G].pop_back();
+    LeaderQueue[G].push_front(std::move(Calls[I].Parked));
+  }
+  updateDedupGauge();
 }
 
 unsigned ConfChannel::retryQueue(unsigned G) {
@@ -382,28 +468,39 @@ unsigned ConfChannel::pollMailboxes(bool AcceptRequests) {
   return Parsed;
 }
 
-void ConfChannel::deliver(unsigned G, std::uint64_t Index, WireCall WC) {
+void ConfChannel::deliver(unsigned G, std::uint64_t Index,
+                          std::vector<WireCall> Calls) {
   // Delivered entries count as seen, so a client retry of an already
   // committed request is answered without re-appending it.
-  Seen[G].insert(WC.TheCall.Req);
+  for (const WireCall &WC : Calls)
+    Seen[G].insert(WC.TheCall.Req);
   updateDedupGauge();
-  Pending[G].emplace(Index, std::move(WC));
+  std::size_t N = Calls.size();
+  if (Pending[G].emplace(Index, std::move(Calls)).second)
+    PendingCalls += N;
 }
 
 unsigned ConfChannel::applyPending() {
   unsigned AppliedN = 0;
   for (unsigned G = 0; G < Pending.size(); ++G) {
     auto &M = Pending[G];
-    for (auto It = M.find(AppliedIdx[G]);
-         It != M.end() && depsSatisfied(Applied, It->second.Deps);
+    std::size_t &Pos = AppliedInEntry[G];
+    for (auto It = M.find(AppliedIdx[G]); It != M.end();
          It = M.find(AppliedIdx[G])) {
-      const Call &C = It->second.TheCall;
-      if (It->second.Epoch != Members.Epoch) {
-        // Delivered before an epoch install that the drain stage should
-        // have flushed; counted so the reconfig oracles can assert it
-        // never happens.
-        CtrCrossEpochApply->add();
-      } else {
+      // An entry's calls apply in order; one whose dependencies are not
+      // yet satisfied stalls the rest of the entry and the log behind it.
+      const std::vector<WireCall> &Calls = It->second;
+      for (; Pos < Calls.size() && depsSatisfied(Applied, Calls[Pos].Deps);
+           ++Pos) {
+        const Call &C = Calls[Pos].TheCall;
+        --PendingCalls;
+        if (Calls[Pos].Epoch != Members.Epoch) {
+          // Delivered before an epoch install that the drain stage should
+          // have flushed; counted so the reconfig oracles can assert it
+          // never happens.
+          CtrCrossEpochApply->add();
+          continue;
+        }
         Hooks.Apply(C);
         logApplied(C);
         if (C.Issuer == Self && !Speculative[G].empty() &&
@@ -411,8 +508,11 @@ unsigned ConfChannel::applyPending() {
           Speculative[G].pop_front();
         ++AppliedN;
       }
+      if (Pos < Calls.size())
+        break;
       M.erase(It);
       ++AppliedIdx[G];
+      Pos = 0;
     }
     if (M.count(AppliedIdx[G]))
       CtrDepStall->add();
@@ -438,6 +538,7 @@ void ConfChannel::onPeerSuspected(rdma::NodeId Peer) {
 
 void ConfChannel::importLog(const std::vector<std::uint64_t> &Next) {
   AppliedIdx = Next;
+  AppliedInEntry.assign(AppliedIdx.size(), 0);
 }
 
 void ConfChannel::installMembership(const std::vector<std::uint64_t> &Next) {
@@ -456,9 +557,11 @@ void ConfChannel::digest(
     const std::function<void(std::uint64_t)> &Mix) const {
   for (unsigned G = 0; G < Consensus.size(); ++G) {
     Mix(AppliedIdx[G]);
+    Mix(AppliedInEntry[G]);
     Mix(Consensus[G]->logHead());
     Mix(Pending[G].size());
     Mix(LeaderQueue[G].size());
+    Mix(Accepted[G].size());
     Mix(Speculative[G].size());
     Mix(knownLeader(G));
   }

@@ -131,13 +131,16 @@ bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
   // The leader's own log copy counts toward the majority.
   unsigned NeededRemote = Majority > 0 ? Majority - 1 : 0;
 
-  LogCache[NextIndex] = EntryBytes;
-  if (LogCache.size() > 8192) {
+  cacheEntry(NextIndex, EntryBytes);
+  if (LogCacheHeld > MaxCachedEntries) {
     // Retain only what laggard followers may still need.
     std::uint64_t MinTail = NextIndex;
     for (auto &[F, W] : Writers)
       MinTail = std::min(MinTail, W->tail());
-    LogCache.erase(LogCache.begin(), LogCache.lower_bound(MinTail));
+    for (; !LogCache.empty() && LogCacheBase < MinTail; ++LogCacheBase) {
+      LogCacheHeld -= !LogCache.front().empty();
+      LogCache.pop_front();
+    }
   }
 
   auto Tally = std::make_shared<CommitTally>();
@@ -355,7 +358,7 @@ void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
             std::vector<std::uint8_t> Payload(
                 Cell.begin() + RingGeometry::HeaderBytes,
                 Cell.begin() + RingGeometry::HeaderBytes + Len);
-            LogCache[Index] = Payload;
+            cacheEntry(Index, Payload);
             if (TheHooks.DeliverEntry)
               TheHooks.DeliverEntry(Index, std::move(Payload));
           }
@@ -378,12 +381,41 @@ void MuConsensus::replicateMissingToFollowers() {
     // ring copy (consumed cells keep their bytes).
     for (std::uint64_t I = AckReceived[V]; I < NextIndex; ++I) {
       std::vector<std::uint8_t> Bytes;
-      auto It = LogCache.find(I);
-      if (It != LogCache.end())
-        Bytes = It->second;
+      if (const std::vector<std::uint8_t> *Cached = cachedEntry(I))
+        Bytes = *Cached;
       else if (!Reader.readCellIgnoringCanary(I, Bytes))
         continue; // Overwritten; the follower stays behind (bounded lag).
       W.append(Bytes, nullptr);
     }
   }
+}
+
+void MuConsensus::cacheEntry(std::uint64_t Index,
+                             std::vector<std::uint8_t> Payload) {
+  // Entries held from an earlier leadership, more than a prune's worth
+  // behind the new one, are dropped rather than bridged with empty slots:
+  // no follower that far behind can take them (its ring is smaller).
+  if (Index > LogCacheBase + LogCache.size() + MaxCachedEntries) {
+    LogCache.clear();
+    LogCacheHeld = 0;
+  }
+  if (LogCache.empty())
+    LogCacheBase = Index;
+  if (Index < LogCacheBase) {
+    LogCache.insert(LogCache.begin(), LogCacheBase - Index, {});
+    LogCacheBase = Index;
+  }
+  if (Index - LogCacheBase >= LogCache.size())
+    LogCache.resize(Index - LogCacheBase + 1);
+  std::vector<std::uint8_t> &Slot = LogCache[Index - LogCacheBase];
+  LogCacheHeld += Slot.empty();
+  Slot = std::move(Payload);
+}
+
+const std::vector<std::uint8_t> *
+MuConsensus::cachedEntry(std::uint64_t Index) const {
+  if (Index < LogCacheBase || Index - LogCacheBase >= LogCache.size())
+    return nullptr;
+  const std::vector<std::uint8_t> &Slot = LogCache[Index - LogCacheBase];
+  return Slot.empty() ? nullptr : &Slot;
 }

@@ -59,35 +59,46 @@ SummaryChannel::SummaryChannel(
 bool SummaryChannel::fold(const Call &P) {
   unsigned G = *Spec.sumGroup(P.Method);
   std::optional<Call> &Own = Images[G][Self];
-  Call Folded = P;
-  if (Own) {
-    bool Ok = Type.summarize(*Own, P, Folded);
-    assert(Ok && "summarization group not closed");
-    (void)Ok;
-  }
   // Shippability gate BEFORE any replicated-state mutation: if the grown
   // image can neither fit the summary slot nor be chunked over the
   // F-rings, folding this call would wedge every future ship of the
-  // group. Reject with no side effects.
-  if (Fabric.numNodes() > 1 && !shippable(Folded, GroupMethods[G].size())) {
-    CtrOversizeReject->add();
-    return false;
+  // group. Reject with no side effects. Shippability only falls as the
+  // argument count grows, so an image that ships at |own| + |call|
+  // arguments ships at whatever the join keeps: the fold then joins in
+  // place, and only near the limit folds a copy first.
+  auto Ships = [&](std::size_t NumArgs) {
+    return Fabric.numNodes() == 1 ||
+           shippable(NumArgs, GroupMethods[G].size());
+  };
+  auto Join = [this](Call &Into, const Call &D) {
+    bool Ok = Type.joinInto(Into, D);
+    assert(Ok && "summarization group not closed");
+    (void)Ok;
+  };
+  const bool Reduces = Own.has_value();
+  if (Own && Ships(Own->Args.size() + P.Args.size())) {
+    Join(*Own, P);
+  } else {
+    Call Folded = Own ? *Own : P;
+    if (Own)
+      Join(Folded, P);
+    if (!Ships(Folded.Args.size())) {
+      CtrOversizeReject->add();
+      return false;
+    }
+    Own = std::move(Folded);
   }
-  if (Own)
+  if (Reduces)
     CtrReductions->add();
-  Own = std::move(Folded);
   ++Versions[G][Self];
   // The delta since the last shipped image folds alongside the full
   // image; the next flush ships one or the other.
   if (Delta.Enabled) {
     std::optional<Call> &D = PendingDelta[G];
-    Call Joined = P;
-    if (D) {
-      bool Ok = Type.applyDelta(*D, P, Joined);
-      assert(Ok && "summarization group not closed");
-      (void)Ok;
-    }
-    D = std::move(Joined);
+    if (D)
+      Join(*D, P);
+    else
+      D = P;
   }
   // The fold appends exactly the prepared call, and reducible calls are
   // conflict-free, so the visible cache absorbs it incrementally -- a
@@ -213,10 +224,10 @@ std::size_t SummaryChannel::frameChunkMaxArgs(std::size_t NumCounts) const {
   return (Budget - Fixed) / 8;
 }
 
-bool SummaryChannel::shippable(const Call &Summary,
+bool SummaryChannel::shippable(std::size_t NumArgs,
                                std::size_t NumCounts) const {
   if (!Delta.Enabled &&
-      fitsSummarySlot(summaryImageBytes(Summary.Args.size(), NumCounts),
+      fitsSummarySlot(summaryImageBytes(NumArgs, NumCounts),
                       Map.summarySlotBytes()))
     return true; // Classic slot overwrite.
   // Everything else ships as full-image chunk frames over the F-rings:
@@ -225,8 +236,8 @@ bool SummaryChannel::shippable(const Call &Summary,
   std::size_t MaxArgs = frameChunkMaxArgs(NumCounts);
   if (MaxArgs == 0)
     return false;
-  std::size_t Chunks = std::max<std::size_t>(
-      1, (Summary.Args.size() + MaxArgs - 1) / MaxArgs);
+  std::size_t Chunks =
+      std::max<std::size_t>(1, (NumArgs + MaxArgs - 1) / MaxArgs);
   return Chunks <= 0xFFFF; // ChunkCount is a u16.
 }
 
@@ -420,13 +431,13 @@ bool SummaryChannel::tryJoin(ProcessId Src, const SummaryDeltaFrame &F) {
     return true; // Malformed: consume rather than wedge the buffer.
   }
   std::optional<Call> &Held = Images[G][Src];
-  Call Joined = Img.Summary;
-  if (Held) {
-    bool Ok = Type.applyDelta(*Held, Img.Summary, Joined);
+  if (!Held) {
+    Held = Img.Summary;
+  } else {
+    bool Ok = Type.joinInto(*Held, Img.Summary);
     assert(Ok && "delta join failed for a closed summarization group");
     (void)Ok;
   }
-  Held = std::move(Joined);
   Seen = F.ToSeq;
   // The join appends exactly the delta's calls, which are conflict-free:
   // the visible cache absorbs them instead of rebuilding.

@@ -62,12 +62,12 @@ Value BankAccount::query(const ObjectState &S, const Call &C) const {
   return static_cast<const AccountState &>(S).Balance;
 }
 
-bool BankAccount::summarize(const Call &First, const Call &Second,
-                            Call &Out) const {
-  if (First.Method != Deposit || Second.Method != Deposit)
+bool BankAccount::joinInto(Call &Into, const Call &Delta) const {
+  if (Into.Method != Deposit || Delta.Method != Deposit)
     return false;
-  Out = Call(Deposit, {First.Args[0] + Second.Args[0]}, Second.Issuer,
-             Second.Req);
+  Into.Args[0] += Delta.Args[0];
+  Into.Issuer = Delta.Issuer;
+  Into.Req = Delta.Req;
   return true;
 }
 

@@ -48,11 +48,11 @@ Value Counter::query(const ObjectState &S, const Call &C) const {
   return static_cast<const CounterState &>(S).Total;
 }
 
-bool Counter::summarize(const Call &First, const Call &Second,
-                        Call &Out) const {
-  if (First.Method != Add || Second.Method != Add)
+bool Counter::joinInto(Call &Into, const Call &Delta) const {
+  if (Into.Method != Add || Delta.Method != Add)
     return false;
-  Out = Call(Add, {First.Args[0] + Second.Args[0]}, Second.Issuer,
-             Second.Req);
+  Into.Args[0] += Delta.Args[0];
+  Into.Issuer = Delta.Issuer;
+  Into.Req = Delta.Req;
   return true;
 }

@@ -6,7 +6,6 @@
 
 #include "hamband/types/GSet.h"
 
-#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -71,16 +70,13 @@ Value GSet::query(const ObjectState &S, const Call &C) const {
   return static_cast<Value>(St.Elems.size());
 }
 
-bool GSet::summarize(const Call &First, const Call &Second,
-                     Call &Out) const {
-  if (TheMode != Mode::Summarized || First.Method != Add ||
-      Second.Method != Add)
+bool GSet::joinInto(Call &Into, const Call &Delta) const {
+  if (TheMode != Mode::Summarized || Into.Method != Add ||
+      Delta.Method != Add)
     return false;
-  std::vector<Value> Union = First.Args;
-  for (Value V : Second.Args)
-    if (std::find(Union.begin(), Union.end(), V) == Union.end())
-      Union.push_back(V);
-  Out = Call(Add, std::move(Union), Second.Issuer, Second.Req);
+  appendUnion(Into.Args, Delta.Args);
+  Into.Issuer = Delta.Issuer;
+  Into.Req = Delta.Req;
   return true;
 }
 

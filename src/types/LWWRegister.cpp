@@ -54,16 +54,12 @@ Value LWWRegister::query(const ObjectState &S, const Call &C) const {
   return static_cast<const LWWState &>(S).Val;
 }
 
-bool LWWRegister::summarize(const Call &First, const Call &Second,
-                            Call &Out) const {
-  if (First.Method != Write || Second.Method != Write)
+bool LWWRegister::joinInto(Call &Into, const Call &Delta) const {
+  if (Into.Method != Write || Delta.Method != Write)
     return false;
-  const Call &Winner =
-      std::tie(Second.Args[1], Second.Args[2]) >
-              std::tie(First.Args[1], First.Args[2])
-          ? Second
-          : First;
-  Out = Winner;
+  if (std::tie(Delta.Args[1], Delta.Args[2]) >
+      std::tie(Into.Args[1], Into.Args[2]))
+    Into = Delta;
   return true;
 }
 

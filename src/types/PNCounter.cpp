@@ -55,15 +55,15 @@ Value PNCounter::query(const ObjectState &S, const Call &C) const {
   return St.Incs - St.Decs;
 }
 
-bool PNCounter::summarize(const Call &First, const Call &Second,
-                          Call &Out) const {
+bool PNCounter::joinInto(Call &Into, const Call &Delta) const {
   // Each group is closed under summarization separately; cross-group
   // pairs are rejected.
-  if (First.Method != Second.Method ||
-      (First.Method != Increment && First.Method != Decrement))
+  if (Into.Method != Delta.Method ||
+      (Into.Method != Increment && Into.Method != Decrement))
     return false;
-  Out = Call(First.Method, {First.Args[0] + Second.Args[0]},
-             Second.Issuer, Second.Req);
+  Into.Args[0] += Delta.Args[0];
+  Into.Issuer = Delta.Issuer;
+  Into.Req = Delta.Req;
   return true;
 }
 

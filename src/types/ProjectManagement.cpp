@@ -10,7 +10,6 @@
 
 #include "hamband/types/Schema.h"
 
-#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -134,15 +133,12 @@ Value TwoEntitySchema::query(const ObjectState &S, const Call &C) const {
   return Count;
 }
 
-bool TwoEntitySchema::summarize(const Call &First, const Call &Second,
-                                Call &Out) const {
-  if (First.Method != AddB || Second.Method != AddB)
+bool TwoEntitySchema::joinInto(Call &Into, const Call &Delta) const {
+  if (Into.Method != AddB || Delta.Method != AddB)
     return false;
-  std::vector<Value> Union = First.Args;
-  for (Value V : Second.Args)
-    if (std::find(Union.begin(), Union.end(), V) == Union.end())
-      Union.push_back(V);
-  Out = Call(AddB, std::move(Union), Second.Issuer, Second.Req);
+  appendUnion(Into.Args, Delta.Args);
+  Into.Issuer = Delta.Issuer;
+  Into.Req = Delta.Req;
   return true;
 }
 

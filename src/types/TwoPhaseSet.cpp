@@ -6,7 +6,6 @@
 
 #include "hamband/types/TwoPhaseSet.h"
 
-#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -71,16 +70,13 @@ Value TwoPhaseSet::query(const ObjectState &S, const Call &C) const {
                                                                    : 0;
 }
 
-bool TwoPhaseSet::summarize(const Call &First, const Call &Second,
-                            Call &Out) const {
-  if (First.Method != Second.Method ||
-      (First.Method != Add && First.Method != Remove))
+bool TwoPhaseSet::joinInto(Call &Into, const Call &Delta) const {
+  if (Into.Method != Delta.Method ||
+      (Into.Method != Add && Into.Method != Remove))
     return false;
-  std::vector<Value> Union = First.Args;
-  for (Value V : Second.Args)
-    if (std::find(Union.begin(), Union.end(), V) == Union.end())
-      Union.push_back(V);
-  Out = Call(First.Method, std::move(Union), Second.Issuer, Second.Req);
+  appendUnion(Into.Args, Delta.Args);
+  Into.Issuer = Delta.Issuer;
+  Into.Req = Delta.Req;
   return true;
 }
 

@@ -159,12 +159,12 @@ private:
 /// calls still summarizes exactly; only a fold of a fold loses data.
 class GSetLossyFold : public types::GSet {
 public:
-  bool summarize(const Call &First, const Call &Second,
-                 Call &Out) const override {
-    if (!GSet::summarize(First, Second, Out))
+  bool joinInto(Call &Into, const Call &Delta) const override {
+    std::size_t Held = Into.Args.size();
+    if (!GSet::joinInto(Into, Delta))
       return false;
-    if (First.Args.size() >= 3)
-      Out.Args.pop_back();
+    if (Held >= 3)
+      Into.Args.pop_back();
     return true;
   }
 };
@@ -174,12 +174,12 @@ public:
 /// still summarizes exactly; only a fold of a fold over-counts.
 class CounterDoubleCountingFold : public types::Counter {
 public:
-  bool summarize(const Call &First, const Call &Second,
-                 Call &Out) const override {
-    if (!Counter::summarize(First, Second, Out))
+  bool joinInto(Call &Into, const Call &Delta) const override {
+    Value Held = Into.Args[0];
+    if (!Counter::joinInto(Into, Delta))
       return false;
-    if (First.Args[0] >= 3)
-      Out.Args[0] += Second.Args[0];
+    if (Held >= 3)
+      Into.Args[0] += Delta.Args[0];
     return true;
   }
 };

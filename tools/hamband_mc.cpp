@@ -16,6 +16,7 @@
 //   hamband_mc --type counter --calls 4            # one type
 //   hamband_mc --type all --calls 4 --crashes 1    # the CI sweep
 //   hamband_mc --type counter --calls 3 --deltas   # delta-mode cluster
+//   hamband_mc --type bank-account --crashes 1 --batch  # batched cluster
 //   M=drop-conflict:withdraw/withdraw              # a corrupted spec
 //   hamband_mc --type bank-account --mutate $M --dump ce.ftrace
 //   hamband_fuzz --replay-trace ce.ftrace          # reproduces the CE
@@ -62,6 +63,10 @@ struct Options {
   // (bounded SummaryDelta frames, full images on request, see
   // docs/deltas.md).
   bool Deltas = false;
+  // Explore the batched cluster (docs/batching.md): flushes coalesce
+  // conflict-free calls, and a group leader puts the conflicting calls it
+  // accepts in one client-lane burst into one log entry.
+  bool Batch = false;
   // Explore the cluster with an online membership transition folded into
   // the workload (docs/reconfig.md): the last provisioned node joins at
   // the workload midpoint, adding the transition's stage decisions to the
@@ -77,7 +82,8 @@ int usage(const char *Argv0) {
       "usage: %s [--type NAME|all] [--calls N] [--nodes N] [--crashes K]\n"
       "          [--seed S] [--budget RUNS] [--max-branch IDX]\n"
       "          [--mutate KIND:mA/mB] [--dump FILE] [--json] [--verbose]\n"
-      "          [--deltas] [--reconfig] [--transport sim] [--shards 1]\n",
+      "          [--batch] [--deltas] [--reconfig] [--transport sim]\n"
+      "          [--shards 1]\n",
       Argv0);
   return 2;
 }
@@ -115,6 +121,12 @@ obs::json::Value reportToJson(const McReport &R) {
   O.add("naive_log10", Value::makeDouble(static_cast<double>(R.NaiveLog10)));
   O.add("reduction_factor", Value::makeDouble(reductionFactor(R)));
   O.add("budget_exhausted", Value::makeBool(R.BudgetExhausted));
+  // Batched explorations add whether any schedule coalesced conflicting
+  // calls into a shared log entry.
+  if (R.Base.Batched) {
+    O.add("batched", Value::makeBool(true));
+    O.add("coalesced_calls", Value::makeUInt(R.CoalescedCalls));
+  }
   Value Viols = obs::json::Value::makeArray();
   if (R.Violation) {
     const McViolation &V = *R.Violation;
@@ -161,6 +173,8 @@ int main(int Argc, char **Argv) {
       Opt.Json = true;
     else if (A == "--verbose")
       Opt.Verbose = true;
+    else if (A == "--batch")
+      Opt.Batch = true;
     else if (A == "--deltas")
       Opt.Deltas = true;
     else if (A == "--reconfig")
@@ -255,21 +269,24 @@ int main(int Argc, char **Argv) {
     RS.Nodes = Opt.Nodes;
     RS.Calls = Opt.Calls;
     RS.WorkSeed = Opt.Seed;
+    RS.Batched = Opt.Batch;
     RS.Deltas = Opt.Deltas;
     RS.Reconfig = Opt.Reconfig;
     McReport R = exploreType(RS, MO);
     AllOk &= R.ok();
+    std::string Coalesced =
+        Opt.Batch ? " coalesced=" + std::to_string(R.CoalescedCalls) : "";
     if (!Opt.Json || Opt.Verbose)
       std::printf("%-18s%s explored=%" PRIu64 " choice-points=%" PRIu64
                   " branch-points=%" PRIu64 " pruned[dep=%" PRIu64
                   " sleep=%" PRIu64 "] deduped=%" PRIu64
-                  " crash-placements=%" PRIu64 " reduction=%.3gx%s %s\n",
+                  " crash-placements=%" PRIu64 " reduction=%.3gx%s%s %s\n",
                   TN.c_str(), Opt.Mutation.empty() ? "" : "(mutated)",
                   R.Explored, R.ChoicePoints, R.BranchPoints,
                   R.PrunedDependence, R.PrunedSleep, R.DedupedSubtrees,
                   R.CrashPlacements, reductionFactor(R),
                   R.BudgetExhausted ? " (budget exhausted)" : "",
-                  R.ok() ? "OK" : "VIOLATION");
+                  Coalesced.c_str(), R.ok() ? "OK" : "VIOLATION");
     if (R.Violation) {
       const McViolation &V = *R.Violation;
       if (!Opt.Json || Opt.Verbose)
