@@ -65,8 +65,6 @@ struct RunnerOptions {
   /// every generated call is keyed by its drawn object index, dispatching
   /// to the owning shard.
   unsigned NumShards = 0;
-  /// Virtual nodes per shard on the placement ring (NumShards > 0 only).
-  unsigned KeyspaceVirtualNodes = 64;
   /// Invoked once per run on the freshly started Hamband cluster, before
   /// any workload call is issued. Lets big-state experiments pre-load
   /// every replica with an agreed summary

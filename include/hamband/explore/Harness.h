@@ -158,8 +158,9 @@ bool writeTraceFile(const std::string &Path, const RunSpec &Spec,
 
 /// Parses a dumped trace file back into a RunSpec + FaultTrace. The
 /// header is a sequence of key=value tokens; legacy 4-field headers
-/// (without mutation=/batched=/deltas=) and headers with unknown extra
-/// keys are both accepted.
+/// (without mutation=/batched=/deltas=/reconfig=) are accepted. False on
+/// an unknown key, on a nodes=, calls= or workseed= value that is not a
+/// whole decimal number, and on nodes=0 or calls=0.
 bool readTraceFile(const std::string &Path, RunSpec &Spec,
                    sim::FaultTrace &Trace);
 

@@ -222,8 +222,8 @@ private:
   void updateDedupGauge();
   /// Origin side: completes request \p Id, or re-routes it on Retry.
   void onAnswer(RequestId Id, ConfOutcome Outcome);
-  /// The one insert into the pending log: ring-read, caught-up and
-  /// self-committed entries alike.
+  /// The one insert into the pending log, called from the instance's
+  /// delivery hook: ring-read, caught-up and self-committed entries alike.
   void deliver(unsigned G, std::uint64_t Index, std::vector<WireCall> Calls);
 
   rdma::Transport &Fabric;

@@ -11,6 +11,11 @@
 /// single one-sided write per follower into the L rings; an entry commits
 /// once a majority of those writes complete.
 ///
+/// Each node's L ring is its one copy of the group's log, the leader's
+/// included: a follower's ring holds the entries the leader wrote there,
+/// and a leader keeps each entry it appends, as a candidate each entry it
+/// fetches, in its own ring as an already-consumed cell.
+///
 /// Fault tolerance follows Mu's permission scheme: only the recognized
 /// leader holds write permission on a node's L ring. When a follower
 /// suspects the leader (heartbeat), it campaigns by writing an epoch
@@ -19,12 +24,13 @@
 /// permission *before* granting the candidate's, then acks (with its
 /// received-entry count) into its single-writer ack slot on the candidate.
 /// With a majority of acks the candidate equalizes the logs (reading any
-/// missing entries from the most advanced acker -- consumed ring cells
-/// keep their bytes until the writer laps) and resumes as leader.
+/// missing entries from the most advanced acker's ring -- consumed and
+/// kept cells keep their bytes until the ring laps) and resumes as leader.
 /// Therefore at most one node can ever append to a majority of L rings.
 /// The leader is the lowest-id candidate of the highest epoch. The instance
 /// owns its L-ring writers and this node's L-ring reader; every entry it
-/// learns, read or caught up, reaches the node through one delivery hook.
+/// learns -- read from the ring, caught up, or committed as leader in its
+/// own view -- reaches the node through one delivery hook.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +42,6 @@
 #include "hamband/runtime/Reconfig.h"
 #include "hamband/runtime/RingBuffer.h"
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -52,7 +57,8 @@ public:
     /// Contiguous count of this group's entries this node has received
     /// (applied + buffered). The leader reports its append index.
     std::function<std::uint64_t()> ReceivedCount;
-    /// Delivers entry \p Index, read from the L ring or caught up.
+    /// Delivers entry \p Index: read from the L ring, caught up, or, at
+    /// the leader, committed in its own view.
     std::function<void(std::uint64_t Index, std::vector<std::uint8_t>)>
         DeliverEntry;
     /// Fired when this node adopts a new leader (possibly itself), after
@@ -85,14 +91,15 @@ public:
   /// and no follower ring is full).
   bool canAppend() const;
 
-  /// Leader-only: replicates \p EntryBytes as the next log entry.
-  /// \p OnCommitted fires with true once a majority of follower writes
-  /// completed (the leader's own copy counts toward the majority), or
-  /// false when the append cannot commit (lost leadership; the instance
-  /// then appends nothing more until its next view change). Returns false
-  /// without posting anything when this node is not the (ready) leader or
-  /// a follower ring is full (caller retries).
-  bool leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
+  /// Leader-only: keeps \p EntryBytes in this node's L ring as the next
+  /// log entry and replicates it. \p OnCommitted fires with true once a
+  /// majority of follower writes completed (the leader's own copy counts
+  /// toward the majority; a commit in the appending view reaches
+  /// DeliverEntry first), or false when the append cannot commit (lost
+  /// leadership; the instance then appends nothing more until its next
+  /// view change). Returns false without posting anything when this node
+  /// is not the (ready) leader or a follower ring is full (caller retries).
+  bool leaderAppend(std::vector<std::uint8_t> EntryBytes,
                     std::function<void(bool)> OnCommitted);
 
   /// Failure-detector hook: if \p Peer is the current leader, campaign.
@@ -155,23 +162,13 @@ private:
   /// append nothing more until a new view.
   bool Refused = false;
   std::map<rdma::NodeId, std::unique_ptr<RingWriter>> Writers;
-  RingReader Reader; // Follower state: this node's own L ring.
+  RingReader Reader; // This node's own L ring: its log copy.
   /// Candidate state.
   bool Campaigning = false;
   std::uint64_t CampaignEpoch = 0;
   /// Voter received-counts gathered from ack slots (index = voter).
   std::vector<std::uint64_t> AckReceived;
   std::vector<bool> AckSeen;
-  /// Recent entry payloads for laggard replication, pruned as followers
-  /// advance once more than MaxCachedEntries are held: the payload of
-  /// entry LogCacheBase + i at position i, empty where none is held. A
-  /// deque of payloads, not a map, because it holds thousands of them.
-  static constexpr std::size_t MaxCachedEntries = 8192;
-  std::deque<std::vector<std::uint8_t>> LogCache;
-  std::uint64_t LogCacheBase = 0;
-  std::size_t LogCacheHeld = 0;
-  void cacheEntry(std::uint64_t Index, std::vector<std::uint8_t> Payload);
-  const std::vector<std::uint8_t> *cachedEntry(std::uint64_t Index) const;
 };
 
 } // namespace runtime

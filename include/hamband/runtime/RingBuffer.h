@@ -72,6 +72,12 @@ struct RingGeometry {
     return static_cast<std::size_t>(maxSpanCells()) * CellSize - HeaderBytes -
            1;
   }
+
+  /// Parses the single-cell record of absolute \p Index from a copy of its
+  /// \p Cell, whatever its canary: fills \p Out with the payload. False
+  /// when the cell names another index or holds no single-cell record.
+  bool decodeCell(const std::vector<std::uint8_t> &Cell, std::uint64_t Index,
+                  std::vector<std::uint8_t> &Out) const;
 };
 
 /// The writer's end of a single-writer ring living on a remote reader.
@@ -200,11 +206,17 @@ public:
   void setWriter(rdma::NodeId NewWriter) { Writer = NewWriter; }
 
   /// Reads the single-cell record at absolute \p Index whatever its
-  /// canary: a *consumed* cell's bytes stay valid until the writer laps
-  /// the ring, which is what leader-change catch-up relies on. False when
-  /// the cell's sequence number mismatches.
+  /// canary: a *consumed* or kept cell's bytes stay valid until the writer
+  /// laps the ring, which is what leader-change catch-up relies on. False
+  /// when the cell's sequence number mismatches.
   bool readCellIgnoringCanary(std::uint64_t Index,
                               std::vector<std::uint8_t> &Out) const;
+
+  /// Stores \p Payload in this node's cell of absolute \p Index as an
+  /// already-consumed single-cell record (a Mu entry this node appended or
+  /// fetched): readCellIgnoringCanary returns it, peek never delivers it.
+  /// A local store: it posts nothing, allocates nothing, moves no head.
+  void keep(std::uint64_t Index, const std::vector<std::uint8_t> &Payload);
 
   /// Immediately posts the current head to the (possibly new) writer's
   /// feedback slot.

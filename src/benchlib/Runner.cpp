@@ -128,7 +128,6 @@ RunResult benchlib::runOnce(const ObjectType &Type,
     if (IsSharded) {
       runtime::KeyspaceConfig KSCfg;
       KSCfg.NumShards = Opts.NumShards;
-      KSCfg.VirtualNodes = Opts.KeyspaceVirtualNodes;
       C = std::make_unique<runtime::HambandCluster>(
           Opts.Transport, Opts.NumNodes, Type, KSCfg, Opts.Model, BaseCfg);
       // The workload's objects are registered as ids "obj<i>" so the

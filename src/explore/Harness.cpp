@@ -11,6 +11,7 @@
 #include "hamband/semantics/RdmaSemantics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -464,8 +465,13 @@ bool explore::readTraceFile(const std::string &Path, RunSpec &Cfg,
   std::string Header;
   if (!std::getline(IS, Header))
     return false;
-  // Key=value header; unknown keys are skipped so newer dumps still load.
+  // Key=value header. An unknown key names a setting this build cannot
+  // reproduce, so the file is refused rather than replayed as another run.
   std::istringstream HS(Header);
+  auto ParseWhole = [](const std::string &V, auto &Out) {
+    auto [Ptr, Ec] = std::from_chars(V.data(), V.data() + V.size(), Out);
+    return Ec == std::errc() && Ptr == V.data() + V.size();
+  };
   std::string Tok;
   if (!(HS >> Tok) || Tok != "#" || !(HS >> Tok) || Tok != "hamband_fuzz")
     return false;
@@ -484,13 +490,16 @@ bool explore::readTraceFile(const std::string &Path, RunSpec &Cfg,
       Cfg.TypeName = V;
       HaveType = true;
     } else if (K == "nodes") {
-      Cfg.Nodes = static_cast<unsigned>(std::strtoul(V.c_str(), nullptr, 10));
+      if (!ParseWhole(V, Cfg.Nodes) || Cfg.Nodes == 0)
+        return false;
       HaveNodes = true;
     } else if (K == "calls") {
-      Cfg.Calls = static_cast<unsigned>(std::strtoul(V.c_str(), nullptr, 10));
+      if (!ParseWhole(V, Cfg.Calls) || Cfg.Calls == 0)
+        return false;
       HaveCalls = true;
     } else if (K == "workseed") {
-      Cfg.WorkSeed = std::strtoull(V.c_str(), nullptr, 10);
+      if (!ParseWhole(V, Cfg.WorkSeed))
+        return false;
       HaveSeed = true;
     } else if (K == "mutation") {
       Cfg.Mutation = V;
@@ -500,6 +509,8 @@ bool explore::readTraceFile(const std::string &Path, RunSpec &Cfg,
       Cfg.Deltas = V != "0";
     } else if (K == "reconfig") {
       Cfg.Reconfig = V != "0";
+    } else {
+      return false;
     }
   }
   if (!HaveType || !HaveNodes || !HaveCalls || !HaveSeed)

@@ -299,7 +299,6 @@ void ConfChannel::appendAccepted(unsigned G) {
       Framed += 4 + A.Entry.size();
     }
     std::vector<std::uint8_t> Entry;
-    std::vector<WireCall> Batch;
     std::vector<std::pair<ProcessId, RequestId>> Answers;
     if (End - Next == 1) {
       Entry = std::move(Calls[Next].Entry);
@@ -309,30 +308,27 @@ void ConfChannel::appendAccepted(unsigned G) {
         Encoded.push_back(std::move(Calls[I].Entry));
       Entry = encodeCallBatch(Encoded);
     }
-    for (std::size_t I = Next; I < End; ++I) {
+    for (std::size_t I = Next; I < End; ++I)
       Answers.emplace_back(Calls[I].Parked.Origin, Calls[I].WC.TheCall.Req);
-      Batch.push_back(std::move(Calls[I].WC));
-    }
     bool Posted = Mu.leaderAppend(
-        Entry, [this, G, Index, Batch = std::move(Batch), Answers,
-                Term = Mu.epoch()](bool Committed) mutable {
-          // A commit that lands after this node was deposed must not enter
-          // the log copy: the new leader's log decides the entry's fate.
-          // An append refused in this view is in no log this node knows
-          // of, so its dedup entries go too.
-          if (!Committed || Consensus[G]->epoch() != Term) {
-            if (!Committed && Consensus[G]->epoch() == Term) {
-              for (const auto &[Origin, Id] : Answers)
-                Seen[G].erase(Id);
-              updateDedupGauge();
-            }
+        std::move(Entry),
+        [this, G, Answers = std::move(Answers),
+         Term = Mu.epoch()](bool Committed) {
+          // A commit of this view reached the delivery hook first. One that
+          // lands after this node was deposed is in no log copy here: the
+          // new leader's log decides the entry's fate. An append refused
+          // in this view is in no log this node knows of, so its dedup
+          // entries go too.
+          bool InView = Consensus[G]->epoch() == Term;
+          if (!Committed && InView) {
             for (const auto &[Origin, Id] : Answers)
-              answer(Origin, Id, ConfOutcome::Retry);
-            return;
+              Seen[G].erase(Id);
+            updateDedupGauge();
           }
-          deliver(G, Index, std::move(Batch));
           for (const auto &[Origin, Id] : Answers)
-            answer(Origin, Id, ConfOutcome::Committed);
+            answer(Origin, Id,
+                   Committed && InView ? ConfOutcome::Committed
+                                       : ConfOutcome::Retry);
         });
     assert(Posted && "canAppend() was checked above");
     (void)Posted;

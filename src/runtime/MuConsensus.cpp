@@ -13,8 +13,11 @@ using namespace hamband;
 using namespace hamband::runtime;
 
 namespace {
-/// Shared tally for one append's completions.
+/// One append's completions, and the entry its commit delivers.
 struct CommitTally {
+  std::uint64_t Index = 0;
+  std::vector<std::uint8_t> Entry;
+  std::function<void(bool)> OnCommitted;
   unsigned Successes = 0;
   unsigned Failures = 0;
   bool Decided = false;
@@ -120,7 +123,7 @@ bool MuConsensus::canAppend() const {
   return true;
 }
 
-bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
+bool MuConsensus::leaderAppend(std::vector<std::uint8_t> EntryBytes,
                                std::function<void(bool)> OnCommitted) {
   if (!canAppend())
     return false;
@@ -131,29 +134,22 @@ bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
   // The leader's own log copy counts toward the majority.
   unsigned NeededRemote = Majority > 0 ? Majority - 1 : 0;
 
-  cacheEntry(NextIndex, EntryBytes);
-  if (LogCacheHeld > MaxCachedEntries) {
-    // Retain only what laggard followers may still need.
-    std::uint64_t MinTail = NextIndex;
-    for (auto &[F, W] : Writers)
-      MinTail = std::min(MinTail, W->tail());
-    for (; !LogCache.empty() && LogCacheBase < MinTail; ++LogCacheBase) {
-      LogCacheHeld -= !LogCache.front().empty();
-      LogCache.pop_front();
-    }
-  }
-
-  auto Tally = std::make_shared<CommitTally>();
+  auto Tally = std::make_shared<CommitTally>(CommitTally{
+      NextIndex, std::move(EntryBytes), std::move(OnCommitted)});
+  Reader.keep(NextIndex, Tally->Entry);
   unsigned NumFollowers = static_cast<unsigned>(Writers.size());
-  auto Decide = [this, Tally, Term = Epoch,
-                 Done = std::make_shared<std::function<void(bool)>>(
-                     std::move(OnCommitted))](bool Ok) {
+  auto Decide = [this, Tally, Term = Epoch](bool Ok) {
     Tally->Decided = true;
     if (Ok && CtrCommit)
       CtrCommit->add();
     Refused |= !Ok && Epoch == Term;
-    if (*Done)
-      (*Done)(Ok);
+    // A commit of this view is delivered like a ring-read entry. One that
+    // lands after a view change is not: the new leader's log decides the
+    // entry's fate.
+    if (Ok && Epoch == Term)
+      TheHooks.DeliverEntry(Tally->Index, std::move(Tally->Entry));
+    if (Tally->OnCommitted)
+      Tally->OnCommitted(Ok);
   };
   auto OnOne = [Tally, NeededRemote, NumFollowers,
                 Decide](rdma::WcStatus St) {
@@ -170,7 +166,7 @@ bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
   };
 
   for (auto &[F, W] : Writers) {
-    bool Appended = W->append(EntryBytes, OnOne);
+    bool Appended = W->append(Tally->Entry, OnOne);
     assert(Appended && "ring fullness was checked above");
     (void)Appended;
   }
@@ -350,17 +346,11 @@ void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
         Self, Holder, CellOff, G.CellSize,
         [this, Index, Next, G](rdma::WcStatus,
                                std::vector<std::uint8_t> Cell) {
-          std::uint32_t Len = 0;
-          std::uint64_t Seq = 0;
-          std::memcpy(&Len, Cell.data(), 4);
-          std::memcpy(&Seq, Cell.data() + 4, 8);
-          if (Seq == Index && Len <= G.maxPayload()) {
-            std::vector<std::uint8_t> Payload(
-                Cell.begin() + RingGeometry::HeaderBytes,
-                Cell.begin() + RingGeometry::HeaderBytes + Len);
-            cacheEntry(Index, Payload);
-            if (TheHooks.DeliverEntry)
-              TheHooks.DeliverEntry(Index, std::move(Payload));
+          // The fetched entry joins this node's log copy, its own ring.
+          std::vector<std::uint8_t> Payload;
+          if (G.decodeCell(Cell, Index, Payload)) {
+            Reader.keep(Index, Payload);
+            TheHooks.DeliverEntry(Index, std::move(Payload));
           }
           if (Next)
             (*Next)(Index + 1);
@@ -377,45 +367,13 @@ void MuConsensus::replicateMissingToFollowers() {
     RingWriter &W = writerTo(V);
     // Clamp: a voter can never legitimately be ahead of the adopted log.
     W.setTail(std::min(AckReceived[V], NextIndex));
-    // Bring the follower up to NextIndex from the log cache or our own
-    // ring copy (consumed cells keep their bytes).
+    // Bring the follower up to NextIndex from our own ring, which holds
+    // every entry this node received, fetched or appended.
     for (std::uint64_t I = AckReceived[V]; I < NextIndex; ++I) {
       std::vector<std::uint8_t> Bytes;
-      if (const std::vector<std::uint8_t> *Cached = cachedEntry(I))
-        Bytes = *Cached;
-      else if (!Reader.readCellIgnoringCanary(I, Bytes))
+      if (!Reader.readCellIgnoringCanary(I, Bytes))
         continue; // Overwritten; the follower stays behind (bounded lag).
       W.append(Bytes, nullptr);
     }
   }
-}
-
-void MuConsensus::cacheEntry(std::uint64_t Index,
-                             std::vector<std::uint8_t> Payload) {
-  // Entries held from an earlier leadership, more than a prune's worth
-  // behind the new one, are dropped rather than bridged with empty slots:
-  // no follower that far behind can take them (its ring is smaller).
-  if (Index > LogCacheBase + LogCache.size() + MaxCachedEntries) {
-    LogCache.clear();
-    LogCacheHeld = 0;
-  }
-  if (LogCache.empty())
-    LogCacheBase = Index;
-  if (Index < LogCacheBase) {
-    LogCache.insert(LogCache.begin(), LogCacheBase - Index, {});
-    LogCacheBase = Index;
-  }
-  if (Index - LogCacheBase >= LogCache.size())
-    LogCache.resize(Index - LogCacheBase + 1);
-  std::vector<std::uint8_t> &Slot = LogCache[Index - LogCacheBase];
-  LogCacheHeld += Slot.empty();
-  Slot = std::move(Payload);
-}
-
-const std::vector<std::uint8_t> *
-MuConsensus::cachedEntry(std::uint64_t Index) const {
-  if (Index < LogCacheBase || Index - LogCacheBase >= LogCache.size())
-    return nullptr;
-  const std::vector<std::uint8_t> &Slot = LogCache[Index - LogCacheBase];
-  return Slot.empty() ? nullptr : &Slot;
 }

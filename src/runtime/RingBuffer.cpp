@@ -153,22 +153,46 @@ RingReader::RingReader(rdma::Transport &Fabric, rdma::NodeId Reader,
     : Fabric(Fabric), Reader(Reader), Writer(Writer), DataOff(DataOff),
       FeedbackOff(FeedbackOff), Geom(Geom), Lane(Lane) {}
 
+bool RingGeometry::decodeCell(const std::vector<std::uint8_t> &Cell,
+                              std::uint64_t Index,
+                              std::vector<std::uint8_t> &Out) const {
+  assert(Cell.size() == CellSize && "a cell copy holds the whole cell");
+  std::uint32_t Len = 0;
+  std::uint64_t Seq = 0;
+  std::memcpy(&Len, Cell.data(), 4);
+  std::memcpy(&Seq, Cell.data() + 4, 8);
+  if (Seq != Index || Len > maxPayload())
+    return false;
+  Out.assign(Cell.begin() + HeaderBytes, Cell.begin() + HeaderBytes + Len);
+  return true;
+}
+
 bool RingReader::readCellIgnoringCanary(std::uint64_t Index,
                                         std::vector<std::uint8_t> &Out) const {
-  const rdma::MemoryRegion &Mem = Fabric.memory(Reader);
   rdma::MemOffset CellOff =
       DataOff + static_cast<rdma::MemOffset>(Index % Geom.NumCells) *
                     Geom.CellSize;
-  std::uint32_t Len = 0;
-  std::uint64_t Seq = 0;
+  return Geom.decodeCell(Fabric.memory(Reader).slice(CellOff, Geom.CellSize),
+                         Index, Out);
+}
+
+void RingReader::keep(std::uint64_t Index,
+                      const std::vector<std::uint8_t> &Payload) {
+  assert(Payload.size() <= Geom.maxPayload() && "a kept record is one cell");
+  rdma::MemoryRegion &Mem = Fabric.memory(Reader);
+  rdma::MemOffset CellOff =
+      DataOff + static_cast<rdma::MemOffset>(Index % Geom.NumCells) *
+                    Geom.CellSize;
+  // Canary first, so the cell never reads as a complete unconsumed record.
+  Mem.writeU8(CellOff + Geom.CellSize - 1, 0);
   std::uint8_t Header[RingGeometry::HeaderBytes];
-  Mem.read(CellOff, Header, sizeof(Header));
-  std::memcpy(&Len, Header, 4);
-  std::memcpy(&Seq, Header + 4, 8);
-  if (Seq != Index || Len > Geom.maxPayload())
-    return false;
-  Out = Mem.slice(CellOff + RingGeometry::HeaderBytes, Len);
-  return true;
+  std::uint32_t Len = static_cast<std::uint32_t>(Payload.size());
+  std::memcpy(Header, &Len, 4);
+  std::memcpy(Header + 4, &Index, 8);
+  Mem.write(CellOff, Header, sizeof(Header));
+  if (!Payload.empty()) // An empty payload's data() may be null.
+    Mem.write(CellOff + RingGeometry::HeaderBytes, Payload.data(),
+              Payload.size());
 }
 
 void RingReader::forceFeedback() {

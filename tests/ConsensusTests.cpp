@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <set>
 
 using namespace hamband;
 using namespace hamband::runtime;
@@ -21,8 +23,9 @@ using namespace hamband::runtime;
 namespace {
 
 /// A miniature node hosting one consensus instance: tracks the entries
-/// it delivers (read from its own conf ring or fetched in catch-up), and
-/// polls like the real poller does.
+/// it delivers (read from its own conf ring, fetched in catch-up or
+/// committed as leader), and polls like the real poller does unless
+/// paused.
 struct MiniNode {
   MiniNode(rdma::Fabric &Fab, rdma::NodeId Self, const MemoryMap &Map,
            rdma::RegionKey Key, rdma::NodeId InitialLeader)
@@ -32,6 +35,7 @@ struct MiniNode {
     Hooks.ReceivedCount = [this]() { return Received; };
     Hooks.DeliverEntry = [this](std::uint64_t Idx,
                                 std::vector<std::uint8_t> Payload) {
+      Delivered.push_back(Idx);
       Entries[Idx] = std::move(Payload);
       bump();
     };
@@ -51,6 +55,8 @@ struct MiniNode {
   }
 
   void poll() {
+    if (Paused)
+      return;
     Cons->pollLog();
     Cons->poll();
   }
@@ -61,7 +67,10 @@ struct MiniNode {
   Membership Members;
   std::unique_ptr<MuConsensus> Cons;
   std::map<std::uint64_t, std::vector<std::uint8_t>> Entries;
+  /// Every delivered index, in delivery order.
+  std::vector<std::uint64_t> Delivered;
   std::uint64_t Received = 0;
+  bool Paused = false;
   std::set<rdma::NodeId> Suspected;
   std::vector<rdma::NodeId> LeaderChanges;
 };
@@ -215,4 +224,72 @@ TEST_F(ConsensusTest, CanAppendReflectsRingBackpressure) {
   EXPECT_FALSE(Leader.Cons->canAppend());
   run(100); // Followers consume and publish head feedback.
   EXPECT_TRUE(Leader.Cons->canAppend());
+}
+
+TEST_F(ConsensusTest, LeaderDeliversItsOwnCommitsOnceInIndexOrder) {
+  MiniNode &Leader = *NodesVec[0];
+  std::vector<std::uint64_t> CommittedAt;
+  for (std::uint8_t I = 0; I < 5; ++I)
+    ASSERT_TRUE(Leader.Cons->leaderAppend(entry(I), [&, I](bool Ok) {
+      EXPECT_TRUE(Ok);
+      // The hook ran first: the commit's entry is in the log copy.
+      EXPECT_TRUE(Leader.Entries.count(I));
+      CommittedAt.push_back(I);
+    }));
+  run(100);
+  EXPECT_EQ(CommittedAt.size(), 5u);
+  EXPECT_EQ(Leader.Delivered, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+  for (std::uint8_t I = 0; I < 5; ++I)
+    EXPECT_EQ(Leader.Entries.at(I), entry(I));
+  // Its own ring holds them as consumed cells: the poller delivers none.
+  EXPECT_EQ(Leader.Cons->pollLog(), 0u);
+}
+
+TEST_F(ConsensusTest, CommitLandingAfterTheLeaderAdoptedAnotherIsNotDelivered) {
+  MiniNode &Leader = *NodesVec[0];
+  std::optional<bool> Outcome;
+  ASSERT_TRUE(Leader.Cons->leaderAppend(
+      entry(3), [&](bool Ok) { Outcome = Ok; }));
+  // Node 0 hands the group to node 1 while its writes are in flight; the
+  // followers have not moved, so the writes still land and commit.
+  Leader.Cons->adoptLeadership(1, 1);
+  run(50);
+  ASSERT_EQ(Outcome, std::optional<bool>(true));
+  EXPECT_TRUE(Leader.Delivered.empty());
+  for (unsigned I = 1; I < N; ++I)
+    EXPECT_EQ(NodesVec[I]->Entries.at(0), entry(3)) << "node " << I;
+}
+
+TEST_F(ConsensusTest, LateVoterGetsTheLeadersOwnAppendsFromItsRing) {
+  // Node 1 takes over from node 0 without waiting for node 3, which it
+  // suspects and which does not poll, then appends five entries itself.
+  for (unsigned I = 1; I < N; ++I)
+    NodesVec[I]->Suspected.insert(0);
+  NodesVec[1]->Suspected.insert(3);
+  NodesVec[3]->Paused = true;
+  NodesVec[1]->Cons->onPeerSuspected(0);
+  run(200);
+  MiniNode &Leader = *NodesVec[1];
+  ASSERT_TRUE(Leader.Cons->isLeader());
+  for (std::uint8_t I = 0; I < 5; ++I)
+    ASSERT_TRUE(Leader.Cons->leaderAppend(entry(I), nullptr));
+  run(100);
+  ASSERT_EQ(NodesVec[3]->Received, 0u);
+  // The leader's ring is its log copy: its appends are there.
+  RingReader LeaderRing(Fab, 1, 1, Map.confRingData(0),
+                        Map.confRingFeedback(0, 1), Map.confGeom());
+  for (std::uint8_t I = 0; I < 5; ++I) {
+    std::vector<std::uint8_t> Cell;
+    ASSERT_TRUE(LeaderRing.readCellIgnoringCanary(I, Cell));
+    EXPECT_EQ(Cell, entry(I));
+  }
+
+  // Node 3 wakes, adopts node 1 and acks late; the leader brings it up
+  // to date from that ring.
+  NodesVec[3]->Paused = false;
+  run(200);
+  EXPECT_EQ(NodesVec[3]->Cons->currentLeader(), 1u);
+  ASSERT_EQ(NodesVec[3]->Received, 5u);
+  for (std::uint8_t I = 0; I < 5; ++I)
+    EXPECT_EQ(NodesVec[3]->Entries.at(I), entry(I)) << "entry " << int(I);
 }

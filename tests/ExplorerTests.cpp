@@ -20,6 +20,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -320,6 +322,49 @@ TEST(Harness, TraceHeaderRoundTripsWithAndWithoutMutation) {
     EXPECT_EQ(Parsed.WorkSeed, RS.WorkSeed);
     EXPECT_EQ(Back, T);
   }
+}
+
+TEST(Harness, TraceHeaderWithUnknownKeyOrBadCountIsRefused) {
+  // A key this build does not know names a setting it cannot reproduce,
+  // and a count that is not a whole positive number names no run.
+  sim::FaultTrace T;
+  T.Seed = 7;
+  T.NumNodes = 3;
+  RunSpec RS;
+  RS.TypeName = "counter";
+  RS.Nodes = 3;
+  RS.Calls = 12;
+  RS.WorkSeed = 5;
+  std::string Path = testing::TempDir() + "/harness_bad.ftrace";
+  ASSERT_TRUE(writeTraceFile(Path, RS, T));
+  std::string Header, Body;
+  {
+    std::ifstream IS(Path);
+    std::getline(IS, Header);
+    std::stringstream Rest;
+    Rest << IS.rdbuf();
+    Body = Rest.str();
+  }
+  ASSERT_EQ(Header, "# hamband_fuzz type=counter nodes=3 calls=12 workseed=5");
+  auto Parses = [&](const std::string &H) {
+    std::ofstream(Path) << H << "\n" << Body;
+    RunSpec Parsed;
+    sim::FaultTrace Back;
+    return readTraceFile(Path, Parsed, Back);
+  };
+  EXPECT_TRUE(Parses(Header));
+  EXPECT_TRUE(Parses(Header + " batched=1 deltas=0 reconfig=1"));
+  EXPECT_FALSE(Parses(Header + " shards=4 bogus=1"));
+  EXPECT_FALSE(Parses(Header + " bogus=1"));
+  for (const char *Bad :
+       {"nodes=abc calls=12 workseed=5", "nodes=0 calls=12 workseed=5",
+        "nodes=3x calls=12 workseed=5", "nodes=-3 calls=12 workseed=5",
+        "nodes= calls=12 workseed=5", "nodes=99999999999 calls=12 workseed=5",
+        "nodes=3 calls=abc workseed=5", "nodes=3 calls=0 workseed=5",
+        "nodes=3 calls=12x workseed=5", "nodes=3 calls=12 workseed=5s"})
+    EXPECT_FALSE(Parses(std::string("# hamband_fuzz type=counter ") + Bad))
+        << Bad;
+  std::remove(Path.c_str());
 }
 
 TEST(Harness, RunScheduleReportsScheduleAndStageCounts) {

@@ -257,6 +257,41 @@ TEST(OutOfService, StillAppliesRemoteTraffic) {
   EXPECT_EQ(C.node(2).applied(0, Counter::Add), 1u);
 }
 
+TEST(OutOfService, RequestDroppedByTheLeaderIsResentAfterItReturns) {
+  // Leader 0 stops serving without stopping its heartbeat, so no peer
+  // suspects it and no leader change re-routes the call it drops. Only
+  // the origin's re-send timer gets the call answered.
+  sim::Simulator Sim;
+  BankAccount T;
+  HambandCluster C(Sim, 3, T);
+  C.start();
+  bool Seeded = false;
+  C.submit(1, Call(BankAccount::Deposit, {100}, 1, 1),
+           [&](bool, Value) { Seeded = true; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Seeded && C.fullyReplicated(); }));
+  C.node(0).setOutOfService();
+  sim::SimTime Submitted = Sim.now();
+  std::optional<sim::SimTime> Answered;
+  bool Ok = false;
+  C.submit(1, Call(BankAccount::Withdraw, {10}, 1, 2),
+           [&](bool IsOk, Value) {
+             Ok = IsOk;
+             Answered = Sim.now();
+           });
+  Sim.run(Sim.now() + sim::micros(100));
+  ASSERT_FALSE(Answered);
+  C.node(0).returnToService();
+  ASSERT_TRUE(runUntil(Sim, [&] { return Answered && C.fullyReplicated(); }));
+  EXPECT_TRUE(Ok);
+  EXPECT_GE(*Answered - Submitted, C.config().ConfRetryTimeout);
+  EXPECT_EQ(C.leaderOf(0, 1), 0u);
+  for (rdma::NodeId N = 0; N < 3; ++N)
+    EXPECT_EQ(T.query(C.node(N).visibleState(),
+                      Call(BankAccount::Balance, {})),
+              90)
+        << "node " << N;
+}
+
 TEST(LeaderChangeUnderLoad, BankConvergesAcrossFailover) {
   sim::Simulator Sim;
   BankAccount T;
@@ -635,6 +670,52 @@ TEST(LeaderChange, StaggeredSameEpochCandidatesConverge) {
         30000.0))
         << "node 1 campaigned " << DelayUs << " us after node 2";
   }
+}
+
+TEST(LeaderChange, CandidateCatchesUpFromTheLiveLeadersOwnRing) {
+  // Node 0's writes to node 1 are slow, so three withdrawals commit with
+  // node 2's copy alone. Node 1 then campaigns while node 0 is alive:
+  // node 0 and node 2 both ack three entries, node 0 wins the tie, and
+  // node 1 reads the entries from node 0's ring -- which holds the
+  // entries node 0 appended itself.
+  sim::Simulator Sim;
+  BankAccount T;
+  HambandConfig Cfg;
+  Cfg.RecordApplyLog = true;
+  HambandCluster C(Sim, 3, T, {}, Cfg);
+  DelayWrites Slow(0, 1, sim::micros(300));
+  C.fabric().setFaultHook(&Slow);
+  C.start();
+  // Node 0's heartbeat reads of node 1 queue behind the slow writes on
+  // the same channel; it must not take that for a crash and campaign.
+  C.node(0).detector().setMonitored(1, false);
+  bool Seeded = false;
+  C.submit(2, Call(BankAccount::Deposit, {100}, 2, 1),
+           [&](bool, Value) { Seeded = true; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Seeded && C.fullyReplicated(); }));
+  unsigned Committed = 0;
+  for (RequestId Req : {2, 3, 4})
+    C.submit(2, Call(BankAccount::Withdraw, {10}, 2, Req),
+             [&](bool Ok, Value) { Committed += Ok; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Committed == 3; }, 200.0));
+  ASSERT_EQ(C.node(1).conf().receivedContig(0), 0u)
+      << "node 1 must still lack the entries when it campaigns";
+
+  C.node(1).conf().consensus(0)->onPeerSuspected(0);
+  ASSERT_TRUE(runUntil(Sim, [&] {
+    return C.node(1).conf().consensus(0)->isLeader() && C.fullyReplicated();
+  }));
+  const std::vector<std::pair<ProcessId, RequestId>> Want = {
+      {0, 2}, {0, 3}, {0, 4}};
+  for (rdma::NodeId N = 0; N < 3; ++N) {
+    EXPECT_EQ(C.leaderOf(0, N), 1u) << "node " << N;
+    EXPECT_EQ(C.node(N).confApplyLog()[0], Want) << "node " << N;
+    EXPECT_EQ(T.query(C.node(N).visibleState(),
+                      Call(BankAccount::Balance, {})),
+              70)
+        << "node " << N;
+  }
+  C.fabric().setFaultHook(nullptr);
 }
 
 namespace {

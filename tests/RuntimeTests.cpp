@@ -347,6 +347,33 @@ TEST_F(RingTest, ConsumedCellBytesRemainForCatchUp) {
   EXPECT_EQ(Got, (std::vector<std::uint8_t>{9, 9}));
 }
 
+TEST_F(RingTest, KeptCellIsReadableButNeverPeekedUntilALaterLapReplacesIt) {
+  // A leader keeps its own log entries in its ring, one lap of them.
+  for (std::uint8_t I = 0; I < Geom.NumCells; ++I)
+    R.keep(I, {I, 0x4B});
+  std::vector<std::uint8_t> Got;
+  EXPECT_FALSE(R.peek(Got));
+  EXPECT_EQ(R.head(), 0u);
+  for (std::uint8_t I = 0; I < Geom.NumCells; ++I) {
+    ASSERT_TRUE(R.readCellIgnoringCanary(I, Got));
+    EXPECT_EQ(Got, (std::vector<std::uint8_t>{I, 0x4B}));
+  }
+  EXPECT_EQ(Sim.pendingEvents(), 0u); // A local store: nothing was posted.
+
+  // Another writer takes over at the next lap: its write replaces cell 0.
+  R.setHead(Geom.NumCells);
+  R.forceFeedback();
+  Sim.run();
+  W.setTail(Geom.NumCells);
+  ASSERT_TRUE(W.append({7}));
+  Sim.run();
+  EXPECT_FALSE(R.readCellIgnoringCanary(0, Got));
+  ASSERT_TRUE(R.readCellIgnoringCanary(Geom.NumCells, Got));
+  EXPECT_EQ(Got, (std::vector<std::uint8_t>{7}));
+  ASSERT_TRUE(R.peek(Got));
+  EXPECT_EQ(Got, (std::vector<std::uint8_t>{7}));
+}
+
 // -- Spanning records (batched broadcast) ------------------------------------
 
 namespace {

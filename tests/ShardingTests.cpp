@@ -768,7 +768,6 @@ TEST(ShardedRunnerTest, RunnerDrivesShardedDeployment) {
   RO.NumNodes = 4;
   RO.Repetitions = 1;
   RO.NumShards = 2;
-  RO.KeyspaceVirtualNodes = 16;
   benchlib::RunResult R = benchlib::runWorkload(*T, W, RO);
   EXPECT_TRUE(R.Completed);
   EXPECT_EQ(R.CompletedOps, 240u);
