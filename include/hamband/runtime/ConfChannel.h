@@ -10,9 +10,9 @@
 /// "committed", "rejected" or "retry". One request table holds every call
 /// submitted at the node; a call at the leader skips only the mailbox hop,
 /// and its answer reaches the handler of a ConfResponse mail, where
-/// "retry" re-routes it. The node owns A, its installed membership, the
-/// stored state and the visible cache; the channel reads A and the
-/// membership and reaches the rest through four hooks.
+/// "retry" or a view change re-routes it. The node owns A, its installed
+/// membership, the stored state and the visible cache; the channel reads
+/// A and the membership and reaches the rest through four hooks.
 ///
 /// A log entry is one L-ring cell holding one call, or, with batching on,
 /// the calls the leader accepted within one client-lane burst
@@ -79,17 +79,16 @@ public:
   /// node leads its group) or mails it to the leader. A request id that is
   /// still outstanding here is not sent again: \p Done joins its answer.
   void submit(const Call &C, SubmitCallback Done);
-  /// Arms the next request-table timeout scan.
-  void start();
 
   // Poller steps, in poll order. The first three return entries parsed,
   // mails parsed and calls applied.
   unsigned pollLog();
-  /// Requests are dropped unless \p AcceptRequests (node in service).
-  unsigned pollMailboxes(bool AcceptRequests);
+  /// Requests are held while the node is not \p InService.
+  unsigned pollMailboxes(bool InService);
   unsigned applyPending();
-  /// Consensus polls and leader retry queues; returns how many parked
-  /// calls it judged again (the node bills each one ApplyCpu).
+  /// Consensus polls, leader retry queues and view-change re-routes;
+  /// returns how many parked calls it judged again (the node bills each
+  /// one ApplyCpu).
   unsigned poll();
 
   void onPeerSuspected(rdma::NodeId Peer);
@@ -143,12 +142,10 @@ private:
   /// Rejected is terminal for the client; Retry means this node cannot
   /// decide (deposed, or the epoch changed).
   enum class ConfOutcome : std::uint8_t { Rejected, Committed, Retry };
-  /// A call submitted here, until answered. It times out only when routed
-  /// to another node: the leader path always answers the calls it holds.
+  /// A call submitted here, until answered by the node it was last sent to.
   struct Request {
     Call TheCall;
     SubmitCallback Done;
-    sim::SimTime SentAt = 0;
     rdma::NodeId SentTo = 0;
   };
   /// What a permissibility judgement in a group reads: Apply(S)(σ) and
@@ -192,7 +189,8 @@ private:
   void mail(rdma::NodeId To, MailMsg Msg);
   /// Sends request \p Id to its group's current leader.
   void route(RequestId Id);
-  void checkTimeouts();
+  /// Leader side of a ConfRequest mail: orders or answers its call.
+  void judgeMailed(MailMsg Msg);
   /// Leader side: appends \p C for \p Origin, parks it, or answers.
   /// Returns true when it judged the call's permissibility.
   bool sequence(unsigned G, ProcessId Origin, Call C,
@@ -221,7 +219,7 @@ private:
   /// Sets node.conf.dedup_bytes after a change to a dedup set.
   void updateDedupGauge();
   /// Origin side: completes request \p Id, or re-routes it on Retry.
-  void onAnswer(RequestId Id, ConfOutcome Outcome);
+  void onAnswer(rdma::NodeId From, RequestId Id, ConfOutcome Outcome);
   /// The one insert into the pending log, called from the instance's
   /// delivery hook: ring-read, caught-up and self-committed entries alike.
   void deliver(unsigned G, std::uint64_t Index, std::vector<WireCall> Calls);
@@ -255,6 +253,8 @@ private:
   std::vector<std::deque<Queued>> LeaderQueue;
   std::vector<std::vector<AcceptedCall>> Accepted;
   std::unordered_map<RequestId, Request> Requests;
+  bool LeaderMoved = false; // Since the last poll round's re-route.
+  std::vector<MailMsg> Held; // Requests mailed while out of service.
   ApplyLog Log;
 
   obs::Counter *CtrDepStall = nullptr;

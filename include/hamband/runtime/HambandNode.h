@@ -88,8 +88,6 @@ struct HambandConfig {
   std::uint32_t BackupSlotBytes = 4096;
   /// Period of the buffer-traversal loop.
   sim::SimDuration PollInterval = sim::micros(0.5);
-  /// Origin-side retry timeout for redirected conflicting calls.
-  sim::SimDuration ConfRetryTimeout = sim::micros(400);
   /// How long the leader holds a conflicting call that is not yet
   /// permissible (e.g. a worksOn whose addProject has not been delivered)
   /// before rejecting it. This is what makes dependent methods slower in
@@ -152,11 +150,11 @@ public:
   void resumeHeartbeat() { Detector->resumeBeating(); }
 
   /// Failure injection, second half: the node stops serving new client
-  /// calls and ignores forwarded requests, modeling the paper's injected
-  /// node being taken out of service ("all the requests of the failed
-  /// node are redirected"). Its pollers keep applying one-sided traffic
-  /// and in-flight work completes, matching a process whose service
-  /// threads stalled while its memory stays registered.
+  /// calls and holds forwarded requests until it returns, modeling the
+  /// paper's injected node being taken out of service ("all the requests
+  /// of the failed node are redirected"). Its pollers keep applying
+  /// one-sided traffic and in-flight work completes, matching a process
+  /// whose service threads stalled while its memory stays registered.
   void setOutOfService() { OutOfService = true; }
 
   /// Undoes setOutOfService(): the node accepts client calls again.

@@ -124,9 +124,9 @@ public:
   void poll();
 
   /// Wires consensus metrics into the owning node's registry: mu.proposal,
-  /// mu.view_change, mu.append, mu.commit counters plus the mu.campaign_ns
-  /// span from campaign start to established leadership. Also attaches
-  /// ring metrics to the L-ring writers (current and future).
+  /// mu.view_change, mu.append, mu.commit, mu.voter_beyond_ring counters and
+  /// the mu.campaign_ns span from campaign start to established leadership.
+  /// Also attaches ring metrics to the L-ring writers (current and future).
   void attachStats(obs::Registry &R);
 
 private:
@@ -135,12 +135,17 @@ private:
   obs::Counter *CtrViewChange = nullptr;
   obs::Counter *CtrAppend = nullptr;
   obs::Counter *CtrCommit = nullptr;
+  obs::Counter *CtrVoterBeyondRing = nullptr;
   obs::Span CampaignSpan;
 
   void campaign();
+  /// Adopts a view, proposed or installed: a leader starts each view with
+  /// fresh writers. Callers set Campaigning and CatchingUp.
+  void adoptView(std::uint64_t NewEpoch, rdma::NodeId NewLeader);
   void becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
                                 rdma::NodeId MaxHolder);
-  void replicateMissingToFollowers();
+  /// Brings acked voter \p V up to NextIndex from this node's ring.
+  void replicateMissingTo(rdma::NodeId V);
   RingWriter &writerTo(rdma::NodeId Follower);
   /// Re-aims the L-ring reader at the leader, from the received count.
   void followLeader();
@@ -155,6 +160,7 @@ private:
 
   rdma::NodeId Leader;
   std::uint64_t Epoch = 0;
+  std::uint64_t AckedEpoch = 0; // Of the last view this node acked.
   /// Leader state.
   std::uint64_t NextIndex = 0;
   bool CatchingUp = false;

@@ -7,6 +7,7 @@
 #include "hamband/runtime/ConfChannel.h"
 #include "hamband/runtime/HambandNode.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace hamband;
@@ -79,6 +80,7 @@ ConfChannel::ConfChannel(
     H.LeaderChanged = [this, G](rdma::NodeId NewLeader) {
       if (NewLeader != this->Self)
         Speculative[G].clear();
+      LeaderMoved = true;
     };
     H.IsSuspected = [&Detector](rdma::NodeId P) {
       return Detector.isSuspected(P);
@@ -102,15 +104,6 @@ rdma::NodeId ConfChannel::homeLeader(unsigned G) const {
   return (G + LeaderOffset) % N;
 }
 
-void ConfChannel::start() {
-  if (Consensus.empty())
-    return;
-  Fabric.runAfter(Self, Cfg.ConfRetryTimeout, [this]() {
-    checkTimeouts();
-    start();
-  });
-}
-
 // -- Origin side -------------------------------------------------------------
 
 void ConfChannel::submit(const Call &C, SubmitCallback Done) {
@@ -129,7 +122,7 @@ void ConfChannel::submit(const Call &C, SubmitCallback Done) {
   }
   const rdma::NetworkModel &M = Fabric.model();
   rdma::NodeId Leader = knownLeader(groupOf(C));
-  It->second = Request{C, std::move(Done), Fabric.now(), Leader};
+  It->second = Request{C, std::move(Done), Leader};
   // The leader parses and checks the call; a redirect only serializes it.
   Fabric.runOnCpu(
       Self, Leader == Self ? M.ParseCpu + M.ApplyCpu : M.ParseCpu,
@@ -166,25 +159,17 @@ void ConfChannel::route(RequestId Id) {
   if (It == Requests.end())
     return;
   Request &R = It->second;
-  R.SentAt = Fabric.now();
   R.SentTo = knownLeader(groupOf(R.TheCall));
   dispatch(R.SentTo, R.TheCall); // May answer, and erase R, at once.
 }
 
-void ConfChannel::checkTimeouts() {
-  sim::SimTime Now = Fabric.now();
-  std::vector<RequestId> Due;
-  for (const auto &[Id, R] : Requests)
-    if (R.SentTo != Self && Now - R.SentAt >= Cfg.ConfRetryTimeout)
-      Due.push_back(Id);
-  for (RequestId Id : Due)
-    route(Id);
-}
-
-void ConfChannel::onAnswer(RequestId Id, ConfOutcome Outcome) {
+void ConfChannel::onAnswer(rdma::NodeId From, RequestId Id,
+                           ConfOutcome Outcome) {
   auto It = Requests.find(Id);
-  if (It == Requests.end())
-    return; // Duplicate answer (e.g. after a re-route); already completed.
+  // Only the node a request was last sent to answers for it, so no client
+  // hears the verdict on a copy that a view change left behind.
+  if (It == Requests.end() || It->second.SentTo != From)
+    return;
   if (Outcome == ConfOutcome::Retry) {
     route(Id); // Only the current leader can decide.
     return;
@@ -401,7 +386,7 @@ void ConfChannel::endWait(sim::SimTime Deadline) {
 void ConfChannel::answer(ProcessId Origin, RequestId Id,
                          ConfOutcome Outcome) {
   if (Origin == Self) {
-    onAnswer(Id, Outcome);
+    onAnswer(Self, Id, Outcome);
     return;
   }
   MailMsg Msg;
@@ -427,7 +412,10 @@ unsigned ConfChannel::pollLog() {
   return Parsed;
 }
 
-unsigned ConfChannel::pollMailboxes(bool AcceptRequests) {
+unsigned ConfChannel::pollMailboxes(bool InService) {
+  if (InService)
+    for (MailMsg &Msg : std::exchange(Held, {}))
+      judgeMailed(std::move(Msg));
   unsigned Parsed = 0;
   std::vector<std::uint8_t> Bytes;
   for (rdma::NodeId J = 0; J < Fabric.numNodes(); ++J) {
@@ -440,28 +428,31 @@ unsigned ConfChannel::pollMailboxes(bool AcceptRequests) {
       ++Parsed;
       if (!Ok)
         continue;
-      if (Msg.Kind == MailKind::ConfResponse) {
-        onAnswer(Msg.ReqId, static_cast<ConfOutcome>(Msg.Ok));
-        continue;
-      }
-      if (!AcceptRequests)
-        continue; // Dropped; the origin retries against the next leader.
-      if (Msg.Epoch != Members.Epoch) {
-        // Cross-epoch request (mailboxes are unfenced): the origin
-        // re-resolves the leader under its installed epoch.
-        CtrCrossEpochDrop->add();
-        answer(Msg.Origin, Msg.ReqId, ConfOutcome::Retry);
-        continue;
-      }
-      if (Spec.category(Msg.TheCall.Method) != MethodCategory::Conflicting)
-        continue;
-      // The leader flushes its own pending batch so the ordered entry
-      // never overtakes this node's earlier unshipped calls.
-      Hooks.Flush();
-      sequence(groupOf(Msg.TheCall), Msg.Origin, std::move(Msg.TheCall), 0);
+      if (Msg.Kind == MailKind::ConfResponse)
+        onAnswer(Msg.Origin, Msg.ReqId, static_cast<ConfOutcome>(Msg.Ok));
+      else if (InService)
+        judgeMailed(std::move(Msg));
+      else
+        Held.push_back(std::move(Msg)); // Judged when the node returns.
     }
   }
   return Parsed;
+}
+
+void ConfChannel::judgeMailed(MailMsg Msg) {
+  if (Msg.Epoch != Members.Epoch) {
+    // Cross-epoch request (mailboxes are unfenced): the origin
+    // re-resolves the leader under its installed epoch.
+    CtrCrossEpochDrop->add();
+    answer(Msg.Origin, Msg.ReqId, ConfOutcome::Retry);
+    return;
+  }
+  if (Spec.category(Msg.TheCall.Method) != MethodCategory::Conflicting)
+    return;
+  // The leader flushes its own pending batch so the ordered entry never
+  // overtakes this node's earlier unshipped calls.
+  Hooks.Flush();
+  sequence(groupOf(Msg.TheCall), Msg.Origin, std::move(Msg.TheCall), 0);
 }
 
 void ConfChannel::deliver(unsigned G, std::uint64_t Index,
@@ -522,6 +513,17 @@ unsigned ConfChannel::poll() {
     Consensus[G]->poll();
     Rechecks += retryQueue(G);
   }
+  if (std::exchange(LeaderMoved, false)) {
+    // A view change is what moves a call to the new leader, in
+    // request-id order (a client numbers its calls in submission order).
+    std::vector<RequestId> Moved;
+    for (const auto &[Id, R] : Requests)
+      if (R.SentTo != knownLeader(groupOf(R.TheCall)))
+        Moved.push_back(Id);
+    std::sort(Moved.begin(), Moved.end());
+    for (RequestId Id : Moved)
+      route(Id);
+  }
   return Rechecks;
 }
 
@@ -561,6 +563,7 @@ void ConfChannel::digest(
     Mix(Speculative[G].size());
     Mix(knownLeader(G));
   }
+  Mix(Held.size());
   for (const auto &R : MailReaders)
     Mix(R ? R->head() : 0);
   for (const auto &W : MailWriters)

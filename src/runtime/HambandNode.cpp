@@ -31,14 +31,6 @@ HambandConfig HambandConfig::tunedFor(rdma::TransportKind Kind) const {
     D = std::max(D, Min);
   };
   Floor(Out.PollInterval, sim::micros(50));
-  // An origin re-sends a conflicting call its leader has not answered
-  // within ConfRetryTimeout, and the leader judges each copy on its own.
-  // A copy re-sent while the first waits out its permissibility wait can
-  // reach the leader after the first was rejected and after a later call
-  // made it permissible: the replicas then apply a call whose client was
-  // told "rejected". Under load a parked call's answer takes well over one
-  // PermissibilityWait of wall-clock time, so the timeout sits far above.
-  Floor(Out.ConfRetryTimeout, sim::millis(20));
   Floor(Out.PermissibilityWait, sim::millis(1));
   Floor(Out.Batch.FlushInterval, sim::micros(200));
   Floor(Out.Reconfig.TickInterval, sim::micros(200));
@@ -158,7 +150,6 @@ void HambandNode::start() {
   Started = true;
   Detector->start();
   schedulePoll();
-  Conf->start();
 }
 
 const ObjectState &HambandNode::visibleState() {

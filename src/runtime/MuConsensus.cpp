@@ -44,30 +44,37 @@ MuConsensus::MuConsensus(rdma::Transport &Fabric, rdma::NodeId Self,
 
 void MuConsensus::adoptLeadership(rdma::NodeId NewLeader,
                                   std::uint64_t LogIndex) {
-  rdma::NodeId Old = Leader;
-  if (Old != NewLeader) {
-    ++Epoch;
-    Leader = NewLeader;
+  bool Moved = NewLeader != Leader;
+  if (Moved)
     Campaigning = false;
-    if (CtrViewChange)
-      CtrViewChange->add();
-    // Same permission order as the campaign path: revoke before grant.
-    Fabric.setWritePermission(Self, Old, LogKey, false);
-    Fabric.setWritePermission(Self, Leader, LogKey, true);
-  }
+  // Re-aligned even when the leader stayed: a joiner's reader must resume
+  // at the agreed log position.
+  adoptView(Moved ? Epoch + 1 : Epoch, NewLeader);
   CatchingUp = false;
-  Refused = false;
-  Writers.clear();
   if (Self == Leader) {
     NextIndex = LogIndex;
     for (rdma::NodeId F = 0; F < Fabric.numNodes(); ++F)
       if (F != Self && Members.isActive(F))
         writerTo(F);
   }
-  // Re-aligned even when the leader stayed: a joiner's reader must resume
-  // at the agreed log position.
+}
+
+void MuConsensus::adoptView(std::uint64_t NewEpoch, rdma::NodeId NewLeader) {
+  rdma::NodeId Old = Leader;
+  bool Moved = NewEpoch != Epoch || NewLeader != Old;
+  Epoch = NewEpoch;
+  Leader = NewLeader;
+  if (Moved && CtrViewChange)
+    CtrViewChange->add();
+  // Revoke the deposed leader's permission *before* granting the new
+  // one; this is the Mu invariant that prevents two leaders.
+  if (Old != Leader)
+    Fabric.setWritePermission(Self, Old, LogKey, false);
+  Fabric.setWritePermission(Self, Leader, LogKey, true);
+  Refused = false;
+  Writers.clear();
   followLeader();
-  if (Old != NewLeader && TheHooks.LeaderChanged)
+  if (Moved && TheHooks.LeaderChanged)
     TheHooks.LeaderChanged(Leader);
 }
 
@@ -95,6 +102,7 @@ void MuConsensus::attachStats(obs::Registry &R) {
   CtrViewChange = &R.counter("mu.view_change");
   CtrAppend = &R.counter("mu.append");
   CtrCommit = &R.counter("mu.commit");
+  CtrVoterBeyondRing = &R.counter("mu.voter_beyond_ring");
   for (auto &[F, W] : Writers)
     W->attachStats(R);
   Reader.attachStats(R);
@@ -221,25 +229,17 @@ void MuConsensus::poll() {
       BestCand = Cand;
     }
   }
-  if (BestEpoch > Epoch || BestCand != Leader) {
-    rdma::NodeId Old = Leader;
-    Epoch = BestEpoch;
-    Leader = BestCand;
-    if (CtrViewChange)
-      CtrViewChange->add();
+  // An install that moved our leader may already hold the view that
+  // leader's campaign proposes: a follower adopts, and acks, it once more.
+  if (BestEpoch > Epoch || BestCand != Leader ||
+      (Leader != Self && Epoch > AckedEpoch &&
+       Mem.readU64(Map.proposalSlot(Group, Leader)) == Epoch)) {
+    adoptView(BestEpoch, BestCand);
     if (Campaigning && (CampaignEpoch < Epoch || Leader != Self))
       Campaigning = false; // Lost the race to a higher epoch or lower id.
-    // Revoke the deposed leader's permission *before* granting the new
-    // one; this is the Mu invariant that prevents two leaders.
-    if (Old != Leader)
-      Fabric.setWritePermission(Self, Old, LogKey, false);
-    Fabric.setWritePermission(Self, Leader, LogKey, true);
     CatchingUp = Leader == Self;
-    Refused = false;
-    followLeader();
-    if (TheHooks.LeaderChanged)
-      TheHooks.LeaderChanged(Leader);
     // Ack with our received count so the new leader can equalize logs.
+    AckedEpoch = Epoch;
     std::vector<std::uint8_t> Ack(24, 0);
     std::uint64_t Received =
         TheHooks.ReceivedCount ? TheHooks.ReceivedCount() : 0;
@@ -277,45 +277,40 @@ void MuConsensus::poll() {
     AckSeen[Voter] = true;
     AckReceived[Voter] = Received;
     NewAck = true;
+    // An established leader brings a late voter (e.g. the deposed leader,
+    // which is alive and eventually adopts us) up to date at once.
+    if (!Campaigning && !CatchingUp)
+      replicateMissingTo(Voter);
   }
-  if (!NewAck)
+  if (!NewAck || !Campaigning)
     return;
 
-  if (Campaigning) {
-    // Wait for every node the detector has not suspected, so that any
-    // entry a live follower applied is visible to the new leader (single
-    // failure assumption; see header comment).
-    unsigned Acks = 0;
-    bool AllResponsive = true;
-    for (rdma::NodeId V = 0; V < Fabric.numNodes(); ++V) {
-      if (!Members.isActive(V))
-        continue;
-      if (AckSeen[V])
-        ++Acks;
-      else if (!TheHooks.IsSuspected || !TheHooks.IsSuspected(V))
-        AllResponsive = false;
-    }
-    if (!AllResponsive || Acks < Members.activeCount() / 2 + 1)
-      return;
-    Campaigning = false;
-    std::uint64_t MaxReceived =
-        TheHooks.ReceivedCount ? TheHooks.ReceivedCount() : 0;
-    rdma::NodeId Holder = Self;
-    for (rdma::NodeId V = 0; V < Fabric.numNodes(); ++V) {
-      if (AckSeen[V] && AckReceived[V] > MaxReceived) {
-        MaxReceived = AckReceived[V];
-        Holder = V;
-      }
-    }
-    becomeLeaderAfterCatchUp(MaxReceived, Holder);
-    return;
+  // Wait for every node the detector has not suspected, so that any
+  // entry a live follower applied is visible to the new leader (single
+  // failure assumption; see header comment).
+  unsigned Acks = 0;
+  bool AllResponsive = true;
+  for (rdma::NodeId V = 0; V < Fabric.numNodes(); ++V) {
+    if (!Members.isActive(V))
+      continue;
+    if (AckSeen[V])
+      ++Acks;
+    else if (!TheHooks.IsSuspected || !TheHooks.IsSuspected(V))
+      AllResponsive = false;
   }
-
-  // Already-established leader: a late ack (e.g. from the deposed leader,
-  // which is alive and eventually adopts us) lets us start replicating to
-  // it.
-  if (!CatchingUp)
-    replicateMissingToFollowers();
+  if (!AllResponsive || Acks < Members.activeCount() / 2 + 1)
+    return;
+  Campaigning = false;
+  std::uint64_t MaxReceived =
+      TheHooks.ReceivedCount ? TheHooks.ReceivedCount() : 0;
+  rdma::NodeId Holder = Self;
+  for (rdma::NodeId V = 0; V < Fabric.numNodes(); ++V) {
+    if (AckSeen[V] && AckReceived[V] > MaxReceived) {
+      MaxReceived = AckReceived[V];
+      Holder = V;
+    }
+  }
+  becomeLeaderAfterCatchUp(MaxReceived, Holder);
 }
 
 void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
@@ -328,13 +323,15 @@ void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
   // only a weak_ptr to itself, so finishing the chain releases it.
   auto FetchNext = std::make_shared<std::function<void(std::uint64_t)>>();
   std::weak_ptr<std::function<void(std::uint64_t)>> WeakFetch = FetchNext;
-  *FetchNext = [this, MaxReceived, Holder,
-                WeakFetch](std::uint64_t Index) {
+  *FetchNext = [this, MaxReceived, Holder, WeakFetch,
+                Term = Epoch](std::uint64_t Index) {
     if (Index >= MaxReceived) {
       NextIndex = MaxReceived;
       CatchingUp = false;
       CampaignSpan.finish(Fabric.now());
-      replicateMissingToFollowers();
+      for (rdma::NodeId V = 0; V < Fabric.numNodes(); ++V)
+        if (AckSeen[V])
+          replicateMissingTo(V);
       return;
     }
     const RingGeometry G = Map.confGeom();
@@ -344,8 +341,11 @@ void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
     auto Next = WeakFetch.lock();
     Fabric.postRead(
         Self, Holder, CellOff, G.CellSize,
-        [this, Index, Next, G](rdma::WcStatus,
-                               std::vector<std::uint8_t> Cell) {
+        [this, Index, Next, G, Term](rdma::WcStatus,
+                                     std::vector<std::uint8_t> Cell) {
+          // A view change ends the catch-up: the new leader feeds us.
+          if (Epoch != Term || Leader != Self)
+            return;
           // The fetched entry joins this node's log copy, its own ring.
           std::vector<std::uint8_t> Payload;
           if (G.decodeCell(Cell, Index, Payload)) {
@@ -360,20 +360,26 @@ void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
   (*FetchNext)(Mine);
 }
 
-void MuConsensus::replicateMissingToFollowers() {
-  for (rdma::NodeId V = 0; V < Fabric.numNodes(); ++V) {
-    if (V == Self || !Members.isActive(V) || !AckSeen[V] || Writers.count(V))
-      continue;
-    RingWriter &W = writerTo(V);
-    // Clamp: a voter can never legitimately be ahead of the adopted log.
-    W.setTail(std::min(AckReceived[V], NextIndex));
-    // Bring the follower up to NextIndex from our own ring, which holds
-    // every entry this node received, fetched or appended.
-    for (std::uint64_t I = AckReceived[V]; I < NextIndex; ++I) {
-      std::vector<std::uint8_t> Bytes;
-      if (!Reader.readCellIgnoringCanary(I, Bytes))
-        continue; // Overwritten; the follower stays behind (bounded lag).
-      W.append(Bytes, nullptr);
+void MuConsensus::replicateMissingTo(rdma::NodeId V) {
+  if (V == Self || !Members.isActive(V) || Writers.count(V))
+    return;
+  // Clamp: a voter can never legitimately be ahead of the adopted log.
+  std::uint64_t From = std::min(AckReceived[V], NextIndex);
+  // Our own ring holds every entry this node received, fetched or
+  // appended, until the ring laps. A voter behind that needs a state
+  // transfer: it gets no writer, so no entry lands under another index.
+  std::vector<std::vector<std::uint8_t>> Missing;
+  for (std::uint64_t I = From; I < NextIndex; ++I)
+    if (!Reader.readCellIgnoringCanary(I, Missing.emplace_back())) {
+      if (CtrVoterBeyondRing)
+        CtrVoterBeyondRing->add();
+      return;
     }
+  RingWriter &W = writerTo(V);
+  W.setTail(From);
+  for (const std::vector<std::uint8_t> &Bytes : Missing) {
+    bool Appended = W.append(Bytes, nullptr);
+    assert(Appended && "the voter acked, and fed back, head From");
+    (void)Appended;
   }
 }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 
@@ -47,6 +48,7 @@ struct MiniNode {
     };
     Cons = std::make_unique<MuConsensus>(Fab, Self, 0, InitialLeader, Map,
                                          Key, std::move(Hooks), Members);
+    Cons->attachStats(Stats);
   }
 
   void bump() {
@@ -65,6 +67,7 @@ struct MiniNode {
   rdma::NodeId Self;
   /// Every node active, as a fixed-membership HambandNode installs.
   Membership Members;
+  obs::Registry Stats;
   std::unique_ptr<MuConsensus> Cons;
   std::map<std::uint64_t, std::vector<std::uint8_t>> Entries;
   /// Every delivered index, in delivery order.
@@ -292,4 +295,150 @@ TEST_F(ConsensusTest, LateVoterGetsTheLeadersOwnAppendsFromItsRing) {
   ASSERT_EQ(NodesVec[3]->Received, 5u);
   for (std::uint8_t I = 0; I < 5; ++I)
     EXPECT_EQ(NodesVec[3]->Entries.at(I), entry(I)) << "entry " << int(I);
+}
+
+TEST_F(ConsensusTest, LeaderReElectedByCampaignAppendsAgain) {
+  // Leader 0 appends three entries, node 1 takes over and appends three,
+  // then node 0 campaigns back. Its writers of the first view are gone:
+  // it appends again from index 6.
+  for (std::uint8_t I = 0; I < 3; ++I)
+    ASSERT_TRUE(NodesVec[0]->Cons->leaderAppend(entry(I), nullptr));
+  run(100);
+  for (unsigned I = 1; I < N; ++I)
+    NodesVec[I]->Suspected.insert(0);
+  NodesVec[1]->Cons->onPeerSuspected(0);
+  run(200);
+  ASSERT_TRUE(NodesVec[1]->Cons->isLeader());
+  for (std::uint8_t I = 3; I < 6; ++I)
+    ASSERT_TRUE(NodesVec[1]->Cons->leaderAppend(entry(I), nullptr));
+  run(100);
+
+  for (unsigned I = 0; I < N; ++I) {
+    NodesVec[I]->Suspected.erase(0);
+    if (I != 1)
+      NodesVec[I]->Suspected.insert(1);
+  }
+  NodesVec[0]->Cons->onPeerSuspected(1);
+  MiniNode &Leader = *NodesVec[0];
+  sim::SimTime Cap = Sim.now() + sim::millis(5);
+  while (Sim.now() < Cap && !Leader.Cons->canAppend())
+    run(1);
+  ASSERT_TRUE(Leader.Cons->isLeader());
+  EXPECT_EQ(Leader.Cons->nextIndex(), 6u);
+  ASSERT_TRUE(Leader.Cons->canAppend());
+  std::optional<bool> Outcome;
+  ASSERT_TRUE(
+      Leader.Cons->leaderAppend(entry(6), [&](bool Ok) { Outcome = Ok; }));
+  run(100);
+  EXPECT_EQ(Outcome, std::optional<bool>(true));
+  for (unsigned I = 1; I < N; ++I)
+    EXPECT_EQ(NodesVec[I]->Entries.at(6), entry(6)) << "node " << I;
+}
+
+TEST_F(ConsensusTest, VoterBeyondTheLeadersRingGetsNoWriter) {
+  // Node 1 takes over without node 3, which it suspects and which does
+  // not poll, and appends 70 entries through the 64-cell ring. When node
+  // 3 wakes and acks from index 0, the leader's ring no longer holds
+  // entries 0-5: node 3 needs a state transfer, and gets no entry under
+  // another index.
+  for (unsigned I = 1; I < N; ++I)
+    NodesVec[I]->Suspected.insert(0);
+  NodesVec[1]->Suspected.insert(3);
+  NodesVec[3]->Paused = true;
+  NodesVec[1]->Cons->onPeerSuspected(0);
+  run(200);
+  MiniNode &Leader = *NodesVec[1];
+  ASSERT_TRUE(Leader.Cons->isLeader());
+  for (std::uint8_t I = 0; I < 70; ++I) {
+    while (!Leader.Cons->canAppend())
+      run(1);
+    ASSERT_TRUE(Leader.Cons->leaderAppend(entry(I), nullptr));
+  }
+  run(100);
+  ASSERT_EQ(NodesVec[2]->Received, 70u);
+
+  NodesVec[3]->Paused = false;
+  run(200);
+  EXPECT_EQ(NodesVec[3]->Cons->currentLeader(), 1u);
+  EXPECT_TRUE(NodesVec[3]->Delivered.empty());
+  EXPECT_EQ(Leader.Stats.counter("mu.voter_beyond_ring").value(), 1u);
+  // The rest of the group goes on without it.
+  ASSERT_TRUE(Leader.Cons->canAppend());
+  ASSERT_TRUE(Leader.Cons->leaderAppend(entry(70), nullptr));
+  run(100);
+  EXPECT_EQ(NodesVec[2]->Entries.at(70), entry(70));
+  EXPECT_TRUE(NodesVec[3]->Delivered.empty());
+  EXPECT_EQ(Leader.Stats.counter("mu.voter_beyond_ring").value(), 1u);
+}
+
+TEST_F(ConsensusTest, InstalledViewIsAckedWhenItsLeaderCampaignsForIt) {
+  // Node 1 takes over at epoch 1. A late membership install then hands
+  // the group back to node 0 at node 2 alone (epoch 2, leader 0) before
+  // node 0 campaigns for epoch 2 itself. Node 2 already holds that view
+  // and still acks it: node 0 waits for every node it does not suspect.
+  for (unsigned I = 1; I < N; ++I)
+    NodesVec[I]->Suspected.insert(0);
+  NodesVec[1]->Cons->onPeerSuspected(0);
+  run(200);
+  ASSERT_TRUE(NodesVec[1]->Cons->isLeader());
+  ASSERT_TRUE(NodesVec[1]->Cons->leaderAppend(entry(1), nullptr));
+  run(100);
+  NodesVec[2]->Cons->adoptLeadership(0, NodesVec[2]->Received);
+  ASSERT_EQ(NodesVec[2]->Cons->epoch(), 2u);
+
+  for (unsigned I = 0; I < N; ++I) {
+    NodesVec[I]->Suspected.erase(0);
+    if (I != 1)
+      NodesVec[I]->Suspected.insert(1);
+  }
+  NodesVec[0]->Cons->onPeerSuspected(1);
+  MiniNode &Leader = *NodesVec[0];
+  sim::SimTime Cap = Sim.now() + sim::millis(5);
+  while (Sim.now() < Cap && !Leader.Cons->canAppend())
+    run(1);
+  ASSERT_TRUE(Leader.Cons->isLeader());
+  EXPECT_EQ(Leader.Cons->epoch(), 2u);
+  ASSERT_TRUE(Leader.Cons->leaderAppend(entry(2), nullptr));
+  run(100);
+  for (unsigned I = 1; I < N; ++I)
+    EXPECT_EQ(NodesVec[I]->Entries.at(1), entry(2)) << "node " << I;
+}
+
+TEST_F(ConsensusTest, CatchUpOvertakenByAViewChangeStops) {
+  // Node 1, eighteen entries behind (faked as in CatchUpEqualizesLogs),
+  // wins epoch 1 and starts fetching them from node 2. Node 0 takes
+  // epoch 2 while that fetch is under way: node 1 stops it and gets the
+  // rest from node 0, each entry once.
+  for (std::uint8_t I = 0; I < 20; ++I)
+    ASSERT_TRUE(NodesVec[0]->Cons->leaderAppend(entry(I), nullptr));
+  run(100);
+  MiniNode &Candidate = *NodesVec[1];
+  ASSERT_EQ(Candidate.Received, 20u);
+  for (std::uint64_t I = 2; I < 20; ++I)
+    Candidate.Entries.erase(I);
+  Candidate.Received = 2;
+  Candidate.Delivered = {0, 1};
+  for (unsigned I = 1; I < N; ++I)
+    NodesVec[I]->Suspected.insert(0);
+  Candidate.Cons->onPeerSuspected(0);
+  while (Candidate.Received < 5)
+    run(1);
+  ASSERT_LT(Candidate.Received, 20u);
+
+  for (unsigned I = 0; I < N; ++I) {
+    NodesVec[I]->Suspected.erase(0);
+    if (I != 1)
+      NodesVec[I]->Suspected.insert(1);
+  }
+  NodesVec[0]->Cons->onPeerSuspected(1);
+  run(300);
+  ASSERT_TRUE(NodesVec[0]->Cons->isLeader());
+  ASSERT_TRUE(NodesVec[0]->Cons->leaderAppend(entry(20), nullptr));
+  run(100);
+  ASSERT_EQ(Candidate.Received, 21u);
+  std::vector<std::uint64_t> Once(21);
+  std::iota(Once.begin(), Once.end(), 0);
+  EXPECT_EQ(Candidate.Delivered, Once);
+  for (std::uint8_t I = 0; I <= 20; ++I)
+    EXPECT_EQ(Candidate.Entries.at(I), entry(I)) << "entry " << int(I);
 }

@@ -257,10 +257,10 @@ TEST(OutOfService, StillAppliesRemoteTraffic) {
   EXPECT_EQ(C.node(2).applied(0, Counter::Add), 1u);
 }
 
-TEST(OutOfService, RequestDroppedByTheLeaderIsResentAfterItReturns) {
+TEST(OutOfService, RequestHeldByTheLeaderIsJudgedOnceAfterItReturns) {
   // Leader 0 stops serving without stopping its heartbeat, so no peer
-  // suspects it and no leader change re-routes the call it drops. Only
-  // the origin's re-send timer gets the call answered.
+  // suspects it and no view change moves the call mailed to it. It holds
+  // the request and judges it, once, when it returns.
   sim::Simulator Sim;
   BankAccount T;
   HambandCluster C(Sim, 3, T);
@@ -269,8 +269,11 @@ TEST(OutOfService, RequestDroppedByTheLeaderIsResentAfterItReturns) {
   C.submit(1, Call(BankAccount::Deposit, {100}, 1, 1),
            [&](bool, Value) { Seeded = true; });
   ASSERT_TRUE(runUntil(Sim, [&] { return Seeded && C.fullyReplicated(); }));
+  auto Appends = [&] {
+    return C.node(0).statsSnapshot().counter("mu.append");
+  };
+  const std::uint64_t Before = Appends();
   C.node(0).setOutOfService();
-  sim::SimTime Submitted = Sim.now();
   std::optional<sim::SimTime> Answered;
   bool Ok = false;
   C.submit(1, Call(BankAccount::Withdraw, {10}, 1, 2),
@@ -278,18 +281,24 @@ TEST(OutOfService, RequestDroppedByTheLeaderIsResentAfterItReturns) {
              Ok = IsOk;
              Answered = Sim.now();
            });
-  Sim.run(Sim.now() + sim::micros(100));
+  Sim.run(Sim.now() + sim::micros(1000));
   ASSERT_FALSE(Answered);
+  EXPECT_EQ(Appends(), Before);
+  sim::SimTime Returned = Sim.now();
   C.node(0).returnToService();
   ASSERT_TRUE(runUntil(Sim, [&] { return Answered && C.fullyReplicated(); }));
   EXPECT_TRUE(Ok);
-  EXPECT_GE(*Answered - Submitted, C.config().ConfRetryTimeout);
+  EXPECT_GT(*Answered, Returned);
+  EXPECT_LT(*Answered - Returned, sim::micros(50));
+  EXPECT_EQ(Appends(), Before + 1);
   EXPECT_EQ(C.leaderOf(0, 1), 0u);
-  for (rdma::NodeId N = 0; N < 3; ++N)
+  for (rdma::NodeId N = 0; N < 3; ++N) {
+    EXPECT_EQ(C.node(N).applied(0, BankAccount::Withdraw), 1u) << "node " << N;
     EXPECT_EQ(T.query(C.node(N).visibleState(),
                       Call(BankAccount::Balance, {})),
               90)
         << "node " << N;
+  }
 }
 
 TEST(LeaderChangeUnderLoad, BankConvergesAcrossFailover) {
@@ -984,4 +993,34 @@ TEST(DependencyWait, ParkedEnrollWakesWhenItsStudentsSummaryLands) {
     ASSERT_TRUE(runUntil(Sim, [&] { return EnrollDone; }));
     EXPECT_TRUE(EnrollOk);
   }
+}
+
+TEST(DependencyWait, RejectedCallIsNotCommittedByALaterCopy) {
+  // Node 1's withdraw(10) on a zero balance waits out leader 0's
+  // permissibility wait and is rejected; a deposit of 100 lands after
+  // that. The leader judged one copy of the withdraw, so nothing parked
+  // there commits it once the deposit makes it permissible.
+  sim::Simulator Sim;
+  BankAccount T;
+  HambandConfig Cfg;
+  Cfg.PermissibilityWait = sim::millis(1);
+  HambandCluster C(Sim, 3, T, rdma::NetworkModel(), Cfg);
+  C.start();
+  ASSERT_EQ(C.leaderOf(0, 1), 0u);
+  std::optional<bool> Withdrawn;
+  C.submit(1, Call(BankAccount::Withdraw, {10}, 1, 1),
+           [&](bool Ok, Value) { Withdrawn = Ok; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Withdrawn.has_value(); }));
+  EXPECT_FALSE(*Withdrawn);
+  bool Deposited = false;
+  C.submit(2, Call(BankAccount::Deposit, {100}, 2, 1),
+           [&](bool, Value) { Deposited = true; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Deposited && C.fullyReplicated(); }));
+  Sim.run(Sim.now() + sim::micros(2000));
+  EXPECT_EQ(C.node(0).conf().leaderQueueTotal(), 0u);
+  for (rdma::NodeId N = 0; N < 3; ++N)
+    EXPECT_EQ(T.query(C.node(N).visibleState(),
+                      Call(BankAccount::Balance, {})),
+              100)
+        << "node " << N;
 }
