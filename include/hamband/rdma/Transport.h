@@ -104,7 +104,7 @@ public:
   enum CpuLane : unsigned {
     /// Client-request handling and protocol leader work.
     LaneClient = 0,
-    /// The buffer-traversal threads (F/L/mailbox polling).
+    /// The buffer-traversal threads (F-ring, L-ring and slot polling).
     LanePoller = 1,
     /// Heartbeats, failure detection, recovery, leader change.
     LaneBackground = 2,

@@ -8,11 +8,13 @@
 /// The conflicting-call path of Section 4: each call goes to its
 /// synchronization group's Mu leader, which orders it and answers
 /// "committed", "rejected" or "retry". One request table holds every call
-/// submitted at the node; a call at the leader skips only the mailbox hop,
+/// submitted at the node; a call at the leader skips only the mail hop,
 /// and its answer reaches the handler of a ConfResponse mail, where
-/// "retry" or a view change re-routes it. The node owns A, its installed
-/// membership, the stored state and the visible cache; the channel reads
-/// A and the membership and reaches the rest through four hooks.
+/// "retry" or a view change re-routes it. Mail rides the node's F ring
+/// toward the peer, behind the free calls and summary frames posted
+/// before it. The node owns A, its installed membership, the stored
+/// state, the visible cache and the F rings; the channel reads A and the
+/// membership and reaches the rest through five hooks.
 ///
 /// A log entry is one L-ring cell holding one call, or, with batching on,
 /// the calls the leader accepted within one client-lane burst
@@ -58,6 +60,8 @@ public:
     std::function<void(const Call &)> Apply;
     /// Ships the pending flush, so earlier calls precede an ordered one.
     std::function<void()> Flush;
+    /// Appends an encodeMail record to the F ring toward a peer.
+    std::function<void(rdma::NodeId, std::vector<std::uint8_t>)> Post;
   };
   /// Per group, the (issuer, request) sequence this node applied.
   using ApplyLog = std::vector<std::vector<std::pair<ProcessId, RequestId>>>;
@@ -80,11 +84,16 @@ public:
   /// still outstanding here is not sent again: \p Done joins its answer.
   void submit(const Call &C, SubmitCallback Done);
 
-  // Poller steps, in poll order. The first three return entries parsed,
-  // mails parsed and calls applied.
+  /// Takes mail \p From wrote on its F ring: an answer is handled at
+  /// once, a request waits in the inbox for judgeInbox.
+  void receiveMail(rdma::NodeId From, const std::uint8_t *Data,
+                   std::size_t Len);
+
+  // Poller steps, in poll order. pollLog returns entries parsed and
+  // applyPending calls applied.
   unsigned pollLog();
-  /// Requests are held while the node is not \p InService.
-  unsigned pollMailboxes(bool InService);
+  /// Judges the inbox's requests, unless the node is not \p InService.
+  void judgeInbox(bool InService);
   unsigned applyPending();
   /// Consensus polls, leader retry queues and view-change re-routes;
   /// returns how many parked calls it judged again (the node bills each
@@ -190,7 +199,7 @@ private:
   /// Sends request \p Id to its group's current leader.
   void route(RequestId Id);
   /// Leader side of a ConfRequest mail: orders or answers its call.
-  void judgeMailed(MailMsg Msg);
+  void judgeMailed(ProcessId Origin, MailMsg Msg);
   /// Leader side: appends \p C for \p Origin, parks it, or answers.
   /// Returns true when it judged the call's permissibility.
   bool sequence(unsigned G, ProcessId Origin, Call C,
@@ -235,8 +244,6 @@ private:
   NodeHooks Hooks;
 
   std::vector<std::unique_ptr<MuConsensus>> Consensus; // [group]
-  std::vector<std::unique_ptr<RingReader>> MailReaders; // [peer]
-  std::vector<std::unique_ptr<RingWriter>> MailWriters; // [peer]
   // Per group: delivered entries awaiting apply, by index, each a list of
   // calls; the next index to apply and the calls of that entry already
   // applied; requests delivered or accepted here, minus appends refused
@@ -254,7 +261,8 @@ private:
   std::vector<std::vector<AcceptedCall>> Accepted;
   std::unordered_map<RequestId, Request> Requests;
   bool LeaderMoved = false; // Since the last poll round's re-route.
-  std::vector<MailMsg> Held; // Requests mailed while out of service.
+  /// Mailed requests and their origins, not yet judged.
+  std::vector<std::pair<ProcessId, MailMsg>> Inbox;
   ApplyLog Log;
 
   obs::Counter *CtrDepStall = nullptr;

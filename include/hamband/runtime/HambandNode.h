@@ -16,8 +16,8 @@
 ///  3. irreducible conflict-free calls apply locally and are appended to
 ///     the remote F rings;
 ///  4. conflicting calls go to the ConfChannel: ordered by the group's Mu
-///     leader (here, or through a mailbox ring), answered through one
-///     request table.
+///     leader (here, or mailed to it over the F ring), answered through
+///     one request table.
 ///
 /// Each flush takes the summary channel's writes for its dirty groups,
 /// adds the free-call record and stages one FlushImage in the backup slot
@@ -25,8 +25,9 @@
 /// and the visible-state cache; the channels reach them through hooks.
 ///
 /// Two logical poller threads (one CPU lane here) traverse the buffers and
-/// apply free calls whose dependency arrays are satisfied by A; the
-/// channels poll their own slots, L rings and mailboxes. The poller also
+/// apply free calls whose dependency arrays are satisfied by A, handing
+/// summary frames and mail read from the F rings to their channels; the
+/// channels poll their own slots and L rings. The poller also
 /// pays for the view: each peer delta it folds in, and a rebuild after a
 /// round that replaced a whole image.
 ///
@@ -81,7 +82,6 @@ struct BatchingConfig {
 struct HambandConfig {
   RingGeometry FreeGeom{4096, 256};
   RingGeometry ConfGeom{4096, 256};
-  RingGeometry MailGeom{4096, 256};
   std::uint32_t SummarySlotBytes = 512;
   /// Sized so a batched flush image (summaries + free batch record) can
   /// be staged whole.
@@ -294,6 +294,9 @@ private:
   void schedulePoll();
   void pollOnce();
   unsigned pollFreeRings();
+  /// Queues \p Bytes (a summary frame or mail) on the F ring to \p To,
+  /// in post order behind a full ring; the channels post through it.
+  void postFree(rdma::NodeId To, std::vector<std::uint8_t> Bytes);
   unsigned applyPendingFree();
 
   // State helpers.
@@ -400,7 +403,8 @@ private:
   /// Summaries per (sum group, source) and their propagation.
   SummaryChannel Sums;
 
-  // F rings; a full ring holds its writer's stream (appendOrdered).
+  // F rings (free calls, summary frames, mail); a full ring holds its
+  // writer's stream (appendOrdered).
   std::vector<std::unique_ptr<RingReader>> FreeReaders;  // [issuer]
   std::vector<std::unique_ptr<RingWriter>> FreeWriters;  // [peer]
 

@@ -12,13 +12,13 @@
 ///
 /// Hosted on every node (Section 4 metadata):
 ///  - summary slots S: one per (summarization group, source process);
-///  - conflict-free rings F: one per remote issuer, plus the feedback
-///    slots for the F rings this node *writes* on others;
+///  - rings F: one per remote writer, carrying its conflict-free calls,
+///    summary-delta frames and conflicting-call mail (requests to a group
+///    leader and its answers), plus the feedback slots for the F rings
+///    this node *writes* on others;
 ///  - conflicting rings L: one per synchronization group, plus feedback
 ///    slots for every (group, reader) pair (hosted everywhere because the
 ///    writer -- the group leader -- can change);
-///  - mailbox rings: single-writer request/response channels used to
-///    redirect conflicting calls to leaders;
 ///  - the reliable-broadcast backup slot and the heartbeat counter;
 ///  - leader-change proposal slots (one per candidate) and ack slots (one
 ///    per voter), all single-writer.
@@ -42,14 +42,12 @@ class MemoryMap {
 public:
   MemoryMap(unsigned NumProcesses, unsigned NumSumGroups,
             unsigned NumSyncGroups, RingGeometry FreeGeom,
-            RingGeometry ConfGeom, RingGeometry MailGeom,
-            std::uint32_t SummarySlotBytes = 512,
+            RingGeometry ConfGeom, std::uint32_t SummarySlotBytes = 512,
             std::uint32_t BackupSlotBytes = 1024, rdma::MemOffset Base = 0,
             std::uint32_t TransferSlotBytes = 0)
       : Procs(NumProcesses), SumGroups(NumSumGroups),
         SyncGroups(NumSyncGroups), FreeGeom(FreeGeom), ConfGeom(ConfGeom),
-        MailGeom(MailGeom), SummaryBytes(SummarySlotBytes),
-        TransferBytes(TransferSlotBytes) {
+        SummaryBytes(SummarySlotBytes), TransferBytes(TransferSlotBytes) {
     // Keep the first 64 bytes of every map unused to catch zero-offset
     // bugs; with a non-zero Base the map occupies [Base, totalBytes()),
     // which lets several maps (one per shard) share one registered region.
@@ -64,10 +62,6 @@ public:
     Cur += static_cast<rdma::MemOffset>(SyncGroups) * ConfGeom.dataBytes();
     ConfFeedbackBase = Cur;
     Cur += static_cast<rdma::MemOffset>(SyncGroups) * Procs * 8;
-    MailDataBase = Cur;
-    Cur += static_cast<rdma::MemOffset>(Procs) * MailGeom.dataBytes();
-    MailFeedbackBase = Cur;
-    Cur += static_cast<rdma::MemOffset>(Procs) * 8;
     BackupBase = Cur;
     Cur += BackupSlotBytes;
     HeartbeatBase = Cur;
@@ -88,7 +82,6 @@ public:
   unsigned numProcesses() const { return Procs; }
   const RingGeometry &freeGeom() const { return FreeGeom; }
   const RingGeometry &confGeom() const { return ConfGeom; }
-  const RingGeometry &mailGeom() const { return MailGeom; }
   std::uint32_t summarySlotBytes() const { return SummaryBytes; }
 
   /// Summary slot for (summarization group, source process).
@@ -127,19 +120,6 @@ public:
     assert(Group < SyncGroups && Reader < Procs);
     return ConfFeedbackBase +
            (static_cast<rdma::MemOffset>(Group) * Procs + Reader) * 8;
-  }
-
-  /// Mailbox ring written by \p Writer (hosted on the reader).
-  rdma::MemOffset mailRingData(ProcessId Writer) const {
-    assert(Writer < Procs);
-    return MailDataBase +
-           static_cast<rdma::MemOffset>(Writer) * MailGeom.dataBytes();
-  }
-
-  /// Feedback slot for the mailbox ring this node writes on \p Reader.
-  rdma::MemOffset mailRingFeedback(ProcessId Reader) const {
-    assert(Reader < Procs);
-    return MailFeedbackBase + static_cast<rdma::MemOffset>(Reader) * 8;
   }
 
   /// Reliable-broadcast backup slot.
@@ -192,15 +172,13 @@ private:
   unsigned SyncGroups;
   RingGeometry FreeGeom;
   RingGeometry ConfGeom;
-  RingGeometry MailGeom;
   std::uint32_t SummaryBytes;
   std::uint32_t TransferBytes = 0;
 
   rdma::MemOffset SummaryBase = 0, FreeDataBase = 0, FreeFeedbackBase = 0,
-                  ConfDataBase = 0, ConfFeedbackBase = 0, MailDataBase = 0,
-                  MailFeedbackBase = 0, BackupBase = 0, HeartbeatBase = 0,
-                  ProposalBase = 0, AckBase = 0, MembershipBase = 0,
-                  TransferBase = 0;
+                  ConfDataBase = 0, ConfFeedbackBase = 0, BackupBase = 0,
+                  HeartbeatBase = 0, ProposalBase = 0, AckBase = 0,
+                  MembershipBase = 0, TransferBase = 0;
   std::size_t Total = 0;
 };
 

@@ -106,15 +106,16 @@ public:
   void onPeerSuspected(rdma::NodeId Peer);
 
   /// Deterministic leadership handoff during a membership installation:
-  /// every member calls this with the same (NewLeader, LogIndex) computed
-  /// from the drained, agreed state, so no campaign round is needed.
-  /// Called after the node installed the new membership: bumps the
-  /// consensus epoch (failing any in-flight appends of the old
-  /// leadership), swaps L-ring write permission on this node's own ring,
-  /// and -- on the new leader -- resumes appending at \p LogIndex with
-  /// fresh writers to every active follower. A no-op epoch-wise when the
-  /// leader is unchanged.
-  void adoptLeadership(rdma::NodeId NewLeader, std::uint64_t LogIndex);
+  /// every member calls this with the same (Installed, NewLeader,
+  /// LogIndex) computed from the drained, agreed state, so no campaign
+  /// round is needed. It adopts view (\p Installed << 32, \p NewLeader)
+  /// unless this node holds a later one, failing any in-flight appends
+  /// of the old leadership; the new leader resumes appending at
+  /// \p LogIndex with fresh writers to every active follower. Adopting it
+  /// ends any campaign; a node that suspects the leader it then follows
+  /// campaigns again.
+  void adoptLeadership(std::uint32_t Installed, rdma::NodeId NewLeader,
+                       std::uint64_t LogIndex);
 
   /// Delivers up to 64 entries from this node's L ring; returns how many.
   unsigned pollLog();
@@ -159,8 +160,8 @@ private:
   const Membership &Members;
 
   rdma::NodeId Leader;
+  /// Orders views: installed membership epoch << 32 | campaign round.
   std::uint64_t Epoch = 0;
-  std::uint64_t AckedEpoch = 0; // Of the last view this node acked.
   /// Leader state.
   std::uint64_t NextIndex = 0;
   bool CatchingUp = false;

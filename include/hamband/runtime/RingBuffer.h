@@ -21,6 +21,10 @@
 ///    to a feedback slot in the writer's memory (again single-writer) so
 ///    the writer can tell when the ring is full.
 ///
+/// A node uses two kinds: one F ring per (writer, reader) pair, carrying
+/// the writer's free calls, summary frames and conflicting-call mail, and
+/// one L ring per synchronization group, written by its Mu leader.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HAMBAND_RUNTIME_RINGBUFFER_H
@@ -128,7 +132,7 @@ public:
 
   /// Appends \p Payload (as appendRecord) behind every record still held
   /// back. F-ring chunk reassembly, in-order free-call delivery and the
-  /// mailbox request order assume a ring is FIFO per writer, so a full
+  /// order of mailed requests assume a ring is FIFO per writer, so a full
   /// ring STALLS the stream, never reorders it; held records drain
   /// head-first from a writer-node timer every \p RetryAfter.
   void appendOrdered(std::vector<std::uint8_t> Payload,

@@ -14,6 +14,11 @@
 /// is decided based on the identifier of the method in the first
 /// element").
 ///
+/// The F ring from one node to another carries four kinds of record, told
+/// apart by their leading u16: a bare call (a method id), a call batch
+/// (CallBatchMarker), a summary-delta frame (SummaryDeltaMarker) and
+/// conflicting-call mail (MailMarker).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HAMBAND_RUNTIME_WIREFORMAT_H
@@ -82,7 +87,7 @@ private:
   bool Failed = false;
 };
 
-/// Writes the call block that ring entries, mailbox messages, summary
+/// Writes the call block that ring entries, mail, summary
 /// images and the reconfiguration log share:
 ///   u16 method | u16 argc | u32 issuer | u64 req | i64 args[argc]
 void writeCallBlock(ByteWriter &W, const Call &C);
@@ -242,7 +247,15 @@ std::vector<std::uint8_t> encodeSummaryDelta(const SummaryDeltaFrame &F);
 bool decodeSummaryDelta(const std::uint8_t *Data, std::size_t Len,
                         SummaryDeltaFrame &Out);
 
-/// Kinds of mailbox messages (leader redirection of conflicting calls).
+/// Marker distinguishing conflicting-call mail from the other F-ring
+/// records: like CallBatchMarker it occupies the u16 method slot and is
+/// never a valid method id.
+inline constexpr std::uint16_t MailMarker = 0xFFFD;
+
+/// True when \p Data starts with the mail marker.
+bool isMail(const std::uint8_t *Data, std::size_t Len);
+
+/// Kinds of mail (leader redirection of conflicting calls).
 enum class MailKind : std::uint8_t {
   /// A client's conflicting call forwarded to the group leader.
   ConfRequest = 1,
@@ -250,10 +263,10 @@ enum class MailKind : std::uint8_t {
   ConfResponse = 2,
 };
 
-/// A mailbox message.
+/// A conflicting-call request or answer, shipped over the F ring from its
+/// sender to its receiver; the ring names the sender.
 struct MailMsg {
   MailKind Kind = MailKind::ConfRequest;
-  ProcessId Origin = 0;
   RequestId ReqId = 0;
   std::uint8_t Ok = 0;
   /// Membership epoch of the sender; requests carrying a stale epoch are
@@ -262,10 +275,11 @@ struct MailMsg {
   Call TheCall; // Meaningful for requests only.
 };
 
-/// Serializes a mailbox message.
+/// Layout: u16 MailMarker | u8 kind | u64 req | u8 ok | u32 epoch |
+///         writeCallBlock block
 std::vector<std::uint8_t> encodeMail(const MailMsg &Msg);
 
-/// Decodes a mailbox message; false on malformed bytes.
+/// Decodes mail; false on malformed bytes or a record without MailMarker.
 bool decodeMail(const std::uint8_t *Data, std::size_t Len, MailMsg &Out);
 
 /// Serializes a summary-slot image: the folded summary call plus the

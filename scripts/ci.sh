@@ -83,12 +83,16 @@ done <<'PINS'
 --seed 43 --batch --only 205
 --seed 43 --batch --only 241
 --seed 45 --reconfig --only 65
-# A membership install that keeps the leader must not end a running campaign.
+# An install ends a stale campaign; the campaign's proposal must not win.
 --seed 45 --reconfig --only 40
 # Only a view change re-sends: a re-sent copy's dedup "committed" beat a failed append.
 --seed 1049 --nodes 2 --deltas --reconfig --only 943
 # A leader re-elected by a campaign appends through fresh writers, not stale ones.
 --seed 1902 --batch --reconfig --only 904
+# A late install overrides a stale campaign: Mu views order by (membership epoch, round).
+--seed 5902 --batch --reconfig --only 1336
+# The same split, reached with one F ring per node pair.
+--seed 3053 --deltas --reconfig --only 488
 --seed 53 --deltas --reconfig --only 179
 --seed 102 --reconfig --only 189
 --seed 200 --only 1245
@@ -222,9 +226,9 @@ echo "ci: bounded coordination verification"
 # fails on any violated oracle. The JSON report records the explored /
 # deduped / pruned counts per type alongside the DPOR reduction factor.
 # Every type exhausts the tool's default budget of 400 schedules, so CI
-# spends 1600 per type: 696 to 1129 schedules explored per type (703 to
-# 1014 for the five types with sync groups, whose calls no timer re-sends),
-# about two minutes in all on 4 cores.
+# spends 1600 per type: 523 to 1020 schedules explored per type (523 to
+# 823 for the five types with sync groups, whose calls no timer re-sends),
+# about a minute in all on 4 cores.
 echo "ci: exhaustive schedule exploration (hamband_mc small-scope sweep)"
 "$BUILD/tools/hamband_mc" --type all --calls 4 --crashes 1 --budget 1600 \
   --json > "$BUILD/MC_sweep.json"

@@ -355,8 +355,8 @@ RunResult benchlib::runOnce(const ObjectType &Type,
       if (Spec.category(C.Method) == MethodCategory::Conflicting) {
         if (OnShm) {
           // Leadership is concurrent node state here; submit at the
-          // origin and let the runtime's mailbox redirection route the
-          // call to whoever currently leads the group.
+          // origin and let the runtime mail the call to whoever
+          // currently leads the group.
           Target = Origin;
         } else {
           // Conflicting calls go straight to the group leader; if the

@@ -23,7 +23,6 @@ ConfChannel::ConfChannel(
     : Fabric(Fabric), Self(Self), Type(Type), Spec(Type.coordination()),
       Cfg(Cfg), Members(Members), LeaderOffset(LeaderOffset),
       Applied(Applied), Hooks(std::move(Hooks)) {
-  unsigned N = Fabric.numNodes();
   unsigned Groups = Spec.numSyncGroups();
   assert(ConfKeys.size() == Groups && "one region key per sync group");
   CtrDepStall = &Stats.counter("node.dep_stall.conf");
@@ -43,21 +42,6 @@ ConfChannel::ConfChannel(
   LeaderQueue.resize(Groups);
   Accepted.resize(Groups);
   Log.resize(Groups);
-
-  MailReaders.resize(N);
-  MailWriters.resize(N);
-  for (rdma::NodeId J = 0; J < N; ++J) {
-    if (J == Self)
-      continue;
-    MailReaders[J] = std::make_unique<RingReader>(
-        Fabric, Self, J, Map.mailRingData(J), Map.mailRingFeedback(Self),
-        Map.mailGeom(), rdma::Transport::LanePoller);
-    MailWriters[J] = std::make_unique<RingWriter>(
-        Fabric, Self, J, Map.mailRingData(Self), Map.mailRingFeedback(J),
-        Map.mailGeom(), rdma::UnprotectedRegion, rdma::Transport::LaneClient);
-    MailReaders[J]->attachStats(Stats);
-    MailWriters[J]->attachStats(Stats);
-  }
 
   for (unsigned G = 0; G < Groups; ++G) {
     MuConsensus::Hooks H;
@@ -149,9 +133,8 @@ void ConfChannel::dispatch(rdma::NodeId Leader, Call C) {
 }
 
 void ConfChannel::mail(rdma::NodeId To, MailMsg Msg) {
-  Msg.Origin = Self;
   Msg.Epoch = Members.Epoch;
-  MailWriters[To]->appendOrdered(encodeMail(Msg), nullptr, Cfg.PollInterval);
+  Hooks.Post(To, encodeMail(Msg));
 }
 
 void ConfChannel::route(RequestId Id) {
@@ -412,39 +395,29 @@ unsigned ConfChannel::pollLog() {
   return Parsed;
 }
 
-unsigned ConfChannel::pollMailboxes(bool InService) {
-  if (InService)
-    for (MailMsg &Msg : std::exchange(Held, {}))
-      judgeMailed(std::move(Msg));
-  unsigned Parsed = 0;
-  std::vector<std::uint8_t> Bytes;
-  for (rdma::NodeId J = 0; J < Fabric.numNodes(); ++J) {
-    if (J == Self)
-      continue;
-    for (unsigned K = 0; K < 64 && MailReaders[J]->peek(Bytes); ++K) {
-      MailMsg Msg;
-      bool Ok = decodeMail(Bytes.data(), Bytes.size(), Msg);
-      MailReaders[J]->consume();
-      ++Parsed;
-      if (!Ok)
-        continue;
-      if (Msg.Kind == MailKind::ConfResponse)
-        onAnswer(Msg.Origin, Msg.ReqId, static_cast<ConfOutcome>(Msg.Ok));
-      else if (InService)
-        judgeMailed(std::move(Msg));
-      else
-        Held.push_back(std::move(Msg)); // Judged when the node returns.
-    }
-  }
-  return Parsed;
+void ConfChannel::receiveMail(rdma::NodeId From, const std::uint8_t *Data,
+                              std::size_t Len) {
+  MailMsg Msg;
+  if (!decodeMail(Data, Len, Msg))
+    return;
+  if (Msg.Kind == MailKind::ConfResponse)
+    onAnswer(From, Msg.ReqId, static_cast<ConfOutcome>(Msg.Ok));
+  else
+    Inbox.emplace_back(From, std::move(Msg));
 }
 
-void ConfChannel::judgeMailed(MailMsg Msg) {
+void ConfChannel::judgeInbox(bool InService) {
+  if (InService)
+    for (auto &[From, Msg] : std::exchange(Inbox, {}))
+      judgeMailed(From, std::move(Msg));
+}
+
+void ConfChannel::judgeMailed(ProcessId Origin, MailMsg Msg) {
   if (Msg.Epoch != Members.Epoch) {
-    // Cross-epoch request (mailboxes are unfenced): the origin
-    // re-resolves the leader under its installed epoch.
+    // Sent under another membership epoch: the origin re-resolves the
+    // leader under its installed epoch.
     CtrCrossEpochDrop->add();
-    answer(Msg.Origin, Msg.ReqId, ConfOutcome::Retry);
+    answer(Origin, Msg.ReqId, ConfOutcome::Retry);
     return;
   }
   if (Spec.category(Msg.TheCall.Method) != MethodCategory::Conflicting)
@@ -452,7 +425,7 @@ void ConfChannel::judgeMailed(MailMsg Msg) {
   // The leader flushes its own pending batch so the ordered entry never
   // overtakes this node's earlier unshipped calls.
   Hooks.Flush();
-  sequence(groupOf(Msg.TheCall), Msg.Origin, std::move(Msg.TheCall), 0);
+  sequence(groupOf(Msg.TheCall), Origin, std::move(Msg.TheCall), 0);
 }
 
 void ConfChannel::deliver(unsigned G, std::uint64_t Index,
@@ -541,7 +514,7 @@ void ConfChannel::importLog(const std::vector<std::uint64_t> &Next) {
 
 void ConfChannel::installMembership(const std::vector<std::uint64_t> &Next) {
   for (unsigned G = 0; G < Consensus.size(); ++G)
-    Consensus[G]->adoptLeadership(homeLeader(G), Next[G]);
+    Consensus[G]->adoptLeadership(Members.Epoch, homeLeader(G), Next[G]);
 }
 
 void ConfChannel::logApplied(const Call &C) {
@@ -563,10 +536,6 @@ void ConfChannel::digest(
     Mix(Speculative[G].size());
     Mix(knownLeader(G));
   }
-  Mix(Held.size());
-  for (const auto &R : MailReaders)
-    Mix(R ? R->head() : 0);
-  for (const auto &W : MailWriters)
-    Mix(W ? W->tail() : 0);
+  Mix(Inbox.size());
   Mix(Requests.size());
 }

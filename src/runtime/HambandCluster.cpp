@@ -62,8 +62,8 @@ HambandCluster::HambandCluster(sim::Simulator *Sim, rdma::TransportKind Kind,
   for (Shard &Sh : Shards) {
     Sh.Map = std::make_unique<MemoryMap>(
         NumNodes, Spec.numSumGroups(), Spec.numSyncGroups(),
-        this->Cfg.FreeGeom, this->Cfg.ConfGeom, this->Cfg.MailGeom,
-        this->Cfg.SummarySlotBytes, this->Cfg.BackupSlotBytes, Base,
+        this->Cfg.FreeGeom, this->Cfg.ConfGeom, this->Cfg.SummarySlotBytes,
+        this->Cfg.BackupSlotBytes, Base,
         this->Cfg.Reconfig.Enabled ? ReconfigConfig::TransferSlotBytes : 0);
     Base = (Sh.Map->totalBytes() + 63) & ~rdma::MemOffset(63);
   }

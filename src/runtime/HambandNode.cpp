@@ -54,8 +54,7 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
            [this](ProcessId Src, const SummaryChannel::Counts &C,
                   const Call *Delta) { summaryChanged(Src, C, Delta); },
            [this](ProcessId Src, std::vector<std::uint8_t> Frame) {
-             FreeWriters[Src]->appendOrdered(std::move(Frame), nullptr,
-                                             this->Cfg.PollInterval);
+             postFree(Src, std::move(Frame));
            }),
       DataKey(DataKey) {
   unsigned N = Fabric.numNodes();
@@ -131,13 +130,16 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
             applyToStored(C);
             Applied[C.Issuer][C.Method] += 1;
           },
-          [this]() { flush(FlushCause::Conf); }});
+          [this]() { flush(FlushCause::Conf); },
+          [this](rdma::NodeId To, std::vector<std::uint8_t> Mail) {
+            postFree(To, std::move(Mail));
+          }});
   Broadcast = std::make_unique<ReliableBroadcast>(
       Fabric, Self, Map.backupSlot(), Cfg.BackupSlotBytes);
   Broadcast->attachStats(Stats);
 
   const rdma::NetworkModel &M = Fabric.model();
-  unsigned Checks = (N - 1) * 2         // free + mail rings
+  unsigned Checks = (N - 1)             // F rings
                     + SumGroups * (N - 1) // summary slots
                     + Groups * 2;         // conf rings + consensus polls
   PollBaseCost = M.PollCpu * std::max(1u, Checks);
@@ -387,7 +389,7 @@ void HambandNode::pollOnce() {
   Parsed += pollFreeRings();
   Parsed += Sums.pollSlots();
   Parsed += Conf->pollLog();
-  Parsed += Conf->pollMailboxes(!OutOfService);
+  Conf->judgeInbox(!OutOfService);
   AppliedN += applyPendingFree();
   AppliedN += Conf->applyPending();
   unsigned Rechecks = Conf->poll();
@@ -417,6 +419,10 @@ void HambandNode::pollOnce() {
   schedulePoll();
 }
 
+void HambandNode::postFree(rdma::NodeId To, std::vector<std::uint8_t> Bytes) {
+  FreeWriters[To]->appendOrdered(std::move(Bytes), nullptr, Cfg.PollInterval);
+}
+
 unsigned HambandNode::pollFreeRings() {
   unsigned Parsed = 0;
   std::vector<std::uint8_t> Bytes;
@@ -429,6 +435,12 @@ unsigned HambandNode::pollFreeRings() {
         FreeReaders[J]->consume();
         ++Parsed;
         Sums.receive(J, Bytes.data(), Bytes.size());
+        continue;
+      }
+      if (isMail(Bytes.data(), Bytes.size())) {
+        FreeReaders[J]->consume();
+        ++Parsed;
+        Conf->receiveMail(J, Bytes.data(), Bytes.size());
         continue;
       }
       if (isCallBatch(Bytes.data(), Bytes.size())) {

@@ -42,21 +42,27 @@ MuConsensus::MuConsensus(rdma::Transport &Fabric, rdma::NodeId Self,
         writerTo(F);
 }
 
-void MuConsensus::adoptLeadership(rdma::NodeId NewLeader,
+void MuConsensus::adoptLeadership(std::uint32_t Installed,
+                                  rdma::NodeId NewLeader,
                                   std::uint64_t LogIndex) {
-  bool Moved = NewLeader != Leader;
-  if (Moved)
+  // A later view comes from a campaign of the new membership that this
+  // node saw before its own install: it stands, and so does a campaign
+  // of this node's for it. A campaign below the installed view is stale.
+  std::uint64_t View = std::uint64_t{Installed} << 32;
+  if (View > Epoch) {
+    adoptView(View, NewLeader); // Re-aims a joiner's reader too.
     Campaigning = false;
-  // Re-aligned even when the leader stayed: a joiner's reader must resume
-  // at the agreed log position.
-  adoptView(Moved ? Epoch + 1 : Epoch, NewLeader);
-  CatchingUp = false;
-  if (Self == Leader) {
-    NextIndex = LogIndex;
-    for (rdma::NodeId F = 0; F < Fabric.numNodes(); ++F)
-      if (F != Self && Members.isActive(F))
-        writerTo(F);
+    CatchingUp = false;
+    if (Self == Leader) {
+      NextIndex = LogIndex;
+      for (rdma::NodeId F = 0; F < Fabric.numNodes(); ++F)
+        if (F != Self && Members.isActive(F))
+          writerTo(F);
+    }
   }
+  if (!Campaigning && Leader != Self && TheHooks.IsSuspected &&
+      TheHooks.IsSuspected(Leader))
+    campaign();
 }
 
 void MuConsensus::adoptView(std::uint64_t NewEpoch, rdma::NodeId NewLeader) {
@@ -217,7 +223,7 @@ void MuConsensus::poll() {
 
   // 1) Observe proposals: the leader is the lowest-id candidate of the
   // highest epoch, so a lower-id proposal at our own epoch displaces the
-  // candidate we adopted (epoch 0 has no proposals).
+  // candidate we adopted (an installed view has no proposals).
   rdma::NodeId BestCand = Leader;
   std::uint64_t BestEpoch = Epoch;
   for (rdma::NodeId Cand = 0; Cand < Fabric.numNodes(); ++Cand) {
@@ -229,17 +235,12 @@ void MuConsensus::poll() {
       BestCand = Cand;
     }
   }
-  // An install that moved our leader may already hold the view that
-  // leader's campaign proposes: a follower adopts, and acks, it once more.
-  if (BestEpoch > Epoch || BestCand != Leader ||
-      (Leader != Self && Epoch > AckedEpoch &&
-       Mem.readU64(Map.proposalSlot(Group, Leader)) == Epoch)) {
+  if (BestEpoch > Epoch || BestCand != Leader) {
     adoptView(BestEpoch, BestCand);
     if (Campaigning && (CampaignEpoch < Epoch || Leader != Self))
       Campaigning = false; // Lost the race to a higher epoch or lower id.
     CatchingUp = Leader == Self;
     // Ack with our received count so the new leader can equalize logs.
-    AckedEpoch = Epoch;
     std::vector<std::uint8_t> Ack(24, 0);
     std::uint64_t Received =
         TheHooks.ReceivedCount ? TheHooks.ReceivedCount() : 0;

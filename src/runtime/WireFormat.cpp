@@ -148,10 +148,14 @@ std::vector<std::uint8_t> runtime::encodeCall(const CoordinationSpec &Spec,
   return W.take();
 }
 
+bool runtime::isMail(const std::uint8_t *Data, std::size_t Len) {
+  return ByteReader(Data, Len).u16() == MailMarker;
+}
+
 std::vector<std::uint8_t> runtime::encodeMail(const MailMsg &Msg) {
   ByteWriter W;
+  W.u16(MailMarker);
   W.u8(static_cast<std::uint8_t>(Msg.Kind));
-  W.u32(Msg.Origin);
   W.u64(Msg.ReqId);
   W.u8(Msg.Ok);
   W.u32(Msg.Epoch);
@@ -162,8 +166,9 @@ std::vector<std::uint8_t> runtime::encodeMail(const MailMsg &Msg) {
 bool runtime::decodeMail(const std::uint8_t *Data, std::size_t Len,
                          MailMsg &Out) {
   ByteReader R(Data, Len);
+  if (R.u16() != MailMarker)
+    return false;
   Out.Kind = static_cast<MailKind>(R.u8());
-  Out.Origin = R.u32();
   Out.ReqId = R.u64();
   Out.Ok = R.u8();
   Out.Epoch = R.u32();

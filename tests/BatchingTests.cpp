@@ -734,10 +734,10 @@ TEST(ConfCoalescing, AppendRefusedByAFullRingParksTheRestUnjudged) {
 }
 
 TEST(ConfCoalescing, AppendRefusedByADepositionBouncesEveryCall) {
-  // The leader judges three calls, then hands group 0 to another node
-  // before its append task runs. The task appends nothing: the dedup set
-  // and window are as before the burst, the calls bounce with "retry",
-  // and the new leader commits each once.
+  // The leader judges three calls, then an install of membership epoch 1
+  // hands group 0 to another node before its append task runs. The task
+  // appends nothing: the dedup set and window are as before the burst,
+  // the calls bounce with "retry", and the new leader commits each once.
   BankWorld W(batchedConf());
   const unsigned K = 3;
   const std::uint64_t Base = W.appends();
@@ -750,7 +750,7 @@ TEST(ConfCoalescing, AppendRefusedByADepositionBouncesEveryCall) {
   const rdma::NodeId Next = (W.Leader + 1) % 3;
   const std::uint64_t Index = Conf.receivedContig(0);
   for (rdma::NodeId N = 0; N < 3; ++N)
-    W.C.node(N).conf().consensus(0)->adoptLeadership(Next, Index);
+    W.C.node(N).conf().consensus(0)->adoptLeadership(1, Next, Index);
   // Up to the append task.
   ASSERT_TRUE(stepUntil(W.Sim, [&] { return !Conf.deduplicates(0, 100); }));
   EXPECT_EQ(W.appends(), Base);

@@ -82,8 +82,7 @@ struct ConsensusTest : ::testing::Test {
   static constexpr unsigned N = 4;
 
   ConsensusTest()
-      : Map(N, 0, 1, RingGeometry{64, 128}, RingGeometry{64, 128},
-            RingGeometry{64, 128}),
+      : Map(N, 0, 1, RingGeometry{64, 128}, RingGeometry{64, 128}),
         Fab(Sim, N, rdma::NetworkModel(), Map.totalBytes() + 4096) {
     Key = Fab.createRegionKey();
     for (rdma::NodeId I = 0; I < N; ++I)
@@ -253,9 +252,10 @@ TEST_F(ConsensusTest, CommitLandingAfterTheLeaderAdoptedAnotherIsNotDelivered) {
   std::optional<bool> Outcome;
   ASSERT_TRUE(Leader.Cons->leaderAppend(
       entry(3), [&](bool Ok) { Outcome = Ok; }));
-  // Node 0 hands the group to node 1 while its writes are in flight; the
-  // followers have not moved, so the writes still land and commit.
-  Leader.Cons->adoptLeadership(1, 1);
+  // An install of membership epoch 1 hands the group to node 1 at node 0
+  // while its writes are in flight; the followers have not moved, so the
+  // writes still land and commit.
+  Leader.Cons->adoptLeadership(1, 1, 1);
   run(50);
   ASSERT_EQ(Outcome, std::optional<bool>(true));
   EXPECT_TRUE(Leader.Delivered.empty());
@@ -371,37 +371,84 @@ TEST_F(ConsensusTest, VoterBeyondTheLeadersRingGetsNoWriter) {
   EXPECT_EQ(Leader.Stats.counter("mu.voter_beyond_ring").value(), 1u);
 }
 
-TEST_F(ConsensusTest, InstalledViewIsAckedWhenItsLeaderCampaignsForIt) {
-  // Node 1 takes over at epoch 1. A late membership install then hands
-  // the group back to node 0 at node 2 alone (epoch 2, leader 0) before
-  // node 0 campaigns for epoch 2 itself. Node 2 already holds that view
-  // and still acks it: node 0 waits for every node it does not suspect.
-  for (unsigned I = 1; I < N; ++I)
-    NodesVec[I]->Suspected.insert(0);
+TEST_F(ConsensusTest, LateInstallOverridesAStaleCampaignWithoutSplitting) {
+  // Nodes 0, 2 and 3 install membership epoch 1, which keeps leader 0.
+  // Node 1 has not installed yet; it suspects node 0 and proposes a view
+  // of the old membership, then installs too. The stale proposal must not
+  // split the group: node 1 still suspects node 0, so it campaigns again
+  // under the new membership, every node follows it, and it commits at
+  // every node.
+  for (std::uint8_t I = 0; I < 2; ++I)
+    ASSERT_TRUE(NodesVec[0]->Cons->leaderAppend(entry(I), nullptr));
+  run(100);
+  for (unsigned I = 0; I < N; ++I)
+    if (I != 1)
+      NodesVec[I]->Cons->adoptLeadership(1, 0, 2);
+  NodesVec[1]->Suspected.insert(0);
   NodesVec[1]->Cons->onPeerSuspected(0);
   run(200);
-  ASSERT_TRUE(NodesVec[1]->Cons->isLeader());
-  ASSERT_TRUE(NodesVec[1]->Cons->leaderAppend(entry(1), nullptr));
-  run(100);
-  NodesVec[2]->Cons->adoptLeadership(0, NodesVec[2]->Received);
-  ASSERT_EQ(NodesVec[2]->Cons->epoch(), 2u);
+  NodesVec[1]->Cons->adoptLeadership(1, 0, 2);
+  run(200);
 
-  for (unsigned I = 0; I < N; ++I) {
-    NodesVec[I]->Suspected.erase(0);
-    if (I != 1)
-      NodesVec[I]->Suspected.insert(1);
-  }
-  NodesVec[0]->Cons->onPeerSuspected(1);
-  MiniNode &Leader = *NodesVec[0];
+  auto Agreed = [&]() -> MiniNode * {
+    rdma::NodeId L = NodesVec[0]->Cons->currentLeader();
+    for (auto &Nd : NodesVec)
+      if (Nd->Cons->currentLeader() != L)
+        return nullptr;
+    return NodesVec[L]->Cons->canAppend() ? NodesVec[L].get() : nullptr;
+  };
   sim::SimTime Cap = Sim.now() + sim::millis(5);
-  while (Sim.now() < Cap && !Leader.Cons->canAppend())
+  while (Sim.now() < Cap && !Agreed())
     run(1);
-  ASSERT_TRUE(Leader.Cons->isLeader());
-  EXPECT_EQ(Leader.Cons->epoch(), 2u);
-  ASSERT_TRUE(Leader.Cons->leaderAppend(entry(2), nullptr));
+  MiniNode *Leader = Agreed();
+  ASSERT_NE(Leader, nullptr);
+  EXPECT_EQ(Leader->Self, 1u);
+  std::optional<bool> Outcome;
+  ASSERT_TRUE(
+      Leader->Cons->leaderAppend(entry(2), [&](bool Ok) { Outcome = Ok; }));
   run(100);
-  for (unsigned I = 1; I < N; ++I)
-    EXPECT_EQ(NodesVec[I]->Entries.at(1), entry(2)) << "node " << I;
+  EXPECT_EQ(Outcome, std::optional<bool>(true));
+  for (unsigned I = 0; I < N; ++I)
+    EXPECT_EQ(NodesVec[I]->Entries.at(2), entry(2)) << "node " << I;
+}
+
+TEST_F(ConsensusTest, CampaignForALaterViewOutlivesALateInstall) {
+  // Nodes 0, 2 and 3 install membership epoch 1, which keeps leader 0.
+  // Before node 1 installs it too, node 2 campaigns for the next view of
+  // that membership and node 1 follows it, then suspects node 2 and
+  // campaigns for the view after, adopting its own proposal. Node 1's
+  // install is below the view it holds: view and campaign stand, and
+  // node 1 takes over.
+  constexpr std::uint64_t Installed = std::uint64_t{1} << 32;
+  for (unsigned I = 0; I < N; ++I)
+    if (I != 1)
+      NodesVec[I]->Cons->adoptLeadership(1, 0, 0);
+  NodesVec[2]->Suspected.insert(0);
+  NodesVec[2]->Cons->onPeerSuspected(0);
+  run(50);
+  MiniNode &Late = *NodesVec[1];
+  ASSERT_EQ(Late.Cons->epoch(), Installed + 1);
+  ASSERT_EQ(Late.Cons->currentLeader(), 2u);
+
+  Late.Suspected.insert(2);
+  Late.Cons->onPeerSuspected(2);
+  Late.poll();
+  ASSERT_EQ(Late.Cons->epoch(), Installed + 2);
+  ASSERT_EQ(Late.Cons->currentLeader(), 1u);
+  Late.Cons->adoptLeadership(1, 0, 0);
+  EXPECT_EQ(Late.Cons->epoch(), Installed + 2);
+
+  sim::SimTime Cap = Sim.now() + sim::millis(5);
+  while (Sim.now() < Cap && !Late.Cons->canAppend())
+    run(1);
+  ASSERT_TRUE(Late.Cons->canAppend());
+  std::optional<bool> Outcome;
+  ASSERT_TRUE(
+      Late.Cons->leaderAppend(entry(1), [&](bool Ok) { Outcome = Ok; }));
+  run(100);
+  EXPECT_EQ(Outcome, std::optional<bool>(true));
+  for (unsigned I = 0; I < N; ++I)
+    EXPECT_EQ(NodesVec[I]->Entries.at(0), entry(1)) << "node " << I;
 }
 
 TEST_F(ConsensusTest, CatchUpOvertakenByAViewChangeStops) {

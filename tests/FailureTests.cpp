@@ -852,12 +852,12 @@ TEST(DependencyWait, EnrollWaitsForItsCourse) {
 namespace {
 
 /// One poll round of a node of \p C when its poller lane is otherwise
-/// idle: PollInterval, then one PollCpu per check of every free and
-/// mailbox ring, summary slot, L ring and consensus instance.
+/// idle: PollInterval, then one PollCpu per check of every F ring, summary
+/// slot, L ring and consensus instance.
 sim::SimDuration pollPeriod(HambandCluster &C) {
   const CoordinationSpec &Spec = C.objectType().coordination();
   unsigned Peers = C.numNodes() - 1;
-  unsigned Checks = Peers * 2 + Spec.numSumGroups() * Peers +
+  unsigned Checks = Peers + Spec.numSumGroups() * Peers +
                     Spec.numSyncGroups() * 2;
   return C.config().PollInterval + C.fabric().model().PollCpu * Checks;
 }

@@ -390,30 +390,52 @@ TEST(WireRandomized, CallRoundTripsAtPayloadExtremes) {
             denseDeps(S, Procs, 0, Big.Deps));
 }
 
-// The mailbox and summary-slot codecs under the same random sweep.
+// The mail and summary-slot codecs under the same random sweep. Mail
+// shares the F ring with calls, call batches and summary-delta frames, so
+// each record kind's marker test accepts only its own records.
 TEST(WireRandomized, MailAndSummaryRoundTrip) {
   sim::Rng R(2718);
   auto Type = makeType("bank-account");
+  const CoordinationSpec &S = Type->coordination();
   for (unsigned Iter = 0; Iter < 60; ++Iter) {
     MailMsg In;
     In.Kind = R.index(2) ? MailKind::ConfResponse : MailKind::ConfRequest;
-    In.Origin = static_cast<ProcessId>(R.index(8));
     In.ReqId = R.nextU64();
     In.Ok = static_cast<std::uint8_t>(R.index(2));
     MethodId M = static_cast<MethodId>(R.index(Type->numMethods()));
-    In.TheCall = Type->randomClientCall(M, In.Origin, R.nextU64(), R);
+    ProcessId Issuer = static_cast<ProcessId>(R.index(8));
+    In.TheCall = Type->randomClientCall(M, Issuer, R.nextU64(), R);
     if (Iter == 0)
       In.TheCall.Args.clear(); // Zero-length argument edge.
     std::vector<std::uint8_t> Bytes = encodeMail(In);
     MailMsg Out;
     ASSERT_TRUE(decodeMail(Bytes.data(), Bytes.size(), Out));
     EXPECT_EQ(Out.Kind, In.Kind);
-    EXPECT_EQ(Out.Origin, In.Origin);
     EXPECT_EQ(Out.ReqId, In.ReqId);
     EXPECT_EQ(Out.Ok, In.Ok);
     EXPECT_EQ(Out.TheCall, In.TheCall);
     MailMsg Trunc;
     EXPECT_FALSE(decodeMail(Bytes.data(), Bytes.size() - 1, Trunc));
+    std::vector<std::uint8_t> Unmarked(Bytes.begin() + 2, Bytes.end());
+    EXPECT_FALSE(decodeMail(Unmarked.data(), Unmarked.size(), Trunc));
+
+    WireCall WC;
+    WC.TheCall = In.TheCall;
+    std::vector<std::uint8_t> CallBytes = encodeCall(S, 8, WC);
+    std::vector<std::uint8_t> BatchBytes = encodeCallBatch({CallBytes});
+    SummaryDeltaFrame F;
+    F.Image = CallBytes;
+    std::vector<std::uint8_t> DeltaBytes = encodeSummaryDelta(F);
+    for (const std::vector<std::uint8_t> *Rec :
+         {&Bytes, &CallBytes, &BatchBytes, &DeltaBytes}) {
+      const std::uint8_t *D = Rec->data();
+      std::size_t L = Rec->size();
+      EXPECT_EQ(isMail(D, L), Rec == &Bytes);
+      EXPECT_EQ(isCallBatch(D, L), Rec == &BatchBytes);
+      EXPECT_EQ(isSummaryDelta(D, L), Rec == &DeltaBytes);
+      MailMsg NotMail;
+      EXPECT_EQ(decodeMail(D, L, NotMail), Rec == &Bytes);
+    }
 
     SummaryImage Img;
     Img.Seq = R.nextU64();

@@ -103,14 +103,12 @@ TEST(WireFormat, DepBlockSizeImpliedByMethod) {
 TEST(WireFormat, MailRoundTrip) {
   MailMsg In;
   In.Kind = MailKind::ConfRequest;
-  In.Origin = 3;
   In.ReqId = 991;
   In.TheCall = Call(1, {4, 5}, 3, 991);
   std::vector<std::uint8_t> Bytes = encodeMail(In);
   MailMsg Out;
   ASSERT_TRUE(decodeMail(Bytes.data(), Bytes.size(), Out));
   EXPECT_EQ(Out.Kind, MailKind::ConfRequest);
-  EXPECT_EQ(Out.Origin, 3u);
   EXPECT_EQ(Out.ReqId, 991u);
   EXPECT_EQ(Out.TheCall, In.TheCall);
 }
@@ -245,7 +243,7 @@ TEST(WireFormat, DecodeRejectsGarbage) {
 
 TEST(MemoryMapTest, OffsetsAreDisjoint) {
   RingGeometry G{64, 128};
-  MemoryMap Map(4, 2, 2, G, G, G);
+  MemoryMap Map(4, 2, 2, G, G);
   // Spot-check that major structures do not overlap.
   EXPECT_LT(Map.summarySlot(1, 3) + 512, Map.freeRingData(0) + 1);
   EXPECT_LE(Map.freeRingData(3) + G.dataBytes(), Map.freeRingFeedback(0));
@@ -259,10 +257,9 @@ TEST(MemoryMapTest, OffsetsAreDisjoint) {
 
 TEST(MemoryMapTest, SlotsDistinctPerIndex) {
   RingGeometry G{64, 128};
-  MemoryMap Map(3, 1, 1, G, G, G);
+  MemoryMap Map(3, 1, 1, G, G);
   EXPECT_NE(Map.summarySlot(0, 0), Map.summarySlot(0, 1));
   EXPECT_NE(Map.freeRingData(0), Map.freeRingData(1));
-  EXPECT_NE(Map.mailRingFeedback(0), Map.mailRingFeedback(2));
   EXPECT_NE(Map.proposalSlot(0, 1), Map.proposalSlot(0, 2));
 }
 
@@ -787,7 +784,7 @@ TEST_F(ClusterTest, ConflictingCallForwardedFromFollower) {
             [&](bool, Value) { DepDone = true; });
   runUntil(Sim, [&] { return DepDone && C->fullyReplicated(); });
   // Submit the conflicting call at a follower: it must be redirected to
-  // the leader through the mailbox and still complete.
+  // the leader by mail and still complete.
   bool WdOk = false, WdDone = false;
   C->submit(Follower, Call(BankAccount::Withdraw, {4}, Follower, 2),
             [&](bool Ok, Value) {
@@ -1152,14 +1149,15 @@ TEST_F(ClusterTest, RejectedConfRequestIsJudgedAgainOnResubmit) {
   EXPECT_EQ(V, 55);
 }
 
-TEST_F(ClusterTest, FullMailboxKeepsConfRequestsInPostOrder) {
-  // A four-cell mailbox fills after four unread requests. Requests posted
-  // while it is full must queue behind the stalled ones, not overtake them
-  // when a cell frees up: the leader has to read one origin's requests in
-  // the order they were posted, so they commit in that order.
+TEST_F(ClusterTest, FullFreeRingKeepsConfRequestsInPostOrder) {
+  // Requests ride the F ring toward the leader, and a four-cell F ring
+  // fills after four unread records. Requests posted while it is full
+  // must queue behind the stalled ones, not overtake them when a cell
+  // frees up: the leader has to read one origin's requests in the order
+  // they were posted, so they commit in that order.
   BankAccount T;
   HambandConfig Cfg;
-  Cfg.MailGeom = RingGeometry{4, 256};
+  Cfg.FreeGeom = RingGeometry{4, 256};
   Cfg.RecordApplyLog = true;
   HambandCluster C(Sim, 3, T, {}, Cfg);
   C.start();
