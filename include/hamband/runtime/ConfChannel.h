@@ -99,6 +99,11 @@ public:
   /// returns how many parked calls it judged again (the node bills each
   /// one ApplyCpu).
   unsigned poll();
+  /// Checks a poll round makes here, each billed one PollCpu: every
+  /// group's L ring and its consensus slots.
+  unsigned pollChecks() const {
+    return 2 * static_cast<unsigned>(Consensus.size());
+  }
 
   void onPeerSuspected(rdma::NodeId Peer);
 

@@ -50,6 +50,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 namespace hamband {
 namespace runtime {
@@ -80,7 +81,9 @@ struct BatchingConfig {
 
 /// Tunables of the Hamband runtime.
 struct HambandConfig {
-  RingGeometry FreeGeom{4096, 256};
+  /// F-ring geometry override; unset, the cluster resolves it from the
+  /// type (freeRingGeometry).
+  std::optional<RingGeometry> FreeGeom;
   RingGeometry ConfGeom{4096, 256};
   std::uint32_t SummarySlotBytes = 512;
   /// Sized so a batched flush image (summaries + free batch record) can

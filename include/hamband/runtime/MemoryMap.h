@@ -14,8 +14,9 @@
 ///  - summary slots S: one per (summarization group, source process);
 ///  - rings F: one per remote writer, carrying its conflict-free calls,
 ///    summary-delta frames and conflicting-call mail (requests to a group
-///    leader and its answers), plus the feedback slots for the F rings
-///    this node *writes* on others;
+///    leader and its answers), in 64-B lines sized by freeRingGeometry,
+///    plus the feedback slots for the F rings this node *writes* on
+///    others;
 ///  - conflicting rings L: one per synchronization group, plus feedback
 ///    slots for every (group, reader) pair (hosted everywhere because the
 ///    writer -- the group leader -- can change);
@@ -33,9 +34,24 @@
 #include "hamband/runtime/RingBuffer.h"
 
 #include <cassert>
+#include <optional>
 
 namespace hamband {
 namespace runtime {
+
+/// The F-ring geometry of a type with \p NumSumGroups summarization
+/// groups: \p Override when set (edge geometries in tests), else 64-B
+/// lines, so a record ships and occupies only the lines its header,
+/// payload and canary need. A type with a summarization group gets 16,384
+/// lines (1 MiB), whose 524,275-B largest record carries chunked summary
+/// images; any other type gets 8,192 (512 KiB), which still holds 4,096
+/// records of up to 115-B payload.
+inline RingGeometry freeRingGeometry(unsigned NumSumGroups,
+                                     std::optional<RingGeometry> Override) {
+  if (Override)
+    return *Override;
+  return RingGeometry{NumSumGroups > 0 ? 16384u : 8192u, 64};
+}
 
 /// Computes the symmetric per-node memory layout.
 class MemoryMap {

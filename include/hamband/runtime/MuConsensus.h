@@ -87,8 +87,8 @@ public:
   /// Position of this node's L-ring reader.
   std::uint64_t logHead() const { return Reader.head(); }
 
-  /// True when leaderAppend would accept an entry right now (ready leader
-  /// and no follower ring is full).
+  /// True when leaderAppend would accept an entry right now: a ready
+  /// leader holding writers for a majority, none of whose rings is full.
   bool canAppend() const;
 
   /// Leader-only: keeps \p EntryBytes in this node's L ring as the next
@@ -97,8 +97,8 @@ public:
   /// toward the majority; a commit in the appending view reaches
   /// DeliverEntry first), or false when the append cannot commit (lost
   /// leadership; the instance then appends nothing more until its next
-  /// view change). Returns false without posting anything when this node
-  /// is not the (ready) leader or a follower ring is full (caller retries).
+  /// view change). Returns false without posting anything when
+  /// canAppend() is false (caller retries).
   bool leaderAppend(std::vector<std::uint8_t> EntryBytes,
                     std::function<void(bool)> OnCommitted);
 
@@ -139,6 +139,8 @@ private:
   obs::Counter *CtrVoterBeyondRing = nullptr;
   obs::Span CampaignSpan;
 
+  /// Follower writes an append needs to commit.
+  unsigned neededRemote() const;
   void campaign();
   /// Adopts a view, proposed or installed: a leader starts each view with
   /// fresh writers. Callers set Campaigning and CatchingUp.

@@ -21,9 +21,20 @@
 ///    to a feedback slot in the writer's memory (again single-writer) so
 ///    the writer can tell when the ring is full.
 ///
+/// A record spans as many consecutive cells as its 12-B header, payload
+/// and 1-B canary need, shipped as one write; one that would cross the
+/// ring end is preceded by a pad filling the lap.
+///
 /// A node uses two kinds: one F ring per (writer, reader) pair, carrying
 /// the writer's free calls, summary frames and conflicting-call mail, and
-/// one L ring per synchronization group, written by its Mu leader.
+/// one L ring per synchronization group, written by its Mu leader. F-ring
+/// cells are 64-B cache lines, so a record ships and occupies only the
+/// lines it needs (orset's 44-124-B records take one to three). Their
+/// count comes from the type (freeRingGeometry in MemoryMap.h): 16,384
+/// lines (1 MiB) when it has a summarization group, whose chunked full
+/// images need the 524,275-B largest record, else 8,192 (512 KiB), which
+/// still holds 4,096 records of up to 115-B payload. An L-ring entry is
+/// one 256-B cell, since Mu's catch-up reads an entry by its index.
 ///
 //===----------------------------------------------------------------------===//
 

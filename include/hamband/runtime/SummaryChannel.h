@@ -102,8 +102,15 @@ public:
   bool fullImageOwed() const;
 
   /// Installs every peer slot holding a newer image; returns the number
-  /// of slots parsed.
+  /// of slots parsed. Delta mode writes no slot, so it reads none.
   unsigned pollSlots();
+  /// Checks a poll round makes here, each billed one PollCpu: one per
+  /// peer slot, none in delta mode.
+  unsigned pollChecks() const {
+    return Delta.Enabled ? 0
+                         : static_cast<unsigned>(Images.size()) *
+                               (Fabric.numNodes() - 1);
+  }
   /// Handles one SummaryDeltaFrame record from \p Src (a delta, a
   /// full-image chunk or a full-image request); true when it advanced the
   /// (group, \p Src) version.

@@ -14,7 +14,7 @@
 #    (HeadlineMinVsMsg ... MinReconfigAfter), not options; its header
 #    lists them.
 #  - no-regression: the tool's --compare holds every sim point to the
-#    committed baseline report, BENCH_pr36.json unless --baseline points
+#    committed baseline report, BENCH_pr39.json unless --baseline points
 #    elsewhere, within its built-in tolerance (CompareTolerance). It lists
 #    every point's old and new value and names each failing one. Full runs
 #    only: the smoke op count is too small to compare against a full-run
@@ -41,7 +41,7 @@ set -euo pipefail
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$REPO/build"
 OUT=""
-BASELINE="$REPO/BENCH_pr36.json"
+BASELINE="$REPO/BENCH_pr39.json"
 OPS=6000
 REPS=1
 TRANSPORT=both

@@ -58,7 +58,6 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
            }),
       DataKey(DataKey) {
   unsigned N = Fabric.numNodes();
-  unsigned Groups = Spec.numSyncGroups();
   unsigned SumGroups = Spec.numSumGroups();
 
   CtrCallQuery = &Stats.counter("node.calls.query");
@@ -138,11 +137,10 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
       Fabric, Self, Map.backupSlot(), Cfg.BackupSlotBytes);
   Broadcast->attachStats(Stats);
 
-  const rdma::NetworkModel &M = Fabric.model();
-  unsigned Checks = (N - 1)             // F rings
-                    + SumGroups * (N - 1) // summary slots
-                    + Groups * 2;         // conf rings + consensus polls
-  PollBaseCost = M.PollCpu * std::max(1u, Checks);
+  // One PollCpu per check a round makes: this node's F rings, then
+  // whatever each channel reports.
+  unsigned Checks = (N - 1) + Sums.pollChecks() + Conf->pollChecks();
+  PollBaseCost = Fabric.model().PollCpu * std::max(1u, Checks);
 }
 
 HambandNode::~HambandNode() = default;
@@ -535,7 +533,7 @@ sim::SimDuration HambandNode::perCallParseCpu() const {
 std::size_t HambandNode::freeBatchCapBytes() const {
   // A wire record must fit one spanning ring reservation, and the staged
   // flush image (which also carries summaries) must fit the backup slot.
-  return std::min(Cfg.FreeGeom.maxRecordPayload(),
+  return std::min(Map.freeGeom().maxRecordPayload(),
                   static_cast<std::size_t>(Cfg.BackupSlotBytes / 2));
 }
 

@@ -128,8 +128,16 @@ RingWriter &MuConsensus::writerTo(rdma::NodeId Follower) {
   return *Writers.emplace(Follower, std::move(W)).first->second;
 }
 
+unsigned MuConsensus::neededRemote() const {
+  // The leader's own log copy counts toward the majority.
+  return Members.activeCount() / 2;
+}
+
 bool MuConsensus::canAppend() const {
-  if (!isLeader())
+  // A leader whose acked voters lie beyond its ring holds no writer for
+  // them: with fewer writers than its majority needs, an append could
+  // never decide.
+  if (!isLeader() || Writers.size() < neededRemote())
     return false;
   for (const auto &[F, W] : Writers)
     if (W->full())
@@ -144,10 +152,7 @@ bool MuConsensus::leaderAppend(std::vector<std::uint8_t> EntryBytes,
   if (CtrAppend)
     CtrAppend->add();
 
-  unsigned Majority = Members.activeCount() / 2 + 1;
-  // The leader's own log copy counts toward the majority.
-  unsigned NeededRemote = Majority > 0 ? Majority - 1 : 0;
-
+  unsigned NeededRemote = neededRemote();
   auto Tally = std::make_shared<CommitTally>(CommitTally{
       NextIndex, std::move(EntryBytes), std::move(OnCommitted)});
   Reader.keep(NextIndex, Tally->Entry);

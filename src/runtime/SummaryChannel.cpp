@@ -269,6 +269,8 @@ SummaryChannel::encodeFullFrames(unsigned G, const SummaryImage &Img,
 // -- Receive side ------------------------------------------------------------
 
 unsigned SummaryChannel::pollSlots() {
+  if (Delta.Enabled)
+    return 0;
   unsigned Parsed = 0;
   const rdma::MemoryRegion &Mem = Fabric.memory(Self);
   for (unsigned G = 0; G < Images.size(); ++G) {

@@ -371,6 +371,49 @@ TEST_F(ConsensusTest, VoterBeyondTheLeadersRingGetsNoWriter) {
   EXPECT_EQ(Leader.Stats.counter("mu.voter_beyond_ring").value(), 1u);
 }
 
+TEST_F(ConsensusTest, LeaderWithoutWritersForAMajorityDoesNotAppend) {
+  // As above, node 1 leads with node 3 asleep and laps node 3's entries
+  // out of its 64-cell ring. Then node 1 stops for good and node 2 takes
+  // over on acks from nodes 0 and 3; node 3 acks from index 0, beyond
+  // node 2's ring too, so node 2 holds a writer for node 0 alone while
+  // its majority needs two. It must not append: such an entry could
+  // never decide.
+  for (unsigned I = 1; I < N; ++I)
+    NodesVec[I]->Suspected.insert(0);
+  NodesVec[1]->Suspected.insert(3);
+  NodesVec[3]->Paused = true;
+  NodesVec[1]->Cons->onPeerSuspected(0);
+  run(200);
+  MiniNode &First = *NodesVec[1];
+  ASSERT_TRUE(First.Cons->isLeader());
+  for (std::uint8_t I = 0; I < 70; ++I) {
+    while (!First.Cons->canAppend())
+      run(1);
+    ASSERT_TRUE(First.Cons->leaderAppend(entry(I), nullptr));
+  }
+  run(100);
+  ASSERT_EQ(NodesVec[2]->Received, 70u);
+  NodesVec[3]->Paused = false;
+  run(200);
+  ASSERT_EQ(NodesVec[3]->Cons->currentLeader(), 1u);
+
+  NodesVec[1]->Paused = true;
+  for (unsigned I : {0u, 2u, 3u})
+    NodesVec[I]->Suspected.insert(1);
+  NodesVec[2]->Cons->onPeerSuspected(1);
+  run(200);
+  MiniNode &Second = *NodesVec[2];
+  ASSERT_TRUE(Second.Cons->isLeader());
+  EXPECT_EQ(Second.Stats.counter("mu.voter_beyond_ring").value(), 1u);
+  EXPECT_FALSE(Second.Cons->canAppend());
+  std::optional<bool> Outcome;
+  EXPECT_FALSE(
+      Second.Cons->leaderAppend(entry(70), [&](bool Ok) { Outcome = Ok; }));
+  run(100);
+  EXPECT_EQ(Outcome, std::nullopt);
+  EXPECT_EQ(NodesVec[0]->Received, 70u);
+}
+
 TEST_F(ConsensusTest, LateInstallOverridesAStaleCampaignWithoutSplitting) {
   // Nodes 0, 2 and 3 install membership epoch 1, which keeps leader 0.
   // Node 1 has not installed yet; it suspects node 0 and proposes a view

@@ -853,12 +853,13 @@ namespace {
 
 /// One poll round of a node of \p C when its poller lane is otherwise
 /// idle: PollInterval, then one PollCpu per check of every F ring, summary
-/// slot, L ring and consensus instance.
+/// slot (none in delta mode), L ring and consensus instance.
 sim::SimDuration pollPeriod(HambandCluster &C) {
   const CoordinationSpec &Spec = C.objectType().coordination();
   unsigned Peers = C.numNodes() - 1;
-  unsigned Checks = Peers + Spec.numSumGroups() * Peers +
-                    Spec.numSyncGroups() * 2;
+  unsigned SlotChecks =
+      C.config().Delta.Enabled ? 0 : Spec.numSumGroups() * Peers;
+  unsigned Checks = Peers + SlotChecks + Spec.numSyncGroups() * 2;
   return C.config().PollInterval + C.fabric().model().PollCpu * Checks;
 }
 

@@ -263,6 +263,41 @@ TEST(MemoryMapTest, SlotsDistinctPerIndex) {
   EXPECT_NE(Map.proposalSlot(0, 1), Map.proposalSlot(0, 2));
 }
 
+TEST(MemoryMapTest, FreeRingGeometryFollowsTheType) {
+  // 64-B lines; 16,384 of them when chunked summary images need the
+  // largest record, 8,192 otherwise.
+  const std::set<std::string> SummaryFree = {
+      "orset", "shopping-cart", "gset-buffered", "movie", "auction"};
+  unsigned WithGroups = 0;
+  for (const std::string &Name : registeredTypeNames()) {
+    auto T = makeType(Name);
+    sim::Simulator Sim;
+    HambandCluster C(Sim, 3, *T);
+    const RingGeometry &G = C.memoryMap().freeGeom();
+    EXPECT_EQ(G.CellSize, 64u) << Name;
+    if (SummaryFree.count(Name)) {
+      EXPECT_EQ(T->coordination().numSumGroups(), 0u) << Name;
+      EXPECT_EQ(G.NumCells, 8192u) << Name;
+    } else {
+      ++WithGroups;
+      EXPECT_EQ(G.NumCells, 16384u) << Name;
+      EXPECT_EQ(G.maxRecordPayload(), 524275u) << Name;
+    }
+  }
+  EXPECT_EQ(WithGroups, 8u);
+
+  // An explicit geometry is honoured whatever the type.
+  for (const char *Name : {"orset", "counter"}) {
+    auto T = makeType(Name);
+    sim::Simulator Sim;
+    HambandConfig Cfg;
+    Cfg.FreeGeom = RingGeometry{32, 128};
+    HambandCluster C(Sim, 3, *T, {}, Cfg);
+    EXPECT_EQ(C.memoryMap().freeGeom().NumCells, 32u) << Name;
+    EXPECT_EQ(C.memoryMap().freeGeom().CellSize, 128u) << Name;
+  }
+}
+
 // -- Ring buffers over the fabric ---------------------------------------------
 
 struct RingTest : ::testing::Test {
@@ -492,6 +527,82 @@ TEST_F(RingTest, MaxRecordPayloadFitsExactly) {
   EXPECT_EQ(Got, Payload);
   R.consume();
   EXPECT_EQ(R.head(), 4u);
+}
+
+TEST_F(RingTest, MixedLineRecordsComeBackInOrderAcrossWraps) {
+  // Geom{8, 64} is the F ring's 64-B line at a small count: records of
+  // 1, 2 and 3 lines (up to 51, 115 and 179 payload bytes) stream through
+  // several laps, and each one that would cross the ring end is preceded
+  // by a pad filling the lap.
+  obs::Registry WStats, RStats;
+  W.attachStats(WStats);
+  R.attachStats(RStats);
+  const std::size_t Sizes[] = {40, 100, 170, 51, 52, 115, 116, 179, 0};
+  std::uint64_t Tail = 0, PadCells = 0, Pads = 0, Spans = 0;
+  std::vector<std::uint8_t> Got;
+  for (unsigned I = 0; I < 60; ++I) {
+    std::vector<std::uint8_t> Payload = patternPayload(Sizes[I % 9]);
+    for (std::uint8_t &B : Payload)
+      B = static_cast<std::uint8_t>(B + I);
+    std::uint32_t Lines = Geom.cellsFor(Payload.size());
+    ASSERT_EQ(Lines, 1u + (Payload.size() > 51) + (Payload.size() > 115));
+    std::uint32_t Pos = static_cast<std::uint32_t>(Tail % Geom.NumCells);
+    if (Pos + Lines > Geom.NumCells) {
+      PadCells += Geom.NumCells - Pos;
+      Tail += Geom.NumCells - Pos;
+      ++Pads;
+    }
+    Tail += Lines;
+    Spans += Lines > 1;
+    ASSERT_TRUE(W.appendRecord(Payload)) << "record " << I;
+    EXPECT_EQ(W.tail(), Tail) << "record " << I;
+    Sim.run();
+    ASSERT_TRUE(R.peek(Got)) << "record " << I;
+    EXPECT_EQ(Got, Payload) << "record " << I;
+    R.consume();
+    EXPECT_EQ(R.head(), Tail) << "record " << I;
+    Sim.run(); // Head feedback.
+  }
+  EXPECT_FALSE(R.peek(Got));
+  obs::StatsSnapshot WS = WStats.snapshot(), RS = RStats.snapshot();
+  EXPECT_GE(Tail / Geom.NumCells, 3u);
+  EXPECT_GT(Pads, 0u);
+  EXPECT_EQ(WS.counter("ring.pad_cells"), PadCells);
+  EXPECT_EQ(RS.counter("ring.pad_skip"), Pads);
+  EXPECT_EQ(WS.counter("ring.span_append"), Spans);
+  EXPECT_EQ(WS.counter("ring.append"), 60u);
+  EXPECT_EQ(WS.counter("ring.full_stall"), 0u);
+  EXPECT_EQ(RS.counter("ring.consume"), 60u);
+}
+
+TEST(FreeRingCapacity, EmptySummaryFreeDefaultTakes4096RecordsOf115Bytes) {
+  // 115 payload bytes + 12-B header + canary fill two lines exactly, so
+  // 4,096 such records fill the default 8,192-line ring with no stall.
+  const RingGeometry Geom = freeRingGeometry(0, std::nullopt);
+  ASSERT_EQ(Geom.cellsFor(115), 2u);
+  sim::Simulator Sim;
+  rdma::Fabric Fab(Sim, 2, rdma::NetworkModel(), Geom.dataBytes() + 8192);
+  const rdma::MemOffset Data = 4096, Feedback = 128;
+  RingWriter W(Fab, 0, 1, Data, Feedback, Geom);
+  RingReader R(Fab, 1, 0, Data, Feedback, Geom);
+  obs::Registry Stats;
+  W.attachStats(Stats);
+  for (unsigned I = 0; I < 4096; ++I)
+    ASSERT_TRUE(W.appendRecord(std::vector<std::uint8_t>(
+        115, static_cast<std::uint8_t>(I))))
+        << "record " << I;
+  EXPECT_EQ(Stats.snapshot().counter("ring.full_stall"), 0u);
+  EXPECT_EQ(W.tail(), 8192u);
+  EXPECT_FALSE(W.appendRecord(std::vector<std::uint8_t>(1, 0)));
+  Sim.run();
+  std::vector<std::uint8_t> Got;
+  for (unsigned I = 0; I < 4096; ++I) {
+    ASSERT_TRUE(R.peek(Got)) << "record " << I;
+    EXPECT_EQ(Got, std::vector<std::uint8_t>(
+                       115, static_cast<std::uint8_t>(I)));
+    R.consume();
+  }
+  EXPECT_FALSE(R.peek(Got));
 }
 
 TEST_F(RingTest, ConsumedSpanInteriorNeverMisparsedOnLaterLaps) {
@@ -1187,6 +1298,63 @@ TEST_F(ClusterTest, FullFreeRingKeepsConfRequestsInPostOrder) {
   ASSERT_EQ(Order.size(), static_cast<std::size_t>(Requests));
   for (int I = 0; I < Requests; ++I)
     EXPECT_EQ(Order[I], static_cast<RequestId>(100 + I)) << "position " << I;
+}
+
+TEST_F(ClusterTest, DefaultOrsetTrafficLapsEveryFreeRingTwice) {
+  // At the default geometry an orset record takes one to three 64-B
+  // lines. A closed loop of random adds and removes, eight outstanding
+  // per origin, laps every F ring at least twice: records span lines and
+  // pad at the wraps, and the replicas still converge.
+  ORSet T;
+  auto C = makeCluster(T);
+  const MemoryMap &Map = C->memoryMap();
+  const RingGeometry &G = Map.freeGeom();
+  ASSERT_EQ(G.NumCells, 8192u);
+  ASSERT_EQ(G.CellSize, 64u);
+  const unsigned Nodes = C->numNodes();
+  const unsigned PerOrigin = 14000;
+  std::vector<unsigned> Issued(Nodes, 0);
+  unsigned Answered = 0, Failed = 0;
+  sim::Rng R(39);
+  std::vector<MethodId> Updates = T.coordination().updateMethods();
+  std::function<void(rdma::NodeId)> Next = [&](rdma::NodeId O) {
+    if (Issued[O] == PerOrigin)
+      return;
+    RequestId Req = (static_cast<RequestId>(O) << 32) | ++Issued[O];
+    C->submit(O, T.randomClientCall(R.pick(Updates), O, Req, R),
+              [&, O](bool Ok, Value) {
+                ++Answered;
+                Failed += !Ok;
+                Next(O);
+              });
+  };
+  for (rdma::NodeId O = 0; O < Nodes; ++O)
+    for (int K = 0; K < 8; ++K)
+      Next(O);
+  ASSERT_TRUE(runUntil(Sim, [&] {
+    return Answered == Nodes * PerOrigin && C->fullyReplicated();
+  }, 2e6));
+  EXPECT_EQ(Failed, 0u);
+  EXPECT_TRUE(C->converged());
+  // Each reader publishes its head in its writer's feedback slot.
+  for (rdma::NodeId W = 0; W < Nodes; ++W)
+    for (rdma::NodeId Rd = 0; Rd < Nodes; ++Rd) {
+      if (Rd == W)
+        continue;
+      EXPECT_GE(C->transport().memory(W).readU64(Map.freeRingFeedback(Rd)),
+                2ull * G.NumCells)
+          << "ring " << W << " -> " << Rd;
+    }
+  std::uint64_t Spans = 0, PadCells = 0, Stalls = 0;
+  for (rdma::NodeId N = 0; N < Nodes; ++N) {
+    obs::StatsSnapshot S = C->node(N).statsSnapshot();
+    Spans += S.counter("ring.span_append");
+    PadCells += S.counter("ring.pad_cells");
+    Stalls += S.counter("ring.full_stall");
+  }
+  EXPECT_GT(Spans, 0u);
+  EXPECT_GT(PadCells, 0u);
+  EXPECT_EQ(Stalls, 0u);
 }
 
 TEST_F(ClusterTest, OversizeConflictingEntryRejected) {

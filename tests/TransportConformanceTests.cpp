@@ -33,6 +33,7 @@
 #include "hamband/rdma/Fabric.h"
 #include "hamband/rdma/ShmTransport.h"
 #include "hamband/runtime/HambandCluster.h"
+#include "hamband/runtime/MemoryMap.h"
 #include "hamband/runtime/RingBuffer.h"
 #include "hamband/semantics/RdmaSemantics.h"
 #include "hamband/sim/FaultInjector.h"
@@ -42,6 +43,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <thread>
 #include <tuple>
 
@@ -319,6 +321,54 @@ TEST_P(TransportConformance, RingSpanningRecordsSurviveWrapOnBothBackends) {
     EXPECT_FALSE(R.peek(Got)) << "phantom record after round " << Round;
   }
   EXPECT_EQ(Delivered, 48u);
+}
+
+// The F ring at its resolved default for a summary-free type: 8,192 64-B
+// lines, where records of one to three lines are the common case. The
+// writer fills the ring, the reader drains it, and three laps of records
+// come back intact and in order on both backends, padding at the wraps.
+TEST_P(TransportConformance, DefaultFreeRingLapsWithSpansOnBothBackends) {
+  const RingGeometry G = freeRingGeometry(0, std::nullopt);
+  ASSERT_EQ(G.CellSize, 64u);
+  const MemOffset DataOff = 4096;
+  const MemOffset FeedbackOff = 128;
+  RingWriter W(*T, /*Writer=*/0, /*Reader=*/1, DataOff, FeedbackOff, G);
+  RingReader R(*T, /*Reader=*/1, /*Writer=*/0, DataOff, FeedbackOff, G);
+  obs::Registry Stats;
+  W.attachStats(Stats);
+  R.attachStats(Stats);
+
+  // Orset's F-ring records run 44-124 B; the sizes straddle each line
+  // boundary (51 and 115 payload bytes).
+  const std::size_t Sizes[] = {44, 124, 51, 52, 115, 116, 20, 179, 88};
+  auto PayloadFor = [&](std::uint64_t Seq) {
+    std::vector<std::uint8_t> P(Sizes[Seq % std::size(Sizes)]);
+    for (std::size_t I = 0; I < P.size(); ++I)
+      P[I] = static_cast<std::uint8_t>((Seq * 131 + I) & 0xFF);
+    return P;
+  };
+  std::uint64_t Appended = 0, Delivered = 0;
+  std::vector<std::uint8_t> Got;
+  while (W.tail() < 3ull * G.NumCells) {
+    while (W.appendRecord(PayloadFor(Appended)))
+      ++Appended;
+    settle();
+    while (R.peek(Got)) {
+      ASSERT_EQ(Got, PayloadFor(Delivered)) << "record " << Delivered;
+      R.consume();
+      ++Delivered;
+    }
+    ASSERT_EQ(Delivered, Appended);
+    settle(); // Head feedback.
+  }
+  // Every lap but the last began with an append at line 0, after a pad
+  // unless the previous lap ended exactly at the ring end.
+  obs::StatsSnapshot S = Stats.snapshot();
+  EXPECT_GT(S.counter("ring.span_append"), Appended / 2);
+  EXPECT_GE(S.counter("ring.wrap"), 2u);
+  EXPECT_GT(S.counter("ring.pad_skip"), 0u);
+  EXPECT_LE(S.counter("ring.pad_skip"), S.counter("ring.wrap"));
+  EXPECT_EQ(S.counter("ring.canary_retry"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
